@@ -17,7 +17,6 @@ import io
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .contour import ContourContext, uplane_field
@@ -95,14 +94,18 @@ def result_record(res, checks=None) -> dict:
     c = res.couplings
     routes = {}
     for name, o in res.outcomes.items():
-        rec = {"status": o.status}
+        rec = {
+            "status": o.status,
+            "seconds": round(o.seconds, 6),
+            "precision_bits": o.precision_bits,
+            "diagnostics": {key: _cplx(v) if isinstance(v, complex) else v
+                            for key, v in o.diagnostics.items()},
+        }
         if o.status == "ok":
             rec.update({
                 "logZ": o.logZ,
                 "rel_dev_to_reference": abs(o.logZ - res.logZ)
                 / max(1.0, abs(res.logZ)),
-                "seconds": round(o.seconds, 6),
-                "precision_bits": o.precision_bits,
             })
         else:
             rec["reason"] = o.reason
@@ -115,6 +118,7 @@ def result_record(res, checks=None) -> dict:
         "k": res.k, "eta_im_over_Kprime": eta_frac,
         "route": res.route, "logZ": res.logZ,
         "max_pairwise_rel_dev": res.max_pairwise_dev,
+        "pipeline_seconds": round(res.pipeline_seconds, 6),
         "routes": routes,
         "checks": checks or {},
     }
@@ -238,30 +242,24 @@ def _scan_csv(records) -> str:
     return buf.getvalue()
 
 
-def cmd_scan(cfg: RunConfig, k_values, workers: int) -> int:
+def cmd_scan(cfg: RunConfig, k_values) -> int:
     frac = cfg.eta_fraction if cfg.eta_fraction is not None else 1.0
 
     def one(k):
         try:
             c = couplings_from_modulus(k, frac, cfg.L, cfg.M)
             res = assemble_logZ(c, cfg.route, prec=cfg.precision())
-            return k, result_record(res)
+            return result_record(res)
         except RectisingError as exc:
             # a sweep point may be infeasible (e.g. the critical modulus
             # has no anisotropy parametrization); record, don't abort
-            return k, {"k": k, "L": cfg.L, "M": cfg.M,
-                       "K_h": float("nan"), "K_v": float("nan"),
-                       "logZ": float("nan"), "max_pairwise_rel_dev":
-                       float("nan"), "routes": {},
-                       "error": f"{type(exc).__name__}: {exc}"}
+            return {"k": k, "L": cfg.L, "M": cfg.M,
+                    "K_h": float("nan"), "K_v": float("nan"),
+                    "logZ": float("nan"), "max_pairwise_rel_dev":
+                    float("nan"), "routes": {},
+                    "error": f"{type(exc).__name__}: {exc}"}
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            recs = list(pool.map(one, k_values))
-    else:
-        recs = [one(k) for k in k_values]
-    recs.sort(key=lambda kr: kr[0])
-    records = [r for _k, r in recs]
+    records = [one(k) for k in sorted(k_values)]
     if cfg.fmt == "json":
         _emit(_json_dumps(records), cfg.out)
     else:
@@ -332,7 +330,8 @@ def build_parser() -> argparse.ArgumentParser:
     pn.add_argument("--k-max", type=float, required=True)
     pn.add_argument("--steps", type=int, default=9)
     pn.add_argument("--route", default="all", choices=("all",) + ROUTES)
-    pn.add_argument("--workers", type=int, default=1)
+    pn.add_argument("--workers", type=int, default=1,
+                    help="accepted for compatibility; scans run serially")
 
     pu = sub.add_parser("uplane", help="emit the integrand field file")
     _add_common(pu)
@@ -369,7 +368,7 @@ def main(argv=None) -> int:
             else:
                 step = (ns.k_max - ns.k_min) / (ns.steps - 1)
                 ks = [ns.k_min + i * step for i in range(ns.steps)]
-            return cmd_scan(cfg, ks, ns.workers)
+            return cmd_scan(cfg, ks)
         if ns.command == "uplane":
             return cmd_uplane(cfg, ns.n, ns.grid)
         raise AssertionError(ns.command)

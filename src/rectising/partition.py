@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .elliptic import CRITICAL_TOL
 from .errors import DomainError, PhaseLeakError, RouteInfeasibleError
 from .params import (
     Couplings,
@@ -34,10 +35,10 @@ from .precision import FLOAT64, Precision, as_precision
 from .spectrum import (
     MatrixBundle,
     build_matrices,
+    check_joint,
     chi_poly_derivative,
     enrich_spectrum,
     joint_spectrum,
-    _family_spectrum,
 )
 
 #: hard cap on the exact configuration sum
@@ -50,6 +51,9 @@ SPIN_MAX_WIDTH = 12
 REAL_TOL = 1e-8
 
 ROUTES = ("brute", "spin", "block", "hankel", "pfaffian")
+
+#: routes that run at the working precision (the others are binary64)
+STRUCTURED_ROUTES = ("block", "hankel", "pfaffian")
 
 
 # ----------------------------------------------------------------------
@@ -280,13 +284,16 @@ def _log_z0(w: Weights, L, M, ctx):
 
 
 def block_transfer_logZ(c: Couplings, prec: Precision | None = None,
-                        w: Weights = None, bundle: MatrixBundle = None):
+                        w: Weights = None, bundle: MatrixBundle = None,
+                        points: list = None):
     """log Z from the projected L-th power of the transfer matrix.
 
     The determinant argument factorizes exactly through the projector
     algebra into the square of a half-power matrix, whose determinant is
     evaluated with log-scaled rows; the positive square root is physical.
-    Runs at any modulus including the critical point.
+    Runs at any modulus including the critical point.  ``w``, ``bundle``
+    and ``points`` (the unchecked family eigensystem) are computed here
+    unless a caller that already has them passes them in.
     """
     prec = as_precision(prec)
     if c.M % 2:
@@ -296,7 +303,8 @@ def block_transfer_logZ(c: Couplings, prec: Precision | None = None,
         w = weights_from_couplings(c, prec)
     if bundle is None:
         bundle = build_matrices(w, c.M, prec)
-    pts = _family_spectrum(bundle, w, prec)
+    pts = (points if points is not None
+           else joint_spectrum(bundle, w, prec, check=False))
     M, L = c.M, c.L
     half = [[ctx.mpf(0)] * M for _ in range(M)]
     shifts = ctx.mpf(0)
@@ -474,7 +482,7 @@ def skew_toeplitz_from_spectrum(points, c: Couplings, w: Weights,
 def hankel_logZ(c: Couplings, prec: Precision | None = None, pipeline=None):
     """log Z through the Hankel determinant."""
     prec = as_precision(prec)
-    w, frame, bundle, pts = pipeline or _pipeline(c, prec)
+    w, frame, bundle, pts = pipeline or _Pipeline(c, prec).spectral()
     sys = hankel_from_spectrum(pts, c, w, frame, prec)
     det, cond = sys.logdet(prec)
     log_z = sys.log_z1 + det.real_log()
@@ -488,7 +496,7 @@ def hankel_logZ(c: Couplings, prec: Precision | None = None, pipeline=None):
 def pfaffian_logZ(c: Couplings, prec: Precision | None = None, pipeline=None):
     """log Z through the Pfaffian of the skew Toeplitz matrix."""
     prec = as_precision(prec)
-    w, frame, bundle, pts = pipeline or _pipeline(c, prec)
+    w, frame, bundle, pts = pipeline or _Pipeline(c, prec).spectral()
     sys = skew_toeplitz_from_spectrum(pts, c, w, frame, prec)
     pf = sys.log_pfaffian(prec)
     log_z = sys.log_z1 + pf.real_log()
@@ -498,13 +506,55 @@ def pfaffian_logZ(c: Couplings, prec: Precision | None = None, pipeline=None):
     }
 
 
-def _pipeline(c: Couplings, prec: Precision):
-    w = weights_from_couplings(c, prec)
-    frame = elliptic_frame(w, prec)
-    bundle = build_matrices(w, c.M, prec)
-    pts = joint_spectrum(bundle, w, prec)
-    enrich_spectrum(pts, frame, w, c.M)
-    return w, frame, bundle, pts
+class _Pipeline:
+    """The shared work of one system at one precision.
+
+    Weights, matrices and the family eigensystem are built once and used
+    by the block, Hankel and Pfaffian routes; the Hankel and Pfaffian
+    routes add the joint check, the elliptic frame and the angle
+    enrichment on the same points.  Each stage is built on first use, and
+    a stage that raised raises again for the next route without being
+    rebuilt.  ``seconds`` is the time spent building.
+    """
+
+    def __init__(self, c: Couplings, prec: Precision):
+        self.c, self.prec = c, prec
+        self.seconds = 0.0
+        self._stages = {}
+
+    def _stage(self, name, build):
+        if name not in self._stages:
+            t0 = time.perf_counter()
+            try:
+                self._stages[name] = (build(), None)
+            except ArithmeticError as exc:
+                self._stages[name] = (None, exc)
+            finally:
+                self.seconds += time.perf_counter() - t0
+        value, exc = self._stages[name]
+        if exc is not None:
+            raise exc
+        return value
+
+    def family(self):
+        """(weights, bundle, points): the unchecked family eigensystem."""
+        def build():
+            w = weights_from_couplings(self.c, self.prec)
+            bundle = build_matrices(w, self.c.M, self.prec)
+            return w, bundle, joint_spectrum(bundle, w, self.prec,
+                                             check=False)
+        return self._stage("family", build)
+
+    def spectral(self):
+        """(weights, frame, bundle, points), checked and enriched."""
+        w, bundle, pts = self.family()
+
+        def build():
+            check_joint(bundle, w, pts)
+            frame = elliptic_frame(w, self.prec)
+            enrich_spectrum(pts, frame, w, self.c.M)
+            return w, frame, bundle, pts
+        return self._stage("spectral", build)
 
 
 # ----------------------------------------------------------------------
@@ -524,7 +574,12 @@ class RouteOutcome:
 
 @dataclass
 class PartitionResult:
-    """Primary output record of the engine."""
+    """Primary output record of the engine.
+
+    ``pipeline_seconds`` is the time spent on work the structured routes
+    share (weights, matrices, eigensystem, joint check, enrichment); the
+    routes' own ``seconds`` leave it out.
+    """
 
     couplings: Couplings
     route: str
@@ -533,6 +588,7 @@ class PartitionResult:
     eta_im_over_Kprime: float
     outcomes: dict
     checks: dict = field(default_factory=dict)
+    pipeline_seconds: float = 0.0
 
     @property
     def max_pairwise_dev(self):
@@ -545,7 +601,7 @@ class PartitionResult:
 
 def route_feasibility(c: Couplings, route: str, k: float) -> str:
     """Empty string if the route can run, else the reason it cannot."""
-    critical = abs(k - 1) < 1e-12
+    critical = abs(k - 1) < CRITICAL_TOL
     if route == "brute":
         return ("" if c.sites <= BRUTE_MAX_SPINS
                 else f"{c.sites} spins exceed cap {BRUTE_MAX_SPINS}")
@@ -568,9 +624,41 @@ def default_precision(c: Couplings, k: float) -> Precision:
     structured determinants are expected to cancel catastrophically."""
     if c.L + c.M > 24:
         return Precision(160)
-    if 0.99 < k < 1.01 and abs(k - 1) > 1e-12:
+    if 0.99 < k < 1.01 and abs(k - 1) > CRITICAL_TOL:
         return Precision(160)
     return FLOAT64
+
+
+def _run_route(c: Couplings, name: str, k: float,
+               pipe: _Pipeline) -> RouteOutcome:
+    """Run one route if it is feasible; the structured ones at the
+    pipeline's precision and on its shared work, whose build time is left
+    out of the route's seconds."""
+    bits = pipe.prec.bits if name in STRUCTURED_ROUTES else 53
+    reason = route_feasibility(c, name, k)
+    if reason:
+        return RouteOutcome(name, "skipped", reason=reason,
+                            precision_bits=bits)
+    t0, shared0 = time.perf_counter(), pipe.seconds
+    try:
+        if name == "brute":
+            lz, diag = brute_force_logZ(c), {}
+        elif name == "spin":
+            lz, diag = spin_transfer_logZ(c), {}
+        elif name == "block":
+            w, bundle, pts = pipe.family()
+            lz, diag = block_transfer_logZ(c, pipe.prec, w, bundle, pts)
+        elif name == "hankel":
+            lz, diag = hankel_logZ(c, pipe.prec, pipe.spectral())
+        else:
+            lz, diag = pfaffian_logZ(c, pipe.prec, pipe.spectral())
+        out = RouteOutcome(name, "ok", logZ=float(lz.real_log()),
+                           diagnostics=diag)
+    except (RouteInfeasibleError, PhaseLeakError, ArithmeticError) as exc:
+        out = RouteOutcome(name, "failed", reason=str(exc))
+    out.seconds = time.perf_counter() - t0 - (pipe.seconds - shared0)
+    out.precision_bits = bits
+    return out
 
 
 def assemble_logZ(c: Couplings, route: str = "all",
@@ -579,7 +667,8 @@ def assemble_logZ(c: Couplings, route: str = "all",
     """Run one route or every feasible route with cross-deviations.
 
     With ``route='all'`` a deviation above 1e-6 between any two routes
-    triggers one escalated retry of the spectral routes at 160 bits.
+    triggers one escalated retry of the structured routes at 160 bits.
+    The structured routes of one precision share one `_Pipeline`.
     """
     w0 = weights_from_couplings(c)
     k = float(w0.k)
@@ -592,72 +681,24 @@ def assemble_logZ(c: Couplings, route: str = "all",
     chosen = prec if prec is not None else default_precision(c, k)
     chosen = as_precision(chosen)
 
-    outcomes = {}
-    pipeline = None
-    for name in wanted:
-        reason = route_feasibility(c, name, k)
-        if reason:
-            outcomes[name] = RouteOutcome(name, "skipped", reason=reason)
-            continue
-        t0 = time.perf_counter()
-        try:
-            if name == "brute":
-                lz, diag = brute_force_logZ(c), {}
-            elif name == "spin":
-                lz, diag = spin_transfer_logZ(c), {}
-            elif name == "block":
-                lz, diag = block_transfer_logZ(c, chosen)
-            else:
-                if pipeline is None:
-                    pipeline = _pipeline(c, chosen)
-                if name == "hankel":
-                    lz, diag = hankel_logZ(c, chosen, pipeline)
-                else:
-                    lz, diag = pfaffian_logZ(c, chosen, pipeline)
-            outcomes[name] = RouteOutcome(
-                name, "ok", logZ=float(lz.real_log()),
-                seconds=time.perf_counter() - t0,
-                precision_bits=chosen.bits if name not in ("brute", "spin")
-                else 53,
-                diagnostics=diag)
-        except (RouteInfeasibleError, PhaseLeakError, ArithmeticError) as exc:
-            outcomes[name] = RouteOutcome(
-                name, "failed", reason=str(exc),
-                seconds=time.perf_counter() - t0)
+    pipe = _Pipeline(c, chosen)
+    outcomes = {name: _run_route(c, name, k, pipe) for name in wanted}
+    pipeline_seconds = pipe.seconds
 
-    result = _finalize(c, route, k, eta_frac, outcomes)
+    result = _finalize(c, route, k, eta_frac, outcomes, pipeline_seconds)
     if (route == "all" and escalate and chosen.is_float
             and result.max_pairwise_dev > 1e-6):
-        hi = Precision(160)
-        pipeline = None
-        for name in ("block", "hankel", "pfaffian"):
-            if outcomes[name].status != "ok" and route_feasibility(c, name, k):
-                continue
-            t0 = time.perf_counter()
-            try:
-                if name == "block":
-                    lz, diag = block_transfer_logZ(c, hi)
-                else:
-                    if pipeline is None:
-                        pipeline = _pipeline(c, hi)
-                    lz, diag = (hankel_logZ(c, hi, pipeline) if name == "hankel"
-                                else pfaffian_logZ(c, hi, pipeline))
-                outcomes[name] = RouteOutcome(
-                    name, "ok", logZ=float(lz.real_log()),
-                    seconds=time.perf_counter() - t0,
-                    precision_bits=hi.bits, diagnostics=diag)
-            except (RouteInfeasibleError, PhaseLeakError,
-                    ArithmeticError) as exc:
-                outcomes[name] = RouteOutcome(
-                    name, "failed", reason=str(exc),
-                    seconds=time.perf_counter() - t0)
-        result = _finalize(c, route, k, eta_frac, outcomes)
+        pipe = _Pipeline(c, Precision(160))
+        for name in STRUCTURED_ROUTES:
+            outcomes[name] = _run_route(c, name, k, pipe)
+        result = _finalize(c, route, k, eta_frac, outcomes,
+                           pipeline_seconds + pipe.seconds)
     return result
 
 
-def _finalize(c, route, k, eta_frac, outcomes):
+def _finalize(c, route, k, eta_frac, outcomes, pipeline_seconds):
     ref = None
-    for name in ("brute", "spin", "block", "hankel", "pfaffian"):
+    for name in ROUTES:
         o = outcomes.get(name)
         if o is not None and o.status == "ok":
             ref = o
@@ -665,4 +706,5 @@ def _finalize(c, route, k, eta_frac, outcomes):
     logZ = ref.logZ if ref is not None else float("nan")
     return PartitionResult(
         couplings=c, route=route, logZ=logZ, k=k,
-        eta_im_over_Kprime=eta_frac, outcomes=outcomes)
+        eta_im_over_Kprime=eta_frac, outcomes=outcomes,
+        pipeline_seconds=pipeline_seconds)

@@ -14,10 +14,11 @@ vertical eigenvalue.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .elliptic import carlson_rf
+from .elliptic import CRITICAL_TOL, carlson_rf
 from .errors import (
     CriticalModulusError,
     DomainError,
@@ -33,6 +34,13 @@ DEGENERACY_GAP = 1e-12
 #: joint-diagonalization residual tolerance (relative to matrix scale)
 JOINT_TOL = 1e-9
 
+#: largest move of a refined core eigenvalue from its binary64 seed,
+#: relative to the scale of the core matrix
+SEED_TOL = 1e-12
+
+#: Rayleigh-quotient steps allowed per refined eigenpair
+RQI_MAX_STEPS = 8
+
 
 # ----------------------------------------------------------------------
 # matrix construction
@@ -43,7 +51,9 @@ class MatrixBundle:
     """The four symmetric matrices of one system, as context scalars.
 
     ``rows_*`` are plain nested lists usable at any precision; the
-    uppercase properties give binary64 numpy copies.
+    uppercase properties give binary64 numpy copies.  ``sparse`` holds
+    the nonzero pattern of each matrix for the O(M) matrix-vector
+    products of the eigensystem and its checks.
     """
 
     M: int
@@ -71,6 +81,13 @@ class MatrixBundle:
     @property
     def C(self):
         return self._np(self.rows_C)
+
+    @cached_property
+    def sparse(self) -> dict:
+        """Nonzero entries of each matrix by name ("T_plus", "T_minus", "T",
+        "C"): the band and anti-band structure, built once per bundle."""
+        return {name: _nonzeros(getattr(self, "rows_" + name))
+                for name in ("T_plus", "T_minus", "T", "C")}
 
 
 def build_matrices(w: Weights, M: int, prec: Precision | None = None) -> MatrixBundle:
@@ -130,44 +147,129 @@ def build_matrices(w: Weights, M: int, prec: Precision | None = None) -> MatrixB
 # joint diagonalization
 # ----------------------------------------------------------------------
 
-def _matvec(rows, v):
-    return [sum(rows[i][j] * v[j] for j in range(len(v)))
-            for i in range(len(v))]
+def _nonzeros(rows):
+    """Each row's nonzero entries as (column, value) pairs, in column order."""
+    return [[(j, x) for j, x in enumerate(r) if x != 0] for r in rows]
 
 
-def _rayleigh(rows, v):
-    Av = _matvec(rows, v)
+def _matvec(nz, v):
+    """Product of a matrix given by `_nonzeros` with a vector.  Only exact
+    zeros are skipped, so every sum is bit-identical to the dense one."""
+    return [sum(x * v[j] for j, x in row) for row in nz]
+
+
+def _rayleigh(nz, v):
+    Av = _matvec(nz, v)
     return sum(v[i] * Av[i] for i in range(len(v)))
 
 
-def _sym_eig(rows, prec: Precision):
-    """Eigen-decomposition of a real symmetric matrix in the given
-    precision; returns (values ascending, eigenvectors as list of lists)."""
-    M = len(rows)
-    if prec.is_float:
-        try:
-            vals, vecs = np.linalg.eigh(np.array(rows, dtype=float))
-        except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
-            raise JointDiagonalizationError(
-                f"eigensolver failed: {exc}; matrix = {rows!r}") from exc
-        return [float(v) for v in vals], [list(map(float, vecs[:, j]))
-                                          for j in range(M)]
+def _sym_eig(rows):
+    """Binary64 eigen-decomposition of a real symmetric matrix; returns
+    (values ascending, eigenvectors as list of lists)."""
+    try:
+        vals, vecs = np.linalg.eigh(np.array(rows, dtype=float))
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
+        raise JointDiagonalizationError(
+            f"eigensolver failed: {exc}; matrix = {rows!r}") from exc
+    return [float(v) for v in vals], [list(map(float, vecs[:, j]))
+                                      for j in range(len(rows))]
+
+
+def _tridiag_solve(d, e, sigma, b, tiny):
+    """Solve (T - sigma I) y = b for the symmetric tridiagonal T with
+    diagonal d and off-diagonal e, by Gaussian elimination with partial
+    pivoting (row swaps fill a second superdiagonal).  A zero pivot is
+    replaced by ``tiny``, as inverse iteration allows."""
+    n = len(d)
+    piv = [x - sigma for x in d]
+    up = list(e) + [0]
+    up2 = [0] * n
+    y = list(b)
+    for i in range(n - 1):
+        low = e[i]
+        if abs(piv[i]) >= abs(low):
+            if low:
+                f = low / piv[i]
+                piv[i + 1] -= f * up[i]
+                y[i + 1] -= f * y[i]
+        else:
+            f = piv[i] / low
+            mid, right = piv[i + 1], up[i + 1]
+            piv[i + 1] = up[i] - f * mid
+            up[i + 1] = -f * right
+            piv[i], up[i], up2[i] = low, mid, right
+            y[i], y[i + 1] = y[i + 1], y[i] - f * y[i + 1]
+    for i in range(n - 1, -1, -1):
+        s = y[i]
+        if i + 1 < n:
+            s -= up[i] * y[i + 1]
+        if i + 2 < n:
+            s -= up2[i] * y[i + 2]
+        y[i] = s / (piv[i] or tiny)
+    return y
+
+
+def _tridiag_rayleigh(ctx, d, e, v):
+    """v^T T v for the symmetric tridiagonal T and a unit vector v."""
+    return (ctx.fdot(d, [x * x for x in v])
+            + 2 * ctx.fdot(e, [a * b for a, b in zip(v, v[1:])]))
+
+
+def _refined_core_eig(bundle: MatrixBundle, prec: Precision):
+    """Eigenpairs of the tridiagonal core C at the working precision.
+
+    Binary64 ``eigh`` seeds are refined pair by pair by Rayleigh-quotient
+    iteration, one pivoted tridiagonal solve per step, so the whole
+    eigensystem costs O(M^2) operations; the iteration converges
+    cubically on symmetric tridiagonal matrices.  A pair that does not
+    converge, moves from its seed by more than binary64 error, or is not
+    orthogonal to its neighbour raises.  Returns (values ascending,
+    eigenvectors).
+    """
     ctx = prec.ctx
-    A = ctx.matrix(M, M)
-    for i in range(M):
-        for j in range(M):
-            A[i, j] = rows[i][j]
-    E, Q = ctx.eigsy(A)
-    order = sorted(range(M), key=lambda j: E[j])
-    vals = [E[j] for j in order]
-    vecs = [[Q[i, j] for i in range(M)] for j in order]
+    M = bundle.M
+    C = bundle.rows_C
+    d = [C[i][i] for i in range(M)]
+    e = [C[i][i + 1] for i in range(M - 1)]
+    seeds, seed_vecs = np.linalg.eigh(bundle.C)
+    scale = (max(abs(float(x)) for x in d)
+             + 2 * max(abs(float(x)) for x in e))     # bounds |C|
+    tol = ctx.ldexp(ctx.mpf(scale), 6 - prec.bits)
+    vals, vecs = [], []
+    for j in range(M):
+        seed = [ctx.mpf(float(x)) for x in seed_vecs[:, j]]
+        inv = 1 / ctx.sqrt(ctx.fdot(seed, seed))
+        v = [x * inv for x in seed]
+        chi = _tridiag_rayleigh(ctx, d, e, v)
+        for _step in range(RQI_MAX_STEPS):
+            y = _tridiag_solve(d, e, chi, v, tol)
+            if ctx.fdot(y, seed) < 0:
+                y = [-a for a in y]
+            inv = 1 / ctx.sqrt(ctx.fdot(y, y))    # = |(C - old chi) v|
+            v = [a * inv for a in y]
+            chi = _tridiag_rayleigh(ctx, d, e, v)
+            if inv <= tol:
+                break
+        else:
+            raise JointDiagonalizationError(
+                f"eigenpair {j} of the core did not converge in "
+                f"{RQI_MAX_STEPS} Rayleigh-quotient steps")
+        if abs(float(chi) - seeds[j]) > SEED_TOL * scale:
+            raise JointDiagonalizationError(
+                f"eigenpair {j} of the core moved {float(chi) - seeds[j]:.3e} "
+                f"from its binary64 seed")
+        if vecs and abs(ctx.fdot(v, vecs[-1])) > JOINT_TOL:
+            raise JointDiagonalizationError(
+                f"eigenpairs {j - 1} and {j} of the core converged together")
+        vals.append(chi)
+        vecs.append(v)
     return vals, vecs
 
 
-def _reorthogonalize_clusters(vals, vecs, rows_T, prec):
-    """Rotate eigenvectors inside near-degenerate clusters so that the
-    transfer matrix is diagonal there too.  Defensive: generic couplings
-    have a simple spectrum."""
+def _reorthogonalize_clusters(vals, vecs, rows_T):
+    """Rotate binary64 eigenvectors inside near-degenerate clusters so
+    that the transfer matrix is diagonal there too.  Defensive: generic
+    couplings have a simple spectrum."""
     M = len(vals)
     scale = max(1.0, max(abs(float(v)) for v in vals))
     i = 0
@@ -178,7 +280,7 @@ def _reorthogonalize_clusters(vals, vecs, rows_T, prec):
         if j - i > 1:
             sub = [[_rayleigh_pair(rows_T, vecs[a], vecs[b])
                     for b in range(i, j)] for a in range(i, j)]
-            _e, q = _sym_eig(sub, FLOAT64 if prec.is_float else prec)
+            _e, q = _sym_eig(sub)
             new = []
             for col in range(j - i):
                 v = [sum(q[col][r] * vecs[i + r][m] for r in range(j - i))
@@ -190,7 +292,7 @@ def _reorthogonalize_clusters(vals, vecs, rows_T, prec):
 
 
 def _rayleigh_pair(rows, va, vb):
-    Av = _matvec(rows, vb)
+    Av = _matvec(_nonzeros(rows), vb)
     return sum(va[i] * Av[i] for i in range(len(va)))
 
 
@@ -237,43 +339,49 @@ class SpectrumPoint:
 
 
 def joint_spectrum(bundle: MatrixBundle, w: Weights,
-                   prec: Precision | None = None) -> list:
+                   prec: Precision | None = None, check: bool = True) -> list:
     """Simultaneous spectrum of the transfer-matrix family.
 
     Eigenvectors come from the stable symmetric tridiagonal half-sum; the
     branch between an eigenvalue and its reciprocal is fixed by the
     Rayleigh quotient against the full transfer matrix.  Cross-residuals
-    against every family member are enforced.
+    against every family member are enforced (`check_joint`).  With
+    ``check=False`` the eigensystem comes back unchecked and at any
+    modulus, as the block-transfer route needs it at the critical point;
+    `check_joint` can check the same points later.
     """
     prec = as_precision(prec if prec is not None else bundle.prec)
-    k = float(w.t_minus / w.z_minus)
-    if abs(k - 1) < 1e-12:
-        raise CriticalModulusError(
-            "joint spectrum undefined at the critical modulus")
     pts = _family_spectrum(bundle, w, prec)
-    _check_joint(bundle, w, pts, prec)
+    if check:
+        check_joint(bundle, w, pts)
     return pts
 
 
 def _family_spectrum(bundle, w, prec):
-    """Shared eigensystem without the angle enrichment (also used by the
-    block-transfer route, which must run at the critical modulus)."""
+    """Shared eigensystem without checks or angle enrichment.
+
+    Binary64 diagonalizes the transfer half-sum directly; extended
+    precision refines a binary64 eigensystem of the tridiagonal core and
+    maps it affinely, T_plus = pref * C + shift * I.
+    """
     ctx = prec.ctx
-    M = bundle.M
-    vals, vecs = _sym_eig(bundle.rows_T_plus, prec)
-    vecs = _reorthogonalize_clusters(vals, vecs, bundle.rows_T, prec)
+    nz = bundle.sparse
     tzp = w.t_plus * w.z_plus
     tzm = w.t_minus * w.z_minus
+    if prec.is_float:
+        vals, vecs = _sym_eig(bundle.rows_T_plus)
+        vecs = _reorthogonalize_clusters(vals, vecs, bundle.rows_T)
+        chis = [2 * (tzp + tzm - lp) / tzm for lp in vals]
+    else:
+        chis, vecs = _refined_core_eig(bundle, prec)
+        vals = [-tzm / 2 * chi + (tzp + tzm) for chi in chis]
     pts = []
-    for idx in range(M):
-        lp = vals[idx]
-        v = vecs[idx]
-        lam_r = _rayleigh(bundle.rows_T, v)
+    for lp, chi, v in zip(vals, chis, vecs):
+        lam_r = _rayleigh(nz["T"], v)
         root = ctx.sqrt(max(lp * lp - 1, ctx.mpf(0)) if not prec.is_float
                         else max(lp * lp - 1, 0.0))
         lam = lp + root if lam_r >= lp else lp - root
         lm = lam - lp
-        chi = 2 * (tzp + tzm - lp) / tzm
         pts.append(SpectrumPoint(
             mu=0, lam=lam, lam_plus=lp, lam_minus=lm,
             gamma=ctx.log(lam), chi=chi, eigvec=v))
@@ -285,14 +393,20 @@ def _family_spectrum(bundle, w, prec):
     return pts
 
 
-def _check_joint(bundle, w, pts, prec):
-    scale = max(1.0, max(abs(float(x)) for r in bundle.rows_T for x in r))
+def check_joint(bundle: MatrixBundle, w: Weights, pts: list):
+    """Refuse the critical modulus, and check that every eigenvector of
+    ``pts`` diagonalizes each member of the family within JOINT_TOL."""
+    if abs(float(w.t_minus / w.z_minus) - 1) < CRITICAL_TOL:
+        raise CriticalModulusError(
+            "joint spectrum undefined at the critical modulus")
+    nz = bundle.sparse
+    scale = max(1.0, max(abs(float(x)) for r in nz["T"] for _j, x in r))
     worst = 0.0
     for p in pts:
-        for rows, val in ((bundle.rows_T, p.lam),
-                          (bundle.rows_T_plus, p.lam_plus),
-                          (bundle.rows_T_minus, p.lam_minus),
-                          (bundle.rows_C, p.chi)):
+        for rows, val in ((nz["T"], p.lam),
+                          (nz["T_plus"], p.lam_plus),
+                          (nz["T_minus"], p.lam_minus),
+                          (nz["C"], p.chi)):
             Av = _matvec(rows, p.eigvec)
             r = max(abs(float(Av[i] - val * p.eigvec[i]))
                     for i in range(bundle.M))

@@ -25,6 +25,16 @@ class TestZ:
         assert set(rec["routes"]) == {"brute", "spin", "block", "hankel",
                                       "pfaffian"}
 
+    def test_run_record_per_route(self, capsys):
+        code, out, _ = run_cli(capsys, "z", "--L", "3", "--M", "4",
+                               "--Kh", "0.4", "--Kv", "0.7")
+        assert code == 0
+        rec = json.loads(out)
+        assert rec["pipeline_seconds"] >= 0
+        for r in rec["routes"].values():
+            assert {"seconds", "precision_bits", "diagnostics"} <= set(r)
+        assert len(rec["routes"]["hankel"]["diagnostics"]["det_phase"]) == 2
+
     def test_modulus_parametrization(self, capsys):
         code, out, _ = run_cli(capsys, "z", "--L", "5", "--M", "6",
                                "--k", "0.6", "--eta-frac", "0.9")

@@ -368,6 +368,46 @@ class TestPrecisionPolicy:
         assert diag["lu_loss_digits"] > 8
 
 
+class TestSharedPipeline:
+    def test_one_eigensystem_per_precision(self, monkeypatch):
+        import rectising.spectrum as spectrum
+        calls = []
+        solve = spectrum._family_spectrum
+
+        def counted(*args):
+            calls.append(args)
+            return solve(*args)
+
+        monkeypatch.setattr(spectrum, "_family_spectrum", counted)
+        res = assemble_logZ(couplings_from_modulus(0.6, 0.9, 5, 6), "all",
+                            prec=Precision(160))
+        assert all(res.outcomes[n].status == "ok"
+                   for n in ("block", "hankel", "pfaffian"))
+        assert len(calls) == 1
+
+    def test_block_from_shared_eigensystem_equals_standalone(self):
+        c = couplings_from_modulus(0.6, 0.9, 5, 6)
+        p = Precision(160)
+        res = assemble_logZ(c, "all", prec=p)
+        alone, _ = block_transfer_logZ(c, p)
+        assert res.outcomes["block"].logZ == float(alone.log_mag)
+
+    def test_failed_route_records_its_precision(self, monkeypatch):
+        import rectising.partition as partition
+        from rectising.errors import PoleError
+
+        def broken(*args):
+            raise PoleError("pole")
+
+        monkeypatch.setattr(partition, "hankel_logZ", broken)
+        res = assemble_logZ(couplings_from_modulus(0.6, 0.9, 5, 6), "all",
+                            prec=Precision(160))
+        assert res.outcomes["hankel"].status == "failed"
+        assert res.outcomes["hankel"].precision_bits == 160
+        assert res.outcomes["pfaffian"].status == "ok"
+        assert res.pipeline_seconds > 0
+
+
 class TestEscalation:
     def test_forced_binary64_escalates_on_route_disagreement(self):
         # forcing binary64 on a system whose moment determinant cancels

@@ -12,6 +12,7 @@ from rectising.params import (
     couplings_from_modulus,
     weights_from_couplings,
 )
+from rectising.precision import Precision
 from rectising.spectrum import (
     CharPolyContext,
     build_matrices,
@@ -111,6 +112,55 @@ class TestJointSpectrum:
         b = build_matrices(w, 4)
         with pytest.raises(CriticalModulusError):
             joint_spectrum(b, w)
+
+
+@pytest.mark.parametrize("bits", [53, 160])
+def test_sparse_matvec_bit_identical_to_dense(bits):
+    from rectising.spectrum import _matvec
+    p = Precision(bits)
+    M = 8
+    w = weights_from_couplings(couplings_from_modulus(0.6, 0.8, 4, M), p)
+    b = build_matrices(w, M, p)
+    v = [p.ctx.mpf(1) / (i + 3) for i in range(M)]
+    for name in ("T_plus", "T_minus", "T", "C"):
+        rows = getattr(b, "rows_" + name)
+        dense = [sum(rows[i][j] * v[j] for j in range(M)) for i in range(M)]
+        assert _matvec(b.sparse[name], v) == dense
+
+
+class TestRefinedEigensystem:
+    """Extended precision refines binary64 eigenpairs of the tridiagonal
+    core; mpmath's dense eigsy is the independent oracle."""
+
+    @pytest.mark.parametrize("bits", [160, 256])
+    @pytest.mark.parametrize("k,eta,M", [(0.6, 0.8, 32), (3.0, 1.0, 24),
+                                         (6.0, 1.0, 24), (0.995, 1.0, 16)])
+    def test_against_dense_eigensolver(self, k, eta, M, bits):
+        p = Precision(bits)
+        ctx = p.ctx
+        w = weights_from_couplings(couplings_from_modulus(k, eta, 4, M), p)
+        b = build_matrices(w, M, p)
+        pts = sorted(joint_spectrum(b, w, p, check=False),
+                     key=lambda q: q.chi)
+        want = sorted(ctx.eigsy(ctx.matrix(b.rows_C))[0])
+        tol = ctx.ldexp(1, 10 - bits)
+        for q, chi in zip(pts, want):
+            assert abs(q.chi - chi) <= tol * abs(chi)
+            v = q.eigvec
+            res = ctx.sqrt(sum(
+                (sum(b.rows_C[i][j] * v[j] for j in range(M))
+                 - q.chi * v[i]) ** 2 for i in range(M)))
+            assert res <= tol
+
+
+    def test_unconverged_pair_raises(self, monkeypatch):
+        import rectising.spectrum as spectrum
+        from rectising.errors import JointDiagonalizationError
+        monkeypatch.setattr(spectrum, "RQI_MAX_STEPS", 1)
+        p = Precision(160)
+        w = weights_from_couplings(couplings_from_modulus(0.6, 0.8, 4, 8), p)
+        with pytest.raises(JointDiagonalizationError, match="converge"):
+            joint_spectrum(build_matrices(w, 8, p), w, p)
 
 
 class TestAngles:
@@ -276,11 +326,10 @@ def test_degenerate_cluster_reorthogonalization():
     # two exactly degenerate eigenvalues of the primary matrix whose
     # eigenvectors must be rotated to diagonalize the secondary one
     from rectising.spectrum import _reorthogonalize_clusters, _rayleigh_pair
-    from rectising.precision import FLOAT64
     vals = [1.0, 1.0, 3.0]
     vecs = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
     rows_T = [[2.0, 0.7, 0.0], [0.7, 2.0, 0.0], [0.0, 0.0, 5.0]]
-    out = _reorthogonalize_clusters(vals, list(vecs), rows_T, FLOAT64)
+    out = _reorthogonalize_clusters(vals, list(vecs), rows_T)
     off = abs(_rayleigh_pair(rows_T, out[0], out[1]))
     assert off < 1e-12
     norm = sum(x * x for x in out[0])
