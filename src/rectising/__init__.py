@@ -55,6 +55,7 @@ from .spectrum import (
     CharPolyContext,
     MatrixBundle,
     SpectrumPoint,
+    SystemPipeline,
     build_matrices,
     char_poly_eval,
     enrich_spectrum,

@@ -330,8 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
     pn.add_argument("--k-max", type=float, required=True)
     pn.add_argument("--steps", type=int, default=9)
     pn.add_argument("--route", default="all", choices=("all",) + ROUTES)
-    pn.add_argument("--workers", type=int, default=1,
-                    help="accepted for compatibility; scans run serially")
 
     pu = sub.add_parser("uplane", help="emit the integrand field file")
     _add_common(pu)

@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 
 from .errors import ConvergenceError, DomainError, PoleError, RouteInfeasibleError
 from .params import Couplings, EllipticFrame, Weights
-from .precision import Precision, as_precision
-from .spectrum import double_argument
+from .precision import Precision
+from .spectrum import SystemPipeline, double_argument, lambda_zeta
 
 #: contour lines must keep this fraction of K' away from every pole level
 BAND_MARGIN = 1e-3
@@ -106,14 +106,11 @@ class ContourContext:
     @classmethod
     def from_couplings(cls, c: Couplings, prec: Precision | None = None,
                        with_spectrum: bool = False):
-        from .spectrum import spectrum_for
-        from .params import elliptic_frame, weights_from_couplings
-        prec = as_precision(prec)
+        pipe = SystemPipeline(c, prec)
         if with_spectrum:
-            w, frame, _b, pts = spectrum_for(c, prec)
+            w, frame, _b, pts = pipe.spectral()
             return cls(frame=frame, weights=w, L=c.L, M=c.M, points=pts)
-        w = weights_from_couplings(c, prec)
-        return cls(frame=elliptic_frame(w, prec), weights=w, L=c.L, M=c.M)
+        return cls(frame=pipe.frame(), weights=pipe.weights(), L=c.L, M=c.M)
 
     @property
     def prec(self):
@@ -125,13 +122,9 @@ def _node(u, cctx: ContourContext):
     frame, w = cctx.frame, cctx.weights
     ctx = cctx.prec.ctx
     k = frame.k
-    kern = frame.kernel
-    sp = kern.sncndn(u + frame.eta)[0]
-    sm = kern.sncndn(u - frame.eta)[0]
-    triple = kern.sncndn(u)
+    lam, zeta = lambda_zeta(u, frame)
+    triple = frame.kernel.sncndn(u)
     sn, cn, dn = triple
-    lam = 1 / (k * sp * sm)
-    zeta = sp / sm
     exp_m_theta = ctx.mpc(0, 1) * dn / (k * sn * cn)
     num = 1 - lam ** cctx.L * exp_m_theta
     sn2, cn2, _dn2 = double_argument(triple, k)

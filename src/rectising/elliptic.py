@@ -378,6 +378,12 @@ def glaisher(p, q, u, k, prec: Precision = FLOAT64):
     return num / den
 
 
+def arcsn(s, k, prec: Precision = FLOAT64):
+    """The u near the origin with sn(u, k) = s, in Carlson form."""
+    s2 = s * s
+    return s * carlson_rf(1 - s2, 1 - k * k * s2, 1, prec)
+
+
 def invert_dn(w, k, branch="real_axis", prec: Precision = FLOAT64):
     """Inverse of dn on one of its two physically relevant branches.
 
@@ -393,16 +399,12 @@ def invert_dn(w, k, branch="real_axis", prec: Precision = FLOAT64):
     if branch not in ("real_axis", "shifted_iKprime"):
         raise DomainError(f"unknown branch {branch!r}")
 
-    def arcsn(s2):
-        s = ctx.sqrt(s2)
-        return s * carlson_rf(1 - s2, 1 - k * k * s2, 1, prec)
-
     K, Kp = kern.K, kern.K_prime
     shift = ctx.mpc(0, 1) * Kp if branch == "shifted_iKprime" else 0
     if branch == "real_axis":
-        base = arcsn((1 - w * w) / (k * k))
+        base = arcsn(ctx.sqrt((1 - w * w) / (k * k)), k, prec)
     else:
-        base = arcsn(1 / (1 - w * w))
+        base = arcsn(ctx.sqrt(1 / (1 - w * w)), k, prec)
 
     tol = 1e-11 * max(1.0, abs(w))
     slack = 1e-7 * float(Kp)

@@ -27,21 +27,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import PoleError, RectisingError
-from .params import (
-    Couplings,
-    couplings_from_modulus,
-    elliptic_frame,
-    weights_from_couplings,
-)
+from .elliptic import arcsn
+from .params import Couplings, couplings_from_modulus, dual
 from .precision import Precision, as_precision
 from .spectrum import (
     CharPolyContext,
-    build_matrices,
+    SystemPipeline,
     char_poly_eval,
     chi_poly_derivative,
     double_argument,
-    enrich_spectrum,
-    joint_spectrum,
     lambda_zeta,
 )
 
@@ -121,11 +115,7 @@ def _draw_samples(frame, rng, count):
 def build_env(c: Couplings, samples: int = 16, seed: int = 0,
               prec: Precision | None = None) -> IdentityEnv:
     prec = as_precision(prec)
-    w = weights_from_couplings(c, prec)
-    frame = elliptic_frame(w, prec)
-    bundle = build_matrices(w, c.M, prec)
-    points = joint_spectrum(bundle, w, prec)
-    enrich_spectrum(points, frame, w, c.M)
+    w, frame, bundle, points = SystemPipeline(c, prec).spectral()
     rng = random.Random(seed)
     us = _draw_samples(frame, rng, samples)
     vs = _draw_samples(frame, rng, samples)
@@ -328,7 +318,6 @@ def _e_zeta_squares(env):
 
 @entry("eigenvalue-dual-forms", "eigenvalue-map")
 def _e_lambda_dual(env):
-    from .params import dual
     ctx, w, fr = env.ctx, env.w, env.frame
     k = fr.k
     sn_e = env.kern.sncndn(fr.eta)[0]
@@ -417,7 +406,7 @@ def _e_eigen_half(env):
     ctx, w, fr = env.ctx, env.w, env.frame
     worst = {"sin": 0.0, "cos": 0.0, "tan": 0.0}
     i = ctx.mpc(0, 1)
-    sn_e, cn_e, dn_e = _eta_triple_env(env)
+    sn_e, cn_e, dn_e = fr.sncndn(fr.eta)
     for p in env.points:
         M2 = env.c.M // 2
         zh = p.zeta ** M2
@@ -438,10 +427,6 @@ def _e_eigen_half(env):
                                              _resid(cos_m, -rhs_cos)))
         worst["tan"] = max(worst["tan"], _resid(tan_m, rhs_tan))
     return worst
-
-
-def _eta_triple_env(env):
-    return env.kern.sncndn(env.frame.eta)
 
 
 @entry("sine-product-forms", "half-angle")
@@ -719,8 +704,6 @@ def _e_cp_zero(env):
     """Determinant of the half-sum matrix and the closed location of the
     vanishing half-sum eigenvalue point."""
     ctx, w, fr = env.ctx, env.w, env.frame
-    from .elliptic import carlson_rf
-    from .params import dual
     cpc = CharPolyContext(w, fr, env.c.M, env.points)
     prod = ctx.mpf(1)
     for p in env.points:
@@ -729,7 +712,7 @@ def _e_cp_zero(env):
     out = {"det_halfsum": _resid(closed, prod)}
     i = ctx.mpc(0, 1)
     s = ctx.sqrt(dual(i * w.lambda_n) / (i * fr.k))
-    u0 = s * carlson_rf(1 - s * s, 1 - (fr.k * s) ** 2, 1, env.prec)
+    u0 = arcsn(s, fr.k, env.prec)
     lam0, zet0 = lambda_zeta(u0, fr)
     out["halfsum_zero_point"] = _resid((lam0 + 1 / lam0) / 2, 0)
     u1 = fr.K + i * fr.K_prime / 2
@@ -1042,10 +1025,9 @@ def run_identity_suite(system, tol: float = GATING_TOL, samples: int = 16,
     else:
         k, eta_fraction, M, L = system
         c = couplings_from_modulus(k, eta_fraction, L, M)
-    prec = as_precision(prec)
-    params = {"L": c.L, "M": c.M, "K_h": c.K_h, "K_v": c.K_v,
-              "k": float(weights_from_couplings(c, prec).k)}
     env = build_env(c, samples=samples, seed=seed, prec=prec)
+    params = {"L": c.L, "M": c.M, "K_h": c.K_h, "K_v": c.K_v,
+              "k": float(env.w.k)}
     entries = []
     for identity_id, tag, gating, tol_factor, fn in CATALOGUE:
         try:

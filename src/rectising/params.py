@@ -268,12 +268,6 @@ def elliptic_frame(w: Weights, prec: Precision | None = None) -> EllipticFrame:
         kernel=kern, prec=prec)
 
 
-def frame_from_couplings(c: Couplings, prec: Precision = FLOAT64):
-    """Convenience: weights and frame in one call."""
-    w = weights_from_couplings(c, prec)
-    return w, elliptic_frame(w, prec)
-
-
 def couplings_from_modulus(k, eta_fraction, L, M,
                            prec: Precision = FLOAT64) -> Couplings:
     """System with prescribed modulus and anisotropy.

@@ -2,7 +2,8 @@
 
 Five independent ways to log Z for one system:
 
-* ``brute``     exact configuration sum (caps at 24 spins),
+* ``brute``     exact configuration sum (caps at 24 spins, at 16 in the
+                ``all`` fan-out),
 * ``spin``      row-to-row transfer over 2^M column states (caps at 12),
 * ``block``     determinant of the projected L-th transfer-matrix power,
 * ``hankel``    determinant of the half-size Hankel matrix of spectral sums,
@@ -23,26 +24,16 @@ import numpy as np
 
 from .elliptic import CRITICAL_TOL
 from .errors import DomainError, PhaseLeakError, RouteInfeasibleError
-from .params import (
-    Couplings,
-    EllipticFrame,
-    Weights,
-    elliptic_frame,
-    swap_system,
-    weights_from_couplings,
-)
+from .params import Couplings, EllipticFrame, Weights, swap_system
 from .precision import FLOAT64, Precision, as_precision
-from .spectrum import (
-    MatrixBundle,
-    build_matrices,
-    check_joint,
-    chi_poly_derivative,
-    enrich_spectrum,
-    joint_spectrum,
-)
+from .spectrum import SystemPipeline, chi_poly_derivative
 
 #: hard cap on the exact configuration sum
 BRUTE_MAX_SPINS = 24
+
+#: largest system the ``route="all"`` fan-out sums by brute force; the
+#: spin route covers every system up to BRUTE_MAX_SPINS in under 1 ms
+BRUTE_ALL_MAX_SPINS = 16
 
 #: hard cap on the number of column spins in the state-vector transfer
 SPIN_MAX_WIDTH = 12
@@ -284,27 +275,21 @@ def _log_z0(w: Weights, L, M, ctx):
 
 
 def block_transfer_logZ(c: Couplings, prec: Precision | None = None,
-                        w: Weights = None, bundle: MatrixBundle = None,
-                        points: list = None):
+                        pipeline: SystemPipeline = None):
     """log Z from the projected L-th power of the transfer matrix.
 
     The determinant argument factorizes exactly through the projector
     algebra into the square of a half-power matrix, whose determinant is
     evaluated with log-scaled rows; the positive square root is physical.
-    Runs at any modulus including the critical point.  ``w``, ``bundle``
-    and ``points`` (the unchecked family eigensystem) are computed here
-    unless a caller that already has them passes them in.
+    Runs at any modulus including the critical point, on the unchecked
+    family eigensystem of ``pipeline`` (a new one at ``prec`` if None).
     """
-    prec = as_precision(prec)
+    pipeline = pipeline or SystemPipeline(c, prec)
     if c.M % 2:
         raise RouteInfeasibleError("block route requires even M")
+    prec = pipeline.prec
     ctx = prec.ctx
-    if w is None:
-        w = weights_from_couplings(c, prec)
-    if bundle is None:
-        bundle = build_matrices(w, c.M, prec)
-    pts = (points if points is not None
-           else joint_spectrum(bundle, w, prec, check=False))
+    w, _bundle, pts = pipeline.family()
     M, L = c.M, c.L
     half = [[ctx.mpf(0)] * M for _ in range(M)]
     shifts = ctx.mpf(0)
@@ -479,10 +464,13 @@ def skew_toeplitz_from_spectrum(points, c: Couplings, w: Weights,
                               small_sin_phi=small_sin)
 
 
-def hankel_logZ(c: Couplings, prec: Precision | None = None, pipeline=None):
-    """log Z through the Hankel determinant."""
-    prec = as_precision(prec)
-    w, frame, bundle, pts = pipeline or _Pipeline(c, prec).spectral()
+def hankel_logZ(c: Couplings, prec: Precision | None = None,
+                pipeline: SystemPipeline = None):
+    """log Z through the Hankel determinant, on the checked and enriched
+    spectrum of ``pipeline`` (a new one at ``prec`` if None)."""
+    pipeline = pipeline or SystemPipeline(c, prec)
+    prec = pipeline.prec
+    w, frame, _bundle, pts = pipeline.spectral()
     sys = hankel_from_spectrum(pts, c, w, frame, prec)
     det, cond = sys.logdet(prec)
     log_z = sys.log_z1 + det.real_log()
@@ -493,10 +481,13 @@ def hankel_logZ(c: Couplings, prec: Precision | None = None, pipeline=None):
     }
 
 
-def pfaffian_logZ(c: Couplings, prec: Precision | None = None, pipeline=None):
-    """log Z through the Pfaffian of the skew Toeplitz matrix."""
-    prec = as_precision(prec)
-    w, frame, bundle, pts = pipeline or _Pipeline(c, prec).spectral()
+def pfaffian_logZ(c: Couplings, prec: Precision | None = None,
+                  pipeline: SystemPipeline = None):
+    """log Z through the Pfaffian of the skew Toeplitz matrix, on the
+    spectrum of ``pipeline`` (a new one at ``prec`` if None)."""
+    pipeline = pipeline or SystemPipeline(c, prec)
+    prec = pipeline.prec
+    w, frame, _bundle, pts = pipeline.spectral()
     sys = skew_toeplitz_from_spectrum(pts, c, w, frame, prec)
     pf = sys.log_pfaffian(prec)
     log_z = sys.log_z1 + pf.real_log()
@@ -504,57 +495,6 @@ def pfaffian_logZ(c: Couplings, prec: Precision | None = None, pipeline=None):
         "pf_phase": pf.phase,
         "small_sin_phi_terms": sys.small_sin_phi,
     }
-
-
-class _Pipeline:
-    """The shared work of one system at one precision.
-
-    Weights, matrices and the family eigensystem are built once and used
-    by the block, Hankel and Pfaffian routes; the Hankel and Pfaffian
-    routes add the joint check, the elliptic frame and the angle
-    enrichment on the same points.  Each stage is built on first use, and
-    a stage that raised raises again for the next route without being
-    rebuilt.  ``seconds`` is the time spent building.
-    """
-
-    def __init__(self, c: Couplings, prec: Precision):
-        self.c, self.prec = c, prec
-        self.seconds = 0.0
-        self._stages = {}
-
-    def _stage(self, name, build):
-        if name not in self._stages:
-            t0 = time.perf_counter()
-            try:
-                self._stages[name] = (build(), None)
-            except ArithmeticError as exc:
-                self._stages[name] = (None, exc)
-            finally:
-                self.seconds += time.perf_counter() - t0
-        value, exc = self._stages[name]
-        if exc is not None:
-            raise exc
-        return value
-
-    def family(self):
-        """(weights, bundle, points): the unchecked family eigensystem."""
-        def build():
-            w = weights_from_couplings(self.c, self.prec)
-            bundle = build_matrices(w, self.c.M, self.prec)
-            return w, bundle, joint_spectrum(bundle, w, self.prec,
-                                             check=False)
-        return self._stage("family", build)
-
-    def spectral(self):
-        """(weights, frame, bundle, points), checked and enriched."""
-        w, bundle, pts = self.family()
-
-        def build():
-            check_joint(bundle, w, pts)
-            frame = elliptic_frame(w, self.prec)
-            enrich_spectrum(pts, frame, w, self.c.M)
-            return w, frame, bundle, pts
-        return self._stage("spectral", build)
 
 
 # ----------------------------------------------------------------------
@@ -630,7 +570,7 @@ def default_precision(c: Couplings, k: float) -> Precision:
 
 
 def _run_route(c: Couplings, name: str, k: float,
-               pipe: _Pipeline) -> RouteOutcome:
+               pipe: SystemPipeline) -> RouteOutcome:
     """Run one route if it is feasible; the structured ones at the
     pipeline's precision and on its shared work, whose build time is left
     out of the route's seconds."""
@@ -646,12 +586,11 @@ def _run_route(c: Couplings, name: str, k: float,
         elif name == "spin":
             lz, diag = spin_transfer_logZ(c), {}
         elif name == "block":
-            w, bundle, pts = pipe.family()
-            lz, diag = block_transfer_logZ(c, pipe.prec, w, bundle, pts)
+            lz, diag = block_transfer_logZ(c, pipe.prec, pipe)
         elif name == "hankel":
-            lz, diag = hankel_logZ(c, pipe.prec, pipe.spectral())
+            lz, diag = hankel_logZ(c, pipe.prec, pipe)
         else:
-            lz, diag = pfaffian_logZ(c, pipe.prec, pipe.spectral())
+            lz, diag = pfaffian_logZ(c, pipe.prec, pipe)
         out = RouteOutcome(name, "ok", logZ=float(lz.real_log()),
                            diagnostics=diag)
     except (RouteInfeasibleError, PhaseLeakError, ArithmeticError) as exc:
@@ -662,33 +601,42 @@ def _run_route(c: Couplings, name: str, k: float,
 
 
 def assemble_logZ(c: Couplings, route: str = "all",
-                  prec: Precision | None = None,
-                  escalate: bool = True) -> PartitionResult:
+                  prec: Precision | None = None) -> PartitionResult:
     """Run one route or every feasible route with cross-deviations.
 
     With ``route='all'`` a deviation above 1e-6 between any two routes
-    triggers one escalated retry of the structured routes at 160 bits.
-    The structured routes of one precision share one `_Pipeline`.
+    triggers one escalated retry of the structured routes at 160 bits,
+    and brute runs only up to BRUTE_ALL_MAX_SPINS spins.  The structured
+    routes of one precision share one `SystemPipeline`; the binary64 one
+    also supplies the modulus and the anisotropy point.
     """
-    w0 = weights_from_couplings(c)
-    k = float(w0.k)
-    frame0 = elliptic_frame(w0)
-    eta_frac = (float(frame0.prec.ctx.im(frame0.eta)) / float(frame0.K_prime)
-                if not frame0.is_critical else float("nan"))
-    wanted = list(ROUTES) if route == "all" else [route]
     if route != "all" and route not in ROUTES:
         raise DomainError(f"unknown route {route!r}")
-    chosen = prec if prec is not None else default_precision(c, k)
-    chosen = as_precision(chosen)
+    pipe = SystemPipeline(c, FLOAT64)
+    k = float(pipe.weights().k)
+    frame = pipe.frame()
+    eta_frac = (float(frame.prec.ctx.im(frame.eta)) / float(frame.K_prime)
+                if not frame.is_critical else float("nan"))
+    chosen = as_precision(prec if prec is not None
+                          else default_precision(c, k))
+    if not chosen.is_float:
+        pipe = SystemPipeline(c, chosen)
 
-    pipe = _Pipeline(c, chosen)
-    outcomes = {name: _run_route(c, name, k, pipe) for name in wanted}
+    outcomes = {}
+    for name in (ROUTES if route == "all" else (route,)):
+        if (route == "all" and name == "brute"
+                and c.sites > BRUTE_ALL_MAX_SPINS):
+            outcomes[name] = RouteOutcome(
+                name, "skipped", reason=f"{c.sites} spins exceed the "
+                f"route=all cap {BRUTE_ALL_MAX_SPINS}")
+        else:
+            outcomes[name] = _run_route(c, name, k, pipe)
     pipeline_seconds = pipe.seconds
 
     result = _finalize(c, route, k, eta_frac, outcomes, pipeline_seconds)
-    if (route == "all" and escalate and chosen.is_float
+    if (route == "all" and chosen.is_float
             and result.max_pairwise_dev > 1e-6):
-        pipe = _Pipeline(c, Precision(160))
+        pipe = SystemPipeline(c, Precision(160))
         for name in STRUCTURED_ROUTES:
             outcomes[name] = _run_route(c, name, k, pipe)
         result = _finalize(c, route, k, eta_frac, outcomes,

@@ -53,15 +53,6 @@ class Precision:
     def is_float(self) -> bool:
         return self.bits == FLOAT_BITS
 
-    # -- number constructors -------------------------------------------
-    def real(self, x):
-        """Coerce to the context's real scalar type."""
-        return self.ctx.mpf(x)
-
-    def cplx(self, re, im=0):
-        """Build a context complex scalar."""
-        return self.ctx.mpc(re, im)
-
     def __repr__(self):
         return f"Precision(bits={self.bits})"
 

@@ -13,19 +13,26 @@ vertical eigenvalue.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .elliptic import CRITICAL_TOL, carlson_rf
+from .elliptic import CRITICAL_TOL, arcsn
 from .errors import (
     CriticalModulusError,
     DomainError,
     JointDiagonalizationError,
     PoleError,
 )
-from .params import Couplings, EllipticFrame, Weights
+from .params import (
+    Couplings,
+    EllipticFrame,
+    Weights,
+    elliptic_frame,
+    weights_from_couplings,
+)
 from .precision import FLOAT64, Precision, as_precision
 
 #: eigenvalue gap below which eigenvectors are re-orthogonalized as a cluster
@@ -431,10 +438,6 @@ def chi_poly_derivative(points, index):
 # angle enrichment
 # ----------------------------------------------------------------------
 
-def _eta_triple(frame: EllipticFrame):
-    return frame.sncndn(frame.eta)
-
-
 def _acos_upper(ctx, x):
     """Principal arccos continued with nonnegative imaginary part."""
     v = ctx.acos(ctx.mpc(x))
@@ -451,7 +454,7 @@ def triple_from_lambda(lam, w: Weights, frame: EllipticFrame):
     choice of preimage, so principal square roots suffice.
     """
     ctx = frame.prec.ctx
-    sn_e, cn_e, dn_e = _eta_triple(frame)
+    sn_e, cn_e, dn_e = frame.sncndn(frame.eta)
     q_n = ctx.sqrt(ctx.mpc(w.lambda_n - lam))
     sn_u = sn_e * ctx.sqrt(ctx.mpc(w.lambda_s - lam)) / q_n
     cn_u = cn_e * ctx.sqrt(ctx.mpc(w.lambda_c - lam)) / q_n
@@ -459,20 +462,21 @@ def triple_from_lambda(lam, w: Weights, frame: EllipticFrame):
     return sn_u, cn_u, dn_u
 
 
-def sn_shift_eta(triple, frame, sign=+1):
-    """sn(u + sign*eta) from the triple at u, by the addition formula."""
-    ctx = frame.prec.ctx
-    sn_u, cn_u, dn_u = triple
-    sn_e, cn_e, dn_e = _eta_triple(frame)
-    k = frame.k
-    den = 1 - (k * sn_u * sn_e) ** 2
+def sn_add(triple_a, triple_b, k):
+    """sn(u + v) from the triples at u and v, by the addition formula."""
+    sn_a, cn_a, dn_a = triple_a
+    sn_b, cn_b, dn_b = triple_b
+    den = 1 - (k * sn_a * sn_b) ** 2
     if abs(den) < 1e-14:
         raise PoleError("addition formula pole", where=None)
-    return (sn_u * cn_e * dn_e + sign * sn_e * cn_u * dn_u) / den
+    return (sn_a * cn_b * dn_b + sn_b * cn_a * dn_a) / den
 
 
 def zeta_from_triple(triple, frame):
-    return sn_shift_eta(triple, frame, +1) / sn_shift_eta(triple, frame, -1)
+    """sn(u + eta) / sn(u - eta) from the triple at u."""
+    sn_e, cn_e, dn_e = frame.sncndn(frame.eta)
+    return (sn_add(triple, (sn_e, cn_e, dn_e), frame.k)
+            / sn_add(triple, (-sn_e, cn_e, dn_e), frame.k))
 
 
 def double_argument(triple, k):
@@ -499,11 +503,6 @@ def dispersion_residual(gamma, phi, w: Weights):
     ctx = w.prec.ctx
     return ctx.cosh(ctx.mpc(gamma)) + w.tz_minus * ctx.cos(ctx.mpc(phi)) \
         - w.tz_plus
-
-
-def _arcsn(ctx, s, k, prec):
-    s2 = s * s
-    return s * carlson_rf(1 - s2, 1 - k * k * s2, 1, prec)
 
 
 def spectral_angles(p: SpectrumPoint, frame: EllipticFrame, w: Weights,
@@ -554,7 +553,7 @@ def spectral_angles(p: SpectrumPoint, frame: EllipticFrame, w: Weights,
 def _locate_u(p, frame, tol):
     """Torus point with the point's eigenvalue pair, from its triple."""
     ctx = frame.prec.ctx
-    u0 = _arcsn(ctx, p.sn_u, frame.k, frame.prec)
+    u0 = arcsn(p.sn_u, frame.k, frame.prec)
     best = None
     for cand in (u0, -u0, ctx.conj(u0), -ctx.conj(u0)):
         try:
@@ -585,14 +584,72 @@ def enrich_spectrum(points, frame: EllipticFrame, w: Weights, M: int):
 
 
 def spectrum_for(c: Couplings, prec: Precision = FLOAT64):
-    """Convenience pipeline: weights, frame, matrices, enriched spectrum."""
-    from .params import elliptic_frame, weights_from_couplings
-    w = weights_from_couplings(c, prec)
-    frame = elliptic_frame(w, prec)
-    bundle = build_matrices(w, c.M, prec)
-    pts = joint_spectrum(bundle, w, prec)
-    enrich_spectrum(pts, frame, w, c.M)
-    return w, frame, bundle, pts
+    """Weights, frame, matrices and enriched spectrum of one system."""
+    return SystemPipeline(c, prec).spectral()
+
+
+# ----------------------------------------------------------------------
+# the shared pipeline
+# ----------------------------------------------------------------------
+
+class SystemPipeline:
+    """The work every spectral quantity of one system shares, at one
+    precision: weights, elliptic frame, family (matrices and the unchecked
+    eigensystem) and spectral (joint check and angle enrichment).
+
+    Each stage is built on first use and kept; a stage that raised raises
+    again without being rebuilt.  ``seconds`` is the time spent building.
+    """
+
+    def __init__(self, c: Couplings, prec: Precision | None = None):
+        self.c, self.prec = c, as_precision(prec)
+        self.seconds = 0.0
+        self._stages = {}
+
+    def _stage(self, name, build):
+        if name not in self._stages:
+            t0, seconds0 = time.perf_counter(), self.seconds
+            try:
+                self._stages[name] = (build(), None)
+            except ArithmeticError as exc:
+                self._stages[name] = (None, exc)
+            finally:
+                # inner stages add their own time; count the outer once
+                self.seconds = seconds0 + time.perf_counter() - t0
+        value, exc = self._stages[name]
+        if exc is not None:
+            raise exc
+        return value
+
+    def weights(self) -> Weights:
+        return self._stage(
+            "weights", lambda: weights_from_couplings(self.c, self.prec))
+
+    def frame(self) -> EllipticFrame:
+        return self._stage(
+            "frame", lambda: elliptic_frame(self.weights(), self.prec))
+
+    def family(self):
+        """(weights, bundle, points): the unchecked family eigensystem, at
+        any modulus."""
+        w = self.weights()
+
+        def build():
+            bundle = build_matrices(w, self.c.M, self.prec)
+            return bundle, joint_spectrum(bundle, w, self.prec, check=False)
+        bundle, pts = self._stage("family", build)
+        return w, bundle, pts
+
+    def spectral(self):
+        """(weights, frame, bundle, points), checked and enriched."""
+        w, bundle, pts = self.family()
+
+        def build():
+            check_joint(bundle, w, pts)
+            frame = self.frame()
+            enrich_spectrum(pts, frame, w, self.c.M)
+            return w, frame, bundle, pts
+        return self._stage("spectral", build)
 
 
 # ----------------------------------------------------------------------
@@ -722,10 +779,12 @@ def _cp_zeta(x, cpc, inverse):
     e_miw = cn2 - ctx.mpc(0, 1) * sn2   # e^{-i omega}
     zM = zeta_t ** M
     # products over the spectrum use the addition formula on stored triples
+    eta_triple = frame.sncndn(frame.eta)
     prod_num = ctx.mpc(1)
     for q in cpc.points:
-        s_eta_umu = _sn_eta_plus_point(frame, q)     # sn(eta + u_mu)
-        s_u_umu = _sn_sum_points(frame, triple, q)   # sn(u + u_mu)
+        q_triple = (q.sn_u, q.cn_u, q.dn_u)
+        s_eta_umu = sn_add(eta_triple, q_triple, frame.k)   # sn(eta + u_mu)
+        s_u_umu = sn_add(triple, q_triple, frame.k)         # sn(u + u_mu)
         if inverse:
             prod_num = prod_num * (frame.k * s_eta_umu * s_u_umu)
         else:
@@ -735,19 +794,3 @@ def _cp_zeta(x, cpc, inverse):
         return (1 - w.t_star) * ratio * prod_num
     ratio = (1 - zM * e_miw) / (1 - e_miw)
     return (1 - w.t_star) * ratio * prod_num
-
-
-def _sn_eta_plus_point(frame, q):
-    """sn(eta + u_mu) via the addition formula on stored triples."""
-    k = frame.k
-    sn_e, cn_e, dn_e = _eta_triple(frame)
-    den = 1 - (k * sn_e * q.sn_u) ** 2
-    return (sn_e * q.cn_u * q.dn_u + q.sn_u * cn_e * dn_e) / den
-
-
-def _sn_sum_points(frame, triple, q):
-    """sn(u + u_mu) for the evaluation point and a spectrum point."""
-    k = frame.k
-    sn_a, cn_a, dn_a = triple
-    den = 1 - (k * sn_a * q.sn_u) ** 2
-    return (sn_a * q.cn_u * q.dn_u + q.sn_u * cn_a * dn_a) / den

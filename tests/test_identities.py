@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from rectising import params
 from rectising.identities import CATALOGUE, run_identity_suite
 from rectising.params import Couplings
 
@@ -39,6 +40,13 @@ class TestSuiteRuns:
             assert e.status in ("pass", "fail", "skip", "error")
             if e.status == "error":
                 assert e.note
+
+
+class TestSharedBuild:
+    def test_weights_built_once(self, count_calls):
+        calls = count_calls(params, "weights_from_couplings")
+        run_identity_suite((0.6, 0.9, 8, 8), samples=4)
+        assert len(calls) == 1
 
 
 class TestDeterminism:

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from rectising import params
 from rectising.errors import DomainError, RouteInfeasibleError
 from rectising.params import (
     Couplings,
@@ -311,6 +312,18 @@ class TestAssemble:
         oks = [o for o in res.outcomes.values() if o.status == "ok"]
         assert len(oks) == 4
 
+    def test_all_caps_brute_at_16_spins(self):
+        c = Couplings(0.3, 0.3, 4, 5)
+        res = assemble_logZ(c, "all")
+        assert res.outcomes["brute"].status == "skipped"
+        assert "cap" in res.outcomes["brute"].reason
+        assert res.outcomes["spin"].status == "ok"
+        alone = assemble_logZ(c, "brute")
+        assert alone.outcomes["brute"].status == "ok"
+        assert abs(alone.logZ - res.logZ) < 1e-12 * abs(res.logZ)
+        res16 = assemble_logZ(Couplings(0.3, 0.3, 4, 4), "all")
+        assert res16.outcomes["brute"].status == "ok"
+
     def test_single_route(self):
         res = assemble_logZ(Couplings(0.4, 0.7, 10, 6), "hankel")
         ref = spin_transfer_logZ(Couplings(0.4, 0.7, 10, 6)).log_mag
@@ -385,6 +398,26 @@ class TestSharedPipeline:
                    for n in ("block", "hankel", "pfaffian"))
         assert len(calls) == 1
 
+    def test_binary64_all_builds_weights_and_frame_once(self, count_calls):
+        weights = count_calls(params, "weights_from_couplings")
+        frames = count_calls(params, "elliptic_frame")
+        res = assemble_logZ(couplings_from_modulus(0.6, 0.9, 8, 8), "all")
+        assert res.outcomes["hankel"].precision_bits == 53
+        assert res.outcomes["hankel"].status == "ok"
+        assert len(weights) == 1
+        assert len(frames) == 1
+
+    def test_routes_on_one_pipeline_share_the_eigensystem(self, count_calls):
+        import rectising.spectrum as spectrum
+        calls = count_calls(spectrum, "_family_spectrum")
+        c = couplings_from_modulus(0.6, 0.9, 5, 6)
+        p = Precision(160)
+        pipe = spectrum.SystemPipeline(c, p)
+        blk, _ = block_transfer_logZ(c, p, pipe)
+        hk, _ = hankel_logZ(c, p, pipe)
+        assert len(calls) == 1
+        assert abs(hk.log_mag - blk.log_mag) < 1e-30 * abs(blk.log_mag)
+
     def test_block_from_shared_eigensystem_equals_standalone(self):
         c = couplings_from_modulus(0.6, 0.9, 5, 6)
         p = Precision(160)
@@ -414,12 +447,13 @@ class TestEscalation:
         # past it: the deviation trigger re-runs the spectral routes at
         # 160 bits and restores agreement
         c = couplings_from_modulus(0.9, 1.0, 24, 16)
-        res = assemble_logZ(c, "all", prec=FLOAT64, escalate=True)
+        res = assemble_logZ(c, "all", prec=FLOAT64)
         assert res.outcomes["hankel"].precision_bits >= 160
         assert res.max_pairwise_dev < 1e-12
 
-    def test_escalation_can_be_disabled(self):
+    def test_binary64_hankel_and_block_disagree(self):
+        # the documented binary64 failure that the escalation repairs
         c = couplings_from_modulus(0.9, 1.0, 24, 16)
-        res = assemble_logZ(c, "all", prec=FLOAT64, escalate=False)
-        assert res.outcomes["hankel"].precision_bits == 53
-        assert res.max_pairwise_dev > 1e-6  # the documented binary64 failure
+        hankel, _ = hankel_logZ(c, FLOAT64)
+        block, _ = block_transfer_logZ(c, FLOAT64)
+        assert abs(hankel.log_mag - block.log_mag) > 1e-6
