@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from .errors import ConvergenceError, DomainError, PoleError, RouteInfeasibleError
 from .params import Couplings, EllipticFrame, Weights
 from .precision import Precision
-from .spectrum import SystemPipeline, double_argument, lambda_zeta
+from .spectrum import SystemPipeline, double_argument, sn_pm_eta
 
 #: contour lines must keep this fraction of K' away from every pole level
 BAND_MARGIN = 1e-3
@@ -118,13 +118,18 @@ class ContourContext:
 
 
 def _node(u, cctx: ContourContext):
-    """Common factor NUM/DEN * dgamma/du and the bases (chi, zeta) at u."""
-    frame, w = cctx.frame, cctx.weights
+    """Common factor NUM/DEN * dgamma/du and the bases (chi, zeta) at u.
+
+    One kernel evaluation: sn(u +- eta) come from the triple at u and the
+    frame's eta triple by the addition formula.
+    """
+    frame = cctx.frame
     ctx = cctx.prec.ctx
     k = frame.k
-    lam, zeta = lambda_zeta(u, frame)
     triple = frame.kernel.sncndn(u)
     sn, cn, dn = triple
+    sp, sm = sn_pm_eta(triple, frame)
+    lam, zeta = 1 / (k * sp * sm), sp / sm
     exp_m_theta = ctx.mpc(0, 1) * dn / (k * sn * cn)
     num = 1 - lam ** cctx.L * exp_m_theta
     sn2, cn2, _dn2 = double_argument(triple, k)
@@ -140,12 +145,6 @@ def integrand_h(u, n: int, cctx: ContourContext):
     return common * chi ** n
 
 
-def integrand_a(u, n: int, cctx: ContourContext):
-    """Symbol-coefficient integrand with the Fourier base zeta^(-n)."""
-    common, _chi, zeta = _node(u, cctx)
-    return common * zeta ** (-n)
-
-
 def _require_disordered(cctx):
     if float(cctx.frame.k) > 1:
         raise RouteInfeasibleError(
@@ -153,22 +152,38 @@ def _require_disordered(cctx):
             "eigenvalue zero leaves the integration circles")
 
 
-def _lines_integral(ns, spec, cctx, base, samples):
-    """Trapezoid sums for several coefficient indices at shared nodes."""
+def _line_sums(ns, lines, cctx, base, samples, stride=1):
+    """Signed node sums over the (level, sign) lines at the nodes
+    -K + j * (2K/samples), j = stride - 1, 2*stride - 1, ... below samples;
+    without the step factor."""
     ctx = cctx.prec.ctx
     K = float(cctx.frame.K)
+    step = 2 * K / samples
     acc = {n: ctx.mpc(0) for n in ns}
-    for level, sign in spec.lines(cctx.frame):
-        step = 2 * K / samples
-        for j in range(samples):
+    for level, sign in lines:
+        for j in range(stride - 1, samples, stride):
             u = ctx.mpc(-K + j * step, level)
             common, chi, zeta = _node(u, cctx)
+            common = sign * common
             for n in ns:
                 b = chi ** n if base == "chi" else zeta ** (-n)
-                acc[n] += sign * step * common * b
-    # 1/(2 pi i) per the residue theorem; /2 for the zero-pair degeneracy
-    pref = 1 / (4 * ctx.pi * ctx.mpc(0, 1))
-    return {n: acc[n] * pref for n in ns}
+                acc[n] += common * b
+    return acc
+
+
+def _scale(sums, cctx, samples):
+    """Trapezoid values from node sums: step, 1/(2 pi i) per the residue
+    theorem, and 1/2 for the zero-pair degeneracy."""
+    ctx = cctx.prec.ctx
+    step = 2 * float(cctx.frame.K) / samples
+    pref = step / (4 * ctx.pi * ctx.mpc(0, 1))
+    return {n: v * pref for n, v in sums.items()}
+
+
+def _lines_integral(ns, spec, cctx, base, samples):
+    """Trapezoid sums for several coefficient indices at shared nodes."""
+    return _scale(_line_sums(ns, spec.lines(cctx.frame), cctx, base, samples),
+                  cctx, samples)
 
 
 def contour_coefficients(ns, spec: ContourSpec, cctx: ContourContext,
@@ -176,15 +191,22 @@ def contour_coefficients(ns, spec: ContourSpec, cctx: ContourContext,
     """Converged coefficients for all requested indices.
 
     Doubles the sample count until the worst relative change drops under
-    QUAD_TOL (geometric convergence for the analytic integrand).
+    QUAD_TOL (geometric convergence for the analytic integrand), up to
+    MAX_SAMPLES.  The ladder is nested: the even nodes at 2N samples are
+    the nodes at N, so each doubling evaluates only the new odd nodes.
     """
     _require_disordered(cctx)
     validate_contour(spec, cctx.frame)
     samples = spec.samples
-    prev = _lines_integral(ns, spec, cctx, base, samples)
-    while samples <= MAX_SAMPLES:
+    lines = spec.lines(cctx.frame)
+    sums = _line_sums(ns, lines, cctx, base, samples)
+    prev = _scale(sums, cctx, samples)
+    worst = float("inf")
+    while samples < MAX_SAMPLES:
         samples *= 2
-        cur = _lines_integral(ns, spec, cctx, base, samples)
+        odd = _line_sums(ns, lines, cctx, base, samples, stride=2)
+        sums = {n: sums[n] + odd[n] for n in ns}
+        cur = _scale(sums, cctx, samples)
         worst = max(
             abs(cur[n] - prev[n]) / max(1e-300, abs(cur[n])) for n in ns)
         if worst < QUAD_TOL:
@@ -193,7 +215,7 @@ def contour_coefficients(ns, spec: ContourSpec, cctx: ContourContext,
     raise ConvergenceError(
         "contour not converged", diagnostics={
             "samples": samples, "worst_rel_change": float(worst),
-            "lines": spec.lines(cctx.frame)})
+            "lines": lines})
 
 
 def contour_h(n: int, spec: ContourSpec, cctx: ContourContext):
@@ -210,21 +232,14 @@ def reduced_contour_a(n: int, cctx: ContourContext, samples: int = 512):
     """Symbol coefficient from a band around the two lower counter-poles
     only; valid when the upper pair is regular (n small, L < M)."""
     _require_disordered(cctx)
-    ctx = cctx.prec.ctx
-    K = float(cctx.frame.K)
     Kp = float(cctx.frame.K_prime)
-    h = float(ctx.im(cctx.frame.eta))
-    c = h / 2
-    acc = ctx.mpc(0)
+    c = float(cctx.prec.ctx.im(cctx.frame.eta)) / 2
     # counterclockwise band (-K' + c, -c): encloses -eta and -iK' + eta
-    for level, sign in ((-Kp + c, +1), (-c, -1)):
-        step = 2 * K / samples
-        for j in range(samples):
-            u = ctx.mpc(-K + j * step, level)
-            acc += sign * step * integrand_a(u, n, cctx)
+    lines = ((-Kp + c, +1), (-c, -1))
+    acc = _scale(_line_sums([n], lines, cctx, "zeta", samples), cctx, samples)
     # enclosed residues equal minus the full coefficient sum (halved as in
     # contour_coefficients)
-    return -acc / (4 * ctx.pi * ctx.mpc(0, 1))
+    return -acc[n]
 
 
 # ----------------------------------------------------------------------

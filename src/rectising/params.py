@@ -8,6 +8,7 @@ direction-swap transformation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .elliptic import (
     CRITICAL_TOL,
@@ -194,6 +195,11 @@ class EllipticFrame:
 
     def am(self, u):
         return self._need_kernel().am(u)
+
+    @cached_property
+    def eta_triple(self):
+        """(sn, cn, dn) at eta, evaluated once per frame."""
+        return self.sncndn(self.eta)
 
     def swap_u(self, u):
         """Point reflection of the torus at i K'/4: u -> i K'/2 - u."""

@@ -128,10 +128,12 @@ def logdet_scaled(rows, prec: Precision) -> tuple[LogScaledValue, dict]:
         min_piv, max_piv = min(min_piv, float(ap)), max(max_piv, float(ap))
         log_mag += ctx.log(ap)
         phase *= complex(piv / ap)
+        # only the trailing columns are read again
         for r in range(col + 1, n):
             f = A[r][col] / piv
             if f != 0:
-                A[r] = [A[r][j] - f * A[col][j] for j in range(n)]
+                Ar, Ac = A[r], A[col]
+                Ar[col + 1:] = [Ar[j] - f * Ac[j] for j in range(col + 1, n)]
     loss = math.log10(max_piv / min_piv) if min_piv > 0 else float("inf")
     return LogScaledValue(log_mag, phase), {"loss": loss}
 
@@ -171,12 +173,20 @@ def pfaffian(rows, prec: Precision = FLOAT64) -> LogScaledValue:
         ae = abs(entry)
         log_mag += ctx.log(ae)
         phase *= complex(entry / ae)
-        for j in range(k + 2, n):
-            f = A[j][k] / piv
-            if f != 0:
-                A[j] = [A[j][m] - f * A[k + 1][m] for m in range(n)]
-                for m in range(n):
-                    A[m][j] = A[m][j] - f * A[m][k + 1]
+        # congruence update of the trailing block, which alone is read
+        # again: the upper triangle, mirrored (it stays exactly skew)
+        f = [0] * (k + 2) + [A[j][k] / piv for j in range(k + 2, n)]
+        row = A[k + 1]
+        for i in range(k + 2, n):
+            Ai, fi, ci = A[i], f[i], A[i][k + 1]
+            for j in range(i + 1, n):
+                v = Ai[j]
+                if fi != 0:
+                    v = v - fi * row[j]
+                if f[j] != 0:
+                    v = v - f[j] * ci
+                Ai[j] = v
+                A[j][i] = -v
     entry = A[n - 2][n - 1]
     ae = abs(entry)
     if ae == 0:

@@ -454,7 +454,7 @@ def triple_from_lambda(lam, w: Weights, frame: EllipticFrame):
     choice of preimage, so principal square roots suffice.
     """
     ctx = frame.prec.ctx
-    sn_e, cn_e, dn_e = frame.sncndn(frame.eta)
+    sn_e, cn_e, dn_e = frame.eta_triple
     q_n = ctx.sqrt(ctx.mpc(w.lambda_n - lam))
     sn_u = sn_e * ctx.sqrt(ctx.mpc(w.lambda_s - lam)) / q_n
     cn_u = cn_e * ctx.sqrt(ctx.mpc(w.lambda_c - lam)) / q_n
@@ -472,11 +472,17 @@ def sn_add(triple_a, triple_b, k):
     return (sn_a * cn_b * dn_b + sn_b * cn_a * dn_a) / den
 
 
+def sn_pm_eta(triple, frame):
+    """sn(u + eta) and sn(u - eta) from the triple at u."""
+    sn_e, cn_e, dn_e = frame.eta_triple
+    return (sn_add(triple, (sn_e, cn_e, dn_e), frame.k),
+            sn_add(triple, (-sn_e, cn_e, dn_e), frame.k))
+
+
 def zeta_from_triple(triple, frame):
     """sn(u + eta) / sn(u - eta) from the triple at u."""
-    sn_e, cn_e, dn_e = frame.sncndn(frame.eta)
-    return (sn_add(triple, (sn_e, cn_e, dn_e), frame.k)
-            / sn_add(triple, (-sn_e, cn_e, dn_e), frame.k))
+    sp, sm = sn_pm_eta(triple, frame)
+    return sp / sm
 
 
 def double_argument(triple, k):
@@ -779,7 +785,7 @@ def _cp_zeta(x, cpc, inverse):
     e_miw = cn2 - ctx.mpc(0, 1) * sn2   # e^{-i omega}
     zM = zeta_t ** M
     # products over the spectrum use the addition formula on stored triples
-    eta_triple = frame.sncndn(frame.eta)
+    eta_triple = frame.eta_triple
     prod_num = ctx.mpc(1)
     for q in cpc.points:
         q_triple = (q.sn_u, q.cn_u, q.dn_u)

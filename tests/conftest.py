@@ -14,7 +14,8 @@ settings.load_profile("deterministic")
 @pytest.fixture
 def count_calls(monkeypatch):
     """Count the calls of a package function, in every module that holds
-    it: ``calls = count_calls(params, "weights_from_couplings")``."""
+    it: ``calls = count_calls(params, "weights_from_couplings")``; or of a
+    method, on its class: ``count_calls(EllipticKernel, "sncndn")``."""
     def install(module, name):
         orig = getattr(module, name)
         calls = []
@@ -23,6 +24,7 @@ def count_calls(monkeypatch):
             calls.append(args)
             return orig(*args, **kwargs)
 
+        monkeypatch.setattr(module, name, counted)
         for mod_name, mod in list(sys.modules.items()):
             if (mod_name.split(".")[0] == "rectising"
                     and getattr(mod, name, None) is orig):

@@ -5,9 +5,11 @@ import math
 
 import pytest
 
+from rectising import contour
 from rectising.contour import (
     ContourContext,
     ContourSpec,
+    _lines_integral,
     _node,
     contour_coefficients,
     contour_h,
@@ -17,7 +19,8 @@ from rectising.contour import (
     symbol_a,
     uplane_field,
 )
-from rectising.errors import DomainError, RouteInfeasibleError
+from rectising.elliptic import EllipticKernel
+from rectising.errors import ConvergenceError, DomainError, RouteInfeasibleError
 from rectising.params import couplings_from_modulus, swap_system
 from rectising.partition import hankel_from_spectrum
 from rectising.spectrum import lambda_zeta
@@ -92,12 +95,37 @@ class TestContourMoments:
             assert abs(got - want) < tol * abs(want)
 
     def test_doubling_convergence(self, fig):
-        from rectising.contour import _lines_integral
         _c, cctx, _hs = fig
         spec = default_contour(cctx.frame)
         a = _lines_integral([1], spec, cctx, "chi", 256)[1]
         b = _lines_integral([1], spec, cctx, "chi", 512)[1]
         assert abs(complex(a - b)) < 1e-10 * abs(complex(b))
+
+    def test_nested_doubling_one_kernel_call_per_node(self, fig,
+                                                      count_calls):
+        # every node of the final ladder is evaluated once, with one
+        # kernel call; the nested sums equal the direct trapezoid sum
+        c, cctx, _hs = fig
+        spec = default_contour(cctx.frame)
+        calls = count_calls(EllipticKernel, "sncndn")
+        ns = list(range(1, c.M))
+        res = contour_coefficients(ns, spec, cctx, "chi")
+        final, extra = divmod(len(calls), 4)
+        assert extra <= 1
+        assert final % spec.samples == 0 and final > spec.samples
+        assert (final // spec.samples) & (final // spec.samples - 1) == 0
+        direct = _lines_integral(ns, spec, cctx, "chi", final)
+        for n in ns:
+            assert abs(complex(res[n] - direct[n])) < 1e-13 * abs(
+                complex(direct[n]))
+
+    def test_sample_cap(self, fig, monkeypatch):
+        _c, cctx, _hs = fig
+        monkeypatch.setattr(contour, "MAX_SAMPLES", 1024)
+        monkeypatch.setattr(contour, "QUAD_TOL", 0)
+        with pytest.raises(ConvergenceError) as info:
+            contour_coefficients([1], default_contour(cctx.frame), cctx)
+        assert info.value.diagnostics["samples"] == 1024
 
     def test_band_shift_invariance(self, fig):
         _c, cctx, hs = fig

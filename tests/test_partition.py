@@ -118,6 +118,17 @@ class TestPfaffian:
         det = np.linalg.det(A)
         assert abs(got.value() ** 2 - det) < 1e-11 * abs(det)
 
+    def test_square_is_determinant_extended(self):
+        p = Precision(160)
+        rng = np.random.default_rng(12)
+        B = rng.normal(size=(12, 12))
+        A = [[p.ctx.mpf(B[i, j]) - p.ctx.mpf(B[j, i]) for j in range(12)]
+             for i in range(12)]
+        pf = pfaffian(A, p)
+        det, _ = logdet_scaled(A, p)
+        assert det.phase == 1 and pf.phase in (1, -1)
+        assert abs(2 * pf.log_mag - det.log_mag) < p.ctx.mpf(2) ** -140
+
     def test_odd_dimension(self):
         with pytest.raises(DomainError):
             pfaffian([[0.0]])

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from rectising.elliptic import EllipticKernel
 from rectising.errors import CriticalModulusError, DomainError
 from rectising.params import (
     Couplings,
@@ -15,6 +16,7 @@ from rectising.params import (
 from rectising.precision import Precision
 from rectising.spectrum import (
     CharPolyContext,
+    SystemPipeline,
     build_matrices,
     char_poly_eval,
     chi_poly_derivative,
@@ -220,6 +222,17 @@ class TestAngles:
                        + 1 / cmath.tan(complex(p.phi) / 2)) < 1e-10
             assert abs(cmath.exp(-complex(p.psi))
                        + cmath.tan(complex(p.phi) / 2)) < 1e-10
+
+
+def test_enrichment_evaluates_eta_once(count_calls):
+    # the frame holds its eta triple; enrichment does not re-evaluate it
+    # per eigenvalue
+    pipe = SystemPipeline(couplings_from_modulus(0.65, 0.5, 6, 6))
+    frame = pipe.frame()
+    calls = count_calls(EllipticKernel, "sncndn")
+    _w, _fr, _b, pts = pipe.spectral()
+    assert len(pts) == 6
+    assert sum(1 for _kern, u in calls if u == frame.eta) <= 1
 
 
 class TestCharPoly:
