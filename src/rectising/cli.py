@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from .contour import ContourContext, uplane_field
 from .errors import DomainError, RectisingError
-from .identities import run_identity_suite
+from .identities import GATING_TOL, run_identity_suite
 from .params import Couplings, couplings_from_modulus, swap_system
 from .partition import ROUTES, assemble_logZ, route_feasibility
 from .precision import Precision
@@ -44,7 +44,6 @@ class RunConfig:
     precision_bits: int = None
     fmt: str = "json"
     out: str = None
-    seed: int = 0
 
     def couplings(self) -> Couplings:
         if (self.K_h is None) == (self.k is None):
@@ -211,14 +210,11 @@ def cmd_spectrum(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_identities(cfg: RunConfig, tol: float, samples: int) -> int:
-    if cfg.k is not None:
-        system = (cfg.k, cfg.eta_fraction if cfg.eta_fraction is not None
-                  else 1.0, cfg.M, cfg.L)
-    else:
-        system = cfg.couplings()
-    rep = run_identity_suite(system, tol=tol, samples=samples, seed=cfg.seed,
-                             prec=cfg.precision())
+def cmd_identities(cfg: RunConfig, **suite_opts) -> int:
+    """``suite_opts``: the given --tol, --samples and --seed; the suite's
+    own defaults stand for the others."""
+    rep = run_identity_suite(cfg.couplings(), prec=cfg.precision(),
+                             **suite_opts)
     _emit(_json_dumps(rep.to_dict()), cfg.out)
     return 3 if rep.failed else 0
 
@@ -293,10 +289,11 @@ def _add_common(p, geometry=True):
     p.add_argument("--precision-bits", type=int, default=None,
                    help=f"53 or 100..4096 (default: auto; env "
                         f"{ENV_PRECISION})")
-    p.add_argument("--format", choices=("json", "csv", "text"),
-                   default="json", dest="fmt")
     p.add_argument("--out", default=None)
-    p.add_argument("--seed", type=int, default=0)
+
+
+def _add_format(p, choices=("json", "csv", "text")):
+    p.add_argument("--format", choices=choices, default="json", dest="fmt")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -309,23 +306,32 @@ def build_parser() -> argparse.ArgumentParser:
 
     pz = sub.add_parser("z", help="partition function of one system")
     _add_common(pz)
+    _add_format(pz)
     pz.add_argument("--route", default="all",
                     choices=("all",) + ROUTES)
 
     pc = sub.add_parser("compare",
                         help="all feasible routes plus consistency checks")
     _add_common(pc)
+    _add_format(pc)
 
     ps = sub.add_parser("spectrum", help="per-eigenvalue angle table")
     _add_common(ps)
+    _add_format(ps, ("json", "csv"))
 
     pi = sub.add_parser("identities", help="run the identity suite")
     _add_common(pi)
-    pi.add_argument("--tol", type=float, default=1e-9)
-    pi.add_argument("--samples", type=int, default=16)
+    pi.add_argument("--tol", type=float, default=argparse.SUPPRESS,
+                    help="gating tolerance of the scaled residuals "
+                         f"(default {GATING_TOL:g})")
+    pi.add_argument("--samples", type=int, default=argparse.SUPPRESS,
+                    help="random torus points per sample set")
+    pi.add_argument("--seed", type=int, default=argparse.SUPPRESS,
+                    help="seed of the torus samples")
 
     pn = sub.add_parser("scan", help="sweep the modulus, emit CSV/JSON")
     _add_common(pn)
+    _add_format(pn, ("json", "csv"))
     pn.add_argument("--k-min", type=float, required=True)
     pn.add_argument("--k-max", type=float, required=True)
     pn.add_argument("--steps", type=int, default=9)
@@ -343,8 +349,8 @@ def _config(ns) -> RunConfig:
     return RunConfig(L=ns.L, M=ns.M, K_h=ns.K_h, K_v=ns.K_v, k=ns.k,
                      eta_fraction=ns.eta_fraction,
                      route=getattr(ns, "route", "all"),
-                     precision_bits=ns.precision_bits, fmt=ns.fmt,
-                     out=ns.out, seed=ns.seed)
+                     precision_bits=ns.precision_bits,
+                     fmt=getattr(ns, "fmt", "json"), out=ns.out)
 
 
 def main(argv=None) -> int:
@@ -359,7 +365,9 @@ def main(argv=None) -> int:
         if ns.command == "spectrum":
             return cmd_spectrum(cfg)
         if ns.command == "identities":
-            return cmd_identities(cfg, ns.tol, ns.samples)
+            return cmd_identities(cfg, **{
+                key: getattr(ns, key) for key in ("tol", "samples", "seed")
+                if key in ns})
         if ns.command == "scan":
             if ns.steps < 2:
                 ks = [ns.k_min]

@@ -46,7 +46,6 @@ class ContourSpec:
     c_low: float
     c_high: float
     samples: int = 256
-    bands: tuple = ("zero", "kprime")
 
     def __post_init__(self):
         if self.samples < 64:
@@ -56,10 +55,8 @@ class ContourSpec:
 
     def lines(self, frame: EllipticFrame):
         """(imaginary level, direction sign) for every line."""
-        Kp = float(frame.K_prime)
         out = []
-        for band in self.bands:
-            off = 0.0 if band == "zero" else Kp
+        for off in (0.0, float(frame.K_prime)):
             out.append((self.c_low + off, +1))
             out.append((self.c_high + off, -1))
         return out

@@ -7,8 +7,10 @@ Vandermonde/Hankel block structure) at one system configuration and a
 deterministic set of random torus points, and reports per-identity
 residuals.
 
-Residual convention: every comparison uses |lhs - rhs| / max(1, |rhs|),
-i.e. absolute for order-unity quantities and relative for scaled ones.
+Each entry states its comparisons to a ``Residuals`` recorder, which owns
+the residual convention: |lhs - rhs| / max(1, |rhs|), i.e. absolute for
+order-unity quantities and relative for scaled ones, and keeps the worst
+value per part.  Parts are gated; details are reported but never gated.
 
 Square roots: several catalogue identities express square roots of
 spectral differences through Jacobi-function ratios.  The ratios define
@@ -20,21 +22,25 @@ fixes relative signs (the tangent forms), those exactly.
 
 from __future__ import annotations
 
+import math
 import random
 import time
 from dataclasses import dataclass, field
+from functools import cached_property, reduce
 
 import numpy as np
 
 from .errors import PoleError, RectisingError
-from .elliptic import arcsn
+from .elliptic import arcsn, incomplete_F
 from .params import Couplings, couplings_from_modulus, dual
+from .partition import hankel_from_spectrum
 from .precision import Precision, as_precision
 from .spectrum import (
     CharPolyContext,
     SystemPipeline,
     char_poly_eval,
     chi_poly_derivative,
+    dispersion_residual,
     double_argument,
     lambda_zeta,
 )
@@ -52,7 +58,6 @@ class IdentityEnv:
     c: Couplings
     w: object
     frame: object
-    bundle: object
     points: list
     prec: Precision
     rng: random.Random
@@ -71,10 +76,53 @@ class IdentityEnv:
     def ordered(self):
         return float(self.w.k) > 1
 
+    @cached_property
+    def eta2_triple(self):
+        """(sn, cn, dn) at 2 eta, evaluated once per suite run."""
+        return self.kern.sncndn(2 * self.frame.eta)
+
+    @cached_property
+    def cpc(self):
+        return CharPolyContext(self.w, self.frame, self.c.M, self.points)
+
 
 def _resid(lhs, rhs):
     """Scaled residual: absolute for order-unity, relative for large."""
     return float(abs(lhs - rhs) / max(1.0, abs(rhs)))
+
+
+def _worse(old, new):
+    """The larger residual; NaN counts as the worst and stays."""
+    return new if new > old or math.isnan(new) else old
+
+
+class Residuals:
+    """Worst residual per named part of one catalogue entry.
+
+    ``detail=True`` records into ``details``: reported, never gated.
+    """
+
+    def __init__(self):
+        self.parts = {}
+        self.details = {}
+
+    def add(self, name, value, detail=False):
+        """Record a raw residual."""
+        store = self.details if detail else self.parts
+        store[name] = _worse(store.get(name, 0.0), value)
+
+    def compare(self, name, lhs, rhs, detail=False):
+        """Record the scaled residual of lhs against rhs."""
+        self.add(name, _resid(lhs, rhs), detail)
+
+    def compare_up_to_sign(self, name, lhs, rhs, detail=False):
+        """Record the smaller scaled residual of lhs against +rhs and -rhs."""
+        self.add(name, min(_resid(lhs, rhs), _resid(lhs, -rhs)), detail)
+
+    @property
+    def worst(self) -> float:
+        """Worst gated residual, 0.0 when there is none."""
+        return reduce(_worse, self.parts.values(), 0.0)
 
 
 def _draw_samples(frame, rng, count):
@@ -115,13 +163,12 @@ def _draw_samples(frame, rng, count):
 def build_env(c: Couplings, samples: int = 16, seed: int = 0,
               prec: Precision | None = None) -> IdentityEnv:
     prec = as_precision(prec)
-    w, frame, bundle, points = SystemPipeline(c, prec).spectral()
+    w, frame, _bundle, points = SystemPipeline(c, prec).spectral()
     rng = random.Random(seed)
     us = _draw_samples(frame, rng, samples)
     vs = _draw_samples(frame, rng, samples)
-    return IdentityEnv(c=c, w=w, frame=frame, bundle=bundle, points=points,
-                       prec=prec, rng=rng, us=us,
-                       pairs=list(zip(us, vs)))
+    return IdentityEnv(c=c, w=w, frame=frame, points=points, prec=prec,
+                       rng=rng, us=us, pairs=list(zip(us, vs)))
 
 
 # ----------------------------------------------------------------------
@@ -132,7 +179,8 @@ CATALOGUE = []
 
 
 def entry(identity_id, group, gating=True, tol_factor=1.0):
-    """Register a catalogue entry.
+    """Register a catalogue entry ``fn(env, r)`` that records its
+    comparisons to the ``Residuals`` recorder ``r``.
 
     ``tol_factor`` widens the gate for entries whose oracle has its own
     accuracy floor (central finite differences at step 1e-5 cannot beat
@@ -143,243 +191,216 @@ def entry(identity_id, group, gating=True, tol_factor=1.0):
     return wrap
 
 
+def _monic(x, roots, ctx):
+    """Product of (x - root) over the roots."""
+    out = ctx.mpc(1)
+    for root in roots:
+        out = out * (x - root)
+    return out
+
+
 @entry("weights-coupling-forms", "weights")
-def _e_weights(env):
+def _e_weights(env, r):
     ctx, w, c = env.ctx, env.w, env.c
     Kh, Kv = ctx.mpf(c.K_h), ctx.mpf(c.K_v)
-    checks = {
-        "t": (w.t, ctx.exp(-2 * Kv)),
-        "t_plus": (w.t_plus, ctx.cosh(2 * Kv)),
-        "t_minus": (w.t_minus, -ctx.sinh(2 * Kv)),
-        "z": (w.z, ctx.tanh(Kh)),
-        "z_plus": (w.z_plus, 1 / ctx.tanh(2 * Kh)),
-        "z_minus": (w.z_minus, -1 / ctx.sinh(2 * Kh)),
-        "z_star": (w.z_star, ctx.exp(-2 * Kh)),
-        "z_star_plus": ((w.z_star + 1 / w.z_star) / 2, ctx.cosh(2 * Kh)),
-        "z_star_minus": ((w.z_star - 1 / w.z_star) / 2, -ctx.sinh(2 * Kh)),
-        "t_star": (w.t_star, ctx.tanh(Kv)),
-        "t_star_plus": ((w.t_star + 1 / w.t_star) / 2, 1 / ctx.tanh(2 * Kv)),
-        "t_star_minus": ((w.t_star - 1 / w.t_star) / 2, -1 / ctx.sinh(2 * Kv)),
-    }
-    return {k: _resid(a, b) for k, (a, b) in checks.items()}
+    r.compare("t", w.t, ctx.exp(-2 * Kv))
+    r.compare("t_plus", w.t_plus, ctx.cosh(2 * Kv))
+    r.compare("t_minus", w.t_minus, -ctx.sinh(2 * Kv))
+    r.compare("z", w.z, ctx.tanh(Kh))
+    r.compare("z_plus", w.z_plus, 1 / ctx.tanh(2 * Kh))
+    r.compare("z_minus", w.z_minus, -1 / ctx.sinh(2 * Kh))
+    r.compare("z_star", w.z_star, ctx.exp(-2 * Kh))
+    r.compare("z_star_plus", (w.z_star + 1 / w.z_star) / 2, ctx.cosh(2 * Kh))
+    r.compare("z_star_minus", (w.z_star - 1 / w.z_star) / 2,
+              -ctx.sinh(2 * Kh))
+    r.compare("t_star", w.t_star, ctx.tanh(Kv))
+    r.compare("t_star_plus", (w.t_star + 1 / w.t_star) / 2,
+              1 / ctx.tanh(2 * Kv))
+    r.compare("t_star_minus", (w.t_star - 1 / w.t_star) / 2,
+              -1 / ctx.sinh(2 * Kv))
 
 
 @entry("anisotropy-defining-equation", "frame")
-def _e_eta_def(env):
-    ctx = env.ctx
-    sn2e = env.kern.sncndn(2 * env.frame.eta)[0]
-    return {"sn2eta": _resid(sn2e * ctx.mpc(0, 1) * env.w.t_minus, 1)}
+def _e_eta_def(env, r):
+    sn2e = env.eta2_triple[0]
+    r.compare("sn2eta", sn2e * env.ctx.mpc(0, 1) * env.w.t_minus, 1)
 
 
 @entry("anisotropy-squares", "frame")
-def _e_eta_squares(env):
-    ctx, w = env.ctx, env.w
+def _e_eta_squares(env, r):
+    w = env.w
     k = env.frame.k
-    sn, cn, dn = env.kern.sncndn(env.frame.eta)
+    sn, cn, dn = env.frame.eta_triple
     ln = w.lambda_n
     ln_minus = (ln - 1 / ln) / 2
-    return {
-        "sn_sq": _resid(sn * sn, -ln / k),
-        "cn_sq": _resid(cn * cn, 1 + ln / k),
-        "cn_sq_alt": _resid(cn * cn, ln * ln_minus / (w.t * w.t_minus)),
-        "dn_sq": _resid(dn * dn, 1 + ln * k),
-        "dn_sq_alt": _resid(dn * dn, ln * ln_minus / (w.z * w.z_minus)),
-    }
+    r.compare("sn_sq", sn * sn, -ln / k)
+    r.compare("cn_sq", cn * cn, 1 + ln / k)
+    r.compare("cn_sq_alt", cn * cn, ln * ln_minus / (w.t * w.t_minus))
+    r.compare("dn_sq", dn * dn, 1 + ln * k)
+    r.compare("dn_sq_alt", dn * dn, ln * ln_minus / (w.z * w.z_minus))
 
 
 @entry("weights-at-anisotropy-point", "frame")
-def _e_weights_eta(env):
-    ctx, w, fr = env.ctx, env.w, env.frame
-    i = ctx.mpc(0, 1)
+def _e_weights_eta(env, r):
+    w, fr = env.w, env.frame
+    i = env.ctx.mpc(0, 1)
     k = fr.k
-    sn, cn, dn = env.kern.sncndn(fr.eta)
-    s2, c2, d2 = env.kern.sncndn(2 * fr.eta)
-    return {
-        "t": _resid(w.t, sn * dn / (i * cn)),
-        "t_plus": _resid(w.t_plus, i * c2 / s2),
-        "t_minus": _resid(w.t_minus, -i / s2),
-        "z": _resid(w.z, k * sn * cn / (i * dn)),
-        "z_plus": _resid(w.z_plus, i * d2 / (k * s2)),
-        "z_minus": _resid(w.z_minus, -i / (k * s2)),
-    }
+    sn, cn, dn = fr.eta_triple
+    s2, c2, d2 = env.eta2_triple
+    r.compare("t", w.t, sn * dn / (i * cn))
+    r.compare("t_plus", w.t_plus, i * c2 / s2)
+    r.compare("t_minus", w.t_minus, -i / s2)
+    r.compare("z", w.z, k * sn * cn / (i * dn))
+    r.compare("z_plus", w.z_plus, i * d2 / (k * s2))
+    r.compare("z_minus", w.z_minus, -i / (k * s2))
 
 
 @entry("dual-weights-at-anisotropy-point", "frame")
-def _e_dual_eta(env):
-    ctx, w, fr = env.ctx, env.w, env.frame
-    i = ctx.mpc(0, 1)
-    s2, c2, d2 = env.kern.sncndn(2 * fr.eta)
+def _e_dual_eta(env, r):
+    w = env.w
+    i = env.ctx.mpc(0, 1)
+    s2, c2, d2 = env.eta2_triple
     ts_p = (w.t_star + 1 / w.t_star) / 2
     ts_m = (w.t_star - 1 / w.t_star) / 2
     zs_p = (w.z_star + 1 / w.z_star) / 2
     zs_m = (w.z_star - 1 / w.z_star) / 2
-    return {
-        "t_star_plus": _resid(ts_p, c2),
-        "t_star_plus_alt": _resid(ts_p, -w.t_plus / w.t_minus),
-        "t_star_minus": _resid(ts_m, i * s2),
-        "z_star_plus": _resid(zs_p, d2),
-        "z_star_plus_alt": _resid(zs_p, -w.z_plus / w.z_minus),
-        "z_star_minus": _resid(zs_m, i * fr.k * s2),
-    }
+    r.compare("t_star_plus", ts_p, c2)
+    r.compare("t_star_plus_alt", ts_p, -w.t_plus / w.t_minus)
+    r.compare("t_star_minus", ts_m, i * s2)
+    r.compare("z_star_plus", zs_p, d2)
+    r.compare("z_star_plus_alt", zs_p, -w.z_plus / w.z_minus)
+    r.compare("z_star_minus", zs_m, i * env.frame.k * s2)
 
 
 @entry("amplitude-exponential-forms", "frame")
-def _e_am_forms(env):
+def _e_am_forms(env, r):
     ctx, w, fr = env.ctx, env.w, env.frame
     i = ctx.mpc(0, 1)
     am2e = fr.am(2 * fr.eta)
     am2et = fr.am(2 * fr.eta_tilde)
-    return {
-        "t_star": _resid(w.t_star, ctx.exp(i * am2e)),
-        "t": _resid(w.t, -i * ctx.tan(am2e / 2)),
-        "z": _resid(w.z, ctx.exp(i * am2et)),
-        "z_star": _resid(w.z_star, -i * ctx.tan(am2et / 2)),
-    }
+    r.compare("t_star", w.t_star, ctx.exp(i * am2e))
+    r.compare("t", w.t, -i * ctx.tan(am2e / 2))
+    r.compare("z", w.z, ctx.exp(i * am2et))
+    r.compare("z_star", w.z_star, -i * ctx.tan(am2et / 2))
 
 
 @entry("dual-coupling-amplitudes", "frame")
-def _e_dual_K(env):
-    ctx, w, fr, c = env.ctx, env.w, env.frame, env.c
+def _e_dual_K(env, r):
+    ctx, fr, c = env.ctx, env.frame, env.c
     i = ctx.mpc(0, 1)
     Ktil_v = -ctx.log(ctx.tanh(ctx.mpf(c.K_v))) / 2
     Ktil_h = -ctx.log(ctx.tanh(ctx.mpf(c.K_h))) / 2
-    out = {
-        "vertical": _resid(fr.am(2 * fr.eta), 2 * i * Ktil_v),
-        "horizontal": _resid(fr.am(2 * fr.eta_tilde), 2 * i * Ktil_h),
-    }
+    r.compare("vertical", fr.am(2 * fr.eta), 2 * i * Ktil_v)
+    r.compare("horizontal", fr.am(2 * fr.eta_tilde), 2 * i * Ktil_h)
     if not env.ordered:
-        from .elliptic import incomplete_F
         f1 = incomplete_F(2 * i * Ktil_v, fr.k, env.prec)
         f2 = incomplete_F(2 * i * Ktil_h, fr.k, env.prec)
-        out["integral_v"] = _resid(2 * fr.eta, f1)
-        out["integral_h"] = _resid(2 * fr.eta, i * fr.K_prime - f2)
-    return out
+        r.compare("integral_v", 2 * fr.eta, f1)
+        r.compare("integral_h", 2 * fr.eta, i * fr.K_prime - f2)
 
 
 @entry("eigenvalue-map-squares", "eigenvalue-map")
-def _e_root_squares(env):
+def _e_root_squares(env, r):
     """Squared root systematics at kernel-evaluated points: branch-free."""
     ctx, w, fr = env.ctx, env.w, env.frame
-    kern = env.kern
-    worst = {}
-    sn_e, cn_e, dn_e = kern.sncndn(fr.eta)
+    sn_e, cn_e, dn_e = fr.eta_triple
     vals_e = {"n": ctx.mpc(1), "s": sn_e, "c": cn_e, "d": dn_e}
     lam_p = {"n": w.lambda_n, "s": w.lambda_s, "c": w.lambda_c,
              "d": w.lambda_d}
     for u in env.us:
-        sn, cn, dn = kern.sncndn(u)
+        sn, cn, dn = env.kern.sncndn(u)
         lam, _z = lambda_zeta(u, fr)
         vals_u = {"n": ctx.mpc(1), "s": sn, "c": cn, "d": dn}
         for p in "nscd":
-            lhs = (lam_p[p] - lam) * vals_e[p] ** 2
-            rhs = (w.lambda_n - lam) * vals_u[p] ** 2
-            worst[p] = max(worst.get(p, 0.0), _resid(lhs, rhs))
-    return worst
+            r.compare(p, (lam_p[p] - lam) * vals_e[p] ** 2,
+                      (w.lambda_n - lam) * vals_u[p] ** 2)
 
 
 @entry("eigenvalue-map-triple", "eigenvalue-map")
-def _e_root_triple(env):
+def _e_root_triple(env, r):
     """Principal-root triple lands on the Jacobi graph and reproduces the
     eigenvalue pair: the constructive content of the root systematics."""
-    ctx, w, fr = env.ctx, env.w, env.frame
-    k = fr.k
-    worst = 0.0
+    k = env.frame.k
+    _s2e, cn2e, dn2e = env.eta2_triple
     for p in env.points:
         sn, cn, dn = p.sn_u, p.cn_u, p.dn_u
-        worst = max(worst, _resid(sn * sn + cn * cn, 1))
-        worst = max(worst, _resid((k * sn) ** 2 + dn * dn, 1))
-        s2, c2, d2 = double_argument((sn, cn, dn), k)
-        sn2e, cn2e, dn2e = env.kern.sncndn(2 * fr.eta)
-        lam_a = -k * (c2 + cn2e) / (d2 - dn2e)
-        worst = max(worst, _resid(lam_a, p.lam))
-    return {"triple": worst}
+        r.compare("triple", sn * sn + cn * cn, 1)
+        r.compare("triple", (k * sn) ** 2 + dn * dn, 1)
+        _s2, c2, d2 = double_argument((sn, cn, dn), k)
+        r.compare("triple", -k * (c2 + cn2e) / (d2 - dn2e), p.lam)
 
 
 @entry("vertical-map-squares", "eigenvalue-map")
-def _e_zeta_squares(env):
+def _e_zeta_squares(env, r):
     ctx, w, fr = env.ctx, env.w, env.frame
     kern = env.kern
-    worst = {}
-    et = fr.eta_tilde
-    sn_e, cn_e, dn_e = kern.sncndn(et)
+    sn_e, cn_e, dn_e = kern.sncndn(fr.eta_tilde)
     vals_e = {"n": ctx.mpc(1), "s": sn_e, "c": cn_e, "d": dn_e}
     zet_p = {"n": w.zeta_n, "s": w.zeta_s, "c": w.zeta_c, "d": w.zeta_d}
     for u in env.us:
-        ut = fr.swap_u(u)
-        snt, cnt, dnt = kern.sncndn(ut)
+        snt, cnt, dnt = kern.sncndn(fr.swap_u(u))
         _lam, zet = lambda_zeta(u, fr)
         vals_u = {"n": ctx.mpc(1), "s": snt, "c": cnt, "d": dnt}
         for p in "nscd":
-            lhs = (zet_p[p] - zet) * vals_e[p] ** 2
-            rhs = (w.zeta_n - zet) * vals_u[p] ** 2
-            worst[p] = max(worst.get(p, 0.0), _resid(lhs, rhs))
-    return worst
+            r.compare(p, (zet_p[p] - zet) * vals_e[p] ** 2,
+                      (w.zeta_n - zet) * vals_u[p] ** 2)
 
 
 @entry("eigenvalue-dual-forms", "eigenvalue-map")
-def _e_lambda_dual(env):
-    ctx, w, fr = env.ctx, env.w, env.frame
+def _e_lambda_dual(env, r):
+    fr = env.frame
     k = fr.k
-    sn_e = env.kern.sncndn(fr.eta)[0]
+    sn_e = fr.eta_triple[0]
     sn_et = env.kern.sncndn(fr.eta_tilde)[0]
-    worst = {"lambda": 0.0, "zeta": 0.0}
+    r.add("lambda", 0.0)
+    r.add("zeta", 0.0)
     for u in env.us:
         lam, zet = lambda_zeta(u, fr)
         sn = env.kern.sncndn(u)[0]
         snt = env.kern.sncndn(fr.swap_u(u))[0]
         if abs(lam + 1) < 1e-6 or abs(zet + 1) < 1e-6:
             continue
-        lhs = dual(lam)
-        rhs = -dual(k * sn * sn) / dual(k * sn_e * sn_e)
-        worst["lambda"] = max(worst["lambda"], _resid(lhs, rhs))
-        lhs = dual(zet)
-        rhs = -dual(k * snt * snt) / dual(k * sn_et * sn_et)
-        worst["zeta"] = max(worst["zeta"], _resid(lhs, rhs))
-    return worst
+        r.compare("lambda", dual(lam),
+                  -dual(k * sn * sn) / dual(k * sn_e * sn_e))
+        r.compare("zeta", dual(zet),
+                  -dual(k * snt * snt) / dual(k * sn_et * sn_et))
 
 
 @entry("double-argument-eigenvalue-forms", "eigenvalue-map")
-def _e_lambda_2u(env):
-    ctx, w, fr = env.ctx, env.w, env.frame
+def _e_lambda_2u(env, r):
+    fr = env.frame
     k = fr.k
-    kern = env.kern
-    s2e, c2e, d2e = kern.sncndn(2 * fr.eta)
-    worst = {}
+    s2e, c2e, d2e = env.eta2_triple
     for u in env.us:
         lam, zet = lambda_zeta(u, fr)
         lam_p, lam_m = (lam + 1 / lam) / 2, (lam - 1 / lam) / 2
         zet_p, zet_m = (zet + 1 / zet) / 2, (zet - 1 / zet) / 2
-        s2, c2, d2 = kern.sncndn(2 * u)
-        forms = {
-            "lambda_a": (lam, -k * (c2 + c2e) / (d2 - d2e)),
-            "lambda_b": (lam, -(d2 + d2e) / (k * (c2 - c2e))),
-            "lambda_plus": (lam_p, -k * (c2 * d2 + c2e * d2e)
-                            / (d2 * d2 - d2e * d2e)),
-            "lambda_minus": (lam_m, -k * (c2 * d2e + c2e * d2)
-                             / (d2 * d2 - d2e * d2e)),
-            "zeta_a": (zet, -(d2 / s2 + d2e / s2e) / (c2 / s2 - c2e / s2e)),
-            "zeta_b": (zet, -(c2 / s2 + c2e / s2e) / (d2 / s2 - d2e / s2e)),
-            "zeta_plus": (zet_p, -((d2 * c2) / (s2 * s2)
-                                   + (d2e * c2e) / (s2e * s2e))
-                          / ((c2 / s2) ** 2 - (c2e / s2e) ** 2)),
-            "zeta_minus": (zet_m, -((d2 / s2) * (c2e / s2e)
-                                    + (d2e / s2e) * (c2 / s2))
-                           / ((c2 / s2) ** 2 - (c2e / s2e) ** 2)),
-        }
-        for name, (a, b) in forms.items():
-            worst[name] = max(worst.get(name, 0.0), _resid(a, b))
-    return worst
+        s2, c2, d2 = env.kern.sncndn(2 * u)
+        r.compare("lambda_a", lam, -k * (c2 + c2e) / (d2 - d2e))
+        r.compare("lambda_b", lam, -(d2 + d2e) / (k * (c2 - c2e)))
+        r.compare("lambda_plus", lam_p, -k * (c2 * d2 + c2e * d2e)
+                  / (d2 * d2 - d2e * d2e))
+        r.compare("lambda_minus", lam_m, -k * (c2 * d2e + c2e * d2)
+                  / (d2 * d2 - d2e * d2e))
+        r.compare("zeta_a", zet,
+                  -(d2 / s2 + d2e / s2e) / (c2 / s2 - c2e / s2e))
+        r.compare("zeta_b", zet,
+                  -(c2 / s2 + c2e / s2e) / (d2 / s2 - d2e / s2e))
+        r.compare("zeta_plus", zet_p,
+                  -((d2 * c2) / (s2 * s2) + (d2e * c2e) / (s2e * s2e))
+                  / ((c2 / s2) ** 2 - (c2e / s2e) ** 2))
+        r.compare("zeta_minus", zet_m,
+                  -((d2 / s2) * (c2e / s2e) + (d2e / s2e) * (c2 / s2))
+                  / ((c2 / s2) ** 2 - (c2e / s2e) ** 2))
 
 
 @entry("half-angle-forms", "half-angle")
-def _e_half_angle(env):
+def _e_half_angle(env, r):
     ctx, w, fr = env.ctx, env.w, env.frame
-    kern = env.kern
     i = ctx.mpc(0, 1)
-    sn_e, cn_e, dn_e = kern.sncndn(fr.eta)
-    worst = {}
+    sn_e, cn_e, dn_e = fr.eta_triple
     for u in env.us:
-        sn, cn, dn = kern.sncndn(u)
+        sn, cn, dn = env.kern.sncndn(u)
         lam, zet = lambda_zeta(u, fr)
         Q2 = w.lambda_n - lam
         root = ctx.sqrt(lam * w.tz_minus)
@@ -388,31 +409,23 @@ def _e_half_angle(env):
         sin_phi = (zet - 1 / zet) / (2 * i)
         cos_phi = (zet + 1 / zet) / 2
         t_half = (1 / i) * (sn_e / sn) * (cn / cn_e) * (dn / dn_e)
-        worst["unit"] = max(worst.get("unit", 0.0),
-                            _resid(s_half ** 2 + c_half ** 2, 1))
-        worst["double_sin"] = max(worst.get("double_sin", 0.0),
-                                  _resid(2 * s_half * c_half, sin_phi))
-        worst["double_cos"] = max(worst.get("double_cos", 0.0),
-                                  _resid(c_half ** 2 - s_half ** 2, cos_phi))
-        worst["tan"] = max(worst.get("tan", 0.0),
-                           _resid(s_half / c_half, t_half))
-    return worst
+        r.compare("unit", s_half ** 2 + c_half ** 2, 1)
+        r.compare("double_sin", 2 * s_half * c_half, sin_phi)
+        r.compare("double_cos", c_half ** 2 - s_half ** 2, cos_phi)
+        r.compare("tan", s_half / c_half, t_half)
 
 
 @entry("eigen-half-angle-forms", "half-angle")
-def _e_eigen_half(env):
+def _e_eigen_half(env, r):
     """Half angles of M phi at the eigenvalues; sines and cosines carry an
     undetermined overall sign, the tangent is exact."""
-    ctx, w, fr = env.ctx, env.w, env.frame
-    worst = {"sin": 0.0, "cos": 0.0, "tan": 0.0}
+    ctx, w = env.ctx, env.w
     i = ctx.mpc(0, 1)
-    sn_e, cn_e, dn_e = fr.sncndn(fr.eta)
+    sn_e, cn_e, dn_e = env.frame.eta_triple
     for p in env.points:
-        M2 = env.c.M // 2
-        zh = p.zeta ** M2
+        zh = p.zeta ** (env.c.M // 2)
         sin_m = (zh - 1 / zh) / (2 * i)
         cos_m = (zh + 1 / zh) / 2
-        tan_m = sin_m / cos_m
         Q2 = w.lambda_n - p.lam
         lam_mm = (p.lam - 1 / p.lam) / 2
         root = ctx.sqrt(ctx.mpc(p.lam * w.t_minus * lam_mm))
@@ -420,46 +433,36 @@ def _e_eigen_half(env):
             * (p.dn_u / dn_e)
         rhs_cos = 1 / (2 * i * ctx.sqrt(w.t)) * Q2 / root \
             * (p.cn_u / cn_e)
-        rhs_tan = p.sn_u * p.dn_u / p.cn_u
-        worst["sin"] = max(worst["sin"], min(_resid(sin_m, rhs_sin),
-                                             _resid(sin_m, -rhs_sin)))
-        worst["cos"] = max(worst["cos"], min(_resid(cos_m, rhs_cos),
-                                             _resid(cos_m, -rhs_cos)))
-        worst["tan"] = max(worst["tan"], _resid(tan_m, rhs_tan))
-    return worst
+        r.compare_up_to_sign("sin", sin_m, rhs_sin)
+        r.compare_up_to_sign("cos", cos_m, rhs_cos)
+        r.compare("tan", sin_m / cos_m, p.sn_u * p.dn_u / p.cn_u)
 
 
 @entry("sine-product-forms", "half-angle")
-def _e_sin_forms(env):
+def _e_sin_forms(env, r):
     ctx, w, fr = env.ctx, env.w, env.frame
-    kern = env.kern
-    sn_e, cn_e, dn_e = kern.sncndn(fr.eta)
+    i = ctx.mpc(0, 1)
+    sn_e, cn_e, dn_e = fr.eta_triple
     lsp = (w.lambda_s + 1 / w.lambda_s) / 2
     ldp = (w.lambda_d + 1 / w.lambda_d) / 2
-    worst = {}
     for u in env.us:
-        sn, cn, dn = kern.sncndn(u)
+        sn, cn, dn = env.kern.sncndn(u)
         lam, zet = lambda_zeta(u, fr)
         lam_p = (lam + 1 / lam) / 2
-        sin_phi = (zet - 1 / zet) / (2 * ctx.mpc(0, 1))
-        lhs = w.tz_minus * ctx.mpc(0, 1) * sin_phi
+        sin_phi = (zet - 1 / zet) / (2 * i)
+        lhs = w.tz_minus * i * sin_phi
         Q2 = w.lambda_n - lam
-        rhs1 = -(Q2 * Q2) / (2 * lam) * (sn / sn_e) * (cn / cn_e) \
-            * (dn / dn_e)
-        worst["elliptic"] = max(worst.get("elliptic", 0.0),
-                                _resid(lhs, rhs1))
-        worst["spectral_sq"] = max(worst.get("spectral_sq", 0.0),
-                                   _resid(lhs * lhs,
-                                          (lsp - lam_p) * (ldp - lam_p)))
-    return worst
+        r.compare("elliptic", lhs, -(Q2 * Q2) / (2 * lam) * (sn / sn_e)
+                  * (cn / cn_e) * (dn / dn_e))
+        r.compare("spectral_sq", lhs * lhs, (lsp - lam_p) * (ldp - lam_p))
 
 
 @entry("addition-theorem", "addition")
-def _e_addition(env):
-    ctx, fr = env.ctx, env.frame
-    k = fr.k
+def _e_addition(env, r):
+    k = env.frame.k
     kern = env.kern
-    worst = {"cn_form": 0.0, "dn_form": 0.0}
+    r.add("cn_form", 0.0)
+    r.add("dn_form", 0.0)
     for u, v in env.pairs:
         try:
             snu = kern.sncndn(u)[0]
@@ -470,59 +473,41 @@ def _e_addition(env):
             continue
         lhs = k * snu * snv
         if abs(dm + dp) > 1e-3:
-            worst["cn_form"] = max(worst["cn_form"],
-                                   _resid(lhs, k * (cm - cp) / (dm + dp)))
+            r.compare("cn_form", lhs, k * (cm - cp) / (dm + dp))
         if abs(cm + cp) > 1e-3:
-            worst["dn_form"] = max(worst["dn_form"],
-                                   _resid(lhs, (dm - dp) / (k * (cm + cp))))
-    return worst
+            r.compare("dn_form", lhs, (dm - dp) / (k * (cm + cp)))
 
 
 @entry("angle-derivatives", "derivatives", tol_factor=100.0)
-def _e_derivatives(env):
+def _e_derivatives(env, r):
     """Closed derivative forms against central finite differences."""
     ctx, w, fr = env.ctx, env.w, env.frame
+    i = ctx.mpc(0, 1)
     k = fr.k
-    kern = env.kern
     h = 1e-5
-    s2e = kern.sncndn(2 * fr.eta)[0]
-    worst = {}
+    s2e = env.eta2_triple[0]
     for u in env.us[:8]:
         lam, zet = lambda_zeta(u, fr)
         lam_m = (lam - 1 / lam) / 2
         lp, zp = lambda_zeta(u + h, fr)
         lm, zm = lambda_zeta(u - h, fr)
         dgam_fd = (ctx.log(lp) - ctx.log(lm)) / (2 * h)
-        dphi_fd = (zp - zm) / (2 * h) / (ctx.mpc(0, 1) * zet)
-        s2, c2, d2 = kern.sncndn(2 * u)
-        sin_phi = (zet - 1 / zet) / (2 * ctx.mpc(0, 1))
-        sinh_g = lam_m
-        e_t = k * kern.sncndn(u)[0] * kern.sncndn(u)[1] \
-            / (ctx.mpc(0, 1) * kern.sncndn(u)[2])
+        dphi_fd = (zp - zm) / (2 * h) / (i * zet)
+        s2 = env.kern.sncndn(2 * u)[0]
+        sin_phi = (zet - 1 / zet) / (2 * i)
+        sn, cn, dn = env.kern.sncndn(u)
+        e_t = k * sn * cn / (i * dn)
         sinh_t = (e_t - 1 / e_t) / 2
-        forms_phi = {
-            "phi_sn": 2 * ctx.mpc(0, 1) * k * s2e * lam_m,
-            "phi_sinh": 2 * sinh_g / w.z_minus,
-            "phi_ratio": -2 * sin_phi / s2,
-        }
-        forms_gam = {
-            "gamma_sn": -2 * k * s2 * lam_m,
-            "gamma_sin": 2 * w.t_minus * sin_phi,
-            "gamma_sinh": 2 * ctx.mpc(0, 1) * sinh_g / sinh_t,
-        }
-        for name, val in forms_phi.items():
-            worst[name] = max(worst.get(name, 0.0),
-                              float(abs(val - dphi_fd)
-                                    / max(1.0, abs(dphi_fd))))
-        for name, val in forms_gam.items():
-            worst[name] = max(worst.get(name, 0.0),
-                              float(abs(val - dgam_fd)
-                                    / max(1.0, abs(dgam_fd))))
-    return worst
+        r.compare("phi_sn", 2 * i * k * s2e * lam_m, dphi_fd)
+        r.compare("phi_sinh", 2 * lam_m / w.z_minus, dphi_fd)
+        r.compare("phi_ratio", -2 * sin_phi / s2, dphi_fd)
+        r.compare("gamma_sn", -2 * k * s2 * lam_m, dgam_fd)
+        r.compare("gamma_sin", 2 * w.t_minus * sin_phi, dgam_fd)
+        r.compare("gamma_sinh", 2 * i * lam_m / sinh_t, dgam_fd)
 
 
 @entry("derivative-chain", "derivatives", tol_factor=100.0)
-def _e_chain(env):
+def _e_chain(env, r):
     """gamma-phi chain rule and the core-variable derivative.
 
     The core-variable derivative is gated in the reading consistent with
@@ -531,49 +516,33 @@ def _e_chain(env):
     diagnostic; it corresponds to chi = -2 zeta_plus.
     """
     ctx, w, fr = env.ctx, env.w, env.frame
-    kern = env.kern
     h = 1e-5
-    worst = {"gamma_phi_a": 0.0, "gamma_phi_b": 0.0, "chi_shifted": 0.0}
-    diag = 0.0
     for u in env.us[:8]:
         lam, zet = lambda_zeta(u, fr)
         lam_m = (lam - 1 / lam) / 2
         sin_phi = (zet - 1 / zet) / (2 * ctx.mpc(0, 1))
-        s2 = kern.sncndn(2 * u)[0]
+        s2 = env.kern.sncndn(2 * u)[0]
         dgam = -2 * fr.k * s2 * lam_m
         dphi = 2 * lam_m / w.z_minus
         chi = zet + 1 / zet + 2
-        lamp_, zp = lambda_zeta(u + h, fr)
-        lamm_, zm = lambda_zeta(u - h, fr)
+        _lp, zp = lambda_zeta(u + h, fr)
+        _lm, zm = lambda_zeta(u - h, fr)
         chi_fd = ((zp + 1 / zp) - (zm + 1 / zm)) / (2 * h)
-        worst["gamma_phi_a"] = max(worst["gamma_phi_a"],
-                                   _resid(dgam / dphi, -w.t_minus * s2))
-        worst["gamma_phi_b"] = max(
-            worst["gamma_phi_b"],
-            _resid(dgam / dphi, w.tz_minus * sin_phi / lam_m))
-        worst["chi_shifted"] = max(
-            worst["chi_shifted"],
-            float(abs(chi * (4 - chi) / s2 - chi_fd)
-                  / max(1.0, abs(chi_fd))))
-        diag = max(diag, float(abs((chi * chi - 4) / s2 - chi_fd)
-                               / max(1.0, abs(chi_fd))))
-    worst["details::chi_unshifted_reading"] = diag
-    return worst
+        r.compare("gamma_phi_a", dgam / dphi, -w.t_minus * s2)
+        r.compare("gamma_phi_b", dgam / dphi, w.tz_minus * sin_phi / lam_m)
+        r.compare("chi_shifted", chi * (4 - chi) / s2, chi_fd)
+        r.compare("chi_unshifted_reading", (chi * chi - 4) / s2, chi_fd,
+                  detail=True)
 
 
 @entry("boundary-phase-identities", "boundary-phase")
-def _e_omega_theta(env):
+def _e_omega_theta(env, r):
     """The two boundary amplitudes against the Jacobi values, exercising
     the complex-amplitude branch rules."""
     ctx, fr = env.ctx, env.frame
     kern = env.kern
     k = fr.k
     i = ctx.mpc(0, 1)
-    worst = {}
-
-    def acc(name, a, b):
-        worst[name] = max(worst.get(name, 0.0), _resid(a, b))
-
     for u in env.us:
         ut = fr.swap_u(u)
         sn, cn, dn = kern.sncndn(u)
@@ -581,30 +550,24 @@ def _e_omega_theta(env):
         s2t, c2t, d2t = kern.sncndn(2 * ut)
         om = kern.am(2 * u)
         th = i * kern.am(2 * ut)
-        acc("sin_omega", s2, ctx.sin(om))
-        acc("cos_omega", c2, ctx.cos(om))
-        acc("dn_coth", d2, -ctx.cosh(th) / ctx.sinh(th))
-        acc("sn_swap", s2t, -i * ctx.sinh(th))
-        acc("sn_swap_ns", s2t, -1 / (k * s2))
-        acc("cn_swap", c2t, ctx.cosh(th))
-        acc("cn_swap_ds", c2t, i * d2 / (k * s2))
-        acc("dn_swap_cot", d2t, i * ctx.cos(om) / ctx.sin(om))
-        acc("dn_swap_cs", d2t, i * c2 / s2)
-        acc("tan_half", ctx.tan(om / 2), sn * dn / cn)
-        acc("exp_theta", ctx.exp(th), k * sn * cn / (i * dn))
-        acc("symmetric", i * k * ctx.sin(om) * ctx.sinh(th), 1)
-    return worst
+        r.compare("sin_omega", s2, ctx.sin(om))
+        r.compare("cos_omega", c2, ctx.cos(om))
+        r.compare("dn_coth", d2, -ctx.cosh(th) / ctx.sinh(th))
+        r.compare("sn_swap", s2t, -i * ctx.sinh(th))
+        r.compare("sn_swap_ns", s2t, -1 / (k * s2))
+        r.compare("cn_swap", c2t, ctx.cosh(th))
+        r.compare("cn_swap_ds", c2t, i * d2 / (k * s2))
+        r.compare("dn_swap_cot", d2t, i * ctx.cos(om) / ctx.sin(om))
+        r.compare("dn_swap_cs", d2t, i * c2 / s2)
+        r.compare("tan_half", ctx.tan(om / 2), sn * dn / cn)
+        r.compare("exp_theta", ctx.exp(th), k * sn * cn / (i * dn))
+        r.compare("symmetric", i * k * ctx.sin(om) * ctx.sinh(th), 1)
 
 
 @entry("inversion-transform", "boundary-phase")
-def _e_inversion(env):
+def _e_inversion(env, r):
     ctx, fr = env.ctx, env.frame
     i = ctx.mpc(0, 1)
-    worst = {}
-
-    def acc(name, a, b):
-        worst[name] = max(worst.get(name, 0.0), _resid(a, b))
-
     for u in env.us:
         ui = u + i * fr.K_prime
         try:
@@ -614,49 +577,41 @@ def _e_inversion(env):
             om_i = env.kern.am(2 * ui)
         except PoleError:
             continue
-        acc("lambda", lam_i * lam, 1)
-        acc("zeta", zet_i * zet, 1)
-        acc("omega", om_i + om, ctx.pi)
-        acc("cot_tan", ctx.cos(om_i / 2) / ctx.sin(om_i / 2),
-            ctx.sin(om / 2) / ctx.cos(om / 2))
-    return worst
+        r.compare("lambda", lam_i * lam, 1)
+        r.compare("zeta", zet_i * zet, 1)
+        r.compare("omega", om_i + om, ctx.pi)
+        r.compare("cot_tan", ctx.cos(om_i / 2) / ctx.sin(om_i / 2),
+                  ctx.sin(om / 2) / ctx.cos(om / 2))
 
 
 @entry("dispersion-relation", "spectrum")
-def _e_dispersion(env):
-    from .spectrum import dispersion_residual
-    worst = 0.0
+def _e_dispersion(env, r):
     for p in env.points:
-        worst = max(worst, float(abs(dispersion_residual(
-            p.gamma, p.phi, env.w))))
-    return {"onsager": worst}
+        r.add("onsager",
+              float(abs(dispersion_residual(p.gamma, p.phi, env.w))))
 
 
 @entry("eigenvalue-quantization", "spectrum")
-def _e_quant(env):
-    return {"quantization": max(p.quant_residual for p in env.points)}
+def _e_quant(env, r):
+    for p in env.points:
+        r.add("quantization", p.quant_residual)
 
 
 @entry("cp-factorization-halfsum", "char-poly")
-def _e_cp_fact(env):
-    ctx = env.ctx
-    cpc = CharPolyContext(env.w, env.frame, env.c.M, env.points)
-    worst = 0.0
+def _e_cp_fact(env, r):
+    ctx, cpc = env.ctx, env.cpc
     for j in range(10):
         lam = ctx.mpc(0.3 + 0.17 * j, 0.21 + 0.11 * j)
         lp = (lam + 1 / lam) / 2
-        lhs = char_poly_eval("lambda_plus", lp, cpc)
-        rhs = char_poly_eval("lambda", lam, cpc) \
-            * char_poly_eval("lambda", 1 / lam, cpc) \
-            / (2 ** env.c.M * env.w.t)
-        worst = max(worst, _resid(lhs, rhs))
-    return {"factorization": worst}
+        r.compare("factorization", char_poly_eval("lambda_plus", lp, cpc),
+                  char_poly_eval("lambda", lam, cpc)
+                  * char_poly_eval("lambda", 1 / lam, cpc)
+                  / (2 ** env.c.M * env.w.t))
 
 
 @entry("cp-closed-vs-roots", "char-poly")
-def _e_cp_roots(env):
-    ctx = env.ctx
-    cpc = CharPolyContext(env.w, env.frame, env.c.M, env.points)
+def _e_cp_roots(env, r):
+    ctx, cpc = env.ctx, env.cpc
     roots = {
         "lambda_plus": [p.lam_plus for p in env.points],
         "chi": [p.chi for p in env.points],
@@ -664,65 +619,43 @@ def _e_cp_roots(env):
         "lambda_minus": [p.lam_minus for p in env.points],
         "zeta": [p.zeta for p in env.points],
     }
-    worst = {}
     for j in range(8):
         x = ctx.mpc(0.4 + 0.23 * j, -0.37 + 0.19 * j)
         for kind, rr in roots.items():
-            cf = char_poly_eval(kind, x, cpc)
-            oracle = ctx.mpc(1)
-            for r in rr:
-                oracle = oracle * (x - r)
-            worst[kind] = max(worst.get(kind, 0.0), _resid(cf, oracle))
-        cf = char_poly_eval("lambda_at_inverse", x, cpc)
-        oracle = ctx.mpc(1)
-        for r in roots["lambda"]:
-            oracle = oracle * (1 / x - r)
-        worst["lambda_at_inverse"] = max(
-            worst.get("lambda_at_inverse", 0.0), _resid(cf, oracle))
-        cf = char_poly_eval("zeta_at_inverse", x, cpc)
-        oracle = ctx.mpc(1)
-        for r in roots["zeta"]:
-            oracle = oracle * (1 / x - r)
-        worst["zeta_at_inverse"] = max(
-            worst.get("zeta_at_inverse", 0.0), _resid(cf, oracle))
-    return worst
+            r.compare(kind, char_poly_eval(kind, x, cpc), _monic(x, rr, ctx))
+        for kind in ("lambda", "zeta"):
+            r.compare(f"{kind}_at_inverse",
+                      char_poly_eval(f"{kind}_at_inverse", x, cpc),
+                      _monic(1 / x, roots[kind], ctx))
 
 
 @entry("cp-at-own-roots", "char-poly")
-def _e_cp_own(env):
-    cpc = CharPolyContext(env.w, env.frame, env.c.M, env.points)
+def _e_cp_own(env, r):
     scale = max(abs(float(p.lam_plus)) for p in env.points) ** env.c.M
-    worst = 0.0
     for p in env.points:
-        worst = max(worst, float(abs(char_poly_eval(
-            "lambda_plus", p.lam_plus, cpc))) / max(1.0, scale))
-    return {"roots": worst}
+        r.add("roots", float(abs(char_poly_eval(
+            "lambda_plus", p.lam_plus, env.cpc))) / max(1.0, scale))
 
 
 @entry("cp-halfsum-at-zero", "char-poly")
-def _e_cp_zero(env):
+def _e_cp_zero(env, r):
     """Determinant of the half-sum matrix and the closed location of the
     vanishing half-sum eigenvalue point."""
     ctx, w, fr = env.ctx, env.w, env.frame
-    cpc = CharPolyContext(w, fr, env.c.M, env.points)
     prod = ctx.mpf(1)
     for p in env.points:
         prod = prod * p.lam_plus
-    closed = char_poly_eval("lambda_plus", 0, cpc)
-    out = {"det_halfsum": _resid(closed, prod)}
+    r.compare("det_halfsum", char_poly_eval("lambda_plus", 0, env.cpc), prod)
     i = ctx.mpc(0, 1)
     s = ctx.sqrt(dual(i * w.lambda_n) / (i * fr.k))
-    u0 = arcsn(s, fr.k, env.prec)
-    lam0, zet0 = lambda_zeta(u0, fr)
-    out["halfsum_zero_point"] = _resid((lam0 + 1 / lam0) / 2, 0)
-    u1 = fr.K + i * fr.K_prime / 2
-    lam1, _ = lambda_zeta(u1, fr)
-    out["halfdiff_zero_point"] = _resid((lam1 - 1 / lam1) / 2, 0)
-    return out
+    lam0, _zet0 = lambda_zeta(arcsn(s, fr.k, env.prec), fr)
+    r.compare("halfsum_zero_point", (lam0 + 1 / lam0) / 2, 0)
+    lam1, _ = lambda_zeta(fr.K + i * fr.K_prime / 2, fr)
+    r.compare("halfdiff_zero_point", (lam1 - 1 / lam1) / 2, 0)
 
 
 @entry("determinant-family", "products")
-def _e_dets(env):
+def _e_dets(env, r):
     ctx, w = env.ctx, env.w
     prod_l = ctx.mpf(1)
     prod_m = ctx.mpf(1)
@@ -730,21 +663,17 @@ def _e_dets(env):
         prod_l = prod_l * p.lam
         prod_m = prod_m * p.lam_minus
     ts2 = 1 - w.t_star ** 2
-    closed_m = ts2 * (ctx.mpc(0, 1) * w.z_minus / ts2) ** env.c.M
-    return {
-        "transfer": _resid(prod_l, w.t),
-        "halfdiff": _resid(prod_m, closed_m),
-    }
+    r.compare("transfer", prod_l, w.t)
+    r.compare("halfdiff", prod_m,
+              ts2 * (ctx.mpc(0, 1) * w.z_minus / ts2) ** env.c.M)
 
 
 @entry("eigenvalue-point-products", "products")
-def _e_point_products(env):
+def _e_point_products(env, r):
     """Products of (bound - eigenvalue) against the closed forms; the
     extent factor M multiplying the split weights is genuine."""
     ctx, w, M = env.ctx, env.w, env.c.M
     ts = w.t_star
-    out = {}
-    details = {}
     for name, bound, signp, extra_with, extra_without in (
             ("n", w.lambda_n, +1, None, None),
             ("c", w.lambda_c, -1, None, None),
@@ -758,17 +687,15 @@ def _e_point_products(env):
         for p in env.points:
             prod = prod * (bound - p.lam)
         base = (1 - ts) * (signp * w.tz_minus * bound) ** (M // 2)
-        closed = base * (extra_with if extra_with is not None else 1)
-        out[name] = _resid(prod, closed)
+        r.compare(name, prod,
+                  base * (extra_with if extra_with is not None else 1))
         if extra_without is not None:
-            details[f"{name}_without_extent_factor"] = _resid(
-                prod, base * extra_without)
-    out.update({f"details::{k}": v for k, v in details.items()})
-    return out
+            r.compare(f"{name}_without_extent_factor", prod,
+                      base * extra_without, detail=True)
 
 
 @entry("sine-squared-product", "products")
-def _e_sin_sq_product(env):
+def _e_sin_sq_product(env, r):
     ctx, w, M = env.ctx, env.w, env.c.M
     prod = ctx.mpc(1)
     for p in env.points:
@@ -778,16 +705,16 @@ def _e_sin_sq_product(env):
     ldm = (w.lambda_d - 1 / w.lambda_d) / 2
     closed = (1 - w.t_star ** 2) ** 2 * (w.tz_minus / 2) ** (2 * M) \
         * (1 - M * lsm / w.z_minus) * (1 + M * ldm / w.z_minus)
-    return {"product": _resid(prod, closed)}
+    r.compare("product", prod, closed)
 
 
 @entry("jacobi-products", "products", gating=False)
-def _e_jacobi_products(env):
+def _e_jacobi_products(env, r):
     """Diagnostic: products of Jacobi ratios over the spectrum, reported
     with and without the extent factor under the square roots."""
-    ctx, w, fr, M = env.ctx, env.w, env.frame, env.c.M
+    ctx, w, M = env.ctx, env.w, env.c.M
     i = ctx.mpc(0, 1)
-    sn_e, cn_e, dn_e = env.kern.sncndn(fr.eta)
+    sn_e, cn_e, dn_e = env.frame.eta_triple
     ps = pc = pd = ctx.mpc(1)
     for p in env.points:
         ps = ps * ctx.sqrt(-w.t * w.z) * p.sn_u / sn_e
@@ -795,23 +722,21 @@ def _e_jacobi_products(env):
         pd = pd * ctx.sqrt(i * w.t) * p.dn_u / dn_e
     lsm = (w.lambda_s - 1 / w.lambda_s) / 2
     ldm = (w.lambda_d - 1 / w.lambda_d) / 2
-    out = {}
     for name, prod, closed_w, closed_wo in (
             ("sn", ps, ctx.sqrt(1 - M * lsm / w.z_minus),
              ctx.sqrt(1 - lsm / w.z_minus)),
             ("cn", pc, ctx.mpc(1), None),
             ("dn", pd, ctx.sqrt(1 + M * ldm / w.z_minus),
              ctx.sqrt(1 + ldm / w.z_minus))):
-        out[name] = min(_resid(prod, closed_w), _resid(prod, -closed_w))
-        out[f"details::{name}_signed"] = _resid(prod, closed_w)
+        r.compare_up_to_sign(name, prod, closed_w)
+        r.compare(f"{name}_signed", prod, closed_w, detail=True)
         if closed_wo is not None:
-            out[f"details::{name}_without_extent_factor"] = min(
-                _resid(prod, closed_wo), _resid(prod, -closed_wo))
-    return out
+            r.compare_up_to_sign(f"{name}_without_extent_factor", prod,
+                                 closed_wo, detail=True)
 
 
 @entry("half-angle-products", "products", gating=False)
-def _e_half_products(env):
+def _e_half_products(env, r):
     """Diagnostic: products of half-angle functions over the spectrum."""
     ctx, w, M = env.ctx, env.w, env.c.M
     i = ctx.mpc(0, 1)
@@ -825,25 +750,20 @@ def _e_half_products(env):
     lsm = (w.lambda_s - 1 / w.lambda_s) / 2
     ldm = (w.lambda_d - 1 / w.lambda_d) / 2
     rt = ctx.sqrt(w.t)
-    c_sin = (1 - w.t_star) / ((2 * i) ** M * rt) \
-        * ctx.sqrt(1 + M * ldm / w.z_minus)
-    c_cos = (1 - w.t_star) / (2 ** M * rt) \
-        * ctx.sqrt(1 - M * lsm / w.z_minus)
     c_tan = (-1) ** (M // 2) * ctx.sqrt(1 + M * ldm / w.z_minus) \
         / ctx.sqrt(1 - M * lsm / w.z_minus)
-    out = {
-        "sin": min(_resid(psin, c_sin), _resid(psin, -c_sin)),
-        "cos": min(_resid(pcos, c_cos), _resid(pcos, -c_cos)),
-        "tan": min(_resid(ptan, c_tan), _resid(ptan, -c_tan)),
-        "details::tan_signed": _resid(ptan, c_tan),
-        "tan_vs_exp_theta": _resid(ptan, pth),
-        "tan_vs_exp_psi": _resid(ptan, pps),
-    }
-    return out
+    r.compare_up_to_sign("sin", psin, (1 - w.t_star) / ((2 * i) ** M * rt)
+                         * ctx.sqrt(1 + M * ldm / w.z_minus))
+    r.compare_up_to_sign("cos", pcos, (1 - w.t_star) / (2 ** M * rt)
+                         * ctx.sqrt(1 - M * lsm / w.z_minus))
+    r.compare_up_to_sign("tan", ptan, c_tan)
+    r.compare("tan_signed", ptan, c_tan, detail=True)
+    r.compare("tan_vs_exp_theta", ptan, pth)
+    r.compare("tan_vs_exp_psi", ptan, pps)
 
 
 @entry("vandermonde-hankel-classical", "hankel-structure")
-def _e_vdm_classic(env):
+def _e_vdm_classic(env, r):
     """Classical factorization on random real nodes: the inverse moment
     matrix from the polynomial coefficients, the lower anti-triangular
     moment structure, and the determinant balance."""
@@ -869,19 +789,17 @@ def _e_vdm_classic(env):
     balance = detV * detV * np.prod(1 / dP)
     # the derivative product carries the node-pair parity, so the balance
     # is (-1)^(M/2) for even M; the unsigned statement drops the parity
-    det_bal = abs(balance - (-1.0) ** (M // 2))
     scale = np.max(np.abs(H))
-    return {
-        "anti_triangular": float(lower / max(1.0, scale)),
-        "unit_anti_diagonal": float(anti),
-        "inverse_from_coefficients": float(inv_res / max(1.0, scale)),
-        "determinant_balance": float(det_bal),
-        "details::determinant_balance_unsigned": float(abs(balance - 1.0)),
-    }
+    r.add("anti_triangular", float(lower / max(1.0, scale)))
+    r.add("unit_anti_diagonal", float(anti))
+    r.add("inverse_from_coefficients", float(inv_res / max(1.0, scale)))
+    r.add("determinant_balance", float(abs(balance - (-1.0) ** (M // 2))))
+    r.add("determinant_balance_unsigned", float(abs(balance - 1.0)),
+          detail=True)
 
 
 @entry("block-vandermonde-hankel", "hankel-structure")
-def _e_vdm_block(env):
+def _e_vdm_block(env, r):
     """Two-block generalized factorization on random nodes and weights:
     the upper-left quarter vanishes identically."""
     rng = random.Random(env.rng.randint(0, 10 ** 9))
@@ -896,12 +814,12 @@ def _e_vdm_block(env):
     VG = np.hstack([V, g[:, None] * V])
     H = VG.T @ np.diag(1 / dP) @ VG
     scale = np.max(np.abs(H))
-    return {"vanishing_block":
-            float(np.max(np.abs(H[:N, :N])) / max(1.0, scale))}
+    r.add("vanishing_block",
+          float(np.max(np.abs(H[:N, :N])) / max(1.0, scale)))
 
 
 @entry("spectral-hankel-chain", "hankel-structure")
-def _e_physics_chain(env):
+def _e_physics_chain(env, r):
     """The generalized factorization with the physical weights: vanishing
     block, moment-block equality, and the determinant chain down to the
     partition function."""
@@ -924,14 +842,14 @@ def _e_physics_chain(env):
                    for m in range(N)])
     S = np.eye(N)[::-1]
     scale = np.max(np.abs(A))
-    vanish = np.max(np.abs(A[:N, :N])) / scale
-    block = np.max(np.abs(A[:N, N:] - S @ H1)) / scale
     _sA, ldetA = np.linalg.slogdet(A)
     _sH, ldetH = np.linalg.slogdet(H1)
-    det_chain = abs(ldetA - 2 * ldetH) / max(1.0, abs(ldetA))
+    r.add("vanishing_block", float(np.max(np.abs(A[:N, :N])) / scale))
+    r.add("moment_block", float(np.max(np.abs(A[:N, N:] - S @ H1)) / scale))
+    r.add("determinant_squares",
+          float(abs(ldetA - 2 * ldetH) / max(1.0, abs(ldetA))))
     # full chain down to the partition function:
     # 2 log Z = log Z0^2 - L log t + log|det(W^T D W)|
-    from .partition import hankel_from_spectrum
     hs = hankel_from_spectrum(env.points, c, w, fr, env.prec)
     det, _ = hs.logdet(env.prec)
     log_z = hs.log_z1 + det.real_log()
@@ -939,12 +857,7 @@ def _e_physics_chain(env):
                       + ctx.mpf(L) * M * ctx.log(-2 / w.z_minus))
     chain = abs(2 * log_z - (log_z0_sq - float(L * ctx.log(w.t)) + ldetA)) \
         / max(1.0, abs(2 * log_z))
-    return {
-        "vanishing_block": float(vanish),
-        "moment_block": float(block),
-        "determinant_squares": float(det_chain),
-        "partition_chain": float(chain),
-    }
+    r.add("partition_chain", float(chain))
 
 
 # ----------------------------------------------------------------------
@@ -1030,24 +943,21 @@ def run_identity_suite(system, tol: float = GATING_TOL, samples: int = 16,
               "k": float(env.w.k)}
     entries = []
     for identity_id, tag, gating, tol_factor, fn in CATALOGUE:
+        r = Residuals()
         try:
-            raw = fn(env)
+            fn(env, r)
         except RectisingError as exc:
             entries.append(ResidualEntry(
                 identity_id=identity_id, equation_tag=tag, gating=gating,
                 max_abs_residual=float("nan"), status="error",
                 parameters=params, note=f"{type(exc).__name__}: {exc}"))
             continue
-        parts = {k_: v for k_, v in raw.items()
-                 if not k_.startswith("details::")}
-        details = {k_[len("details::"):]: v for k_, v in raw.items()
-                   if k_.startswith("details::")}
-        worst = max(parts.values()) if parts else 0.0
+        worst = r.worst
         status = "pass" if worst <= tol * tol_factor else "fail"
         note = f"gate widened x{tol_factor:g}" if tol_factor != 1 else ""
         entries.append(ResidualEntry(
             identity_id=identity_id, equation_tag=tag, gating=gating,
             max_abs_residual=worst, status=status, parameters=params,
-            parts=parts, details=details, note=note))
+            parts=r.parts, details=r.details, note=note))
     return ResidualReport(entries=entries, tol=tol, parameters=params,
                           seed=seed, seconds=time.perf_counter() - t0)

@@ -190,9 +190,6 @@ class EllipticFrame:
     def cn(self, u):
         return self._need_kernel().sncndn(u)[1]
 
-    def dn(self, u):
-        return self._need_kernel().sncndn(u)[2]
-
     def am(self, u):
         return self._need_kernel().am(u)
 

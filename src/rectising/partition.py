@@ -348,10 +348,6 @@ class HankelSystem:
     def h(self, n: int):
         return self.h_scaled[n - 1]
 
-    @property
-    def Z1(self) -> LogScaledValue:
-        return LogScaledValue(self.log_z1, 1.0)
-
     def logdet(self, prec: Precision) -> tuple[LogScaledValue, dict]:
         det, cond = logdet_scaled(self.rows, prec)
         return det.scaled(self.M / 2 * self.log_shift), cond
@@ -367,10 +363,6 @@ class SkewToeplitzSystem:
     rows: list
     log_z1: object
     small_sin_phi: int = 0
-
-    @property
-    def Z1(self) -> LogScaledValue:
-        return LogScaledValue(self.log_z1, 1.0)
 
     def log_pfaffian(self, prec: Precision) -> LogScaledValue:
         pf = pfaffian(self.rows, prec)

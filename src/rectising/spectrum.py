@@ -485,6 +485,18 @@ def zeta_from_triple(triple, frame):
     return sp / sm
 
 
+def _matched_triple(lam, target, w: Weights, frame: EllipticFrame):
+    """Triple of the preimage of ``lam`` whose vertical eigenvalue is the
+    one of zeta, 1/zeta nearer ``target`` (sn flips sign for 1/zeta);
+    returns (triple, zeta)."""
+    triple = triple_from_lambda(lam, w, frame)
+    zeta_t = zeta_from_triple(triple, frame)
+    if abs(zeta_t - target) > abs(1 / zeta_t - target):
+        triple = (-triple[0], triple[1], triple[2])
+        zeta_t = 1 / zeta_t
+    return triple, zeta_t
+
+
 def double_argument(triple, k):
     """(sn 2u, cn 2u, dn 2u) from the triple at u."""
     sn, cn, dn = triple
@@ -521,17 +533,11 @@ def spectral_angles(p: SpectrumPoint, frame: EllipticFrame, w: Weights,
     points sit on the upper torus line.
     """
     ctx = frame.prec.ctx
-    prec = frame.prec
-    k = frame.k
     p.phi = _acos_upper(ctx, p.chi / 2 - 1)
     p.zeta = ctx.exp(ctx.mpc(0, 1) * p.phi)
 
-    sn_u, cn_u, dn_u = triple_from_lambda(p.lam, w, frame)
-    zeta_t = zeta_from_triple((sn_u, cn_u, dn_u), frame)
-    if abs(zeta_t - p.zeta) > abs(1 / zeta_t - p.zeta):
-        sn_u = -sn_u
-        zeta_t = 1 / zeta_t
-    p.sn_u, p.cn_u, p.dn_u = sn_u, cn_u, dn_u
+    (p.sn_u, p.cn_u, p.dn_u), zeta_t = _matched_triple(p.lam, p.zeta, w,
+                                                       frame)
 
     complex_phi = abs(float(ctx.im(p.phi))) > 1e-9
     tol = 1e-6 if complex_phi else 1e-9
@@ -776,11 +782,7 @@ def _cp_zeta(x, cpc, inverse):
     cos_phi = (x + 1 / x) / 2
     lam_plus = w.tz_plus - w.tz_minus * cos_phi
     lam = lam_plus + ctx.sqrt(lam_plus * lam_plus - 1)
-    triple = triple_from_lambda(lam, w, frame)
-    zeta_t = zeta_from_triple(triple, frame)
-    if abs(zeta_t - x) > abs(1 / zeta_t - x):
-        triple = (-triple[0], triple[1], triple[2])
-        zeta_t = 1 / zeta_t
+    triple, zeta_t = _matched_triple(lam, x, w, frame)
     sn2, cn2, _d2 = double_argument(triple, frame.k)
     e_miw = cn2 - ctx.mpc(0, 1) * sn2   # e^{-i omega}
     zM = zeta_t ** M

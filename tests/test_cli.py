@@ -71,6 +71,20 @@ class TestZ:
         assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("z", "--seed", "1"),
+    ("spectrum", "--format", "text"),
+    ("scan", "--format", "text", "--k-min", "0.5", "--k-max", "0.9"),
+    ("identities", "--format", "json"),
+    ("uplane", "--format", "json")])
+def test_options_a_subcommand_does_not_read_are_refused(argv):
+    cmd, *rest = argv
+    with pytest.raises(SystemExit) as exc:
+        main([cmd, "--L", "2", "--M", "2", "--Kh", "0.3", "--Kv", "0.3",
+              *rest])
+    assert exc.value.code == 2
+
+
 class TestCompare:
     def test_checks_present(self, capsys):
         code, out, _ = run_cli(capsys, "compare", "--L", "3", "--M", "4",
@@ -131,6 +145,23 @@ class TestIdentities:
                                "--samples", "8", "--tol", "1e-18")
         assert code == 3
         assert json.loads(out)["failed"]
+
+    def test_seed_reaches_the_report(self, capsys):
+        code, out, _ = run_cli(capsys, "identities", "--k", "0.6",
+                               "--eta-frac", "0.9", "--M", "4", "--L", "5",
+                               "--samples", "4", "--seed", "7")
+        assert code == 0
+        assert json.loads(out)["seed"] == 7
+
+    @pytest.mark.parametrize("couplings", [
+        ("--k", "0.6", "--Kh", "0.3", "--Kv", "0.4"),
+        ("--k", "0.6", "--eta-frac", "1.5")])
+    def test_couplings_validated_like_z(self, capsys, couplings):
+        code, out, err = run_cli(capsys, "identities", "--L", "4", "--M",
+                                 "4", *couplings)
+        assert code == 1
+        assert out == ""
+        assert json.loads(err)["error"] == "DomainError"
 
 
 class TestScan:

@@ -1,12 +1,15 @@
 """The residual-reporting identity suite."""
 
 import json
+import math
 
 import pytest
 
-from rectising import params
-from rectising.identities import CATALOGUE, run_identity_suite
-from rectising.params import Couplings
+from rectising import identities, params
+from rectising.elliptic import EllipticKernel
+from rectising.identities import CATALOGUE, Residuals, run_identity_suite
+from rectising.params import Couplings, couplings_from_modulus
+from rectising.spectrum import SystemPipeline
 
 
 def _ids(report):
@@ -47,6 +50,77 @@ class TestSharedBuild:
         calls = count_calls(params, "weights_from_couplings")
         run_identity_suite((0.6, 0.9, 8, 8), samples=4)
         assert len(calls) == 1
+
+    def test_eta_triple_evaluated_once(self, count_calls):
+        # entries read the frame's eta triple instead of re-evaluating it
+        c = couplings_from_modulus(0.6, 0.9, 5, 6)
+        eta = SystemPipeline(c).frame().eta
+        calls = count_calls(EllipticKernel, "sncndn")
+        run_identity_suite(c)
+        assert sum(1 for _kern, u in calls if u == eta) <= 1
+
+
+class TestRecorder:
+    def test_compare_keeps_worst(self):
+        r = Residuals()
+        r.compare("x", 1.5, 1.0)
+        r.compare("x", 1.0, 1.0)
+        r.compare("x", 2.0, 4.0)
+        assert r.parts == {"x": 0.5}
+
+    def test_compare_up_to_sign(self):
+        r = Residuals()
+        r.compare_up_to_sign("x", -2.0, 2.0)
+        r.compare_up_to_sign("y", 2.5, 2.0)
+        assert r.parts == {"x": 0.0, "y": 0.25}
+
+    def test_nan_is_worst(self):
+        r = Residuals()
+        r.add("x", 1.0)
+        r.add("x", float("nan"))
+        r.add("x", 2.0)
+        assert math.isnan(r.parts["x"])
+        assert math.isnan(r.worst)
+
+    def _suite_of(self, monkeypatch, fn):
+        monkeypatch.setattr(identities, "CATALOGUE",
+                            [("probe", "test", True, 1.0, fn)])
+        rep = run_identity_suite((0.6, 0.9, 4, 4), samples=2)
+        (e,) = rep.entries
+        return rep, e
+
+    def test_details_are_not_gated(self, monkeypatch):
+        def probe(env, r):
+            r.compare("small", 1.0, 1.0)
+            r.add("large", 5.0, detail=True)
+        rep, e = self._suite_of(monkeypatch, probe)
+        assert e.status == "pass" and not rep.failed
+        assert e.parts == {"small": 0.0}
+        assert e.details == {"large": 5.0}
+        assert e.max_abs_residual == 0.0
+
+    def test_part_recorded_up_front_is_reported(self, monkeypatch):
+        def probe(env, r):
+            r.add("skipped", 0.0)
+            for _u in []:
+                r.add("skipped", 1.0)
+        _rep, e = self._suite_of(monkeypatch, probe)
+        assert e.parts == {"skipped": 0.0}
+        assert e.status == "pass"
+
+    def test_nan_part_fails(self, monkeypatch):
+        def probe(env, r):
+            r.add("bad", float("nan"))
+            r.add("bad", 0.0)
+        rep, e = self._suite_of(monkeypatch, probe)
+        assert e.status == "fail" and rep.failed
+
+    def test_skipping_entries_report_their_parts(self):
+        rep = run_identity_suite((0.6, 0.9, 4, 5), samples=8)
+        by_id = {x.identity_id: x for x in rep.entries}
+        assert {"cn_form", "dn_form"} <= set(by_id["addition-theorem"].parts)
+        assert {"lambda", "zeta"} <= set(
+            by_id["eigenvalue-dual-forms"].parts)
 
 
 class TestDeterminism:
