@@ -62,9 +62,14 @@ class RunConfig:
         if self.precision_bits is not None:
             return Precision(self.precision_bits)
         env = os.environ.get(ENV_PRECISION)
-        if env:
-            return Precision(int(env))
-        return None
+        if not env:
+            return None
+        try:
+            bits = int(env)
+        except ValueError:
+            raise DomainError(f"{ENV_PRECISION} must be an integer bit "
+                              f"count, got {env!r}") from None
+        return Precision(bits)
 
 
 def _json_dumps(obj) -> str:

@@ -850,7 +850,7 @@ def _e_physics_chain(env, r):
           float(abs(ldetA - 2 * ldetH) / max(1.0, abs(ldetA))))
     # full chain down to the partition function:
     # 2 log Z = log Z0^2 - L log t + log|det(W^T D W)|
-    hs = hankel_from_spectrum(env.points, c, w, fr, env.prec)
+    hs = hankel_from_spectrum(env.points, c, w, fr)
     det, _ = hs.logdet(env.prec)
     log_z = hs.log_z1 + det.real_log()
     log_z0_sq = float(ctx.mpf(M) * ctx.log(1 - w.z * w.z)

@@ -376,9 +376,8 @@ def _log_z1_value(w: Weights, L, M, ctx):
             + (ctx.mpf(L) * M / 2) * ctx.log(-2 / w.z_minus))
 
 
-def _spectral_coefficients(points, L, w: Weights, prec: Precision):
+def _spectral_coefficients(points, L, ctx):
     """Shared per-eigenvalue coefficients of the structured matrices."""
-    ctx = prec.ctx
     shift = max((L * p.gamma for p in points), key=float)
     coeffs = []
     for i, p in enumerate(points):
@@ -389,20 +388,19 @@ def _spectral_coefficients(points, L, w: Weights, prec: Precision):
 
 
 def hankel_from_spectrum(points, c: Couplings, w: Weights,
-                         frame: EllipticFrame,
-                         prec: Precision | None = None) -> HankelSystem:
+                         frame: EllipticFrame) -> HankelSystem:
     """Assemble the Hankel moments from the enriched spectrum.
 
     Each moment is a spectral sum whose terms carry exp(L*gamma); a common
     log shift keeps them bounded.  The imaginary leakage of the (provably
-    real) moments is recorded and gated by the caller.
+    real) moments is recorded and gated by the caller.  The moments are
+    formed at the precision of ``frame``.
     """
-    prec = as_precision(prec if prec is not None else frame.prec)
-    ctx = prec.ctx
+    ctx = frame.prec.ctx
     M, L = c.M, c.L
     if M % 2:
         raise RouteInfeasibleError("structured routes require even M")
-    shift, coeffs = _spectral_coefficients(points, L, w, prec)
+    shift, coeffs = _spectral_coefficients(points, L, ctx)
     two_i_ts = ctx.mpc(0, 2) * w.t_star
     base = []
     for p, egl, dP in coeffs:
@@ -427,21 +425,19 @@ def hankel_from_spectrum(points, c: Couplings, w: Weights,
 
 
 def skew_toeplitz_from_spectrum(points, c: Couplings, w: Weights,
-                                frame: EllipticFrame,
-                                prec: Precision | None = None
-                                ) -> SkewToeplitzSystem:
+                                frame: EllipticFrame) -> SkewToeplitzSystem:
     """Assemble the skew-symmetric Toeplitz matrix from the spectrum.
 
     Entries depend on the index difference only and are built from a single
     coefficient vector, so antisymmetry and the Toeplitz structure hold
-    exactly by construction.
+    exactly by construction.  The entries are formed at the precision of
+    ``frame``.
     """
-    prec = as_precision(prec if prec is not None else frame.prec)
-    ctx = prec.ctx
+    ctx = frame.prec.ctx
     M, L = c.M, c.L
     if M % 2:
         raise RouteInfeasibleError("structured routes require even M")
-    shift, coeffs = _spectral_coefficients(points, L, w, prec)
+    shift, coeffs = _spectral_coefficients(points, L, ctx)
     two_i_ts = ctx.mpc(0, 2) * w.t_star
     base = []
     small_sin = 0
@@ -473,7 +469,7 @@ def hankel_logZ(c: Couplings, prec: Precision | None = None,
     pipeline = pipeline or SystemPipeline(c, prec)
     prec = pipeline.prec
     w, frame, _bundle, pts = pipeline.spectral()
-    sys = hankel_from_spectrum(pts, c, w, frame, prec)
+    sys = hankel_from_spectrum(pts, c, w, frame)
     det, cond = sys.logdet(prec)
     log_z = sys.log_z1 + det.real_log()
     return LogScaledValue(log_z, 1.0), {
@@ -490,7 +486,7 @@ def pfaffian_logZ(c: Couplings, prec: Precision | None = None,
     pipeline = pipeline or SystemPipeline(c, prec)
     prec = pipeline.prec
     w, frame, _bundle, pts = pipeline.spectral()
-    sys = skew_toeplitz_from_spectrum(pts, c, w, frame, prec)
+    sys = skew_toeplitz_from_spectrum(pts, c, w, frame)
     pf = sys.log_pfaffian(prec)
     log_z = sys.log_z1 + pf.real_log()
     return LogScaledValue(log_z, 1.0), {

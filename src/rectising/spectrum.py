@@ -35,9 +35,6 @@ from .params import (
 )
 from .precision import FLOAT64, Precision, as_precision
 
-#: eigenvalue gap below which eigenvectors are re-orthogonalized as a cluster
-DEGENERACY_GAP = 1e-12
-
 #: joint-diagonalization residual tolerance (relative to matrix scale)
 JOINT_TOL = 1e-9
 
@@ -170,18 +167,6 @@ def _rayleigh(nz, v):
     return sum(v[i] * Av[i] for i in range(len(v)))
 
 
-def _sym_eig(rows):
-    """Binary64 eigen-decomposition of a real symmetric matrix; returns
-    (values ascending, eigenvectors as list of lists)."""
-    try:
-        vals, vecs = np.linalg.eigh(np.array(rows, dtype=float))
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
-        raise JointDiagonalizationError(
-            f"eigensolver failed: {exc}; matrix = {rows!r}") from exc
-    return [float(v) for v in vals], [list(map(float, vecs[:, j]))
-                                      for j in range(len(rows))]
-
-
 def _tridiag_solve(d, e, sigma, b, tiny):
     """Solve (T - sigma I) y = b for the symmetric tridiagonal T with
     diagonal d and off-diagonal e, by Gaussian elimination with partial
@@ -222,23 +207,36 @@ def _tridiag_rayleigh(ctx, d, e, v):
             + 2 * ctx.fdot(e, [a * b for a, b in zip(v, v[1:])]))
 
 
-def _refined_core_eig(bundle: MatrixBundle, prec: Precision):
-    """Eigenpairs of the tridiagonal core C at the working precision.
+def _core_eig(bundle: MatrixBundle, w: Weights, prec: Precision):
+    """Eigenpairs of the family at the working precision, as (chi,
+    lambda_plus, eigenvectors) lists, the two eigenvalue lists tied by
+    T_plus = -tzm/2 C + (tzp + tzm) I.
 
-    Binary64 ``eigh`` seeds are refined pair by pair by Rayleigh-quotient
-    iteration, one pivoted tridiagonal solve per step, so the whole
-    eigensystem costs O(M^2) operations; the iteration converges
-    cubically on symmetric tridiagonal matrices.  A pair that does not
-    converge, moves from its seed by more than binary64 error, or is not
-    orthogonal to its neighbour raises.  Returns (values ascending,
-    eigenvectors).
+    Binary64 takes ``eigh`` of the half-sum T_plus.  Extended precision
+    refines binary64 ``eigh`` seeds of the tridiagonal core C pair by pair
+    by Rayleigh-quotient iteration, one pivoted tridiagonal solve per
+    step, so the whole eigensystem costs O(M^2) operations; the iteration
+    converges cubically on symmetric tridiagonal matrices.  A refined pair
+    that does not converge, moves from its seed by more than binary64
+    error, or is not orthogonal to its neighbour raises.
     """
+    tzp = w.t_plus * w.z_plus
+    tzm = w.t_minus * w.z_minus
+    try:
+        seeds, seed_vecs = np.linalg.eigh(
+            bundle.T_plus if prec.is_float else bundle.C)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
+        raise JointDiagonalizationError(
+            f"eigensolver failed: {exc}") from exc
+    if prec.is_float:
+        lam_plus = [float(x) for x in seeds]
+        return ([2 * (tzp + tzm - lp) / tzm for lp in lam_plus], lam_plus,
+                [list(map(float, seed_vecs[:, j])) for j in range(bundle.M)])
     ctx = prec.ctx
     M = bundle.M
     C = bundle.rows_C
     d = [C[i][i] for i in range(M)]
     e = [C[i][i + 1] for i in range(M - 1)]
-    seeds, seed_vecs = np.linalg.eigh(bundle.C)
     scale = (max(abs(float(x)) for x in d)
              + 2 * max(abs(float(x)) for x in e))     # bounds |C|
     tol = ctx.ldexp(ctx.mpf(scale), 6 - prec.bits)
@@ -270,37 +268,7 @@ def _refined_core_eig(bundle: MatrixBundle, prec: Precision):
                 f"eigenpairs {j - 1} and {j} of the core converged together")
         vals.append(chi)
         vecs.append(v)
-    return vals, vecs
-
-
-def _reorthogonalize_clusters(vals, vecs, rows_T):
-    """Rotate binary64 eigenvectors inside near-degenerate clusters so
-    that the transfer matrix is diagonal there too.  Defensive: generic
-    couplings have a simple spectrum."""
-    M = len(vals)
-    scale = max(1.0, max(abs(float(v)) for v in vals))
-    i = 0
-    while i < M:
-        j = i + 1
-        while j < M and abs(float(vals[j] - vals[j - 1])) < DEGENERACY_GAP * scale:
-            j += 1
-        if j - i > 1:
-            sub = [[_rayleigh_pair(rows_T, vecs[a], vecs[b])
-                    for b in range(i, j)] for a in range(i, j)]
-            _e, q = _sym_eig(sub)
-            new = []
-            for col in range(j - i):
-                v = [sum(q[col][r] * vecs[i + r][m] for r in range(j - i))
-                     for m in range(M)]
-                new.append(v)
-            vecs[i:j] = new
-        i = j
-    return vecs
-
-
-def _rayleigh_pair(rows, va, vb):
-    Av = _matvec(_nonzeros(rows), vb)
-    return sum(va[i] * Av[i] for i in range(len(va)))
+    return vals, [-tzm / 2 * chi + (tzp + tzm) for chi in vals], vecs
 
 
 @dataclass
@@ -346,51 +314,25 @@ class SpectrumPoint:
 
 
 def joint_spectrum(bundle: MatrixBundle, w: Weights,
-                   prec: Precision | None = None, check: bool = True) -> list:
-    """Simultaneous spectrum of the transfer-matrix family.
+                   prec: Precision | None = None) -> list:
+    """Simultaneous spectrum of the transfer-matrix family, unchecked and
+    without angles, at any modulus (the block-transfer route needs it at
+    the critical point).
 
-    Eigenvectors come from the stable symmetric tridiagonal half-sum; the
-    branch between an eigenvalue and its reciprocal is fixed by the
-    Rayleigh quotient against the full transfer matrix.  Cross-residuals
-    against every family member are enforced (`check_joint`).  With
-    ``check=False`` the eigensystem comes back unchecked and at any
-    modulus, as the block-transfer route needs it at the critical point;
-    `check_joint` can check the same points later.
+    Eigenvectors come from `_core_eig`; the branch between an eigenvalue
+    and its reciprocal is fixed by the Rayleigh quotient against the full
+    transfer matrix.  `check_joint` checks the cross-residuals against
+    every family member.
     """
     prec = as_precision(prec if prec is not None else bundle.prec)
-    pts = _family_spectrum(bundle, w, prec)
-    if check:
-        check_joint(bundle, w, pts)
-    return pts
-
-
-def _family_spectrum(bundle, w, prec):
-    """Shared eigensystem without checks or angle enrichment.
-
-    Binary64 diagonalizes the transfer half-sum directly; extended
-    precision refines a binary64 eigensystem of the tridiagonal core and
-    maps it affinely, T_plus = pref * C + shift * I.
-    """
     ctx = prec.ctx
-    nz = bundle.sparse
-    tzp = w.t_plus * w.z_plus
-    tzm = w.t_minus * w.z_minus
-    if prec.is_float:
-        vals, vecs = _sym_eig(bundle.rows_T_plus)
-        vecs = _reorthogonalize_clusters(vals, vecs, bundle.rows_T)
-        chis = [2 * (tzp + tzm - lp) / tzm for lp in vals]
-    else:
-        chis, vecs = _refined_core_eig(bundle, prec)
-        vals = [-tzm / 2 * chi + (tzp + tzm) for chi in chis]
+    T = bundle.sparse["T"]
     pts = []
-    for lp, chi, v in zip(vals, chis, vecs):
-        lam_r = _rayleigh(nz["T"], v)
-        root = ctx.sqrt(max(lp * lp - 1, ctx.mpf(0)) if not prec.is_float
-                        else max(lp * lp - 1, 0.0))
-        lam = lp + root if lam_r >= lp else lp - root
-        lm = lam - lp
+    for chi, lp, v in zip(*_core_eig(bundle, w, prec)):
+        root = ctx.sqrt(max(lp * lp - 1, ctx.mpf(0)))
+        lam = lp + root if _rayleigh(T, v) >= lp else lp - root
         pts.append(SpectrumPoint(
-            mu=0, lam=lam, lam_plus=lp, lam_minus=lm,
+            mu=0, lam=lam, lam_plus=lp, lam_minus=lam - lp,
             gamma=ctx.log(lam), chi=chi, eigvec=v))
     pts.sort(key=lambda p: -float(p.gamma))
     for i, p in enumerate(pts):
@@ -648,7 +590,7 @@ class SystemPipeline:
 
         def build():
             bundle = build_matrices(w, self.c.M, self.prec)
-            return bundle, joint_spectrum(bundle, w, self.prec, check=False)
+            return bundle, joint_spectrum(bundle, w, self.prec)
         bundle, pts = self._stage("family", build)
         return w, bundle, pts
 

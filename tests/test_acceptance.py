@@ -80,8 +80,8 @@ def test_criterion_2_pfaffian_equals_determinant():
         prec = FLOAT64
         for attempt in range(2):
             w, fr, _b, pts = spectrum_for(c, prec)
-            hs = hankel_from_spectrum(pts, c, w, fr, prec)
-            ss = skew_toeplitz_from_spectrum(pts, c, w, fr, prec)
+            hs = hankel_from_spectrum(pts, c, w, fr)
+            ss = skew_toeplitz_from_spectrum(pts, c, w, fr)
             det, cond = hs.logdet(prec)
             pf = ss.log_pfaffian(prec)
             # the check is only as good as the determinant conditioning:

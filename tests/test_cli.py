@@ -224,6 +224,16 @@ def test_precision_env_override(capsys, monkeypatch):
     assert json.loads(out)["routes"]["hankel"]["precision_bits"] == 128
 
 
+@pytest.mark.parametrize("bits", ["abc", "80"])
+def test_precision_env_invalid(capsys, monkeypatch, bits):
+    monkeypatch.setenv("RECTISING_PRECISION_BITS", bits)
+    code, out, err = run_cli(capsys, "z", "--L", "4", "--M", "4",
+                             "--k", "0.6")
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"] == "DomainError"
+
+
 def test_z_at_critical_coupling(capsys):
     import math
     kc = repr(0.5 * math.log(1 + math.sqrt(2)))

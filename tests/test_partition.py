@@ -393,16 +393,9 @@ class TestPrecisionPolicy:
 
 
 class TestSharedPipeline:
-    def test_one_eigensystem_per_precision(self, monkeypatch):
+    def test_one_eigensystem_per_precision(self, count_calls):
         import rectising.spectrum as spectrum
-        calls = []
-        solve = spectrum._family_spectrum
-
-        def counted(*args):
-            calls.append(args)
-            return solve(*args)
-
-        monkeypatch.setattr(spectrum, "_family_spectrum", counted)
+        calls = count_calls(spectrum, "joint_spectrum")
         res = assemble_logZ(couplings_from_modulus(0.6, 0.9, 5, 6), "all",
                             prec=Precision(160))
         assert all(res.outcomes[n].status == "ok"
@@ -420,7 +413,7 @@ class TestSharedPipeline:
 
     def test_routes_on_one_pipeline_share_the_eigensystem(self, count_calls):
         import rectising.spectrum as spectrum
-        calls = count_calls(spectrum, "_family_spectrum")
+        calls = count_calls(spectrum, "joint_spectrum")
         c = couplings_from_modulus(0.6, 0.9, 5, 6)
         p = Precision(160)
         pipe = spectrum.SystemPipeline(c, p)

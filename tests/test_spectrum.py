@@ -19,6 +19,7 @@ from rectising.spectrum import (
     SystemPipeline,
     build_matrices,
     char_poly_eval,
+    check_joint,
     chi_poly_derivative,
     dispersion_residual,
     joint_spectrum,
@@ -80,11 +81,17 @@ class TestMatrices:
 
 
 class TestJointSpectrum:
-    @pytest.mark.parametrize("c", _grid())
+    # the last four have the smallest relative eigenvalue gaps (7e-4 to
+    # 5e-3) of a binary64 sweep over k, eta-frac and M up to 64
+    @pytest.mark.parametrize("c", _grid() + [
+        couplings_from_modulus(k, eta, 4, M)
+        for k, eta, M in ((0.05, 0.3, 32), (0.05, 1.5, 32), (30.0, 0.6, 32),
+                          (0.3, 0.3, 64))])
     def test_joint_residuals_and_product(self, c):
         w = weights_from_couplings(c)
         b = build_matrices(w, c.M)
         pts = joint_spectrum(b, w)
+        check_joint(b, w, pts)
         assert len(pts) == c.M
         V = np.array([p.eigvec for p in pts]).T
         assert np.max(np.abs(V.T @ V - np.eye(c.M))) < 1e-12
@@ -97,12 +104,15 @@ class TestJointSpectrum:
         w = weights_from_couplings(c)
         b = build_matrices(w, c.M)
         pts = joint_spectrum(b, w)
+        check_joint(b, w, pts)
         assert abs(sum(p.lam_plus for p in pts) - np.trace(b.T_plus)) < 1e-11
 
     def test_halfdiff_product_closed_form(self):
         c = Couplings(0.45, 0.6, 5, 6)
         w = weights_from_couplings(c)
-        pts = joint_spectrum(build_matrices(w, c.M), w)
+        b = build_matrices(w, c.M)
+        pts = joint_spectrum(b, w)
+        check_joint(b, w, pts)
         prod = np.prod([p.lam_minus for p in pts])
         ts2 = 1 - float(w.t_star) ** 2
         closed = ts2 * (1j * float(w.z_minus) / ts2) ** c.M
@@ -112,8 +122,9 @@ class TestJointSpectrum:
         c = Couplings(CRITICAL_K, CRITICAL_K, 4, 4)
         w = weights_from_couplings(c)
         b = build_matrices(w, 4)
+        pts = joint_spectrum(b, w)
         with pytest.raises(CriticalModulusError):
-            joint_spectrum(b, w)
+            check_joint(b, w, pts)
 
 
 @pytest.mark.parametrize("bits", [53, 160])
@@ -142,8 +153,7 @@ class TestRefinedEigensystem:
         ctx = p.ctx
         w = weights_from_couplings(couplings_from_modulus(k, eta, 4, M), p)
         b = build_matrices(w, M, p)
-        pts = sorted(joint_spectrum(b, w, p, check=False),
-                     key=lambda q: q.chi)
+        pts = sorted(joint_spectrum(b, w, p), key=lambda q: q.chi)
         want = sorted(ctx.eigsy(ctx.matrix(b.rows_C))[0])
         tol = ctx.ldexp(1, 10 - bits)
         for q, chi in zip(pts, want):
@@ -333,20 +343,6 @@ class TestCharPoly:
         _b, cpc = self._cpc(c)
         with pytest.raises(DomainError):
             char_poly_eval("nope", 1.0, cpc)
-
-
-def test_degenerate_cluster_reorthogonalization():
-    # two exactly degenerate eigenvalues of the primary matrix whose
-    # eigenvectors must be rotated to diagonalize the secondary one
-    from rectising.spectrum import _reorthogonalize_clusters, _rayleigh_pair
-    vals = [1.0, 1.0, 3.0]
-    vecs = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
-    rows_T = [[2.0, 0.7, 0.0], [0.7, 2.0, 0.0], [0.0, 0.0, 5.0]]
-    out = _reorthogonalize_clusters(vals, list(vecs), rows_T)
-    off = abs(_rayleigh_pair(rows_T, out[0], out[1]))
-    assert off < 1e-12
-    norm = sum(x * x for x in out[0])
-    assert abs(norm - 1) < 1e-12
 
 
 def test_halfdiff_antiband_structure():
