@@ -60,7 +60,6 @@ from .spectrum import (
     char_poly_eval,
     enrich_spectrum,
     joint_spectrum,
-    spectral_angles,
     spectrum_for,
 )
 from .contour import (

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from .errors import ConvergenceError, DomainError, PoleError, RouteInfeasibleError
 from .params import Couplings, EllipticFrame, Weights
 from .precision import Precision
-from .spectrum import SystemPipeline, double_argument, sn_pm_eta
+from .spectrum import SystemPipeline, double_argument, sn_pm_eta, spectrum_for
 
 #: contour lines must keep this fraction of K' away from every pole level
 BAND_MARGIN = 1e-3
@@ -103,10 +103,10 @@ class ContourContext:
     @classmethod
     def from_couplings(cls, c: Couplings, prec: Precision | None = None,
                        with_spectrum: bool = False):
-        pipe = SystemPipeline(c, prec)
         if with_spectrum:
-            w, frame, _b, pts = pipe.spectral()
+            w, frame, _b, pts = spectrum_for(c, prec)
             return cls(frame=frame, weights=w, L=c.L, M=c.M, points=pts)
+        pipe = SystemPipeline(c, prec)
         return cls(frame=pipe.frame(), weights=pipe.weights(), L=c.L, M=c.M)
 
     @property

@@ -37,12 +37,12 @@ from .partition import hankel_from_spectrum
 from .precision import Precision, as_precision
 from .spectrum import (
     CharPolyContext,
-    SystemPipeline,
     char_poly_eval,
     chi_poly_derivative,
     dispersion_residual,
     double_argument,
     lambda_zeta,
+    spectrum_for,
 )
 
 #: default gating tolerance for the scaled residuals
@@ -163,7 +163,7 @@ def _draw_samples(frame, rng, count):
 def build_env(c: Couplings, samples: int = 16, seed: int = 0,
               prec: Precision | None = None) -> IdentityEnv:
     prec = as_precision(prec)
-    w, frame, _bundle, points = SystemPipeline(c, prec).spectral()
+    w, frame, _bundle, points = spectrum_for(c, prec)
     rng = random.Random(seed)
     us = _draw_samples(frame, rng, samples)
     vs = _draw_samples(frame, rng, samples)

@@ -131,6 +131,9 @@ def weights_from_couplings(c: Couplings, prec: Precision = FLOAT64) -> Weights:
     t = ctx.exp(-2 * Kv)
     z_star, z_plus, z_minus = dual_and_split(z)
     t_star, t_plus, t_minus = dual_and_split(t)
+    if z_star == 0 or t_star == 0:
+        raise DomainError(f"a dual weight rounds to 0 at {prec.bits} bits "
+                          f"(z* = {float(z_star)!r}, t* = {float(t_star)!r})")
     lam_n = t * z
     zet_n = z_star * t_star
     return Weights(

@@ -3,7 +3,7 @@
 Builds the four real symmetric M x M matrices (the tridiagonal half-sum,
 the anti-tridiagonal half-difference, the transfer matrix itself and the
 shifted tridiagonal core), diagonalizes them on a common eigenbasis, and
-maps every eigenvalue to its full angle set on the u-torus.
+maps every eigenvalue to its angles on the u-torus.
 
 The closed characteristic-polynomial forms are evaluated branch-free: a
 consistent Jacobi triple is reconstructed algebraically from the argument,
@@ -273,11 +273,12 @@ def _core_eig(bundle: MatrixBundle, w: Weights, prec: Precision):
 
 @dataclass
 class SpectrumPoint:
-    """One eigenvalue with its full angle set.
+    """One eigenvalue with its angles.
 
-    ``lam`` is the positive transfer-matrix eigenvalue; the angle fields
-    are filled by the enrichment pass.  The Jacobi triple at the point is
-    kept for downstream reuse (matrix-element assembly, identities).
+    ``lam`` is the positive transfer-matrix eigenvalue.  ``enrich_spectrum``
+    fills phi, zeta and the Jacobi triple at the point, which the routes
+    and identities reuse; ``spectrum_for`` also fills u, branch, omega,
+    theta, psi and quant_residual, which stay unset otherwise.
     """
 
     mu: int
@@ -293,7 +294,7 @@ class SpectrumPoint:
     omega: complex = None
     theta: complex = None
     psi: complex = None
-    branch: str = ""
+    branch: str = None
     quant_residual: float = None
     sn_u: complex = field(default=None, repr=False)
     cn_u: complex = field(default=None, repr=False)
@@ -331,6 +332,11 @@ def joint_spectrum(bundle: MatrixBundle, w: Weights,
     for chi, lp, v in zip(*_core_eig(bundle, w, prec)):
         root = ctx.sqrt(max(lp * lp - 1, ctx.mpf(0)))
         lam = lp + root if _rayleigh(T, v) >= lp else lp - root
+        if lam <= 0:
+            raise JointDiagonalizationError(
+                f"eigenvalue lambda_+ - sqrt(lambda_+^2 - 1) cancels to "
+                f"{float(lam):.3e} at {prec.bits} bits (lambda_+ = "
+                f"{float(lp):.3e})")
         pts.append(SpectrumPoint(
             mu=0, lam=lam, lam_plus=lp, lam_minus=lam - lp,
             gamma=ctx.log(lam), chi=chi, eigvec=v))
@@ -465,45 +471,6 @@ def dispersion_residual(gamma, phi, w: Weights):
         - w.tz_plus
 
 
-def spectral_angles(p: SpectrumPoint, frame: EllipticFrame, w: Weights,
-                    M: int) -> SpectrumPoint:
-    """Fill the angle set of one spectrum point (in place, returned).
-
-    The angle branch is the principal arccos with nonnegative imaginary
-    part; the torus point is reconstructed from the Jacobi triple, verified
-    against the eigenvalue pair, and reduced so that reciprocal-eigenvalue
-    points sit on the upper torus line.
-    """
-    ctx = frame.prec.ctx
-    p.phi = _acos_upper(ctx, p.chi / 2 - 1)
-    p.zeta = ctx.exp(ctx.mpc(0, 1) * p.phi)
-
-    (p.sn_u, p.cn_u, p.dn_u), zeta_t = _matched_triple(p.lam, p.zeta, w,
-                                                       frame)
-
-    complex_phi = abs(float(ctx.im(p.phi))) > 1e-9
-    tol = 1e-6 if complex_phi else 1e-9
-    if abs(zeta_t - p.zeta) > tol * max(1.0, abs(p.zeta)):
-        raise JointDiagonalizationError(
-            f"branch inconsistency: vertical eigenvalue mismatch "
-            f"{abs(zeta_t - p.zeta):.3e} at mu={p.mu}")
-
-    p.u = _locate_u(p, frame, tol)
-    p.branch = ("complex" if complex_phi else
-                ("shifted_iKprime"
-                 if abs(float(ctx.im(p.u))) > float(frame.K_prime) / 2
-                 else "real_axis"))
-
-    p.omega = frame.am(2 * p.u)
-    p.theta = ctx.log(p.exp_theta())
-    p.psi = -ctx.log(-ctx.tan(p.phi / 2))
-    two_pi = 2 * ctx.pi
-    r = ctx.re(M * p.phi - p.omega)
-    r = r - two_pi * ctx.floor(r / two_pi + 0.5)
-    p.quant_residual = abs(complex(r + ctx.mpc(0, 1) * ctx.im(M * p.phi - p.omega)))
-    return p
-
-
 def _locate_u(p, frame, tol):
     """Torus point with the point's eigenvalue pair, from its triple."""
     ctx = frame.prec.ctx
@@ -530,16 +497,50 @@ def _locate_u(p, frame, tol):
     return ctx.mpc(re, im)
 
 
-def enrich_spectrum(points, frame: EllipticFrame, w: Weights, M: int):
-    """Angle enrichment for a whole spectrum; returns the same list."""
+def enrich_spectrum(points, frame: EllipticFrame, w: Weights):
+    """The angles every route reads, for a whole spectrum (in place; the
+    same list is returned): phi on the principal arccos branch with
+    nonnegative imaginary part, zeta = e^{i phi}, and the Jacobi triple of
+    the preimage of lam whose vertical eigenvalue is zeta, checked against
+    it."""
+    ctx = frame.prec.ctx
     for p in points:
-        spectral_angles(p, frame, w, M)
+        p.phi = _acos_upper(ctx, p.chi / 2 - 1)
+        p.zeta = ctx.exp(ctx.mpc(0, 1) * p.phi)
+        (p.sn_u, p.cn_u, p.dn_u), zeta_t = _matched_triple(p.lam, p.zeta, w,
+                                                           frame)
+        tol = 1e-6 if abs(float(ctx.im(p.phi))) > 1e-9 else 1e-9
+        if abs(zeta_t - p.zeta) > tol * max(1.0, abs(p.zeta)):
+            raise JointDiagonalizationError(
+                f"branch inconsistency: vertical eigenvalue mismatch "
+                f"{abs(zeta_t - p.zeta):.3e} at mu={p.mu}")
     return points
 
 
 def spectrum_for(c: Couplings, prec: Precision = FLOAT64):
-    """Weights, frame, matrices and enriched spectrum of one system."""
-    return SystemPipeline(c, prec).spectral()
+    """Weights, frame, matrices and enriched spectrum of one system, each
+    point also with the angles of the spectrum table: the torus point u,
+    reduced so that reciprocal-eigenvalue points sit on the upper torus
+    line, its branch, omega = am 2u, theta, psi and the residual of the
+    quantization M phi = omega (mod 2 pi)."""
+    w, frame, bundle, pts = SystemPipeline(c, prec).spectral()
+    ctx = frame.prec.ctx
+    two_pi = 2 * ctx.pi
+    for p in pts:
+        complex_phi = abs(float(ctx.im(p.phi))) > 1e-9
+        p.u = _locate_u(p, frame, 1e-6 if complex_phi else 1e-9)
+        p.branch = ("complex" if complex_phi else
+                    ("shifted_iKprime"
+                     if abs(float(ctx.im(p.u))) > float(frame.K_prime) / 2
+                     else "real_axis"))
+        p.omega = frame.am(2 * p.u)
+        p.theta = ctx.log(p.exp_theta())
+        p.psi = -ctx.log(-ctx.tan(p.phi / 2))
+        r = ctx.re(c.M * p.phi - p.omega)
+        r = r - two_pi * ctx.floor(r / two_pi + 0.5)
+        p.quant_residual = abs(complex(
+            r + ctx.mpc(0, 1) * ctx.im(c.M * p.phi - p.omega)))
+    return w, frame, bundle, pts
 
 
 # ----------------------------------------------------------------------
@@ -549,7 +550,7 @@ def spectrum_for(c: Couplings, prec: Precision = FLOAT64):
 class SystemPipeline:
     """The work every spectral quantity of one system shares, at one
     precision: weights, elliptic frame, family (matrices and the unchecked
-    eigensystem) and spectral (joint check and angle enrichment).
+    eigensystem) and spectral (joint check and `enrich_spectrum`).
 
     Each stage is built on first use and kept; a stage that raised raises
     again without being rebuilt.  ``seconds`` is the time spent building.
@@ -601,7 +602,7 @@ class SystemPipeline:
         def build():
             check_joint(bundle, w, pts)
             frame = self.frame()
-            enrich_spectrum(pts, frame, w, self.c.M)
+            enrich_spectrum(pts, frame, w)
             return w, frame, bundle, pts
         return self._stage("spectral", build)
 

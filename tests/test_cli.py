@@ -245,3 +245,17 @@ def test_z_at_critical_coupling(capsys):
     assert rec["routes"]["hankel"]["status"] == "skipped"
     assert rec["routes"]["block"]["status"] == "ok"
     assert rec["max_pairwise_rel_dev"] < 1e-9
+
+
+@pytest.mark.parametrize("command,K,error", [
+    # lambda_+ ~ 5e8: lambda_+ - sqrt(lambda_+^2 - 1) cancels to 0
+    ("spectrum", "1e-9", "JointDiagonalizationError"),
+    # tanh(50) rounds to 1, so the dual weight z* is 0
+    ("z", "50", "DomainError"),
+    ("spectrum", "50", "DomainError")])
+def test_couplings_binary64_cannot_resolve(capsys, command, K, error):
+    code, out, err = run_cli(capsys, command, "--L", "4", "--M", "8",
+                             "--Kh", K, "--Kv", K)
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"] == error

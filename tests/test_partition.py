@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from rectising import params
+from rectising.elliptic import EllipticKernel
 from rectising.errors import DomainError, RouteInfeasibleError
 from rectising.params import (
     Couplings,
@@ -29,7 +30,7 @@ from rectising.partition import (
     spin_transfer_logZ,
 )
 from rectising.precision import FLOAT64, Precision
-from rectising.spectrum import spectrum_for
+from rectising.spectrum import SystemPipeline, spectrum_for
 
 CRITICAL_K = 0.5 * math.log(1 + math.sqrt(2))
 
@@ -248,6 +249,17 @@ class TestHankelRoute:
         assert abs(lz.log_mag - ref.log_mag) < 1e-9 * abs(ref.log_mag)
         assert diag["moment_phase_leak"] < 1e-8
 
+    def test_ordered_phase_edge_mode_at_160_bits(self):
+        # 2u of the edge mode lies on the i K' lattice, where am has a
+        # pole; the routes do not evaluate it
+        c = couplings_from_modulus(6, 1.0, 4, 22)
+        p = Precision(160)
+        pipe = SystemPipeline(c, p)
+        ref = block_transfer_logZ(c, p, pipe)[0].log_mag
+        for route in (hankel_logZ, pfaffian_logZ):
+            lz, _ = route(c, p, pipe)
+            assert abs(lz.log_mag - ref) < 1e-12 * abs(ref)
+
     def test_moments_real(self):
         for kk in (0.6, 1.66):
             c = couplings_from_modulus(kk, 0.9, 5, 6)
@@ -421,6 +433,20 @@ class TestSharedPipeline:
         hk, _ = hankel_logZ(c, p, pipe)
         assert len(calls) == 1
         assert abs(hk.log_mag - blk.log_mag) < 1e-30 * abs(blk.log_mag)
+
+    @pytest.mark.parametrize("bits", [53, 160])
+    def test_routes_never_compute_the_table_angles(self, count_calls, bits):
+        # omega = am 2u and the torus point u belong to the spectrum table
+        import rectising.spectrum as spectrum
+        am_calls = count_calls(EllipticKernel, "am")
+        locate_calls = count_calls(spectrum, "_locate_u")
+        for c in (couplings_from_modulus(0.6, 0.9, 5, 6),
+                  couplings_from_modulus(3, 0.9, 6, 6)):
+            res = assemble_logZ(c, "all", prec=Precision(bits))
+            assert all(res.outcomes[n].status == "ok"
+                       for n in ("block", "hankel", "pfaffian"))
+        assert len(am_calls) == 0
+        assert len(locate_calls) == 0
 
     def test_block_from_shared_eigensystem_equals_standalone(self):
         c = couplings_from_modulus(0.6, 0.9, 5, 6)

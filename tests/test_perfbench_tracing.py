@@ -1,11 +1,14 @@
-"""The benchmark tracer's view of the package signatures.
+"""The benchmark tracer's view of the package signatures and names.
 
 `perfbench/tracing.py` records the working precision of the spans in
-``PREC_SPANS`` by finding the ``prec`` parameter of each wrapped function.
-A signature change that drops or renames it would break ``perfbench/run.py
---trace 1`` only when the benchmark runs; this test catches it here.
+``PREC_SPANS`` by finding the ``prec`` parameter of each wrapped function,
+and `perfbench/run.py` reports its per-layer metrics from the spans named
+in ``LAYER_SPANS`` and ``LAYER_CALLS``.  A signature change that drops or
+renames ``prec``, or a renamed function, would break or silently empty
+those metrics only when the benchmark runs; these tests catch it here.
 """
 
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -13,15 +16,29 @@ from pathlib import Path
 
 import pytest
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def _load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing",
-                                                  TRACING)
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", PERFBENCH / "tracing.py")
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
     return mod
+
+
+def _layer_spans():
+    """Span names of ``LAYER_SPANS`` and ``LAYER_CALLS``, read from the
+    source of `perfbench/run.py`: importing it sets BLAS environment
+    variables."""
+    tables = {}
+    for node in ast.parse((PERFBENCH / "run.py").read_text()).body:
+        if (isinstance(node, ast.Assign) and len(node.targets) == 1
+                and isinstance(node.targets[0], ast.Name)
+                and node.targets[0].id in ("LAYER_SPANS", "LAYER_CALLS")):
+            tables[node.targets[0].id] = ast.literal_eval(node.value)
+    return sorted({span for name in ("LAYER_SPANS", "LAYER_CALLS")
+                   for span in tables[name].values()})
 
 
 tracing = _load_tracing()
@@ -35,3 +52,19 @@ def test_prec_span_resolves(name):
     param = list(inspect.signature(fn).parameters.values())[index]
     assert param.name == "prec"
     assert param.kind is inspect.Parameter.POSITIONAL_OR_KEYWORD
+
+
+@pytest.mark.parametrize("span", _layer_spans())
+def test_layer_span_resolves(span):
+    # the tracer wraps the public functions a module defines, and the
+    # public methods of the classes in WRAPPED_CLASSES
+    short, *path = span.split(".")
+    mod = importlib.import_module(f"rectising.{short}")
+    assert not any(part.startswith("_") for part in path)
+    if len(path) == 1:
+        fn = getattr(mod, path[0])
+        assert inspect.isfunction(fn) and fn.__module__ == mod.__name__
+    else:
+        cls_name, attr = path
+        assert cls_name in tracing.WRAPPED_CLASSES.get(short, ())
+        assert inspect.isfunction(vars(getattr(mod, cls_name))[attr])

@@ -245,6 +245,24 @@ def test_enrichment_evaluates_eta_once(count_calls):
     assert sum(1 for _kern, u in calls if u == frame.eta) <= 1
 
 
+TABLE_ANGLES = ("u", "branch", "omega", "theta", "psi", "quant_residual")
+
+
+@pytest.mark.parametrize("k,eta,L,M", [(0.6, 0.9, 5, 6), (3, 0.9, 6, 6)])
+@pytest.mark.parametrize("bits", [53, 160])
+def test_table_angles_only_from_spectrum_for(k, eta, L, M, bits):
+    # the routes' spectrum leaves the table's angles unset; spectrum_for
+    # fills them for every point
+    c = couplings_from_modulus(k, eta, L, M)
+    _w, _fr, _b, route_pts = SystemPipeline(c, Precision(bits)).spectral()
+    _w, _fr, _b, table_pts = spectrum_for(c, Precision(bits))
+    assert len(route_pts) == len(table_pts) == M
+    for p in route_pts:
+        assert all(getattr(p, name) is None for name in TABLE_ANGLES)
+    for p in table_pts:
+        assert all(getattr(p, name) is not None for name in TABLE_ANGLES)
+
+
 class TestCharPoly:
     def _cpc(self, c):
         w, fr, b, pts = spectrum_for(c)
