@@ -114,16 +114,17 @@ class ContourContext:
         return self.frame.prec
 
 
-def _node(u, cctx: ContourContext):
+def _node(u, cctx: ContourContext, triple=None):
     """Common factor NUM/DEN * dgamma/du and the bases (chi, zeta) at u.
 
-    One kernel evaluation: sn(u +- eta) come from the triple at u and the
-    frame's eta triple by the addition formula.
+    One kernel evaluation (or the caller's ``triple``): sn(u +- eta) come
+    from the triple and the frame's eta triple by the addition formula.
     """
     frame = cctx.frame
     ctx = cctx.prec.ctx
     k = frame.k
-    triple = frame.kernel.sncndn(u)
+    if triple is None:
+        triple = frame.kernel.sncndn(u)
     sn, cn, dn = triple
     sp, sm = sn_pm_eta(triple, frame)
     lam, zeta = 1 / (k * sp * sm), sp / sm
@@ -272,26 +273,43 @@ class UPlaneField:
         return "\n".join(out) + "\n"
 
 
+#: relative size below which the addition-formula numerator of sn(u +- eta)
+#: is rounding (grid coordinates are binary64 at every precision)
+COUNTER_POLE_TOL = 64 * 2.0 ** -52
+
+
 def uplane_field(n: int, resolution: int, cctx: ContourContext) -> UPlaneField:
     """Sample the moment integrand over the full periodicity rectangle.
 
-    Poles encountered on grid nodes are emitted as signed infinities.
-    Works in both phases (sampling needs no contour deformation).
+    Poles on grid nodes, counter-poles included, are emitted as signed
+    infinities.  Works in both phases (sampling needs no deformation).
     """
     if resolution < 16:
         raise DomainError("resolution must be at least 16")
     frame = cctx.frame
     K, Kp = float(frame.K), float(frame.K_prime)
     ctx = cctx.prec.ctx
+    # sn(u +- eta) has the addition-formula numerator a +- b below.
+    # sn(u + eta) = 0 is a pole; near sn(u - eta) = 0 the integrand goes as
+    # sn(u - eta)^(M - L - n - 1), which the closed form gets right from a
+    # rounding-noise sn(u - eta) unless the power is negative
+    pole_at_eta = cctx.L + n + 1 > cctx.M
+    sn_e, cn_e, dn_e = frame.eta_triple
     vals = []
     inf = float("inf")
     for iy in range(resolution):
         y = -Kp + 2 * Kp * iy / (resolution - 1)
         for ix in range(resolution):
             x = -K + 2 * K * ix / (resolution - 1)
+            u = ctx.mpc(x, y)
             try:
-                v = integrand_h(ctx.mpc(x, y), n, cctx)
-                vals.append(complex(v))
+                triple = sn, cn, dn = frame.kernel.sncndn(u)
+                a, b = sn * cn_e * dn_e, sn_e * cn * dn
+                tol = COUNTER_POLE_TOL * (abs(a) + abs(b))
+                if abs(a + b) <= tol or (pole_at_eta and abs(a - b) <= tol):
+                    raise PoleError("counter-pole on a grid node", where=u)
+                common, chi, _zeta = _node(u, cctx, triple)
+                vals.append(complex(common * chi ** n))
             except (PoleError, ZeroDivisionError):
                 vals.append(complex(inf, inf))
     h = complex(frame.eta)

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -45,6 +44,11 @@ SEED_TOL = 1e-12
 #: Rayleigh-quotient steps allowed per refined eigenpair
 RQI_MAX_STEPS = 8
 
+#: multiple of M eps max|T_ij| within which the binary64 sign of
+#: v^T T v - lambda_+ is not trusted; the rounding error is at most
+#: (M + 9) * 6 * eps/2 * max|T_ij| (six nonzeros a row at most)
+BRANCH_ERR = 32
+
 
 # ----------------------------------------------------------------------
 # matrix construction
@@ -55,9 +59,9 @@ class MatrixBundle:
     """The four symmetric matrices of one system, as context scalars.
 
     ``rows_*`` are plain nested lists usable at any precision; the
-    uppercase properties give binary64 numpy copies.  ``sparse`` holds
-    the nonzero pattern of each matrix for the O(M) matrix-vector
-    products of the eigensystem and its checks.
+    uppercase attributes are read-only binary64 copies, made once per
+    bundle and shared by the eigensolver seeds, the branch decision and
+    the joint check.
     """
 
     M: int
@@ -67,31 +71,11 @@ class MatrixBundle:
     rows_C: list
     prec: Precision
 
-    def _np(self, rows):
-        return np.array([[float(x) for x in r] for r in rows], dtype=float)
-
-    @property
-    def T_plus(self):
-        return self._np(self.rows_T_plus)
-
-    @property
-    def T_minus(self):
-        return self._np(self.rows_T_minus)
-
-    @property
-    def T(self):
-        return self._np(self.rows_T)
-
-    @property
-    def C(self):
-        return self._np(self.rows_C)
-
-    @cached_property
-    def sparse(self) -> dict:
-        """Nonzero entries of each matrix by name ("T_plus", "T_minus", "T",
-        "C"): the band and anti-band structure, built once per bundle."""
-        return {name: _nonzeros(getattr(self, "rows_" + name))
-                for name in ("T_plus", "T_minus", "T", "C")}
+    def __post_init__(self):
+        for name in ("T_plus", "T_minus", "T", "C"):
+            a = np.array(getattr(self, "rows_" + name), dtype=float)
+            a.flags.writeable = False
+            setattr(self, name, a)
 
 
 def build_matrices(w: Weights, M: int, prec: Precision | None = None) -> MatrixBundle:
@@ -151,20 +135,11 @@ def build_matrices(w: Weights, M: int, prec: Precision | None = None) -> MatrixB
 # joint diagonalization
 # ----------------------------------------------------------------------
 
-def _nonzeros(rows):
-    """Each row's nonzero entries as (column, value) pairs, in column order."""
-    return [[(j, x) for j, x in enumerate(r) if x != 0] for r in rows]
-
-
-def _matvec(nz, v):
-    """Product of a matrix given by `_nonzeros` with a vector.  Only exact
-    zeros are skipped, so every sum is bit-identical to the dense one."""
-    return [sum(x * v[j] for j, x in row) for row in nz]
-
-
-def _rayleigh(nz, v):
-    Av = _matvec(nz, v)
-    return sum(v[i] * Av[i] for i in range(len(v)))
+def _rayleigh(rows, v):
+    """v^T A v at the precision of the entries and of v, as a dense sum
+    (the zero entries add exact zeros)."""
+    return sum(v[i] * sum(x * v[j] for j, x in enumerate(r))
+               for i, r in enumerate(rows))
 
 
 def _tridiag_solve(d, e, sigma, b, tiny):
@@ -327,11 +302,19 @@ def joint_spectrum(bundle: MatrixBundle, w: Weights,
     """
     prec = as_precision(prec if prec is not None else bundle.prec)
     ctx = prec.ctx
-    T = bundle.sparse["T"]
+    chis, lam_plus, vecs = _core_eig(bundle, w, prec)
+    # v^T T v - lambda_+ = +-sqrt(lambda_+^2 - 1) picks the sign; binary64
+    # decides it unless it lies within rounding of zero (ordered-phase
+    # edge modes), where the Rayleigh quotient runs at the working precision
+    T, V = bundle.T, np.array(vecs, dtype=float).T
+    margin = (np.einsum("ij,ij->j", V, T @ V)
+              - np.array(lam_plus, dtype=float))
+    bound = BRANCH_ERR * bundle.M * FLOAT64.eps * np.abs(T).max()
     pts = []
-    for chi, lp, v in zip(*_core_eig(bundle, w, prec)):
+    for chi, lp, v, m in zip(chis, lam_plus, vecs, margin):
         root = ctx.sqrt(max(lp * lp - 1, ctx.mpf(0)))
-        lam = lp + root if _rayleigh(T, v) >= lp else lp - root
+        upper = m >= 0 if abs(m) > bound else _rayleigh(bundle.rows_T, v) >= lp
+        lam = lp + root if upper else lp - root
         if lam <= 0:
             raise JointDiagonalizationError(
                 f"eigenvalue lambda_+ - sqrt(lambda_+^2 - 1) cancels to "
@@ -350,23 +333,20 @@ def joint_spectrum(bundle: MatrixBundle, w: Weights,
 
 def check_joint(bundle: MatrixBundle, w: Weights, pts: list):
     """Refuse the critical modulus, and check that every eigenvector of
-    ``pts`` diagonalizes each member of the family within JOINT_TOL."""
+    ``pts`` diagonalizes each member of the family within JOINT_TOL, in
+    binary64 at every precision (its rounding, ~M eps, is far below the
+    tolerance).  A NaN residual fails."""
     if abs(float(w.t_minus / w.z_minus) - 1) < CRITICAL_TOL:
         raise CriticalModulusError(
             "joint spectrum undefined at the critical modulus")
-    nz = bundle.sparse
-    scale = max(1.0, max(abs(float(x)) for r in nz["T"] for _j, x in r))
-    worst = 0.0
-    for p in pts:
-        for rows, val in ((nz["T"], p.lam),
-                          (nz["T_plus"], p.lam_plus),
-                          (nz["T_minus"], p.lam_minus),
-                          (nz["C"], p.chi)):
-            Av = _matvec(rows, p.eigvec)
-            r = max(abs(float(Av[i] - val * p.eigvec[i]))
-                    for i in range(bundle.M))
-            worst = max(worst, r / scale)
-    if worst > JOINT_TOL:
+    V = np.array([p.eigvec for p in pts], dtype=float).T
+    worst = np.max([
+        np.abs(A @ V - V * np.array([getattr(p, key) for p in pts],
+                                    dtype=float)).max()
+        for A, key in ((bundle.T, "lam"), (bundle.T_plus, "lam_plus"),
+                       (bundle.T_minus, "lam_minus"), (bundle.C, "chi"))])
+    worst /= max(1.0, np.abs(bundle.T).max())
+    if not worst <= JOINT_TOL:
         raise JointDiagonalizationError(
             f"joint diagonalization failure: residual {worst:.3e}")
 

@@ -23,6 +23,7 @@ from rectising.elliptic import EllipticKernel
 from rectising.errors import ConvergenceError, DomainError, RouteInfeasibleError
 from rectising.params import couplings_from_modulus, swap_system
 from rectising.partition import hankel_from_spectrum
+from rectising.precision import Precision
 from rectising.spectrum import lambda_zeta
 
 
@@ -326,3 +327,44 @@ def test_uplane_pole_nodes_emitted_as_infinity():
     infs = [v for v in field.values if abs(v.real) == float("inf")]
     assert len(infs) >= 2
     assert "inf" in field.text()
+
+
+@pytest.mark.parametrize("bits", [53, 160])
+def test_uplane_counter_pole_nodes_emitted_as_infinity(bits):
+    # at eta-frac 1.0 a grid of 41 puts nodes on u = +-eta, where sn(u -+ eta)
+    # is zero up to rounding of the binary64 grid coordinates; the integrand
+    # has a pole at both (at +eta because L + n + 1 > M)
+    c = couplings_from_modulus(0.3, 1.0, 4, 4)
+    cctx = ContourContext.from_couplings(c, Precision(bits))
+    field = uplane_field(0, 41, cctx)
+    eta = complex(cctx.frame.eta)
+    on_pole = [i for i, u in enumerate(_grid_nodes(field))
+               if min(abs(u - eta), abs(u + eta)) < 1e-12]
+    assert len(on_pole) == 2
+    for i in on_pole:
+        assert field.values[i] == complex(float("inf"), float("inf"))
+
+
+def test_uplane_regular_counter_pole_node_kept():
+    # with L + n + 1 = M the integrand has a finite limit at u = eta, which
+    # the closed form gives from a rounding-noise sn(u - eta); u = -eta
+    # stays a pole
+    c = couplings_from_modulus(0.3, 1.0, 4, 6)
+    cctx = ContourContext.from_couplings(c)
+    field = uplane_field(1, 41, cctx)
+    eta = complex(cctx.frame.eta)
+    nodes = _grid_nodes(field)
+    at = {s: next(i for i, u in enumerate(nodes) if abs(u - s * eta) < 1e-12)
+          for s in (1, -1)}
+    ctx = Precision(160).ctx
+    cc160 = ContourContext.from_couplings(c, Precision(160))
+    limit = complex(integrand_h(cc160.frame.eta + ctx.mpf(1e-30), 1, cc160))
+    assert abs(field.values[at[1]] - limit) < 1e-12
+    assert field.values[at[-1]] == complex(float("inf"), float("inf"))
+
+
+def _grid_nodes(field):
+    n = field.resolution
+    return [complex(-field.K + 2 * field.K * ix / (n - 1),
+                    -field.K_prime + 2 * field.K_prime * iy / (n - 1))
+            for iy in range(n) for ix in range(n)]

@@ -138,6 +138,18 @@ class TestPfaffian:
         with pytest.raises(DomainError):
             pfaffian([[0.0, 1.0], [1.0, 0.0]])
 
+    def test_not_skew_extended(self):
+        # the gate is relative to the largest entry, at any precision
+        p = Precision(160)
+        one, off = p.ctx.mpf(1), p.ctx.mpf("1e-11")
+        with pytest.raises(DomainError):
+            pfaffian([[0, one], [-one + off, 0]], p)
+        pf = pfaffian([[0, one], [-one + off / 100, 0]], p)
+        assert pf.log_mag == 0 and pf.phase == 1
+
+    def test_empty(self):
+        assert pfaffian([]).value() == 1
+
     def test_singular(self):
         A = np.zeros((4, 4))
         assert pfaffian([list(r) for r in A]).is_zero

@@ -6,8 +6,13 @@ import math
 import numpy as np
 import pytest
 
+from rectising import spectrum
 from rectising.elliptic import EllipticKernel
-from rectising.errors import CriticalModulusError, DomainError
+from rectising.errors import (
+    CriticalModulusError,
+    DomainError,
+    JointDiagonalizationError,
+)
 from rectising.params import (
     Couplings,
     couplings_from_modulus,
@@ -127,18 +132,55 @@ class TestJointSpectrum:
             check_joint(b, w, pts)
 
 
-@pytest.mark.parametrize("bits", [53, 160])
-def test_sparse_matvec_bit_identical_to_dense(bits):
-    from rectising.spectrum import _matvec
-    p = Precision(bits)
-    M = 8
-    w = weights_from_couplings(couplings_from_modulus(0.6, 0.8, 4, M), p)
-    b = build_matrices(w, M, p)
-    v = [p.ctx.mpf(1) / (i + 3) for i in range(M)]
-    for name in ("T_plus", "T_minus", "T", "C"):
-        rows = getattr(b, "rows_" + name)
-        dense = [sum(rows[i][j] * v[j] for j in range(M)) for i in range(M)]
-        assert _matvec(b.sparse[name], v) == dense
+class TestBinary64Checks:
+    """The joint check and the eigenvalue branch are decided in binary64;
+    only an edge mode's Rayleigh quotient runs at the working precision."""
+
+    @pytest.mark.parametrize("bits", [53, 160])
+    def test_check_catches_perturbed_eigenvector(self, bits):
+        p = Precision(bits)
+        w = weights_from_couplings(couplings_from_modulus(0.6, 0.8, 4, 64), p)
+        b = build_matrices(w, 64, p)
+        pts = joint_spectrum(b, w, p)
+        check_joint(b, w, pts)
+        pts[17].eigvec = list(pts[17].eigvec)
+        pts[17].eigvec[30] += p.ctx.mpf(1e-7)
+        with pytest.raises(JointDiagonalizationError, match="residual"):
+            check_joint(b, w, pts)
+
+    def test_edge_mode_branch_at_working_precision(self, count_calls):
+        p = Precision(160)
+        ctx = p.ctx
+        w = weights_from_couplings(couplings_from_modulus(6.0, 1.0, 12, 24), p)
+        b = build_matrices(w, 24, p)
+        calls = count_calls(spectrum, "_rayleigh")
+        pts = joint_spectrum(b, w, p)
+        # the edge mode (gamma ~ 1.9e-13) falls back, the bulk does not
+        edge = min(pts, key=lambda q: abs(q.gamma))
+        assert abs(edge.gamma) < 1e-12
+        assert [args[1] for args in calls] == [edge.eigvec]
+        T = ctx.matrix(b.rows_T)
+        for q in pts:
+            v = ctx.matrix(q.eigvec)
+            quotient = (v.T * T * v)[0]
+            root = ctx.sqrt(max(q.lam_plus * q.lam_plus - 1, ctx.mpf(0)))
+            want = (q.lam_plus + root if quotient >= q.lam_plus
+                    else q.lam_plus - root)
+            assert repr(q.lam) == repr(want)
+
+    def test_disordered_spectrum_makes_no_mp_products(self, count_calls):
+        calls = count_calls(spectrum, "_rayleigh")
+        c = couplings_from_modulus(0.6, 0.8, 12, 64)
+        SystemPipeline(c, Precision(160)).spectral()
+        assert calls == []
+
+    def test_binary64_copies_made_once_and_read_only(self):
+        w = weights_from_couplings(couplings_from_modulus(0.6, 0.8, 4, 8))
+        b = build_matrices(w, 8)
+        for name in ("T_plus", "T_minus", "T", "C"):
+            a = getattr(b, name)
+            assert a is getattr(b, name)
+            assert not a.flags.writeable
 
 
 class TestRefinedEigensystem:
@@ -166,8 +208,6 @@ class TestRefinedEigensystem:
 
 
     def test_unconverged_pair_raises(self, monkeypatch):
-        import rectising.spectrum as spectrum
-        from rectising.errors import JointDiagonalizationError
         monkeypatch.setattr(spectrum, "RQI_MAX_STEPS", 1)
         p = Precision(160)
         w = weights_from_couplings(couplings_from_modulus(0.6, 0.8, 4, 8), p)
