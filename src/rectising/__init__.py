@@ -20,6 +20,7 @@ from .errors import (
     DomainError,
     EtaSolveError,
     JointDiagonalizationError,
+    NonFiniteError,
     PhaseLeakError,
     PoleError,
     RectisingError,

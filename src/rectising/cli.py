@@ -339,7 +339,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_format(pn, ("json", "csv"))
     pn.add_argument("--k-min", type=float, required=True)
     pn.add_argument("--k-max", type=float, required=True)
-    pn.add_argument("--steps", type=int, default=9)
+    pn.add_argument("--steps", type=int, default=9,
+                    help="moduli from k-min to k-max (1: k-min alone)")
     pn.add_argument("--route", default="all", choices=("all",) + ROUTES)
 
     pu = sub.add_parser("uplane", help="emit the integrand field file")
@@ -361,6 +362,8 @@ def _config(ns) -> RunConfig:
 def main(argv=None) -> int:
     ap = build_parser()
     ns = ap.parse_args(argv)
+    if ns.command == "scan" and ns.steps < 1:
+        ap.error(f"--steps must be at least 1, got {ns.steps}")
     try:
         cfg = _config(ns)
         if ns.command == "z":
@@ -374,7 +377,7 @@ def main(argv=None) -> int:
                 key: getattr(ns, key) for key in ("tol", "samples", "seed")
                 if key in ns})
         if ns.command == "scan":
-            if ns.steps < 2:
+            if ns.steps == 1:
                 ks = [ns.k_min]
             else:
                 step = (ns.k_max - ns.k_min) / (ns.steps - 1)

@@ -63,6 +63,10 @@ class PhaseLeakError(RectisingError, ArithmeticError):
         self.value = value
 
 
+class NonFiniteError(RectisingError, ArithmeticError):
+    """A matrix handed to a factorization holds a NaN or an infinity."""
+
+
 class RouteInfeasibleError(RectisingError):
     """The requested partition-function route cannot run for the given
     system (size cap exceeded, odd transverse extent, critical modulus...)."""

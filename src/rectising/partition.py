@@ -16,14 +16,19 @@ in automatically where binary64 cancellation is expected.
 
 from __future__ import annotations
 
+import cmath
 import math
 import time
 from dataclasses import dataclass, field
+from functools import reduce
+from itertools import chain
+from operator import add, mul
 
 import numpy as np
 
 from .elliptic import CRITICAL_TOL
-from .errors import DomainError, PhaseLeakError, RouteInfeasibleError
+from .errors import (DomainError, NonFiniteError, PhaseLeakError,
+                     RouteInfeasibleError)
 from .params import Couplings, EllipticFrame, Weights, swap_system
 from .precision import FLOAT64, Precision, as_precision
 from .spectrum import SystemPipeline, chi_poly_derivative
@@ -97,43 +102,94 @@ class LogScaledValue:
         return self.log_mag
 
 
+def _dot(prec: Precision):
+    """Dot product of two equal-length sequences at ``prec``.
+
+    At extended precision ``ctx.fdot``: exact products and one rounding.
+    In binary64 a left-to-right sum of rounded products: with the entry
+    first and 1 as its factor, that is the sequence of multiply-subtracts
+    of a right-looking update, in the same order.  ``reduce`` keeps that
+    order on every Python (``sum`` compensates float sums from 3.12 on).
+    """
+    if prec.is_float:
+        return lambda a, b: reduce(add, map(mul, a, b))
+    return prec.ctx.fdot
+
+
+def _check_square(rows, what: str) -> int:
+    """Dimension of ``rows``; raises unless it is square."""
+    n = len(rows)
+    if any(len(r) != n for r in rows):
+        raise DomainError(f"{what} requires a square matrix")
+    return n
+
+
+def _isfinite(prec: Precision):
+    """Finiteness test for the scalars of ``prec``, real or complex."""
+    return cmath.isfinite if prec.is_float else prec.ctx.isfinite
+
+
 def logdet_scaled(rows, prec: Precision) -> tuple[LogScaledValue, dict]:
     """LU determinant with partial pivoting and per-row scaling.
 
     Works on nested lists of context scalars (real or complex).  Returns
     the determinant and a conditioning report: ``loss`` estimates the
-    decimal digits destroyed by cancellation.
+    decimal digits destroyed by cancellation.  Left-looking (Crout)
+    order: each entry of column k is one dot product over the finished
+    columns.
     """
     ctx = prec.ctx
-    n = len(rows)
-    A = [[x for x in r] for r in rows]
+    n = _check_square(rows, "determinant")
+    isfinite = _isfinite(prec)
+    scales = []
+    for r in rows:
+        m = [abs(x) for x in r]
+        # a NaN or an infinity makes the sum non-finite; so can a binary64
+        # overflow, which the entrywise test then clears
+        if not (isfinite(sum(m)) or all(map(isfinite, r))):
+            raise NonFiniteError(
+                "determinant of a matrix with a non-finite entry")
+        scales.append(max(m))
+    if n == 0:
+        return LogScaledValue(ctx.mpf(0), 1.0), {"loss": 0.0}
+    dot = _dot(prec)
+    one = ctx.mpf(1)
+    A = []
     log_mag = ctx.mpf(0)
     phase = complex(1.0)
-    for i in range(n):
-        s = max(abs(x) for x in A[i])
+    for r, s in zip(rows, scales):
         if s == 0:
             return LogScaledValue.zero(), {"loss": 0.0}
-        A[i] = [x / s for x in A[i]]
+        A.append([x / s for x in r])
         log_mag += ctx.log(s)
+    # L[r] = [slot, L_r0, L_r1, ...]: the slot takes the entry being
+    # reduced, so that it meets the 1 that heads neg_u
+    L = [[None] for _ in range(n)]
     min_piv, max_piv = float("inf"), 0.0
     for col in range(n):
-        p = max(range(col, n), key=lambda r: abs(A[r][col]))
-        piv = A[p][col]
+        neg_u = [one]                   # 1, -U_0col, ..., -U_(i-1)col
+        for i in range(col):
+            L[i][0] = A[i][col]
+            neg_u.append(-dot(L[i], neg_u))
+        for r in range(col, n):
+            L[r][0] = A[r][col]
+        v = [dot(Lr, neg_u) for Lr in L[col:]]
+        p = max(range(n - col), key=lambda r: abs(v[r]))
+        piv = v[p]
         ap = abs(piv)
         if ap == 0:
             return LogScaledValue.zero(), {"loss": float("inf")}
-        if p != col:
-            A[p], A[col] = A[col], A[p]
+        if p:
+            q = col + p
+            A[q], A[col] = A[col], A[q]
+            L[q], L[col] = L[col], L[q]
+            v[p] = v[0]
             phase = -phase
         min_piv, max_piv = min(min_piv, float(ap)), max(max_piv, float(ap))
         log_mag += ctx.log(ap)
         phase *= complex(piv / ap)
-        # only the trailing columns are read again
-        for r in range(col + 1, n):
-            f = A[r][col] / piv
-            if f != 0:
-                Ar, Ac = A[r], A[col]
-                Ar[col + 1:] = [Ar[j] - f * Ac[j] for j in range(col + 1, n)]
+        for Lr, vr in zip(L[col + 1:], v[1:]):
+            Lr.append(vr / piv)
     loss = math.log10(max_piv / min_piv) if min_piv > 0 else float("inf")
     return LogScaledValue(log_mag, phase), {"loss": loss}
 
@@ -141,58 +197,70 @@ def logdet_scaled(rows, prec: Precision) -> tuple[LogScaledValue, dict]:
 def pfaffian(rows, prec: Precision = FLOAT64) -> LogScaledValue:
     """Pfaffian of an even-dimensional skew-symmetric matrix.
 
-    Skew tridiagonalization with partial pivoting (congruence updates keep
-    skew-symmetry exact); pivot magnitudes accumulate in the log domain and
-    row/column swaps flip the sign.
+    Skew tridiagonalization with partial pivoting (Parlett-Reid), in
+    left-looking order: step k forms only column k and row k+1 of the
+    reduced matrix, each entry as one dot product over the per-index
+    histories of the earlier steps' rank-2 congruence updates.  Only the
+    upper triangle is read past the skew gate, so the reduced matrix is
+    exactly skew; pivot magnitudes accumulate in the log domain and swaps
+    flip the sign.
     """
-    n = len(rows)
+    n = _check_square(rows, "Pfaffian")
+    # a binary64 copy flags non-finite entries (and extended ones beyond
+    # its range, which the exact test clears) and settles the 1e-12 gate
+    F = np.array(rows, dtype=complex)
+    if not (np.isfinite(F).all()
+            or all(map(_isfinite(prec), chain.from_iterable(rows)))):
+        raise NonFiniteError("Pfaffian of a matrix with a non-finite entry")
     if n % 2:
         raise DomainError("Pfaffian requires even dimension")
-    # a binary64 copy settles the 1e-12 gate
-    F = np.array(rows, dtype=complex).reshape(n, n)
     scale = max(1.0, np.abs(F).max(initial=0.0))
     if np.abs(F + F.T).max(initial=0.0) > 1e-12 * scale:
         raise DomainError("Pfaffian requires a skew-symmetric matrix")
     if n == 0:
         return LogScaledValue(0.0, 1.0)
     ctx = prec.ctx
-    A = [[x for x in r] for r in rows]
+    dot = _dot(prec)
+    one = ctx.mpf(1)
+    perm = list(range(n))
+    # step s reduces A_ij by f_i^s R_j^s - f_j^s R_i^s.  Index i keeps its
+    # history twice, interleaved: G[i] = [1, f_i^0, R_i^0, f_i^1, ...] and
+    # H[i] = [slot, -R_i^0, f_i^0, -R_i^1, ...]; with a_tj in the slot of
+    # H[j], dot(G[t], H[j]) is the reduced A_tj
+    G = [[one] for _ in range(n)]
+    H = [[one] for _ in range(n)]
+
+    def strip(t, js):
+        """Reduced entries (t, j), j in js, from the upper triangle of
+        ``rows`` alone."""
+        pt = perm[t]
+        for j in js:
+            pj = perm[j]
+            H[j][0] = rows[pt][pj] if pt < pj else -rows[pj][pt]
+        return [dot(G[t], H[j]) for j in js]
+
     log_mag = ctx.mpf(0)
     phase = complex(1.0)
-    for k in range(0, n - 2, 2):
-        p = max(range(k + 1, n), key=lambda r: abs(A[r][k]))
-        if abs(A[p][k]) == 0:
-            return LogScaledValue.zero()
-        if p != k + 1:
-            A[p], A[k + 1] = A[k + 1], A[p]
-            for r in range(n):
-                A[r][p], A[r][k + 1] = A[r][k + 1], A[r][p]
-            phase = -phase
-        piv = A[k + 1][k]
-        entry = A[k][k + 1]            # = -piv
+    for k in range(0, n, 2):
+        col = strip(k, range(k + 1, n))        # A_kj; column k is -A_kj
+        p = max(range(n - k - 1), key=lambda j: abs(col[j]))
+        entry = col[p]
         ae = abs(entry)
+        if ae == 0:
+            return LogScaledValue.zero()
+        if p:
+            q = k + 1 + p
+            for h in (perm, G, H):
+                h[q], h[k + 1] = h[k + 1], h[q]
+            col[p] = col[0]
+            phase = -phase
         log_mag += ctx.log(ae)
         phase *= complex(entry / ae)
-        # congruence update of the trailing block, which alone is read
-        # again: the upper triangle, mirrored (it stays exactly skew)
-        f = [0] * (k + 2) + [A[j][k] / piv for j in range(k + 2, n)]
-        row = A[k + 1]
-        for i in range(k + 2, n):
-            Ai, fi, ci = A[i], f[i], A[i][k + 1]
-            for j in range(i + 1, n):
-                v = Ai[j]
-                if fi != 0:
-                    v = v - fi * row[j]
-                if f[j] != 0:
-                    v = v - f[j] * ci
-                Ai[j] = v
-                A[j][i] = -v
-    entry = A[n - 2][n - 1]
-    ae = abs(entry)
-    if ae == 0:
-        return LogScaledValue.zero()
-    log_mag += ctx.log(ae)
-    phase *= complex(entry / ae)
+        row = strip(k + 1, range(k + 2, n))
+        for j in range(k + 2, n):
+            fj, rj = col[j - k - 1] / entry, row[j - k - 2]
+            G[j] += (fj, rj)
+            H[j] += (-rj, fj)
     return LogScaledValue(log_mag, phase)
 
 

@@ -180,6 +180,23 @@ class TestScan:
             wtr.writerow(r)
         assert buf.getvalue() == out
 
+    @pytest.mark.parametrize("steps", ["0", "-2"])
+    def test_steps_below_one_is_a_usage_error(self, steps):
+        with pytest.raises(SystemExit) as exc:
+            main(["scan", "--L", "4", "--M", "4", "--k-min", "0.5",
+                  "--k-max", "0.9", "--steps", steps, "--eta-frac", "0.8"])
+        assert exc.value.code == 2
+
+    def test_one_step_is_k_min(self, capsys):
+        code, out, _ = run_cli(capsys, "scan", "--L", "4", "--M", "4",
+                               "--k-min", "0.5", "--k-max", "0.9",
+                               "--steps", "1", "--eta-frac", "0.8",
+                               "--format", "csv", "--route", "block")
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out)))
+        assert len(rows) == 2
+        assert float(rows[1][0]) == pytest.approx(0.5, abs=1e-12)
+
     def test_scan_output_repeats(self, capsys):
         # csv carries the numerical payload without timing metadata
         args = ("scan", "--L", "4", "--M", "4", "--k-min", "0.5",

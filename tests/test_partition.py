@@ -8,7 +8,8 @@ import pytest
 
 from rectising import params
 from rectising.elliptic import EllipticKernel
-from rectising.errors import DomainError, RouteInfeasibleError
+from rectising.errors import (DomainError, NonFiniteError, RectisingError,
+                              RouteInfeasibleError)
 from rectising.params import (
     Couplings,
     couplings_from_modulus,
@@ -76,6 +77,53 @@ class TestLogScaled:
         assert LogScaledValue.zero().is_zero
 
 
+def right_looking_logdet(rows):
+    """Binary64 oracle: the classic right-looking elimination, with the
+    per-row scaling, pivot order and loss report of `logdet_scaled`."""
+    n = len(rows)
+    A = [list(r) for r in rows]
+    log_mag, phase = 0.0, complex(1.0)
+    for i in range(n):
+        s = max(abs(x) for x in A[i])
+        if s == 0:
+            return float("-inf"), 1.0, 0.0
+        A[i] = [x / s for x in A[i]]
+        log_mag += math.log(s)
+    min_piv, max_piv = float("inf"), 0.0
+    for col in range(n):
+        p = max(range(col, n), key=lambda r: abs(A[r][col]))
+        piv = A[p][col]
+        ap = abs(piv)
+        if ap == 0:
+            return float("-inf"), 1.0, float("inf")
+        if p != col:
+            A[p], A[col] = A[col], A[p]
+            phase = -phase
+        min_piv, max_piv = min(min_piv, ap), max(max_piv, ap)
+        log_mag += math.log(ap)
+        phase *= complex(piv / ap)
+        for r in range(col + 1, n):
+            f = A[r][col] / piv
+            if f != 0:
+                Ar, Ac = A[r], A[col]
+                Ar[col + 1:] = [Ar[j] - f * Ac[j] for j in range(col + 1, n)]
+    return log_mag, phase, math.log10(max_piv / min_piv)
+
+
+def seeded_matrix(rng, n, kind, prec=FLOAT64):
+    """A real, complex or Hankel test matrix of context scalars."""
+    if kind == "hankel":
+        h = rng.normal(size=2 * n) * np.exp(-0.5 * np.arange(2 * n))
+        B = np.array([[h[i + j] for j in range(n)] for i in range(n)])
+    else:
+        B = rng.normal(size=(n, n)) * np.exp(3 * rng.normal(size=(n, 1)))
+    if kind == "complex":
+        C = rng.normal(size=(n, n))
+        return [[prec.ctx.mpc(B[i, j], C[i, j]) for j in range(n)]
+                for i in range(n)]
+    return [[prec.ctx.mpf(B[i, j]) for j in range(n)] for i in range(n)]
+
+
 class TestLogDet:
     def test_identity(self):
         det, _ = logdet_scaled([[1.0, 0.0], [0.0, 1.0]], FLOAT64)
@@ -94,6 +142,80 @@ class TestLogDet:
         det, _ = logdet_scaled(A, FLOAT64)
         assert abs(det.log_mag - math.log(2.0)) < 1e-12
         assert det.phase == -1
+
+    def test_row_sum_overflow_is_not_a_non_finite_entry(self):
+        # the row's sum of magnitudes overflows; every entry is finite
+        det, _ = logdet_scaled([[1e308, 1e308], [1.0, -1e308]], FLOAT64)
+        assert abs(det.log_mag - 616 * math.log(10)) < 1e-12
+        assert det.phase == -1
+
+    @pytest.mark.parametrize("kind", ["real", "complex", "hankel"])
+    def test_binary64_equals_right_looking_elimination(self, kind):
+        # the left-looking order keeps every binary64 operation of the
+        # classic update, so the results are the same floats
+        rng = np.random.default_rng({"real": 1, "complex": 2,
+                                     "hankel": 3}[kind])
+        for _ in range(40):
+            rows = seeded_matrix(rng, int(rng.integers(1, 21)), kind)
+            det, cond = logdet_scaled(rows, FLOAT64)
+            want = right_looking_logdet(rows)
+            assert repr((det.log_mag, det.phase, cond["loss"])) == repr(want)
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_extended_against_320_bits(self, kind):
+        p, q = Precision(160), Precision(320)
+        got, _ = logdet_scaled(
+            seeded_matrix(np.random.default_rng(5), 24, kind, p), p)
+        want, _ = logdet_scaled(
+            seeded_matrix(np.random.default_rng(5), 24, kind, q), q)
+        tol = q.ctx.mpf(2) ** -150
+        assert abs(q.ctx.mpf(got.log_mag) - want.log_mag) < tol
+        if kind == "real":
+            assert got.phase == want.phase
+        else:
+            # a binary64 product of 24 unit factors; after the row scaling
+            # several rows can hold a modulus-1 entry in one column, and
+            # the rounding decides which of those near ties pivots
+            assert abs(got.phase - want.phase) < 1e-14
+
+    @pytest.mark.parametrize("bits", [53, 160])
+    def test_zero_leading_entry_swaps(self, bits):
+        p = Precision(bits)
+        rows = [[p.ctx.mpf(x) for x in r]
+                for r in ([0, 2, 1], [3, 1, 0], [1, 0, 4])]
+        det, _ = logdet_scaled(rows, p)
+        # by cofactors of the first row: det = -2 * 12 + 1 * (-1) = -25
+        assert abs(det.log_mag - math.log(25)) < 1e-15
+        assert det.phase == -1
+
+    @pytest.mark.parametrize("bits", [53, 160])
+    def test_singular(self, bits):
+        p = Precision(bits)
+        rows = [[p.ctx.mpf(x) for x in r]
+                for r in ([1, 2, 3], [2, 4, 6], [0, 1, 5])]
+        det, cond = logdet_scaled(rows, p)
+        assert det.is_zero and cond["loss"] == float("inf")
+
+    def test_empty(self):
+        det, cond = logdet_scaled([], FLOAT64)
+        assert det.value() == 1 and cond["loss"] == 0.0
+
+    @pytest.mark.parametrize("rows", [[[1.0, 2.0]], [[1.0, 2.0], [3.0]]])
+    def test_not_square(self, rows):
+        with pytest.raises(DomainError):
+            logdet_scaled(rows, FLOAT64)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"),
+                                     complex(1, float("nan"))])
+    def test_non_finite_entry(self, bad):
+        with pytest.raises(NonFiniteError) as exc:
+            logdet_scaled([[bad, 1.0], [1.0, 2.0]], FLOAT64)
+        # typed, and an ArithmeticError, which a route reports as failed
+        assert isinstance(exc.value, RectisingError)
+        assert isinstance(exc.value, ArithmeticError)
+        p = Precision(160)
+        with pytest.raises(NonFiniteError):
+            logdet_scaled([[p.ctx.mpf(1), p.ctx.nan], [1, 2]], p)
 
 
 class TestPfaffian:
@@ -153,6 +275,53 @@ class TestPfaffian:
     def test_singular(self):
         A = np.zeros((4, 4))
         assert pfaffian([list(r) for r in A]).is_zero
+
+    @pytest.mark.parametrize("bits", [53, 160])
+    def test_singular_after_elimination(self, bits):
+        # Pf = a01 a23 - a02 a13 + a03 a12 = 1*6 - 2*3 + 0 = 0
+        p = Precision(bits)
+        up = {(0, 1): 1, (0, 2): 2, (0, 3): 0, (1, 2): 0, (1, 3): 3,
+              (2, 3): 6}
+        rows = [[p.ctx.mpf(up[i, j] if i < j else
+                           (-up[j, i] if i > j else 0)) for j in range(4)]
+                for i in range(4)]
+        assert pfaffian(rows, p).is_zero
+
+    @pytest.mark.parametrize("bits", [53, 160])
+    def test_zero_leading_entry_swaps(self, bits):
+        # a01 = 0 forces the pivot swap; Pf = -a02 a13 + a03 a12 = -7
+        p = Precision(bits)
+        up = {(0, 1): 0, (0, 2): 2, (0, 3): 1, (1, 2): -1, (1, 3): 3,
+              (2, 3): 5}
+        rows = [[p.ctx.mpf(up[i, j] if i < j else
+                           (-up[j, i] if i > j else 0)) for j in range(4)]
+                for i in range(4)]
+        pf = pfaffian(rows, p)
+        assert abs(pf.log_mag - math.log(7)) < 1e-15
+        assert pf.phase == -1
+
+    @pytest.mark.parametrize("n", [24, 64])
+    def test_extended_square_is_determinant(self, n):
+        p, q = Precision(160), Precision(320)
+        B = np.random.default_rng(n).normal(size=(n, n))
+
+        def skew(prec):
+            return [[prec.ctx.mpf(B[i, j]) - prec.ctx.mpf(B[j, i])
+                     for j in range(n)] for i in range(n)]
+        pf = pfaffian(skew(p), p)
+        det, _ = logdet_scaled(skew(p), p)
+        assert abs(2 * pf.log_mag - det.log_mag) < p.ctx.mpf(2) ** -140
+        assert pf.phase == pfaffian(skew(q), q).phase
+
+    @pytest.mark.parametrize("rows", [[[0.0, 1.0]], [[0.0, 1.0], [-1.0]]])
+    def test_not_square(self, rows):
+        with pytest.raises(DomainError):
+            pfaffian(rows)
+
+    def test_non_finite_entry(self):
+        nan = float("nan")
+        with pytest.raises(NonFiniteError):
+            pfaffian([[0.0, nan], [-nan, 0.0]])
 
 
 class TestConfigurationSums:
@@ -481,6 +650,21 @@ class TestSharedPipeline:
         assert res.outcomes["hankel"].precision_bits == 160
         assert res.outcomes["pfaffian"].status == "ok"
         assert res.pipeline_seconds > 0
+
+    def test_non_finite_matrix_fails_the_route(self, monkeypatch):
+        import rectising.partition as partition
+        build = partition.hankel_from_spectrum
+
+        def poisoned(*args):
+            sys = build(*args)
+            sys.rows[0][0] = float("nan")
+            return sys
+
+        monkeypatch.setattr(partition, "hankel_from_spectrum", poisoned)
+        res = assemble_logZ(couplings_from_modulus(0.6, 0.9, 5, 6), "all")
+        assert res.outcomes["hankel"].status == "failed"
+        assert "non-finite" in res.outcomes["hankel"].reason
+        assert res.outcomes["block"].status == "ok"
 
 
 class TestEscalation:
