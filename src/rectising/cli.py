@@ -5,8 +5,9 @@ routes plus pairwise deviations and consistency checks), spectrum
 (per-eigenvalue angle table), identities (the residual suite), scan
 (modulus sweep as CSV), uplane (integrand field file).
 
-Exit codes: 0 success, 1 numerical failure (diagnostic JSON on stderr),
-2 usage error, 3 gating identity failure.
+Exit codes: 0 success, 1 numerical failure or, from z and compare, no
+route produced a log Z (diagnostic JSON on stderr), 2 usage error, 3
+gating identity failure.
 """
 
 from __future__ import annotations
@@ -15,9 +16,9 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
-from dataclasses import dataclass
 
 from .contour import ContourContext, uplane_field
 from .errors import DomainError, RectisingError
@@ -30,46 +31,35 @@ from .spectrum import spectrum_for
 ENV_PRECISION = "RECTISING_PRECISION_BITS"
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated invocation parameters shared by the subcommands."""
+def _couplings(ns) -> Couplings:
+    """The couplings of the parsed options, validated."""
+    if (ns.K_h is None) == (ns.k is None):
+        raise DomainError(
+            "provide exactly one of (--Kh, --Kv) or (--k, --eta-frac)")
+    if ns.K_h is not None:
+        if ns.K_v is None:
+            raise DomainError("--Kh requires --Kv")
+        return Couplings(ns.K_h, ns.K_v, ns.L, ns.M)
+    frac = ns.eta_fraction if ns.eta_fraction is not None else 1.0
+    if not 0 < frac <= 1:
+        raise DomainError("--eta-frac must lie in (0, 1]")
+    return couplings_from_modulus(ns.k, frac, ns.L, ns.M)
 
-    L: int
-    M: int
-    K_h: float = None
-    K_v: float = None
-    k: float = None
-    eta_fraction: float = None
-    route: str = "all"
-    precision_bits: int = None
-    fmt: str = "json"
-    out: str = None
 
-    def couplings(self) -> Couplings:
-        if (self.K_h is None) == (self.k is None):
-            raise DomainError(
-                "provide exactly one of (--Kh, --Kv) or (--k, --eta-frac)")
-        if self.K_h is not None:
-            if self.K_v is None:
-                raise DomainError("--Kh requires --Kv")
-            return Couplings(self.K_h, self.K_v, self.L, self.M)
-        frac = self.eta_fraction if self.eta_fraction is not None else 1.0
-        if not 0 < frac <= 1:
-            raise DomainError("--eta-frac must lie in (0, 1]")
-        return couplings_from_modulus(self.k, frac, self.L, self.M)
-
-    def precision(self):
-        if self.precision_bits is not None:
-            return Precision(self.precision_bits)
-        env = os.environ.get(ENV_PRECISION)
-        if not env:
-            return None
-        try:
-            bits = int(env)
-        except ValueError:
-            raise DomainError(f"{ENV_PRECISION} must be an integer bit "
-                              f"count, got {env!r}") from None
-        return Precision(bits)
+def _precision(ns):
+    """The forced precision: --precision-bits, else the environment, else
+    None (the engine's choice)."""
+    if ns.precision_bits is not None:
+        return Precision(ns.precision_bits)
+    env = os.environ.get(ENV_PRECISION)
+    if not env:
+        return None
+    try:
+        bits = int(env)
+    except ValueError:
+        raise DomainError(f"{ENV_PRECISION} must be an integer bit "
+                          f"count, got {env!r}") from None
+    return Precision(bits)
 
 
 def _json_dumps(obj) -> str:
@@ -167,60 +157,65 @@ def _consistency_checks(res) -> dict:
 # subcommands
 # ----------------------------------------------------------------------
 
-def cmd_z(cfg: RunConfig, with_checks=False) -> int:
-    c = cfg.couplings()
-    res = assemble_logZ(c, cfg.route, prec=cfg.precision())
+def cmd_z(ns, with_checks=False) -> int:
+    res = assemble_logZ(_couplings(ns), getattr(ns, "route", "all"),
+                        prec=_precision(ns))
+    if math.isnan(res.logZ):
+        sys.stderr.write(_json_dumps({
+            "error": "RectisingError",
+            "message": "no route produced a log Z",
+            "routes": {name: {"status": o.status, "reason": o.reason}
+                       for name, o in res.outcomes.items()}}))
+        return 1
     checks = _consistency_checks(res) if with_checks else {}
     rec = result_record(res, checks)
-    if cfg.fmt == "json":
-        _emit(_json_dumps(rec), cfg.out)
-    elif cfg.fmt == "csv":
-        _emit(_scan_csv([rec]), cfg.out)
+    if ns.fmt == "json":
+        _emit(_json_dumps(rec), ns.out)
+    elif ns.fmt == "csv":
+        _emit(_scan_csv([rec]), ns.out)
     else:
-        _emit(_result_text(rec), cfg.out)
+        _emit(_result_text(rec), ns.out)
     return 0
 
 
-def cmd_spectrum(cfg: RunConfig) -> int:
-    c = cfg.couplings()
-    _w, _frame, _bundle, pts = spectrum_for(c, cfg.precision())
-    rows = []
-    for p in pts:
-        rows.append({
-            "mu": p.mu, "lambda": float(p.lam), "gamma": float(p.gamma),
-            "phi": _cplx(p.phi), "chi": float(p.chi), "u": _cplx(p.u),
-            "omega": _cplx(p.omega), "theta": _cplx(p.theta),
-            "psi": _cplx(p.psi), "branch": p.branch,
-            "quantization_residual": p.quant_residual,
-        })
-    if cfg.fmt == "csv":
+def _csv_cells(row):
+    """(column, cell) pairs of a JSON row: a complex value [re, im] takes
+    two columns, a number is written as its repr, a string as it is."""
+    for key, v in row.items():
+        if isinstance(v, list):
+            yield f"{key}_re", repr(v[0])
+            yield f"{key}_im", repr(v[1])
+        else:
+            yield key, v if isinstance(v, str) else repr(v)
+
+
+def cmd_spectrum(ns) -> int:
+    _w, _frame, _bundle, pts = spectrum_for(_couplings(ns), _precision(ns))
+    rows = [{
+        "mu": p.mu, "lambda": float(p.lam), "gamma": float(p.gamma),
+        "phi": _cplx(p.phi), "chi": float(p.chi), "u": _cplx(p.u),
+        "omega": _cplx(p.omega), "theta": _cplx(p.theta),
+        "psi": _cplx(p.psi), "branch": p.branch,
+        "quantization_residual": p.quant_residual,
+    } for p in pts]
+    if ns.fmt == "csv":
+        table = [dict(_csv_cells(r)) for r in rows]
         buf = io.StringIO()
-        wtr = csv.writer(buf, lineterminator="\n")
-        hdr = ["mu", "lambda", "gamma", "phi_re", "phi_im", "chi",
-               "u_re", "u_im", "omega_re", "omega_im", "theta_re",
-               "theta_im", "psi_re", "psi_im", "branch",
-               "quantization_residual"]
-        wtr.writerow(hdr)
-        for r in rows:
-            wtr.writerow([r["mu"], repr(r["lambda"]), repr(r["gamma"]),
-                          repr(r["phi"][0]), repr(r["phi"][1]),
-                          repr(r["chi"]), repr(r["u"][0]), repr(r["u"][1]),
-                          repr(r["omega"][0]), repr(r["omega"][1]),
-                          repr(r["theta"][0]), repr(r["theta"][1]),
-                          repr(r["psi"][0]), repr(r["psi"][1]),
-                          r["branch"], repr(r["quantization_residual"])])
-        _emit(buf.getvalue(), cfg.out)
+        wtr = csv.DictWriter(buf, list(table[0]), lineterminator="\n")
+        wtr.writeheader()
+        wtr.writerows(table)
+        _emit(buf.getvalue(), ns.out)
     else:
-        _emit(_json_dumps(rows), cfg.out)
+        _emit(_json_dumps(rows), ns.out)
     return 0
 
 
-def cmd_identities(cfg: RunConfig, **suite_opts) -> int:
+def cmd_identities(ns, **suite_opts) -> int:
     """``suite_opts``: the given --tol, --samples and --seed; the suite's
     own defaults stand for the others."""
-    rep = run_identity_suite(cfg.couplings(), prec=cfg.precision(),
+    rep = run_identity_suite(_couplings(ns), prec=_precision(ns),
                              **suite_opts)
-    _emit(_json_dumps(rep.to_dict()), cfg.out)
+    _emit(_json_dumps(rep.to_dict()), ns.out)
     return 3 if rep.failed else 0
 
 
@@ -243,37 +238,35 @@ def _scan_csv(records) -> str:
     return buf.getvalue()
 
 
-def cmd_scan(cfg: RunConfig, k_values) -> int:
-    frac = cfg.eta_fraction if cfg.eta_fraction is not None else 1.0
+def cmd_scan(ns, k_values) -> int:
+    frac = ns.eta_fraction if ns.eta_fraction is not None else 1.0
 
     def one(k):
         try:
-            c = couplings_from_modulus(k, frac, cfg.L, cfg.M)
-            res = assemble_logZ(c, cfg.route, prec=cfg.precision())
+            c = couplings_from_modulus(k, frac, ns.L, ns.M)
+            res = assemble_logZ(c, ns.route, prec=_precision(ns))
             return result_record(res)
         except RectisingError as exc:
             # a sweep point may be infeasible (e.g. the critical modulus
             # has no anisotropy parametrization); record, don't abort
-            return {"k": k, "L": cfg.L, "M": cfg.M,
+            return {"k": k, "L": ns.L, "M": ns.M,
                     "K_h": float("nan"), "K_v": float("nan"),
                     "logZ": float("nan"), "max_pairwise_rel_dev":
                     float("nan"), "routes": {},
                     "error": f"{type(exc).__name__}: {exc}"}
 
     records = [one(k) for k in sorted(k_values)]
-    if cfg.fmt == "json":
-        _emit(_json_dumps(records), cfg.out)
+    if ns.fmt == "json":
+        _emit(_json_dumps(records), ns.out)
     else:
-        _emit(_scan_csv(records), cfg.out)
+        _emit(_scan_csv(records), ns.out)
     return 0
 
 
-def cmd_uplane(cfg: RunConfig, n: int, grid: int) -> int:
-    c = cfg.couplings()
-    cctx = ContourContext.from_couplings(c, cfg.precision(),
+def cmd_uplane(ns) -> int:
+    cctx = ContourContext.from_couplings(_couplings(ns), _precision(ns),
                                          with_spectrum=True)
-    field = uplane_field(n, grid, cctx)
-    _emit(field.text(), cfg.out)
+    _emit(uplane_field(ns.n, ns.grid, cctx).text(), ns.out)
     return 0
 
 
@@ -351,29 +344,20 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _config(ns) -> RunConfig:
-    return RunConfig(L=ns.L, M=ns.M, K_h=ns.K_h, K_v=ns.K_v, k=ns.k,
-                     eta_fraction=ns.eta_fraction,
-                     route=getattr(ns, "route", "all"),
-                     precision_bits=ns.precision_bits,
-                     fmt=getattr(ns, "fmt", "json"), out=ns.out)
-
-
 def main(argv=None) -> int:
     ap = build_parser()
     ns = ap.parse_args(argv)
     if ns.command == "scan" and ns.steps < 1:
         ap.error(f"--steps must be at least 1, got {ns.steps}")
     try:
-        cfg = _config(ns)
         if ns.command == "z":
-            return cmd_z(cfg)
+            return cmd_z(ns)
         if ns.command == "compare":
-            return cmd_z(cfg, with_checks=True)
+            return cmd_z(ns, with_checks=True)
         if ns.command == "spectrum":
-            return cmd_spectrum(cfg)
+            return cmd_spectrum(ns)
         if ns.command == "identities":
-            return cmd_identities(cfg, **{
+            return cmd_identities(ns, **{
                 key: getattr(ns, key) for key in ("tol", "samples", "seed")
                 if key in ns})
         if ns.command == "scan":
@@ -382,9 +366,9 @@ def main(argv=None) -> int:
             else:
                 step = (ns.k_max - ns.k_min) / (ns.steps - 1)
                 ks = [ns.k_min + i * step for i in range(ns.steps)]
-            return cmd_scan(cfg, ks)
+            return cmd_scan(ns, ks)
         if ns.command == "uplane":
-            return cmd_uplane(cfg, ns.n, ns.grid)
+            return cmd_uplane(ns)
         raise AssertionError(ns.command)
     except RectisingError as exc:
         sys.stderr.write(_json_dumps({

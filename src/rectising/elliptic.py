@@ -198,18 +198,8 @@ class EllipticKernel:
         x = ctx.mpf(x)
         if not self.ordered:
             return self._phase_real(x, self._chain)
-        sn, cn, _dn = self.sncndn_real(x)
+        sn, cn, _dn = self.sncndn(x)
         return ctx.asin(sn) if cn >= 0 else ctx.pi - ctx.asin(sn)
-
-    def sncndn_real(self, x):
-        """sn, cn, dn at real x for the physical modulus."""
-        ctx = self.ctx
-        x = ctx.mpf(x)
-        s, c, d = self._sncndn_base(
-            x / self.kappa if self.ordered else x, self._chain, self.kappa)
-        if self.ordered:
-            return self.kappa * s, d, c
-        return s, c, d
 
     def _sncndn_base_c(self, y):
         """Base-complement triple used by the complex split."""

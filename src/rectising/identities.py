@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property, reduce
 
 import numpy as np
@@ -871,7 +871,6 @@ class ResidualEntry:
     gating: bool
     max_abs_residual: float
     status: str                # 'pass' | 'fail' | 'skip' | 'error'
-    parameters: dict = field(default_factory=dict)
     parts: dict = field(default_factory=dict)
     details: dict = field(default_factory=dict)
     note: str = ""
@@ -902,26 +901,10 @@ class ResidualReport:
 
     def to_dict(self):
         worst = self.worst
-        return {
-            "parameters": self.parameters,
-            "tol": self.tol,
-            "seed": self.seed,
-            "seconds": self.seconds,
-            "failed": self.failed,
-            "worst": (None if worst is None else
-                      {"identity_id": worst.identity_id,
-                       "max_abs_residual": worst.max_abs_residual}),
-            "entries": [{
-                "identity_id": e.identity_id,
-                "equation_tag": e.equation_tag,
-                "gating": e.gating,
-                "max_abs_residual": e.max_abs_residual,
-                "status": e.status,
-                "parts": e.parts,
-                "details": e.details,
-                "note": e.note,
-            } for e in self.entries],
-        }
+        return {**asdict(self), "failed": self.failed,
+                "worst": (None if worst is None else
+                          {"identity_id": worst.identity_id,
+                           "max_abs_residual": worst.max_abs_residual})}
 
 
 def run_identity_suite(system, tol: float = GATING_TOL, samples: int = 16,
@@ -950,14 +933,14 @@ def run_identity_suite(system, tol: float = GATING_TOL, samples: int = 16,
             entries.append(ResidualEntry(
                 identity_id=identity_id, equation_tag=tag, gating=gating,
                 max_abs_residual=float("nan"), status="error",
-                parameters=params, note=f"{type(exc).__name__}: {exc}"))
+                note=f"{type(exc).__name__}: {exc}"))
             continue
         worst = r.worst
         status = "pass" if worst <= tol * tol_factor else "fail"
         note = f"gate widened x{tol_factor:g}" if tol_factor != 1 else ""
         entries.append(ResidualEntry(
             identity_id=identity_id, equation_tag=tag, gating=gating,
-            max_abs_residual=worst, status=status, parameters=params,
-            parts=r.parts, details=r.details, note=note))
+            max_abs_residual=worst, status=status, parts=r.parts,
+            details=r.details, note=note))
     return ResidualReport(entries=entries, tol=tol, parameters=params,
                           seed=seed, seconds=time.perf_counter() - t0)

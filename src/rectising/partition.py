@@ -209,11 +209,14 @@ def pfaffian(rows, prec: Precision = FLOAT64) -> LogScaledValue:
     # a binary64 copy flags non-finite entries (and extended ones beyond
     # its range, which the exact test clears) and settles the 1e-12 gate
     F = np.array(rows, dtype=complex)
-    if not (np.isfinite(F).all()
+    in_range = np.isfinite(F).all()
+    if not (in_range
             or all(map(_isfinite(prec), chain.from_iterable(rows)))):
         raise NonFiniteError("Pfaffian of a matrix with a non-finite entry")
     if n % 2:
         raise DomainError("Pfaffian requires even dimension")
+    if not in_range:            # past binary64 range, on the exact entries
+        F = np.array(rows, dtype=object)
     scale = max(1.0, np.abs(F).max(initial=0.0))
     if np.abs(F + F.T).max(initial=0.0) > 1e-12 * scale:
         raise DomainError("Pfaffian requires a skew-symmetric matrix")
@@ -352,6 +355,19 @@ def _log_z0(w: Weights, L, M, ctx):
     return (M / 2) * ctx.log(1 - w.z * w.z) + (L * M / 2) * ctx.log(-2 / w.z_minus)
 
 
+def _route_pipeline(c: Couplings, prec, pipeline) -> SystemPipeline:
+    """The pipeline a route runs on: ``pipeline``, which must be for ``c``
+    and at ``prec`` if that is given, or else a new one at ``prec``."""
+    if pipeline is None:
+        return SystemPipeline(c, prec)
+    if pipeline.c != c:
+        raise DomainError("the pipeline was built for another system")
+    if prec is not None and as_precision(prec) != pipeline.prec:
+        raise DomainError(f"the pipeline runs at {pipeline.prec.bits} bits, "
+                          f"not at {as_precision(prec).bits}")
+    return pipeline
+
+
 def block_transfer_logZ(c: Couplings, prec: Precision | None = None,
                         pipeline: SystemPipeline = None):
     """log Z from the projected L-th power of the transfer matrix.
@@ -362,11 +378,10 @@ def block_transfer_logZ(c: Couplings, prec: Precision | None = None,
     Runs at any modulus including the critical point, on the unchecked
     family eigensystem of ``pipeline`` (a new one at ``prec`` if None).
     """
-    pipeline = pipeline or SystemPipeline(c, prec)
+    pipeline = _route_pipeline(c, prec, pipeline)
     if c.M % 2:
         raise RouteInfeasibleError("block route requires even M")
-    prec = pipeline.prec
-    ctx = prec.ctx
+    ctx = pipeline.prec.ctx
     w, _bundle, pts = pipeline.family()
     M, L = c.M, c.L
     half = [[ctx.mpf(0)] * M for _ in range(M)]
@@ -381,7 +396,7 @@ def block_transfer_logZ(c: Couplings, prec: Precision | None = None,
             minus = (v[j] - v[M - 1 - j]) / 2
             half[i][j] = ep * plus + em * minus
         shifts += a
-    det, cond = logdet_scaled(half, prec)
+    det, cond = logdet_scaled(half, pipeline.prec)
     if det.is_zero:
         raise PhaseLeakError("sign anomaly: singular projected determinant",
                              value=det)
@@ -444,14 +459,20 @@ def _log_z1_value(w: Weights, L, M, ctx):
             + (ctx.mpf(L) * M / 2) * ctx.log(-2 / w.z_minus))
 
 
-def _spectral_coefficients(points, L, ctx):
-    """Shared per-eigenvalue coefficients of the structured matrices."""
+def _spectral_coefficients(points, c: Couplings, w: Weights, ctx):
+    """The log shift and, per eigenvalue, the factor 2i t* e^(L gamma -
+    shift) e^(-theta) and P'(chi) of the symbol both structured matrices
+    read."""
+    if c.M % 2:
+        raise RouteInfeasibleError("structured routes require even M")
+    L = c.L
     shift = max((L * p.gamma for p in points), key=float)
+    two_i_ts = ctx.mpc(0, 2) * w.t_star
     coeffs = []
     for i, p in enumerate(points):
         dP = chi_poly_derivative(points, i)
         egl = ctx.exp(L * p.gamma - shift)
-        coeffs.append((p, egl, dP))
+        coeffs.append((p, two_i_ts * egl * p.exp_minus_theta(), dP))
     return shift, coeffs
 
 
@@ -466,18 +487,13 @@ def hankel_from_spectrum(points, c: Couplings, w: Weights,
     """
     ctx = frame.prec.ctx
     M, L = c.M, c.L
-    if M % 2:
-        raise RouteInfeasibleError("structured routes require even M")
-    shift, coeffs = _spectral_coefficients(points, L, ctx)
-    two_i_ts = ctx.mpc(0, 2) * w.t_star
-    base = []
-    for p, egl, dP in coeffs:
-        base.append(two_i_ts * egl * p.exp_minus_theta() * p.exp_psi() / dP)
+    shift, coeffs = _spectral_coefficients(points, c, w, ctx)
+    base = [(p, f * p.exp_psi() / dP) for p, f, dP in coeffs]
     h = []
     leak = 0.0
     for n in range(1, M):
         acc = ctx.mpc(0)
-        for (p, _e, _d), b in zip(coeffs, base):
+        for p, b in base:
             acc += b * p.chi ** (n - 1)
         mag = abs(acc)
         if mag > 0:
@@ -503,19 +519,15 @@ def skew_toeplitz_from_spectrum(points, c: Couplings, w: Weights,
     """
     ctx = frame.prec.ctx
     M, L = c.M, c.L
-    if M % 2:
-        raise RouteInfeasibleError("structured routes require even M")
-    shift, coeffs = _spectral_coefficients(points, L, ctx)
-    two_i_ts = ctx.mpc(0, 2) * w.t_star
+    shift, coeffs = _spectral_coefficients(points, c, w, ctx)
     base = []
     small_sin = 0
-    for p, egl, dP in coeffs:
+    for p, f, dP in coeffs:
         sphi = ctx.sin(p.phi)
         if abs(sphi) < 1e-10:
             small_sin += 1
         cot_half = ctx.cos(p.phi / 2) / ctx.sin(p.phi / 2)
-        base.append((p, two_i_ts * egl * p.exp_minus_theta()
-                     / (dP * sphi) * cot_half))
+        base.append((p, f / (dP * sphi) * cot_half))
     cs = []
     for d in range(1, M):
         acc = ctx.mpc(0)
@@ -534,11 +546,10 @@ def hankel_logZ(c: Couplings, prec: Precision | None = None,
                 pipeline: SystemPipeline = None):
     """log Z through the Hankel determinant, on the checked and enriched
     spectrum of ``pipeline`` (a new one at ``prec`` if None)."""
-    pipeline = pipeline or SystemPipeline(c, prec)
-    prec = pipeline.prec
+    pipeline = _route_pipeline(c, prec, pipeline)
     w, frame, _bundle, pts = pipeline.spectral()
     sys = hankel_from_spectrum(pts, c, w, frame)
-    det, cond = sys.logdet(prec)
+    det, cond = sys.logdet(pipeline.prec)
     log_z = sys.log_z1 + det.real_log()
     return LogScaledValue(log_z, 1.0), {
         "moment_phase_leak": sys.phase_leak,
@@ -551,11 +562,10 @@ def pfaffian_logZ(c: Couplings, prec: Precision | None = None,
                   pipeline: SystemPipeline = None):
     """log Z through the Pfaffian of the skew Toeplitz matrix, on the
     spectrum of ``pipeline`` (a new one at ``prec`` if None)."""
-    pipeline = pipeline or SystemPipeline(c, prec)
-    prec = pipeline.prec
+    pipeline = _route_pipeline(c, prec, pipeline)
     w, frame, _bundle, pts = pipeline.spectral()
     sys = skew_toeplitz_from_spectrum(pts, c, w, frame)
-    pf = sys.log_pfaffian(prec)
+    pf = sys.log_pfaffian(pipeline.prec)
     log_z = sys.log_z1 + pf.real_log()
     return LogScaledValue(log_z, 1.0), {
         "pf_phase": pf.phase,
@@ -589,12 +599,19 @@ class PartitionResult:
 
     couplings: Couplings
     route: str
-    logZ: float
     k: float
     eta_im_over_Kprime: float
     outcomes: dict
-    checks: dict = field(default_factory=dict)
     pipeline_seconds: float = 0.0
+
+    @property
+    def logZ(self):
+        """The first ``ok`` route's log Z in ROUTES order; NaN if none."""
+        for name in ROUTES:
+            o = self.outcomes.get(name)
+            if o is not None and o.status == "ok":
+                return o.logZ
+        return float("nan")
 
     @property
     def max_pairwise_dev(self):
@@ -697,28 +714,11 @@ def assemble_logZ(c: Couplings, route: str = "all",
                 f"route=all cap {BRUTE_ALL_MAX_SPINS}")
         else:
             outcomes[name] = _run_route(c, name, k, pipe)
-    pipeline_seconds = pipe.seconds
-
-    result = _finalize(c, route, k, eta_frac, outcomes, pipeline_seconds)
+    result = PartitionResult(c, route, k, eta_frac, outcomes, pipe.seconds)
     if (route == "all" and chosen.is_float
             and result.max_pairwise_dev > 1e-6):
         pipe = SystemPipeline(c, Precision(160))
         for name in STRUCTURED_ROUTES:
             outcomes[name] = _run_route(c, name, k, pipe)
-        result = _finalize(c, route, k, eta_frac, outcomes,
-                           pipeline_seconds + pipe.seconds)
+        result.pipeline_seconds += pipe.seconds
     return result
-
-
-def _finalize(c, route, k, eta_frac, outcomes, pipeline_seconds):
-    ref = None
-    for name in ROUTES:
-        o = outcomes.get(name)
-        if o is not None and o.status == "ok":
-            ref = o
-            break
-    logZ = ref.logZ if ref is not None else float("nan")
-    return PartitionResult(
-        couplings=c, route=route, logZ=logZ, k=k,
-        eta_im_over_Kprime=eta_frac, outcomes=outcomes,
-        pipeline_seconds=pipeline_seconds)

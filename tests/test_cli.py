@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import math
 
 import pytest
 
@@ -103,6 +104,29 @@ class TestCompare:
         assert abs(a["logZ"] - b["logZ"]) < 1e-9 * abs(a["logZ"])
 
 
+KC = repr(0.5 * math.log(1 + math.sqrt(2)))
+
+
+@pytest.mark.parametrize("argv,routes,reason", [
+    (("z", "--L", "4", "--M", "6", "--Kh", KC, "--Kv", KC, "--route",
+      "hankel"), {"hankel"}, "critical modulus"),
+    (("z", "--L", "4", "--M", "5", "--k", "0.6", "--route", "pfaffian",
+      "--format", "text"), {"pfaffian"}, "odd M"),
+    (("compare", "--L", "13", "--M", "13", "--k", "0.6"),
+     {"brute", "spin", "block", "hankel", "pfaffian"}, None)])
+def test_no_log_z_exits_one(capsys, argv, routes, reason):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    diag = json.loads(err)
+    assert diag["message"] == "no route produced a log Z"
+    assert set(diag["routes"]) == routes
+    for r in diag["routes"].values():
+        assert r["status"] == "skipped" and r["reason"]
+        if reason:
+            assert r["reason"] == reason
+
+
 class TestSpectrum:
     def test_json_rows(self, capsys):
         code, out, _ = run_cli(capsys, "spectrum", "--L", "5", "--M", "6",
@@ -128,6 +152,30 @@ class TestSpectrum:
         assert buf.getvalue() == text
         assert len(rows) == 7  # header + M
 
+    @pytest.mark.parametrize("bits", ["53", "160"])
+    def test_csv_cells_are_the_json_values(self, capsys, bits):
+        args = ("spectrum", "--L", "5", "--M", "6", "--k", "1.3",
+                "--eta-frac", "0.5", "--precision-bits", bits)
+        _, out, _ = run_cli(capsys, *args)
+        _, text, _ = run_cli(capsys, *args, "--format", "csv")
+        header, *cells = list(csv.reader(io.StringIO(text)))
+        assert header == [
+            "mu", "lambda", "gamma", "phi_re", "phi_im", "chi", "u_re",
+            "u_im", "omega_re", "omega_im", "theta_re", "theta_im",
+            "psi_re", "psi_im", "branch", "quantization_residual"]
+        rows = json.loads(out)
+        assert len(cells) == len(rows) == 6
+        for row, line in zip(rows, cells):
+            got = dict(zip(header, line))
+            for key, v in row.items():
+                if isinstance(v, list):
+                    assert got[f"{key}_re"] == repr(v[0])
+                    assert got[f"{key}_im"] == repr(v[1])
+                elif key == "branch":
+                    assert got[key] == v
+                else:
+                    assert got[key] == repr(v)
+
 
 class TestIdentities:
     def test_exit_zero_on_pass(self, capsys, tmp_path):
@@ -152,6 +200,20 @@ class TestIdentities:
                                "--samples", "4", "--seed", "7")
         assert code == 0
         assert json.loads(out)["seed"] == 7
+
+    def test_report_keys(self, capsys):
+        code, out, _ = run_cli(capsys, "identities", "--k", "0.6",
+                               "--eta-frac", "0.9", "--M", "4", "--L", "5",
+                               "--samples", "4")
+        assert code == 0
+        rep = json.loads(out)
+        assert set(rep) == {"parameters", "tol", "seed", "seconds",
+                            "failed", "worst", "entries"}
+        assert set(rep["worst"]) == {"identity_id", "max_abs_residual"}
+        for e in rep["entries"]:
+            assert set(e) == {"identity_id", "equation_tag", "gating",
+                              "max_abs_residual", "status", "parts",
+                              "details", "note"}
 
     @pytest.mark.parametrize("couplings", [
         ("--k", "0.6", "--Kh", "0.3", "--Kv", "0.4"),

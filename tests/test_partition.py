@@ -2,7 +2,9 @@
 
 import itertools
 import math
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -17,6 +19,8 @@ from rectising.params import (
 )
 from rectising.partition import (
     LogScaledValue,
+    PartitionResult,
+    RouteOutcome,
     assemble_logZ,
     block_transfer_logZ,
     brute_force_logZ,
@@ -268,6 +272,20 @@ class TestPfaffian:
             pfaffian([[0, one], [-one + off, 0]], p)
         pf = pfaffian([[0, one], [-one + off / 100, 0]], p)
         assert pf.log_mag == 0 and pf.phase == 1
+
+    def test_skew_gate_beyond_binary64_range(self):
+        # the binary64 copy of these entries overflows; the gate reads the
+        # exact ones
+        p = Precision(160)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError):
+                pfaffian([[0, mpmath.mpf("1e400")],
+                          [mpmath.mpf("-2e400"), 0]], p)
+            pf = pfaffian([[0, mpmath.mpf("1e400")],
+                           [mpmath.mpf("-1e400"), 0]], p)
+        assert abs(pf.log_mag - 400 * math.log(10)) < 1e-12
+        assert pf.phase == 1
 
     def test_empty(self):
         assert pfaffian([]).value() == 1
@@ -557,6 +575,23 @@ class TestAssemble:
         assert res.outcomes["hankel"].status == "skipped"
         assert res.outcomes["spin"].status == "ok"
 
+    def test_logZ_is_the_first_ok_route(self):
+        c = Couplings(0.3, 0.3, 2, 2)
+
+        def result(**outcomes):
+            return PartitionResult(c, "all", 0.4, 0.5, {
+                name: RouteOutcome(name, status, logZ=lz)
+                for name, (status, lz) in outcomes.items()})
+        res = result(pfaffian=("ok", 3.0), spin=("failed", None),
+                     hankel=("ok", 4.0), block=("ok", 2.0))
+        assert res.logZ == 2.0
+        assert res.max_pairwise_dev == 0.5
+        res.outcomes["block"].status = "failed"
+        assert res.logZ == 4.0
+        res = result(brute=("skipped", None), hankel=("failed", None))
+        assert math.isnan(res.logZ)
+        assert res.max_pairwise_dev == 0.0
+
     def test_unknown_route(self):
         with pytest.raises(DomainError):
             assemble_logZ(Couplings(0.3, 0.3, 2, 2), "magic")
@@ -629,6 +664,18 @@ class TestSharedPipeline:
         assert len(am_calls) == 0
         assert len(locate_calls) == 0
 
+    @pytest.mark.parametrize("route", [block_transfer_logZ, hankel_logZ,
+                                       pfaffian_logZ])
+    def test_route_refuses_a_contradicting_pipeline(self, route):
+        c = couplings_from_modulus(0.6, 0.9, 5, 6)
+        pipe = SystemPipeline(c)
+        with pytest.raises(DomainError, match="another system"):
+            route(couplings_from_modulus(0.6, 0.9, 7, 6), None, pipe)
+        with pytest.raises(DomainError, match="53 bits, not at 160"):
+            route(c, Precision(160), pipe)
+        lz, _ = route(c, FLOAT64, pipe)
+        assert route(c, pipeline=pipe)[0] == lz
+
     def test_block_from_shared_eigensystem_equals_standalone(self):
         c = couplings_from_modulus(0.6, 0.9, 5, 6)
         p = Precision(160)
@@ -676,6 +723,16 @@ class TestEscalation:
         res = assemble_logZ(c, "all", prec=FLOAT64)
         assert res.outcomes["hankel"].precision_bits >= 160
         assert res.max_pairwise_dev < 1e-12
+
+    def test_escalated_result_reads_the_160_bit_outcomes(self):
+        c = couplings_from_modulus(0.9, 1.0, 24, 16)
+        res = assemble_logZ(c, "all", prec=FLOAT64)
+        ref = assemble_logZ(c, "all", prec=Precision(160))
+        for name in ("block", "hankel", "pfaffian"):
+            assert res.outcomes[name].precision_bits == 160
+            assert res.outcomes[name].logZ == ref.outcomes[name].logZ
+        assert res.logZ == ref.logZ == res.outcomes["block"].logZ
+        assert res.max_pairwise_dev == ref.max_pairwise_dev
 
     def test_binary64_hankel_and_block_disagree(self):
         # the documented binary64 failure that the escalation repairs
