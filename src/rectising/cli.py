@@ -5,9 +5,10 @@ routes plus pairwise deviations and consistency checks), spectrum
 (per-eigenvalue angle table), identities (the residual suite), scan
 (modulus sweep as CSV), uplane (integrand field file).
 
-Exit codes: 0 success, 1 numerical failure or, from z and compare, no
-route produced a log Z (diagnostic JSON on stderr), 2 usage error, 3
-gating identity failure.
+Exit codes: 0 success, 1 numerical failure or no log Z: from z and
+compare no route produced one, from scan no point did (diagnostic JSON on
+stderr), 2 usage error, 3 gating identity failure.  JSON output is strict:
+a NaN or an infinity is written as null.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .contour import ContourContext, uplane_field
 from .errors import DomainError, RectisingError
 from .identities import GATING_TOL, run_identity_suite
 from .params import Couplings, couplings_from_modulus, swap_system
-from .partition import ROUTES, assemble_logZ, route_feasibility
+from .partition import ROUTES, assemble_logZ
 from .precision import Precision
 from .spectrum import spectrum_for
 
@@ -62,9 +63,28 @@ def _precision(ns):
     return Precision(bits)
 
 
+def _finite(obj):
+    """``obj`` with every non-finite float, at any depth, as None."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {key: _finite(v) for key, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite(v) for v in obj]
+    return obj
+
+
 def _json_dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ": "),
-                      indent=1) + "\n"
+    """Strict JSON: a NaN or an infinity is written as null."""
+    return json.dumps(_finite(obj), sort_keys=True, separators=(",", ": "),
+                      indent=1, allow_nan=False) + "\n"
+
+
+def _no_log_z(message: str, **detail) -> int:
+    """Diagnostic JSON on stderr for a run without a log Z; exit code 1."""
+    sys.stderr.write(_json_dumps({"error": "RectisingError",
+                                  "message": message, **detail}))
+    return 1
 
 
 def _emit(text: str, out: str | None):
@@ -104,12 +124,9 @@ def result_record(res, checks=None) -> dict:
         else:
             rec["reason"] = o.reason
         routes[name] = rec
-    eta_frac = res.eta_im_over_Kprime
-    if eta_frac != eta_frac:      # undefined at the critical modulus
-        eta_frac = None
     return {
         "L": c.L, "M": c.M, "K_h": c.K_h, "K_v": c.K_v,
-        "k": res.k, "eta_im_over_Kprime": eta_frac,
+        "k": res.k, "eta_im_over_Kprime": res.eta_im_over_Kprime,
         "route": res.route, "logZ": res.logZ,
         "max_pairwise_rel_dev": res.max_pairwise_dev,
         "pipeline_seconds": round(res.pipeline_seconds, 6),
@@ -144,8 +161,8 @@ def _consistency_checks(res) -> dict:
         checks["pf_eq_det"] = abs(oh.logZ - op.logZ)
     cs = swap_system(res.couplings)
     for name in ("spin", "block", "brute"):
-        if not route_feasibility(cs, name, res.k):
-            sres = assemble_logZ(cs, name)
+        sres = assemble_logZ(cs, name)
+        if sres.outcomes[name].status != "skipped":
             checks["swap_invariance"] = abs(sres.logZ - res.logZ) \
                 / max(1.0, abs(res.logZ))
             checks["swap_reference_route"] = name
@@ -161,12 +178,9 @@ def cmd_z(ns, with_checks=False) -> int:
     res = assemble_logZ(_couplings(ns), getattr(ns, "route", "all"),
                         prec=_precision(ns))
     if math.isnan(res.logZ):
-        sys.stderr.write(_json_dumps({
-            "error": "RectisingError",
-            "message": "no route produced a log Z",
-            "routes": {name: {"status": o.status, "reason": o.reason}
-                       for name, o in res.outcomes.items()}}))
-        return 1
+        return _no_log_z("no route produced a log Z", routes={
+            name: {"status": o.status, "reason": o.reason}
+            for name, o in res.outcomes.items()})
     checks = _consistency_checks(res) if with_checks else {}
     rec = result_record(res, checks)
     if ns.fmt == "json":
@@ -260,6 +274,11 @@ def cmd_scan(ns, k_values) -> int:
         _emit(_json_dumps(records), ns.out)
     else:
         _emit(_scan_csv(records), ns.out)
+    if all(math.isnan(rec["logZ"]) for rec in records):
+        return _no_log_z("no scan point produced a log Z", points=[
+            {"k": rec["k"],
+             "error": rec.get("error", "no route produced a log Z")}
+            for rec in records])
     return 0
 
 

@@ -64,7 +64,9 @@ class PhaseLeakError(RectisingError, ArithmeticError):
 
 
 class NonFiniteError(RectisingError, ArithmeticError):
-    """A matrix handed to a factorization holds a NaN or an infinity."""
+    """A NaN or an infinity where a finite value is required: an entry of
+    a matrix handed to a factorization, or a log Z whose value is zero or
+    not finite."""
 
 
 class RouteInfeasibleError(RectisingError):

@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 import random
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property, reduce
 
 import numpy as np
@@ -53,6 +53,23 @@ GATING_TOL = 1e-9
 # environment
 # ----------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class TorusSample:
+    """A generic torus point u with what the sampler evaluated there: the
+    (sn, cn, dn) triples at u, 2u, the swapped point ut = i K'/2 - u and
+    2ut, and the eigenvalue functions lam = 1/(k sn(u+eta) sn(u-eta)) and
+    zeta = sn(u+eta)/sn(u-eta)."""
+
+    u: object
+    ut: object
+    at_u: tuple
+    at_2u: tuple
+    at_ut: tuple
+    at_2ut: tuple
+    lam: object
+    zeta: object
+
+
 @dataclass
 class IdentityEnv:
     c: Couplings
@@ -61,8 +78,8 @@ class IdentityEnv:
     points: list
     prec: Precision
     rng: random.Random
-    us: list          # generic torus samples
-    pairs: list       # (u, v) pairs for addition laws
+    samples: list     # generic torus samples, TorusSample
+    pairs: list       # (sample, sample) pairs for addition laws
 
     @property
     def ctx(self):
@@ -126,7 +143,7 @@ class Residuals:
 
 
 def _draw_samples(frame, rng, count):
-    """Random torus points rejected away from poles and zeros so that all
+    """Random torus samples rejected away from poles and zeros so that all
     catalogue expressions stay well scaled."""
     kern = frame.kernel
     K, Kp = float(frame.K), float(frame.K_prime)
@@ -137,16 +154,16 @@ def _draw_samples(frame, rng, count):
         guard += 1
         u = ctx.mpc(rng.uniform(-K, K), rng.uniform(-Kp, Kp))
         try:
-            sn, cn, dn = kern.sncndn(u)
+            at_u = kern.sncndn(u)
             sp = kern.sncndn(u + frame.eta)[0]
             sm = kern.sncndn(u - frame.eta)[0]
-            s2, c2, d2 = kern.sncndn(2 * u)
+            at_2u = kern.sncndn(2 * u)
             ut = frame.swap_u(u)
-            snt = kern.sncndn(ut)[0]
-            s2t = kern.sncndn(2 * ut)[0]
+            at_ut = kern.sncndn(ut)
+            at_2ut = kern.sncndn(2 * ut)
         except (PoleError, ZeroDivisionError):
             continue
-        mags = [sn, cn, dn, sp, sm, s2, c2, d2, snt, s2t]
+        mags = [*at_u, sp, sm, *at_2u, at_ut[0], at_2ut[0]]
         if any(not (1e-2 < abs(m) < 1e2) for m in mags):
             continue
         lam = 1 / (frame.k * sp * sm)
@@ -154,7 +171,8 @@ def _draw_samples(frame, rng, count):
             continue
         if min(abs(lam - x) for x in (frame.prec.ctx.mpf(1),)) < 1e-3:
             continue
-        out.append(u)
+        out.append(TorusSample(u, ut, at_u, at_2u, at_ut, at_2ut, lam,
+                               sp / sm))
     if len(out) < count:
         raise RectisingError("torus sampling starved by rejection")
     return out
@@ -168,7 +186,7 @@ def build_env(c: Couplings, samples: int = 16, seed: int = 0,
     us = _draw_samples(frame, rng, samples)
     vs = _draw_samples(frame, rng, samples)
     return IdentityEnv(c=c, w=w, frame=frame, points=points, prec=prec,
-                       rng=rng, us=us, pairs=list(zip(us, vs)))
+                       rng=rng, samples=us, pairs=list(zip(us, vs)))
 
 
 # ----------------------------------------------------------------------
@@ -307,9 +325,9 @@ def _e_root_squares(env, r):
     vals_e = {"n": ctx.mpc(1), "s": sn_e, "c": cn_e, "d": dn_e}
     lam_p = {"n": w.lambda_n, "s": w.lambda_s, "c": w.lambda_c,
              "d": w.lambda_d}
-    for u in env.us:
-        sn, cn, dn = env.kern.sncndn(u)
-        lam, _z = lambda_zeta(u, fr)
+    for s in env.samples:
+        sn, cn, dn = s.at_u
+        lam = s.lam
         vals_u = {"n": ctx.mpc(1), "s": sn, "c": cn, "d": dn}
         for p in "nscd":
             r.compare(p, (lam_p[p] - lam) * vals_e[p] ** 2,
@@ -337,9 +355,9 @@ def _e_zeta_squares(env, r):
     sn_e, cn_e, dn_e = kern.sncndn(fr.eta_tilde)
     vals_e = {"n": ctx.mpc(1), "s": sn_e, "c": cn_e, "d": dn_e}
     zet_p = {"n": w.zeta_n, "s": w.zeta_s, "c": w.zeta_c, "d": w.zeta_d}
-    for u in env.us:
-        snt, cnt, dnt = kern.sncndn(fr.swap_u(u))
-        _lam, zet = lambda_zeta(u, fr)
+    for s in env.samples:
+        snt, cnt, dnt = s.at_ut
+        zet = s.zeta
         vals_u = {"n": ctx.mpc(1), "s": snt, "c": cnt, "d": dnt}
         for p in "nscd":
             r.compare(p, (zet_p[p] - zet) * vals_e[p] ** 2,
@@ -354,10 +372,9 @@ def _e_lambda_dual(env, r):
     sn_et = env.kern.sncndn(fr.eta_tilde)[0]
     r.add("lambda", 0.0)
     r.add("zeta", 0.0)
-    for u in env.us:
-        lam, zet = lambda_zeta(u, fr)
-        sn = env.kern.sncndn(u)[0]
-        snt = env.kern.sncndn(fr.swap_u(u))[0]
+    for s in env.samples:
+        lam, zet = s.lam, s.zeta
+        sn, snt = s.at_u[0], s.at_ut[0]
         if abs(lam + 1) < 1e-6 or abs(zet + 1) < 1e-6:
             continue
         r.compare("lambda", dual(lam),
@@ -371,11 +388,11 @@ def _e_lambda_2u(env, r):
     fr = env.frame
     k = fr.k
     s2e, c2e, d2e = env.eta2_triple
-    for u in env.us:
-        lam, zet = lambda_zeta(u, fr)
+    for s in env.samples:
+        lam, zet = s.lam, s.zeta
         lam_p, lam_m = (lam + 1 / lam) / 2, (lam - 1 / lam) / 2
         zet_p, zet_m = (zet + 1 / zet) / 2, (zet - 1 / zet) / 2
-        s2, c2, d2 = env.kern.sncndn(2 * u)
+        s2, c2, d2 = s.at_2u
         r.compare("lambda_a", lam, -k * (c2 + c2e) / (d2 - d2e))
         r.compare("lambda_b", lam, -(d2 + d2e) / (k * (c2 - c2e)))
         r.compare("lambda_plus", lam_p, -k * (c2 * d2 + c2e * d2e)
@@ -399,9 +416,9 @@ def _e_half_angle(env, r):
     ctx, w, fr = env.ctx, env.w, env.frame
     i = ctx.mpc(0, 1)
     sn_e, cn_e, dn_e = fr.eta_triple
-    for u in env.us:
-        sn, cn, dn = env.kern.sncndn(u)
-        lam, zet = lambda_zeta(u, fr)
+    for s in env.samples:
+        sn, cn, dn = s.at_u
+        lam, zet = s.lam, s.zeta
         Q2 = w.lambda_n - lam
         root = ctx.sqrt(lam * w.tz_minus)
         s_half = -Q2 / (2 * root) * (cn / cn_e) * (dn / dn_e)
@@ -445,9 +462,9 @@ def _e_sin_forms(env, r):
     sn_e, cn_e, dn_e = fr.eta_triple
     lsp = (w.lambda_s + 1 / w.lambda_s) / 2
     ldp = (w.lambda_d + 1 / w.lambda_d) / 2
-    for u in env.us:
-        sn, cn, dn = env.kern.sncndn(u)
-        lam, zet = lambda_zeta(u, fr)
+    for s in env.samples:
+        sn, cn, dn = s.at_u
+        lam, zet = s.lam, s.zeta
         lam_p = (lam + 1 / lam) / 2
         sin_phi = (zet - 1 / zet) / (2 * i)
         lhs = w.tz_minus * i * sin_phi
@@ -463,15 +480,13 @@ def _e_addition(env, r):
     kern = env.kern
     r.add("cn_form", 0.0)
     r.add("dn_form", 0.0)
-    for u, v in env.pairs:
+    for su, sv in env.pairs:
         try:
-            snu = kern.sncndn(u)[0]
-            snv = kern.sncndn(v)[0]
-            cm, dm = kern.sncndn(u - v)[1:]
-            cp, dp = kern.sncndn(u + v)[1:]
+            cm, dm = kern.sncndn(su.u - sv.u)[1:]
+            cp, dp = kern.sncndn(su.u + sv.u)[1:]
         except PoleError:
             continue
-        lhs = k * snu * snv
+        lhs = k * su.at_u[0] * sv.at_u[0]
         if abs(dm + dp) > 1e-3:
             r.compare("cn_form", lhs, k * (cm - cp) / (dm + dp))
         if abs(cm + cp) > 1e-3:
@@ -486,16 +501,16 @@ def _e_derivatives(env, r):
     k = fr.k
     h = 1e-5
     s2e = env.eta2_triple[0]
-    for u in env.us[:8]:
-        lam, zet = lambda_zeta(u, fr)
+    for s in env.samples[:8]:
+        u, lam, zet = s.u, s.lam, s.zeta
         lam_m = (lam - 1 / lam) / 2
         lp, zp = lambda_zeta(u + h, fr)
         lm, zm = lambda_zeta(u - h, fr)
         dgam_fd = (ctx.log(lp) - ctx.log(lm)) / (2 * h)
         dphi_fd = (zp - zm) / (2 * h) / (i * zet)
-        s2 = env.kern.sncndn(2 * u)[0]
+        s2 = s.at_2u[0]
         sin_phi = (zet - 1 / zet) / (2 * i)
-        sn, cn, dn = env.kern.sncndn(u)
+        sn, cn, dn = s.at_u
         e_t = k * sn * cn / (i * dn)
         sinh_t = (e_t - 1 / e_t) / 2
         r.compare("phi_sn", 2 * i * k * s2e * lam_m, dphi_fd)
@@ -517,11 +532,11 @@ def _e_chain(env, r):
     """
     ctx, w, fr = env.ctx, env.w, env.frame
     h = 1e-5
-    for u in env.us[:8]:
-        lam, zet = lambda_zeta(u, fr)
+    for s in env.samples[:8]:
+        u, lam, zet = s.u, s.lam, s.zeta
         lam_m = (lam - 1 / lam) / 2
         sin_phi = (zet - 1 / zet) / (2 * ctx.mpc(0, 1))
-        s2 = env.kern.sncndn(2 * u)[0]
+        s2 = s.at_2u[0]
         dgam = -2 * fr.k * s2 * lam_m
         dphi = 2 * lam_m / w.z_minus
         chi = zet + 1 / zet + 2
@@ -543,13 +558,12 @@ def _e_omega_theta(env, r):
     kern = env.kern
     k = fr.k
     i = ctx.mpc(0, 1)
-    for u in env.us:
-        ut = fr.swap_u(u)
-        sn, cn, dn = kern.sncndn(u)
-        s2, c2, d2 = kern.sncndn(2 * u)
-        s2t, c2t, d2t = kern.sncndn(2 * ut)
-        om = kern.am(2 * u)
-        th = i * kern.am(2 * ut)
+    for s in env.samples:
+        sn, cn, dn = s.at_u
+        s2, c2, d2 = s.at_2u
+        s2t, c2t, d2t = s.at_2ut
+        om = kern.am(2 * s.u)
+        th = i * kern.am(2 * s.ut)
         r.compare("sin_omega", s2, ctx.sin(om))
         r.compare("cos_omega", c2, ctx.cos(om))
         r.compare("dn_coth", d2, -ctx.cosh(th) / ctx.sinh(th))
@@ -568,12 +582,12 @@ def _e_omega_theta(env, r):
 def _e_inversion(env, r):
     ctx, fr = env.ctx, env.frame
     i = ctx.mpc(0, 1)
-    for u in env.us:
-        ui = u + i * fr.K_prime
+    for s in env.samples:
+        ui = s.u + i * fr.K_prime
+        lam, zet = s.lam, s.zeta
         try:
-            lam, zet = lambda_zeta(u, fr)
             lam_i, zet_i = lambda_zeta(ui, fr)
-            om = env.kern.am(2 * u)
+            om = env.kern.am(2 * s.u)
             om_i = env.kern.am(2 * ui)
         except PoleError:
             continue
@@ -876,6 +890,11 @@ class ResidualEntry:
     note: str = ""
 
 
+def _fields(obj) -> dict:
+    """The fields of a dataclass instance, copied shallowly."""
+    return {f.name: getattr(obj, f.name) for f in fields(obj)}
+
+
 @dataclass
 class ResidualReport:
     entries: list
@@ -901,7 +920,9 @@ class ResidualReport:
 
     def to_dict(self):
         worst = self.worst
-        return {**asdict(self), "failed": self.failed,
+        return {**_fields(self),
+                "entries": [_fields(e) for e in self.entries],
+                "failed": self.failed,
                 "worst": (None if worst is None else
                           {"identity_id": worst.identity_id,
                            "max_abs_residual": worst.max_abs_residual})}

@@ -94,11 +94,17 @@ class LogScaledValue:
         return self.phase * math.exp(float(self.log_mag))
 
     def real_log(self, tol: float = REAL_TOL):
-        """log of a positive real value; raises on residual phase."""
+        """log of a positive real value; raises on residual phase and on a
+        zero or non-finite value."""
         if abs(self.phase - 1.0) > tol:
             raise PhaseLeakError(
                 f"phase leak: expected positive real, phase = {self.phase}",
                 value=self)
+        if not (math.isfinite(float(self.log_mag))
+                and cmath.isfinite(self.phase)):
+            raise NonFiniteError(
+                f"expected a positive real, got log magnitude "
+                f"{self.log_mag} and phase {self.phase}")
         return self.log_mag
 
 
@@ -321,7 +327,7 @@ def spin_transfer_logZ(c: Couplings) -> LogScaledValue:
         if c.L <= SPIN_MAX_WIDTH:
             return spin_transfer_logZ(swap_system(c))
         raise RouteInfeasibleError(
-            f"column height {c.M} exceeds the transfer cap {SPIN_MAX_WIDTH}")
+            f"min extent {min(c.M, c.L)} exceeds cap {SPIN_MAX_WIDTH}")
     M = c.M
     states = np.arange(1 << M, dtype=np.int64)
     col_energy = np.zeros(1 << M, dtype=float)
@@ -356,8 +362,11 @@ def _log_z0(w: Weights, L, M, ctx):
 
 
 def _route_pipeline(c: Couplings, prec, pipeline) -> SystemPipeline:
-    """The pipeline a route runs on: ``pipeline``, which must be for ``c``
-    and at ``prec`` if that is given, or else a new one at ``prec``."""
+    """The pipeline a structured route runs on: ``pipeline``, which must be
+    for ``c`` and at ``prec`` if that is given, or else a new one at
+    ``prec``.  Refuses odd M, which none of them can run."""
+    if c.M % 2:
+        raise RouteInfeasibleError("odd M")
     if pipeline is None:
         return SystemPipeline(c, prec)
     if pipeline.c != c:
@@ -379,8 +388,6 @@ def block_transfer_logZ(c: Couplings, prec: Precision | None = None,
     family eigensystem of ``pipeline`` (a new one at ``prec`` if None).
     """
     pipeline = _route_pipeline(c, prec, pipeline)
-    if c.M % 2:
-        raise RouteInfeasibleError("block route requires even M")
     ctx = pipeline.prec.ctx
     w, _bundle, pts = pipeline.family()
     M, L = c.M, c.L
@@ -542,11 +549,21 @@ def skew_toeplitz_from_spectrum(points, c: Couplings, w: Weights,
                               small_sin_phi=small_sin)
 
 
+def _spectral_pipeline(c: Couplings, prec, pipeline) -> SystemPipeline:
+    """The route pipeline of the Hankel and Pfaffian routes, whose
+    spectrum is undefined at the critical modulus: they refuse it before
+    the spectrum is built."""
+    pipeline = _route_pipeline(c, prec, pipeline)
+    if pipeline.frame().is_critical:
+        raise RouteInfeasibleError("critical modulus")
+    return pipeline
+
+
 def hankel_logZ(c: Couplings, prec: Precision | None = None,
                 pipeline: SystemPipeline = None):
     """log Z through the Hankel determinant, on the checked and enriched
     spectrum of ``pipeline`` (a new one at ``prec`` if None)."""
-    pipeline = _route_pipeline(c, prec, pipeline)
+    pipeline = _spectral_pipeline(c, prec, pipeline)
     w, frame, _bundle, pts = pipeline.spectral()
     sys = hankel_from_spectrum(pts, c, w, frame)
     det, cond = sys.logdet(pipeline.prec)
@@ -562,7 +579,7 @@ def pfaffian_logZ(c: Couplings, prec: Precision | None = None,
                   pipeline: SystemPipeline = None):
     """log Z through the Pfaffian of the skew Toeplitz matrix, on the
     spectrum of ``pipeline`` (a new one at ``prec`` if None)."""
-    pipeline = _route_pipeline(c, prec, pipeline)
+    pipeline = _spectral_pipeline(c, prec, pipeline)
     w, frame, _bundle, pts = pipeline.spectral()
     sys = skew_toeplitz_from_spectrum(pts, c, w, frame)
     pf = sys.log_pfaffian(pipeline.prec)
@@ -622,26 +639,6 @@ class PartitionResult:
         return abs(hi - lo) / max(1.0, abs(hi))
 
 
-def route_feasibility(c: Couplings, route: str, k: float) -> str:
-    """Empty string if the route can run, else the reason it cannot."""
-    critical = abs(k - 1) < CRITICAL_TOL
-    if route == "brute":
-        return ("" if c.sites <= BRUTE_MAX_SPINS
-                else f"{c.sites} spins exceed cap {BRUTE_MAX_SPINS}")
-    if route == "spin":
-        return ("" if min(c.M, c.L) <= SPIN_MAX_WIDTH
-                else f"min extent {min(c.M, c.L)} exceeds cap {SPIN_MAX_WIDTH}")
-    if route == "block":
-        return "" if c.M % 2 == 0 else "odd M"
-    if route in ("hankel", "pfaffian"):
-        if c.M % 2:
-            return "odd M"
-        if critical:
-            return "critical modulus"
-        return ""
-    raise DomainError(f"unknown route {route!r}")
-
-
 def default_precision(c: Couplings, k: float) -> Precision:
     """Binary64 except near criticality or for large systems, where the
     structured determinants are expected to cancel catastrophically."""
@@ -652,16 +649,10 @@ def default_precision(c: Couplings, k: float) -> Precision:
     return FLOAT64
 
 
-def _run_route(c: Couplings, name: str, k: float,
-               pipe: SystemPipeline) -> RouteOutcome:
-    """Run one route if it is feasible; the structured ones at the
-    pipeline's precision and on its shared work, whose build time is left
-    out of the route's seconds."""
-    bits = pipe.prec.bits if name in STRUCTURED_ROUTES else 53
-    reason = route_feasibility(c, name, k)
-    if reason:
-        return RouteOutcome(name, "skipped", reason=reason,
-                            precision_bits=bits)
+def _run_route(c: Couplings, name: str, pipe: SystemPipeline) -> RouteOutcome:
+    """Run one route: the structured ones at the pipeline's precision and
+    on its shared work, whose build time is left out of the route's
+    seconds.  A route that refuses the system is ``skipped``."""
     t0, shared0 = time.perf_counter(), pipe.seconds
     try:
         if name == "brute":
@@ -676,10 +667,12 @@ def _run_route(c: Couplings, name: str, k: float,
             lz, diag = pfaffian_logZ(c, pipe.prec, pipe)
         out = RouteOutcome(name, "ok", logZ=float(lz.real_log()),
                            diagnostics=diag)
-    except (RouteInfeasibleError, PhaseLeakError, ArithmeticError) as exc:
+    except RouteInfeasibleError as exc:
+        out = RouteOutcome(name, "skipped", reason=str(exc))
+    except ArithmeticError as exc:
         out = RouteOutcome(name, "failed", reason=str(exc))
     out.seconds = time.perf_counter() - t0 - (pipe.seconds - shared0)
-    out.precision_bits = bits
+    out.precision_bits = pipe.prec.bits if name in STRUCTURED_ROUTES else 53
     return out
 
 
@@ -687,8 +680,9 @@ def assemble_logZ(c: Couplings, route: str = "all",
                   prec: Precision | None = None) -> PartitionResult:
     """Run one route or every feasible route with cross-deviations.
 
-    With ``route='all'`` a deviation above 1e-6 between any two routes
-    triggers one escalated retry of the structured routes at 160 bits,
+    With ``route='all'`` a deviation above 1e-6 between any two routes,
+    or a failed structured route, triggers one escalated retry of the
+    structured routes at 160 bits,
     and brute runs only up to BRUTE_ALL_MAX_SPINS spins.  The structured
     routes of one precision share one `SystemPipeline`; the binary64 one
     also supplies the modulus and the anisotropy point.
@@ -713,12 +707,13 @@ def assemble_logZ(c: Couplings, route: str = "all",
                 name, "skipped", reason=f"{c.sites} spins exceed the "
                 f"route=all cap {BRUTE_ALL_MAX_SPINS}")
         else:
-            outcomes[name] = _run_route(c, name, k, pipe)
+            outcomes[name] = _run_route(c, name, pipe)
     result = PartitionResult(c, route, k, eta_frac, outcomes, pipe.seconds)
-    if (route == "all" and chosen.is_float
-            and result.max_pairwise_dev > 1e-6):
+    if route == "all" and chosen.is_float and (
+            result.max_pairwise_dev > 1e-6 or any(
+                outcomes[n].status == "failed" for n in STRUCTURED_ROUTES)):
         pipe = SystemPipeline(c, Precision(160))
         for name in STRUCTURED_ROUTES:
-            outcomes[name] = _run_route(c, name, k, pipe)
+            outcomes[name] = _run_route(c, name, pipe)
         result.pipeline_seconds += pipe.seconds
     return result

@@ -615,18 +615,18 @@ def char_poly_eval(kind: str, x, cpc: CharPolyContext):
     ``lambda_at_inverse`` (``zeta_at_inverse``) evaluates the polynomial at
     the reciprocal of the eigenvalue function while sharing the torus point
     of the plain kind, matching the factorized forms they appear in.
+    Raises PoleError where the parametrization degenerates (the closed
+    form divides by zero or meets a pole of the Jacobi functions).
     """
     if kind not in CP_KINDS:
         raise DomainError(f"unknown characteristic polynomial kind {kind!r}")
-    ctx = cpc.prec.ctx
-    x = ctx.mpc(x)
+    x = cpc.prec.ctx.mpc(x)
     try:
         return _cp_dispatch(kind, x, cpc)
-    except (ZeroDivisionError, PoleError):
-        # measure-zero degeneracy of the parametrization: evaluate by limit
-        h = ctx.mpf("1e-7") * max(1.0, abs(x))
-        return (_cp_dispatch(kind, x + h, cpc)
-                + _cp_dispatch(kind, x - h, cpc)) / 2
+    except ZeroDivisionError as exc:
+        raise PoleError(f"{kind} characteristic polynomial: the closed "
+                        f"form divides by zero at {complex(x)}",
+                        where=complex(x)) from exc
 
 
 def _cp_dispatch(kind, x, cpc):

@@ -16,6 +16,11 @@ def run_cli(capsys, *argv):
     return code, out.out, out.err
 
 
+def _reject_constant(name):
+    """``parse_constant`` of strict JSON: NaN and Infinity are errors."""
+    raise ValueError(f"non-strict JSON constant {name}")
+
+
 class TestZ:
     def test_route_all_deviations(self, capsys):
         code, out, _ = run_cli(capsys, "z", "--L", "3", "--M", "4",
@@ -125,6 +130,17 @@ def test_no_log_z_exits_one(capsys, argv, routes, reason):
         assert r["status"] == "skipped" and r["reason"]
         if reason:
             assert r["reason"] == reason
+
+
+@pytest.mark.parametrize("route", ["hankel", "pfaffian"])
+def test_non_finite_log_z_fails(capsys, route):
+    # the structured determinant of this system vanishes in binary64
+    code, out, err = run_cli(capsys, "z", "--L", "12", "--M", "4", "--k",
+                             "6", "--eta-frac", "0.3", "--route", route)
+    assert code == 1
+    assert out == ""
+    diag = json.loads(err, parse_constant=_reject_constant)
+    assert diag["routes"][route]["status"] == "failed"
 
 
 class TestSpectrum:
@@ -267,6 +283,27 @@ class TestScan:
         _, out1, _ = run_cli(capsys, *args)
         _, out2, _ = run_cli(capsys, *args)
         assert out1 == out2
+
+    def test_no_log_z_exits_one_with_strict_json(self, capsys):
+        # 13 x 13 has no route, and k = 1 no anisotropy parametrization
+        code, out, err = run_cli(capsys, "scan", "--L", "13", "--M", "13",
+                                 "--k-min", "0.5", "--k-max", "1.0",
+                                 "--steps", "2")
+        assert code == 1
+        rows = json.loads(out, parse_constant=_reject_constant)
+        assert [r["logZ"] for r in rows] == [None, None]
+        assert rows[1]["K_h"] is None and "error" in rows[1]
+        diag = json.loads(err, parse_constant=_reject_constant)
+        assert diag["message"] == "no scan point produced a log Z"
+        assert len(diag["points"]) == 2
+
+    def test_one_log_z_is_enough(self, capsys):
+        code, out, _ = run_cli(capsys, "scan", "--L", "4", "--M", "4",
+                               "--k-min", "0.5", "--k-max", "1.0",
+                               "--steps", "2")
+        assert code == 0
+        rows = json.loads(out, parse_constant=_reject_constant)
+        assert rows[0]["logZ"] is not None and rows[1]["logZ"] is None
 
 
 class TestUPlane:

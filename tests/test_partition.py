@@ -30,7 +30,6 @@ from rectising.partition import (
     logdet_scaled,
     pfaffian,
     pfaffian_logZ,
-    route_feasibility,
     skew_toeplitz_from_spectrum,
     spin_transfer_logZ,
 )
@@ -79,6 +78,14 @@ class TestLogScaled:
 
     def test_zero(self):
         assert LogScaledValue.zero().is_zero
+
+    @pytest.mark.parametrize("value", [
+        LogScaledValue.zero(), LogScaledValue(float("inf")),
+        LogScaledValue(float("nan")), LogScaledValue(0.0, complex("nan")),
+        LogScaledValue(mpmath.mpf("-inf"))])
+    def test_real_log_refuses_zero_and_non_finite(self, value):
+        with pytest.raises(NonFiniteError):
+            value.real_log()
 
 
 def right_looking_logdet(rows):
@@ -592,11 +599,22 @@ class TestAssemble:
         assert math.isnan(res.logZ)
         assert res.max_pairwise_dev == 0.0
 
+    def test_failed_structured_route_escalates(self):
+        # the binary64 Hankel and Pfaffian determinants of this system
+        # vanish; the retry at 160 bits resolves them
+        c = couplings_from_modulus(6, 0.3, 12, 4)
+        for name in ("hankel", "pfaffian"):
+            alone = assemble_logZ(c, name).outcomes[name]
+            assert alone.status == "failed" and alone.precision_bits == 53
+        res = assemble_logZ(c, "all")
+        for name in ("block", "hankel", "pfaffian"):
+            assert res.outcomes[name].status == "ok"
+            assert res.outcomes[name].precision_bits == 160
+        assert res.max_pairwise_dev < 1e-9
+
     def test_unknown_route(self):
         with pytest.raises(DomainError):
             assemble_logZ(Couplings(0.3, 0.3, 2, 2), "magic")
-        with pytest.raises(DomainError):
-            route_feasibility(Couplings(0.3, 0.3, 2, 2), "magic", 0.5)
 
 
 class TestPrecisionPolicy:

@@ -4,8 +4,9 @@
 ``PREC_SPANS`` by finding the ``prec`` parameter of each wrapped function,
 and `perfbench/run.py` reports its per-layer metrics from the spans named
 in ``LAYER_SPANS`` and ``LAYER_CALLS``.  A signature change that drops or
-renames ``prec``, or a renamed function, would break or silently empty
-those metrics only when the benchmark runs; these tests catch it here.
+renames ``prec``, a renamed function, or a dispatcher that holds function
+objects the tracer cannot patch would break or silently empty those
+metrics only when the benchmark runs; these tests catch it here.
 """
 
 import ast
@@ -27,16 +28,22 @@ def _load_tracing():
     return mod
 
 
-def _layer_spans():
-    """Span names of ``LAYER_SPANS`` and ``LAYER_CALLS``, read from the
-    source of `perfbench/run.py`: importing it sets BLAS environment
-    variables."""
+def _run_tables():
+    """The literal tables of `perfbench/run.py`, read from its source:
+    importing it sets BLAS environment variables."""
     tables = {}
     for node in ast.parse((PERFBENCH / "run.py").read_text()).body:
         if (isinstance(node, ast.Assign) and len(node.targets) == 1
                 and isinstance(node.targets[0], ast.Name)
-                and node.targets[0].id in ("LAYER_SPANS", "LAYER_CALLS")):
+                and node.targets[0].id in ("MODULES", "LAYER_SPANS",
+                                           "LAYER_CALLS")):
             tables[node.targets[0].id] = ast.literal_eval(node.value)
+    return tables
+
+
+def _layer_spans():
+    """Span names of ``LAYER_SPANS`` and ``LAYER_CALLS``."""
+    tables = _run_tables()
     return sorted({span for name in ("LAYER_SPANS", "LAYER_CALLS")
                    for span in tables[name].values()})
 
@@ -68,3 +75,25 @@ def test_layer_span_resolves(span):
         cls_name, attr = path
         assert cls_name in tracing.WRAPPED_CLASSES.get(short, ())
         assert inspect.isfunction(vars(getattr(mod, cls_name))[attr])
+
+
+def test_tracer_sees_dispatched_routes():
+    # installed over the package as `perfbench/run.py` installs it, the
+    # tracer must see every structured route `assemble_logZ` dispatches,
+    # at the precision it ran at
+    package = importlib.import_module("rectising")
+    modules = {m: importlib.import_module(f"rectising.{m}")
+               for m in _run_tables()["MODULES"]}
+    c = modules["params"].Couplings(0.4, 0.7, 3, 4)
+    tracer = tracing.Tracer()
+    tracer.install(package, modules)
+    try:
+        for prec in (None, 160):
+            modules["partition"].assemble_logZ(c, "all", prec)
+    finally:
+        tracer.uninstall()
+    bits = {}
+    for nid, b in zip(tracer.name_id, tracer.bits):
+        bits.setdefault(tracer.names[nid], set()).add(b)
+    for span in tracing.ROUTE_SPANS:
+        assert bits.get(span) == {53, 160}, span

@@ -12,6 +12,7 @@ from rectising.errors import (
     CriticalModulusError,
     DomainError,
     JointDiagonalizationError,
+    PoleError,
 )
 from rectising.params import (
     Couplings,
@@ -401,6 +402,16 @@ class TestCharPoly:
         _b, cpc = self._cpc(c)
         with pytest.raises(DomainError):
             char_poly_eval("nope", 1.0, cpc)
+
+    @pytest.mark.parametrize("bits", [53, 160])
+    def test_degenerate_point_raises(self, bits):
+        # the closed form divides by zero at lambda_n, where
+        # det(lambda_n I - T) = 0.0156697...: raise, do not approximate
+        c = Couplings(0.42, 0.31, 3, 4)
+        w, fr, _b, pts = spectrum_for(c, Precision(bits))
+        with pytest.raises(PoleError):
+            char_poly_eval("lambda", w.lambda_n, CharPolyContext(
+                w, fr, c.M, pts))
 
 
 def test_halfdiff_antiband_structure():
