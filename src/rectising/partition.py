@@ -10,14 +10,20 @@ Five independent ways to log Z for one system:
 * ``pfaffian``  Pfaffian of the skew-symmetric Toeplitz matrix.
 
 All structured linear algebra runs in the log domain with per-row scaling,
-so exponential eigenvalue factors never overflow; extended precision kicks
-in automatically where binary64 cancellation is expected.
+so exponential eigenvalue factors never overflow.  The Hankel matrix is the
+moment matrix of a positive discrete measure on the spectrum, so its
+determinant is a product of the measure's recurrence coefficients
+(Gragg-Harrod), which is well conditioned where an LU of the moments is
+not.  Every system starts in binary64; near criticality, and in
+``route="all"`` when two routes disagree by more than ESCALATION_DEV or a
+structured route fails, the structured routes run at 160 bits.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import sys
 import time
 from dataclasses import dataclass, field
 from functools import reduce
@@ -50,6 +56,11 @@ ROUTES = ("brute", "spin", "block", "hankel", "pfaffian")
 
 #: routes that run at the working precision (the others are binary64)
 STRUCTURED_ROUTES = ("block", "hankel", "pfaffian")
+
+#: pairwise relative deviation above which ``route="all"`` reruns the
+#: structured routes at 160 bits: a tenth of the 1e-8 agreement every
+#: result must meet, so a binary64 route off by less than that is caught
+ESCALATION_DEV = 1e-9
 
 
 # ----------------------------------------------------------------------
@@ -273,6 +284,39 @@ def pfaffian(rows, prec: Precision = FLOAT64) -> LogScaledValue:
     return LogScaledValue(log_mag, phase)
 
 
+def rkpw(nodes, weights, n: int) -> list:
+    """Recurrence coefficients beta_0 .. beta_(n-1) of the discrete measure
+    sum_i weights_i delta(x - nodes_i), for real nodes and positive weights.
+
+    The rational Gragg-Harrod update (RKPW; Gautschi, *Orthogonal
+    Polynomials*, 2004, Algorithm 2.5), truncated to n coefficients: it
+    adds one node at a time and chases the bulge down the Jacobi matrix
+    in squared quantities, with no square root and no moment.  The n x n
+    moment matrix has determinant prod_j beta_j^(n-j).  Runs on the
+    scalars it is given: floats, or mpf at any precision.
+    """
+    alpha, beta = [nodes[0]], [weights[0]]
+    for m in range(1, len(nodes)):
+        x, pi2 = nodes[m], weights[m]
+        if m < n:
+            alpha.append(x)
+            beta.append(0 * pi2)
+        gam2, sig2, tau = 1, 0, 0
+        for k in range(min(m + 1, n)):
+            rho2 = beta[k] + pi2
+            beta_k, beta[k] = beta[k], gam2 * rho2
+            sig2_prev = sig2
+            if rho2:
+                gam2, sig2 = beta_k / rho2, pi2 / rho2
+            else:
+                gam2, sig2 = 1, 0
+            tau_prev = tau
+            tau = sig2 * (alpha[k] - x) - gam2 * tau
+            alpha[k] -= tau - tau_prev
+            pi2 = tau * tau / sig2 if sig2 else sig2_prev * beta_k
+    return beta[:n]
+
+
 # ----------------------------------------------------------------------
 # configuration-sum oracles (binary64; these are reference routes)
 # ----------------------------------------------------------------------
@@ -483,6 +527,37 @@ def _spectral_coefficients(points, c: Couplings, w: Weights, ctx):
     return shift, coeffs
 
 
+def _spectral_measure(points, c: Couplings, w: Weights, prec: Precision):
+    """The positive measure whose moments are the Hankel entries: the log
+    shift, the nodes chi_i, the log-weights log b_i and the worst
+    |Im b|/|b|.
+
+    b_i = f_i e^psi / P'(chi_i) is the ``base`` of `hankel_from_spectrum`,
+    so h_n = e^shift sum_i b_i chi_i^(n-1).  A weight that is NaN, infinite
+    or zero (a binary64 underflow of e^(L gamma - shift)) fails with
+    `NonFiniteError`; one that is not real and positive within REAL_TOL,
+    with `PhaseLeakError`.
+    """
+    ctx = prec.ctx
+    isfinite = _isfinite(prec)
+    shift, coeffs = _spectral_coefficients(points, c, w, ctx)
+    chis, log_b, leak = [], [], 0.0
+    for p, f, dP in coeffs:
+        b = f * p.exp_psi() / dP
+        if not (isfinite(b) and b):
+            raise NonFiniteError(f"spectral weight {complex(b)} at chi = "
+                                 f"{float(p.chi):.6g} is zero or non-finite")
+        frac = float(abs(ctx.im(b)) / abs(b))
+        if not (ctx.re(b) > 0 and frac <= REAL_TOL):
+            raise PhaseLeakError(
+                f"phase leak: spectral weight {complex(b)} is not positive "
+                f"real", value=b)
+        chis.append(p.chi)
+        log_b.append(ctx.log(ctx.re(b)))
+        leak = max(leak, frac)
+    return shift, chis, log_b, leak
+
+
 def hankel_from_spectrum(points, c: Couplings, w: Weights,
                          frame: EllipticFrame) -> HankelSystem:
     """Assemble the Hankel moments from the enriched spectrum.
@@ -562,16 +637,38 @@ def _spectral_pipeline(c: Couplings, prec, pipeline) -> SystemPipeline:
 def hankel_logZ(c: Couplings, prec: Precision | None = None,
                 pipeline: SystemPipeline = None):
     """log Z through the Hankel determinant, on the checked and enriched
-    spectrum of ``pipeline`` (a new one at ``prec`` if None)."""
+    spectrum of ``pipeline`` (a new one at ``prec`` if None).
+
+    H is the moment matrix of the positive measure of `_spectral_measure`,
+    so det H = prod_j beta_j^(n-j) over its recurrence coefficients, from
+    `rkpw` on the weights scaled by the largest; no moment is formed.  A
+    beta that is not positive and finite fails with `NonFiniteError`, and
+    in binary64 so does a scaled weight below the normal range (2.2e-308),
+    where underflow has eaten its digits: ``route="all"`` then retries at
+    160 bits, where exponents are unbounded.
+    """
     pipeline = _spectral_pipeline(c, prec, pipeline)
-    w, frame, _bundle, pts = pipeline.spectral()
-    sys = hankel_from_spectrum(pts, c, w, frame)
-    det, cond = sys.logdet(pipeline.prec)
-    log_z = sys.log_z1 + det.real_log()
+    w, _frame, _bundle, pts = pipeline.spectral()
+    prec = pipeline.prec
+    ctx = prec.ctx
+    shift, chis, log_b, leak = _spectral_measure(pts, c, w, prec)
+    top, bottom = max(log_b), min(log_b)
+    if prec.is_float and ctx.exp(bottom - top) < sys.float_info.min:
+        raise NonFiniteError(
+            f"spectral weights span {float(top - bottom):.1f} e-folds, "
+            f"past the binary64 range")
+    n = c.M // 2
+    betas = rkpw(chis, [ctx.exp(lb - top) for lb in log_b], n)
+    isfinite = _isfinite(prec)
+    if not all(isfinite(b) and b > 0 for b in betas):
+        raise NonFiniteError("a recurrence coefficient of the spectral "
+                             "measure is not positive and finite")
+    log_det = ctx.fsum((n - j) * ctx.log(b) for j, b in enumerate(betas))
+    log_z = (_log_z1_value(w, c.L, c.M, ctx) + log_det
+             + n * (shift + top))
     return LogScaledValue(log_z, 1.0), {
-        "moment_phase_leak": sys.phase_leak,
-        "lu_loss_digits": cond["loss"],
-        "det_phase": det.phase,
+        "weight_phase_leak": leak,
+        "weight_spread_digits": float(top - bottom) / math.log(10),
     }
 
 
@@ -640,10 +737,9 @@ class PartitionResult:
 
 
 def default_precision(c: Couplings, k: float) -> Precision:
-    """Binary64 except near criticality or for large systems, where the
-    structured determinants are expected to cancel catastrophically."""
-    if c.L + c.M > 24:
-        return Precision(160)
+    """Binary64 at every size, except in the window 0.99 < k < 1.01 about
+    the critical modulus, where the structured routes are expected to
+    lose digits in binary64."""
     if 0.99 < k < 1.01 and abs(k - 1) > CRITICAL_TOL:
         return Precision(160)
     return FLOAT64
@@ -680,12 +776,12 @@ def assemble_logZ(c: Couplings, route: str = "all",
                   prec: Precision | None = None) -> PartitionResult:
     """Run one route or every feasible route with cross-deviations.
 
-    With ``route='all'`` a deviation above 1e-6 between any two routes,
-    or a failed structured route, triggers one escalated retry of the
-    structured routes at 160 bits,
-    and brute runs only up to BRUTE_ALL_MAX_SPINS spins.  The structured
-    routes of one precision share one `SystemPipeline`; the binary64 one
-    also supplies the modulus and the anisotropy point.
+    With ``route='all'`` a deviation above ESCALATION_DEV between any two
+    routes, or a failed structured route, triggers one escalated retry of
+    the structured routes at 160 bits, and brute runs only up to
+    BRUTE_ALL_MAX_SPINS spins.  The structured routes of one precision
+    share one `SystemPipeline`; the binary64 one also supplies the modulus
+    and the anisotropy point.
     """
     if route != "all" and route not in ROUTES:
         raise DomainError(f"unknown route {route!r}")
@@ -710,7 +806,7 @@ def assemble_logZ(c: Couplings, route: str = "all",
             outcomes[name] = _run_route(c, name, pipe)
     result = PartitionResult(c, route, k, eta_frac, outcomes, pipe.seconds)
     if route == "all" and chosen.is_float and (
-            result.max_pairwise_dev > 1e-6 or any(
+            result.max_pairwise_dev > ESCALATION_DEV or any(
                 outcomes[n].status == "failed" for n in STRUCTURED_ROUTES)):
         pipe = SystemPipeline(c, Precision(160))
         for name in STRUCTURED_ROUTES:

@@ -22,6 +22,7 @@ from rectising.partition import (
     block_transfer_logZ,
     hankel_from_spectrum,
     hankel_logZ,
+    pfaffian_logZ,
     skew_toeplitz_from_spectrum,
 )
 from rectising.precision import FLOAT64, Precision
@@ -271,14 +272,15 @@ def test_criterion_9_precision_escalation():
     hi_b, _ = block_transfer_logZ(c, p)
     dev = abs(float(hi_h.log_mag - hi_b.log_mag)) \
         / abs(float(hi_b.log_mag))
-    # binary64 is permitted to fail this pair; record its deviation
-    lo_h, lo_diag = hankel_logZ(c, FLOAT64)
-    lo_b, _ = block_transfer_logZ(c, FLOAT64)
-    lo_dev = abs(float(lo_h.log_mag) - float(lo_b.log_mag)) \
-        / abs(float(lo_b.log_mag))
+    # the binary64 Pfaffian is permitted to fail here; record its
+    # deviation and the digits it loses
+    lo_p, _ = pfaffian_logZ(c, FLOAT64)
+    lo_dev = abs(float(lo_p.log_mag - hi_b.log_mag)) \
+        / abs(float(hi_b.log_mag))
     elapsed = time.perf_counter() - t0
     ok = dev < 1e-15 and elapsed < 60
     assert _report(9, ok, f"24x16 near criticality: 160-bit routes agree to "
-                          f"{dev:.2e}; binary64 deviates by {lo_dev:.2e} "
-                          f"losing {lo_diag['lu_loss_digits']:.0f} digits, "
+                          f"{dev:.2e}; the binary64 Pfaffian deviates by "
+                          f"{lo_dev:.2e}, losing "
+                          f"{math.log10(lo_dev / FLOAT64.eps):.0f} digits, "
                           f"{elapsed:.1f}s")

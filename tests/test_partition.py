@@ -1,8 +1,11 @@
 """Partition-function routes and the log-scaled linear algebra."""
 
+import cmath
 import itertools
 import math
+import random
 import warnings
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -10,8 +13,8 @@ import pytest
 
 from rectising import params
 from rectising.elliptic import EllipticKernel
-from rectising.errors import (DomainError, NonFiniteError, RectisingError,
-                              RouteInfeasibleError)
+from rectising.errors import (DomainError, NonFiniteError, PhaseLeakError,
+                              RectisingError, RouteInfeasibleError)
 from rectising.params import (
     Couplings,
     couplings_from_modulus,
@@ -30,6 +33,7 @@ from rectising.partition import (
     logdet_scaled,
     pfaffian,
     pfaffian_logZ,
+    rkpw,
     skew_toeplitz_from_spectrum,
     spin_transfer_logZ,
 )
@@ -349,6 +353,41 @@ class TestPfaffian:
             pfaffian([[0.0, nan], [-nan, 0.0]])
 
 
+class TestRKPW:
+    @pytest.mark.parametrize("bits, tol", [(53, 1e-13), (160, 1e-44)])
+    def test_against_moment_determinant(self, bits, tol):
+        # 2n sorted nodes in [0, 4] with log-weights uniform in
+        # [log spread, 0].  The reference factors the moment matrix, whose
+        # LU loses about as many digits as the weights spread: 300 bits
+        # plus 4 per digit
+        ctx = Precision(bits).ctx
+        for seed, n, spread in itertools.product(
+                range(2), (1, 3, 8, 16), (1.0, 1e-20, 1e-100, 1e-250)):
+            rng = random.Random(seed)
+            nodes = sorted(rng.uniform(0, 4) for _ in range(2 * n))
+            log_w = [rng.uniform(math.log(spread), 0) for _ in range(2 * n)]
+            ref_ctx = mpmath.MPContext()
+            ref_ctx.prec = 300 + 4 * round(-math.log10(spread))
+            x = [ref_ctx.mpf(v) for v in nodes]
+            w = [ref_ctx.exp(v) for v in log_w]
+            h = [ref_ctx.fsum(b * xi ** j for xi, b in zip(x, w))
+                 for j in range(2 * n - 1)]
+            ref = ref_ctx.log(ref_ctx.det(ref_ctx.matrix(
+                [[h[i + j] for j in range(n)] for i in range(n)])))
+            betas = rkpw([ctx.mpf(v) for v in nodes],
+                         [ctx.exp(v) for v in log_w], n)
+            got = ctx.fsum((n - j) * ctx.log(b) for j, b in enumerate(betas))
+            assert abs(got - ref) < tol * max(1, abs(ref)), (seed, n, spread)
+
+    def test_node_at_the_running_mean(self):
+        # the third node sits at the mean of the first two, which zeroes
+        # the update's sigma^2 on the way down; with 3 nodes det H_3 is
+        # the product of the weights and the Vandermonde square (Heine)
+        nodes = [Fraction(0), Fraction(2), Fraction(1)]
+        betas = rkpw(nodes, [Fraction(1)] * 3, 3)
+        assert betas[0] ** 3 * betas[1] ** 2 * betas[2] == 4
+
+
 class TestConfigurationSums:
     def test_single_spin(self):
         assert abs(brute_force_logZ(Couplings(0.5, 0.5, 1, 1)).log_mag
@@ -453,7 +492,38 @@ class TestHankelRoute:
         lz, diag = hankel_logZ(c)
         ref, _ = block_transfer_logZ(c)
         assert abs(lz.log_mag - ref.log_mag) < 1e-9 * abs(ref.log_mag)
-        assert diag["moment_phase_leak"] < 1e-8
+        assert diag["weight_phase_leak"] < 1e-8
+        assert 0 < diag["weight_spread_digits"] < 30
+
+    @pytest.mark.parametrize("L, M, eta, k", [
+        (10, 12, 0.85, 1.45), (10, 12, 0.85, 2.025), (10, 12, 0.85, 2.6),
+        (12, 10, 0.95, 1.82), (12, 10, 0.95, 2.31), (12, 10, 0.95, 2.8),
+        (12, 12, 0.8, 1.05), (6, 16, 0.7, 0.875), (6, 16, 0.7, 1.45)])
+    def test_binary64_against_spin(self, L, M, eta, k):
+        # an LU of the moment matrix is off by 7e-8 to 2e-7 here
+        c = couplings_from_modulus(k, eta, L, M)
+        lz, _ = hankel_logZ(c, FLOAT64)
+        ref = spin_transfer_logZ(c).log_mag
+        assert abs(lz.log_mag - ref) < 1e-13 * abs(ref)
+
+    @pytest.mark.parametrize("L, reason", [(200, "past the binary64 range"),
+                                           (400, "zero or non-finite")],
+                             ids=["L200", "L400"])
+    def test_binary64_weight_underflow_escalates(self, L, reason):
+        # L (gamma_max - gamma_min) puts weights below 2.2e-308, where
+        # binary64 loses them; 160 bits has no exponent floor
+        c = couplings_from_modulus(2, 1.0, L, 16)
+        with pytest.raises(NonFiniteError, match=reason):
+            hankel_logZ(c, FLOAT64)
+        res = assemble_logZ(c, "all")
+        hankel = res.outcomes["hankel"]
+        assert hankel.status == "ok" and hankel.precision_bits == 160
+        p = Precision(160)
+        pipe = SystemPipeline(c, p)
+        ref, _ = block_transfer_logZ(c, p, pipe)
+        assert abs(hankel.logZ - ref.log_mag) < 1e-15 * abs(ref.log_mag)
+        lz, _ = hankel_logZ(c, p, pipe)
+        assert abs(lz.log_mag - ref.log_mag) < 1e-30 * abs(ref.log_mag)
 
     def test_ordered_phase_edge_mode_at_160_bits(self):
         # 2u of the edge mode lies on the i K' lattice, where am has a
@@ -600,12 +670,16 @@ class TestAssemble:
         assert res.max_pairwise_dev == 0.0
 
     def test_failed_structured_route_escalates(self):
-        # the binary64 Hankel and Pfaffian determinants of this system
-        # vanish; the retry at 160 bits resolves them
+        # the binary64 Pfaffian of this system vanishes; the retry at 160
+        # bits resolves it.  The Hankel route, which factors no matrix, is
+        # right in binary64
         c = couplings_from_modulus(6, 0.3, 12, 4)
-        for name in ("hankel", "pfaffian"):
-            alone = assemble_logZ(c, name).outcomes[name]
-            assert alone.status == "failed" and alone.precision_bits == 53
+        alone = assemble_logZ(c, "pfaffian").outcomes["pfaffian"]
+        assert alone.status == "failed" and alone.precision_bits == 53
+        alone = assemble_logZ(c, "hankel").outcomes["hankel"]
+        assert alone.status == "ok" and alone.precision_bits == 53
+        ref = spin_transfer_logZ(c).log_mag
+        assert abs(alone.logZ - ref) < 1e-14 * abs(ref)
         res = assemble_logZ(c, "all")
         for name in ("block", "hankel", "pfaffian"):
             assert res.outcomes[name].status == "ok"
@@ -620,8 +694,21 @@ class TestAssemble:
 class TestPrecisionPolicy:
     def test_defaults(self):
         assert default_precision(Couplings(0.3, 0.3, 4, 4), 0.4).is_float
-        assert default_precision(Couplings(0.3, 0.3, 24, 16), 0.9).bits >= 160
+        assert default_precision(Couplings(0.3, 0.3, 24, 16), 0.9).is_float
+        assert default_precision(Couplings(0.3, 0.3, 64, 64), 0.6).is_float
         assert default_precision(Couplings(0.3, 0.3, 4, 4), 0.995).bits >= 160
+
+    def test_large_system_stays_binary64(self, count_calls):
+        import rectising.spectrum as spectrum
+        calls = count_calls(spectrum, "SystemPipeline")
+        c = couplings_from_modulus(0.6, 0.8, 12, 64)
+        res = assemble_logZ(c, "all")
+        ref = spin_transfer_logZ(c).log_mag
+        for name in ("block", "hankel", "pfaffian"):
+            o = res.outcomes[name]
+            assert o.status == "ok" and o.precision_bits == 53
+            assert abs(o.logZ - ref) < 1e-11 * abs(ref)
+        assert [args[1] for args in calls] == [FLOAT64]
 
     def test_extended_agreement_small(self):
         c = couplings_from_modulus(0.6, 0.9, 5, 6)
@@ -631,11 +718,12 @@ class TestPrecisionPolicy:
         assert abs(lz.log_mag - ref.log_mag) < 1e-30 * abs(ref.log_mag)
 
     def test_binary64_documented_failure_regime(self):
-        # at (24,16) near criticality the moment determinant cancels past
-        # binary64; the conditioning loss is reported by the route
+        # at (24,16) near criticality the skew-Toeplitz Pfaffian cancels
+        # past binary64: it loses more than 8 of its 16 digits
         c = couplings_from_modulus(0.9, 1.0, 24, 16)
-        _lz, diag = hankel_logZ(c, FLOAT64)
-        assert diag["lu_loss_digits"] > 8
+        lz, _ = pfaffian_logZ(c, FLOAT64)
+        ref, _ = block_transfer_logZ(c, Precision(160))
+        assert abs(lz.log_mag - float(ref.log_mag)) > 1e-8 * abs(ref.log_mag)
 
 
 class TestSharedPipeline:
@@ -718,18 +806,36 @@ class TestSharedPipeline:
 
     def test_non_finite_matrix_fails_the_route(self, monkeypatch):
         import rectising.partition as partition
-        build = partition.hankel_from_spectrum
+        build = partition._spectral_coefficients
 
         def poisoned(*args):
-            sys = build(*args)
-            sys.rows[0][0] = float("nan")
-            return sys
+            shift, coeffs = build(*args)
+            p, _f, dP = coeffs[0]
+            coeffs[0] = (p, complex("nan+nanj"), dP)
+            return shift, coeffs
 
-        monkeypatch.setattr(partition, "hankel_from_spectrum", poisoned)
+        monkeypatch.setattr(partition, "_spectral_coefficients", poisoned)
         res = assemble_logZ(couplings_from_modulus(0.6, 0.9, 5, 6), "all")
         assert res.outcomes["hankel"].status == "failed"
         assert "non-finite" in res.outcomes["hankel"].reason
         assert res.outcomes["block"].status == "ok"
+
+    @pytest.mark.parametrize("turn", [-1, cmath.exp(1e-6j)])
+    def test_weight_off_the_positive_axis_fails_the_route(self, monkeypatch,
+                                                         turn):
+        import rectising.partition as partition
+        build = partition._spectral_coefficients
+
+        def turned(*args):
+            shift, coeffs = build(*args)
+            p, f, dP = coeffs[-1]
+            coeffs[-1] = (p, f * turn, dP)
+            return shift, coeffs
+
+        monkeypatch.setattr(partition, "_spectral_coefficients", turned)
+        c = couplings_from_modulus(0.6, 0.9, 5, 6)
+        with pytest.raises(PhaseLeakError, match="not positive real"):
+            hankel_logZ(c, FLOAT64)
 
 
 class TestEscalation:
@@ -752,9 +858,10 @@ class TestEscalation:
         assert res.logZ == ref.logZ == res.outcomes["block"].logZ
         assert res.max_pairwise_dev == ref.max_pairwise_dev
 
-    def test_binary64_hankel_and_block_disagree(self):
-        # the documented binary64 failure that the escalation repairs
+    def test_binary64_hankel_and_block_agree(self):
+        # an LU of the moment matrix loses 10 digits here in binary64; the
+        # recurrence coefficients of the spectral measure lose none
         c = couplings_from_modulus(0.9, 1.0, 24, 16)
         hankel, _ = hankel_logZ(c, FLOAT64)
         block, _ = block_transfer_logZ(c, FLOAT64)
-        assert abs(hankel.log_mag - block.log_mag) > 1e-6
+        assert abs(hankel.log_mag - block.log_mag) < 1e-13 * abs(block.log_mag)
