@@ -14,9 +14,10 @@ so exponential eigenvalue factors never overflow.  The Hankel matrix is the
 moment matrix of a positive discrete measure on the spectrum, so its
 determinant is a product of the measure's recurrence coefficients
 (Gragg-Harrod), which is well conditioned where an LU of the moments is
-not.  Every system starts in binary64; near criticality, and in
-``route="all"`` when two routes disagree by more than ESCALATION_DEV or a
-structured route fails, the structured routes run at 160 bits.
+not.  Every system starts in binary64, except near criticality and for a
+single Hankel or Pfaffian route on a large system (`default_precision`);
+in ``route="all"``, when two routes disagree by more than ESCALATION_DEV
+or a structured route fails, the structured routes rerun at 160 bits.
 """
 
 from __future__ import annotations
@@ -736,11 +737,21 @@ class PartitionResult:
         return abs(hi - lo) / max(1.0, abs(hi))
 
 
-def default_precision(c: Couplings, k: float) -> Precision:
+def default_precision(c: Couplings, k: float,
+                      route: str = "all") -> Precision:
     """Binary64 at every size, except in the window 0.99 < k < 1.01 about
     the critical modulus, where the structured routes are expected to
-    lose digits in binary64."""
+    lose digits in binary64.
+
+    A single ``hankel`` or ``pfaffian`` route on a system with L + M > 24
+    also keeps 160 bits: it has no cross-check and no retry, and there the
+    binary64 Pfaffian comes back ok but wrong, and the binary64 joint
+    diagonalization fails deep in the ordered phase.  ``route="all"``
+    catches both; a single ``block`` route holds in binary64.
+    """
     if 0.99 < k < 1.01 and abs(k - 1) > CRITICAL_TOL:
+        return Precision(160)
+    if route in ("hankel", "pfaffian") and c.L + c.M > 24:
         return Precision(160)
     return FLOAT64
 
@@ -779,9 +790,10 @@ def assemble_logZ(c: Couplings, route: str = "all",
     With ``route='all'`` a deviation above ESCALATION_DEV between any two
     routes, or a failed structured route, triggers one escalated retry of
     the structured routes at 160 bits, and brute runs only up to
-    BRUTE_ALL_MAX_SPINS spins.  The structured routes of one precision
-    share one `SystemPipeline`; the binary64 one also supplies the modulus
-    and the anisotropy point.
+    BRUTE_ALL_MAX_SPINS spins.  A single route runs once, at ``prec`` or
+    at `default_precision` for that route.  The structured routes of one
+    precision share one `SystemPipeline`; the binary64 one also supplies
+    the modulus and the anisotropy point.
     """
     if route != "all" and route not in ROUTES:
         raise DomainError(f"unknown route {route!r}")
@@ -791,7 +803,7 @@ def assemble_logZ(c: Couplings, route: str = "all",
     eta_frac = (float(frame.prec.ctx.im(frame.eta)) / float(frame.K_prime)
                 if not frame.is_critical else float("nan"))
     chosen = as_precision(prec if prec is not None
-                          else default_precision(c, k))
+                          else default_precision(c, k, route))
     if not chosen.is_float:
         pipe = SystemPipeline(c, chosen)
 

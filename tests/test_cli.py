@@ -43,6 +43,22 @@ class TestZ:
         assert diag["weight_phase_leak"] < 1e-8
         assert diag["weight_spread_digits"] > 0
 
+    def test_single_pfaffian_route_on_large_system(self, capsys):
+        # no cross-check catches a binary64 Pfaffian off by 4.7e-4 here,
+        # so the single route runs at 160 bits
+        from rectising.params import couplings_from_modulus
+        from rectising.partition import block_transfer_logZ
+        from rectising.precision import Precision
+        code, out, _ = run_cli(capsys, "z", "--L", "24", "--M", "16",
+                               "--k", "0.9", "--eta-frac", "1.0",
+                               "--route", "pfaffian")
+        assert code == 0
+        r = json.loads(out)["routes"]["pfaffian"]
+        assert r["status"] == "ok" and r["precision_bits"] == 160
+        c = couplings_from_modulus(0.9, 1.0, 24, 16)
+        ref = float(block_transfer_logZ(c, Precision(160))[0].log_mag)
+        assert abs(r["logZ"] - ref) < 1e-12 * abs(ref)
+
     def test_modulus_parametrization(self, capsys):
         code, out, _ = run_cli(capsys, "z", "--L", "5", "--M", "6",
                                "--k", "0.6", "--eta-frac", "0.9")

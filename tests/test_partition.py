@@ -697,6 +697,23 @@ class TestPrecisionPolicy:
         assert default_precision(Couplings(0.3, 0.3, 24, 16), 0.9).is_float
         assert default_precision(Couplings(0.3, 0.3, 64, 64), 0.6).is_float
         assert default_precision(Couplings(0.3, 0.3, 4, 4), 0.995).bits >= 160
+        # a single route has no cross-check and no retry: on a large
+        # system the Pfaffian and Hankel keep 160 bits, block does not
+        big = Couplings(0.3, 0.3, 24, 16)
+        assert default_precision(big, 0.9, "pfaffian").bits >= 160
+        assert default_precision(big, 0.9, "hankel").bits >= 160
+        assert default_precision(big, 0.9, "block").is_float
+
+    @pytest.mark.parametrize("route, k, eta", [("pfaffian", 0.9, 1.0),
+                                               ("hankel", 6, 1.0)])
+    def test_single_route_on_large_system(self, route, k, eta):
+        # binary64 leaves the Pfaffian ok but off by 4.7e-4 at k=0.9, and
+        # fails the joint diagonalization at k=6; route="all" would retry
+        c = couplings_from_modulus(k, eta, 24, 16)
+        o = assemble_logZ(c, route).outcomes[route]
+        assert o.status == "ok" and o.precision_bits == 160
+        ref, _ = block_transfer_logZ(c, Precision(160))
+        assert abs(o.logZ - ref.log_mag) < 1e-12 * abs(ref.log_mag)
 
     def test_large_system_stays_binary64(self, count_calls):
         import rectising.spectrum as spectrum
