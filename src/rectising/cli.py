@@ -18,7 +18,6 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 
 from .contour import ContourContext, uplane_field
@@ -28,8 +27,6 @@ from .params import Couplings, couplings_from_modulus, swap_system
 from .partition import ROUTES, assemble_logZ
 from .precision import Precision
 from .spectrum import spectrum_for
-
-ENV_PRECISION = "RECTISING_PRECISION_BITS"
 
 
 def _couplings(ns) -> Couplings:
@@ -48,19 +45,8 @@ def _couplings(ns) -> Couplings:
 
 
 def _precision(ns):
-    """The forced precision: --precision-bits, else the environment, else
-    None (the engine's choice)."""
-    if ns.precision_bits is not None:
-        return Precision(ns.precision_bits)
-    env = os.environ.get(ENV_PRECISION)
-    if not env:
-        return None
-    try:
-        bits = int(env)
-    except ValueError:
-        raise DomainError(f"{ENV_PRECISION} must be an integer bit "
-                          f"count, got {env!r}") from None
-    return Precision(bits)
+    """The precision --precision-bits forces, or None (the engine's choice)."""
+    return None if ns.precision_bits is None else Precision(ns.precision_bits)
 
 
 def _finite(obj):
@@ -304,8 +290,7 @@ def _add_common(p, geometry=True):
                    help="anisotropy point as a fraction of the isotropic "
                         "point i K'/4 (in (0, 1])")
     p.add_argument("--precision-bits", type=int, default=None,
-                   help=f"53 or 100..4096 (default: auto; env "
-                        f"{ENV_PRECISION})")
+                   help="53 or 100..4096 (default: auto)")
     p.add_argument("--out", default=None)
 
 

@@ -10,14 +10,16 @@ Five independent ways to log Z for one system:
 * ``pfaffian``  Pfaffian of the skew-symmetric Toeplitz matrix.
 
 All structured linear algebra runs in the log domain with per-row scaling,
-so exponential eigenvalue factors never overflow.  The Hankel matrix is the
-moment matrix of a positive discrete measure on the spectrum, so its
-determinant is a product of the measure's recurrence coefficients
-(Gragg-Harrod), which is well conditioned where an LU of the moments is
-not.  Every system starts in binary64, except near criticality and for a
-single Hankel or Pfaffian route on a large system (`default_precision`);
-in ``route="all"``, when two routes disagree by more than ESCALATION_DEV
-or a structured route fails, the structured routes rerun at 160 bits.
+so exponential eigenvalue factors never overflow.  Both structured
+matrices come from one positive discrete measure on the spectrum
+(`_spectral_measure`): the Hankel entries are its moments, the
+skew-Toeplitz entries its Chebyshev moments.  The Hankel determinant is a
+product of the measure's recurrence coefficients (Gragg-Harrod), which is
+well conditioned where an LU of the moments is not.  Every system starts
+in binary64, except near criticality, for a single Pfaffian route and for
+a single Hankel route on a large system (`default_precision`); in
+``route="all"``, when two routes disagree by more than ESCALATION_DEV or a
+structured route fails, the structured routes rerun at 160 bits.
 """
 
 from __future__ import annotations
@@ -132,6 +134,12 @@ def _dot(prec: Precision):
     if prec.is_float:
         return lambda a, b: reduce(add, map(mul, a, b))
     return prec.ctx.fdot
+
+
+def _fsum(prec: Precision):
+    """Accurate sum at ``prec``: correctly rounded in binary64
+    (`math.fsum`), ``ctx.fsum`` at extended precision."""
+    return math.fsum if prec.is_float else prec.ctx.fsum
 
 
 def _check_square(rows, what: str) -> int:
@@ -471,6 +479,7 @@ class HankelSystem:
 
     ``h_scaled[n-1]`` holds h_n * exp(-log_shift); the matrix rows use the
     same shift, so ``det H = exp(M/2 * log_shift) * det(rows)``.
+    ``phase_leak`` is the worst |Im b|/|b| of the spectral weights.
     """
 
     M: int
@@ -497,7 +506,6 @@ class SkewToeplitzSystem:
     c_scaled: list            # c_1 .. c_{M-1}, first column below diagonal
     rows: list
     log_z1: object
-    small_sin_phi: int = 0
 
     def log_pfaffian(self, prec: Precision) -> LogScaledValue:
         pf = pfaffian(self.rows, prec)
@@ -511,40 +519,29 @@ def _log_z1_value(w: Weights, L, M, ctx):
             + (ctx.mpf(L) * M / 2) * ctx.log(-2 / w.z_minus))
 
 
-def _spectral_coefficients(points, c: Couplings, w: Weights, ctx):
-    """The log shift and, per eigenvalue, the factor 2i t* e^(L gamma -
-    shift) e^(-theta) and P'(chi) of the symbol both structured matrices
-    read."""
-    if c.M % 2:
-        raise RouteInfeasibleError("structured routes require even M")
-    L = c.L
-    shift = max((L * p.gamma for p in points), key=float)
-    two_i_ts = ctx.mpc(0, 2) * w.t_star
-    coeffs = []
-    for i, p in enumerate(points):
-        dP = chi_poly_derivative(points, i)
-        egl = ctx.exp(L * p.gamma - shift)
-        coeffs.append((p, two_i_ts * egl * p.exp_minus_theta(), dP))
-    return shift, coeffs
-
-
 def _spectral_measure(points, c: Couplings, w: Weights, prec: Precision):
-    """The positive measure whose moments are the Hankel entries: the log
-    shift, the nodes chi_i, the log-weights log b_i and the worst
-    |Im b|/|b|.
+    """The positive measure of the symbol both structured matrices read:
+    the log shift, the nodes chi_i, the real weights b_i and the worst
+    |Im b|/|b|.  Refuses odd M.
 
-    b_i = f_i e^psi / P'(chi_i) is the ``base`` of `hankel_from_spectrum`,
-    so h_n = e^shift sum_i b_i chi_i^(n-1).  A weight that is NaN, infinite
-    or zero (a binary64 underflow of e^(L gamma - shift)) fails with
+    b_i = 2i t* e^(L gamma_i - shift) e^(-theta_i) e^(psi_i) / P'(chi_i),
+    so the Hankel moments are h_n = e^shift sum_i b_i chi_i^(n-1) and the
+    skew-Toeplitz coefficients c_d = -e^shift sum_i b_i U_(d-1)(cos phi_i),
+    with cos phi_i = chi_i/2 - 1.  A weight that is NaN, infinite or zero
+    (a binary64 underflow of e^(L gamma - shift)) fails with
     `NonFiniteError`; one that is not real and positive within REAL_TOL,
     with `PhaseLeakError`.
     """
+    if c.M % 2:
+        raise RouteInfeasibleError("structured routes require even M")
     ctx = prec.ctx
     isfinite = _isfinite(prec)
-    shift, coeffs = _spectral_coefficients(points, c, w, ctx)
-    chis, log_b, leak = [], [], 0.0
-    for p, f, dP in coeffs:
-        b = f * p.exp_psi() / dP
+    shift = max((c.L * p.gamma for p in points), key=float)
+    two_i_ts = ctx.mpc(0, 2) * w.t_star
+    weights, leak = [], 0.0
+    for i, p in enumerate(points):
+        b = (two_i_ts * ctx.exp(c.L * p.gamma - shift) * p.exp_minus_theta()
+             * p.exp_psi() / chi_poly_derivative(points, i))
         if not (isfinite(b) and b):
             raise NonFiniteError(f"spectral weight {complex(b)} at chi = "
                                  f"{float(p.chi):.6g} is zero or non-finite")
@@ -553,76 +550,57 @@ def _spectral_measure(points, c: Couplings, w: Weights, prec: Precision):
             raise PhaseLeakError(
                 f"phase leak: spectral weight {complex(b)} is not positive "
                 f"real", value=b)
-        chis.append(p.chi)
-        log_b.append(ctx.log(ctx.re(b)))
+        weights.append(ctx.re(b))
         leak = max(leak, frac)
-    return shift, chis, log_b, leak
+    return shift, [p.chi for p in points], weights, leak
 
 
 def hankel_from_spectrum(points, c: Couplings, w: Weights,
                          frame: EllipticFrame) -> HankelSystem:
-    """Assemble the Hankel moments from the enriched spectrum.
-
-    Each moment is a spectral sum whose terms carry exp(L*gamma); a common
-    log shift keeps them bounded.  The imaginary leakage of the (provably
-    real) moments is recorded and gated by the caller.  The moments are
-    formed at the precision of ``frame``.
-    """
-    ctx = frame.prec.ctx
-    M, L = c.M, c.L
-    shift, coeffs = _spectral_coefficients(points, c, w, ctx)
-    base = [(p, f * p.exp_psi() / dP) for p, f, dP in coeffs]
+    """The Hankel moments e^-shift h_n = sum_i b_i chi_i^(n-1) of the
+    spectral measure, at the precision of ``frame``: real running terms,
+    each moment one accurate sum (`_fsum`)."""
+    prec = frame.prec
+    M = c.M
+    shift, chis, terms, leak = _spectral_measure(points, c, w, prec)
+    fsum = _fsum(prec)
     h = []
-    leak = 0.0
-    for n in range(1, M):
-        acc = ctx.mpc(0)
-        for p, b in base:
-            acc += b * p.chi ** (n - 1)
-        mag = abs(acc)
-        if mag > 0:
-            leak = max(leak, float(abs(ctx.im(acc)) / mag))
-        h.append(ctx.re(acc))
-    if leak > REAL_TOL:
-        raise PhaseLeakError(
-            f"phase leak: Hankel moment imaginary fraction {leak:.3e}")
+    for _n in range(1, M):
+        h.append(fsum(terms))
+        terms = [t * x for t, x in zip(terms, chis)]
     half = M // 2
     rows = [[h[i + j] for j in range(half)] for i in range(half)]
     return HankelSystem(M=M, log_shift=shift, h_scaled=h, rows=rows,
-                        log_z1=_log_z1_value(w, L, M, ctx), phase_leak=leak)
+                        log_z1=_log_z1_value(w, c.L, M, prec.ctx),
+                        phase_leak=leak)
 
 
 def skew_toeplitz_from_spectrum(points, c: Couplings, w: Weights,
                                 frame: EllipticFrame) -> SkewToeplitzSystem:
-    """Assemble the skew-symmetric Toeplitz matrix from the spectrum.
+    """Assemble the skew-symmetric Toeplitz matrix from the spectral
+    measure, at the precision of ``frame``.
 
-    Entries depend on the index difference only and are built from a single
-    coefficient vector, so antisymmetry and the Toeplitz structure hold
-    exactly by construction.  The entries are formed at the precision of
-    ``frame``.
+    e^-shift c_d = -sum_i b_i U_(d-1)(chi_i/2 - 1): the terms b_i
+    sin(d phi_i)/sin(phi_i) follow the Chebyshev three-term recurrence, so
+    no angle is evaluated and nothing is divided by sin(phi).  Entries
+    depend on the index difference only and come from the one coefficient
+    vector, so antisymmetry and the Toeplitz structure hold exactly.
     """
-    ctx = frame.prec.ctx
-    M, L = c.M, c.L
-    shift, coeffs = _spectral_coefficients(points, c, w, ctx)
-    base = []
-    small_sin = 0
-    for p, f, dP in coeffs:
-        sphi = ctx.sin(p.phi)
-        if abs(sphi) < 1e-10:
-            small_sin += 1
-        cot_half = ctx.cos(p.phi / 2) / ctx.sin(p.phi / 2)
-        base.append((p, f / (dP * sphi) * cot_half))
+    prec = frame.prec
+    M = c.M
+    shift, chis, terms, _leak = _spectral_measure(points, c, w, prec)
+    fsum = _fsum(prec)
+    prev = [0] * len(terms)                 # b_i U_(-1); terms: b_i U_0
     cs = []
-    for d in range(1, M):
-        acc = ctx.mpc(0)
-        for p, b in base:
-            acc += b * ctx.sin(d * p.phi)
-        cs.append(ctx.re(acc))
-    zero = ctx.mpf(0)
+    for _d in range(1, M):
+        cs.append(-fsum(terms))
+        terms, prev = [(x - 2) * t - q
+                       for x, t, q in zip(chis, terms, prev)], terms
+    zero = prec.ctx.mpf(0)
     rows = [[(cs[i - j - 1] if i > j else (-cs[j - i - 1] if j > i else zero))
              for j in range(M)] for i in range(M)]
     return SkewToeplitzSystem(M=M, log_shift=shift, c_scaled=cs, rows=rows,
-                              log_z1=_log_z1_value(w, L, M, ctx),
-                              small_sin_phi=small_sin)
+                              log_z1=_log_z1_value(w, c.L, M, prec.ctx))
 
 
 def _spectral_pipeline(c: Couplings, prec, pipeline) -> SystemPipeline:
@@ -652,7 +630,8 @@ def hankel_logZ(c: Couplings, prec: Precision | None = None,
     w, _frame, _bundle, pts = pipeline.spectral()
     prec = pipeline.prec
     ctx = prec.ctx
-    shift, chis, log_b, leak = _spectral_measure(pts, c, w, prec)
+    shift, chis, weights, leak = _spectral_measure(pts, c, w, prec)
+    log_b = [ctx.log(b) for b in weights]
     top, bottom = max(log_b), min(log_b)
     if prec.is_float and ctx.exp(bottom - top) < sys.float_info.min:
         raise NonFiniteError(
@@ -682,10 +661,7 @@ def pfaffian_logZ(c: Couplings, prec: Precision | None = None,
     sys = skew_toeplitz_from_spectrum(pts, c, w, frame)
     pf = sys.log_pfaffian(pipeline.prec)
     log_z = sys.log_z1 + pf.real_log()
-    return LogScaledValue(log_z, 1.0), {
-        "pf_phase": pf.phase,
-        "small_sin_phi_terms": sys.small_sin_phi,
-    }
+    return LogScaledValue(log_z, 1.0), {"pf_phase": pf.phase}
 
 
 # ----------------------------------------------------------------------
@@ -743,15 +719,16 @@ def default_precision(c: Couplings, k: float,
     the critical modulus, where the structured routes are expected to
     lose digits in binary64.
 
-    A single ``hankel`` or ``pfaffian`` route on a system with L + M > 24
-    also keeps 160 bits: it has no cross-check and no retry, and there the
-    binary64 Pfaffian comes back ok but wrong, and the binary64 joint
-    diagonalization fails deep in the ordered phase.  ``route="all"``
+    A single route has no cross-check and no retry, so a single
+    ``pfaffian`` route keeps 160 bits at every size (the binary64
+    Pfaffian comes back ok but wrong from 10 x 12 on), and a single
+    ``hankel`` route on a system with L + M > 24 (the binary64 joint
+    diagonalization fails deep in the ordered phase).  ``route="all"``
     catches both; a single ``block`` route holds in binary64.
     """
     if 0.99 < k < 1.01 and abs(k - 1) > CRITICAL_TOL:
         return Precision(160)
-    if route in ("hankel", "pfaffian") and c.L + c.M > 24:
+    if route == "pfaffian" or (route == "hankel" and c.L + c.M > 24):
         return Precision(160)
     return FLOAT64
 

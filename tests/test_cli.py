@@ -59,6 +59,22 @@ class TestZ:
         ref = float(block_transfer_logZ(c, Precision(160))[0].log_mag)
         assert abs(r["logZ"] - ref) < 1e-12 * abs(ref)
 
+    def test_single_pfaffian_route_on_small_system(self, capsys):
+        # binary64 leaves this Pfaffian ok but off by 1.0e-2, so a single
+        # Pfaffian route runs at 160 bits at every size
+        from rectising.params import couplings_from_modulus
+        from rectising.partition import block_transfer_logZ
+        from rectising.precision import Precision
+        code, out, _ = run_cli(capsys, "z", "--L", "10", "--M", "12",
+                               "--k", "1.45", "--eta-frac", "0.3",
+                               "--route", "pfaffian")
+        assert code == 0
+        r = json.loads(out)["routes"]["pfaffian"]
+        assert r["status"] == "ok" and r["precision_bits"] == 160
+        c = couplings_from_modulus(1.45, 0.3, 10, 12)
+        ref = float(block_transfer_logZ(c, Precision(160))[0].log_mag)
+        assert abs(r["logZ"] - ref) < 1e-12 * abs(ref)
+
     def test_modulus_parametrization(self, capsys):
         code, out, _ = run_cli(capsys, "z", "--L", "5", "--M", "6",
                                "--k", "0.6", "--eta-frac", "0.9")
@@ -154,7 +170,8 @@ def test_no_log_z_exits_one(capsys, argv, routes, reason):
 def test_non_finite_log_z_fails(capsys, route):
     # the skew-Toeplitz Pfaffian of this system vanishes in binary64
     code, out, err = run_cli(capsys, "z", "--L", "12", "--M", "4", "--k",
-                             "6", "--eta-frac", "0.3", "--route", route)
+                             "6", "--eta-frac", "0.3", "--route", route,
+                             "--precision-bits", "53")
     assert code == 1
     assert out == ""
     diag = json.loads(err, parse_constant=_reject_constant)
@@ -365,22 +382,28 @@ class TestUPlane:
         assert out1 == out2
 
 
-def test_precision_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("RECTISING_PRECISION_BITS", "128")
+def test_precision_bits_override(capsys):
     code, out, _ = run_cli(capsys, "z", "--L", "2", "--M", "2",
-                           "--Kh", "0.3", "--Kv", "0.3", "--route", "hankel")
+                           "--Kh", "0.3", "--Kv", "0.3", "--route", "hankel",
+                           "--precision-bits", "128")
     assert code == 0
     assert json.loads(out)["routes"]["hankel"]["precision_bits"] == 128
 
 
-@pytest.mark.parametrize("bits", ["abc", "80"])
-def test_precision_env_invalid(capsys, monkeypatch, bits):
-    monkeypatch.setenv("RECTISING_PRECISION_BITS", bits)
+def test_precision_bits_out_of_range(capsys):
     code, out, err = run_cli(capsys, "z", "--L", "4", "--M", "4",
-                             "--k", "0.6")
+                             "--k", "0.6", "--precision-bits", "80")
     assert code == 1
     assert out == ""
     assert json.loads(err)["error"] == "DomainError"
+
+
+def test_precision_bits_not_an_integer(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(capsys, "z", "--L", "4", "--M", "4", "--k", "0.6",
+                "--precision-bits", "abc")
+    assert exc.value.code == 2
+    assert "--precision-bits" in capsys.readouterr().err
 
 
 def test_z_at_critical_coupling(capsys):

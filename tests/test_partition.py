@@ -579,6 +579,23 @@ class TestSkewToeplitzRoute:
                 if i > j:
                     assert sys.rows[i][j] == sys.c_scaled[i - j - 1]
 
+    @pytest.mark.parametrize("k", [0.6, 3])
+    def test_chebyshev_form_is_the_angle_sum(self, k):
+        # sin(d phi)/sin(phi) = U_(d-1)(chi/2 - 1); at k=3 the edge mode
+        # has a complex phi
+        import rectising.partition as partition
+        p = Precision(160)
+        ctx = p.ctx
+        c = couplings_from_modulus(k, 0.9, 6, 10)
+        w, fr, _b, pts = SystemPipeline(c, p).spectral()
+        assert any(ctx.im(q.phi) for q in pts) == (k > 1)
+        _shift, _chis, b, _leak = partition._spectral_measure(pts, c, w, p)
+        want = [-ctx.fsum(bi * ctx.sin(d * q.phi) / ctx.sin(q.phi)
+                          for bi, q in zip(b, pts)) for d in range(1, c.M)]
+        got = skew_toeplitz_from_spectrum(pts, c, w, fr).c_scaled
+        scale = max(abs(x) for x in want)
+        assert max(abs(g - x) for g, x in zip(got, want)) < 1e-40 * scale
+
     @pytest.mark.parametrize("geom", [(5, 6), (10, 6), (6, 10)])
     def test_pfaffian_equals_determinant(self, geom):
         L, M = geom
@@ -674,7 +691,7 @@ class TestAssemble:
         # bits resolves it.  The Hankel route, which factors no matrix, is
         # right in binary64
         c = couplings_from_modulus(6, 0.3, 12, 4)
-        alone = assemble_logZ(c, "pfaffian").outcomes["pfaffian"]
+        alone = assemble_logZ(c, "pfaffian", FLOAT64).outcomes["pfaffian"]
         assert alone.status == "failed" and alone.precision_bits == 53
         alone = assemble_logZ(c, "hankel").outcomes["hankel"]
         assert alone.status == "ok" and alone.precision_bits == 53
@@ -697,12 +714,17 @@ class TestPrecisionPolicy:
         assert default_precision(Couplings(0.3, 0.3, 24, 16), 0.9).is_float
         assert default_precision(Couplings(0.3, 0.3, 64, 64), 0.6).is_float
         assert default_precision(Couplings(0.3, 0.3, 4, 4), 0.995).bits >= 160
-        # a single route has no cross-check and no retry: on a large
-        # system the Pfaffian and Hankel keep 160 bits, block does not
+        # a single route has no cross-check and no retry: the Pfaffian
+        # keeps 160 bits at every size, Hankel on a large system, block
+        # never
         big = Couplings(0.3, 0.3, 24, 16)
         assert default_precision(big, 0.9, "pfaffian").bits >= 160
         assert default_precision(big, 0.9, "hankel").bits >= 160
         assert default_precision(big, 0.9, "block").is_float
+        small = Couplings(0.3, 0.3, 4, 4)
+        assert default_precision(small, 0.4, "pfaffian").bits >= 160
+        assert default_precision(small, 0.4, "hankel").is_float
+        assert default_precision(small, 0.4, "block").is_float
 
     @pytest.mark.parametrize("route, k, eta", [("pfaffian", 0.9, 1.0),
                                                ("hankel", 6, 1.0)])
@@ -823,15 +845,13 @@ class TestSharedPipeline:
 
     def test_non_finite_matrix_fails_the_route(self, monkeypatch):
         import rectising.partition as partition
-        build = partition._spectral_coefficients
+        build = partition.chi_poly_derivative
 
-        def poisoned(*args):
-            shift, coeffs = build(*args)
-            p, _f, dP = coeffs[0]
-            coeffs[0] = (p, complex("nan+nanj"), dP)
-            return shift, coeffs
+        def poisoned(points, index):
+            out = build(points, index)
+            return out * float("nan") if index == 0 else out
 
-        monkeypatch.setattr(partition, "_spectral_coefficients", poisoned)
+        monkeypatch.setattr(partition, "chi_poly_derivative", poisoned)
         res = assemble_logZ(couplings_from_modulus(0.6, 0.9, 5, 6), "all")
         assert res.outcomes["hankel"].status == "failed"
         assert "non-finite" in res.outcomes["hankel"].reason
@@ -841,15 +861,13 @@ class TestSharedPipeline:
     def test_weight_off_the_positive_axis_fails_the_route(self, monkeypatch,
                                                          turn):
         import rectising.partition as partition
-        build = partition._spectral_coefficients
+        build = partition.chi_poly_derivative
 
-        def turned(*args):
-            shift, coeffs = build(*args)
-            p, f, dP = coeffs[-1]
-            coeffs[-1] = (p, f * turn, dP)
-            return shift, coeffs
+        def turned(points, index):
+            out = build(points, index)
+            return out / turn if index == len(points) - 1 else out
 
-        monkeypatch.setattr(partition, "_spectral_coefficients", turned)
+        monkeypatch.setattr(partition, "chi_poly_derivative", turned)
         c = couplings_from_modulus(0.6, 0.9, 5, 6)
         with pytest.raises(PhaseLeakError, match="not positive real"):
             hankel_logZ(c, FLOAT64)
