@@ -30,7 +30,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import chain
+from itertools import accumulate, chain
 from operator import add, mul
 
 import numpy as np
@@ -389,18 +389,17 @@ def spin_transfer_logZ(c: Couplings) -> LogScaledValue:
     cmax = float(col_energy.max())
     w_col = np.exp(col_energy - cmax)
     log_acc = cmax
-    v = w_col.copy()
-    # horizontal bond factor as a tensor product of 2x2 blocks
-    blk = np.array([[math.exp(c.K_h), math.exp(-c.K_h)],
-                    [math.exp(-c.K_h), math.exp(c.K_h)]])
+    v = w_col
+    # horizontal bonds: blk^{⊗M} = B_a ⊗ B_b on the high and low state bits
+    # (the same symmetric blk on each), blk scaled by e^{-|K_h|} to <= 1
+    blk = np.exp(np.array([[c.K_h, -c.K_h], [-c.K_h, c.K_h]]) - abs(c.K_h))
+    a = M // 2
+    powers = list(accumulate([blk] * (M - a), np.kron, initial=np.eye(1)))
+    B_a, B_b = powers[a], powers[M - a]
     for _step in range(c.L - 1):
-        t = v.reshape((2,) * M)
-        for axis in range(M):
-            t = np.tensordot(blk, t, axes=([1], [axis]))
-            t = np.moveaxis(t, 0, axis)
-        v = w_col * t.reshape(-1)
+        v = w_col * (B_a @ v.reshape(1 << a, -1) @ B_b).ravel()
         m = v.max()
-        log_acc += math.log(m) + cmax
+        log_acc += math.log(m) + cmax + M * abs(c.K_h)
         v /= m
     return LogScaledValue(log_acc + math.log(float(v.sum())), 1.0)
 

@@ -7,7 +7,8 @@ import math
 
 import pytest
 
-from rectising.cli import main
+from rectising.cli import build_parser, main
+from rectising.identities import GATING_TOL
 
 
 def run_cli(capsys, *argv):
@@ -133,6 +134,17 @@ class TestCompare:
         rec = json.loads(out)
         assert rec["checks"]["pf_eq_det"] < 1e-9
         assert rec["checks"]["swap_invariance"] < 1e-9
+        assert rec["checks"]["swap_reference_route"] == "spin"
+
+    def test_swap_check_is_not_spin_over_the_spin_cap(self, capsys):
+        # spin runs along the 4 spins of either orientation of 4 x 14,
+        # so it would only repeat itself
+        code, out, _ = run_cli(capsys, "compare", "--L", "4", "--M", "14",
+                               "--Kh", "0.4", "--Kv", "0.3")
+        assert code == 0
+        checks = json.loads(out)["checks"]
+        assert checks["swap_reference_route"] != "spin"
+        assert checks["swap_invariance"] < 1e-9
 
     def test_swapped_system_reproduces_logZ(self, capsys):
         _, out1, _ = run_cli(capsys, "compare", "--L", "3", "--M", "4",
@@ -191,6 +203,25 @@ def test_binary64_hankel_where_the_pfaffian_vanishes(capsys):
                         "--eta-frac", "0.3", "--route", "spin")
     ref = json.loads(out)["logZ"]
     assert abs(rec["logZ"] - ref) < 1e-14 * abs(ref)
+
+
+def test_successive_calls_parse_independently(capsys):
+    # one parser serves every call in the process; no option of one call
+    # may reach the next
+    assert build_parser() is build_parser()
+    geometry = ("--L", "3", "--M", "4", "--Kh", "0.4", "--Kv", "0.7")
+    _, out, _ = run_cli(capsys, "z", *geometry, "--route", "spin")
+    assert json.loads(out)["route"] == "spin"
+    _, out, _ = run_cli(capsys, "compare", *geometry)
+    rec = json.loads(out)
+    assert rec["route"] == "all" and rec["checks"]
+    identities = ("identities", "--k", "0.6", "--eta-frac", "0.9", "--M",
+                  "4", "--L", "5", "--samples", "4")
+    code, _, _ = run_cli(capsys, *identities, "--tol", "1e-18")
+    assert code == 3
+    code, out, _ = run_cli(capsys, *identities)
+    assert code == 0
+    assert json.loads(out)["tol"] == GATING_TOL
 
 
 class TestSpectrum:

@@ -413,10 +413,37 @@ class TestConfigurationSums:
             brute_force_logZ(Couplings(0.3, 0.3, 5, 6))
 
     def test_spin_matches_brute(self):
-        for c in (Couplings(0.41, 0.33, 4, 4), Couplings(0.6, 0.2, 2, 6)):
+        # even, uneven and empty Kronecker halves (M = 1, 5, 7, 12), a
+        # single row, a system over the cap that runs swapped (14 x 1)
+        for c in (Couplings(0.41, 0.33, 4, 4), Couplings(0.6, 0.2, 2, 6),
+                  Couplings(0.35, 0.5, 2, 12), Couplings(0.3, 0.45, 3, 7),
+                  Couplings(0.6, 0.25, 4, 5), Couplings(0.45, 0.3, 5, 1),
+                  Couplings(0.5, 0.5, 1, 1), Couplings(0.4, 0.6, 1, 9),
+                  Couplings(0.4, 0.3, 1, 14)):
             b = brute_force_logZ(c).log_mag
             s = spin_transfer_logZ(c).log_mag
-            assert abs(b - s) < 1e-12 * max(1.0, abs(b))
+            assert abs(b - s) < 1e-13 * max(1.0, abs(b)), c
+
+    @pytest.mark.parametrize("K_h, K_v", [(-0.5, 0.3), (0.4, -0.6)])
+    def test_spin_matches_brute_at_negative_bonds(self, K_h, K_v):
+        # Couplings refuses K <= 0, but both configuration sums hold at
+        # any sign; flipping every other row (column) maps -K_h (-K_v)
+        # onto +K_h (+K_v) on the open rectangle
+        c = object.__new__(Couplings)
+        for name, val in (("K_h", K_h), ("K_v", K_v), ("L", 4), ("M", 5)):
+            object.__setattr__(c, name, val)
+        b = brute_force_logZ(c).log_mag
+        assert abs(spin_transfer_logZ(c).log_mag - b) < 1e-13 * abs(b)
+        mirror = Couplings(abs(K_h), abs(K_v), 4, 5)
+        assert abs(spin_transfer_logZ(mirror).log_mag - b) < 1e-13 * abs(b)
+
+    def test_spin_strong_coupling_stays_finite(self):
+        # e^{4 K_h} overflows a product of unscaled blocks
+        c = Couplings(200, 0.3, 3, 4)
+        b = brute_force_logZ(c).log_mag
+        with np.errstate(over="raise", invalid="raise"):
+            s = spin_transfer_logZ(c).log_mag
+        assert abs(b - s) < 1e-13 * abs(b)
 
     def test_spin_swap_invariance(self):
         c = Couplings(0.4, 0.7, 3, 4)
