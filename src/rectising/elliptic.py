@@ -36,10 +36,14 @@ from .precision import FLOAT64, Precision, as_precision
 #: proximity radius around simple poles; callers get a typed signal inside it
 POLE_TOL = 1e-12
 
-#: |k - 1| below this counts as the critical modulus
+#: |k - 1| below this counts as the critical modulus (`is_critical`)
 CRITICAL_TOL = 1e-12
 
 _KERNELS: dict = {}
+
+
+def is_critical(k) -> bool:
+    return abs(k - 1) < CRITICAL_TOL
 
 
 def _nint(ctx, x):
@@ -98,7 +102,7 @@ class Modulus:
         k = ctx.mpf(k)
         if not k > 0:
             raise DomainError(f"modulus must be positive, got {k}")
-        if abs(k - 1) < CRITICAL_TOL:
+        if is_critical(k):
             return Modulus(k, ctx.mpf(0), "critical")
         if k < 1:
             return Modulus(k, ctx.sqrt(1 - k * k), "disordered")

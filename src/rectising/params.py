@@ -11,11 +11,11 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .elliptic import (
-    CRITICAL_TOL,
     EllipticKernel,
     Modulus,
     get_kernel,
     incomplete_F,
+    is_critical,
 )
 from .errors import CriticalModulusError, DomainError, EtaSolveError
 from .precision import FLOAT64, Precision, as_precision
@@ -287,7 +287,7 @@ def couplings_from_modulus(k, eta_fraction, L, M,
     if not 0 < eta_fraction <= 2:
         raise DomainError("eta_fraction must lie in (0, 2]")
     k = ctx.mpf(k)
-    if abs(k - 1) < CRITICAL_TOL:
+    if is_critical(k):
         raise CriticalModulusError(
             "critical modulus has no anisotropy parametrization")
     kern = get_kernel(k, prec)

@@ -13,13 +13,15 @@ All structured linear algebra runs in the log domain with per-row scaling,
 so exponential eigenvalue factors never overflow.  Both structured
 matrices come from one positive discrete measure on the spectrum
 (`_spectral_measure`): the Hankel entries are its moments, the
-skew-Toeplitz entries its Chebyshev moments.  The Hankel determinant is a
-product of the measure's recurrence coefficients (Gragg-Harrod), which is
-well conditioned where an LU of the moments is not.  Every system starts
-in binary64, except near criticality, for a single Pfaffian route and for
-a single Hankel route on a large system (`default_precision`); in
-``route="all"``, when two routes disagree by more than ESCALATION_DEV or a
-structured route fails, the structured routes rerun at 160 bits.
+skew-Toeplitz entries its Chebyshev moments; its weights are rational in
+the eigenvalues, so neither route needs the elliptic frame.  The Hankel
+determinant is a product of the measure's recurrence coefficients
+(Gragg-Harrod), well conditioned where an LU of the moments is not.  Every
+system starts in binary64, except near criticality, for a single Pfaffian
+route and for a single Hankel route on a large system
+(`default_precision`); in ``route="all"``, when two routes disagree by
+more than ESCALATION_DEV or a structured route fails, the structured
+routes rerun at 160 bits.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from operator import add, mul
 
 import numpy as np
 
-from .elliptic import CRITICAL_TOL
+from .elliptic import is_critical
 from .errors import (DomainError, NonFiniteError, PhaseLeakError,
                      RouteInfeasibleError)
 from .params import Couplings, EllipticFrame, Weights, swap_system
@@ -518,29 +520,29 @@ def _log_z1_value(w: Weights, L, M, ctx):
             + (ctx.mpf(L) * M / 2) * ctx.log(-2 / w.z_minus))
 
 
-def _spectral_measure(points, c: Couplings, w: Weights, prec: Precision):
-    """The positive measure of the symbol both structured matrices read:
-    the log shift, the nodes chi_i, the real weights b_i and the worst
-    |Im b|/|b|.  Refuses odd M.
+def _spectral_measure(points, c: Couplings, w: Weights):
+    """The positive measure of the symbol both structured matrices read, at
+    the precision of ``w``: the log shift, the nodes chi_i, the real
+    weights b_i and the worst |Im b|/|b|.  Refuses odd M.
 
-    b_i = 2i t* e^(L gamma_i - shift) e^(-theta_i) e^(psi_i) / P'(chi_i),
-    so the Hankel moments are h_n = e^shift sum_i b_i chi_i^(n-1) and the
-    skew-Toeplitz coefficients c_d = -e^shift sum_i b_i U_(d-1)(cos phi_i),
-    with cos phi_i = chi_i/2 - 1.  A weight that is NaN, infinite or zero
-    (a binary64 underflow of e^(L gamma - shift)) fails with
+    b_i = 2 t* e^(L gamma_i - shift) (lambda_n - lam_i) / ((t - z lam_i)
+    P'(chi_i)) with lambda_n = t z: the residue of the symbol at chi_i,
+    equal to the angle form 2i t* e^(L gamma_i - shift) e^(-theta_i)
+    e^(psi_i) / P'(chi_i).  A weight that is NaN, infinite or zero (a
+    binary64 underflow of e^(L gamma - shift)) fails with
     `NonFiniteError`; one that is not real and positive within REAL_TOL,
     with `PhaseLeakError`.
     """
     if c.M % 2:
         raise RouteInfeasibleError("structured routes require even M")
-    ctx = prec.ctx
-    isfinite = _isfinite(prec)
+    ctx = w.prec.ctx
+    isfinite = _isfinite(w.prec)
     shift = max((c.L * p.gamma for p in points), key=float)
-    two_i_ts = ctx.mpc(0, 2) * w.t_star
+    two_ts = 2 * w.t_star
     weights, leak = [], 0.0
     for i, p in enumerate(points):
-        b = (two_i_ts * ctx.exp(c.L * p.gamma - shift) * p.exp_minus_theta()
-             * p.exp_psi() / chi_poly_derivative(points, i))
+        b = (two_ts * ctx.exp(c.L * p.gamma - shift) * (w.lambda_n - p.lam)
+             / ((w.t - w.z * p.lam) * chi_poly_derivative(points, i)))
         if not (isfinite(b) and b):
             raise NonFiniteError(f"spectral weight {complex(b)} at chi = "
                                  f"{float(p.chi):.6g} is zero or non-finite")
@@ -557,12 +559,11 @@ def _spectral_measure(points, c: Couplings, w: Weights, prec: Precision):
 def hankel_from_spectrum(points, c: Couplings, w: Weights,
                          frame: EllipticFrame) -> HankelSystem:
     """The Hankel moments e^-shift h_n = sum_i b_i chi_i^(n-1) of the
-    spectral measure, at the precision of ``frame``: real running terms,
-    each moment one accurate sum (`_fsum`)."""
-    prec = frame.prec
+    spectral measure, at the precision of ``w``: real running terms, each
+    moment one accurate sum (`_fsum`).  ``frame`` is not read."""
     M = c.M
-    shift, chis, terms, leak = _spectral_measure(points, c, w, prec)
-    fsum = _fsum(prec)
+    shift, chis, terms, leak = _spectral_measure(points, c, w)
+    fsum = _fsum(w.prec)
     h = []
     for _n in range(1, M):
         h.append(fsum(terms))
@@ -570,14 +571,14 @@ def hankel_from_spectrum(points, c: Couplings, w: Weights,
     half = M // 2
     rows = [[h[i + j] for j in range(half)] for i in range(half)]
     return HankelSystem(M=M, log_shift=shift, h_scaled=h, rows=rows,
-                        log_z1=_log_z1_value(w, c.L, M, prec.ctx),
+                        log_z1=_log_z1_value(w, c.L, M, w.prec.ctx),
                         phase_leak=leak)
 
 
-def skew_toeplitz_from_spectrum(points, c: Couplings, w: Weights,
-                                frame: EllipticFrame) -> SkewToeplitzSystem:
+def skew_toeplitz_from_spectrum(points, c: Couplings,
+                                w: Weights) -> SkewToeplitzSystem:
     """Assemble the skew-symmetric Toeplitz matrix from the spectral
-    measure, at the precision of ``frame``.
+    measure, at the precision of ``w``.
 
     e^-shift c_d = -sum_i b_i U_(d-1)(chi_i/2 - 1): the terms b_i
     sin(d phi_i)/sin(phi_i) follow the Chebyshev three-term recurrence, so
@@ -585,37 +586,34 @@ def skew_toeplitz_from_spectrum(points, c: Couplings, w: Weights,
     depend on the index difference only and come from the one coefficient
     vector, so antisymmetry and the Toeplitz structure hold exactly.
     """
-    prec = frame.prec
     M = c.M
-    shift, chis, terms, _leak = _spectral_measure(points, c, w, prec)
-    fsum = _fsum(prec)
+    shift, chis, terms, _leak = _spectral_measure(points, c, w)
+    fsum = _fsum(w.prec)
     prev = [0] * len(terms)                 # b_i U_(-1); terms: b_i U_0
     cs = []
     for _d in range(1, M):
         cs.append(-fsum(terms))
         terms, prev = [(x - 2) * t - q
                        for x, t, q in zip(chis, terms, prev)], terms
-    zero = prec.ctx.mpf(0)
+    zero = w.prec.ctx.mpf(0)
     rows = [[(cs[i - j - 1] if i > j else (-cs[j - i - 1] if j > i else zero))
              for j in range(M)] for i in range(M)]
     return SkewToeplitzSystem(M=M, log_shift=shift, c_scaled=cs, rows=rows,
-                              log_z1=_log_z1_value(w, c.L, M, prec.ctx))
+                              log_z1=_log_z1_value(w, c.L, M, w.prec.ctx))
 
 
 def _spectral_pipeline(c: Couplings, prec, pipeline) -> SystemPipeline:
-    """The route pipeline of the Hankel and Pfaffian routes, whose
-    spectrum is undefined at the critical modulus: they refuse it before
-    the spectrum is built."""
+    """`_route_pipeline`, refusing the critical modulus from the weights."""
     pipeline = _route_pipeline(c, prec, pipeline)
-    if pipeline.frame().is_critical:
+    if is_critical(pipeline.weights().k):
         raise RouteInfeasibleError("critical modulus")
     return pipeline
 
 
 def hankel_logZ(c: Couplings, prec: Precision | None = None,
                 pipeline: SystemPipeline = None):
-    """log Z through the Hankel determinant, on the checked and enriched
-    spectrum of ``pipeline`` (a new one at ``prec`` if None).
+    """log Z through the Hankel determinant, on the checked eigensystem of
+    ``pipeline`` (a new one at ``prec`` if None).
 
     H is the moment matrix of the positive measure of `_spectral_measure`,
     so det H = prod_j beta_j^(n-j) over its recurrence coefficients, from
@@ -626,10 +624,10 @@ def hankel_logZ(c: Couplings, prec: Precision | None = None,
     160 bits, where exponents are unbounded.
     """
     pipeline = _spectral_pipeline(c, prec, pipeline)
-    w, _frame, _bundle, pts = pipeline.spectral()
+    w, _bundle, pts = pipeline.checked()
     prec = pipeline.prec
     ctx = prec.ctx
-    shift, chis, weights, leak = _spectral_measure(pts, c, w, prec)
+    shift, chis, weights, leak = _spectral_measure(pts, c, w)
     log_b = [ctx.log(b) for b in weights]
     top, bottom = max(log_b), min(log_b)
     if prec.is_float and ctx.exp(bottom - top) < sys.float_info.min:
@@ -654,12 +652,12 @@ def hankel_logZ(c: Couplings, prec: Precision | None = None,
 def pfaffian_logZ(c: Couplings, prec: Precision | None = None,
                   pipeline: SystemPipeline = None):
     """log Z through the Pfaffian of the skew Toeplitz matrix, on the
-    spectrum of ``pipeline`` (a new one at ``prec`` if None)."""
+    checked eigensystem of ``pipeline`` (a new one at ``prec`` if None)."""
     pipeline = _spectral_pipeline(c, prec, pipeline)
-    w, frame, _bundle, pts = pipeline.spectral()
-    sys = skew_toeplitz_from_spectrum(pts, c, w, frame)
-    pf = sys.log_pfaffian(pipeline.prec)
-    log_z = sys.log_z1 + pf.real_log()
+    w, _bundle, pts = pipeline.checked()
+    st = skew_toeplitz_from_spectrum(pts, c, w)
+    pf = st.log_pfaffian(pipeline.prec)
+    log_z = st.log_z1 + pf.real_log()
     return LogScaledValue(log_z, 1.0), {"pf_phase": pf.phase}
 
 
@@ -683,8 +681,8 @@ class PartitionResult:
     """Primary output record of the engine.
 
     ``pipeline_seconds`` is the time spent on work the structured routes
-    share (weights, matrices, eigensystem, joint check, enrichment); the
-    routes' own ``seconds`` leave it out.
+    share (weights, the binary64 frame, matrices, eigensystem, joint
+    check); the routes' own ``seconds`` leave it out.
     """
 
     couplings: Couplings
@@ -725,7 +723,7 @@ def default_precision(c: Couplings, k: float,
     diagonalization fails deep in the ordered phase).  ``route="all"``
     catches both; a single ``block`` route holds in binary64.
     """
-    if 0.99 < k < 1.01 and abs(k - 1) > CRITICAL_TOL:
+    if 0.99 < k < 1.01 and not is_critical(k):
         return Precision(160)
     if route == "pfaffian" or (route == "hankel" and c.L + c.M > 24):
         return Precision(160)

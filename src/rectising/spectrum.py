@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .elliptic import CRITICAL_TOL, arcsn
+from .elliptic import arcsn, is_critical
 from .errors import (
     CriticalModulusError,
     DomainError,
@@ -250,10 +250,9 @@ def _core_eig(bundle: MatrixBundle, w: Weights, prec: Precision):
 class SpectrumPoint:
     """One eigenvalue with its angles.
 
-    ``lam`` is the positive transfer-matrix eigenvalue.  ``enrich_spectrum``
-    fills phi, zeta and the Jacobi triple at the point, which the routes
-    and identities reuse; ``spectrum_for`` also fills u, branch, omega,
-    theta, psi and quant_residual, which stay unset otherwise.
+    ``lam`` is the positive transfer-matrix eigenvalue.  Only
+    ``spectrum_for`` fills phi, zeta, the Jacobi triple (`enrich_spectrum`),
+    u, branch, omega, theta, psi and quant_residual; no route reads them.
     """
 
     mu: int
@@ -336,7 +335,7 @@ def check_joint(bundle: MatrixBundle, w: Weights, pts: list):
     ``pts`` diagonalizes each member of the family within JOINT_TOL, in
     binary64 at every precision (its rounding, ~M eps, is far below the
     tolerance).  A NaN residual fails."""
-    if abs(float(w.t_minus / w.z_minus) - 1) < CRITICAL_TOL:
+    if is_critical(float(w.k)):
         raise CriticalModulusError(
             "joint spectrum undefined at the critical modulus")
     V = np.array([p.eigvec for p in pts], dtype=float).T
@@ -478,8 +477,8 @@ def _locate_u(p, frame, tol):
 
 
 def enrich_spectrum(points, frame: EllipticFrame, w: Weights):
-    """The angles every route reads, for a whole spectrum (in place; the
-    same list is returned): phi on the principal arccos branch with
+    """The torus angles of a whole spectrum, for `spectrum_for` (in place;
+    the same list is returned): phi on the principal arccos branch with
     nonnegative imaginary part, zeta = e^{i phi}, and the Jacobi triple of
     the preimage of lam whose vertical eigenvalue is zeta, checked against
     it."""
@@ -503,10 +502,12 @@ def spectrum_for(c: Couplings, prec: Precision = FLOAT64):
     reduced so that reciprocal-eigenvalue points sit on the upper torus
     line, its branch, omega = am 2u, theta, psi and the residual of the
     quantization M phi = omega (mod 2 pi)."""
-    w, frame, bundle, pts = SystemPipeline(c, prec).spectral()
+    pipe = SystemPipeline(c, prec)
+    w, bundle, pts = pipe.checked()
+    frame = pipe.frame()
     ctx = frame.prec.ctx
     two_pi = 2 * ctx.pi
-    for p in pts:
+    for p in enrich_spectrum(pts, frame, w):
         complex_phi = abs(float(ctx.im(p.phi))) > 1e-9
         p.u = _locate_u(p, frame, 1e-6 if complex_phi else 1e-9)
         p.branch = ("complex" if complex_phi else
@@ -530,7 +531,8 @@ def spectrum_for(c: Couplings, prec: Precision = FLOAT64):
 class SystemPipeline:
     """The work every spectral quantity of one system shares, at one
     precision: weights, elliptic frame, family (matrices and the unchecked
-    eigensystem) and spectral (joint check and `enrich_spectrum`).
+    eigensystem) and checked (the family after `check_joint`).  No route
+    reads the frame.
 
     Each stage is built on first use and kept; a stage that raised raises
     again without being rebuilt.  ``seconds`` is the time spent building.
@@ -575,16 +577,11 @@ class SystemPipeline:
         bundle, pts = self._stage("family", build)
         return w, bundle, pts
 
-    def spectral(self):
-        """(weights, frame, bundle, points), checked and enriched."""
+    def checked(self):
+        """(weights, bundle, points): the family after `check_joint`."""
         w, bundle, pts = self.family()
-
-        def build():
-            check_joint(bundle, w, pts)
-            frame = self.frame()
-            enrich_spectrum(pts, frame, w)
-            return w, frame, bundle, pts
-        return self._stage("spectral", build)
+        self._stage("checked", lambda: check_joint(bundle, w, pts))
+        return w, bundle, pts
 
 
 # ----------------------------------------------------------------------

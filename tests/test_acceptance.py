@@ -82,7 +82,7 @@ def test_criterion_2_pfaffian_equals_determinant():
         for attempt in range(2):
             w, fr, _b, pts = spectrum_for(c, prec)
             hs = hankel_from_spectrum(pts, c, w, fr)
-            ss = skew_toeplitz_from_spectrum(pts, c, w, fr)
+            ss = skew_toeplitz_from_spectrum(pts, c, w)
             det, cond = hs.logdet(prec)
             pf = ss.log_pfaffian(prec)
             # the check is only as good as the determinant conditioning:

@@ -38,7 +38,8 @@ from rectising.partition import (
     spin_transfer_logZ,
 )
 from rectising.precision import FLOAT64, Precision
-from rectising.spectrum import SystemPipeline, spectrum_for
+from rectising.spectrum import (SystemPipeline, chi_poly_derivative,
+                                spectrum_for)
 
 CRITICAL_K = 0.5 * math.log(1 + math.sqrt(2))
 
@@ -563,6 +564,27 @@ class TestHankelRoute:
             lz, _ = route(c, p, pipe)
             assert abs(lz.log_mag - ref) < 1e-12 * abs(ref)
 
+    @pytest.mark.parametrize("k,eta,L,M", [(0.6, 0.9, 5, 6), (3, 0.9, 6, 10),
+                                           (6, 0.5, 6, 24)])
+    def test_closed_form_weights_are_the_angle_form(self, k, eta, L, M):
+        # the weights the routes read, 2 t* e^(L gamma - shift) (t z - lam)
+        # / ((t - z lam) P'(chi)), against the angle form 2i t*
+        # e^(L gamma - shift) e^(-theta) e^(psi) / P'(chi) of the enriched
+        # spectrum; in the ordered phase an edge mode has a complex phi
+        import rectising.partition as partition
+        p = Precision(160)
+        ctx = p.ctx
+        c = couplings_from_modulus(k, eta, L, M)
+        w, _fr, _b, pts = spectrum_for(c, p)
+        shift, _chis, b, _leak = partition._spectral_measure(pts, c, w)
+        assert any(ctx.im(q.phi) for q in pts) == (k > 1)
+        for i, (bi, q) in enumerate(zip(b, pts)):
+            want = (ctx.mpc(0, 2) * w.t_star * ctx.exp(L * q.gamma - shift)
+                    * q.exp_minus_theta() * q.exp_psi()
+                    / chi_poly_derivative(pts, i))
+            assert bi > 0
+            assert abs(bi - want) <= 1e-40 * abs(want)
+
     def test_moments_real(self):
         for kk in (0.6, 1.66):
             c = couplings_from_modulus(kk, 0.9, 5, 6)
@@ -597,7 +619,7 @@ class TestSkewToeplitzRoute:
     def test_diagonal_zero_and_antisymmetry(self):
         c = couplings_from_modulus(0.6, 0.9, 5, 6)
         w, fr, _b, pts = spectrum_for(c)
-        sys = skew_toeplitz_from_spectrum(pts, c, w, fr)
+        sys = skew_toeplitz_from_spectrum(pts, c, w)
         M = c.M
         for i in range(M):
             assert sys.rows[i][i] == 0
@@ -614,12 +636,12 @@ class TestSkewToeplitzRoute:
         p = Precision(160)
         ctx = p.ctx
         c = couplings_from_modulus(k, 0.9, 6, 10)
-        w, fr, _b, pts = SystemPipeline(c, p).spectral()
+        w, _fr, _b, pts = spectrum_for(c, p)
         assert any(ctx.im(q.phi) for q in pts) == (k > 1)
-        _shift, _chis, b, _leak = partition._spectral_measure(pts, c, w, p)
+        _shift, _chis, b, _leak = partition._spectral_measure(pts, c, w)
         want = [-ctx.fsum(bi * ctx.sin(d * q.phi) / ctx.sin(q.phi)
                           for bi, q in zip(b, pts)) for d in range(1, c.M)]
-        got = skew_toeplitz_from_spectrum(pts, c, w, fr).c_scaled
+        got = skew_toeplitz_from_spectrum(pts, c, w).c_scaled
         scale = max(abs(x) for x in want)
         assert max(abs(g - x) for g, x in zip(got, want)) < 1e-40 * scale
 
@@ -629,7 +651,7 @@ class TestSkewToeplitzRoute:
         c = couplings_from_modulus(0.6, 0.9, L, M)
         w, fr, _b, pts = spectrum_for(c)
         hs = hankel_from_spectrum(pts, c, w, fr)
-        ss = skew_toeplitz_from_spectrum(pts, c, w, fr)
+        ss = skew_toeplitz_from_spectrum(pts, c, w)
         det, _ = hs.logdet(FLOAT64)
         pf = ss.log_pfaffian(FLOAT64)
         assert abs(det.log_mag - pf.log_mag) < 1e-9 * max(1.0, abs(det.log_mag))
@@ -803,13 +825,26 @@ class TestSharedPipeline:
         assert len(calls) == 1
 
     def test_binary64_all_builds_weights_and_frame_once(self, count_calls):
+        import rectising.spectrum as spectrum
         weights = count_calls(params, "weights_from_couplings")
         frames = count_calls(params, "elliptic_frame")
+        enriched = count_calls(spectrum, "enrich_spectrum")
         res = assemble_logZ(couplings_from_modulus(0.6, 0.9, 8, 8), "all")
         assert res.outcomes["hankel"].precision_bits == 53
         assert res.outcomes["hankel"].status == "ok"
         assert len(weights) == 1
         assert len(frames) == 1
+        # a 160-bit escalation and a 160-bit run build no frame at the
+        # route precision: the one frame is the binary64 anisotropy report's
+        for c, prec in ((couplings_from_modulus(0.9, 1.0, 24, 16), FLOAT64),
+                        (couplings_from_modulus(0.6, 0.9, 5, 6),
+                         Precision(160))):
+            frames.clear()
+            res = assemble_logZ(c, "all", prec=prec)
+            assert res.outcomes["hankel"].precision_bits == 160
+            assert res.outcomes["hankel"].status == "ok"
+            assert [args[1].bits for args in frames] == [53]
+        assert enriched == []
 
     def test_routes_on_one_pipeline_share_the_eigensystem(self, count_calls):
         import rectising.spectrum as spectrum

@@ -28,6 +28,7 @@ from rectising.spectrum import (
     check_joint,
     chi_poly_derivative,
     dispersion_residual,
+    enrich_spectrum,
     joint_spectrum,
     lambda_zeta,
     spectrum_for,
@@ -172,7 +173,7 @@ class TestBinary64Checks:
     def test_disordered_spectrum_makes_no_mp_products(self, count_calls):
         calls = count_calls(spectrum, "_rayleigh")
         c = couplings_from_modulus(0.6, 0.8, 12, 64)
-        SystemPipeline(c, Precision(160)).spectral()
+        SystemPipeline(c, Precision(160)).checked()
         assert calls == []
 
     def test_binary64_copies_made_once_and_read_only(self):
@@ -281,27 +282,33 @@ def test_enrichment_evaluates_eta_once(count_calls):
     pipe = SystemPipeline(couplings_from_modulus(0.65, 0.5, 6, 6))
     frame = pipe.frame()
     calls = count_calls(EllipticKernel, "sncndn")
-    _w, _fr, _b, pts = pipe.spectral()
+    w, _b, pts = pipe.checked()
+    enrich_spectrum(pts, frame, w)
     assert len(pts) == 6
     assert sum(1 for _kern, u in calls if u == frame.eta) <= 1
 
 
 TABLE_ANGLES = ("u", "branch", "omega", "theta", "psi", "quant_residual")
 
+#: what `enrich_spectrum` fills, which no route reads either
+TORUS_ANGLES = ("phi", "zeta", "sn_u", "cn_u", "dn_u")
+
 
 @pytest.mark.parametrize("k,eta,L,M", [(0.6, 0.9, 5, 6), (3, 0.9, 6, 6)])
 @pytest.mark.parametrize("bits", [53, 160])
 def test_table_angles_only_from_spectrum_for(k, eta, L, M, bits):
-    # the routes' spectrum leaves the table's angles unset; spectrum_for
-    # fills them for every point
+    # the routes' spectrum leaves the table's angles, phi, zeta and the
+    # Jacobi triple unset; spectrum_for fills them for every point
     c = couplings_from_modulus(k, eta, L, M)
-    _w, _fr, _b, route_pts = SystemPipeline(c, Precision(bits)).spectral()
+    _w, _b, route_pts = SystemPipeline(c, Precision(bits)).checked()
     _w, _fr, _b, table_pts = spectrum_for(c, Precision(bits))
     assert len(route_pts) == len(table_pts) == M
     for p in route_pts:
-        assert all(getattr(p, name) is None for name in TABLE_ANGLES)
+        assert all(getattr(p, name) is None
+                   for name in TABLE_ANGLES + TORUS_ANGLES)
     for p in table_pts:
-        assert all(getattr(p, name) is not None for name in TABLE_ANGLES)
+        assert all(getattr(p, name) is not None
+                   for name in TABLE_ANGLES + TORUS_ANGLES)
 
 
 class TestCharPoly:
