@@ -6,9 +6,11 @@ routes plus pairwise deviations and consistency checks), spectrum
 (modulus sweep as CSV), uplane (integrand field file).
 
 Exit codes: 0 success, 1 numerical failure or no log Z: from z and
-compare no route produced one, from scan no point did (diagnostic JSON on
-stderr), 2 usage error, 3 gating identity failure.  JSON output is strict:
-a NaN or an infinity is written as null.
+compare no route produced one, or with every route the routes still
+disagree by more than AGREEMENT_DEV after the retry, from scan no point
+produced one (diagnostic JSON on stderr), 2 usage error, 3 gating
+identity failure.  JSON output is strict: a NaN or an infinity is
+written as null.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .contour import ContourContext, uplane_field
 from .errors import DomainError, RectisingError
 from .identities import GATING_TOL, run_identity_suite
 from .params import Couplings, couplings_from_modulus, swap_system
-from .partition import ROUTES, SPIN_MAX_WIDTH, assemble_logZ
+from .partition import AGREEMENT_DEV, ROUTES, SPIN_MAX_WIDTH, assemble_logZ
 from .precision import Precision
 from .spectrum import spectrum_for
 
@@ -68,7 +70,8 @@ def _json_dumps(obj) -> str:
 
 
 def _no_log_z(message: str, **detail) -> int:
-    """Diagnostic JSON on stderr for a run without a log Z; exit code 1."""
+    """Diagnostic JSON on stderr for a run without a log Z it can stand
+    by; exit code 1."""
     sys.stderr.write(_json_dumps({"error": "RectisingError",
                                   "message": message, **detail}))
     return 1
@@ -173,6 +176,11 @@ def cmd_z(ns, with_checks=False) -> int:
         return _no_log_z("no route produced a log Z", routes={
             name: {"status": o.status, "reason": o.reason}
             for name, o in res.outcomes.items()})
+    if res.route == "all" and res.max_pairwise_dev > AGREEMENT_DEV:
+        return _no_log_z(
+            f"the routes disagree by {res.max_pairwise_dev:.3e}, more "
+            f"than {AGREEMENT_DEV:g}", max_pairwise_rel_dev=(
+                res.max_pairwise_dev), routes=result_record(res)["routes"])
     checks = _consistency_checks(res) if with_checks else {}
     rec = result_record(res, checks)
     if ns.fmt == "json":

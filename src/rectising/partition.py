@@ -31,9 +31,7 @@ import math
 import sys
 import time
 from dataclasses import dataclass, field
-from functools import reduce
 from itertools import accumulate, chain
-from operator import add, mul
 
 import numpy as np
 
@@ -62,10 +60,14 @@ ROUTES = ("brute", "spin", "block", "hankel", "pfaffian")
 #: routes that run at the working precision (the others are binary64)
 STRUCTURED_ROUTES = ("block", "hankel", "pfaffian")
 
+#: largest pairwise relative deviation a ``route="all"`` result may keep
+#: after its retry; the CLI's ``z`` and ``compare`` exit 1 above it
+AGREEMENT_DEV = 1e-8
+
 #: pairwise relative deviation above which ``route="all"`` reruns the
-#: structured routes at 160 bits: a tenth of the 1e-8 agreement every
-#: result must meet, so a binary64 route off by less than that is caught
-ESCALATION_DEV = 1e-9
+#: structured routes at 160 bits: a tenth of AGREEMENT_DEV, so a binary64
+#: route off by less than that is caught
+ESCALATION_DEV = AGREEMENT_DEV / 10
 
 
 # ----------------------------------------------------------------------
@@ -124,20 +126,6 @@ class LogScaledValue:
         return self.log_mag
 
 
-def _dot(prec: Precision):
-    """Dot product of two equal-length sequences at ``prec``.
-
-    At extended precision ``ctx.fdot``: exact products and one rounding.
-    In binary64 a left-to-right sum of rounded products: with the entry
-    first and 1 as its factor, that is the sequence of multiply-subtracts
-    of a right-looking update, in the same order.  ``reduce`` keeps that
-    order on every Python (``sum`` compensates float sums from 3.12 on).
-    """
-    if prec.is_float:
-        return lambda a, b: reduce(add, map(mul, a, b))
-    return prec.ctx.fdot
-
-
 def _fsum(prec: Precision):
     """Accurate sum at ``prec``: correctly rounded in binary64
     (`math.fsum`), ``ctx.fsum`` at extended precision."""
@@ -157,30 +145,117 @@ def _isfinite(prec: Precision):
     return cmath.isfinite if prec.is_float else prec.ctx.isfinite
 
 
+# The binary64 kernels update whole arrays, and round every entry as
+# CPython rounds the scalar operation: numpy's own arithmetic on real
+# arrays; on complex ones, products split into real operations and
+# quotients taken entry by entry, because numpy's complex multiply and
+# divide round differently (np.hypot matches CPython's abs, np.abs not).
+
+def _abs64(a):
+    """|a|, entrywise."""
+    return np.hypot(a.real, a.imag) if a.dtype.kind == "c" else np.abs(a)
+
+
+def _quotients(a, d):
+    """a / d, with ``d`` broadcast against ``a``."""
+    if a.dtype.kind != "c":
+        return a / d
+    num = a.ravel().tolist()
+    den = np.broadcast_to(d, a.shape).ravel().tolist()
+    return np.array([x / y for x, y in zip(num, den)],
+                    dtype=complex).reshape(a.shape)
+
+
+def _outer(f, g):
+    """f_i g_j for every i, j."""
+    if f.dtype.kind != "c":
+        return np.multiply.outer(f, g)
+    out = np.empty((len(f), len(g)), dtype=complex)
+    out.real = np.multiply.outer(f.real, g.real) - np.multiply.outer(
+        f.imag, g.imag)
+    out.imag = np.multiply.outer(f.real, g.imag) + np.multiply.outer(
+        f.imag, g.real)
+    return out
+
+
+def _swap(a, i, j):
+    """Swap rows i and j of ``a`` in place (columns, given ``a.T``)."""
+    row = a[i].copy()
+    a[i] = a[j]
+    a[j] = row
+
+
+def _as_binary64(rows):
+    """``rows`` as a binary64 array, real unless an entry is complex: the
+    caller's array itself if it already is one."""
+    a = np.asarray(rows)
+    return a.astype(complex if a.dtype.kind in "cO" else float, copy=False)
+
+
+def _logdet_binary64(rows) -> tuple[LogScaledValue, dict]:
+    """`logdet_scaled` in binary64: the classic right-looking update, one
+    rank-1 array update a column."""
+    A = _as_binary64(rows)
+    if not np.isfinite(A).all():
+        raise NonFiniteError("determinant of a matrix with a non-finite entry")
+    n = len(A)
+    if n == 0:
+        return LogScaledValue(0.0, 1.0), {"loss": 0.0}
+    scales = _abs64(A).max(axis=1)
+    if not scales.all():
+        return LogScaledValue.zero(), {"loss": 0.0}
+    A = _quotients(A, scales[:, None])
+    log_mag = 0.0
+    for s in scales.tolist():
+        log_mag += math.log(s)
+    phase = complex(1.0)
+    min_piv, max_piv = float("inf"), 0.0
+    for col in range(n):
+        p = col + int(_abs64(A[col:, col]).argmax())
+        piv = A[p, col].item()
+        ap = abs(piv)
+        if ap == 0:
+            return LogScaledValue.zero(), {"loss": float("inf")}
+        if p != col:
+            _swap(A, col, p)
+            phase = -phase
+        min_piv, max_piv = min(min_piv, ap), max(max_piv, ap)
+        log_mag += math.log(ap)
+        phase *= complex(piv / ap)
+        A[col + 1:, col + 1:] -= _outer(_quotients(A[col + 1:, col], piv),
+                                        A[col, col + 1:])
+    loss = math.log10(max_piv / min_piv) if min_piv > 0 else float("inf")
+    return LogScaledValue(log_mag, phase), {"loss": loss}
+
+
 def logdet_scaled(rows, prec: Precision) -> tuple[LogScaledValue, dict]:
     """LU determinant with partial pivoting and per-row scaling.
 
-    Works on nested lists of context scalars (real or complex).  Returns
-    the determinant and a conditioning report: ``loss`` estimates the
-    decimal digits destroyed by cancellation.  Left-looking (Crout)
-    order: each entry of column k is one dot product over the finished
-    columns.
+    Works on a square matrix of context scalars (real or complex), as
+    nested lists or a 2-D array.  Returns the determinant and a
+    conditioning report: ``loss`` estimates the decimal digits destroyed
+    by cancellation.  Binary64 runs the classic right-looking elimination
+    as array updates.  Extended precision runs left-looking (Crout)
+    order: each entry of column k is one ``fdot`` over the finished
+    columns, with exact products and one rounding.
     """
-    ctx = prec.ctx
     n = _check_square(rows, "determinant")
-    isfinite = _isfinite(prec)
+    if prec.is_float:
+        return _logdet_binary64(rows)
+    ctx = prec.ctx
+    isfinite = ctx.isfinite
     scales = []
     for r in rows:
         m = [abs(x) for x in r]
-        # a NaN or an infinity makes the sum non-finite; so can a binary64
-        # overflow, which the entrywise test then clears
+        # a NaN or an infinity makes the sum non-finite; so can an overflow
+        # of binary64 entries, which the entrywise test then clears
         if not (isfinite(sum(m)) or all(map(isfinite, r))):
             raise NonFiniteError(
                 "determinant of a matrix with a non-finite entry")
         scales.append(max(m))
     if n == 0:
         return LogScaledValue(ctx.mpf(0), 1.0), {"loss": 0.0}
-    dot = _dot(prec)
+    dot = ctx.fdot
     one = ctx.mpf(1)
     A = []
     log_mag = ctx.mpf(0)
@@ -222,21 +297,54 @@ def logdet_scaled(rows, prec: Precision) -> tuple[LogScaledValue, dict]:
     return LogScaledValue(log_mag, phase), {"loss": loss}
 
 
-def pfaffian(rows, prec: Precision = FLOAT64) -> LogScaledValue:
-    """Pfaffian of an even-dimensional skew-symmetric matrix.
+def _pfaffian_binary64(F) -> LogScaledValue:
+    """`pfaffian` in binary64, on the exactly skew matrix of the upper
+    triangle of ``F``: the classic right-looking Parlett-Reid update, rows
+    and columns swapped together."""
+    U = np.triu(F, 1)
+    T = U - U.T
+    n = len(T)
+    log_mag, phase = 0.0, complex(1.0)
+    for k in range(0, n, 2):
+        q = k + 1 + int(_abs64(T[k, k + 1:]).argmax())
+        entry = T[k, q].item()
+        ae = abs(entry)
+        if ae == 0:
+            return LogScaledValue.zero()
+        if q != k + 1:
+            _swap(T, k + 1, q)
+            _swap(T.T, k + 1, q)
+            phase = -phase
+        log_mag += math.log(ae)
+        phase *= complex(entry / ae)
+        if k + 2 == n:
+            break
+        # A_ij += f_i (-R_j), then += R_i f_j; as f_i (-R_j) = -(f_i R_j)
+        # and R_i f_j = f_j R_i in every rounding, both come from P
+        P = _outer(_quotients(T[k, k + 2:], entry), T[k + 1, k + 2:])
+        B = T[k + 2:, k + 2:]
+        B -= P
+        B += P.T
+    return LogScaledValue(log_mag, phase)
 
-    Skew tridiagonalization with partial pivoting (Parlett-Reid), in
-    left-looking order: step k forms only column k and row k+1 of the
-    reduced matrix, each entry as one dot product over the per-index
-    histories of the earlier steps' rank-2 congruence updates.  Only the
-    upper triangle is read past the skew gate, so the reduced matrix is
-    exactly skew; pivot magnitudes accumulate in the log domain and swaps
-    flip the sign.
+
+def pfaffian(rows, prec: Precision = FLOAT64) -> LogScaledValue:
+    """Pfaffian of an even-dimensional skew-symmetric matrix, given as
+    nested lists or a 2-D array.
+
+    Skew tridiagonalization with partial pivoting (Parlett-Reid).  Only
+    the upper triangle is read past the skew gate, so the reduced matrix
+    is exactly skew; pivot magnitudes accumulate in the log domain and
+    swaps flip the sign.  Binary64 runs the classic right-looking update
+    as array updates.  Extended precision runs left-looking order: step k
+    forms only column k and row k+1 of the reduced matrix, each entry as
+    one ``fdot`` over the per-index histories of the earlier steps'
+    rank-2 congruence updates.
     """
     n = _check_square(rows, "Pfaffian")
     # a binary64 copy flags non-finite entries (and extended ones beyond
     # its range, which the exact test clears) and settles the 1e-12 gate
-    F = np.array(rows, dtype=complex)
+    F = _as_binary64(rows)
     in_range = np.isfinite(F).all()
     if not (in_range
             or all(map(_isfinite(prec), chain.from_iterable(rows)))):
@@ -250,8 +358,10 @@ def pfaffian(rows, prec: Precision = FLOAT64) -> LogScaledValue:
         raise DomainError("Pfaffian requires a skew-symmetric matrix")
     if n == 0:
         return LogScaledValue(0.0, 1.0)
+    if prec.is_float:
+        return _pfaffian_binary64(F)
     ctx = prec.ctx
-    dot = _dot(prec)
+    dot = ctx.fdot
     one = ctx.mpf(1)
     perm = list(range(n))
     # step s reduces A_ij by f_i^s R_j^s - f_j^s R_i^s.  Index i keeps its
@@ -445,18 +555,18 @@ def block_transfer_logZ(c: Couplings, prec: Precision | None = None,
     ctx = pipeline.prec.ctx
     w, _bundle, pts = pipeline.family()
     M, L = c.M, c.L
-    half = [[ctx.mpf(0)] * M for _ in range(M)]
+    ep, em = [], []
     shifts = ctx.mpf(0)
-    for i, p in enumerate(pts):
+    for p in pts:
         a = abs(p.gamma) * L / 2
-        ep = ctx.exp(L * p.gamma / 2 - a)
-        em = ctx.exp(-L * p.gamma / 2 - a)
-        v = p.eigvec
-        for j in range(M):
-            plus = (v[j] + v[M - 1 - j]) / 2
-            minus = (v[j] - v[M - 1 - j]) / 2
-            half[i][j] = ep * plus + em * minus
+        ep.append(ctx.exp(L * p.gamma / 2 - a))
+        em.append(ctx.exp(-L * p.gamma / 2 - a))
         shifts += a
+    # row i: e^(L gamma_i / 2) times the even part of eigenvector i plus
+    # e^(-L gamma_i / 2) times its odd part, both scaled by e^-a_i
+    V = np.array([p.eigvec for p in pts])
+    half = (np.array(ep)[:, None] * ((V + V[:, ::-1]) / 2)
+            + np.array(em)[:, None] * ((V - V[:, ::-1]) / 2))
     det, cond = logdet_scaled(half, pipeline.prec)
     if det.is_zero:
         raise PhaseLeakError("sign anomaly: singular projected determinant",
@@ -479,14 +589,15 @@ class HankelSystem:
     """Half-size Hankel system: moments, matrix and prefactor.
 
     ``h_scaled[n-1]`` holds h_n * exp(-log_shift); the matrix rows use the
-    same shift, so ``det H = exp(M/2 * log_shift) * det(rows)``.
+    same shift, so ``det H = exp(M/2 * log_shift) * det(rows)``; ``rows``
+    is a binary64 array, or an object array of context scalars.
     ``phase_leak`` is the worst |Im b|/|b| of the spectral weights.
     """
 
     M: int
     log_shift: object
     h_scaled: list
-    rows: list
+    rows: np.ndarray
     log_z1: object
     phase_leak: float = 0.0
 
@@ -500,12 +611,13 @@ class HankelSystem:
 
 @dataclass
 class SkewToeplitzSystem:
-    """Skew-symmetric Toeplitz system sharing the Hankel prefactor."""
+    """Skew-symmetric Toeplitz system sharing the Hankel prefactor;
+    ``rows`` is an array like `HankelSystem.rows`."""
 
     M: int
     log_shift: object
     c_scaled: list            # c_1 .. c_{M-1}, first column below diagonal
-    rows: list
+    rows: np.ndarray
     log_z1: object
 
     def log_pfaffian(self, prec: Precision) -> LogScaledValue:
@@ -568,46 +680,58 @@ def hankel_from_spectrum(points, c: Couplings, w: Weights,
     for _n in range(1, M):
         h.append(fsum(terms))
         terms = [t * x for t, x in zip(terms, chis)]
-    half = M // 2
-    rows = [[h[i + j] for j in range(half)] for i in range(half)]
+    r = np.arange(M // 2)
+    rows = np.array(h)[np.add.outer(r, r)]
     return HankelSystem(M=M, log_shift=shift, h_scaled=h, rows=rows,
                         log_z1=_log_z1_value(w, c.L, M, w.prec.ctx),
                         phase_leak=leak)
 
 
-def skew_toeplitz_from_spectrum(points, c: Couplings,
-                                w: Weights) -> SkewToeplitzSystem:
+def skew_toeplitz_from_spectrum(points, c: Couplings, w: Weights,
+                                measure=None) -> SkewToeplitzSystem:
     """Assemble the skew-symmetric Toeplitz matrix from the spectral
-    measure, at the precision of ``w``.
+    measure, at the precision of ``w``; ``measure`` is the
+    `_spectral_measure` of ``points``, formed here if None.
 
     e^-shift c_d = -sum_i b_i U_(d-1)(chi_i/2 - 1): the terms b_i
     sin(d phi_i)/sin(phi_i) follow the Chebyshev three-term recurrence, so
     no angle is evaluated and nothing is divided by sin(phi).  Entries
-    depend on the index difference only and come from the one coefficient
-    vector, so antisymmetry and the Toeplitz structure hold exactly.
+    depend on the index difference only and are indexed out of the one
+    vector (-c_(M-1), ..., -c_1, 0, c_1, ..., c_(M-1)), so antisymmetry
+    and the Toeplitz structure hold exactly.
     """
     M = c.M
-    shift, chis, terms, _leak = _spectral_measure(points, c, w)
+    if measure is None:
+        measure = _spectral_measure(points, c, w)
+    shift, chis, terms, _leak = measure
     fsum = _fsum(w.prec)
     prev = [0] * len(terms)                 # b_i U_(-1); terms: b_i U_0
+    twice_cos = [x - 2 for x in chis]       # 2 cos(phi_i)
     cs = []
     for _d in range(1, M):
         cs.append(-fsum(terms))
-        terms, prev = [(x - 2) * t - q
-                       for x, t, q in zip(chis, terms, prev)], terms
-    zero = w.prec.ctx.mpf(0)
-    rows = [[(cs[i - j - 1] if i > j else (-cs[j - i - 1] if j > i else zero))
-             for j in range(M)] for i in range(M)]
+        terms, prev = [a * t - q
+                       for a, t, q in zip(twice_cos, terms, prev)], terms
+    signed = np.array([-x for x in reversed(cs)] + [w.prec.ctx.mpf(0)] + cs)
+    r = np.arange(M)
+    rows = signed[np.subtract.outer(r, r) + (M - 1)]
     return SkewToeplitzSystem(M=M, log_shift=shift, c_scaled=cs, rows=rows,
                               log_z1=_log_z1_value(w, c.L, M, w.prec.ctx))
 
 
-def _spectral_pipeline(c: Couplings, prec, pipeline) -> SystemPipeline:
-    """`_route_pipeline`, refusing the critical modulus from the weights."""
+def _checked_measure(c: Couplings, prec, pipeline):
+    """(pipeline, weights, points, measure) of a structured spectral
+    route: `_route_pipeline`, refusing the critical modulus from the
+    weights, its checked eigensystem and its `_spectral_measure`.  The
+    measure is the pipeline's ``measure`` stage, so the Hankel and
+    Pfaffian routes form it once, and one that raised raises for both."""
     pipeline = _route_pipeline(c, prec, pipeline)
     if is_critical(pipeline.weights().k):
         raise RouteInfeasibleError("critical modulus")
-    return pipeline
+    w, _bundle, pts = pipeline.checked()
+    measure = pipeline._stage("measure",
+                              lambda: _spectral_measure(pts, c, w))
+    return pipeline, w, pts, measure
 
 
 def hankel_logZ(c: Couplings, prec: Precision | None = None,
@@ -623,11 +747,10 @@ def hankel_logZ(c: Couplings, prec: Precision | None = None,
     where underflow has eaten its digits: ``route="all"`` then retries at
     160 bits, where exponents are unbounded.
     """
-    pipeline = _spectral_pipeline(c, prec, pipeline)
-    w, _bundle, pts = pipeline.checked()
+    pipeline, w, _pts, measure = _checked_measure(c, prec, pipeline)
     prec = pipeline.prec
     ctx = prec.ctx
-    shift, chis, weights, leak = _spectral_measure(pts, c, w)
+    shift, chis, weights, leak = measure
     log_b = [ctx.log(b) for b in weights]
     top, bottom = max(log_b), min(log_b)
     if prec.is_float and ctx.exp(bottom - top) < sys.float_info.min:
@@ -653,9 +776,8 @@ def pfaffian_logZ(c: Couplings, prec: Precision | None = None,
                   pipeline: SystemPipeline = None):
     """log Z through the Pfaffian of the skew Toeplitz matrix, on the
     checked eigensystem of ``pipeline`` (a new one at ``prec`` if None)."""
-    pipeline = _spectral_pipeline(c, prec, pipeline)
-    w, _bundle, pts = pipeline.checked()
-    st = skew_toeplitz_from_spectrum(pts, c, w)
+    pipeline, w, pts, measure = _checked_measure(c, prec, pipeline)
+    st = skew_toeplitz_from_spectrum(pts, c, w, measure)
     pf = st.log_pfaffian(pipeline.prec)
     log_z = st.log_z1 + pf.real_log()
     return LogScaledValue(log_z, 1.0), {"pf_phase": pf.phase}
@@ -682,7 +804,7 @@ class PartitionResult:
 
     ``pipeline_seconds`` is the time spent on work the structured routes
     share (weights, the binary64 frame, matrices, eigensystem, joint
-    check); the routes' own ``seconds`` leave it out.
+    check, spectral measure); the routes' own ``seconds`` leave it out.
     """
 
     couplings: Couplings

@@ -185,7 +185,8 @@ def _tridiag_rayleigh(ctx, d, e, v):
 def _core_eig(bundle: MatrixBundle, w: Weights, prec: Precision):
     """Eigenpairs of the family at the working precision, as (chi,
     lambda_plus, eigenvectors) lists, the two eigenvalue lists tied by
-    T_plus = -tzm/2 C + (tzp + tzm) I.
+    T_plus = -tzm/2 C + (tzp + tzm) I.  A binary64 eigenvector is a column
+    view of the one ``eigh`` matrix; an extended one, a list.
 
     Binary64 takes ``eigh`` of the half-sum T_plus.  Extended precision
     refines binary64 ``eigh`` seeds of the tridiagonal core C pair by pair
@@ -206,7 +207,7 @@ def _core_eig(bundle: MatrixBundle, w: Weights, prec: Precision):
     if prec.is_float:
         lam_plus = [float(x) for x in seeds]
         return ([2 * (tzp + tzm - lp) / tzm for lp in lam_plus], lam_plus,
-                [list(map(float, seed_vecs[:, j])) for j in range(bundle.M)])
+                list(seed_vecs.T))
     ctx = prec.ctx
     M = bundle.M
     C = bundle.rows_C
@@ -250,9 +251,11 @@ def _core_eig(bundle: MatrixBundle, w: Weights, prec: Precision):
 class SpectrumPoint:
     """One eigenvalue with its angles.
 
-    ``lam`` is the positive transfer-matrix eigenvalue.  Only
-    ``spectrum_for`` fills phi, zeta, the Jacobi triple (`enrich_spectrum`),
-    u, branch, omega, theta, psi and quant_residual; no route reads them.
+    ``lam`` is the positive transfer-matrix eigenvalue.  ``eigvec`` is a
+    view of the binary64 eigenvector matrix, or a list of context scalars
+    at extended precision.  Only ``spectrum_for`` fills phi, zeta, the
+    Jacobi triple (`enrich_spectrum`), u, branch, omega, theta, psi and
+    quant_residual; no route reads them.
     """
 
     mu: int
@@ -261,7 +264,7 @@ class SpectrumPoint:
     lam_minus: float
     gamma: float
     chi: float
-    eigvec: list
+    eigvec: object
     zeta: complex = None
     phi: complex = None
     u: complex = None
@@ -532,7 +535,8 @@ class SystemPipeline:
     """The work every spectral quantity of one system shares, at one
     precision: weights, elliptic frame, family (matrices and the unchecked
     eigensystem) and checked (the family after `check_joint`).  No route
-    reads the frame.
+    reads the frame.  The structured routes keep one stage of their own
+    here, the spectral measure (`partition._checked_measure`).
 
     Each stage is built on first use and kept; a stage that raised raises
     again without being rebuilt.  ``seconds`` is the time spent building.

@@ -4,11 +4,17 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import rectising
 from rectising.cli import build_parser, main
 from rectising.identities import GATING_TOL
+from rectising.partition import AGREEMENT_DEV
 
 
 def run_cli(capsys, *argv):
@@ -176,6 +182,35 @@ def test_no_log_z_exits_one(capsys, argv, routes, reason):
         assert r["status"] == "skipped" and r["reason"]
         if reason:
             assert r["reason"] == reason
+
+
+@pytest.mark.parametrize("command", ["z", "compare"])
+def test_route_disagreement_exits_one(capsys, command):
+    # the 160-bit Pfaffian is off by 4.6e-2 here (ROADMAP D10); block and
+    # Hankel agree, and the retry does not bring the Pfaffian in
+    code, out, err = run_cli(capsys, command, "--L", "32", "--M", "16",
+                             "--k", "30", "--eta-frac", "0.3")
+    assert code == 1
+    assert out == ""
+    diag = json.loads(err, parse_constant=_reject_constant)
+    assert diag["max_pairwise_rel_dev"] > AGREEMENT_DEV
+    routes = diag["routes"]
+    assert routes["pfaffian"]["status"] == "ok"
+    assert routes["pfaffian"]["precision_bits"] == 160
+    block, hankel = routes["block"]["logZ"], routes["hankel"]["logZ"]
+    assert abs(block - hankel) <= 1e-12 * abs(block)
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(rectising.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run(
+        [sys.executable, "-m", "rectising", "z", "--L", "4", "--M", "4",
+         "--k", "0.6"], capture_output=True, text=True, env=env,
+        timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["routes"]["block"]["status"] == "ok"
 
 
 @pytest.mark.parametrize("route", ["pfaffian"])

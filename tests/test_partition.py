@@ -126,6 +126,51 @@ def right_looking_logdet(rows):
     return log_mag, phase, math.log10(max_piv / min_piv)
 
 
+def right_looking_pfaffian(rows):
+    """Binary64 oracle: the classic right-looking Parlett-Reid reduction of
+    the exactly skew matrix of the upper triangle, with the pivot order of
+    `pfaffian`; returns (log |Pf|, phase)."""
+    n = len(rows)
+    A = [[rows[i][j] if i < j else (-rows[j][i] if i > j else 0.0)
+          for j in range(n)] for i in range(n)]
+    log_mag, phase = 0.0, complex(1.0)
+    for k in range(0, n, 2):
+        q = max(range(k + 1, n), key=lambda j: abs(A[k][j]))
+        entry = A[k][q]
+        ae = abs(entry)
+        if ae == 0:
+            return float("-inf"), 1.0
+        if q != k + 1:
+            A[q], A[k + 1] = A[k + 1], A[q]
+            for r in A:
+                r[q], r[k + 1] = r[k + 1], r[q]
+            phase = -phase
+        log_mag += math.log(ae)
+        phase *= complex(entry / ae)
+        rest = range(k + 2, n)
+        f = {j: A[k][j] / entry for j in rest}
+        R = {j: A[k + 1][j] for j in rest}
+        for i in rest:
+            for j in rest:
+                A[i][j] = A[i][j] + f[i] * -R[j]
+                A[i][j] = A[i][j] + R[i] * f[j]
+    return log_mag, phase
+
+
+def seeded_skew(rng, n, kind):
+    """A real, complex or half-sparse skew test matrix as nested lists,
+    its lower triangle off by a relative 1e-14, which `pfaffian` never
+    reads."""
+    B = rng.normal(size=(n, n)) * np.exp(2 * rng.normal(size=(n, 1)))
+    if kind == "complex":
+        B = B + 1j * rng.normal(size=(n, n))
+    if kind == "sparse":
+        B[rng.random((n, n)) < 0.5] = 0
+    A = B - B.T
+    A[np.tril_indices(n, -1)] *= 1 + 1e-14
+    return A.tolist()
+
+
 def seeded_matrix(rng, n, kind, prec=FLOAT64):
     """A real, complex or Hankel test matrix of context scalars."""
     if kind == "hankel":
@@ -167,15 +212,16 @@ class TestLogDet:
 
     @pytest.mark.parametrize("kind", ["real", "complex", "hankel"])
     def test_binary64_equals_right_looking_elimination(self, kind):
-        # the left-looking order keeps every binary64 operation of the
-        # classic update, so the results are the same floats
+        # the array updates round every entry as the scalar update does,
+        # so the results are the same floats, from lists and from arrays
         rng = np.random.default_rng({"real": 1, "complex": 2,
                                      "hankel": 3}[kind])
         for _ in range(40):
-            rows = seeded_matrix(rng, int(rng.integers(1, 21)), kind)
-            det, cond = logdet_scaled(rows, FLOAT64)
-            want = right_looking_logdet(rows)
-            assert repr((det.log_mag, det.phase, cond["loss"])) == repr(want)
+            rows = seeded_matrix(rng, int(rng.integers(1, 65)), kind)
+            want = repr(right_looking_logdet(rows))
+            for given in (rows, np.array(rows)):
+                det, cond = logdet_scaled(given, FLOAT64)
+                assert repr((det.log_mag, det.phase, cond["loss"])) == want
 
     @pytest.mark.parametrize("kind", ["real", "complex"])
     def test_extended_against_320_bits(self, kind):
@@ -235,6 +281,17 @@ class TestLogDet:
 
 
 class TestPfaffian:
+    @pytest.mark.parametrize("kind", ["real", "complex", "sparse"])
+    def test_binary64_equals_right_looking_pfaffian(self, kind):
+        rng = np.random.default_rng({"real": 6, "complex": 7,
+                                     "sparse": 8}[kind])
+        for _ in range(40):
+            rows = seeded_skew(rng, 2 * int(rng.integers(1, 33)), kind)
+            want = repr(right_looking_pfaffian(rows))
+            for given in (rows, np.array(rows)):
+                pf = pfaffian(given, FLOAT64)
+                assert repr((pf.log_mag, pf.phase)) == want
+
     def test_two_by_two(self):
         got = pfaffian([[0.0, 3.5], [-3.5, 0.0]])
         assert abs(got.value() - 3.5) < 1e-15
@@ -823,6 +880,33 @@ class TestSharedPipeline:
         assert all(res.outcomes[n].status == "ok"
                    for n in ("block", "hankel", "pfaffian"))
         assert len(calls) == 1
+
+    def test_structured_routes_share_one_spectral_measure(self,
+                                                          count_calls):
+        import rectising.partition as partition
+        calls = count_calls(partition, "_spectral_measure")
+        res = assemble_logZ(couplings_from_modulus(0.6, 0.8, 6, 10), "all")
+        assert all(res.outcomes[n].status == "ok"
+                   and res.outcomes[n].precision_bits == 53
+                   for n in ("hankel", "pfaffian"))
+        assert len(calls) == 1
+
+    def test_measure_that_raised_fails_both_routes(self, count_calls,
+                                                   monkeypatch):
+        import rectising.partition as partition
+
+        def refuse(points, c, w):
+            raise NonFiniteError("spectral weight refused")
+        monkeypatch.setattr(partition, "_spectral_measure", refuse)
+        calls = count_calls(partition, "_spectral_measure")
+        res = assemble_logZ(couplings_from_modulus(0.6, 0.8, 6, 10), "all")
+        # one measure per pipeline: binary64, then the 160-bit retry
+        assert len(calls) == 2
+        assert res.outcomes["block"].status == "ok"
+        for name in ("hankel", "pfaffian"):
+            o = res.outcomes[name]
+            assert o.status == "failed" and o.precision_bits == 160
+            assert o.reason == "spectral weight refused"
 
     def test_binary64_all_builds_weights_and_frame_once(self, count_calls):
         import rectising.spectrum as spectrum
