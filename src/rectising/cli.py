@@ -7,10 +7,11 @@ routes plus pairwise deviations and consistency checks), spectrum
 
 Exit codes: 0 success, 1 numerical failure or no log Z: from z and
 compare no route produced one, or with every route the routes still
-disagree by more than AGREEMENT_DEV after the retry, from scan no point
-produced one (diagnostic JSON on stderr), 2 usage error, 3 gating
-identity failure.  JSON output is strict: a NaN or an infinity is
-written as null.
+disagree by more than AGREEMENT_DEV after the retry; from scan no point
+produced one, or with every route some point's routes still disagree
+(that row carries an error naming the deviation); diagnostic JSON on
+stderr.  2 usage error, 3 gating identity failure.  JSON output is
+strict: a NaN or an infinity is written as null.
 """
 
 from __future__ import annotations
@@ -75,6 +76,14 @@ def _no_log_z(message: str, **detail) -> int:
     sys.stderr.write(_json_dumps({"error": "RectisingError",
                                   "message": message, **detail}))
     return 1
+
+
+def _disagreement(res) -> str:
+    """Why a route="all" result has no log Z to stand by, or ""."""
+    if res.route == "all" and res.max_pairwise_dev > AGREEMENT_DEV:
+        return (f"the routes disagree by {res.max_pairwise_dev:.3e}, more "
+                f"than {AGREEMENT_DEV:g}")
+    return ""
 
 
 def _emit(text: str, out: str | None):
@@ -176,11 +185,9 @@ def cmd_z(ns, with_checks=False) -> int:
         return _no_log_z("no route produced a log Z", routes={
             name: {"status": o.status, "reason": o.reason}
             for name, o in res.outcomes.items()})
-    if res.route == "all" and res.max_pairwise_dev > AGREEMENT_DEV:
-        return _no_log_z(
-            f"the routes disagree by {res.max_pairwise_dev:.3e}, more "
-            f"than {AGREEMENT_DEV:g}", max_pairwise_rel_dev=(
-                res.max_pairwise_dev), routes=result_record(res)["routes"])
+    if why := _disagreement(res):
+        return _no_log_z(why, max_pairwise_rel_dev=(
+            res.max_pairwise_dev), routes=result_record(res)["routes"])
     checks = _consistency_checks(res) if with_checks else {}
     rec = result_record(res, checks)
     if ns.fmt == "json":
@@ -259,7 +266,6 @@ def cmd_scan(ns, k_values) -> int:
         try:
             c = couplings_from_modulus(k, frac, ns.L, ns.M)
             res = assemble_logZ(c, ns.route, prec=_precision(ns))
-            return result_record(res)
         except RectisingError as exc:
             # a sweep point may be infeasible (e.g. the critical modulus
             # has no anisotropy parametrization); record, don't abort
@@ -268,6 +274,10 @@ def cmd_scan(ns, k_values) -> int:
                     "logZ": float("nan"), "max_pairwise_rel_dev":
                     float("nan"), "routes": {},
                     "error": f"{type(exc).__name__}: {exc}"}
+        rec = result_record(res)
+        if why := _disagreement(res):
+            rec["error"] = why
+        return rec
 
     records = [one(k) for k in sorted(k_values)]
     if ns.fmt == "json":
@@ -279,6 +289,13 @@ def cmd_scan(ns, k_values) -> int:
             {"k": rec["k"],
              "error": rec.get("error", "no route produced a log Z")}
             for rec in records])
+    disagreeing = [rec for rec in records
+                   if "error" in rec and not math.isnan(rec["logZ"])]
+    if disagreeing:
+        return _no_log_z("the routes disagree at some scan points", points=[
+            {"k": rec["k"], "error": rec["error"],
+             "max_pairwise_rel_dev": rec["max_pairwise_rel_dev"]}
+            for rec in disagreeing])
     return 0
 
 

@@ -13,11 +13,17 @@ sit at +-eta and +-(iK' - eta), numerator zeros on Im u = +-K'/2.  A
 counterclockwise band around each eigenvalue circle therefore picks up
 every eigenvalue twice, and the band integrals are halved to match the
 one-term-per-eigenvalue spectral sums.
+
+Evaluation: in binary64 every line of a ladder level is one array
+evaluation (`EllipticKernel.sncndn_line`, then `_node` on the arrays);
+extended precision evaluates the same `_node` one scalar node at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .errors import ConvergenceError, DomainError, PoleError, RouteInfeasibleError
 from .params import Couplings, EllipticFrame, Weights
@@ -117,8 +123,9 @@ class ContourContext:
 def _node(u, cctx: ContourContext, triple=None):
     """Common factor NUM/DEN * dgamma/du and the bases (chi, zeta) at u.
 
-    One kernel evaluation (or the caller's ``triple``): sn(u +- eta) come
-    from the triple and the frame's eta triple by the addition formula.
+    One kernel evaluation, or the caller's ``triple`` (then u is unread;
+    numpy arrays over a line's nodes give arrays): sn(u +- eta) come from
+    the triple and the frame's eta triple by the addition formula.
     """
     frame = cctx.frame
     ctx = cctx.prec.ctx
@@ -157,6 +164,18 @@ def _line_sums(ns, lines, cctx, base, samples, stride=1):
     ctx = cctx.prec.ctx
     K = float(cctx.frame.K)
     step = 2 * K / samples
+    if cctx.prec.is_float:
+        xs = -K + np.arange(stride - 1, samples, stride) * step
+        exps = np.array(ns) * (1 if base == "chi" else -1)
+        acc = 0
+        for level, sign in lines:
+            common, chi, zeta = _node(
+                None, cctx, cctx.frame.kernel.sncndn_line(xs, level))
+            b = chi if base == "chi" else zeta
+            # summed by numpy, not BLAS: a threaded zgemv stalls for
+            # milliseconds when the other cores are busy
+            acc = acc + sign * (common[:, None] * b[:, None] ** exps).sum(0)
+        return dict(zip(ns, map(complex, acc)))
     acc = {n: ctx.mpc(0) for n in ns}
     for level, sign in lines:
         for j in range(stride - 1, samples, stride):

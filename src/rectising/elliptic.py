@@ -10,7 +10,8 @@ Algorithms
   descending Landen transformation seeded by an arithmetic-geometric-mean
   chain (cached per modulus),
 * complex arguments split u = x + iy and combine real evaluations at the
-  modulus and its complement through the sn addition formulas,
+  modulus and its complement through the sn addition formulas (in
+  binary64 also along a whole line x_j + iy as numpy arrays),
 * incomplete integrals use the Carlson symmetric form RF with the standard
   duplication iteration, which is well behaved for complex amplitudes,
 * moduli k > 1 route through the reciprocal modulus; the exposed quarter
@@ -30,6 +31,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import BranchMissError, CriticalModulusError, DomainError, PoleError
 from .precision import FLOAT64, Precision, as_precision
 
@@ -44,6 +47,11 @@ _KERNELS: dict = {}
 
 def is_critical(k) -> bool:
     return abs(k - 1) < CRITICAL_TOL
+
+
+def any_true(flags) -> bool:
+    """Outcome of a comparison on a scalar, or on any entry of an array."""
+    return flags if isinstance(flags, bool) else bool(flags.any())
 
 
 def _nint(ctx, x):
@@ -220,22 +228,50 @@ class EllipticKernel:
             return self.kappa * s, d, c
         return self._sncndn_split(u)
 
+    def sncndn_line(self, xs, y):
+        """Binary64 sn, cn, dn as arrays at every node x_j + iy of one
+        horizontal line: one numpy Landen pass over the real array ``xs``
+        (clamped as in `_phase_real`) and one complement triple at ``y``,
+        combined as in `sncndn`; PoleError if any node is a pole."""
+        if not self.prec.is_float:
+            raise DomainError("sncndn_line is binary64 only")
+        xs = np.asarray(xs, dtype=float)
+        if self.ordered:
+            xs, y = xs / self.kappa, y / self.kappa
+        n = len(self._chain) - 1
+        phi = (2 ** n) * self._chain[n][0] * xs
+        for a, _b, c in self._chain[n:0:-1]:
+            phi = (phi + np.arcsin(np.clip((c / a) * np.sin(phi), -1, 1))) / 2
+        sn = np.sin(phi)
+        s, c, d = self._add_imaginary(
+            xs, (sn, np.cos(phi), np.sqrt(1 - (self.kappa * sn) ** 2)), y)
+        return (self.kappa * s, d, c) if self.ordered else (s, c, d)
+
     def _sncndn_split(self, u):
         """Addition-formula split at the base modulus (< 1)."""
         ctx = self.ctx
         x, y = ctx.re(u), ctx.im(u)
-        if y == 0:
-            return self._sncndn_base(x, self._chain, self.kappa)
-        s, c, d = self._sncndn_base(x, self._chain, self.kappa)
+        triple = self._sncndn_base(x, self._chain, self.kappa)
+        return triple if y == 0 else self._add_imaginary(x, triple, y)
+
+    def _add_imaginary(self, x, triple, y):
+        """The triple at x + iy from the base triple at real x (scalars or
+        arrays) and the complement triple at y."""
+        s, c, d = triple
         s1, c1, d1 = self._sncndn_base_c(y)
         kk2 = self.kappa * self.kappa
         den = c1 * c1 + kk2 * (s * s1) ** 2
-        if abs(den) < POLE_TOL * POLE_TOL:
-            raise PoleError("pole of sn: u on the i K' lattice", where=complex(u))
-        i = ctx.mpc(0, 1)
-        sn = (s * d1 + i * c * d * s1 * c1) / den
-        cn = (c * c1 - i * s * d * s1 * d1) / den
-        dn = (d * c1 * d1 - i * kk2 * s * c * s1) / den
+        if any_true(abs(den) < POLE_TOL * POLE_TOL):
+            if isinstance(den, np.ndarray):
+                x = x[np.argmin(den)]
+            raise PoleError("pole of sn: u on the i K' lattice",
+                            where=complex(x, y))
+        # real and imaginary parts divided apart: numpy would divide a
+        # complex array by a real one through its reciprocal
+        i = self.ctx.mpc(0, 1)
+        sn = s * d1 / den + i * (c * d * s1 * c1 / den)
+        cn = c * c1 / den - i * (s * d * s1 * d1 / den)
+        dn = d * c1 * d1 / den - i * (kk2 * s * c * s1 / den)
         return sn, cn, dn
 
     # -- amplitude ----------------------------------------------------------

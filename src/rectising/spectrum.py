@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .elliptic import arcsn, is_critical
+from .elliptic import any_true, arcsn, is_critical
 from .errors import (
     CriticalModulusError,
     DomainError,
@@ -393,11 +393,12 @@ def triple_from_lambda(lam, w: Weights, frame: EllipticFrame):
 
 
 def sn_add(triple_a, triple_b, k):
-    """sn(u + v) from the triples at u and v, by the addition formula."""
+    """sn(u + v) from the triples at u and v, by the addition formula;
+    the triples may hold numpy arrays, and any pole entry raises."""
     sn_a, cn_a, dn_a = triple_a
     sn_b, cn_b, dn_b = triple_b
     den = 1 - (k * sn_a * sn_b) ** 2
-    if abs(den) < 1e-14:
+    if any_true(abs(den) < 1e-14):
         raise PoleError("addition formula pole", where=None)
     return (sn_a * cn_b * dn_b + sn_b * cn_a * dn_a) / den
 

@@ -413,6 +413,23 @@ class TestScan:
         assert diag["message"] == "no scan point produced a log Z"
         assert len(diag["points"]) == 2
 
+    def test_route_disagreement_exits_one(self, capsys):
+        # the system of test_route_disagreement_exits_one: the 160-bit
+        # Pfaffian is off by 4.6e-2 after the retry (ROADMAP D10)
+        code, out, err = run_cli(capsys, "scan", "--L", "32", "--M", "16",
+                                 "--k-min", "30", "--k-max", "30",
+                                 "--steps", "1", "--eta-frac", "0.3")
+        assert code == 1
+        [row] = json.loads(out, parse_constant=_reject_constant)
+        dev = row["max_pairwise_rel_dev"]
+        assert dev > AGREEMENT_DEV
+        assert row["error"] == (f"the routes disagree by {dev:.3e}, more "
+                                f"than {AGREEMENT_DEV:g}")
+        diag = json.loads(err, parse_constant=_reject_constant)
+        assert diag["message"] == "the routes disagree at some scan points"
+        assert diag["points"] == [{"k": row["k"], "error": row["error"],
+                                   "max_pairwise_rel_dev": dev}]
+
     def test_one_log_z_is_enough(self, capsys):
         code, out, _ = run_cli(capsys, "scan", "--L", "4", "--M", "4",
                                "--k-min", "0.5", "--k-max", "1.0",

@@ -10,6 +10,7 @@ import cmath
 import math
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
@@ -32,6 +33,8 @@ from rectising.errors import (
     DomainError,
     PoleError,
 )
+from rectising.contour import ContourContext, default_contour
+from rectising.params import couplings_from_modulus
 from rectising.precision import Precision
 
 # frozen from a 30-digit evaluation of the independent oracles
@@ -169,6 +172,39 @@ class TestJacobiFunctions:
         _, Kp = complete_integrals(0.6)
         with pytest.raises(PoleError):
             jacobi_sncndn(1j * Kp, 0.6)
+
+    @pytest.mark.parametrize("k", [0.3, 0.8, 1.66])
+    def test_line_matches_scalar_nodes(self, k):
+        # one array evaluation per line gives the scalar triple at every
+        # node: on the default contour lines, and off them, past the strip
+        # and over several real periods
+        frame = ContourContext.from_couplings(
+            couplings_from_modulus(k, 0.9, 5, 6)).frame
+        kern = frame.kernel
+        K, Kp = float(kern.K), float(kern.K_prime)
+        levels = [y for y, _sign in default_contour(frame).lines(frame)]
+        levels += [f * Kp for f in (0.37, -0.81, 1.3, 2.6, -3.7)]
+        xs = -3 * K + np.arange(96) * (K / 16) + 0.013
+        for y in levels:
+            line = kern.sncndn_line(xs, y)
+            for j, x in enumerate(xs):
+                for got, want in zip(line, kern.sncndn(complex(x, y))):
+                    assert abs(got[j] - want) <= 1e-14 * abs(want)
+
+    @pytest.mark.parametrize("k", [0.6, 1.66])
+    def test_line_pole_signal(self, k):
+        # Im u = K' runs through the pole i K' of sn; K'/2 misses the lattice
+        kern = EllipticKernel(k)
+        Kp = float(kern.K_prime)
+        with pytest.raises(PoleError) as info:
+            kern.sncndn_line([-0.5, 0.0, 0.5], Kp)
+        assert info.value.where.real == 0     # the node x = 0
+        assert all(np.isfinite(f).all()
+                   for f in kern.sncndn_line([-0.5, 0.0, 0.5], Kp / 2))
+
+    def test_line_is_binary64_only(self):
+        with pytest.raises(DomainError):
+            EllipticKernel(0.6, Precision(160)).sncndn_line([0.1], 0.2)
 
     def test_extended_precision_complex(self):
         p = Precision(160)
