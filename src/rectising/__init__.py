@@ -18,7 +18,6 @@ from .errors import (
     ConvergenceError,
     CriticalModulusError,
     DomainError,
-    EtaSolveError,
     JointDiagonalizationError,
     NonFiniteError,
     PhaseLeakError,
@@ -34,6 +33,7 @@ from .params import (
     dual,
     dual_and_split,
     elliptic_frame,
+    eta_over_Kprime,
     plus_minus_split,
     swap_system,
     weights_from_couplings,

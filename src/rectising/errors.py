@@ -41,14 +41,6 @@ class BranchMissError(RectisingError, ArithmeticError):
         self.candidates = tuple(candidates)
 
 
-class EtaSolveError(RectisingError, ArithmeticError):
-    """Newton polish of the anisotropy point did not converge."""
-
-    def __init__(self, msg, diagnostics=None):
-        super().__init__(msg)
-        self.diagnostics = diagnostics or {}
-
-
 class JointDiagonalizationError(RectisingError, ArithmeticError):
     """Eigenvectors of the tridiagonal matrix failed to simultaneously
     diagonalize the full transfer-matrix family within tolerance."""
@@ -75,7 +67,7 @@ class RouteInfeasibleError(RectisingError):
 
 
 class ConvergenceError(RectisingError, ArithmeticError):
-    """An iterative procedure (contour sample doubling, Newton) failed to
+    """An iterative procedure (contour sample doubling) failed to
     reach its tolerance."""
 
     def __init__(self, msg, diagnostics=None):

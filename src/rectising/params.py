@@ -13,11 +13,11 @@ from functools import cached_property
 from .elliptic import (
     EllipticKernel,
     Modulus,
+    carlson_rf,
     get_kernel,
-    incomplete_F,
     is_critical,
 )
-from .errors import CriticalModulusError, DomainError, EtaSolveError
+from .errors import CriticalModulusError, DomainError
 from .precision import FLOAT64, Precision, as_precision
 
 
@@ -212,64 +212,43 @@ class EllipticFrame:
         return float(ctx.im(self.eta) / (self.K_prime / 4))
 
 
-def elliptic_frame(w: Weights, prec: Precision | None = None) -> EllipticFrame:
-    """Build the u-torus frame from the weights.
+def eta_over_Kprime(w: Weights):
+    """Im(eta)/K' of the anisotropy point, in closed form, at the
+    precision of ``w``; the modulus must not be critical.
 
-    The anisotropy point solves sn(2 eta) = 1/(i t_minus) with eta purely
-    imaginary in [0, i K'/2]; a deterministic incomplete-integral seed is
-    polished by a complex Newton iteration on the defining equation.
+    sn(i y, k) = i sc(y, k') turns sn(2 eta) = 1/(i t_minus) into
+    sc(2 Im eta, k') = s with s = -1/t_minus = 1/sinh 2K_v, so
+    2 Im eta = F(arctan s, k') = s R_F(1, 1 + k^2 s^2, 1 + s^2) and
+    K' = R_F(0, k^2, 1).  Above the transition sn(u, k) = sn(k u, 1/k)/k
+    gives the same form in the reciprocal modulus, with s = -1/z_minus =
+    sinh 2K_h.
     """
-    prec = as_precision(prec if prec is not None else w.prec)
+    ctx, k = w.prec.ctx, w.k
+    m, s = (k, -1 / w.t_minus) if k < 1 else (1 / k, -1 / w.z_minus)
+    return ctx.re(s * carlson_rf(1, 1 + (m * s) ** 2, 1 + s * s, w.prec)
+                  / (2 * carlson_rf(0, m * m, 1, w.prec)))
+
+
+def elliptic_frame(w: Weights) -> EllipticFrame:
+    """Build the u-torus frame from the weights, at their precision.
+
+    The anisotropy point eta = i (eta/K') K' solves sn(2 eta) =
+    1/(i t_minus) on [0, i K'/2], with eta/K' from `eta_over_Kprime`.
+    """
+    prec = w.prec
     ctx = prec.ctx
-    k = w.k
-    modulus = Modulus.create(k, prec)
+    modulus = Modulus.create(w.k, prec)
     if modulus.phase_flag == "critical":
         z = ctx.mpf(0)
         return EllipticFrame(modulus=modulus, K=z, K_prime=z, eta=z,
                              eta_tilde=z, eta_iso=z, kernel=None, prec=prec)
 
     kern = get_kernel(modulus.k, prec)
-    K, Kp = kern.K, kern.K_prime
+    Kp = kern.K_prime
     i = ctx.mpc(0, 1)
-    target = 1 / (i * w.t_minus)
-
-    # deterministic seed for 2*eta
-    if modulus.phase_flag == "disordered":
-        two_eta = incomplete_F(-i * ctx.log(w.t_star), modulus.k, prec)
-    else:
-        kap = kern.kappa
-        phi = ctx.asin(target / kap)
-        two_eta = kap * incomplete_F(phi, kap, prec)
-
-    # Newton polish of g(2eta) = sn(2eta) - target
-    ok = False
-    for _ in range(60):
-        sn, cn, dn = kern.sncndn(two_eta)
-        g = sn - target
-        if abs(g) <= 64 * prec.eps * max(1.0, abs(target)):
-            ok = True
-            break
-        two_eta = two_eta - g / (cn * dn)
-    if not ok:
-        raise EtaSolveError(
-            "eta solve failure: Newton did not converge",
-            diagnostics={"two_eta": complex(two_eta),
-                         "residual": abs(complex(g))})
-
-    eta = two_eta / 2
-    if abs(ctx.re(eta)) > 1e-9 * max(1.0, abs(ctx.im(eta))):
-        raise EtaSolveError(
-            "eta solve failure: solution not purely imaginary",
-            diagnostics={"eta": complex(eta)})
-    eta = i * ctx.im(eta)  # snap the rounding dust off the real part
-    h = ctx.im(eta)
-    if not (0 <= h <= Kp / 2 * (1 + 1e-12)):
-        raise EtaSolveError(
-            "eta solve failure: outside the strip [0, i K'/2]",
-            diagnostics={"eta": complex(eta), "K_prime": float(Kp)})
-
+    eta = i * eta_over_Kprime(w) * Kp
     return EllipticFrame(
-        modulus=modulus, K=K, K_prime=Kp, eta=eta,
+        modulus=modulus, K=kern.K, K_prime=Kp, eta=eta,
         eta_tilde=i * Kp / 2 - eta, eta_iso=i * Kp / 4,
         kernel=kern, prec=prec)
 
@@ -279,13 +258,14 @@ def couplings_from_modulus(k, eta_fraction, L, M,
     """System with prescribed modulus and anisotropy.
 
     ``eta_fraction`` scales the isotropic point: eta = fraction * i K'/4,
-    so fraction 1 is the isotropic system and fraction 2 puts eta at the
-    upper end i K'/2 of its strip.
+    so fraction 1 is the isotropic system.  The fraction lies in (0, 2):
+    K_h -> 0 as it goes to 0 and K_v -> 0 as it goes to 2, where eta
+    reaches the upper end i K'/2 of its strip.
     """
     prec = as_precision(prec)
     ctx = prec.ctx
-    if not 0 < eta_fraction <= 2:
-        raise DomainError("eta_fraction must lie in (0, 2]")
+    if not 0 < eta_fraction < 2:
+        raise DomainError("eta_fraction must lie in (0, 2)")
     k = ctx.mpf(k)
     if is_critical(k):
         raise CriticalModulusError(

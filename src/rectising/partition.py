@@ -38,7 +38,8 @@ import numpy as np
 from .elliptic import is_critical
 from .errors import (DomainError, NonFiniteError, PhaseLeakError,
                      RouteInfeasibleError)
-from .params import Couplings, EllipticFrame, Weights, swap_system
+from .params import (Couplings, EllipticFrame, Weights, eta_over_Kprime,
+                     swap_system)
 from .precision import FLOAT64, Precision, as_precision
 from .spectrum import SystemPipeline, chi_poly_derivative
 
@@ -467,7 +468,6 @@ def brute_force_logZ(c: Couplings) -> LogScaledValue:
             f"{BRUTE_MAX_SPINS}; use the spin-transfer route")
     bonds = _bond_list(c)
     emax = sum(k for _a, _b, k in bonds)
-    total = 0.0
     parts = []
     chunk = 1 << 20
     for start in range(0, 1 << n, chunk):
@@ -803,8 +803,8 @@ class PartitionResult:
     """Primary output record of the engine.
 
     ``pipeline_seconds`` is the time spent on work the structured routes
-    share (weights, the binary64 frame, matrices, eigensystem, joint
-    check, spectral measure); the routes' own ``seconds`` leave it out.
+    share (weights, matrices, eigensystem, joint check, spectral
+    measure); the routes' own ``seconds`` leave it out.
     """
 
     couplings: Couplings
@@ -888,16 +888,17 @@ def assemble_logZ(c: Couplings, route: str = "all",
     the structured routes at 160 bits, and brute runs only up to
     BRUTE_ALL_MAX_SPINS spins.  A single route runs once, at ``prec`` or
     at `default_precision` for that route.  The structured routes of one
-    precision share one `SystemPipeline`; the binary64 one also supplies
-    the modulus and the anisotropy point.
+    precision share one `SystemPipeline`; the binary64 one's weights also
+    give the modulus and the anisotropy report (`eta_over_Kprime`, NaN at
+    the critical modulus), so no elliptic frame is built.
     """
     if route != "all" and route not in ROUTES:
         raise DomainError(f"unknown route {route!r}")
     pipe = SystemPipeline(c, FLOAT64)
-    k = float(pipe.weights().k)
-    frame = pipe.frame()
-    eta_frac = (float(frame.prec.ctx.im(frame.eta)) / float(frame.K_prime)
-                if not frame.is_critical else float("nan"))
+    w = pipe.weights()
+    k = float(w.k)
+    eta_frac = (float("nan") if is_critical(w.k)
+                else float(eta_over_Kprime(w)))
     chosen = as_precision(prec if prec is not None
                           else default_precision(c, k, route))
     if not chosen.is_float:

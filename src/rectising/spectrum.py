@@ -329,7 +329,7 @@ def joint_spectrum(bundle: MatrixBundle, w: Weights,
     for i, p in enumerate(pts):
         p.mu = i + 1
         p._ctx = ctx
-        p._k = w.t_minus / w.z_minus
+        p._k = w.k
     return pts
 
 
@@ -535,9 +535,11 @@ def spectrum_for(c: Couplings, prec: Precision = FLOAT64):
 class SystemPipeline:
     """The work every spectral quantity of one system shares, at one
     precision: weights, elliptic frame, family (matrices and the unchecked
-    eigensystem) and checked (the family after `check_joint`).  No route
-    reads the frame.  The structured routes keep one stage of their own
-    here, the spectral measure (`partition._checked_measure`).
+    eigensystem) and checked (the family after `check_joint`).  Only
+    `spectrum_for`, the contour and the identities build the frame; no
+    route and not `partition.assemble_logZ`.  The structured routes keep
+    one stage of their own here, the spectral measure
+    (`partition._checked_measure`).
 
     Each stage is built on first use and kept; a stage that raised raises
     again without being rebuilt.  ``seconds`` is the time spent building.
@@ -569,7 +571,7 @@ class SystemPipeline:
 
     def frame(self) -> EllipticFrame:
         return self._stage(
-            "frame", lambda: elliptic_frame(self.weights(), self.prec))
+            "frame", lambda: elliptic_frame(self.weights()))
 
     def family(self):
         """(weights, bundle, points): the unchecked family eigensystem, at

@@ -15,8 +15,15 @@ from rectising.params import (
     swap_system,
     weights_from_couplings,
 )
+from rectising.partition import assemble_logZ
+from rectising.precision import Precision
 
 CRITICAL_K = 0.5 * math.log(1 + math.sqrt(2))
+
+#: moduli on both sides of the transition, and anisotropy fractions
+#: across the strip (0, 2)
+GRID_K = (0.3, 0.95, 1.66, 6, 30)
+GRID_FRAC = (0.1, 0.5, 0.9, 1.4, 1.9)
 
 
 class TestScalarAlgebra:
@@ -78,21 +85,31 @@ class TestWeights:
             Couplings(0.1, 0.5, 0, 2)
 
 
-class TestFrame:
-    def test_defining_equation_residual(self):
-        c = couplings_from_modulus(0.95, 0.8, 4, 4)
-        w = weights_from_couplings(c)
-        fr = elliptic_frame(w)
-        res = fr.sn(2 * fr.eta) * 1j * complex(w.t_minus) - 1
-        assert abs(res) < 1e-12
+def grid_frames(k, bits):
+    """(weights, frame) of a 4 x 4 system at each fraction of GRID_FRAC."""
+    for frac in GRID_FRAC:
+        w = weights_from_couplings(couplings_from_modulus(k, frac, 4, 4),
+                                   Precision(bits))
+        yield w, elliptic_frame(w)
 
-    def test_eta_purely_imaginary_in_strip(self):
-        for kv in (0.3, 0.55):
-            fr = elliptic_frame(weights_from_couplings(
-                Couplings(0.4, kv, 4, 4)))
-            eta = complex(fr.eta)
-            assert eta.real == 0
-            assert 0 <= eta.imag <= float(fr.K_prime) / 2 + 1e-12
+
+class TestFrame:
+    @pytest.mark.parametrize("k", GRID_K)
+    @pytest.mark.parametrize("bits", [53, 160])
+    def test_defining_equation_residual(self, bits, k):
+        # sn(2 eta) = 1/(i t_minus) to 64 eps relative to max(1, |target|)
+        for w, fr in grid_frames(k, bits):
+            target = 1 / (w.prec.ctx.mpc(0, 1) * w.t_minus)
+            res = abs(fr.sn(2 * fr.eta) - target)
+            assert res <= 64 * w.prec.eps * max(1, abs(target))
+
+    @pytest.mark.parametrize("k", GRID_K)
+    @pytest.mark.parametrize("bits", [53, 160])
+    def test_eta_purely_imaginary_in_strip(self, bits, k):
+        for w, fr in grid_frames(k, bits):
+            ctx = w.prec.ctx
+            assert ctx.re(fr.eta) == 0
+            assert 0 < ctx.im(fr.eta) < fr.K_prime / 2
 
     def test_isotropic_fixed_point(self):
         fr = elliptic_frame(weights_from_couplings(Couplings(0.3, 0.3, 4, 4)))
@@ -168,16 +185,27 @@ class TestSwap:
 
 
 class TestModulusParametrization:
-    @pytest.mark.parametrize("k,frac", [(0.6, 0.9), (0.95, 0.5), (1.66, 0.9)])
+    @pytest.mark.parametrize("k,frac", [(0.6, 0.9)] + [
+        (k, frac) for k in GRID_K for frac in GRID_FRAC])
     def test_roundtrip(self, k, frac):
         c = couplings_from_modulus(k, frac, 5, 6)
         w = weights_from_couplings(c)
         fr = elliptic_frame(w)
         assert abs(float(w.k) - k) < 1e-12
-        assert abs(fr.eta_fraction() - frac) < 1e-10
+        assert abs(fr.eta_fraction() - frac) < 1e-13
+        report = assemble_logZ(c, "spin").eta_im_over_Kprime
+        assert abs(4 * report - frac) < 1e-13
 
     def test_domain(self):
         with pytest.raises(DomainError):
             couplings_from_modulus(0.6, 0.0, 4, 4)
         with pytest.raises(CriticalModulusError):
             couplings_from_modulus(1.0, 0.5, 4, 4)
+
+    @pytest.mark.parametrize("k", [0.6, 3])
+    def test_upper_end_of_strip_is_excluded(self, k):
+        # eta = i K'/2 would need K_v = 0
+        with pytest.raises(DomainError):
+            couplings_from_modulus(k, 2.0, 4, 4)
+        c = couplings_from_modulus(k, 1.99, 4, 4)
+        assert 0 < c.K_v < 0.01 < c.K_h

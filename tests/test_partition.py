@@ -908,27 +908,41 @@ class TestSharedPipeline:
             assert o.status == "failed" and o.precision_bits == 160
             assert o.reason == "spectral weight refused"
 
-    def test_binary64_all_builds_weights_and_frame_once(self, count_calls):
+    @pytest.mark.parametrize("k, eta, L, M, route, bits, weight_bits", [
+        pytest.param(0.6, 0.9, 8, 8, "all", None, [53], id="disordered"),
+        pytest.param(3, 0.9, 6, 6, "all", None, [53], id="ordered"),
+        pytest.param(0.6, 0.9, 8, 8, "hankel", None, [53],
+                     id="single-route"),
+        # the binary64 Pfaffian fails; the routes disagree past
+        # ESCALATION_DEV; the caller asks for 160 bits
+        pytest.param(6, 0.3, 12, 4, "all", None, [53, 160],
+                     id="escalated-on-failure"),
+        pytest.param(0.9, 1.0, 24, 16, "all", 53, [53, 160],
+                     id="escalated-on-disagreement"),
+        pytest.param(0.6, 0.9, 5, 6, "all", 160, [53, 160], id="extended"),
+    ])
+    def test_route_path_builds_no_frame(self, count_calls, k, eta, L, M,
+                                        route, bits, weight_bits):
+        # the binary64 weights give k and the closed-form eta report;
+        # weights are built once per precision and no frame at any
         import rectising.spectrum as spectrum
         weights = count_calls(params, "weights_from_couplings")
         frames = count_calls(params, "elliptic_frame")
         enriched = count_calls(spectrum, "enrich_spectrum")
-        res = assemble_logZ(couplings_from_modulus(0.6, 0.9, 8, 8), "all")
-        assert res.outcomes["hankel"].precision_bits == 53
-        assert res.outcomes["hankel"].status == "ok"
-        assert len(weights) == 1
-        assert len(frames) == 1
-        # a 160-bit escalation and a 160-bit run build no frame at the
-        # route precision: the one frame is the binary64 anisotropy report's
-        for c, prec in ((couplings_from_modulus(0.9, 1.0, 24, 16), FLOAT64),
-                        (couplings_from_modulus(0.6, 0.9, 5, 6),
-                         Precision(160))):
-            frames.clear()
-            res = assemble_logZ(c, "all", prec=prec)
-            assert res.outcomes["hankel"].precision_bits == 160
-            assert res.outcomes["hankel"].status == "ok"
-            assert [args[1].bits for args in frames] == [53]
-        assert enriched == []
+        res = assemble_logZ(couplings_from_modulus(k, eta, L, M), route,
+                            prec=bits)
+        o = res.outcomes["hankel"]
+        assert o.status == "ok" and o.precision_bits == weight_bits[-1]
+        assert [args[1].bits for args in weights] == weight_bits
+        assert frames == [] and enriched == []
+        assert abs(4 * res.eta_im_over_Kprime - eta) < 1e-13
+
+    def test_critical_route_path_builds_no_frame(self, count_calls):
+        frames = count_calls(params, "elliptic_frame")
+        res = assemble_logZ(Couplings(CRITICAL_K, CRITICAL_K, 4, 4), "all")
+        assert res.outcomes["spin"].status == "ok"
+        assert math.isnan(res.eta_im_over_Kprime)
+        assert frames == []
 
     def test_routes_on_one_pipeline_share_the_eigensystem(self, count_calls):
         import rectising.spectrum as spectrum
