@@ -4,7 +4,6 @@ complex-capable Jacobi elliptic kernel."""
 
 from .elliptic import (
     EllipticKernel,
-    Modulus,
     amplitude,
     complete_integrals,
     glaisher,

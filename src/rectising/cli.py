@@ -42,10 +42,15 @@ def _couplings(ns) -> Couplings:
         if ns.K_v is None:
             raise DomainError("--Kh requires --Kv")
         return Couplings(ns.K_h, ns.K_v, ns.L, ns.M)
+    return couplings_from_modulus(ns.k, _eta_fraction(ns), ns.L, ns.M)
+
+
+def _eta_fraction(ns) -> float:
+    """The parsed --eta-frac (1 if absent), validated."""
     frac = ns.eta_fraction if ns.eta_fraction is not None else 1.0
     if not 0 < frac <= 1:
         raise DomainError("--eta-frac must lie in (0, 1]")
-    return couplings_from_modulus(ns.k, frac, ns.L, ns.M)
+    return frac
 
 
 def _precision(ns):
@@ -260,7 +265,7 @@ def _scan_csv(records) -> str:
 
 
 def cmd_scan(ns, k_values) -> int:
-    frac = ns.eta_fraction if ns.eta_fraction is not None else 1.0
+    frac = _eta_fraction(ns)
 
     def one(k):
         try:
@@ -310,13 +315,15 @@ def cmd_uplane(ns) -> int:
 # argument parsing
 # ----------------------------------------------------------------------
 
-def _add_common(p, geometry=True):
-    if geometry:
-        p.add_argument("--L", type=int, required=True)
-        p.add_argument("--M", type=int, required=True)
-    p.add_argument("--Kh", type=float, dest="K_h")
-    p.add_argument("--Kv", type=float, dest="K_v")
-    p.add_argument("--k", type=float)
+def _add_common(p, couplings=True):
+    """Geometry, couplings, precision and output options; without
+    ``couplings`` only --eta-frac of the coupling options (scan sweeps k)."""
+    p.add_argument("--L", type=int, required=True)
+    p.add_argument("--M", type=int, required=True)
+    if couplings:
+        p.add_argument("--Kh", type=float, dest="K_h")
+        p.add_argument("--Kv", type=float, dest="K_v")
+        p.add_argument("--k", type=float)
     p.add_argument("--eta-frac", type=float, dest="eta_fraction",
                    help="anisotropy point as a fraction of the isotropic "
                         "point i K'/4 (in (0, 1])")
@@ -366,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="seed of the torus samples")
 
     pn = sub.add_parser("scan", help="sweep the modulus, emit CSV/JSON")
-    _add_common(pn)
+    _add_common(pn, couplings=False)
     _add_format(pn, ("json", "csv"))
     pn.add_argument("--k-min", type=float, required=True)
     pn.add_argument("--k-max", type=float, required=True)

@@ -29,8 +29,6 @@ idempotent memo (concurrent misses at worst rebuild an identical kernel).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import BranchMissError, CriticalModulusError, DomainError, PoleError
@@ -93,31 +91,6 @@ def carlson_rf(x, y, z, prec: Precision = FLOAT64):
 
 
 # ----------------------------------------------------------------------
-# modulus bookkeeping
-# ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Modulus:
-    """Validated elliptic modulus with its complement and phase class."""
-
-    k: object
-    k_prime: object          # imaginary above the transition
-    phase_flag: str          # 'disordered' | 'critical' | 'ordered'
-
-    @staticmethod
-    def create(k, prec: Precision = FLOAT64) -> "Modulus":
-        ctx = prec.ctx
-        k = ctx.mpf(k)
-        if not k > 0:
-            raise DomainError(f"modulus must be positive, got {k}")
-        if is_critical(k):
-            return Modulus(k, ctx.mpf(0), "critical")
-        if k < 1:
-            return Modulus(k, ctx.sqrt(1 - k * k), "disordered")
-        return Modulus(k, ctx.mpc(0, 1) * ctx.sqrt(k * k - 1), "ordered")
-
-
-# ----------------------------------------------------------------------
 # the kernel
 # ----------------------------------------------------------------------
 
@@ -133,11 +106,12 @@ class EllipticKernel:
         ctx = prec.ctx
         self.prec = prec
         self.ctx = ctx
-        self.modulus = Modulus.create(k, prec)
-        if self.modulus.phase_flag == "critical":
+        self.k = k = ctx.mpf(k)
+        if not k > 0:
+            raise DomainError(f"modulus must be positive, got {k}")
+        if is_critical(k):
             raise CriticalModulusError("critical modulus: K diverges")
-        self.k = self.modulus.k
-        self.ordered = self.modulus.phase_flag == "ordered"
+        self.ordered = k > 1
         #: modulus actually fed to the Landen machinery (always < 1)
         self.kappa = 1 / self.k if self.ordered else self.k
         # the stable product form keeps the complement away from 1 even for

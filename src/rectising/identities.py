@@ -294,8 +294,8 @@ def _e_dual_eta(env, r):
 def _e_am_forms(env, r):
     ctx, w, fr = env.ctx, env.w, env.frame
     i = ctx.mpc(0, 1)
-    am2e = fr.am(2 * fr.eta)
-    am2et = fr.am(2 * fr.eta_tilde)
+    am2e = env.kern.am(2 * fr.eta)
+    am2et = env.kern.am(2 * fr.eta_tilde)
     r.compare("t_star", w.t_star, ctx.exp(i * am2e))
     r.compare("t", w.t, -i * ctx.tan(am2e / 2))
     r.compare("z", w.z, ctx.exp(i * am2et))
@@ -308,8 +308,8 @@ def _e_dual_K(env, r):
     i = ctx.mpc(0, 1)
     Ktil_v = -ctx.log(ctx.tanh(ctx.mpf(c.K_v))) / 2
     Ktil_h = -ctx.log(ctx.tanh(ctx.mpf(c.K_h))) / 2
-    r.compare("vertical", fr.am(2 * fr.eta), 2 * i * Ktil_v)
-    r.compare("horizontal", fr.am(2 * fr.eta_tilde), 2 * i * Ktil_h)
+    r.compare("vertical", env.kern.am(2 * fr.eta), 2 * i * Ktil_v)
+    r.compare("horizontal", env.kern.am(2 * fr.eta_tilde), 2 * i * Ktil_h)
     if not env.ordered:
         f1 = incomplete_F(2 * i * Ktil_v, fr.k, env.prec)
         f2 = incomplete_F(2 * i * Ktil_h, fr.k, env.prec)

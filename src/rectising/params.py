@@ -10,13 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .elliptic import (
-    EllipticKernel,
-    Modulus,
-    carlson_rf,
-    get_kernel,
-    is_critical,
-)
+from .elliptic import EllipticKernel, carlson_rf, get_kernel, is_critical
 from .errors import CriticalModulusError, DomainError
 from .precision import FLOAT64, Precision, as_precision
 
@@ -152,64 +146,30 @@ def weights_from_couplings(c: Couplings, prec: Precision = FLOAT64) -> Weights:
 
 @dataclass(frozen=True)
 class EllipticFrame:
-    """Geometry of the u-torus for one system.
+    """Geometry of the u-torus for one non-critical system.
 
-    Carries the modulus, both quarter periods, the purely imaginary
-    anisotropy point eta, its swap image, and the isotropic fixed point
-    i K'/4 of the direction swap.  ``kernel`` is None exactly at the
-    critical modulus, where the parametrization degenerates.
+    Carries the Jacobi kernel at the modulus k, both quarter periods, the
+    purely imaginary anisotropy point eta and its swap image.  The Jacobi
+    functions are read through ``kernel``.
     """
 
-    modulus: Modulus
+    k: object
     K: object
     K_prime: object
     eta: object
     eta_tilde: object
-    eta_iso: object
-    kernel: EllipticKernel | None
+    kernel: EllipticKernel
     prec: Precision = field(compare=False)
-
-    @property
-    def is_critical(self) -> bool:
-        return self.modulus.phase_flag == "critical"
-
-    @property
-    def k(self):
-        return self.modulus.k
-
-    # -- kernel passthroughs (physical modulus, any phase) --------------
-    def _need_kernel(self):
-        if self.kernel is None:
-            raise CriticalModulusError(
-                "critical modulus: elliptic parametrization unavailable")
-        return self.kernel
-
-    def sncndn(self, u):
-        return self._need_kernel().sncndn(u)
-
-    def sn(self, u):
-        return self._need_kernel().sncndn(u)[0]
-
-    def cn(self, u):
-        return self._need_kernel().sncndn(u)[1]
-
-    def am(self, u):
-        return self._need_kernel().am(u)
 
     @cached_property
     def eta_triple(self):
         """(sn, cn, dn) at eta, evaluated once per frame."""
-        return self.sncndn(self.eta)
+        return self.kernel.sncndn(self.eta)
 
     def swap_u(self, u):
         """Point reflection of the torus at i K'/4: u -> i K'/2 - u."""
         ctx = self.prec.ctx
         return ctx.mpc(0, 1) * self.K_prime / 2 - ctx.mpc(u)
-
-    def eta_fraction(self):
-        """Im(eta) measured in units of Im(eta_iso) = K'/4."""
-        ctx = self.prec.ctx
-        return float(ctx.im(self.eta) / (self.K_prime / 4))
 
 
 def eta_over_Kprime(w: Weights):
@@ -234,23 +194,16 @@ def elliptic_frame(w: Weights) -> EllipticFrame:
 
     The anisotropy point eta = i (eta/K') K' solves sn(2 eta) =
     1/(i t_minus) on [0, i K'/2], with eta/K' from `eta_over_Kprime`.
+    The torus does not exist at the critical modulus: there the kernel
+    raises `CriticalModulusError`.
     """
     prec = w.prec
-    ctx = prec.ctx
-    modulus = Modulus.create(w.k, prec)
-    if modulus.phase_flag == "critical":
-        z = ctx.mpf(0)
-        return EllipticFrame(modulus=modulus, K=z, K_prime=z, eta=z,
-                             eta_tilde=z, eta_iso=z, kernel=None, prec=prec)
-
-    kern = get_kernel(modulus.k, prec)
+    kern = get_kernel(w.k, prec)
     Kp = kern.K_prime
-    i = ctx.mpc(0, 1)
+    i = prec.ctx.mpc(0, 1)
     eta = i * eta_over_Kprime(w) * Kp
-    return EllipticFrame(
-        modulus=modulus, K=kern.K, K_prime=Kp, eta=eta,
-        eta_tilde=i * Kp / 2 - eta, eta_iso=i * Kp / 4,
-        kernel=kern, prec=prec)
+    return EllipticFrame(k=kern.k, K=kern.K, K_prime=Kp, eta=eta,
+                         eta_tilde=i * Kp / 2 - eta, kernel=kern, prec=prec)
 
 
 def couplings_from_modulus(k, eta_fraction, L, M,

@@ -78,8 +78,9 @@ class MatrixBundle:
             setattr(self, name, a)
 
 
-def build_matrices(w: Weights, M: int, prec: Precision | None = None) -> MatrixBundle:
-    """Assemble the transfer-matrix family for even M >= 2.
+def build_matrices(w: Weights, M: int) -> MatrixBundle:
+    """Assemble the transfer-matrix family for even M >= 2, at the
+    precision of ``w``.
 
     The tridiagonal core carries 2 on the diagonal with the two boundary
     corners shifted by the dual-weight ratios; the anti-tridiagonal part
@@ -88,7 +89,7 @@ def build_matrices(w: Weights, M: int, prec: Precision | None = None) -> MatrixB
     """
     if M < 2 or M % 2:
         raise DomainError("matrix construction requires even M >= 2")
-    prec = as_precision(prec if prec is not None else w.prec)
+    prec = w.prec
     ctx = prec.ctx
     zero = ctx.mpf(0)
     ts, zs = w.t_star, w.z_star
@@ -255,7 +256,8 @@ class SpectrumPoint:
     view of the binary64 eigenvector matrix, or a list of context scalars
     at extended precision.  Only ``spectrum_for`` fills phi, zeta, the
     Jacobi triple (`enrich_spectrum`), u, branch, omega, theta, psi and
-    quant_residual; no route reads them.
+    quant_residual; no route reads them.  `exp_theta` and `exp_psi` read
+    the context and modulus that `enrich_spectrum` sets with the triple.
     """
 
     mu: int
@@ -328,8 +330,6 @@ def joint_spectrum(bundle: MatrixBundle, w: Weights,
     pts.sort(key=lambda p: -float(p.gamma))
     for i, p in enumerate(pts):
         p.mu = i + 1
-        p._ctx = ctx
-        p._k = w.k
     return pts
 
 
@@ -440,8 +440,8 @@ def double_argument(triple, k):
 
 def lambda_zeta(u, frame: EllipticFrame):
     """Horizontal and vertical eigenvalue functions at a torus point."""
-    sp = frame.sn(u + frame.eta)
-    sm = frame.sn(u - frame.eta)
+    sp = frame.kernel.sncndn(u + frame.eta)[0]
+    sm = frame.kernel.sncndn(u - frame.eta)[0]
     lam = 1 / (frame.k * sp * sm)
     return lam, sp / sm
 
@@ -488,6 +488,7 @@ def enrich_spectrum(points, frame: EllipticFrame, w: Weights):
     it."""
     ctx = frame.prec.ctx
     for p in points:
+        p._ctx, p._k = ctx, w.k
         p.phi = _acos_upper(ctx, p.chi / 2 - 1)
         p.zeta = ctx.exp(ctx.mpc(0, 1) * p.phi)
         (p.sn_u, p.cn_u, p.dn_u), zeta_t = _matched_triple(p.lam, p.zeta, w,
@@ -518,7 +519,7 @@ def spectrum_for(c: Couplings, prec: Precision = FLOAT64):
                     ("shifted_iKprime"
                      if abs(float(ctx.im(p.u))) > float(frame.K_prime) / 2
                      else "real_axis"))
-        p.omega = frame.am(2 * p.u)
+        p.omega = frame.kernel.am(2 * p.u)
         p.theta = ctx.log(p.exp_theta())
         p.psi = -ctx.log(-ctx.tan(p.phi / 2))
         r = ctx.re(c.M * p.phi - p.omega)
@@ -535,10 +536,12 @@ def spectrum_for(c: Couplings, prec: Precision = FLOAT64):
 class SystemPipeline:
     """The work every spectral quantity of one system shares, at one
     precision: weights, elliptic frame, family (matrices and the unchecked
-    eigensystem) and checked (the family after `check_joint`).  Only
-    `spectrum_for`, the contour and the identities build the frame; no
-    route and not `partition.assemble_logZ`.  The structured routes keep
-    one stage of their own here, the spectral measure
+    eigensystem, at any modulus) and checked (the family after
+    `check_joint`).  Only `spectrum_for`, the contour and the identities
+    build the frame, which raises `CriticalModulusError` at the critical
+    modulus; no route and not `partition.assemble_logZ` builds it, and
+    the route eigenpairs carry no torus state.  The structured routes
+    keep one stage of their own here, the spectral measure
     (`partition._checked_measure`).
 
     Each stage is built on first use and kept; a stage that raised raises
@@ -579,7 +582,7 @@ class SystemPipeline:
         w = self.weights()
 
         def build():
-            bundle = build_matrices(w, self.c.M, self.prec)
+            bundle = build_matrices(w, self.c.M)
             return bundle, joint_spectrum(bundle, w, self.prec)
         bundle, pts = self._stage("family", build)
         return w, bundle, pts

@@ -430,6 +430,24 @@ class TestScan:
         assert diag["points"] == [{"k": row["k"], "error": row["error"],
                                    "max_pairwise_rel_dev": dev}]
 
+    @pytest.mark.parametrize("frac", ["1.5", "0", "2.0"])
+    def test_eta_fraction_validated_like_z(self, capsys, frac):
+        # checked once before the sweep: no rows, one DomainError
+        code, out, err = run_cli(capsys, "scan", "--L", "4", "--M", "4",
+                                 "--k-min", "0.5", "--k-max", "0.6",
+                                 "--steps", "2", "--eta-frac", frac)
+        assert code == 1
+        assert out == ""
+        assert json.loads(err)["error"] == "DomainError"
+
+    def test_fixed_couplings_are_a_usage_error(self):
+        # scan sweeps k; --Kh, --Kv and --k would be ignored
+        with pytest.raises(SystemExit) as exc:
+            main(["scan", "--L", "4", "--M", "4", "--k-min", "0.5",
+                  "--k-max", "0.6", "--steps", "2", "--Kh", "9", "--Kv",
+                  "9", "--k", "7"])
+        assert exc.value.code == 2
+
     def test_one_log_z_is_enough(self, capsys):
         code, out, _ = run_cli(capsys, "scan", "--L", "4", "--M", "4",
                                "--k-min", "0.5", "--k-max", "1.0",

@@ -17,7 +17,6 @@ from scipy.integrate import quad
 
 from rectising.elliptic import (
     EllipticKernel,
-    Modulus,
     amplitude,
     carlson_rf,
     complete_integrals,
@@ -399,8 +398,9 @@ def test_carlson_rf_degenerate():
 
 
 def test_modulus_classification():
-    assert Modulus.create(0.5).phase_flag == "disordered"
-    assert Modulus.create(1.0).phase_flag == "critical"
-    m = Modulus.create(1.5)
-    assert m.phase_flag == "ordered"
-    assert abs(complex(m.k_prime) - 1j * math.sqrt(1.25)) < 1e-14
+    assert not EllipticKernel(0.5).ordered
+    with pytest.raises(CriticalModulusError):
+        EllipticKernel(1.0)
+    assert EllipticKernel(1.5).ordered
+    with pytest.raises(DomainError):
+        EllipticKernel(0.0)

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from rectising.contour import ContourContext
 from rectising.errors import CriticalModulusError, DomainError
 from rectising.params import (
     Couplings,
@@ -100,7 +101,7 @@ class TestFrame:
         # sn(2 eta) = 1/(i t_minus) to 64 eps relative to max(1, |target|)
         for w, fr in grid_frames(k, bits):
             target = 1 / (w.prec.ctx.mpc(0, 1) * w.t_minus)
-            res = abs(fr.sn(2 * fr.eta) - target)
+            res = abs(fr.kernel.sncndn(2 * fr.eta)[0] - target)
             assert res <= 64 * w.prec.eps * max(1, abs(target))
 
     @pytest.mark.parametrize("k", GRID_K)
@@ -120,22 +121,23 @@ class TestFrame:
         fr = elliptic_frame(weights_from_couplings(Couplings(0.4, 0.7, 3, 4)))
         assert abs(complex(fr.eta_tilde)
                    - (0.5j * float(fr.K_prime) - complex(fr.eta))) == 0
-        assert abs(complex(fr.eta_iso) - 0.25j * float(fr.K_prime)) == 0
 
-    def test_critical_flag(self):
+    @pytest.mark.parametrize("bits", [53, 160])
+    def test_critical_modulus_refused(self, bits):
+        # the torus does not exist at k = 1: every way to a frame raises
         c = Couplings(CRITICAL_K, CRITICAL_K, 4, 4)
-        w = weights_from_couplings(c)
+        w = weights_from_couplings(c, Precision(bits))
         assert abs(float(w.k) - 1) < 1e-12
-        fr = elliptic_frame(w)
-        assert fr.is_critical
         with pytest.raises(CriticalModulusError):
-            fr.sn(0.3)
+            elliptic_frame(w)
+        with pytest.raises(CriticalModulusError):
+            ContourContext.from_couplings(c, Precision(bits))
 
     def test_dual_coupling_values_at_eta(self):
         c = Couplings(0.4, 0.7, 3, 4)
         w = weights_from_couplings(c)
         fr = elliptic_frame(w)
-        s2, c2, d2 = fr.sncndn(2 * fr.eta)
+        s2, c2, d2 = fr.kernel.sncndn(2 * fr.eta)
         ts_p = (w.t_star + 1 / w.t_star) / 2
         zs_p = (w.z_star + 1 / w.z_star) / 2
         assert abs(ts_p - c2) < 1e-11
@@ -147,8 +149,8 @@ class TestFrame:
         fr = elliptic_frame(w)
         kt_v = -0.5 * math.log(math.tanh(0.6))
         kt_h = -0.5 * math.log(math.tanh(0.35))
-        assert abs(complex(fr.am(2 * fr.eta)) - 2j * kt_v) < 1e-11
-        assert abs(complex(fr.am(2 * fr.eta_tilde)) - 2j * kt_h) < 1e-11
+        assert abs(complex(fr.kernel.am(2 * fr.eta)) - 2j * kt_v) < 1e-11
+        assert abs(complex(fr.kernel.am(2 * fr.eta_tilde)) - 2j * kt_h) < 1e-11
 
 
 class TestSwap:
@@ -192,7 +194,8 @@ class TestModulusParametrization:
         w = weights_from_couplings(c)
         fr = elliptic_frame(w)
         assert abs(float(w.k) - k) < 1e-12
-        assert abs(fr.eta_fraction() - frac) < 1e-13
+        eta_frac = float(w.prec.ctx.im(fr.eta) / (fr.K_prime / 4))
+        assert abs(eta_frac - frac) < 1e-13
         report = assemble_logZ(c, "spin").eta_im_over_Kprime
         assert abs(4 * report - frac) < 1e-13
 

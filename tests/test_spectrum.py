@@ -142,7 +142,7 @@ class TestBinary64Checks:
     def test_check_catches_perturbed_eigenvector(self, bits):
         p = Precision(bits)
         w = weights_from_couplings(couplings_from_modulus(0.6, 0.8, 4, 64), p)
-        b = build_matrices(w, 64, p)
+        b = build_matrices(w, 64)
         pts = joint_spectrum(b, w, p)
         check_joint(b, w, pts)
         pts[17].eigvec = list(pts[17].eigvec)
@@ -154,7 +154,7 @@ class TestBinary64Checks:
         p = Precision(160)
         ctx = p.ctx
         w = weights_from_couplings(couplings_from_modulus(6.0, 1.0, 12, 24), p)
-        b = build_matrices(w, 24, p)
+        b = build_matrices(w, 24)
         calls = count_calls(spectrum, "_rayleigh")
         pts = joint_spectrum(b, w, p)
         # the edge mode (gamma ~ 1.9e-13) falls back, the bulk does not
@@ -196,7 +196,7 @@ class TestRefinedEigensystem:
         p = Precision(bits)
         ctx = p.ctx
         w = weights_from_couplings(couplings_from_modulus(k, eta, 4, M), p)
-        b = build_matrices(w, M, p)
+        b = build_matrices(w, M)
         pts = sorted(joint_spectrum(b, w, p), key=lambda q: q.chi)
         want = sorted(ctx.eigsy(ctx.matrix(b.rows_C))[0])
         tol = ctx.ldexp(1, 10 - bits)
@@ -214,7 +214,7 @@ class TestRefinedEigensystem:
         p = Precision(160)
         w = weights_from_couplings(couplings_from_modulus(0.6, 0.8, 4, 8), p)
         with pytest.raises(JointDiagonalizationError, match="converge"):
-            joint_spectrum(build_matrices(w, 8, p), w, p)
+            joint_spectrum(build_matrices(w, 8), w, p)
 
 
 class TestAngles:
@@ -260,7 +260,7 @@ class TestAngles:
         # the defining half power
         c = Couplings(0.3, 0.3, 5, 6)
         w, fr, _b, pts = spectrum_for(c)
-        cn_e = fr.cn(fr.eta)
+        cn_e = fr.kernel.sncndn(fr.eta)[1]
         for p in pts:
             lhs = p.exp_theta() / p.exp_psi()
             rhs = 1j * complex(w.z) * complex(p.cn_u) ** 2 / complex(cn_e) ** 2
@@ -309,6 +309,24 @@ def test_table_angles_only_from_spectrum_for(k, eta, L, M, bits):
     for p in table_pts:
         assert all(getattr(p, name) is not None
                    for name in TABLE_ANGLES + TORUS_ANGLES)
+
+
+@pytest.mark.parametrize("k,eta,L,M", [(0.6, 0.9, 5, 6), (3, 0.9, 6, 6)])
+@pytest.mark.parametrize("bits", [53, 160])
+def test_route_points_carry_no_torus_state(k, eta, L, M, bits):
+    # only enrichment gives a point the context and modulus of e^theta;
+    # e^theta from the triple is k sn cn / (i dn) at the located u
+    c = couplings_from_modulus(k, eta, L, M)
+    _w, _b, route_pts = SystemPipeline(c, Precision(bits)).checked()
+    assert not any(hasattr(p, "_ctx") or hasattr(p, "_k")
+                   for p in route_pts)
+    w, fr, _b, table_pts = spectrum_for(c, Precision(bits))
+    ctx = w.prec.ctx
+    for p in table_pts:
+        assert p._ctx is ctx and p._k == w.k
+        sn, cn, dn = fr.kernel.sncndn(p.u)
+        want = w.k * sn * cn / (ctx.mpc(0, 1) * dn)
+        assert abs(p.exp_theta() - want) <= 64 * w.prec.eps * abs(want)
 
 
 class TestCharPoly:
@@ -365,8 +383,8 @@ class TestCharPoly:
             try:
                 lam, zet = lambda_zeta(u, fr)
                 lam_i, zet_i = lambda_zeta(u + 1j * Kp, fr)
-                om = fr.am(2 * u)
-                om_i = fr.am(2 * (u + 1j * Kp))
+                om = fr.kernel.am(2 * u)
+                om_i = fr.kernel.am(2 * (u + 1j * Kp))
             except Exception:
                 continue
             count += 1
@@ -399,7 +417,7 @@ class TestCharPoly:
             dphi_fd = complex((zp - zm) / (2 * h) / (1j * zet))
             lam_m = (lam - 1 / lam) / 2
             sin_phi = complex((zet - 1 / zet)) / 2j
-            s2 = complex(fr.sn(2 * u))
+            s2 = complex(fr.kernel.sncndn(2 * u)[0])
             assert abs(complex(-2 * fr.k * s2 * lam_m) - dgam_fd) < 1e-7
             assert abs(complex(2 * lam_m / w.z_minus) - dphi_fd) < 1e-7
             assert abs(complex(2 * w.t_minus * sin_phi) - dgam_fd) < 1e-7
