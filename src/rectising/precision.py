@@ -6,47 +6,65 @@ supplies elementary functions and number constructors.  Two flavours exist:
 * 53 bits: ``mpmath.fp``, backed by Python floats / complex (fast path);
 * >= 100 bits: a private ``mpmath`` context at the requested precision,
   used when exponential factors in the structured determinants cancel
-  beyond binary64 resolution.
+  beyond binary64 resolution, and a ``decimal`` context (the standard
+  library's C libmpdec, unit roundoff below 2^-bits) for the extended
+  eigensystem, with converters between the two.
 
-Contexts are immutable after construction and safe to share across threads.
+There is one instance per bit count, immutable and safe to share across
+threads; decimal arithmetic runs in a `decimal.localcontext` copy.
 """
 
 from __future__ import annotations
 
+import decimal
+import math
+
 import mpmath
 from mpmath.ctx_mp import MPContext
+from mpmath.libmp import from_man_exp, round_nearest
 
 from .errors import DomainError
 
 #: default bits for the fast path (IEEE binary64 mantissa)
 FLOAT_BITS = 53
 
+_INSTANCES: dict[int, "Precision"] = {}
+
 
 class Precision:
-    """A frozen scalar precision setting.
+    """A frozen scalar precision setting, shared per bit count.
 
     ``bits`` must be 53 (binary64) or lie in [100, 4096].  The gap is
     deliberate: below ~100 bits extended arithmetic buys nothing over
-    binary64 but costs two orders of magnitude in speed.
+    binary64 but costs two orders of magnitude in speed.  Extended
+    precision also carries ``decimal``, a context of
+    ceil(bits log10 2) + 3 digits with the widest exponent range.
     """
 
-    __slots__ = ("bits", "ctx", "eps")
+    __slots__ = ("bits", "ctx", "eps", "decimal")
 
-    def __init__(self, bits: int = FLOAT_BITS):
+    def __new__(cls, bits: int = FLOAT_BITS):
         bits = int(bits)
+        if bits in _INSTANCES:
+            return _INSTANCES[bits]
         if bits != FLOAT_BITS and not (100 <= bits <= 4096):
             raise DomainError(
                 f"precision_bits must be 53 or in [100, 4096], got {bits}")
-        object.__setattr__(self, "bits", bits)
+        self = object.__new__(cls)
         if bits == FLOAT_BITS:
-            ctx = mpmath.fp
+            ctx, dec = mpmath.fp, None
         else:
             ctx = MPContext()
             ctx.prec = bits
-        object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "eps", float(ctx.eps))
+            dec = decimal.Context(
+                prec=math.ceil(bits * math.log10(2)) + 3,
+                Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
+        for name, value in (("bits", bits), ("ctx", ctx),
+                            ("eps", float(ctx.eps)), ("decimal", dec)):
+            object.__setattr__(self, name, value)
+        return _INSTANCES.setdefault(bits, self)
 
-    def __setattr__(self, *a):  # pragma: no cover - guard
+    def __setattr__(self, *a):
         raise AttributeError("Precision is immutable")
 
     @property
@@ -56,11 +74,28 @@ class Precision:
     def __repr__(self):
         return f"Precision(bits={self.bits})"
 
-    def __eq__(self, other):
-        return isinstance(other, Precision) and other.bits == self.bits
+    def to_decimal(self, x) -> decimal.Decimal:
+        """An mpf as a Decimal of the decimal context, rounded once."""
+        sign, man, exp, _bc = x._mpf_
+        if not man:                       # zero, inf or nan
+            return decimal.Decimal(float(x))
+        if exp < 0:                       # man 2^exp = man 5^-exp 10^exp
+            man *= 5 ** -exp
+        else:
+            man, exp = man << exp, 0
+        with decimal.localcontext(self.decimal) as dc:
+            return dc.create_decimal(-man if sign else man).scaleb(exp)
 
-    def __hash__(self):
-        return hash(("Precision", self.bits))
+    def from_decimal(self, d: decimal.Decimal):
+        """A finite Decimal as an mpf of the context, correctly rounded at
+        ``bits``."""
+        n, q = d.as_integer_ratio()
+        # n 2^s / q = a + r / q with a of bits + 3 bits at least, so the
+        # sticky bit (r > 0) below a rounds as the exact quotient does
+        s = max(0, self.bits + 3 - n.bit_length() + q.bit_length())
+        a, r = divmod(n << s, q)
+        return self.ctx.make_mpf(
+            from_man_exp(2 * a + (r > 0), -s - 1, self.bits, round_nearest))
 
 
 #: shared binary64 context
@@ -69,8 +104,5 @@ FLOAT64 = Precision(FLOAT_BITS)
 
 def as_precision(p) -> Precision:
     """Accept a Precision, an int bit count, or None (binary64)."""
-    if p is None:
-        return FLOAT64
-    if isinstance(p, Precision):
-        return p
-    return Precision(int(p))
+    return p if isinstance(p, Precision) else Precision(
+        FLOAT_BITS if p is None else p)

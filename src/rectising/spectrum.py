@@ -13,8 +13,10 @@ vertical eigenvalue.
 
 from __future__ import annotations
 
+import decimal
 import time
 from dataclasses import dataclass, field
+from operator import mul
 
 import numpy as np
 
@@ -56,26 +58,30 @@ BRANCH_ERR = 32
 
 @dataclass
 class MatrixBundle:
-    """The four symmetric matrices of one system, as context scalars.
+    """The four symmetric matrices of one system.
 
-    ``rows_*`` are plain nested lists usable at any precision; the
-    uppercase attributes are read-only binary64 copies, made once per
-    bundle and shared by the eigensolver seeds, the branch decision and
-    the joint check.
+    ``rows_T`` (the transfer matrix) and ``rows_C`` (the tridiagonal core)
+    are plain nested lists of context scalars, usable at any precision;
+    the uppercase attributes are read-only binary64 copies of the four
+    matrices, made once per bundle and shared by the eigensolver seeds,
+    the branch decision and the joint check.
     """
 
     M: int
-    rows_T_plus: list
-    rows_T_minus: list
     rows_T: list
     rows_C: list
     prec: Precision
+    T_plus: np.ndarray = field(repr=False)
+    T_minus: np.ndarray = field(repr=False)
+    T: np.ndarray = field(repr=False)
+    C: np.ndarray = field(repr=False)
 
-    def __post_init__(self):
-        for name in ("T_plus", "T_minus", "T", "C"):
-            a = np.array(getattr(self, "rows_" + name), dtype=float)
-            a.flags.writeable = False
-            setattr(self, name, a)
+
+def _scatter(rows, band):
+    """``rows`` with the {(i, j): entry} ``band`` written into it."""
+    for (i, j), x in band.items():
+        rows[i][j] = x
+    return rows
 
 
 def build_matrices(w: Weights, M: int) -> MatrixBundle:
@@ -84,7 +90,9 @@ def build_matrices(w: Weights, M: int) -> MatrixBundle:
 
     The tridiagonal core carries 2 on the diagonal with the two boundary
     corners shifted by the dual-weight ratios; the anti-tridiagonal part
-    carries the dual weights on three anti-bands.  Symmetry is exact by
+    carries the dual weights on three anti-bands.  Only the O(M) band
+    entries are formed; every entry off them is the value a dense sum
+    gives there (a signed zero in binary64).  Symmetry is exact by
     construction.
     """
     if M < 2 or M % 2:
@@ -95,41 +103,37 @@ def build_matrices(w: Weights, M: int) -> MatrixBundle:
     ts, zs = w.t_star, w.z_star
     tzm = w.t_minus * w.z_minus
     pref = -tzm / 2
-
-    C = [[zero for _ in range(M)] for _ in range(M)]
-    for i in range(M):
-        C[i][i] = ctx.mpf(2)
-        if i + 1 < M:
-            C[i][i + 1] = ctx.mpf(1)
-            C[i + 1][i] = ctx.mpf(1)
-    C[0][0] = 2 + ts / zs
-    C[M - 1][M - 1] = 2 + ts * zs
-
     shift = w.t_plus * w.z_plus + tzm
-    Tp = [[pref * C[i][j] + (shift if i == j else zero) for j in range(M)]
-          for i in range(M)]
 
-    A = [[zero for _ in range(M)] for _ in range(M)]
-    # anti-band i + j = M + 1 (main): interior -2 t*_plus, corners -1/t*
-    tsp = (ts + 1 / ts) / 2
-    for i in range(1, M + 1):
-        j = M + 1 - i
-        A[i - 1][j - 1] = -2 * tsp
-    A[0][M - 1] = -1 / ts
-    A[M - 1][0] = -1 / ts
-    # anti-band i + j = M: z*
-    for i in range(1, M):
-        j = M - i
-        A[i - 1][j - 1] = zs
-    # anti-band i + j = M + 2: 1/z*
-    for i in range(2, M + 1):
-        j = M + 2 - i
-        A[i - 1][j - 1] = 1 / zs
-    Tm = [[pref * A[i][j] for j in range(M)] for i in range(M)]
+    C = {(i, i): ctx.mpf(2) for i in range(M)}
+    for i in range(M - 1):
+        C[i, i + 1] = C[i + 1, i] = ctx.mpf(1)
+    C[0, 0] = 2 + ts / zs
+    C[M - 1, M - 1] = 2 + ts * zs
+    Tp = {(i, j): pref * x + (shift if i == j else zero)
+          for (i, j), x in C.items()}
 
-    T = [[Tp[i][j] + Tm[i][j] for j in range(M)] for i in range(M)]
-    return MatrixBundle(M=M, rows_T_plus=Tp, rows_T_minus=Tm, rows_T=T,
-                        rows_C=C, prec=prec)
+    # anti-band i + j = M - 1 (main): interior -2 t*_plus, corners -1/t*
+    main = -2 * ((ts + 1 / ts) / 2)
+    A = {(i, M - 1 - i): main for i in range(M)}
+    A[0, M - 1] = A[M - 1, 0] = -1 / ts
+    # anti-band i + j = M - 2: z*; anti-band i + j = M: 1/z*
+    for i in range(M - 1):
+        A[i, M - 2 - i] = zs
+        A[i + 1, M - 1 - i] = 1 / zs
+    Tm = {ij: pref * x for ij, x in A.items()}
+
+    tp0, tm0 = pref * zero + zero, pref * zero
+    T = {ij: Tp.get(ij, tp0) + Tm.get(ij, tm0) for ij in Tp.keys() | Tm.keys()}
+    arrays = {}
+    for name, fill, band in (("T_plus", tp0, Tp), ("T_minus", tm0, Tm),
+                             ("T", tp0 + tm0, T), ("C", zero, C)):
+        arrays[name] = _scatter(np.full((M, M), float(fill)), band)
+        arrays[name].flags.writeable = False
+    return MatrixBundle(
+        M=M, rows_T=_scatter([[tp0 + tm0] * M for _ in range(M)], T),
+        rows_C=_scatter([[zero] * M for _ in range(M)], C), prec=prec,
+        **arrays)
 
 
 # ----------------------------------------------------------------------
@@ -177,10 +181,10 @@ def _tridiag_solve(d, e, sigma, b, tiny):
     return y
 
 
-def _tridiag_rayleigh(ctx, d, e, v):
+def _tridiag_rayleigh(d, e, v):
     """v^T T v for the symmetric tridiagonal T and a unit vector v."""
-    return (ctx.fdot(d, [x * x for x in v])
-            + 2 * ctx.fdot(e, [a * b for a, b in zip(v, v[1:])]))
+    return (sum(a * (x * x) for a, x in zip(d, v))
+            + 2 * sum(a * (x * y) for a, x, y in zip(e, v, v[1:])))
 
 
 def _core_eig(bundle: MatrixBundle, w: Weights, prec: Precision):
@@ -193,9 +197,12 @@ def _core_eig(bundle: MatrixBundle, w: Weights, prec: Precision):
     refines binary64 ``eigh`` seeds of the tridiagonal core C pair by pair
     by Rayleigh-quotient iteration, one pivoted tridiagonal solve per
     step, so the whole eigensystem costs O(M^2) operations; the iteration
-    converges cubically on symmetric tridiagonal matrices.  A refined pair
-    that does not converge, moves from its seed by more than binary64
-    error, or is not orthogonal to its neighbour raises.
+    converges cubically on symmetric tridiagonal matrices.  It runs on
+    ``decimal`` at the precision's decimal context (C arithmetic, unit
+    roundoff below 2^-bits), and returns context scalars, correctly
+    rounded from the decimal result.  A refined pair that does not
+    converge, moves from its seed by more than binary64 error, or is not
+    orthogonal to its neighbour raises.
     """
     tzp = w.t_plus * w.z_plus
     tzm = w.t_minus * w.z_minus
@@ -209,43 +216,48 @@ def _core_eig(bundle: MatrixBundle, w: Weights, prec: Precision):
         lam_plus = [float(x) for x in seeds]
         return ([2 * (tzp + tzm - lp) / tzm for lp in lam_plus], lam_plus,
                 list(seed_vecs.T))
-    ctx = prec.ctx
     M = bundle.M
     C = bundle.rows_C
     d = [C[i][i] for i in range(M)]
     e = [C[i][i + 1] for i in range(M - 1)]
     scale = (max(abs(float(x)) for x in d)
              + 2 * max(abs(float(x)) for x in e))     # bounds |C|
-    tol = ctx.ldexp(ctx.mpf(scale), 6 - prec.bits)
     vals, vecs = [], []
-    for j in range(M):
-        seed = [ctx.mpf(float(x)) for x in seed_vecs[:, j]]
-        inv = 1 / ctx.sqrt(ctx.fdot(seed, seed))
-        v = [x * inv for x in seed]
-        chi = _tridiag_rayleigh(ctx, d, e, v)
-        for _step in range(RQI_MAX_STEPS):
-            y = _tridiag_solve(d, e, chi, v, tol)
-            if ctx.fdot(y, seed) < 0:
-                y = [-a for a in y]
-            inv = 1 / ctx.sqrt(ctx.fdot(y, y))    # = |(C - old chi) v|
-            v = [a * inv for a in y]
-            chi = _tridiag_rayleigh(ctx, d, e, v)
-            if inv <= tol:
-                break
-        else:
-            raise JointDiagonalizationError(
-                f"eigenpair {j} of the core did not converge in "
-                f"{RQI_MAX_STEPS} Rayleigh-quotient steps")
-        if abs(float(chi) - seeds[j]) > SEED_TOL * scale:
-            raise JointDiagonalizationError(
-                f"eigenpair {j} of the core moved {float(chi) - seeds[j]:.3e} "
-                f"from its binary64 seed")
-        if vecs and abs(ctx.fdot(v, vecs[-1])) > JOINT_TOL:
-            raise JointDiagonalizationError(
-                f"eigenpairs {j - 1} and {j} of the core converged together")
-        vals.append(chi)
-        vecs.append(v)
-    return vals, [-tzm / 2 * chi + (tzp + tzm) for chi in vals], vecs
+    with decimal.localcontext(prec.decimal) as dc:
+        d, e = ([prec.to_decimal(x) for x in xs] for xs in (d, e))
+        tol = prec.to_decimal(prec.ctx.ldexp(prec.ctx.mpf(scale),
+                                             6 - prec.bits))
+        for j, column in enumerate(seed_vecs.T.tolist()):
+            seed = [dc.create_decimal_from_float(x) for x in column]
+            inv = 1 / sum(map(mul, seed, seed)).sqrt()
+            v = [x * inv for x in seed]
+            chi = _tridiag_rayleigh(d, e, v)
+            for _step in range(RQI_MAX_STEPS):
+                y = _tridiag_solve(d, e, chi, v, tol)
+                if sum(map(mul, y, seed)) < 0:
+                    y = [-a for a in y]
+                inv = 1 / sum(map(mul, y, y)).sqrt()    # = |(C - old chi) v|
+                v = [a * inv for a in y]
+                chi = _tridiag_rayleigh(d, e, v)
+                if inv <= tol:
+                    break
+            else:
+                raise JointDiagonalizationError(
+                    f"eigenpair {j} of the core did not converge in "
+                    f"{RQI_MAX_STEPS} Rayleigh-quotient steps")
+            if abs(float(chi) - seeds[j]) > SEED_TOL * scale:
+                raise JointDiagonalizationError(
+                    f"eigenpair {j} of the core moved "
+                    f"{float(chi) - seeds[j]:.3e} from its binary64 seed")
+            if vecs and abs(sum(map(mul, v, vecs[-1]))) > JOINT_TOL:
+                raise JointDiagonalizationError(
+                    f"eigenpairs {j - 1} and {j} of the core converged "
+                    f"together")
+            vals.append(chi)
+            vecs.append(v)
+    vals = [prec.from_decimal(chi) for chi in vals]
+    return (vals, [-tzm / 2 * chi + (tzp + tzm) for chi in vals],
+            [[prec.from_decimal(x) for x in v] for v in vecs])
 
 
 @dataclass

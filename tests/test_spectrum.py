@@ -1,6 +1,7 @@
 """Transfer-matrix family, joint spectrum and characteristic polynomials."""
 
 import cmath
+import decimal
 import math
 
 import numpy as np
@@ -189,7 +190,7 @@ class TestRefinedEigensystem:
     """Extended precision refines binary64 eigenpairs of the tridiagonal
     core; mpmath's dense eigsy is the independent oracle."""
 
-    @pytest.mark.parametrize("bits", [160, 256])
+    @pytest.mark.parametrize("bits", [100, 160, 256])
     @pytest.mark.parametrize("k,eta,M", [(0.6, 0.8, 32), (3.0, 1.0, 24),
                                          (6.0, 1.0, 24), (0.995, 1.0, 16)])
     def test_against_dense_eigensolver(self, k, eta, M, bits):
@@ -215,6 +216,46 @@ class TestRefinedEigensystem:
         w = weights_from_couplings(couplings_from_modulus(0.6, 0.8, 4, 8), p)
         with pytest.raises(JointDiagonalizationError, match="converge"):
             joint_spectrum(build_matrices(w, 8), w, p)
+
+    def test_pair_moved_from_its_seed_raises(self, monkeypatch):
+        monkeypatch.setattr(spectrum, "SEED_TOL", 0.0)
+        p = Precision(160)
+        w = weights_from_couplings(couplings_from_modulus(0.6, 0.8, 4, 8), p)
+        with pytest.raises(JointDiagonalizationError,
+                           match="moved .* from its binary64 seed"):
+            joint_spectrum(build_matrices(w, 8), w, p)
+
+    def test_pairs_converged_together_raise(self, monkeypatch):
+        # pair 1 starts from pair 0's seed, so it refines to pair 0
+        eigh = np.linalg.eigh
+
+        def collapsed(a):
+            vals, vecs = eigh(a)
+            vals[1], vecs[:, 1] = vals[0], vecs[:, 0]
+            return vals, vecs
+        monkeypatch.setattr(np.linalg, "eigh", collapsed)
+        p = Precision(160)
+        w = weights_from_couplings(couplings_from_modulus(0.6, 0.8, 4, 8), p)
+        with pytest.raises(JointDiagonalizationError,
+                           match="eigenpairs 0 and 1 of the core converged "
+                                 "together"):
+            joint_spectrum(build_matrices(w, 8), w, p)
+
+    @pytest.mark.parametrize("bits", [100, 160, 256])
+    def test_iteration_runs_on_decimal(self, count_calls, bits):
+        # a silent fallback to mpmath scalars inside the RQI fails here;
+        # what leaves the kernel is context scalars again
+        p = Precision(bits)
+        w = weights_from_couplings(couplings_from_modulus(6.0, 1.0, 4, 12), p)
+        calls = count_calls(spectrum, "_tridiag_solve")
+        pts = joint_spectrum(build_matrices(w, 12), w, p)
+        assert len(calls) >= 12
+        for d, e, sigma, b, tiny in calls:
+            for x in (*d, *e, sigma, *b, tiny):
+                assert type(x) is decimal.Decimal
+        for q in pts:
+            assert type(q.chi) is type(q.lam) is p.ctx.mpf
+            assert all(type(x) is p.ctx.mpf for x in q.eigvec)
 
 
 class TestAngles:
