@@ -862,6 +862,22 @@ class TestPrecisionPolicy:
         ref, _ = block_transfer_logZ(c, p)
         assert abs(lz.log_mag - ref.log_mag) < 1e-30 * abs(ref.log_mag)
 
+    @pytest.mark.parametrize("k, eta, L, M", [
+        (6, 1.0, 12, 24), (0.6, 0.8, 48, 12), (2.35, 0.8, 12, 12),
+        (0.6, 0.8, 12, 64)])
+    def test_extended_routes_against_256_bit_block(self, k, eta, L, M):
+        # the 160-bit block and Hankel routes each keep 38 digits of a
+        # 256-bit block reference (the worst was 8.7e-40, Hankel on
+        # 12 x 24, when this pin was set)
+        c = couplings_from_modulus(k, eta, L, M)
+        q = Precision(256)
+        ref = block_transfer_logZ(c, q)[0].log_mag
+        p = Precision(160)
+        pipe = SystemPipeline(c, p)
+        for route in (block_transfer_logZ, hankel_logZ):
+            lz, _ = route(c, p, pipe)
+            assert abs(q.ctx.mpf(lz.log_mag) - ref) < 1e-38 * abs(ref)
+
     def test_binary64_documented_failure_regime(self):
         # at (24,16) near criticality the skew-Toeplitz Pfaffian cancels
         # past binary64: it loses more than 8 of its 16 digits
