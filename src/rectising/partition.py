@@ -12,26 +12,28 @@ Five independent ways to log Z for one system:
 All structured linear algebra runs in the log domain with per-row scaling,
 so exponential eigenvalue factors never overflow.  Both structured
 matrices come from one positive discrete measure on the spectrum
-(`_spectral_measure`): the Hankel entries are its moments, the
-skew-Toeplitz entries its Chebyshev moments; its weights are rational in
-the eigenvalues, so neither route needs the elliptic frame.  The Hankel
-determinant is a product of the measure's recurrence coefficients
+(`_spectral_measure`), rational in the eigenvalues: the Hankel entries
+are its moments, the skew-Toeplitz entries its Chebyshev moments.  The
+Hankel determinant is a product of the measure's recurrence coefficients
 (Gragg-Harrod), well conditioned where an LU of the moments is not.  Every
 system starts in binary64, except near criticality, for a single Pfaffian
 route and for a single Hankel route on a large system
 (`default_precision`); in ``route="all"``, when two routes disagree by
 more than ESCALATION_DEV or a structured route fails, the structured
-routes rerun at 160 bits.
+routes rerun at 160 bits.  Extended-precision steps run on Decimals
+(`precision.route_scalars`); each route's result is an mpf.
 """
 
 from __future__ import annotations
 
 import cmath
+import decimal
 import math
 import sys
 import time
 from dataclasses import dataclass, field
-from itertools import accumulate, chain
+from itertools import accumulate
+from operator import mul
 
 import numpy as np
 
@@ -40,7 +42,7 @@ from .errors import (DomainError, NonFiniteError, PhaseLeakError,
                      RouteInfeasibleError)
 from .params import (Couplings, EllipticFrame, Weights, eta_over_Kprime,
                      swap_system)
-from .precision import FLOAT64, Precision, as_precision
+from .precision import FLOAT64, Precision, as_precision, route_scalars
 from .spectrum import SystemPipeline, chi_poly_derivative
 
 #: hard cap on the exact configuration sum
@@ -128,9 +130,22 @@ class LogScaledValue:
 
 
 def _fsum(prec: Precision):
-    """Accurate sum at ``prec``: correctly rounded in binary64
-    (`math.fsum`), ``ctx.fsum`` at extended precision."""
-    return math.fsum if prec.is_float else prec.ctx.fsum
+    """Accurate sum at ``prec``: `math.fsum`, or a sum in ``prec.wide``
+    rounded once to ``prec.decimal``."""
+    if prec.is_float:
+        return math.fsum
+    dec = prec.decimal.copy()
+
+    def fsum(terms):
+        with decimal.localcontext(prec.wide):
+            total = sum(terms)
+        return dec.plus(total)
+    return fsum
+
+
+def _context_real(prec: Precision, x):
+    """A route scalar as a context real (a Decimal as an mpf)."""
+    return x if prec.is_float else prec.from_decimal(x)
 
 
 def _check_square(rows, what: str) -> int:
@@ -142,8 +157,17 @@ def _check_square(rows, what: str) -> int:
 
 
 def _isfinite(prec: Precision):
-    """Finiteness test for the scalars of ``prec``, real or complex."""
-    return cmath.isfinite if prec.is_float else prec.ctx.isfinite
+    """Finiteness test for the route scalars of ``prec``."""
+    return cmath.isfinite if prec.is_float else decimal.Decimal.is_finite
+
+
+def _decimal_rows(rows, prec: Precision, what: str) -> list:
+    """``rows`` as lists of Decimals (`Precision.to_decimal`): a complex
+    entry raises `DomainError`, a non-finite one `NonFiniteError`."""
+    A = [[prec.to_decimal(x) for x in r] for r in rows]
+    if not all(x.is_finite() for r in A for x in r):
+        raise NonFiniteError(f"{what} of a matrix with a non-finite entry")
+    return A
 
 
 # The binary64 kernels update whole arrays, and round every entry as
@@ -232,70 +256,61 @@ def _logdet_binary64(rows) -> tuple[LogScaledValue, dict]:
 def logdet_scaled(rows, prec: Precision) -> tuple[LogScaledValue, dict]:
     """LU determinant with partial pivoting and per-row scaling.
 
-    Works on a square matrix of context scalars (real or complex), as
-    nested lists or a 2-D array.  Returns the determinant and a
-    conditioning report: ``loss`` estimates the decimal digits destroyed
+    Works on a square matrix, as nested lists or a 2-D array, of binary64
+    scalars, real or complex, or at extended precision of real ones (mpf,
+    Decimal, int or float; `_decimal_rows`).  Returns the determinant and
+    a conditioning report: ``loss`` estimates the decimal digits destroyed
     by cancellation.  Binary64 runs the classic right-looking elimination
-    as array updates.  Extended precision runs left-looking (Crout)
-    order: each entry of column k is one ``fdot`` over the finished
-    columns, with exact products and one rounding.
+    as array updates.  Extended precision runs left-looking (Crout) order
+    on ``prec.decimal``: each entry of column k is one dot product over the
+    finished columns, exact in ``prec.wide`` and rounded once.
     """
     n = _check_square(rows, "determinant")
     if prec.is_float:
         return _logdet_binary64(rows)
-    ctx = prec.ctx
-    isfinite = ctx.isfinite
-    scales = []
-    for r in rows:
-        m = [abs(x) for x in r]
-        # a NaN or an infinity makes the sum non-finite; so can an overflow
-        # of binary64 entries, which the entrywise test then clears
-        if not (isfinite(sum(m)) or all(map(isfinite, r))):
-            raise NonFiniteError(
-                "determinant of a matrix with a non-finite entry")
-        scales.append(max(m))
+    A = _decimal_rows(rows, prec, "determinant")
     if n == 0:
-        return LogScaledValue(ctx.mpf(0), 1.0), {"loss": 0.0}
-    dot = ctx.fdot
-    one = ctx.mpf(1)
-    A = []
-    log_mag = ctx.mpf(0)
-    phase = complex(1.0)
-    for r, s in zip(rows, scales):
-        if s == 0:
+        return LogScaledValue(prec.ctx.zero, 1.0), {"loss": 0.0}
+    dec = prec.decimal.copy()          # its flags stay local
+    with decimal.localcontext(prec.wide):
+        scales = [max(map(abs, r)) for r in A]
+        if not all(scales):
             return LogScaledValue.zero(), {"loss": 0.0}
-        A.append([x / s for x in r])
-        log_mag += ctx.log(s)
-    # L[r] = [slot, L_r0, L_r1, ...]: the slot takes the entry being
-    # reduced, so that it meets the 1 that heads neg_u
-    L = [[None] for _ in range(n)]
-    min_piv, max_piv = float("inf"), 0.0
-    for col in range(n):
-        neg_u = [one]                   # 1, -U_0col, ..., -U_(i-1)col
-        for i in range(col):
-            L[i][0] = A[i][col]
-            neg_u.append(-dot(L[i], neg_u))
-        for r in range(col, n):
-            L[r][0] = A[r][col]
-        v = [dot(Lr, neg_u) for Lr in L[col:]]
-        p = max(range(n - col), key=lambda r: abs(v[r]))
-        piv = v[p]
-        ap = abs(piv)
-        if ap == 0:
-            return LogScaledValue.zero(), {"loss": float("inf")}
-        if p:
-            q = col + p
-            A[q], A[col] = A[col], A[q]
-            L[q], L[col] = L[col], L[q]
-            v[p] = v[0]
-            phase = -phase
-        min_piv, max_piv = min(min_piv, float(ap)), max(max_piv, float(ap))
-        log_mag += ctx.log(ap)
-        phase *= complex(piv / ap)
-        for Lr, vr in zip(L[col + 1:], v[1:]):
-            Lr.append(vr / piv)
+        A = [[dec.divide(x, s) for x in r] for r, s in zip(A, scales)]
+        mag = math.prod(scales)
+        phase = complex(1.0)
+        # L[r] = [slot, L_r0, L_r1, ...]: the slot takes the entry being
+        # reduced, so that it meets the 1 that heads neg_u
+        L = [[None] for _ in range(n)]
+        min_piv, max_piv = float("inf"), 0.0
+        for col in range(n):
+            neg_u = [decimal.Decimal(1)]    # 1, -U_0col, ..., -U_(i-1)col
+            for i in range(col):
+                L[i][0] = A[i][col]
+                neg_u.append(dec.minus(sum(map(mul, L[i], neg_u))))
+            for r in range(col, n):
+                L[r][0] = A[r][col]
+            v = [dec.plus(sum(map(mul, Lr, neg_u))) for Lr in L[col:]]
+            p = max(range(n - col), key=lambda r: abs(v[r]))
+            piv = v[p]
+            ap = abs(piv)
+            if ap == 0:
+                return LogScaledValue.zero(), {"loss": float("inf")}
+            if p:
+                q = col + p
+                A[q], A[col] = A[col], A[q]
+                L[q], L[col] = L[col], L[q]
+                v[p] = v[0]
+                phase = -phase
+            if piv < 0:
+                phase = -phase
+            min_piv, max_piv = min(min_piv, float(ap)), max(max_piv, float(ap))
+            mag *= ap
+            for Lr, vr in zip(L[col + 1:], v[1:]):
+                Lr.append(dec.divide(vr, piv))
     loss = math.log10(max_piv / min_piv) if min_piv > 0 else float("inf")
-    return LogScaledValue(log_mag, phase), {"loss": loss}
+    return LogScaledValue(prec.from_decimal(dec.ln(mag)), phase), {
+        "loss": loss}
 
 
 def _pfaffian_binary64(F) -> LogScaledValue:
@@ -331,79 +346,81 @@ def _pfaffian_binary64(F) -> LogScaledValue:
 
 def pfaffian(rows, prec: Precision = FLOAT64) -> LogScaledValue:
     """Pfaffian of an even-dimensional skew-symmetric matrix, given as
-    nested lists or a 2-D array.
+    nested lists or a 2-D array, with the entries `logdet_scaled` takes.
 
     Skew tridiagonalization with partial pivoting (Parlett-Reid).  Only
     the upper triangle is read past the skew gate, so the reduced matrix
-    is exactly skew; pivot magnitudes accumulate in the log domain and
-    swaps flip the sign.  Binary64 runs the classic right-looking update
-    as array updates.  Extended precision runs left-looking order: step k
-    forms only column k and row k+1 of the reduced matrix, each entry as
-    one ``fdot`` over the per-index histories of the earlier steps'
-    rank-2 congruence updates.
+    is exactly skew; swaps flip the sign.  Binary64 runs the classic
+    right-looking update as array updates.  Extended precision runs
+    left-looking order on ``prec.decimal``: step k forms only column k and
+    row k+1 of the reduced matrix, each entry one dot product, exact in
+    ``prec.wide`` and rounded once, over the per-index histories of the
+    earlier steps' rank-2 congruence updates.
     """
     n = _check_square(rows, "Pfaffian")
-    # a binary64 copy flags non-finite entries (and extended ones beyond
-    # its range, which the exact test clears) and settles the 1e-12 gate
-    F = _as_binary64(rows)
-    in_range = np.isfinite(F).all()
-    if not (in_range
-            or all(map(_isfinite(prec), chain.from_iterable(rows)))):
-        raise NonFiniteError("Pfaffian of a matrix with a non-finite entry")
-    if n % 2:
-        raise DomainError("Pfaffian requires even dimension")
-    if not in_range:            # past binary64 range, on the exact entries
-        F = np.array(rows, dtype=object)
-    scale = max(1.0, np.abs(F).max(initial=0.0))
-    if np.abs(F + F.T).max(initial=0.0) > 1e-12 * scale:
-        raise DomainError("Pfaffian requires a skew-symmetric matrix")
+    with route_scalars(prec)[0]:
+        if prec.is_float:
+            F = _as_binary64(rows)
+            if not np.isfinite(F).all():
+                raise NonFiniteError(
+                    "Pfaffian of a matrix with a non-finite entry")
+        else:
+            F = np.array(_decimal_rows(rows, prec, "Pfaffian"),
+                         dtype=object).reshape(n, n)
+        if n % 2:
+            raise DomainError("Pfaffian requires even dimension")
+        scale = max(1, np.abs(F).max(initial=0))
+        tol = 1e-12 if prec.is_float else decimal.Decimal("1e-12")
+        if np.abs(F + F.T).max(initial=0) > tol * scale:
+            raise DomainError("Pfaffian requires a skew-symmetric matrix")
     if n == 0:
         return LogScaledValue(0.0, 1.0)
     if prec.is_float:
         return _pfaffian_binary64(F)
-    ctx = prec.ctx
-    dot = ctx.fdot
-    one = ctx.mpf(1)
+    A = F.tolist()
+    dec = prec.decimal.copy()          # its flags stay local
+    one = decimal.Decimal(1)
     perm = list(range(n))
     # step s reduces A_ij by f_i^s R_j^s - f_j^s R_i^s.  Index i keeps its
     # history twice, interleaved: G[i] = [1, f_i^0, R_i^0, f_i^1, ...] and
     # H[i] = [slot, -R_i^0, f_i^0, -R_i^1, ...]; with a_tj in the slot of
-    # H[j], dot(G[t], H[j]) is the reduced A_tj
+    # H[j], G[t] . H[j] is the reduced A_tj
     G = [[one] for _ in range(n)]
     H = [[one] for _ in range(n)]
 
     def strip(t, js):
         """Reduced entries (t, j), j in js, from the upper triangle of
-        ``rows`` alone."""
+        ``A`` alone."""
         pt = perm[t]
         for j in js:
             pj = perm[j]
-            H[j][0] = rows[pt][pj] if pt < pj else -rows[pj][pt]
-        return [dot(G[t], H[j]) for j in js]
+            H[j][0] = A[pt][pj] if pt < pj else -A[pj][pt]
+        return [dec.plus(sum(map(mul, G[t], H[j]))) for j in js]
 
-    log_mag = ctx.mpf(0)
+    mag = one
     phase = complex(1.0)
-    for k in range(0, n, 2):
-        col = strip(k, range(k + 1, n))        # A_kj; column k is -A_kj
-        p = max(range(n - k - 1), key=lambda j: abs(col[j]))
-        entry = col[p]
-        ae = abs(entry)
-        if ae == 0:
-            return LogScaledValue.zero()
-        if p:
-            q = k + 1 + p
-            for h in (perm, G, H):
-                h[q], h[k + 1] = h[k + 1], h[q]
-            col[p] = col[0]
-            phase = -phase
-        log_mag += ctx.log(ae)
-        phase *= complex(entry / ae)
-        row = strip(k + 1, range(k + 2, n))
-        for j in range(k + 2, n):
-            fj, rj = col[j - k - 1] / entry, row[j - k - 2]
-            G[j] += (fj, rj)
-            H[j] += (-rj, fj)
-    return LogScaledValue(log_mag, phase)
+    with decimal.localcontext(prec.wide):
+        for k in range(0, n, 2):
+            col = strip(k, range(k + 1, n))    # A_kj; column k is -A_kj
+            p = max(range(n - k - 1), key=lambda j: abs(col[j]))
+            entry = col[p]
+            if entry == 0:
+                return LogScaledValue.zero()
+            if p:
+                q = k + 1 + p
+                for h in (perm, G, H):
+                    h[q], h[k + 1] = h[k + 1], h[q]
+                col[p] = col[0]
+                phase = -phase
+            if entry < 0:
+                phase = -phase
+            mag *= abs(entry)
+            row = strip(k + 1, range(k + 2, n))
+            for j in range(k + 2, n):
+                fj, rj = dec.divide(col[j - k - 1], entry), row[j - k - 2]
+                G[j] += (fj, rj)
+                H[j] += (-rj, fj)
+    return LogScaledValue(prec.from_decimal(dec.ln(mag)), phase)
 
 
 def rkpw(nodes, weights, n: int) -> list:
@@ -415,7 +432,8 @@ def rkpw(nodes, weights, n: int) -> list:
     adds one node at a time and chases the bulge down the Jacobi matrix
     in squared quantities, with no square root and no moment.  The n x n
     moment matrix has determinant prod_j beta_j^(n-j).  Runs on the
-    scalars it is given: floats, or mpf at any precision.
+    scalars it is given: floats, Decimals in the current decimal context,
+    or mpf at any precision.
     """
     alpha, beta = [nodes[0]], [weights[0]]
     for m in range(1, len(nodes)):
@@ -520,9 +538,17 @@ def spin_transfer_logZ(c: Couplings) -> LogScaledValue:
 # block-transfer determinant route
 # ----------------------------------------------------------------------
 
-def _log_z0(w: Weights, L, M, ctx):
-    """Boundary-state prefactor of the squared partition function."""
-    return (M / 2) * ctx.log(1 - w.z * w.z) + (L * M / 2) * ctx.log(-2 / w.z_minus)
+def _log_prefactor(w: Weights, L, M, block: bool):
+    """log Z0 of the squared partition function (``block``), or log Z1 of
+    the structured-determinant representations: a context real, from the
+    weights on the route scalars."""
+    scalars, real, log = route_scalars(w.prec)
+    with scalars:
+        z = real(w.z)
+        first = (M * log(1 - z * z) if block
+                 else -L * log(real(w.t)) + M * log(z))
+        value = (first + L * M * log(-2 / real(w.z_minus))) / 2
+    return _context_real(w.prec, value)
 
 
 def _route_pipeline(c: Couplings, prec, pipeline) -> SystemPipeline:
@@ -552,22 +578,27 @@ def block_transfer_logZ(c: Couplings, prec: Precision | None = None,
     family eigensystem of ``pipeline`` (a new one at ``prec`` if None).
     """
     pipeline = _route_pipeline(c, prec, pipeline)
-    ctx = pipeline.prec.ctx
+    prec = pipeline.prec
     w, _bundle, pts = pipeline.family()
     M, L = c.M, c.L
-    ep, em = [], []
-    shifts = ctx.mpf(0)
-    for p in pts:
-        a = abs(p.gamma) * L / 2
-        ep.append(ctx.exp(L * p.gamma / 2 - a))
-        em.append(ctx.exp(-L * p.gamma / 2 - a))
-        shifts += a
     # row i: e^(L gamma_i / 2) times the even part of eigenvector i plus
-    # e^(-L gamma_i / 2) times its odd part, both scaled by e^-a_i
+    # e^(-L gamma_i / 2) times its odd part, both scaled by e^-a_i with
+    # a_i = L |gamma_i| / 2: one factor is 1, the other min(lam, 1/lam)^L
     V = np.array([p.eigvec for p in pts])
-    half = (np.array(ep)[:, None] * ((V + V[:, ::-1]) / 2)
-            + np.array(em)[:, None] * ((V - V[:, ::-1]) / 2))
-    det, cond = logdet_scaled(half, pipeline.prec)
+    with route_scalars(prec)[0]:
+        if prec.is_float:
+            a = [abs(p.gamma) * L / 2 for p in pts]
+            ep = [math.exp(L * p.gamma / 2 - ai) for p, ai in zip(pts, a)]
+            em = [math.exp(-L * p.gamma / 2 - ai) for p, ai in zip(pts, a)]
+            shifts = sum(a)
+        else:
+            one = decimal.Decimal(1)
+            ep = [min(p.lam, one) ** L for p in pts]
+            em = [max(p.lam, one) ** -L for p in pts]
+            shifts = _fsum(prec)(abs(p.gamma) for p in pts) * L / 2
+        half = (np.array(ep)[:, None] * ((V + V[:, ::-1]) / 2)
+                + np.array(em)[:, None] * ((V - V[:, ::-1]) / 2))
+    det, cond = logdet_scaled(half, prec)
     if det.is_zero:
         raise PhaseLeakError("sign anomaly: singular projected determinant",
                              value=det)
@@ -575,7 +606,8 @@ def block_transfer_logZ(c: Couplings, prec: Precision | None = None,
         raise PhaseLeakError(
             f"sign anomaly: projected determinant phase {det.phase}",
             value=det)
-    log_z = _log_z0(w, L, M, ctx) + det.log_mag + shifts
+    log_z = (_log_prefactor(w, L, M, True) + det.log_mag
+             + _context_real(prec, shifts))
     diagnostics = {"det_phase": det.phase, "lu_loss_digits": cond["loss"]}
     return LogScaledValue(log_z, 1.0), diagnostics
 
@@ -625,73 +657,78 @@ class SkewToeplitzSystem:
         return pf.scaled(self.M / 2 * self.log_shift)
 
 
-def _log_z1_value(w: Weights, L, M, ctx):
-    """Prefactor of the structured-determinant representations."""
-    return (-(ctx.mpf(L) / 2) * ctx.log(w.t)
-            + (ctx.mpf(M) / 2) * ctx.log(w.z)
-            + (ctx.mpf(L) * M / 2) * ctx.log(-2 / w.z_minus))
-
-
 def _spectral_measure(points, c: Couplings, w: Weights):
-    """The positive measure of the symbol both structured matrices read, at
-    the precision of ``w``: the log shift, the nodes chi_i, the real
-    weights b_i and the worst |Im b|/|b|.  Refuses odd M.
+    """The positive measure of the symbol both structured matrices read, on
+    the route scalars of the precision of ``w``: the log shift, the nodes
+    chi_i, the real weights b_i and the worst |Im b|/|b|.  Refuses odd M.
 
     b_i = 2 t* e^(L gamma_i - shift) (lambda_n - lam_i) / ((t - z lam_i)
     P'(chi_i)) with lambda_n = t z: the residue of the symbol at chi_i,
     equal to the angle form 2i t* e^(L gamma_i - shift) e^(-theta_i)
-    e^(psi_i) / P'(chi_i).  A weight that is NaN, infinite or zero (a
-    binary64 underflow of e^(L gamma - shift)) fails with
-    `NonFiniteError`; one that is not real and positive within REAL_TOL,
-    with `PhaseLeakError`.
+    e^(psi_i) / P'(chi_i).  The shift is L gamma_max; at extended
+    precision e^(L gamma_i - shift) is (lam_i / lam_max)^L.  A weight that
+    is NaN, infinite or zero (a binary64 underflow of e^(L gamma - shift))
+    fails with `NonFiniteError`; one that is not real and positive within
+    REAL_TOL, with `PhaseLeakError`.
     """
     if c.M % 2:
         raise RouteInfeasibleError("structured routes require even M")
-    ctx = w.prec.ctx
-    isfinite = _isfinite(w.prec)
-    shift = max((c.L * p.gamma for p in points), key=float)
-    two_ts = 2 * w.t_star
-    weights, leak = [], 0.0
-    for i, p in enumerate(points):
-        b = (two_ts * ctx.exp(c.L * p.gamma - shift) * (w.lambda_n - p.lam)
-             / ((w.t - w.z * p.lam) * chi_poly_derivative(points, i)))
-        if not (isfinite(b) and b):
-            raise NonFiniteError(f"spectral weight {complex(b)} at chi = "
-                                 f"{float(p.chi):.6g} is zero or non-finite")
-        frac = float(abs(ctx.im(b)) / abs(b))
-        if not (ctx.re(b) > 0 and frac <= REAL_TOL):
-            raise PhaseLeakError(
-                f"phase leak: spectral weight {complex(b)} is not positive "
-                f"real", value=b)
-        weights.append(ctx.re(b))
-        leak = max(leak, frac)
-    return shift, [p.chi for p in points], weights, leak
+    prec = w.prec
+    isfinite = _isfinite(prec)
+    scalars, real, _log = route_scalars(prec)
+    with scalars:
+        lams = [real(p.lam) for p in points]
+        shift = c.L * max(real(p.gamma) for p in points)
+        if prec.is_float:
+            growth = [math.exp(c.L * p.gamma - shift) for p in points]
+        else:
+            top = max(lams)
+            growth = [(lam / top) ** c.L for lam in lams]
+        two_ts, lam_n, t, z = map(real, (2 * w.t_star, w.lambda_n, w.t, w.z))
+        weights, leak = [], 0.0
+        for i, (lam, g) in enumerate(zip(lams, growth)):
+            b = (two_ts * g * (lam_n - lam)
+                 / ((t - z * lam) * real(chi_poly_derivative(points, i))))
+            if not (isfinite(b) and b):
+                raise NonFiniteError(
+                    f"spectral weight {complex(b)} at chi = "
+                    f"{float(points[i].chi):.6g} is zero or non-finite")
+            frac = float(abs(b.imag) / abs(b))
+            if not (b.real > 0 and frac <= REAL_TOL):
+                raise PhaseLeakError(
+                    f"phase leak: spectral weight {complex(b)} is not "
+                    f"positive real", value=b)
+            weights.append(b.real)
+            leak = max(leak, frac)
+        return shift, [real(p.chi) for p in points], weights, leak
 
 
 def hankel_from_spectrum(points, c: Couplings, w: Weights,
                          frame: EllipticFrame) -> HankelSystem:
     """The Hankel moments e^-shift h_n = sum_i b_i chi_i^(n-1) of the
-    spectral measure, at the precision of ``w``: real running terms, each
+    spectral measure, on its route scalars: real running terms, each
     moment one accurate sum (`_fsum`).  ``frame`` is not read."""
     M = c.M
+    prec = w.prec
     shift, chis, terms, leak = _spectral_measure(points, c, w)
-    fsum = _fsum(w.prec)
+    fsum = _fsum(prec)
     h = []
-    for _n in range(1, M):
-        h.append(fsum(terms))
-        terms = [t * x for t, x in zip(terms, chis)]
+    with route_scalars(prec)[0]:
+        for _n in range(1, M):
+            h.append(fsum(terms))
+            terms = [t * x for t, x in zip(terms, chis)]
     r = np.arange(M // 2)
     rows = np.array(h)[np.add.outer(r, r)]
-    return HankelSystem(M=M, log_shift=shift, h_scaled=h, rows=rows,
-                        log_z1=_log_z1_value(w, c.L, M, w.prec.ctx),
-                        phase_leak=leak)
+    return HankelSystem(M=M, log_shift=_context_real(prec, shift),
+                        h_scaled=h, rows=rows, phase_leak=leak,
+                        log_z1=_log_prefactor(w, c.L, M, False))
 
 
 def skew_toeplitz_from_spectrum(points, c: Couplings, w: Weights,
                                 measure=None) -> SkewToeplitzSystem:
     """Assemble the skew-symmetric Toeplitz matrix from the spectral
-    measure, at the precision of ``w``; ``measure`` is the
-    `_spectral_measure` of ``points``, formed here if None.
+    measure, on its route scalars; ``measure`` is the `_spectral_measure`
+    of ``points``, formed here if None.
 
     e^-shift c_d = -sum_i b_i U_(d-1)(chi_i/2 - 1): the terms b_i
     sin(d phi_i)/sin(phi_i) follow the Chebyshev three-term recurrence, so
@@ -701,22 +738,26 @@ def skew_toeplitz_from_spectrum(points, c: Couplings, w: Weights,
     and the Toeplitz structure hold exactly.
     """
     M = c.M
+    prec = w.prec
     if measure is None:
         measure = _spectral_measure(points, c, w)
     shift, chis, terms, _leak = measure
-    fsum = _fsum(w.prec)
-    prev = [0] * len(terms)                 # b_i U_(-1); terms: b_i U_0
-    twice_cos = [x - 2 for x in chis]       # 2 cos(phi_i)
-    cs = []
-    for _d in range(1, M):
-        cs.append(-fsum(terms))
-        terms, prev = [a * t - q
-                       for a, t, q in zip(twice_cos, terms, prev)], terms
-    signed = np.array([-x for x in reversed(cs)] + [w.prec.ctx.mpf(0)] + cs)
+    fsum = _fsum(prec)
+    with route_scalars(prec)[0]:
+        prev = [0] * len(terms)             # b_i U_(-1); terms: b_i U_0
+        twice_cos = [x - 2 for x in chis]   # 2 cos(phi_i)
+        cs = []
+        for _d in range(1, M):
+            cs.append(-fsum(terms))
+            terms, prev = [a * t - q
+                           for a, t, q in zip(twice_cos, terms, prev)], terms
+        signed = np.array([-x for x in reversed(cs)] + [type(cs[0])(0)]
+                          + cs)
     r = np.arange(M)
     rows = signed[np.subtract.outer(r, r) + (M - 1)]
-    return SkewToeplitzSystem(M=M, log_shift=shift, c_scaled=cs, rows=rows,
-                              log_z1=_log_z1_value(w, c.L, M, w.prec.ctx))
+    return SkewToeplitzSystem(M=M, log_shift=_context_real(prec, shift),
+                              c_scaled=cs, rows=rows,
+                              log_z1=_log_prefactor(w, c.L, M, False))
 
 
 def _checked_measure(c: Couplings, prec, pipeline):
@@ -745,27 +786,38 @@ def hankel_logZ(c: Couplings, prec: Precision | None = None,
     beta that is not positive and finite fails with `NonFiniteError`, and
     in binary64 so does a scaled weight below the normal range (2.2e-308),
     where underflow has eaten its digits: ``route="all"`` then retries at
-    160 bits, where exponents are unbounded.
+    160 bits, where exponents are unbounded.  Extended precision scales
+    by division, not in the log domain, and takes one log of the product
+    of the beta powers.
     """
     pipeline, w, _pts, measure = _checked_measure(c, prec, pipeline)
     prec = pipeline.prec
-    ctx = prec.ctx
     shift, chis, weights, leak = measure
-    log_b = [ctx.log(b) for b in weights]
-    top, bottom = max(log_b), min(log_b)
-    if prec.is_float and ctx.exp(bottom - top) < sys.float_info.min:
-        raise NonFiniteError(
-            f"spectral weights span {float(top - bottom):.1f} e-folds, "
-            f"past the binary64 range")
     n = c.M // 2
-    betas = rkpw(chis, [ctx.exp(lb - top) for lb in log_b], n)
-    isfinite = _isfinite(prec)
-    if not all(isfinite(b) and b > 0 for b in betas):
-        raise NonFiniteError("a recurrence coefficient of the spectral "
-                             "measure is not positive and finite")
-    log_det = ctx.fsum((n - j) * ctx.log(b) for j, b in enumerate(betas))
-    log_z = (_log_z1_value(w, c.L, c.M, ctx) + log_det
-             + n * (shift + top))
+    scalars, _real, log = route_scalars(prec)
+    with scalars:
+        if prec.is_float:
+            log_b = [log(b) for b in weights]
+            top, bottom = max(log_b), min(log_b)
+            if math.exp(bottom - top) < sys.float_info.min:
+                raise NonFiniteError(
+                    f"spectral weights span {float(top - bottom):.1f} "
+                    f"e-folds, past the binary64 range")
+            scaled = [math.exp(lb - top) for lb in log_b]
+        else:
+            big = max(weights)
+            scaled = [b / big for b in weights]
+            top, bottom = log(big), log(min(weights))
+        betas = rkpw(chis, scaled, n)
+        if not all(_isfinite(prec)(b) and b > 0 for b in betas):
+            raise NonFiniteError("a recurrence coefficient of the spectral "
+                                 "measure is not positive and finite")
+        log_det = (prec.ctx.fsum((n - j) * log(b) for j, b in enumerate(betas))
+                   if prec.is_float else log(math.prod(
+                       b ** (n - j) for j, b in enumerate(betas))))
+        log_z = (_log_prefactor(w, c.L, c.M, False)
+                 + _context_real(prec, log_det)
+                 + _context_real(prec, n * (shift + top)))
     return LogScaledValue(log_z, 1.0), {
         "weight_phase_leak": leak,
         "weight_spread_digits": float(top - bottom) / math.log(10),

@@ -4,11 +4,11 @@ Every numerical operation in the package is generic over a context that
 supplies elementary functions and number constructors.  Two flavours exist:
 
 * 53 bits: ``mpmath.fp``, backed by Python floats / complex (fast path);
-* >= 100 bits: a private ``mpmath`` context at the requested precision,
-  used when exponential factors in the structured determinants cancel
-  beyond binary64 resolution, and a ``decimal`` context (the standard
-  library's C libmpdec, unit roundoff below 2^-bits) for the extended
-  eigensystem, with converters between the two.
+* >= 100 bits, where exponential factors in the structured determinants
+  cancel beyond binary64: a private ``mpmath`` context for the weights,
+  the elliptic companion and the routes' results, and a ``decimal``
+  context (C libmpdec, unit roundoff below 2^-bits) on which every route
+  step runs, with converters between the two.
 
 There is one instance per bit count, immutable and safe to share across
 threads; decimal arithmetic runs in a `decimal.localcontext` copy.
@@ -16,6 +16,7 @@ threads; decimal arithmetic runs in a `decimal.localcontext` copy.
 
 from __future__ import annotations
 
+import contextlib
 import decimal
 import math
 
@@ -37,11 +38,12 @@ class Precision:
     ``bits`` must be 53 (binary64) or lie in [100, 4096].  The gap is
     deliberate: below ~100 bits extended arithmetic buys nothing over
     binary64 but costs two orders of magnitude in speed.  Extended
-    precision also carries ``decimal``, a context of
-    ceil(bits log10 2) + 3 digits with the widest exponent range.
+    precision also carries ``decimal``, a context of ceil(bits log10 2) + 3
+    digits with the widest exponent range, and ``wide``, with twice the
+    digits, where a product of two ``decimal`` numbers is exact.
     """
 
-    __slots__ = ("bits", "ctx", "eps", "decimal")
+    __slots__ = ("bits", "ctx", "eps", "decimal", "wide")
 
     def __new__(cls, bits: int = FLOAT_BITS):
         bits = int(bits)
@@ -52,15 +54,17 @@ class Precision:
                 f"precision_bits must be 53 or in [100, 4096], got {bits}")
         self = object.__new__(cls)
         if bits == FLOAT_BITS:
-            ctx, dec = mpmath.fp, None
+            ctx, dec, wide = mpmath.fp, None, None
         else:
             ctx = MPContext()
             ctx.prec = bits
-            dec = decimal.Context(
-                prec=math.ceil(bits * math.log10(2)) + 3,
-                Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
+            digits = math.ceil(bits * math.log10(2)) + 3
+            dec, wide = (decimal.Context(prec=n, Emax=decimal.MAX_EMAX,
+                                         Emin=decimal.MIN_EMIN)
+                         for n in (digits, 2 * digits))
         for name, value in (("bits", bits), ("ctx", ctx),
-                            ("eps", float(ctx.eps)), ("decimal", dec)):
+                            ("eps", float(ctx.eps)), ("decimal", dec),
+                            ("wide", wide)):
             object.__setattr__(self, name, value)
         return _INSTANCES.setdefault(bits, self)
 
@@ -74,8 +78,17 @@ class Precision:
     def __repr__(self):
         return f"Precision(bits={self.bits})"
 
-    def to_decimal(self, x) -> decimal.Decimal:
-        """An mpf as a Decimal of the decimal context, rounded once."""
+    def to_decimal(self, x, context=None) -> decimal.Decimal:
+        """A real scalar as a Decimal: an mpf, int or float rounded once in
+        ``context`` (``decimal`` if None), a Decimal as it is; anything
+        else (a complex) raises `DomainError`."""
+        if isinstance(x, decimal.Decimal):
+            return x
+        if not hasattr(x, "_mpf_"):
+            if not isinstance(x, (int, float)):
+                raise DomainError(f"extended precision runs on real "
+                                  f"scalars, not {x!r}")
+            x = self.ctx.mpf(x)
         sign, man, exp, _bc = x._mpf_
         if not man:                       # zero, inf or nan
             return decimal.Decimal(float(x))
@@ -83,7 +96,7 @@ class Precision:
             man *= 5 ** -exp
         else:
             man, exp = man << exp, 0
-        with decimal.localcontext(self.decimal) as dc:
+        with decimal.localcontext(context or self.decimal) as dc:
             return dc.create_decimal(-man if sign else man).scaleb(exp)
 
     def from_decimal(self, d: decimal.Decimal):
@@ -100,6 +113,16 @@ class Precision:
 
 #: shared binary64 context
 FLOAT64 = Precision(FLOAT_BITS)
+
+
+def route_scalars(prec: Precision):
+    """(context, real, log) of the route steps at ``prec``: binary64 floats
+    as they are and `math.log`, or Decimals in ``prec.decimal``, made by
+    `Precision.to_decimal`, and `decimal.Decimal.ln`."""
+    if prec.is_float:
+        return contextlib.nullcontext(), lambda x: x, math.log
+    return (decimal.localcontext(prec.decimal), prec.to_decimal,
+            decimal.Decimal.ln)
 
 
 def as_precision(p) -> Precision:

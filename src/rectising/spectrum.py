@@ -14,6 +14,7 @@ vertical eigenvalue.
 from __future__ import annotations
 
 import decimal
+import math
 import time
 from dataclasses import dataclass, field
 from operator import mul
@@ -34,7 +35,7 @@ from .params import (
     elliptic_frame,
     weights_from_couplings,
 )
-from .precision import FLOAT64, Precision, as_precision
+from .precision import FLOAT64, Precision, as_precision, route_scalars
 
 #: joint-diagonalization residual tolerance (relative to matrix scale)
 JOINT_TOL = 1e-9
@@ -140,10 +141,10 @@ def build_matrices(w: Weights, M: int) -> MatrixBundle:
 # joint diagonalization
 # ----------------------------------------------------------------------
 
-def _rayleigh(rows, v):
-    """v^T A v at the precision of the entries and of v, as a dense sum
-    (the zero entries add exact zeros)."""
-    return sum(v[i] * sum(x * v[j] for j, x in enumerate(r))
+def _rayleigh(rows, v, real):
+    """v^T A v at the precision of v, over the nonzero entries of ``rows``,
+    each read through ``real``."""
+    return sum(v[i] * sum(real(x) * v[j] for j, x in enumerate(r) if x)
                for i, r in enumerate(rows))
 
 
@@ -191,7 +192,7 @@ def _core_eig(bundle: MatrixBundle, w: Weights, prec: Precision):
     """Eigenpairs of the family at the working precision, as (chi,
     lambda_plus, eigenvectors) lists, the two eigenvalue lists tied by
     T_plus = -tzm/2 C + (tzp + tzm) I.  A binary64 eigenvector is a column
-    view of the one ``eigh`` matrix; an extended one, a list.
+    view of the one ``eigh`` matrix; an extended one, a list of Decimals.
 
     Binary64 takes ``eigh`` of the half-sum T_plus.  Extended precision
     refines binary64 ``eigh`` seeds of the tridiagonal core C pair by pair
@@ -199,10 +200,9 @@ def _core_eig(bundle: MatrixBundle, w: Weights, prec: Precision):
     step, so the whole eigensystem costs O(M^2) operations; the iteration
     converges cubically on symmetric tridiagonal matrices.  It runs on
     ``decimal`` at the precision's decimal context (C arithmetic, unit
-    roundoff below 2^-bits), and returns context scalars, correctly
-    rounded from the decimal result.  A refined pair that does not
-    converge, moves from its seed by more than binary64 error, or is not
-    orthogonal to its neighbour raises.
+    roundoff below 2^-bits), and returns Decimals.  A refined pair that
+    does not converge, moves from its seed by more than binary64 error, or
+    is not orthogonal to its neighbour raises.
     """
     tzp = w.t_plus * w.z_plus
     tzm = w.t_minus * w.z_minus
@@ -255,9 +255,13 @@ def _core_eig(bundle: MatrixBundle, w: Weights, prec: Precision):
                     f"together")
             vals.append(chi)
             vecs.append(v)
-    vals = [prec.from_decimal(chi) for chi in vals]
-    return (vals, [-tzm / 2 * chi + (tzp + tzm) for chi in vals],
-            [[prec.from_decimal(x) for x in v] for v in vecs])
+        # lambda_+ - 1 of an ordered-phase edge mode cancels to 1e-26 or
+        # less (D8): the map runs on the mpf weights, as T_plus is built,
+        # and its result is kept to ``wide`` digits, which hold every bit
+        # of lambda_+ - 1 that joint_spectrum's square root reads
+        return vals, [prec.to_decimal(-tzm / 2 * prec.from_decimal(chi)
+                                      + (tzp + tzm), prec.wide)
+                      for chi in vals], vecs
 
 
 @dataclass
@@ -265,8 +269,10 @@ class SpectrumPoint:
     """One eigenvalue with its angles.
 
     ``lam`` is the positive transfer-matrix eigenvalue.  ``eigvec`` is a
-    view of the binary64 eigenvector matrix, or a list of context scalars
-    at extended precision.  Only ``spectrum_for`` fills phi, zeta, the
+    view of the binary64 eigenvector matrix, or a list of Decimals at
+    extended precision, where the eigenvalues and gamma are Decimals too
+    until ``spectrum_for`` makes them context scalars.  Only
+    ``spectrum_for`` fills phi, zeta, the
     Jacobi triple (`enrich_spectrum`), u, branch, omega, theta, psi and
     quant_residual; no route reads them.  `exp_theta` and `exp_psi` read
     the context and modulus that `enrich_spectrum` sets with the triple.
@@ -317,7 +323,6 @@ def joint_spectrum(bundle: MatrixBundle, w: Weights,
     every family member.
     """
     prec = as_precision(prec if prec is not None else bundle.prec)
-    ctx = prec.ctx
     chis, lam_plus, vecs = _core_eig(bundle, w, prec)
     # v^T T v - lambda_+ = +-sqrt(lambda_+^2 - 1) picks the sign; binary64
     # decides it unless it lies within rounding of zero (ordered-phase
@@ -327,18 +332,23 @@ def joint_spectrum(bundle: MatrixBundle, w: Weights,
               - np.array(lam_plus, dtype=float))
     bound = BRANCH_ERR * bundle.M * FLOAT64.eps * np.abs(T).max()
     pts = []
-    for chi, lp, v, m in zip(chis, lam_plus, vecs, margin):
-        root = ctx.sqrt(max(lp * lp - 1, ctx.mpf(0)))
-        upper = m >= 0 if abs(m) > bound else _rayleigh(bundle.rows_T, v) >= lp
-        lam = lp + root if upper else lp - root
-        if lam <= 0:
-            raise JointDiagonalizationError(
-                f"eigenvalue lambda_+ - sqrt(lambda_+^2 - 1) cancels to "
-                f"{float(lam):.3e} at {prec.bits} bits (lambda_+ = "
-                f"{float(lp):.3e})")
-        pts.append(SpectrumPoint(
-            mu=0, lam=lam, lam_plus=lp, lam_minus=lam - lp,
-            gamma=ctx.log(lam), chi=chi, eigvec=v))
+    scalars, real, log = route_scalars(prec)
+    sqrt = math.sqrt if prec.is_float else decimal.Decimal.sqrt
+    with scalars:
+        for chi, lp, v, m in zip(chis, lam_plus, vecs, margin):
+            sq = lp * lp - 1 if prec.is_float else (lp - 1) * (lp + 1)
+            root = sqrt(max(sq, 0 * lp))
+            upper = (m >= 0 if abs(m) > bound
+                     else _rayleigh(bundle.rows_T, v, real) >= lp)
+            lam = lp + root if upper else lp - root
+            if lam <= 0:
+                raise JointDiagonalizationError(
+                    f"eigenvalue lambda_+ - sqrt(lambda_+^2 - 1) cancels to "
+                    f"{float(lam):.3e} at {prec.bits} bits (lambda_+ = "
+                    f"{float(lp):.3e})")
+            pts.append(SpectrumPoint(
+                mu=0, lam=lam, lam_plus=+lp, lam_minus=lam - lp,
+                gamma=log(lam), chi=chi, eigvec=v))
     pts.sort(key=lambda p: -float(p.gamma))
     for i, p in enumerate(pts):
         p.mu = i + 1
@@ -514,7 +524,8 @@ def enrich_spectrum(points, frame: EllipticFrame, w: Weights):
 
 
 def spectrum_for(c: Couplings, prec: Precision = FLOAT64):
-    """Weights, frame, matrices and enriched spectrum of one system, each
+    """Weights, frame, matrices and enriched spectrum of one system, its
+    eigenvalues and gamma as context scalars, each
     point also with the angles of the spectrum table: the torus point u,
     reduced so that reciprocal-eigenvalue points sit on the upper torus
     line, its branch, omega = am 2u, theta, psi and the residual of the
@@ -523,6 +534,10 @@ def spectrum_for(c: Couplings, prec: Precision = FLOAT64):
     w, bundle, pts = pipe.checked()
     frame = pipe.frame()
     ctx = frame.prec.ctx
+    if not pipe.prec.is_float:
+        for p in pts:
+            for name in ("lam", "lam_plus", "lam_minus", "gamma", "chi"):
+                setattr(p, name, pipe.prec.from_decimal(getattr(p, name)))
     two_pi = 2 * ctx.pi
     for p in enrich_spectrum(pts, frame, w):
         complex_phi = abs(float(ctx.im(p.phi))) > 1e-9

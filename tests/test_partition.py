@@ -223,7 +223,7 @@ class TestLogDet:
                 det, cond = logdet_scaled(given, FLOAT64)
                 assert repr((det.log_mag, det.phase, cond["loss"])) == want
 
-    @pytest.mark.parametrize("kind", ["real", "complex"])
+    @pytest.mark.parametrize("kind", ["real", "hankel"])
     def test_extended_against_320_bits(self, kind):
         p, q = Precision(160), Precision(320)
         got, _ = logdet_scaled(
@@ -232,13 +232,21 @@ class TestLogDet:
             seeded_matrix(np.random.default_rng(5), 24, kind, q), q)
         tol = q.ctx.mpf(2) ** -150
         assert abs(q.ctx.mpf(got.log_mag) - want.log_mag) < tol
-        if kind == "real":
-            assert got.phase == want.phase
-        else:
-            # a binary64 product of 24 unit factors; after the row scaling
-            # several rows can hold a modulus-1 entry in one column, and
-            # the rounding decides which of those near ties pivots
-            assert abs(got.phase - want.phase) < 1e-14
+        assert got.phase == want.phase
+
+    @pytest.mark.parametrize("kernel", ["logdet_scaled", "pfaffian"])
+    @pytest.mark.parametrize("entry", ["mpc", "complex"])
+    def test_extended_refuses_complex_entries(self, kernel, entry):
+        # the extended kernels run on real decimal scalars; no route hands
+        # them a complex matrix, and one given is refused, typed
+        p = Precision(160)
+        z = p.ctx.mpc(0, 1) if entry == "mpc" else 1j
+        rows = [[p.ctx.mpf(0), z], [-z, p.ctx.mpf(0)]]
+        run = {"logdet_scaled": logdet_scaled, "pfaffian": pfaffian}[kernel]
+        with pytest.raises(DomainError, match="real scalars"):
+            run(rows, p)
+        # binary64 still takes the same matrix
+        assert run([[0, 1j], [-1j, 0]], FLOAT64) is not None
 
     @pytest.mark.parametrize("bits", [53, 160])
     def test_zero_leading_entry_swaps(self, bits):
@@ -1004,6 +1012,47 @@ class TestSharedPipeline:
         alone, _ = block_transfer_logZ(c, p)
         assert res.outcomes["block"].logZ == float(alone.log_mag)
 
+    def test_extended_route_steps_make_no_mpmath_call(self, monkeypatch):
+        # at 160 bits the route steps after the eigensystem run on decimal:
+        # inside the LU, the Pfaffian, RKPW, the spectral measure and the
+        # Toeplitz assembly no function of the mpmath context is called
+        import rectising.partition as partition
+        p = Precision(160)
+        steps = ("logdet_scaled", "pfaffian", "rkpw", "_spectral_measure",
+                 "skew_toeplitz_from_spectrum")
+        depth, entered, inside = [0], set(), []
+
+        def step(name, orig):
+            def wrapped(*args, **kwargs):
+                entered.add(name)
+                depth[0] += 1
+                try:
+                    return orig(*args, **kwargs)
+                finally:
+                    depth[0] -= 1
+            return wrapped
+
+        def counted(name, orig):
+            def wrapped(*args, **kwargs):
+                if depth[0]:
+                    inside.append(name)
+                return orig(*args, **kwargs)
+            return wrapped
+
+        for name in steps:
+            monkeypatch.setattr(partition, name,
+                                step(name, getattr(partition, name)))
+        for name in ("fdot", "fsum", "fprod", "exp", "log", "ln", "sqrt",
+                     "power", "fabs", "isfinite", "re", "im", "convert"):
+            monkeypatch.setattr(p.ctx, name,
+                                counted(name, getattr(p.ctx, name)))
+        res = assemble_logZ(couplings_from_modulus(6, 1.0, 12, 24), "all", p)
+        assert all(res.outcomes[n].status == "ok"
+                   and res.outcomes[n].precision_bits == 160
+                   for n in ("block", "hankel", "pfaffian"))
+        assert entered == set(steps)
+        assert inside == []
+
     def test_failed_route_records_its_precision(self, monkeypatch):
         import rectising.partition as partition
         from rectising.errors import PoleError
@@ -1025,7 +1074,8 @@ class TestSharedPipeline:
 
         def poisoned(points, index):
             out = build(points, index)
-            return out * float("nan") if index == 0 else out
+            # a NaN of the route scalar: float, or Decimal at 160 bits
+            return out * type(out)("nan") if index == 0 else out
 
         monkeypatch.setattr(partition, "chi_poly_derivative", poisoned)
         res = assemble_logZ(couplings_from_modulus(0.6, 0.9, 5, 6), "all")

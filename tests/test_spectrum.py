@@ -162,14 +162,15 @@ class TestBinary64Checks:
         edge = min(pts, key=lambda q: abs(q.gamma))
         assert abs(edge.gamma) < 1e-12
         assert [args[1] for args in calls] == [edge.eigvec]
+        # lambda is the root of lambda^2 - 2 lambda_+ lambda + 1 on the side
+        # of lambda_+ that the dense mpmath quotient picks
         T = ctx.matrix(b.rows_T)
         for q in pts:
-            v = ctx.matrix(q.eigvec)
-            quotient = (v.T * T * v)[0]
-            root = ctx.sqrt(max(q.lam_plus * q.lam_plus - 1, ctx.mpf(0)))
-            want = (q.lam_plus + root if quotient >= q.lam_plus
-                    else q.lam_plus - root)
-            assert repr(q.lam) == repr(want)
+            v = ctx.matrix([p.from_decimal(x) for x in q.eigvec])
+            lam, lp = p.from_decimal(q.lam), p.from_decimal(q.lam_plus)
+            assert (lam >= lp) == ((v.T * T * v)[0] >= lp)
+            assert abs(lam * lam - 2 * lp * lam + 1) <= 2 ** -156 * (
+                1 + 2 * lp * lam + lam * lam)
 
     def test_disordered_spectrum_makes_no_mp_products(self, count_calls):
         calls = count_calls(spectrum, "_rayleigh")
@@ -202,11 +203,12 @@ class TestRefinedEigensystem:
         want = sorted(ctx.eigsy(ctx.matrix(b.rows_C))[0])
         tol = ctx.ldexp(1, 10 - bits)
         for q, chi in zip(pts, want):
-            assert abs(q.chi - chi) <= tol * abs(chi)
-            v = q.eigvec
+            got = p.from_decimal(q.chi)
+            assert abs(got - chi) <= tol * abs(chi)
+            v = [p.from_decimal(x) for x in q.eigvec]
             res = ctx.sqrt(sum(
                 (sum(b.rows_C[i][j] * v[j] for j in range(M))
-                 - q.chi * v[i]) ** 2 for i in range(M)))
+                 - got * v[i]) ** 2 for i in range(M)))
             assert res <= tol
 
 
@@ -244,7 +246,7 @@ class TestRefinedEigensystem:
     @pytest.mark.parametrize("bits", [100, 160, 256])
     def test_iteration_runs_on_decimal(self, count_calls, bits):
         # a silent fallback to mpmath scalars inside the RQI fails here;
-        # what leaves the kernel is context scalars again
+        # what leaves the kernel stays on decimal
         p = Precision(bits)
         w = weights_from_couplings(couplings_from_modulus(6.0, 1.0, 4, 12), p)
         calls = count_calls(spectrum, "_tridiag_solve")
@@ -254,8 +256,9 @@ class TestRefinedEigensystem:
             for x in (*d, *e, sigma, *b, tiny):
                 assert type(x) is decimal.Decimal
         for q in pts:
-            assert type(q.chi) is type(q.lam) is p.ctx.mpf
-            assert all(type(x) is p.ctx.mpf for x in q.eigvec)
+            assert type(q.chi) is type(q.lam) is type(q.gamma) is \
+                decimal.Decimal
+            assert all(type(x) is decimal.Decimal for x in q.eigvec)
 
 
 class TestAngles:
