@@ -621,8 +621,9 @@ class HankelSystem:
     """Half-size Hankel system: moments, matrix and prefactor.
 
     ``h_scaled[n-1]`` holds h_n * exp(-log_shift); the matrix rows use the
-    same shift, so ``det H = exp(M/2 * log_shift) * det(rows)``; ``rows``
-    is a binary64 array, or an object array of context scalars.
+    same shift, so ``det H = exp(M/2 * log_shift) * det(rows)``; moments
+    and ``rows`` are binary64, or Decimals at extended precision, and the
+    two logs context reals.
     ``phase_leak`` is the worst |Im b|/|b| of the spectral weights.
     """
 

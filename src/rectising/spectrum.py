@@ -184,8 +184,8 @@ def _tridiag_solve(d, e, sigma, b, tiny):
 
 def _tridiag_rayleigh(d, e, v):
     """v^T T v for the symmetric tridiagonal T and a unit vector v."""
-    return (sum(a * (x * x) for a, x in zip(d, v))
-            + 2 * sum(a * (x * y) for a, x, y in zip(e, v, v[1:])))
+    return (sum(map(mul, d, map(mul, v, v)))
+            + 2 * sum(map(mul, e, map(mul, v, v[1:]))))
 
 
 def _core_eig(bundle: MatrixBundle, w: Weights, prec: Precision):
