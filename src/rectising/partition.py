@@ -685,7 +685,8 @@ def _spectral_measure(points, c: Couplings, w: Weights):
         else:
             top = max(lams)
             growth = [(lam / top) ** c.L for lam in lams]
-        two_ts, lam_n, t, z = map(real, (2 * w.t_star, w.lambda_n, w.t, w.z))
+        two_ts = 2 * real(w.t_star)
+        lam_n, t, z = map(real, (w.lambda_n, w.t, w.z))
         weights, leak = [], 0.0
         for i, (lam, g) in enumerate(zip(lams, growth)):
             b = (two_ts * g * (lam_n - lam)
@@ -819,10 +820,9 @@ def hankel_logZ(c: Couplings, prec: Precision | None = None,
         log_z = (_log_prefactor(w, c.L, c.M, False)
                  + _context_real(prec, log_det)
                  + _context_real(prec, n * (shift + top)))
+        spread = float(top - bottom) / math.log(10)
     return LogScaledValue(log_z, 1.0), {
-        "weight_phase_leak": leak,
-        "weight_spread_digits": float(top - bottom) / math.log(10),
-    }
+        "weight_phase_leak": leak, "weight_spread_digits": spread}
 
 
 def pfaffian_logZ(c: Couplings, prec: Precision | None = None,

@@ -1,6 +1,7 @@
 """Partition-function routes and the log-scaled linear algebra."""
 
 import cmath
+import decimal
 import itertools
 import math
 import random
@@ -1046,12 +1047,15 @@ class TestSharedPipeline:
                      "power", "fabs", "isfinite", "re", "im", "convert"):
             monkeypatch.setattr(p.ctx, name,
                                 counted(name, getattr(p.ctx, name)))
+        decimal.getcontext().clear_flags()
         res = assemble_logZ(couplings_from_modulus(6, 1.0, 12, 24), "all", p)
         assert all(res.outcomes[n].status == "ok"
                    and res.outcomes[n].precision_bits == 160
                    for n in ("block", "hankel", "pfaffian"))
         assert entered == set(steps)
         assert inside == []
+        # the decimal work ran in contexts of its own
+        assert not any(decimal.getcontext().flags.values())
 
     def test_failed_route_records_its_precision(self, monkeypatch):
         import rectising.partition as partition
