@@ -86,8 +86,8 @@ class Precision:
             return x
         if not hasattr(x, "_mpf_"):
             if not isinstance(x, (int, float)):
-                raise DomainError(f"extended precision runs on real "
-                                  f"scalars, not {x!r}")
+                raise DomainError(f"extended precision runs on real scalars "
+                                  f"(mpf, Decimal, int, float), not {x!r}")
             x = self.ctx.mpf(x)
         sign, man, exp, _bc = x._mpf_
         if not man:                       # zero, inf or nan

@@ -257,8 +257,8 @@ def _core_eig(bundle: MatrixBundle, w: Weights, prec: Precision):
             vecs.append(v)
         # lambda_+ - 1 of an ordered-phase edge mode cancels to 1e-26 or
         # less (D8): the map runs on the mpf weights, as T_plus is built,
-        # and its result is kept to ``wide`` digits, which hold every bit
-        # of lambda_+ - 1 that joint_spectrum's square root reads
+        # and keeps ``wide`` digits, so that lambda_+ - 1 loses none of the
+        # mpf value's digits before joint_spectrum's square root
         return vals, [prec.to_decimal(-tzm / 2 * prec.from_decimal(chi)
                                       + (tzp + tzm), prec.wide)
                       for chi in vals], vecs
@@ -272,9 +272,9 @@ class SpectrumPoint:
     view of the binary64 eigenvector matrix, or a list of Decimals at
     extended precision, where the eigenvalues and gamma are Decimals too
     until ``spectrum_for`` makes them context scalars.  Only
-    ``spectrum_for`` fills phi, zeta, the
-    Jacobi triple (`enrich_spectrum`), u, branch, omega, theta, psi and
-    quant_residual; no route reads them.  `exp_theta` and `exp_psi` read
+    ``spectrum_for`` fills phi, zeta, the Jacobi triple
+    (`enrich_spectrum`), u, branch, omega, theta, psi and quant_residual;
+    no route reads them.  `exp_theta` and `exp_psi` read
     the context and modulus that `enrich_spectrum` sets with the triple.
     """
 
@@ -525,11 +525,11 @@ def enrich_spectrum(points, frame: EllipticFrame, w: Weights):
 
 def spectrum_for(c: Couplings, prec: Precision = FLOAT64):
     """Weights, frame, matrices and enriched spectrum of one system, its
-    eigenvalues and gamma as context scalars, each
-    point also with the angles of the spectrum table: the torus point u,
-    reduced so that reciprocal-eigenvalue points sit on the upper torus
-    line, its branch, omega = am 2u, theta, psi and the residual of the
-    quantization M phi = omega (mod 2 pi)."""
+    eigenvalues and gamma as context scalars, each point also with the
+    angles of the spectrum table: the torus point u, reduced so that
+    reciprocal-eigenvalue points sit on the upper torus line, its branch,
+    omega = am 2u, theta, psi and the residual of the quantization
+    M phi = omega (mod 2 pi)."""
     pipe = SystemPipeline(c, prec)
     w, bundle, pts = pipe.checked()
     frame = pipe.frame()
