@@ -20,8 +20,9 @@ system starts in binary64, except near criticality, for a single Pfaffian
 route and for a single Hankel route on a large system
 (`default_precision`); in ``route="all"``, when two routes disagree by
 more than ESCALATION_DEV or a structured route fails, the structured
-routes rerun at 160 bits.  Extended-precision steps run on Decimals
-(`precision.route_scalars`); each route's result is an mpf.
+routes rerun at 160 bits.  The route scalars are floats, or at extended
+precision Decimals in a `decimal.localcontext` of ``prec.decimal``; each
+route's result is an mpf.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ import math
 import sys
 import time
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import accumulate
 from operator import mul
 
@@ -42,7 +44,7 @@ from .errors import (DomainError, NonFiniteError, PhaseLeakError,
                      RouteInfeasibleError)
 from .params import (Couplings, EllipticFrame, Weights, eta_over_Kprime,
                      swap_system)
-from .precision import FLOAT64, Precision, as_precision, route_scalars
+from .precision import FLOAT64, Precision, as_precision
 from .spectrum import SystemPipeline, chi_poly_derivative
 
 #: hard cap on the exact configuration sum
@@ -134,18 +136,8 @@ def _fsum(prec: Precision):
     rounded once to ``prec.decimal``."""
     if prec.is_float:
         return math.fsum
-    dec = prec.decimal.copy()
-
-    def fsum(terms):
-        with decimal.localcontext(prec.wide):
-            total = sum(terms)
-        return dec.plus(total)
-    return fsum
-
-
-def _context_real(prec: Precision, x):
-    """A route scalar as a context real (a Decimal as an mpf)."""
-    return x if prec.is_float else prec.from_decimal(x)
+    dec, wide = prec.decimal.copy(), prec.wide.copy()
+    return lambda terms: dec.plus(reduce(wide.add, terms))
 
 
 def _check_square(rows, what: str) -> int:
@@ -257,13 +249,13 @@ def logdet_scaled(rows, prec: Precision) -> tuple[LogScaledValue, dict]:
     """LU determinant with partial pivoting and per-row scaling.
 
     Works on a square matrix, as nested lists or a 2-D array, of binary64
-    scalars, real or complex, or at extended precision of real ones (mpf,
-    Decimal, int or float; `_decimal_rows`).  Returns the determinant and
-    a conditioning report: ``loss`` estimates the decimal digits destroyed
-    by cancellation.  Binary64 runs the classic right-looking elimination
-    as array updates.  Extended precision runs left-looking (Crout) order
-    on ``prec.decimal``: each entry of column k is one dot product over the
-    finished columns, exact in ``prec.wide`` and rounded once.
+    scalars, real or complex, or at extended precision of real ones
+    (`_decimal_rows`).  Returns the determinant and a conditioning report:
+    ``loss`` estimates the decimal digits destroyed by cancellation.
+    Binary64 runs the classic right-looking elimination as array updates.
+    Extended precision runs left-looking (Crout) order on ``prec.decimal``:
+    each entry of column k is one dot product over the finished columns,
+    exact in ``prec.wide`` and rounded once.
     """
     n = _check_square(rows, "determinant")
     if prec.is_float:
@@ -358,7 +350,7 @@ def pfaffian(rows, prec: Precision = FLOAT64) -> LogScaledValue:
     earlier steps' rank-2 congruence updates.
     """
     n = _check_square(rows, "Pfaffian")
-    with route_scalars(prec)[0]:
+    with decimal.localcontext(prec.decimal):
         if prec.is_float:
             F = _as_binary64(rows)
             if not np.isfinite(F).all():
@@ -538,17 +530,9 @@ def spin_transfer_logZ(c: Couplings) -> LogScaledValue:
 # block-transfer determinant route
 # ----------------------------------------------------------------------
 
-def _log_prefactor(w: Weights, L, M, block: bool):
-    """log Z0 of the squared partition function (``block``), or log Z1 of
-    the structured-determinant representations: a context real, from the
-    weights on the route scalars."""
-    scalars, real, log = route_scalars(w.prec)
-    with scalars:
-        z = real(w.z)
-        first = (M * log(1 - z * z) if block
-                 else -L * log(real(w.t)) + M * log(z))
-        value = (first + L * M * log(-2 / real(w.z_minus))) / 2
-    return _context_real(w.prec, value)
+def _log_z0(w: Weights, L, M, ctx):
+    """Boundary-state prefactor of the squared partition function."""
+    return (M / 2) * ctx.log(1 - w.z * w.z) + (L * M / 2) * ctx.log(-2 / w.z_minus)
 
 
 def _route_pipeline(c: Couplings, prec, pipeline) -> SystemPipeline:
@@ -583,19 +567,19 @@ def block_transfer_logZ(c: Couplings, prec: Precision | None = None,
     M, L = c.M, c.L
     # row i: e^(L gamma_i / 2) times the even part of eigenvector i plus
     # e^(-L gamma_i / 2) times its odd part, both scaled by e^-a_i with
-    # a_i = L |gamma_i| / 2: one factor is 1, the other min(lam, 1/lam)^L
+    # a_i = L |gamma_i| / 2: one factor is 1, the other e^(-L |gamma_i|)
     V = np.array([p.eigvec for p in pts])
-    with route_scalars(prec)[0]:
+    with decimal.localcontext(prec.decimal):
         if prec.is_float:
-            a = [abs(p.gamma) * L / 2 for p in pts]
-            ep = [math.exp(L * p.gamma / 2 - ai) for p, ai in zip(pts, a)]
-            em = [math.exp(-L * p.gamma / 2 - ai) for p, ai in zip(pts, a)]
-            shifts = sum(a)
+            ep = [math.exp(L * min(p.gamma, 0)) for p in pts]
+            em = [math.exp(-L * max(p.gamma, 0)) for p in pts]
+            shifts = sum(abs(p.gamma) * L / 2 for p in pts)
         else:
             one = decimal.Decimal(1)
             ep = [min(p.lam, one) ** L for p in pts]
             em = [max(p.lam, one) ** -L for p in pts]
-            shifts = _fsum(prec)(abs(p.gamma) for p in pts) * L / 2
+            shifts = prec.from_decimal(
+                _fsum(prec)(abs(p.gamma) for p in pts) * L / 2)
         half = (np.array(ep)[:, None] * ((V + V[:, ::-1]) / 2)
                 + np.array(em)[:, None] * ((V - V[:, ::-1]) / 2))
     det, cond = logdet_scaled(half, prec)
@@ -606,8 +590,7 @@ def block_transfer_logZ(c: Couplings, prec: Precision | None = None,
         raise PhaseLeakError(
             f"sign anomaly: projected determinant phase {det.phase}",
             value=det)
-    log_z = (_log_prefactor(w, L, M, True) + det.log_mag
-             + _context_real(prec, shifts))
+    log_z = _log_z0(w, L, M, prec.ctx) + det.log_mag + shifts
     diagnostics = {"det_phase": det.phase, "lu_loss_digits": cond["loss"]}
     return LogScaledValue(log_z, 1.0), diagnostics
 
@@ -644,24 +627,31 @@ class HankelSystem:
 
 @dataclass
 class SkewToeplitzSystem:
-    """Skew-symmetric Toeplitz system sharing the Hankel prefactor;
-    ``rows`` is an array like `HankelSystem.rows`."""
+    """Skew-symmetric Toeplitz system; ``rows`` is an array like
+    `HankelSystem.rows`, and the prefactor is the Hankel one."""
 
     M: int
     log_shift: object
     c_scaled: list            # c_1 .. c_{M-1}, first column below diagonal
     rows: np.ndarray
-    log_z1: object
 
     def log_pfaffian(self, prec: Precision) -> LogScaledValue:
         pf = pfaffian(self.rows, prec)
         return pf.scaled(self.M / 2 * self.log_shift)
 
 
+def _log_z1_value(w: Weights, L, M, ctx):
+    """Prefactor of the structured-determinant representations."""
+    return (-(ctx.mpf(L) / 2) * ctx.log(w.t)
+            + (ctx.mpf(M) / 2) * ctx.log(w.z)
+            + (ctx.mpf(L) * M / 2) * ctx.log(-2 / w.z_minus))
+
+
 def _spectral_measure(points, c: Couplings, w: Weights):
     """The positive measure of the symbol both structured matrices read, on
-    the route scalars of the precision of ``w``: the log shift, the nodes
-    chi_i, the real weights b_i and the worst |Im b|/|b|.  Refuses odd M.
+    the route scalars of the precision of ``w``: the log shift (a context
+    real), the nodes chi_i, the real weights b_i and the worst |Im b|/|b|.
+    Refuses odd M.
 
     b_i = 2 t* e^(L gamma_i - shift) (lambda_n - lam_i) / ((t - z lam_i)
     P'(chi_i)) with lambda_n = t z: the residue of the symbol at chi_i,
@@ -676,20 +666,21 @@ def _spectral_measure(points, c: Couplings, w: Weights):
         raise RouteInfeasibleError("structured routes require even M")
     prec = w.prec
     isfinite = _isfinite(prec)
-    scalars, real, _log = route_scalars(prec)
-    with scalars:
-        lams = [real(p.lam) for p in points]
+    real = (lambda x: x) if prec.is_float else prec.to_decimal
+    with decimal.localcontext(prec.decimal):
+        lams, chis = ([real(getattr(p, name)) for p in points]
+                      for name in ("lam", "chi"))
         shift = c.L * max(real(p.gamma) for p in points)
         if prec.is_float:
             growth = [math.exp(c.L * p.gamma - shift) for p in points]
         else:
             top = max(lams)
             growth = [(lam / top) ** c.L for lam in lams]
-        two_ts = 2 * real(w.t_star)
-        lam_n, t, z = map(real, (w.lambda_n, w.t, w.z))
+            shift = prec.from_decimal(shift)
+        t_star, lam_n, t, z = map(real, (w.t_star, w.lambda_n, w.t, w.z))
         weights, leak = [], 0.0
         for i, (lam, g) in enumerate(zip(lams, growth)):
-            b = (two_ts * g * (lam_n - lam)
+            b = (2 * t_star * g * (lam_n - lam)
                  / ((t - z * lam) * real(chi_poly_derivative(points, i))))
             if not (isfinite(b) and b):
                 raise NonFiniteError(
@@ -702,7 +693,7 @@ def _spectral_measure(points, c: Couplings, w: Weights):
                     f"positive real", value=b)
             weights.append(b.real)
             leak = max(leak, frac)
-        return shift, [real(p.chi) for p in points], weights, leak
+        return shift, chis, weights, leak
 
 
 def hankel_from_spectrum(points, c: Couplings, w: Weights,
@@ -715,15 +706,15 @@ def hankel_from_spectrum(points, c: Couplings, w: Weights,
     shift, chis, terms, leak = _spectral_measure(points, c, w)
     fsum = _fsum(prec)
     h = []
-    with route_scalars(prec)[0]:
+    with decimal.localcontext(prec.decimal):
         for _n in range(1, M):
             h.append(fsum(terms))
             terms = [t * x for t, x in zip(terms, chis)]
     r = np.arange(M // 2)
     rows = np.array(h)[np.add.outer(r, r)]
-    return HankelSystem(M=M, log_shift=_context_real(prec, shift),
-                        h_scaled=h, rows=rows, phase_leak=leak,
-                        log_z1=_log_prefactor(w, c.L, M, False))
+    return HankelSystem(M=M, log_shift=shift, h_scaled=h, rows=rows,
+                        log_z1=_log_z1_value(w, c.L, M, prec.ctx),
+                        phase_leak=leak)
 
 
 def skew_toeplitz_from_spectrum(points, c: Couplings, w: Weights,
@@ -745,7 +736,7 @@ def skew_toeplitz_from_spectrum(points, c: Couplings, w: Weights,
         measure = _spectral_measure(points, c, w)
     shift, chis, terms, _leak = measure
     fsum = _fsum(prec)
-    with route_scalars(prec)[0]:
+    with decimal.localcontext(prec.decimal):
         prev = [0] * len(terms)             # b_i U_(-1); terms: b_i U_0
         twice_cos = [x - 2 for x in chis]   # 2 cos(phi_i)
         cs = []
@@ -757,9 +748,7 @@ def skew_toeplitz_from_spectrum(points, c: Couplings, w: Weights,
                           + cs)
     r = np.arange(M)
     rows = signed[np.subtract.outer(r, r) + (M - 1)]
-    return SkewToeplitzSystem(M=M, log_shift=_context_real(prec, shift),
-                              c_scaled=cs, rows=rows,
-                              log_z1=_log_prefactor(w, c.L, M, False))
+    return SkewToeplitzSystem(M=M, log_shift=shift, c_scaled=cs, rows=rows)
 
 
 def _checked_measure(c: Couplings, prec, pipeline):
@@ -796,10 +785,9 @@ def hankel_logZ(c: Couplings, prec: Precision | None = None,
     prec = pipeline.prec
     shift, chis, weights, leak = measure
     n = c.M // 2
-    scalars, _real, log = route_scalars(prec)
-    with scalars:
+    with decimal.localcontext(prec.decimal):
         if prec.is_float:
-            log_b = [log(b) for b in weights]
+            log_b = [math.log(b) for b in weights]
             top, bottom = max(log_b), min(log_b)
             if math.exp(bottom - top) < sys.float_info.min:
                 raise NonFiniteError(
@@ -809,18 +797,19 @@ def hankel_logZ(c: Couplings, prec: Precision | None = None,
         else:
             big = max(weights)
             scaled = [b / big for b in weights]
-            top, bottom = log(big), log(min(weights))
+            top, bottom = big.ln(), min(weights).ln()
+        spread = float(top - bottom) / math.log(10)
         betas = rkpw(chis, scaled, n)
         if not all(_isfinite(prec)(b) and b > 0 for b in betas):
             raise NonFiniteError("a recurrence coefficient of the spectral "
                                  "measure is not positive and finite")
-        log_det = (prec.ctx.fsum((n - j) * log(b) for j, b in enumerate(betas))
-                   if prec.is_float else log(math.prod(
-                       b ** (n - j) for j, b in enumerate(betas))))
-        log_z = (_log_prefactor(w, c.L, c.M, False)
-                 + _context_real(prec, log_det)
-                 + _context_real(prec, n * (shift + top)))
-        spread = float(top - bottom) / math.log(10)
+        if prec.is_float:
+            log_det = prec.ctx.fsum((n - j) * math.log(b)
+                                    for j, b in enumerate(betas))
+        else:
+            top, log_det = map(prec.from_decimal, (top, math.prod(
+                b ** (n - j) for j, b in enumerate(betas)).ln()))
+    log_z = _log_z1_value(w, c.L, c.M, prec.ctx) + log_det + n * (shift + top)
     return LogScaledValue(log_z, 1.0), {
         "weight_phase_leak": leak, "weight_spread_digits": spread}
 
@@ -832,7 +821,7 @@ def pfaffian_logZ(c: Couplings, prec: Precision | None = None,
     pipeline, w, pts, measure = _checked_measure(c, prec, pipeline)
     st = skew_toeplitz_from_spectrum(pts, c, w, measure)
     pf = st.log_pfaffian(pipeline.prec)
-    log_z = st.log_z1 + pf.real_log()
+    log_z = _log_z1_value(w, c.L, c.M, pipeline.prec.ctx) + pf.real_log()
     return LogScaledValue(log_z, 1.0), {"pf_phase": pf.phase}
 
 

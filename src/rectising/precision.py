@@ -11,18 +11,19 @@ supplies elementary functions and number constructors.  Two flavours exist:
   step runs, with converters between the two.
 
 There is one instance per bit count, immutable and safe to share across
-threads; decimal arithmetic runs in a `decimal.localcontext` copy.
+threads; decimal arithmetic runs in a `decimal.localcontext` copy.  At 53
+bits ``decimal`` is None, and ``decimal.localcontext(prec.decimal)`` a
+copy of the current context that binary64 code does not read.
 """
 
 from __future__ import annotations
 
-import contextlib
 import decimal
 import math
 
 import mpmath
 from mpmath.ctx_mp import MPContext
-from mpmath.libmp import from_man_exp, round_nearest
+from mpmath.libmp import from_man_exp, round_nearest, to_float
 
 from .errors import DomainError
 
@@ -78,25 +79,25 @@ class Precision:
     def __repr__(self):
         return f"Precision(bits={self.bits})"
 
-    def to_decimal(self, x, context=None) -> decimal.Decimal:
-        """A real scalar as a Decimal: an mpf, int or float rounded once in
-        ``context`` (``decimal`` if None), a Decimal as it is; anything
+    def to_decimal(self, x) -> decimal.Decimal:
+        """A real scalar as a Decimal: an mpf, or any real number mpmath
+        converts, rounded once in ``decimal``, a Decimal as it is; anything
         else (a complex) raises `DomainError`."""
         if isinstance(x, decimal.Decimal):
             return x
-        if not hasattr(x, "_mpf_"):
-            if not isinstance(x, (int, float)):
-                raise DomainError(f"extended precision runs on real scalars "
-                                  f"(mpf, Decimal, int, float), not {x!r}")
-            x = self.ctx.mpf(x)
-        sign, man, exp, _bc = x._mpf_
+        value = (getattr(x, "_mpf_", None)
+                 or getattr(self.ctx.convert(x), "_mpf_", None))
+        if value is None:
+            raise DomainError(f"extended precision runs on real scalars, "
+                              f"not {x!r}")
+        sign, man, exp, _bc = value
         if not man:                       # zero, inf or nan
-            return decimal.Decimal(float(x))
+            return decimal.Decimal(to_float(value))
         if exp < 0:                       # man 2^exp = man 5^-exp 10^exp
             man *= 5 ** -exp
         else:
             man, exp = man << exp, 0
-        with decimal.localcontext(context or self.decimal) as dc:
+        with decimal.localcontext(self.decimal) as dc:
             return dc.create_decimal(-man if sign else man).scaleb(exp)
 
     def from_decimal(self, d: decimal.Decimal):
@@ -113,16 +114,6 @@ class Precision:
 
 #: shared binary64 context
 FLOAT64 = Precision(FLOAT_BITS)
-
-
-def route_scalars(prec: Precision):
-    """(context, real, log) of the route steps at ``prec``: binary64 floats
-    as they are and `math.log`, or Decimals in ``prec.decimal``, made by
-    `Precision.to_decimal`, and `decimal.Decimal.ln`."""
-    if prec.is_float:
-        return contextlib.nullcontext(), lambda x: x, math.log
-    return (decimal.localcontext(prec.decimal), prec.to_decimal,
-            decimal.Decimal.ln)
 
 
 def as_precision(p) -> Precision:

@@ -35,7 +35,7 @@ from .params import (
     elliptic_frame,
     weights_from_couplings,
 )
-from .precision import FLOAT64, Precision, as_precision, route_scalars
+from .precision import FLOAT64, Precision, as_precision
 
 #: joint-diagonalization residual tolerance (relative to matrix scale)
 JOINT_TOL = 1e-9
@@ -141,9 +141,10 @@ def build_matrices(w: Weights, M: int) -> MatrixBundle:
 # joint diagonalization
 # ----------------------------------------------------------------------
 
-def _rayleigh(rows, v, real):
-    """v^T A v at the precision of v, over the nonzero entries of ``rows``,
-    each read through ``real``."""
+def _rayleigh(rows, v, prec):
+    """v^T A v on the route scalars of ``prec``, over the nonzero entries
+    of ``rows``."""
+    real = float if prec.is_float else prec.to_decimal
     return sum(v[i] * sum(real(x) * v[j] for j, x in enumerate(r) if x)
                for i, r in enumerate(rows))
 
@@ -255,13 +256,14 @@ def _core_eig(bundle: MatrixBundle, w: Weights, prec: Precision):
                     f"together")
             vals.append(chi)
             vecs.append(v)
-        # lambda_+ - 1 of an ordered-phase edge mode cancels to 1e-26 or
-        # less (D8): the map runs on the mpf weights, as T_plus is built,
-        # and keeps ``wide`` digits, so that lambda_+ - 1 loses none of the
-        # mpf value's digits before joint_spectrum's square root
-        return vals, [prec.to_decimal(-tzm / 2 * prec.from_decimal(chi)
-                                      + (tzp + tzm), prec.wide)
-                      for chi in vals], vecs
+    # the map runs on the mpf weights, as T_plus is built, and lambda_+
+    # keeps all its digits in ``wide``: lambda_+ - 1 of an ordered-phase
+    # edge mode cancels to 1e-26 or less (D8)
+    lam_plus = [-tzm / 2 * prec.from_decimal(chi) + (tzp + tzm)
+                for chi in vals]
+    with decimal.localcontext(prec.wide):
+        return vals, [lp.man * decimal.Decimal(2) ** lp.exp
+                      for lp in lam_plus], vecs
 
 
 @dataclass
@@ -332,14 +334,14 @@ def joint_spectrum(bundle: MatrixBundle, w: Weights,
               - np.array(lam_plus, dtype=float))
     bound = BRANCH_ERR * bundle.M * FLOAT64.eps * np.abs(T).max()
     pts = []
-    scalars, real, log = route_scalars(prec)
-    sqrt = math.sqrt if prec.is_float else decimal.Decimal.sqrt
-    with scalars:
+    log, sqrt = ((math.log, math.sqrt) if prec.is_float
+                 else (decimal.Decimal.ln, decimal.Decimal.sqrt))
+    with decimal.localcontext(prec.decimal):
         for chi, lp, v, m in zip(chis, lam_plus, vecs, margin):
             sq = lp * lp - 1 if prec.is_float else (lp - 1) * (lp + 1)
             root = sqrt(max(sq, 0 * lp))
             upper = (m >= 0 if abs(m) > bound
-                     else _rayleigh(bundle.rows_T, v, real) >= lp)
+                     else _rayleigh(bundle.rows_T, v, prec) >= lp)
             lam = lp + root if upper else lp - root
             if lam <= 0:
                 raise JointDiagonalizationError(

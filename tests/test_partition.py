@@ -249,6 +249,15 @@ class TestLogDet:
         # binary64 still takes the same matrix
         assert run([[0, 1j], [-1j, 0]], FLOAT64) is not None
 
+    @pytest.mark.parametrize("dtype", [np.int64, np.float32, object])
+    def test_extended_takes_any_real_entries(self, dtype):
+        # numpy integer and float32 scalars are real too: no DomainError
+        p = Precision(160)
+        F = np.array([[0, 2], [-2, 0]], dtype=dtype)
+        assert pfaffian(F, p).log_mag == p.ctx.ln(2)
+        det, _ = logdet_scaled(F, p)
+        assert (det.log_mag, det.phase) == (p.ctx.ln(4), 1)
+
     @pytest.mark.parametrize("bits", [53, 160])
     def test_zero_leading_entry_swaps(self, bits):
         p = Precision(bits)

@@ -162,15 +162,23 @@ class TestBinary64Checks:
         edge = min(pts, key=lambda q: abs(q.gamma))
         assert abs(edge.gamma) < 1e-12
         assert [args[1] for args in calls] == [edge.eigvec]
-        # lambda is the root of lambda^2 - 2 lambda_+ lambda + 1 on the side
-        # of lambda_+ that the dense mpmath quotient picks
+        # lambda is lambda_+ +- sqrt((lambda_+ - 1)(lambda_+ + 1)), on the
+        # side of lambda_+ that the dense mpmath quotient picks, to the
+        # working precision: lambda_+ is the 160-bit map of chi that T_plus
+        # is built with, and the root is taken at 320 bits, so that a
+        # lambda_+ - 1 that loses digits (D8: 1e-26 at the edge mode) fails
         T = ctx.matrix(b.rows_T)
+        wide = Precision(320).ctx
+        tzp, tzm = w.t_plus * w.z_plus, w.t_minus * w.z_minus
         for q in pts:
             v = ctx.matrix([p.from_decimal(x) for x in q.eigvec])
-            lam, lp = p.from_decimal(q.lam), p.from_decimal(q.lam_plus)
-            assert (lam >= lp) == ((v.T * T * v)[0] >= lp)
-            assert abs(lam * lam - 2 * lp * lam + 1) <= 2 ** -156 * (
-                1 + 2 * lp * lam + lam * lam)
+            lp = wide.mpf(-tzm / 2 * p.from_decimal(q.chi) + (tzp + tzm))
+            upper = (v.T * T * v)[0] >= lp
+            root = wide.sqrt((lp - 1) * (lp + 1))
+            want = lp + root if upper else lp - root
+            lam = wide.mpf(p.from_decimal(q.lam))
+            assert (lam >= lp) == upper
+            assert abs(lam - want) <= wide.ldexp(abs(want), -155)
 
     def test_disordered_spectrum_makes_no_mp_products(self, count_calls):
         calls = count_calls(spectrum, "_rayleigh")
