@@ -257,8 +257,9 @@ def _core_eig(bundle: MatrixBundle, w: Weights, prec: Precision):
             vals.append(chi)
             vecs.append(v)
     # the map runs on the mpf weights, as T_plus is built, and lambda_+
-    # keeps all its digits in ``wide``: lambda_+ - 1 of an ordered-phase
-    # edge mode cancels to 1e-26 or less (D8)
+    # enters ``wide`` as man 2^exp, correct far below its last bit:
+    # lambda_+ - 1 of an ordered-phase edge mode cancels to 1e-26 or less
+    # (D8)
     lam_plus = [-tzm / 2 * prec.from_decimal(chi) + (tzp + tzm)
                 for chi in vals]
     with decimal.localcontext(prec.wide):
