@@ -38,7 +38,6 @@ from .params import (
     weights_from_couplings,
 )
 from .partition import (
-    LogScaledValue,
     PartitionResult,
     assemble_logZ,
     block_transfer_logZ,

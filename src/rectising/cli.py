@@ -116,8 +116,7 @@ def result_record(res, checks=None) -> dict:
             "status": o.status,
             "seconds": round(o.seconds, 6),
             "precision_bits": o.precision_bits,
-            "diagnostics": {key: _cplx(v) if isinstance(v, complex) else v
-                            for key, v in o.diagnostics.items()},
+            "diagnostics": dict(o.diagnostics),
         }
         if o.status == "ok":
             rec.update({

@@ -47,12 +47,9 @@ class JointDiagonalizationError(RectisingError, ArithmeticError):
 
 
 class PhaseLeakError(RectisingError, ArithmeticError):
-    """A quantity that must be real (up to tolerance) came out with a
-    residual complex phase.  Reported instead of silently normalized."""
-
-    def __init__(self, msg, value=None):
-        super().__init__(msg)
-        self.value = value
+    """A quantity that must be positive came out non-positive: a Pfaffian
+    or det H of sign -1 or 0, a negative spectral weight, a singular
+    half-power matrix.  Reported instead of silently taking its modulus."""
 
 
 class NonFiniteError(RectisingError, ArithmeticError):

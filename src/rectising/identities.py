@@ -30,7 +30,7 @@ from functools import cached_property, reduce
 
 import numpy as np
 
-from .errors import PoleError, RectisingError
+from .errors import PhaseLeakError, PoleError, RectisingError
 from .elliptic import arcsn, incomplete_F
 from .params import Couplings, couplings_from_modulus, dual
 from .partition import hankel_from_spectrum
@@ -865,8 +865,10 @@ def _e_physics_chain(env, r):
     # full chain down to the partition function:
     # 2 log Z = log Z0^2 - L log t + log|det(W^T D W)|
     hs = hankel_from_spectrum(env.points, c, w, fr)
-    det, _ = hs.logdet(env.prec)
-    log_z = hs.log_z1 + det.real_log()
+    sign, log_det, _loss = hs.logdet(env.prec)
+    if sign <= 0:
+        raise PhaseLeakError(f"det H has sign {sign}, not +1")
+    log_z = hs.log_z1 + log_det
     log_z0_sq = float(ctx.mpf(M) * ctx.log(1 - w.z * w.z)
                       + ctx.mpf(L) * M * ctx.log(-2 / w.z_minus))
     chain = abs(2 * log_z - (log_z0_sq - float(L * ctx.log(w.t)) + ldetA)) \

@@ -10,7 +10,9 @@ Five independent ways to log Z for one system:
 * ``pfaffian``  Pfaffian of the skew-symmetric Toeplitz matrix.
 
 All structured linear algebra runs in the log domain with per-row scaling,
-so exponential eigenvalue factors never overflow.  Both structured
+so exponential eigenvalue factors never overflow.  Every matrix a route
+factors is real, so the LU and the Pfaffian take real entries at every
+precision and return a sign and a log magnitude.  Both structured
 matrices come from one positive discrete measure on the spectrum
 (`_spectral_measure`), rational in the eigenvalues: the Hankel entries
 are its moments, the skew-Toeplitz entries its Chebyshev moments.  The
@@ -21,13 +23,17 @@ route and for a single Hankel route on a large system
 (`default_precision`); in ``route="all"``, when two routes disagree by
 more than ESCALATION_DEV or a structured route fails, the structured
 routes rerun at 160 bits.  The route scalars are floats, or at extended
-precision Decimals in a `decimal.localcontext` of ``prec.decimal``; each
-route's result is an mpf.
+precision Decimals in a `decimal.localcontext` of ``prec.decimal``; a
+structured route returns its log Z (a float, or an mpf at extended
+precision) and its diagnostics.  A quantity that must be positive and
+comes out otherwise fails the route: a Pfaffian, a spectral weight, a
+recurrence coefficient, |det| of block's half-power matrix, and Z
+itself, whose log the dispatcher requires to be finite.
 """
 
 from __future__ import annotations
 
-import cmath
+import contextlib
 import decimal
 import math
 import sys
@@ -57,9 +63,6 @@ BRUTE_ALL_MAX_SPINS = 16
 #: hard cap on the number of column spins in the state-vector transfer
 SPIN_MAX_WIDTH = 12
 
-#: relative phase tolerance for quantities that must come out real
-REAL_TOL = 1e-8
-
 ROUTES = ("brute", "spin", "block", "hankel", "pfaffian")
 
 #: routes that run at the working precision (the others are binary64)
@@ -76,60 +79,8 @@ ESCALATION_DEV = AGREEMENT_DEV / 10
 
 
 # ----------------------------------------------------------------------
-# log-scaled scalars and structured factorizations
+# structured factorizations
 # ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class LogScaledValue:
-    """A number stored as phase * exp(log_mag) to survive huge ranges.
-
-    ``phase`` has unit modulus (+-1 for real results).  ``log_mag`` is a
-    context real (an exact-precision scalar on the extended path); the
-    zero value is encoded as log_mag = -inf.
-    """
-
-    log_mag: object
-    phase: complex = 1.0
-
-    @classmethod
-    def from_value(cls, v) -> "LogScaledValue":
-        a = abs(v)
-        if a == 0:
-            return cls(float("-inf"), 1.0)
-        return cls(math.log(a), complex(v) / a)
-
-    @classmethod
-    def zero(cls) -> "LogScaledValue":
-        return cls(float("-inf"), 1.0)
-
-    def __mul__(self, other: "LogScaledValue") -> "LogScaledValue":
-        return LogScaledValue(self.log_mag + other.log_mag,
-                              self.phase * other.phase)
-
-    def scaled(self, dlog) -> "LogScaledValue":
-        return LogScaledValue(self.log_mag + dlog, self.phase)
-
-    @property
-    def is_zero(self) -> bool:
-        return float(self.log_mag) == float("-inf")
-
-    def value(self):
-        return self.phase * math.exp(float(self.log_mag))
-
-    def real_log(self, tol: float = REAL_TOL):
-        """log of a positive real value; raises on residual phase and on a
-        zero or non-finite value."""
-        if abs(self.phase - 1.0) > tol:
-            raise PhaseLeakError(
-                f"phase leak: expected positive real, phase = {self.phase}",
-                value=self)
-        if not (math.isfinite(float(self.log_mag))
-                and cmath.isfinite(self.phase)):
-            raise NonFiniteError(
-                f"expected a positive real, got log magnitude "
-                f"{self.log_mag} and phase {self.phase}")
-        return self.log_mag
-
 
 def _fsum(prec: Precision):
     """Accurate sum at ``prec``: `math.fsum`, or a sum in ``prec.wide``
@@ -150,49 +101,28 @@ def _check_square(rows, what: str) -> int:
 
 def _isfinite(prec: Precision):
     """Finiteness test for the route scalars of ``prec``."""
-    return cmath.isfinite if prec.is_float else decimal.Decimal.is_finite
+    return math.isfinite if prec.is_float else decimal.Decimal.is_finite
 
 
-def _decimal_rows(rows, prec: Precision, what: str) -> list:
-    """``rows`` as lists of Decimals (`Precision.to_decimal`): a complex
-    entry raises `DomainError`, a non-finite one `NonFiniteError`."""
-    A = [[prec.to_decimal(x) for x in r] for r in rows]
-    if not all(x.is_finite() for r in A for x in r):
+def _real_rows(rows, prec: Precision, what: str):
+    """``rows`` as real route scalars: a binary64 array (the caller's own,
+    if it already is one) or lists of Decimals (`Precision.to_decimal`).
+    A complex entry raises `DomainError`, a non-finite one
+    `NonFiniteError`."""
+    if prec.is_float:
+        A = np.asarray(rows)
+        if A.dtype.kind != "c":
+            with contextlib.suppress(TypeError):
+                A = A.astype(float, copy=False)
+        if A.dtype != float:
+            raise DomainError(f"binary64 runs on real scalars, not {A.dtype}")
+        finite = np.isfinite(A).all()
+    else:
+        A = [[prec.to_decimal(x) for x in r] for r in rows]
+        finite = all(x.is_finite() for r in A for x in r)
+    if not finite:
         raise NonFiniteError(f"{what} of a matrix with a non-finite entry")
     return A
-
-
-# The binary64 kernels update whole arrays, and round every entry as
-# CPython rounds the scalar operation: numpy's own arithmetic on real
-# arrays; on complex ones, products split into real operations and
-# quotients taken entry by entry, because numpy's complex multiply and
-# divide round differently (np.hypot matches CPython's abs, np.abs not).
-
-def _abs64(a):
-    """|a|, entrywise."""
-    return np.hypot(a.real, a.imag) if a.dtype.kind == "c" else np.abs(a)
-
-
-def _quotients(a, d):
-    """a / d, with ``d`` broadcast against ``a``."""
-    if a.dtype.kind != "c":
-        return a / d
-    num = a.ravel().tolist()
-    den = np.broadcast_to(d, a.shape).ravel().tolist()
-    return np.array([x / y for x, y in zip(num, den)],
-                    dtype=complex).reshape(a.shape)
-
-
-def _outer(f, g):
-    """f_i g_j for every i, j."""
-    if f.dtype.kind != "c":
-        return np.multiply.outer(f, g)
-    out = np.empty((len(f), len(g)), dtype=complex)
-    out.real = np.multiply.outer(f.real, g.real) - np.multiply.outer(
-        f.imag, g.imag)
-    out.imag = np.multiply.outer(f.real, g.imag) + np.multiply.outer(
-        f.imag, g.real)
-    return out
 
 
 def _swap(a, i, j):
@@ -202,75 +132,67 @@ def _swap(a, i, j):
     a[j] = row
 
 
-def _as_binary64(rows):
-    """``rows`` as a binary64 array, real unless an entry is complex: the
-    caller's array itself if it already is one."""
-    a = np.asarray(rows)
-    return a.astype(complex if a.dtype.kind in "cO" else float, copy=False)
-
-
-def _logdet_binary64(rows) -> tuple[LogScaledValue, dict]:
-    """`logdet_scaled` in binary64: the classic right-looking update, one
-    rank-1 array update a column."""
-    A = _as_binary64(rows)
-    if not np.isfinite(A).all():
-        raise NonFiniteError("determinant of a matrix with a non-finite entry")
+def _logdet_binary64(A) -> tuple:
+    """`logdet_scaled` of a binary64 array: the classic right-looking
+    update, one rank-1 array update a column."""
     n = len(A)
     if n == 0:
-        return LogScaledValue(0.0, 1.0), {"loss": 0.0}
-    scales = _abs64(A).max(axis=1)
+        return 1, 0.0, 0.0
+    scales = np.abs(A).max(axis=1)
     if not scales.all():
-        return LogScaledValue.zero(), {"loss": 0.0}
-    A = _quotients(A, scales[:, None])
-    log_mag = 0.0
+        return 0, -math.inf, 0.0
+    A = A / scales[:, None]
+    log_abs = 0.0
     for s in scales.tolist():
-        log_mag += math.log(s)
-    phase = complex(1.0)
+        log_abs += math.log(s)
+    sign = 1
     min_piv, max_piv = float("inf"), 0.0
     for col in range(n):
-        p = col + int(_abs64(A[col:, col]).argmax())
+        p = col + int(np.abs(A[col:, col]).argmax())
         piv = A[p, col].item()
         ap = abs(piv)
         if ap == 0:
-            return LogScaledValue.zero(), {"loss": float("inf")}
+            return 0, -math.inf, math.inf
         if p != col:
             _swap(A, col, p)
-            phase = -phase
+            sign = -sign
+        if piv < 0:
+            sign = -sign
         min_piv, max_piv = min(min_piv, ap), max(max_piv, ap)
-        log_mag += math.log(ap)
-        phase *= complex(piv / ap)
-        A[col + 1:, col + 1:] -= _outer(_quotients(A[col + 1:, col], piv),
-                                        A[col, col + 1:])
+        log_abs += math.log(ap)
+        A[col + 1:, col + 1:] -= np.multiply.outer(A[col + 1:, col] / piv,
+                                                   A[col, col + 1:])
     loss = math.log10(max_piv / min_piv) if min_piv > 0 else float("inf")
-    return LogScaledValue(log_mag, phase), {"loss": loss}
+    return sign, log_abs, loss
 
 
-def logdet_scaled(rows, prec: Precision) -> tuple[LogScaledValue, dict]:
-    """LU determinant with partial pivoting and per-row scaling.
+def logdet_scaled(rows, prec: Precision) -> tuple:
+    """(sign, log |det|, loss) of a square real matrix: LU with partial
+    pivoting and per-row scaling.
 
-    Works on a square matrix, as nested lists or a 2-D array, of binary64
-    scalars, real or complex, or at extended precision of real ones
-    (`_decimal_rows`).  Returns the determinant and a conditioning report:
-    ``loss`` estimates the decimal digits destroyed by cancellation.
-    Binary64 runs the classic right-looking elimination as array updates.
-    Extended precision runs left-looking (Crout) order on ``prec.decimal``:
-    each entry of column k is one dot product over the finished columns,
-    exact in ``prec.wide`` and rounded once.
+    Takes nested lists or a 2-D array of real scalars (`_real_rows`).
+    The sign and log |det| come in the order of `numpy.linalg.slogdet`,
+    0 and -inf for a singular matrix; ``loss`` estimates the decimal
+    digits destroyed by cancellation.  Binary64 runs the classic
+    right-looking elimination as array updates.  Extended precision runs
+    left-looking (Crout) order on ``prec.decimal``: each entry of column k
+    is one dot product over the finished columns, exact in ``prec.wide``
+    and rounded once.
     """
     n = _check_square(rows, "determinant")
+    A = _real_rows(rows, prec, "determinant")
     if prec.is_float:
-        return _logdet_binary64(rows)
-    A = _decimal_rows(rows, prec, "determinant")
+        return _logdet_binary64(A)
     if n == 0:
-        return LogScaledValue(prec.ctx.zero, 1.0), {"loss": 0.0}
+        return 1, prec.ctx.zero, 0.0
     dec = prec.decimal.copy()          # its flags stay local
     with decimal.localcontext(prec.wide):
         scales = [max(map(abs, r)) for r in A]
         if not all(scales):
-            return LogScaledValue.zero(), {"loss": 0.0}
+            return 0, -math.inf, 0.0
         A = [[dec.divide(x, s) for x in r] for r, s in zip(A, scales)]
         mag = math.prod(scales)
-        phase = complex(1.0)
+        sign = 1
         # L[r] = [slot, L_r0, L_r1, ...]: the slot takes the entry being
         # reduced, so that it meets the 1 that heads neg_u
         L = [[None] for _ in range(n)]
@@ -287,86 +209,82 @@ def logdet_scaled(rows, prec: Precision) -> tuple[LogScaledValue, dict]:
             piv = v[p]
             ap = abs(piv)
             if ap == 0:
-                return LogScaledValue.zero(), {"loss": float("inf")}
+                return 0, -math.inf, math.inf
             if p:
                 q = col + p
                 A[q], A[col] = A[col], A[q]
                 L[q], L[col] = L[col], L[q]
                 v[p] = v[0]
-                phase = -phase
+                sign = -sign
             if piv < 0:
-                phase = -phase
+                sign = -sign
             min_piv, max_piv = min(min_piv, float(ap)), max(max_piv, float(ap))
             mag *= ap
             for Lr, vr in zip(L[col + 1:], v[1:]):
                 Lr.append(dec.divide(vr, piv))
     loss = math.log10(max_piv / min_piv) if min_piv > 0 else float("inf")
-    return LogScaledValue(prec.from_decimal(dec.ln(mag)), phase), {
-        "loss": loss}
+    return sign, prec.from_decimal(dec.ln(mag)), loss
 
 
-def _pfaffian_binary64(F) -> LogScaledValue:
+def _pfaffian_binary64(F) -> tuple:
     """`pfaffian` in binary64, on the exactly skew matrix of the upper
     triangle of ``F``: the classic right-looking Parlett-Reid update, rows
     and columns swapped together."""
     U = np.triu(F, 1)
     T = U - U.T
     n = len(T)
-    log_mag, phase = 0.0, complex(1.0)
+    log_abs, sign = 0.0, 1
     for k in range(0, n, 2):
-        q = k + 1 + int(_abs64(T[k, k + 1:]).argmax())
+        q = k + 1 + int(np.abs(T[k, k + 1:]).argmax())
         entry = T[k, q].item()
         ae = abs(entry)
         if ae == 0:
-            return LogScaledValue.zero()
+            return 0, -math.inf
         if q != k + 1:
             _swap(T, k + 1, q)
             _swap(T.T, k + 1, q)
-            phase = -phase
-        log_mag += math.log(ae)
-        phase *= complex(entry / ae)
+            sign = -sign
+        if entry < 0:
+            sign = -sign
+        log_abs += math.log(ae)
         if k + 2 == n:
             break
         # A_ij += f_i (-R_j), then += R_i f_j; as f_i (-R_j) = -(f_i R_j)
         # and R_i f_j = f_j R_i in every rounding, both come from P
-        P = _outer(_quotients(T[k, k + 2:], entry), T[k + 1, k + 2:])
+        P = np.multiply.outer(T[k, k + 2:] / entry, T[k + 1, k + 2:])
         B = T[k + 2:, k + 2:]
         B -= P
         B += P.T
-    return LogScaledValue(log_mag, phase)
+    return sign, log_abs
 
 
-def pfaffian(rows, prec: Precision = FLOAT64) -> LogScaledValue:
-    """Pfaffian of an even-dimensional skew-symmetric matrix, given as
-    nested lists or a 2-D array, with the entries `logdet_scaled` takes.
+def pfaffian(rows, prec: Precision = FLOAT64) -> tuple:
+    """(sign, log |Pf|) of an even-dimensional skew-symmetric matrix, given
+    as nested lists or a 2-D array of the entries `logdet_scaled` takes;
+    (0, -inf) if it is singular.
 
-    Skew tridiagonalization with partial pivoting (Parlett-Reid).  Only
-    the upper triangle is read past the skew gate, so the reduced matrix
-    is exactly skew; swaps flip the sign.  Binary64 runs the classic
-    right-looking update as array updates.  Extended precision runs
-    left-looking order on ``prec.decimal``: step k forms only column k and
-    row k+1 of the reduced matrix, each entry one dot product, exact in
-    ``prec.wide`` and rounded once, over the per-index histories of the
-    earlier steps' rank-2 congruence updates.
+    Skew tridiagonalization with partial pivoting (Parlett-Reid).  The
+    skew gate is relative to the largest entry; past it only the upper
+    triangle is read, so the reduced matrix is exactly skew; swaps flip
+    the sign.  Binary64 runs the classic right-looking update as array
+    updates.  Extended precision runs left-looking order on
+    ``prec.decimal``: step k forms only column k and row k+1 of the
+    reduced matrix, each entry one dot product, exact in ``prec.wide``
+    and rounded once, over the per-index histories of the earlier steps'
+    rank-2 congruence updates.
     """
     n = _check_square(rows, "Pfaffian")
+    F = _real_rows(rows, prec, "Pfaffian")
     with decimal.localcontext(prec.decimal):
-        if prec.is_float:
-            F = _as_binary64(rows)
-            if not np.isfinite(F).all():
-                raise NonFiniteError(
-                    "Pfaffian of a matrix with a non-finite entry")
-        else:
-            F = np.array(_decimal_rows(rows, prec, "Pfaffian"),
-                         dtype=object).reshape(n, n)
+        if not prec.is_float:
+            F = np.array(F, dtype=object).reshape(n, n)
         if n % 2:
             raise DomainError("Pfaffian requires even dimension")
-        scale = max(1, np.abs(F).max(initial=0))
         tol = 1e-12 if prec.is_float else decimal.Decimal("1e-12")
-        if np.abs(F + F.T).max(initial=0) > tol * scale:
+        if np.abs(F + F.T).max(initial=0) > tol * np.abs(F).max(initial=0):
             raise DomainError("Pfaffian requires a skew-symmetric matrix")
     if n == 0:
-        return LogScaledValue(0.0, 1.0)
+        return 1, 0.0
     if prec.is_float:
         return _pfaffian_binary64(F)
     A = F.tolist()
@@ -390,29 +308,29 @@ def pfaffian(rows, prec: Precision = FLOAT64) -> LogScaledValue:
         return [dec.plus(sum(map(mul, G[t], H[j]))) for j in js]
 
     mag = one
-    phase = complex(1.0)
+    sign = 1
     with decimal.localcontext(prec.wide):
         for k in range(0, n, 2):
             col = strip(k, range(k + 1, n))    # A_kj; column k is -A_kj
             p = max(range(n - k - 1), key=lambda j: abs(col[j]))
             entry = col[p]
             if entry == 0:
-                return LogScaledValue.zero()
+                return 0, -math.inf
             if p:
                 q = k + 1 + p
                 for h in (perm, G, H):
                     h[q], h[k + 1] = h[k + 1], h[q]
                 col[p] = col[0]
-                phase = -phase
+                sign = -sign
             if entry < 0:
-                phase = -phase
+                sign = -sign
             mag *= abs(entry)
             row = strip(k + 1, range(k + 2, n))
             for j in range(k + 2, n):
                 fj, rj = dec.divide(col[j - k - 1], entry), row[j - k - 2]
                 G[j] += (fj, rj)
                 H[j] += (-rj, fj)
-    return LogScaledValue(prec.from_decimal(dec.ln(mag)), phase)
+    return sign, prec.from_decimal(dec.ln(mag))
 
 
 def rkpw(nodes, weights, n: int) -> list:
@@ -465,7 +383,7 @@ def _bond_list(c: Couplings):
     return bonds
 
 
-def brute_force_logZ(c: Couplings) -> LogScaledValue:
+def brute_force_logZ(c: Couplings) -> float:
     """Exact trace over all 2^(L*M) configurations.
 
     Chunked bit enumeration; chunk sums are combined with compensated
@@ -489,10 +407,10 @@ def brute_force_logZ(c: Couplings) -> LogScaledValue:
             energy += kk * agree
         parts.append(float(np.sum(np.exp(energy - emax))))
     total = math.fsum(parts)
-    return LogScaledValue(emax + math.log(total), 1.0)
+    return emax + math.log(total)
 
 
-def spin_transfer_logZ(c: Couplings) -> LogScaledValue:
+def spin_transfer_logZ(c: Couplings) -> float:
     """Row-transfer reference over 2^M column states.
 
     Swaps the system first if that brings the state width under the cap;
@@ -523,7 +441,7 @@ def spin_transfer_logZ(c: Couplings) -> LogScaledValue:
         m = v.max()
         log_acc += math.log(m) + cmax + M * abs(c.K_h)
         v /= m
-    return LogScaledValue(log_acc + math.log(float(v.sum())), 1.0)
+    return log_acc + math.log(float(v.sum()))
 
 
 # ----------------------------------------------------------------------
@@ -582,17 +500,11 @@ def block_transfer_logZ(c: Couplings, prec: Precision | None = None,
                 _fsum(prec)(abs(p.gamma) for p in pts) * L / 2)
         half = (np.array(ep)[:, None] * ((V + V[:, ::-1]) / 2)
                 + np.array(em)[:, None] * ((V - V[:, ::-1]) / 2))
-    det, cond = logdet_scaled(half, prec)
-    if det.is_zero:
-        raise PhaseLeakError("sign anomaly: singular projected determinant",
-                             value=det)
-    if abs(abs(det.phase) - 1.0) > REAL_TOL or abs(det.phase.imag) > REAL_TOL:
-        raise PhaseLeakError(
-            f"sign anomaly: projected determinant phase {det.phase}",
-            value=det)
-    log_z = _log_z0(w, L, M, prec.ctx) + det.log_mag + shifts
-    diagnostics = {"det_phase": det.phase, "lu_loss_digits": cond["loss"]}
-    return LogScaledValue(log_z, 1.0), diagnostics
+    sign, log_det, loss = logdet_scaled(half, prec)
+    if not sign:
+        raise PhaseLeakError("singular projected determinant")
+    log_z = _log_z0(w, L, M, prec.ctx) + log_det + shifts
+    return log_z, {"lu_loss_digits": loss}
 
 
 # ----------------------------------------------------------------------
@@ -607,7 +519,6 @@ class HankelSystem:
     same shift, so ``det H = exp(M/2 * log_shift) * det(rows)``; moments
     and ``rows`` are binary64, or Decimals at extended precision, and the
     two logs context reals.
-    ``phase_leak`` is the worst |Im b|/|b| of the spectral weights.
     """
 
     M: int
@@ -615,14 +526,14 @@ class HankelSystem:
     h_scaled: list
     rows: np.ndarray
     log_z1: object
-    phase_leak: float = 0.0
 
     def h(self, n: int):
         return self.h_scaled[n - 1]
 
-    def logdet(self, prec: Precision) -> tuple[LogScaledValue, dict]:
-        det, cond = logdet_scaled(self.rows, prec)
-        return det.scaled(self.M / 2 * self.log_shift), cond
+    def logdet(self, prec: Precision) -> tuple:
+        """(sign, log |det H|, loss), as `logdet_scaled` gives them."""
+        sign, log_abs, loss = logdet_scaled(self.rows, prec)
+        return sign, log_abs + self.M / 2 * self.log_shift, loss
 
 
 @dataclass
@@ -635,9 +546,10 @@ class SkewToeplitzSystem:
     c_scaled: list            # c_1 .. c_{M-1}, first column below diagonal
     rows: np.ndarray
 
-    def log_pfaffian(self, prec: Precision) -> LogScaledValue:
-        pf = pfaffian(self.rows, prec)
-        return pf.scaled(self.M / 2 * self.log_shift)
+    def log_pfaffian(self, prec: Precision) -> tuple:
+        """(sign, log |Pf|), as `pfaffian` gives them."""
+        sign, log_abs = pfaffian(self.rows, prec)
+        return sign, log_abs + self.M / 2 * self.log_shift
 
 
 def _log_z1_value(w: Weights, L, M, ctx):
@@ -650,8 +562,7 @@ def _log_z1_value(w: Weights, L, M, ctx):
 def _spectral_measure(points, c: Couplings, w: Weights):
     """The positive measure of the symbol both structured matrices read, on
     the route scalars of the precision of ``w``: the log shift (a context
-    real), the nodes chi_i, the real weights b_i and the worst |Im b|/|b|.
-    Refuses odd M.
+    real), the nodes chi_i and the weights b_i.  Refuses odd M.
 
     b_i = 2 t* e^(L gamma_i - shift) (lambda_n - lam_i) / ((t - z lam_i)
     P'(chi_i)) with lambda_n = t z: the residue of the symbol at chi_i,
@@ -659,8 +570,7 @@ def _spectral_measure(points, c: Couplings, w: Weights):
     e^(psi_i) / P'(chi_i).  The shift is L gamma_max; at extended
     precision e^(L gamma_i - shift) is (lam_i / lam_max)^L.  A weight that
     is NaN, infinite or zero (a binary64 underflow of e^(L gamma - shift))
-    fails with `NonFiniteError`; one that is not real and positive within
-    REAL_TOL, with `PhaseLeakError`.
+    fails with `NonFiniteError`; a negative one, with `PhaseLeakError`.
     """
     if c.M % 2:
         raise RouteInfeasibleError("structured routes require even M")
@@ -678,22 +588,19 @@ def _spectral_measure(points, c: Couplings, w: Weights):
             growth = [(lam / top) ** c.L for lam in lams]
             shift = prec.from_decimal(shift)
         t_star, lam_n, t, z = map(real, (w.t_star, w.lambda_n, w.t, w.z))
-        weights, leak = [], 0.0
+        weights = []
         for i, (lam, g) in enumerate(zip(lams, growth)):
             b = (2 * t_star * g * (lam_n - lam)
                  / ((t - z * lam) * real(chi_poly_derivative(points, i))))
             if not (isfinite(b) and b):
                 raise NonFiniteError(
-                    f"spectral weight {complex(b)} at chi = "
+                    f"spectral weight {float(b):.6g} at chi = "
                     f"{float(points[i].chi):.6g} is zero or non-finite")
-            frac = float(abs(b.imag) / abs(b))
-            if not (b.real > 0 and frac <= REAL_TOL):
+            if b < 0:
                 raise PhaseLeakError(
-                    f"phase leak: spectral weight {complex(b)} is not "
-                    f"positive real", value=b)
-            weights.append(b.real)
-            leak = max(leak, frac)
-        return shift, chis, weights, leak
+                    f"spectral weight {float(b):.6g} is not positive")
+            weights.append(b)
+        return shift, chis, weights
 
 
 def hankel_from_spectrum(points, c: Couplings, w: Weights,
@@ -703,7 +610,7 @@ def hankel_from_spectrum(points, c: Couplings, w: Weights,
     moment one accurate sum (`_fsum`).  ``frame`` is not read."""
     M = c.M
     prec = w.prec
-    shift, chis, terms, leak = _spectral_measure(points, c, w)
+    shift, chis, terms = _spectral_measure(points, c, w)
     fsum = _fsum(prec)
     h = []
     with decimal.localcontext(prec.decimal):
@@ -713,8 +620,7 @@ def hankel_from_spectrum(points, c: Couplings, w: Weights,
     r = np.arange(M // 2)
     rows = np.array(h)[np.add.outer(r, r)]
     return HankelSystem(M=M, log_shift=shift, h_scaled=h, rows=rows,
-                        log_z1=_log_z1_value(w, c.L, M, prec.ctx),
-                        phase_leak=leak)
+                        log_z1=_log_z1_value(w, c.L, M, prec.ctx))
 
 
 def skew_toeplitz_from_spectrum(points, c: Couplings, w: Weights,
@@ -734,7 +640,7 @@ def skew_toeplitz_from_spectrum(points, c: Couplings, w: Weights,
     prec = w.prec
     if measure is None:
         measure = _spectral_measure(points, c, w)
-    shift, chis, terms, _leak = measure
+    shift, chis, terms = measure
     fsum = _fsum(prec)
     with decimal.localcontext(prec.decimal):
         prev = [0] * len(terms)             # b_i U_(-1); terms: b_i U_0
@@ -783,7 +689,7 @@ def hankel_logZ(c: Couplings, prec: Precision | None = None,
     """
     pipeline, w, _pts, measure = _checked_measure(c, prec, pipeline)
     prec = pipeline.prec
-    shift, chis, weights, leak = measure
+    shift, chis, weights = measure
     n = c.M // 2
     with decimal.localcontext(prec.decimal):
         if prec.is_float:
@@ -810,8 +716,7 @@ def hankel_logZ(c: Couplings, prec: Precision | None = None,
             top, log_det = map(prec.from_decimal, (top, math.prod(
                 b ** (n - j) for j, b in enumerate(betas)).ln()))
     log_z = _log_z1_value(w, c.L, c.M, prec.ctx) + log_det + n * (shift + top)
-    return LogScaledValue(log_z, 1.0), {
-        "weight_phase_leak": leak, "weight_spread_digits": spread}
+    return log_z, {"weight_spread_digits": spread}
 
 
 def pfaffian_logZ(c: Couplings, prec: Precision | None = None,
@@ -820,9 +725,10 @@ def pfaffian_logZ(c: Couplings, prec: Precision | None = None,
     checked eigensystem of ``pipeline`` (a new one at ``prec`` if None)."""
     pipeline, w, pts, measure = _checked_measure(c, prec, pipeline)
     st = skew_toeplitz_from_spectrum(pts, c, w, measure)
-    pf = st.log_pfaffian(pipeline.prec)
-    log_z = _log_z1_value(w, c.L, c.M, pipeline.prec.ctx) + pf.real_log()
-    return LogScaledValue(log_z, 1.0), {"pf_phase": pf.phase}
+    sign, log_pf = st.log_pfaffian(pipeline.prec)
+    if sign <= 0:
+        raise PhaseLeakError(f"the Pfaffian has sign {sign}, not +1")
+    return _log_z1_value(w, c.L, c.M, pipeline.prec.ctx) + log_pf, {}
 
 
 # ----------------------------------------------------------------------
@@ -897,7 +803,9 @@ def default_precision(c: Couplings, k: float,
 def _run_route(c: Couplings, name: str, pipe: SystemPipeline) -> RouteOutcome:
     """Run one route: the structured ones at the pipeline's precision and
     on its shared work, whose build time is left out of the route's
-    seconds.  A route that refuses the system is ``skipped``."""
+    seconds.  A route that refuses the system is ``skipped``; one that
+    raises an `ArithmeticError`, or whose log Z is not finite (Z zero or
+    beyond every range), ``failed``."""
     t0, shared0 = time.perf_counter(), pipe.seconds
     try:
         if name == "brute":
@@ -910,8 +818,10 @@ def _run_route(c: Couplings, name: str, pipe: SystemPipeline) -> RouteOutcome:
             lz, diag = hankel_logZ(c, pipe.prec, pipe)
         else:
             lz, diag = pfaffian_logZ(c, pipe.prec, pipe)
-        out = RouteOutcome(name, "ok", logZ=float(lz.real_log()),
-                           diagnostics=diag)
+        lz = float(lz)
+        if not math.isfinite(lz):
+            raise NonFiniteError(f"log Z came out {lz}, not finite")
+        out = RouteOutcome(name, "ok", logZ=lz, diagnostics=diag)
     except RouteInfeasibleError as exc:
         out = RouteOutcome(name, "skipped", reason=str(exc))
     except ArithmeticError as exc:

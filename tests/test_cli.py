@@ -46,8 +46,10 @@ class TestZ:
         assert rec["pipeline_seconds"] >= 0
         for r in rec["routes"].values():
             assert {"seconds", "precision_bits", "diagnostics"} <= set(r)
+            # every diagnostic is a JSON number or string
+            assert all(type(v) in (int, float, str)
+                       for v in r["diagnostics"].values())
         diag = rec["routes"]["hankel"]["diagnostics"]
-        assert diag["weight_phase_leak"] < 1e-8
         assert diag["weight_spread_digits"] > 0
 
     def test_single_pfaffian_route_on_large_system(self, capsys):
@@ -63,7 +65,7 @@ class TestZ:
         r = json.loads(out)["routes"]["pfaffian"]
         assert r["status"] == "ok" and r["precision_bits"] == 160
         c = couplings_from_modulus(0.9, 1.0, 24, 16)
-        ref = float(block_transfer_logZ(c, Precision(160))[0].log_mag)
+        ref = float(block_transfer_logZ(c, Precision(160))[0])
         assert abs(r["logZ"] - ref) < 1e-12 * abs(ref)
 
     def test_single_pfaffian_route_on_small_system(self, capsys):
@@ -79,7 +81,7 @@ class TestZ:
         r = json.loads(out)["routes"]["pfaffian"]
         assert r["status"] == "ok" and r["precision_bits"] == 160
         c = couplings_from_modulus(1.45, 0.3, 10, 12)
-        ref = float(block_transfer_logZ(c, Precision(160))[0].log_mag)
+        ref = float(block_transfer_logZ(c, Precision(160))[0])
         assert abs(r["logZ"] - ref) < 1e-12 * abs(ref)
 
     def test_modulus_parametrization(self, capsys):

@@ -115,6 +115,21 @@ class TestRecorder:
         rep, e = self._suite_of(monkeypatch, probe)
         assert e.status == "fail" and rep.failed
 
+    @pytest.mark.parametrize("sign", [-1, 0])
+    def test_partition_chain_refuses_det_h_not_positive(self, monkeypatch,
+                                                         sign):
+        from rectising import partition
+        kernel = partition.logdet_scaled
+
+        def signed(rows, prec):
+            _sign, log_abs, loss = kernel(rows, prec)
+            return sign, log_abs if sign else -math.inf, loss
+
+        monkeypatch.setattr(partition, "logdet_scaled", signed)
+        rep, e = self._suite_of(monkeypatch, identities._e_physics_chain)
+        assert e.status == "error" and rep.failed
+        assert e.note == f"PhaseLeakError: det H has sign {sign}, not +1"
+
     def test_skipping_entries_report_their_parts(self):
         rep = run_identity_suite((0.6, 0.9, 4, 5), samples=8)
         by_id = {x.identity_id: x for x in rep.entries}
