@@ -1,7 +1,7 @@
 """Command-line surface.
 
-Subcommands: z (one system, one or all routes), compare (all feasible
-routes plus pairwise deviations and consistency checks), spectrum
+Subcommands: z (one system, one or all routes), compare (route all and
+the Pfaffian, plus deviations and consistency checks), spectrum
 (per-eigenvalue angle table), identities (the residual suite), scan
 (modulus sweep as CSV), uplane (integrand field file).
 
@@ -28,7 +28,8 @@ from .contour import ContourContext, uplane_field
 from .errors import DomainError, RectisingError
 from .identities import GATING_TOL, run_identity_suite
 from .params import Couplings, couplings_from_modulus, swap_system
-from .partition import AGREEMENT_DEV, ROUTES, SPIN_MAX_WIDTH, assemble_logZ
+from .partition import (AGREEMENT_DEV, ROUTES, SPIN_MAX_WIDTH, assemble_logZ,
+                        fan_out)
 from .precision import Precision
 from .spectrum import spectrum_for
 
@@ -158,9 +159,8 @@ def _result_text(rec: dict) -> str:
 
 def _consistency_checks(res) -> dict:
     checks = {}
-    oh = res.outcomes.get("hankel")
-    op = res.outcomes.get("pfaffian")
-    if oh is not None and op is not None and oh.status == op.status == "ok":
+    oh, op = res.outcomes["hankel"], res.outcomes["pfaffian"]
+    if oh.status == op.status == "ok":
         checks["pf_eq_det"] = abs(oh.logZ - op.logZ)
     cs = swap_system(res.couplings)
     # spin runs along the narrow side of either orientation once one side
@@ -185,6 +185,8 @@ def _consistency_checks(res) -> dict:
 def cmd_z(ns, with_checks=False) -> int:
     res = assemble_logZ(_couplings(ns), getattr(ns, "route", "all"),
                         prec=_precision(ns))
+    if with_checks:
+        fan_out(res, ("pfaffian",))
     if math.isnan(res.logZ):
         return _no_log_z("no route produced a log Z", routes={
             name: {"status": o.status, "reason": o.reason}
@@ -349,11 +351,11 @@ def build_parser() -> argparse.ArgumentParser:
     pz = sub.add_parser("z", help="partition function of one system")
     _add_common(pz)
     _add_format(pz)
-    pz.add_argument("--route", default="all",
-                    choices=("all",) + ROUTES)
+    pz.add_argument("--route", default="all", choices=("all",) + ROUTES,
+                    help="all: an exact oracle, block and Hankel")
 
     pc = sub.add_parser("compare",
-                        help="all feasible routes plus consistency checks")
+                        help="route all, the Pfaffian and the checks")
     _add_common(pc)
     _add_format(pc)
 

@@ -1,9 +1,9 @@
 """Partition-function routes.
 
-Five independent ways to log Z for one system:
+Five ways to log Z; ``route="all"`` runs an exact oracle (brute up to 16
+spins, spin above), block and Hankel, and ``compare`` adds the Pfaffian:
 
-* ``brute``     exact configuration sum (caps at 24 spins, at 16 in the
-                ``all`` fan-out),
+* ``brute``     exact configuration sum (caps at 24 spins),
 * ``spin``      row-to-row transfer over 2^M column states (caps at 12),
 * ``block``     determinant of the projected L-th transfer-matrix power,
 * ``hankel``    determinant of the half-size Hankel matrix of spectral sums,
@@ -12,23 +12,22 @@ Five independent ways to log Z for one system:
 All structured linear algebra runs in the log domain with per-row scaling,
 so exponential eigenvalue factors never overflow.  Every matrix a route
 factors is real, so the LU and the Pfaffian take real entries at every
-precision and return a sign and a log magnitude.  Both structured
-matrices come from one positive discrete measure on the spectrum
-(`_spectral_measure`), rational in the eigenvalues: the Hankel entries
-are its moments, the skew-Toeplitz entries its Chebyshev moments.  The
-Hankel determinant is a product of the measure's recurrence coefficients
+precision and return a sign and a log magnitude.  Both structured matrices
+come from one positive discrete measure on the spectrum
+(`_spectral_measure`), rational in the eigenvalues: the Hankel entries are
+its moments, the skew-Toeplitz entries its Chebyshev moments.  The Hankel
+determinant is a product of the measure's recurrence coefficients
 (Gragg-Harrod), well conditioned where an LU of the moments is not.  Every
 system starts in binary64, except near criticality, for a single Pfaffian
 route and for a single Hankel route on a large system
-(`default_precision`); in ``route="all"``, when two routes disagree by
-more than ESCALATION_DEV or a structured route fails, the structured
-routes rerun at 160 bits.  The route scalars are floats, or at extended
-precision Decimals in a `decimal.localcontext` of ``prec.decimal``; a
-structured route returns its log Z (a float, or an mpf at extended
-precision) and its diagnostics.  A quantity that must be positive and
-comes out otherwise fails the route: a Pfaffian, a spectral weight, a
-recurrence coefficient, |det| of block's half-power matrix, and Z
-itself, whose log the dispatcher requires to be finite.
+(`default_precision`); `fan_out` reruns its structured routes at 160 bits
+when two routes disagree past ESCALATION_DEV or one fails.  The route
+scalars are floats, or at extended precision Decimals in a
+`decimal.localcontext` of ``prec.decimal``; a structured route returns its
+log Z (a float, or an mpf at extended precision) and its diagnostics.  A
+quantity that must be positive and comes out otherwise fails the route: a
+Pfaffian, a spectral weight, a recurrence coefficient, |det| of block's
+half-power matrix, and Z, whose log the dispatcher requires to be finite.
 """
 
 from __future__ import annotations
@@ -56,8 +55,7 @@ from .spectrum import SystemPipeline, chi_poly_derivative
 #: hard cap on the exact configuration sum
 BRUTE_MAX_SPINS = 24
 
-#: largest system the ``route="all"`` fan-out sums by brute force; the
-#: spin route covers every system up to BRUTE_MAX_SPINS in under 1 ms
+#: largest system whose ``route="all"`` oracle is brute, not spin
 BRUTE_ALL_MAX_SPINS = 16
 
 #: hard cap on the number of column spins in the state-vector transfer
@@ -750,9 +748,9 @@ class RouteOutcome:
 class PartitionResult:
     """Primary output record of the engine.
 
-    ``pipeline_seconds`` is the time spent on work the structured routes
-    share (weights, matrices, eigensystem, joint check, spectral
-    measure); the routes' own ``seconds`` leave it out.
+    ``pipeline_seconds`` is the time the structured routes spent on shared
+    work (weights, matrices, eigensystem, joint check, spectral measure),
+    left out of their ``seconds``; ``pipeline`` is the last they ran on.
     """
 
     couplings: Couplings
@@ -761,6 +759,7 @@ class PartitionResult:
     eta_im_over_Kprime: float
     outcomes: dict
     pipeline_seconds: float = 0.0
+    pipeline: SystemPipeline = field(default=None, repr=False, compare=False)
 
     @property
     def logZ(self):
@@ -787,11 +786,11 @@ def default_precision(c: Couplings, k: float,
     lose digits in binary64.
 
     A single route has no cross-check and no retry, so a single
-    ``pfaffian`` route keeps 160 bits at every size (the binary64
-    Pfaffian comes back ok but wrong from 10 x 12 on), and a single
-    ``hankel`` route on a system with L + M > 24 (the binary64 joint
-    diagonalization fails deep in the ordered phase).  ``route="all"``
-    catches both; a single ``block`` route holds in binary64.
+    ``pfaffian`` route keeps 160 bits at every size (the binary64 one is
+    ok but wrong from 10 x 12 on; ``compare`` retries it), and a single
+    ``hankel`` route when L + M > 24 (the binary64 joint check fails deep
+    in the ordered phase; ``route="all"`` retries it).  A single
+    ``block`` route holds in binary64.
     """
     if 0.99 < k < 1.01 and not is_critical(k):
         return Precision(160)
@@ -831,18 +830,34 @@ def _run_route(c: Couplings, name: str, pipe: SystemPipeline) -> RouteOutcome:
     return out
 
 
+def fan_out(result: PartitionResult, names) -> None:
+    """Run the routes ``names`` into ``result`` on its pipeline.  With
+    ``route="all"``, if that is binary64 and the routes then disagree by
+    more than ESCALATION_DEV, or a structured one of ``names`` failed,
+    those rerun once on a 160-bit pipeline, which the result keeps."""
+    c, pipe = result.couplings, result.pipeline
+    while True:
+        shared0 = pipe.seconds
+        for name in names:
+            result.outcomes[name] = _run_route(c, name, pipe)
+        result.pipeline_seconds += pipe.seconds - shared0
+        names = [n for n in names if n in STRUCTURED_ROUTES]
+        if not (result.route == "all" and pipe.prec.is_float and (
+                result.max_pairwise_dev > ESCALATION_DEV or any(
+                    result.outcomes[n].status == "failed" for n in names))):
+            return
+        result.pipeline = pipe = SystemPipeline(c, Precision(160))
+
+
 def assemble_logZ(c: Couplings, route: str = "all",
                   prec: Precision | None = None) -> PartitionResult:
-    """Run one route or every feasible route with cross-deviations.
-
-    With ``route='all'`` a deviation above ESCALATION_DEV between any two
-    routes, or a failed structured route, triggers one escalated retry of
-    the structured routes at 160 bits, and brute runs only up to
-    BRUTE_ALL_MAX_SPINS spins.  A single route runs once, at ``prec`` or
-    at `default_precision` for that route.  The structured routes of one
-    precision share one `SystemPipeline`; the binary64 one's weights also
-    give the modulus and the anisotropy report (`eta_over_Kprime`, NaN at
-    the critical modulus), so no elliptic frame is built.
+    """Run one route, or with ``route='all'`` an exact oracle (brute up to
+    BRUTE_ALL_MAX_SPINS spins, spin above), block and Hankel, through
+    `fan_out`, at ``prec`` or at `default_precision` for the route.  The
+    structured routes of one precision share one `SystemPipeline`; the
+    binary64 one's weights also give the modulus and the anisotropy
+    report (`eta_over_Kprime`, NaN at the critical modulus), so no
+    elliptic frame is built.
     """
     if route != "all" and route not in ROUTES:
         raise DomainError(f"unknown route {route!r}")
@@ -855,22 +870,7 @@ def assemble_logZ(c: Couplings, route: str = "all",
                           else default_precision(c, k, route))
     if not chosen.is_float:
         pipe = SystemPipeline(c, chosen)
-
-    outcomes = {}
-    for name in (ROUTES if route == "all" else (route,)):
-        if (route == "all" and name == "brute"
-                and c.sites > BRUTE_ALL_MAX_SPINS):
-            outcomes[name] = RouteOutcome(
-                name, "skipped", reason=f"{c.sites} spins exceed the "
-                f"route=all cap {BRUTE_ALL_MAX_SPINS}")
-        else:
-            outcomes[name] = _run_route(c, name, pipe)
-    result = PartitionResult(c, route, k, eta_frac, outcomes, pipe.seconds)
-    if route == "all" and chosen.is_float and (
-            result.max_pairwise_dev > ESCALATION_DEV or any(
-                outcomes[n].status == "failed" for n in STRUCTURED_ROUTES)):
-        pipe = SystemPipeline(c, Precision(160))
-        for name in STRUCTURED_ROUTES:
-            outcomes[name] = _run_route(c, name, pipe)
-        result.pipeline_seconds += pipe.seconds
+    result = PartitionResult(c, route, k, eta_frac, {}, pipe.seconds, pipe)
+    oracle = "brute" if c.sites <= BRUTE_ALL_MAX_SPINS else "spin"
+    fan_out(result, [oracle, "block", "hankel"] if route == "all" else [route])
     return result

@@ -193,7 +193,7 @@ def _core_eig(bundle: MatrixBundle, w: Weights, prec: Precision):
     """Eigenpairs of the family at the working precision, as (chi,
     lambda_plus, eigenvectors) lists, the two eigenvalue lists tied by
     T_plus = -tzm/2 C + (tzp + tzm) I.  A binary64 eigenvector is a column
-    view of the one ``eigh`` matrix; an extended one, a list of Decimals.
+    view of the one ``eigh`` matrix; an extended one, a tuple of Decimals.
 
     Binary64 takes ``eigh`` of the half-sum T_plus.  Extended precision
     refines binary64 ``eigh`` seeds of the tridiagonal core C pair by pair
@@ -255,7 +255,7 @@ def _core_eig(bundle: MatrixBundle, w: Weights, prec: Precision):
                     f"eigenpairs {j - 1} and {j} of the core converged "
                     f"together")
             vals.append(chi)
-            vecs.append(v)
+            vecs.append(tuple(v))
     # the map runs on the mpf weights, as T_plus is built, and lambda_+
     # enters ``wide`` as man 2^exp, correct far below its last bit:
     # lambda_+ - 1 of an ordered-phase edge mode cancels to 1e-26 or less
@@ -272,8 +272,8 @@ class SpectrumPoint:
     """One eigenvalue with its angles.
 
     ``lam`` is the positive transfer-matrix eigenvalue.  ``eigvec`` is a
-    view of the binary64 eigenvector matrix, or a list of Decimals at
-    extended precision, where the eigenvalues and gamma are Decimals too
+    row of a binary64 array, or a tuple of Decimals at extended
+    precision, where the eigenvalues and gamma are Decimals too
     until ``spectrum_for`` makes them context scalars.  Only
     ``spectrum_for`` fills phi, zeta, the Jacobi triple
     (`enrich_spectrum`), u, branch, omega, theta, psi and quant_residual;
@@ -299,6 +299,13 @@ class SpectrumPoint:
     sn_u: complex = field(default=None, repr=False)
     cn_u: complex = field(default=None, repr=False)
     dn_u: complex = field(default=None, repr=False)
+    _binary64: tuple = field(default=None, repr=False)
+
+    def eigvec64(self):
+        """``eigvec`` in binary64, converted once per vector object."""
+        if self._binary64 is None or self._binary64[0] is not self.eigvec:
+            self._binary64 = self.eigvec, np.array(self.eigvec, dtype=float)
+        return self._binary64[1]
 
     def exp_theta(self):
         """e^theta = k sn u cn u / (i dn u), single-valued in the triple."""
@@ -330,15 +337,15 @@ def joint_spectrum(bundle: MatrixBundle, w: Weights,
     # v^T T v - lambda_+ = +-sqrt(lambda_+^2 - 1) picks the sign; binary64
     # decides it unless it lies within rounding of zero (ordered-phase
     # edge modes), where the Rayleigh quotient runs at the working precision
-    T, V = bundle.T, np.array(vecs, dtype=float).T
-    margin = (np.einsum("ij,ij->j", V, T @ V)
+    T, rows = bundle.T, np.array(vecs, dtype=float)
+    margin = (np.einsum("ij,ij->j", rows.T, T @ rows.T)
               - np.array(lam_plus, dtype=float))
     bound = BRANCH_ERR * bundle.M * FLOAT64.eps * np.abs(T).max()
     pts = []
     log, sqrt = ((math.log, math.sqrt) if prec.is_float
                  else (decimal.Decimal.ln, decimal.Decimal.sqrt))
     with decimal.localcontext(prec.decimal):
-        for chi, lp, v, m in zip(chis, lam_plus, vecs, margin):
+        for chi, lp, v, v64, m in zip(chis, lam_plus, vecs, rows, margin):
             sq = lp * lp - 1 if prec.is_float else (lp - 1) * (lp + 1)
             root = sqrt(max(sq, 0 * lp))
             upper = (m >= 0 if abs(m) > bound
@@ -349,9 +356,10 @@ def joint_spectrum(bundle: MatrixBundle, w: Weights,
                     f"eigenvalue lambda_+ - sqrt(lambda_+^2 - 1) cancels to "
                     f"{float(lam):.3e} at {prec.bits} bits (lambda_+ = "
                     f"{float(lp):.3e})")
+            v = v64 if prec.is_float else v
             pts.append(SpectrumPoint(
                 mu=0, lam=lam, lam_plus=+lp, lam_minus=lam - lp,
-                gamma=log(lam), chi=chi, eigvec=v))
+                gamma=log(lam), chi=chi, eigvec=v, _binary64=(v, v64)))
     pts.sort(key=lambda p: -float(p.gamma))
     for i, p in enumerate(pts):
         p.mu = i + 1
@@ -366,7 +374,7 @@ def check_joint(bundle: MatrixBundle, w: Weights, pts: list):
     if is_critical(float(w.k)):
         raise CriticalModulusError(
             "joint spectrum undefined at the critical modulus")
-    V = np.array([p.eigvec for p in pts], dtype=float).T
+    V = np.array([p.eigvec64() for p in pts]).T
     worst = np.max([
         np.abs(A @ V - V * np.array([getattr(p, key) for p in pts],
                                     dtype=float)).max()

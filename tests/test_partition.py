@@ -27,6 +27,7 @@ from rectising.partition import (
     block_transfer_logZ,
     brute_force_logZ,
     default_precision,
+    fan_out,
     hankel_from_spectrum,
     hankel_logZ,
     logdet_scaled,
@@ -41,6 +42,13 @@ from rectising.spectrum import (SystemPipeline, chi_poly_derivative,
                                 spectrum_for)
 
 CRITICAL_K = 0.5 * math.log(1 + math.sqrt(2))
+
+
+def compared(c, prec=None):
+    """The result of ``compare``: route="all" with the Pfaffian added."""
+    res = assemble_logZ(c, "all", prec)
+    fan_out(res, ("pfaffian",))
+    return res
 
 # frozen from explicit 16-term enumerations performed independently
 Z_2X2_K03 = 19.2426222692975
@@ -715,23 +723,29 @@ class TestAssemble:
         assert all(o.status == "ok" for o in res.outcomes.values())
 
     def test_skip_markers(self):
+        # one exact oracle: spin above 16 spins, with no record of brute
         res = assemble_logZ(Couplings(0.3, 0.3, 5, 6), "all")
-        assert res.outcomes["brute"].status == "skipped"
-        assert "cap" in res.outcomes["brute"].reason
+        assert set(res.outcomes) == {"spin", "block", "hankel"}
         oks = [o for o in res.outcomes.values() if o.status == "ok"]
-        assert len(oks) == 4
+        assert len(oks) == 3
+        # spin is recorded as skipped where it is infeasible
+        res = assemble_logZ(Couplings(0.3, 0.3, 13, 14), "all")
+        assert set(res.outcomes) == {"spin", "block", "hankel"}
+        assert res.outcomes["spin"].status == "skipped"
+        assert "cap" in res.outcomes["spin"].reason
+        assert [o.status for o in res.outcomes.values()].count("ok") == 2
 
     def test_all_caps_brute_at_16_spins(self):
         c = Couplings(0.3, 0.3, 4, 5)
         res = assemble_logZ(c, "all")
-        assert res.outcomes["brute"].status == "skipped"
-        assert "cap" in res.outcomes["brute"].reason
+        assert "brute" not in res.outcomes
         assert res.outcomes["spin"].status == "ok"
         alone = assemble_logZ(c, "brute")
         assert alone.outcomes["brute"].status == "ok"
         assert abs(alone.logZ - res.logZ) < 1e-12 * abs(res.logZ)
         res16 = assemble_logZ(Couplings(0.3, 0.3, 4, 4), "all")
         assert res16.outcomes["brute"].status == "ok"
+        assert "spin" not in res16.outcomes
 
     def test_single_route(self):
         res = assemble_logZ(Couplings(0.4, 0.7, 10, 6), "hankel")
@@ -749,7 +763,7 @@ class TestAssemble:
 
     def test_critical_point_routes(self):
         c = Couplings(CRITICAL_K, CRITICAL_K, 5, 6)
-        res = assemble_logZ(c, "all")
+        res = compared(c)
         assert res.outcomes["hankel"].status == "skipped"
         assert res.outcomes["pfaffian"].status == "skipped"
         assert res.outcomes["block"].status == "ok"
@@ -760,7 +774,10 @@ class TestAssemble:
         c = swap_system(Couplings(0.4, 0.7, 3, 4))
         res = assemble_logZ(c, "all")
         assert res.outcomes["hankel"].status == "skipped"
-        assert res.outcomes["spin"].status == "ok"
+        assert res.outcomes["brute"].status == "ok"
+        spin = assemble_logZ(c, "spin")
+        assert spin.outcomes["spin"].status == "ok"
+        assert abs(spin.logZ - res.logZ) < 1e-12 * abs(res.logZ)
 
     def test_logZ_is_the_first_ok_route(self):
         c = Couplings(0.3, 0.3, 2, 2)
@@ -780,9 +797,9 @@ class TestAssemble:
         assert res.max_pairwise_dev == 0.0
 
     def test_failed_structured_route_escalates(self):
-        # the binary64 Pfaffian of this system vanishes; the retry at 160
-        # bits resolves it.  The Hankel route, which factors no matrix, is
-        # right in binary64
+        # the binary64 Pfaffian of this system vanishes; compare's retry
+        # at 160 bits resolves it, and reruns the Pfaffian alone.  The
+        # Hankel route, which factors no matrix, is right in binary64
         c = couplings_from_modulus(6, 0.3, 12, 4)
         alone = assemble_logZ(c, "pfaffian", FLOAT64).outcomes["pfaffian"]
         assert alone.status == "failed" and alone.precision_bits == 53
@@ -790,11 +807,22 @@ class TestAssemble:
         assert alone.status == "ok" and alone.precision_bits == 53
         ref = spin_transfer_logZ(c)
         assert abs(alone.logZ - ref) < 1e-14 * abs(ref)
-        res = assemble_logZ(c, "all")
-        for name in ("block", "hankel", "pfaffian"):
+        res = compared(c)
+        for name, bits in (("block", 53), ("hankel", 53), ("pfaffian", 160)):
             assert res.outcomes[name].status == "ok"
-            assert res.outcomes[name].precision_bits == 160
+            assert res.outcomes[name].precision_bits == bits
         assert res.max_pairwise_dev < 1e-9
+
+    def test_all_never_runs_the_pfaffian(self, count_calls):
+        import rectising.partition as partition
+        calls = count_calls(partition, "pfaffian_logZ")
+        for c, prec in ((couplings_from_modulus(6, 0.3, 12, 4), None),
+                        (couplings_from_modulus(0.9, 1.0, 24, 16), FLOAT64),
+                        (couplings_from_modulus(6, 1.0, 12, 24), None),
+                        (couplings_from_modulus(0.6, 0.9, 5, 6), 160)):
+            res = assemble_logZ(c, "all", prec)
+            assert "pfaffian" not in res.outcomes
+        assert calls == []
 
     def test_unknown_route(self):
         with pytest.raises(DomainError):
@@ -834,7 +862,7 @@ class TestPrecisionPolicy:
         import rectising.spectrum as spectrum
         calls = count_calls(spectrum, "SystemPipeline")
         c = couplings_from_modulus(0.6, 0.8, 12, 64)
-        res = assemble_logZ(c, "all")
+        res = compared(c)
         ref = spin_transfer_logZ(c)
         for name in ("block", "hankel", "pfaffian"):
             o = res.outcomes[name]
@@ -878,8 +906,7 @@ class TestSharedPipeline:
     def test_one_eigensystem_per_precision(self, count_calls):
         import rectising.spectrum as spectrum
         calls = count_calls(spectrum, "joint_spectrum")
-        res = assemble_logZ(couplings_from_modulus(0.6, 0.9, 5, 6), "all",
-                            prec=Precision(160))
+        res = compared(couplings_from_modulus(0.6, 0.9, 5, 6), Precision(160))
         assert all(res.outcomes[n].status == "ok"
                    for n in ("block", "hankel", "pfaffian"))
         assert len(calls) == 1
@@ -888,7 +915,7 @@ class TestSharedPipeline:
                                                           count_calls):
         import rectising.partition as partition
         calls = count_calls(partition, "_spectral_measure")
-        res = assemble_logZ(couplings_from_modulus(0.6, 0.8, 6, 10), "all")
+        res = compared(couplings_from_modulus(0.6, 0.8, 6, 10))
         assert all(res.outcomes[n].status == "ok"
                    and res.outcomes[n].precision_bits == 53
                    for n in ("hankel", "pfaffian"))
@@ -902,8 +929,9 @@ class TestSharedPipeline:
             raise NonFiniteError("spectral weight refused")
         monkeypatch.setattr(partition, "_spectral_measure", refuse)
         calls = count_calls(partition, "_spectral_measure")
-        res = assemble_logZ(couplings_from_modulus(0.6, 0.8, 6, 10), "all")
-        # one measure per pipeline: binary64, then the 160-bit retry
+        res = compared(couplings_from_modulus(0.6, 0.8, 6, 10))
+        # one measure per pipeline: binary64, then the 160-bit retry,
+        # whose pipeline the Pfaffian runs on
         assert len(calls) == 2
         assert res.outcomes["block"].status == "ok"
         for name in ("hankel", "pfaffian"):
@@ -916,11 +944,12 @@ class TestSharedPipeline:
         pytest.param(3, 0.9, 6, 6, "all", None, [53], id="ordered"),
         pytest.param(0.6, 0.9, 8, 8, "hankel", None, [53],
                      id="single-route"),
-        # the binary64 Pfaffian fails; the routes disagree past
-        # ESCALATION_DEV; the caller asks for 160 bits
-        pytest.param(6, 0.3, 12, 4, "all", None, [53, 160],
+        # the binary64 joint check fails (ROADMAP D8); compare's binary64
+        # Pfaffian disagrees past ESCALATION_DEV; the caller asks for 160
+        # bits
+        pytest.param(6, 1.0, 12, 24, "all", None, [53, 160],
                      id="escalated-on-failure"),
-        pytest.param(0.9, 1.0, 24, 16, "all", 53, [53, 160],
+        pytest.param(0.9, 1.0, 24, 16, "compare", 53, [53, 160],
                      id="escalated-on-disagreement"),
         pytest.param(0.6, 0.9, 5, 6, "all", 160, [53, 160], id="extended"),
     ])
@@ -932,9 +961,13 @@ class TestSharedPipeline:
         weights = count_calls(params, "weights_from_couplings")
         frames = count_calls(params, "elliptic_frame")
         enriched = count_calls(spectrum, "enrich_spectrum")
-        res = assemble_logZ(couplings_from_modulus(k, eta, L, M), route,
-                            prec=bits)
-        o = res.outcomes["hankel"]
+        c = couplings_from_modulus(k, eta, L, M)
+        if route == "compare":
+            res = compared(c, bits)
+            o = res.outcomes["pfaffian"]
+        else:
+            res = assemble_logZ(c, route, prec=bits)
+            o = res.outcomes["hankel"]
         assert o.status == "ok" and o.precision_bits == weight_bits[-1]
         assert [args[1].bits for args in weights] == weight_bits
         assert frames == [] and enriched == []
@@ -942,7 +975,7 @@ class TestSharedPipeline:
 
     def test_critical_route_path_builds_no_frame(self, count_calls):
         frames = count_calls(params, "elliptic_frame")
-        res = assemble_logZ(Couplings(CRITICAL_K, CRITICAL_K, 4, 4), "all")
+        res = assemble_logZ(Couplings(CRITICAL_K, CRITICAL_K, 4, 6), "all")
         assert res.outcomes["spin"].status == "ok"
         assert math.isnan(res.eta_im_over_Kprime)
         assert frames == []
@@ -966,7 +999,7 @@ class TestSharedPipeline:
         locate_calls = count_calls(spectrum, "_locate_u")
         for c in (couplings_from_modulus(0.6, 0.9, 5, 6),
                   couplings_from_modulus(3, 0.9, 6, 6)):
-            res = assemble_logZ(c, "all", prec=Precision(bits))
+            res = compared(c, Precision(bits))
             assert all(res.outcomes[n].status == "ok"
                        for n in ("block", "hankel", "pfaffian"))
         assert len(am_calls) == 0
@@ -1026,7 +1059,7 @@ class TestSharedPipeline:
             monkeypatch.setattr(p.ctx, name,
                                 counted(name, getattr(p.ctx, name)))
         decimal.getcontext().clear_flags()
-        res = assemble_logZ(couplings_from_modulus(6, 1.0, 12, 24), "all", p)
+        res = compared(couplings_from_modulus(6, 1.0, 12, 24), p)
         assert all(res.outcomes[n].status == "ok"
                    and res.outcomes[n].precision_bits == 160
                    for n in ("block", "hankel", "pfaffian"))
@@ -1043,8 +1076,7 @@ class TestSharedPipeline:
             raise PoleError("pole")
 
         monkeypatch.setattr(partition, "hankel_logZ", broken)
-        res = assemble_logZ(couplings_from_modulus(0.6, 0.9, 5, 6), "all",
-                            prec=Precision(160))
+        res = compared(couplings_from_modulus(0.6, 0.9, 5, 6), Precision(160))
         assert res.outcomes["hankel"].status == "failed"
         assert res.outcomes["hankel"].precision_bits == 160
         assert res.outcomes["pfaffian"].status == "ok"
@@ -1115,8 +1147,9 @@ class TestRouteGates:
             return (float("-inf") if prec.is_float else lz), diag
 
         monkeypatch.setattr(partition, "hankel_logZ", zero_in_binary64)
-        res = assemble_logZ(couplings_from_modulus(0.6, 0.9, 5, 6), "all")
+        res = compared(couplings_from_modulus(0.6, 0.9, 5, 6))
         assert res.outcomes["hankel"].status == "ok"
+        # the Pfaffian runs on the 160-bit pipeline of the retry
         for name in ("block", "hankel", "pfaffian"):
             assert res.outcomes[name].precision_bits == 160
         assert res.max_pairwise_dev < 1e-9
@@ -1158,24 +1191,48 @@ class TestRouteGates:
 
 
 class TestEscalation:
-    def test_forced_binary64_escalates_on_route_disagreement(self):
-        # forcing binary64 on a system whose moment determinant cancels
-        # past it: the deviation trigger re-runs the spectral routes at
-        # 160 bits and restores agreement
+    def test_forced_binary64_escalates_on_route_disagreement(self,
+                                                             monkeypatch):
+        # forcing binary64 on a system whose Pfaffian cancels past it:
+        # compare's deviation trigger reruns the Pfaffian at 160 bits and
+        # restores agreement
         c = couplings_from_modulus(0.9, 1.0, 24, 16)
+        res = compared(c, FLOAT64)
+        assert res.outcomes["pfaffian"].precision_bits >= 160
+        assert res.max_pairwise_dev < 1e-12
+        # route="all" has no real system that disagrees without failing
+        # (ROADMAP D8 fails the joint check), so a Hankel route off by 1e-6
+        # in binary64 stands in: block and Hankel rerun at 160 bits
+        import rectising.partition as partition
+        route = partition.hankel_logZ
+
+        def off_in_binary64(c, prec, pipe):
+            lz, diag = route(c, prec, pipe)
+            return (lz * (1 + 1e-6) if prec.is_float else lz), diag
+
+        monkeypatch.setattr(partition, "hankel_logZ", off_in_binary64)
         res = assemble_logZ(c, "all", prec=FLOAT64)
-        assert res.outcomes["hankel"].precision_bits >= 160
+        for name in ("block", "hankel"):
+            assert res.outcomes[name].precision_bits >= 160
         assert res.max_pairwise_dev < 1e-12
 
     def test_escalated_result_reads_the_160_bit_outcomes(self):
-        c = couplings_from_modulus(0.9, 1.0, 24, 16)
-        res = assemble_logZ(c, "all", prec=FLOAT64)
+        # route="all" on a system whose binary64 joint check fails (D8)
+        c = couplings_from_modulus(6, 1.0, 12, 24)
+        res = assemble_logZ(c, "all")
         ref = assemble_logZ(c, "all", prec=Precision(160))
-        for name in ("block", "hankel", "pfaffian"):
+        for name in ("block", "hankel"):
             assert res.outcomes[name].precision_bits == 160
             assert res.outcomes[name].logZ == ref.outcomes[name].logZ
-        assert res.logZ == ref.logZ == res.outcomes["block"].logZ
+        assert res.logZ == ref.logZ == res.outcomes["spin"].logZ
         assert res.max_pairwise_dev == ref.max_pairwise_dev
+        # compare's retry of the Pfaffian alone
+        c = couplings_from_modulus(0.9, 1.0, 24, 16)
+        res = compared(c, FLOAT64)
+        ref = compared(c, Precision(160))
+        assert res.outcomes["pfaffian"].precision_bits == 160
+        assert res.outcomes["pfaffian"].logZ == ref.outcomes["pfaffian"].logZ
+        assert res.pipeline.prec.bits == 160
 
     def test_binary64_hankel_and_block_agree(self):
         # an LU of the moment matrix loses 10 digits here in binary64; the

@@ -79,8 +79,8 @@ def test_layer_span_resolves(span):
 
 def test_tracer_sees_dispatched_routes():
     # installed over the package as `perfbench/run.py` installs it, the
-    # tracer must see every structured route `assemble_logZ` dispatches,
-    # at the precision it ran at
+    # tracer must see every structured route that `assemble_logZ` and
+    # compare's `fan_out` dispatch, at the precision it ran at
     package = importlib.import_module("rectising")
     modules = {m: importlib.import_module(f"rectising.{m}")
                for m in _run_tables()["MODULES"]}
@@ -89,7 +89,8 @@ def test_tracer_sees_dispatched_routes():
     tracer.install(package, modules)
     try:
         for prec in (None, 160):
-            modules["partition"].assemble_logZ(c, "all", prec)
+            res = modules["partition"].assemble_logZ(c, "all", prec)
+            modules["partition"].fan_out(res, ("pfaffian",))
     finally:
         tracer.uninstall()
     bits = {}
