@@ -15,9 +15,10 @@ class DomainError(RectisingError, ValueError):
 
 
 class CriticalModulusError(DomainError):
-    """Modulus k = 1: the quarter period diverges and the spectral
-    parametrization degenerates.  Only configuration-sum and block-transfer
-    routes run at the critical point."""
+    """Modulus k = 1: the quarter period diverges and the torus
+    parametrization degenerates, so the elliptic kernel, the frame and
+    `couplings_from_modulus` raise it.  The routes read no torus: all but
+    the Pfaffian run at the critical point."""
 
 
 class PoleError(RectisingError, ArithmeticError):

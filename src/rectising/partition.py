@@ -17,9 +17,10 @@ come from one positive discrete measure on the spectrum
 (`_spectral_measure`), rational in the eigenvalues: the Hankel entries are
 its moments, the skew-Toeplitz entries its Chebyshev moments.  The Hankel
 determinant is a product of the measure's recurrence coefficients
-(Gragg-Harrod), well conditioned where an LU of the moments is not.  Every
-system starts in binary64, except near criticality, for a single Pfaffian
-route and for a single Hankel route on a large system
+(Gragg-Harrod), well conditioned where an LU of the moments is not.  Block
+and Hankel run at any modulus, the critical one included; the Pfaffian
+refuses k = 1.  Every system starts in binary64, except for a single
+Pfaffian route and for a single Hankel route on a large system
 (`default_precision`); `fan_out` reruns its structured routes at 160 bits
 when two routes disagree past ESCALATION_DEV or one fails.  The route
 scalars are floats, or at extended precision Decimals in a
@@ -655,25 +656,22 @@ def skew_toeplitz_from_spectrum(points, c: Couplings, w: Weights,
     return SkewToeplitzSystem(M=M, log_shift=shift, c_scaled=cs, rows=rows)
 
 
-def _checked_measure(c: Couplings, prec, pipeline):
-    """(pipeline, weights, points, measure) of a structured spectral
-    route: `_route_pipeline`, refusing the critical modulus from the
-    weights, its checked eigensystem and its `_spectral_measure`.  The
-    measure is the pipeline's ``measure`` stage, so the Hankel and
-    Pfaffian routes form it once, and one that raised raises for both."""
-    pipeline = _route_pipeline(c, prec, pipeline)
-    if is_critical(pipeline.weights().k):
-        raise RouteInfeasibleError("critical modulus")
+def _checked_measure(c: Couplings, pipeline: SystemPipeline):
+    """(weights, points, measure) of a structured spectral route on
+    ``pipeline``, at any modulus: its checked eigensystem and its
+    `_spectral_measure`.  The measure is the pipeline's ``measure`` stage,
+    so the Hankel and Pfaffian routes form it once, and one that raised
+    raises for both."""
     w, _bundle, pts = pipeline.checked()
     measure = pipeline._stage("measure",
                               lambda: _spectral_measure(pts, c, w))
-    return pipeline, w, pts, measure
+    return w, pts, measure
 
 
 def hankel_logZ(c: Couplings, prec: Precision | None = None,
                 pipeline: SystemPipeline = None):
-    """log Z through the Hankel determinant, on the checked eigensystem of
-    ``pipeline`` (a new one at ``prec`` if None).
+    """log Z through the Hankel determinant, at any modulus, on the checked
+    eigensystem of ``pipeline`` (a new one at ``prec`` if None).
 
     H is the moment matrix of the positive measure of `_spectral_measure`,
     so det H = prod_j beta_j^(n-j) over its recurrence coefficients, from
@@ -685,7 +683,8 @@ def hankel_logZ(c: Couplings, prec: Precision | None = None,
     by division, not in the log domain, and takes one log of the product
     of the beta powers.
     """
-    pipeline, w, _pts, measure = _checked_measure(c, prec, pipeline)
+    pipeline = _route_pipeline(c, prec, pipeline)
+    w, _pts, measure = _checked_measure(c, pipeline)
     prec = pipeline.prec
     shift, chis, weights = measure
     n = c.M // 2
@@ -720,8 +719,14 @@ def hankel_logZ(c: Couplings, prec: Precision | None = None,
 def pfaffian_logZ(c: Couplings, prec: Precision | None = None,
                   pipeline: SystemPipeline = None):
     """log Z through the Pfaffian of the skew Toeplitz matrix, on the
-    checked eigensystem of ``pipeline`` (a new one at ``prec`` if None)."""
-    pipeline, w, pts, measure = _checked_measure(c, prec, pipeline)
+    checked eigensystem of ``pipeline`` (a new one at ``prec`` if None).
+    Refuses the critical modulus, where its binary64 and 160-bit
+    factorizations lose digits with the size, before it builds the
+    eigensystem."""
+    pipeline = _route_pipeline(c, prec, pipeline)
+    if is_critical(pipeline.weights().k):
+        raise RouteInfeasibleError("critical modulus")
+    w, pts, measure = _checked_measure(c, pipeline)
     st = skew_toeplitz_from_spectrum(pts, c, w, measure)
     sign, log_pf = st.log_pfaffian(pipeline.prec)
     if sign <= 0:
@@ -779,11 +784,9 @@ class PartitionResult:
         return abs(hi - lo) / max(1.0, abs(hi))
 
 
-def default_precision(c: Couplings, k: float,
-                      route: str = "all") -> Precision:
-    """Binary64 at every size, except in the window 0.99 < k < 1.01 about
-    the critical modulus, where the structured routes are expected to
-    lose digits in binary64.
+def default_precision(c: Couplings, route: str = "all") -> Precision:
+    """Binary64 at every size and modulus, the critical one and its
+    neighbourhood included, except for a single route that needs more.
 
     A single route has no cross-check and no retry, so a single
     ``pfaffian`` route keeps 160 bits at every size (the binary64 one is
@@ -792,8 +795,6 @@ def default_precision(c: Couplings, k: float,
     in the ordered phase; ``route="all"`` retries it).  A single
     ``block`` route holds in binary64.
     """
-    if 0.99 < k < 1.01 and not is_critical(k):
-        return Precision(160)
     if route == "pfaffian" or (route == "hankel" and c.L + c.M > 24):
         return Precision(160)
     return FLOAT64
@@ -867,7 +868,7 @@ def assemble_logZ(c: Couplings, route: str = "all",
     eta_frac = (float("nan") if is_critical(w.k)
                 else float(eta_over_Kprime(w)))
     chosen = as_precision(prec if prec is not None
-                          else default_precision(c, k, route))
+                          else default_precision(c, route))
     if not chosen.is_float:
         pipe = SystemPipeline(c, chosen)
     result = PartitionResult(c, route, k, eta_frac, {}, pipe.seconds, pipe)

@@ -21,13 +21,8 @@ from operator import mul
 
 import numpy as np
 
-from .elliptic import any_true, arcsn, is_critical
-from .errors import (
-    CriticalModulusError,
-    DomainError,
-    JointDiagonalizationError,
-    PoleError,
-)
+from .elliptic import any_true, arcsn
+from .errors import DomainError, JointDiagonalizationError, PoleError
 from .params import (
     Couplings,
     EllipticFrame,
@@ -324,8 +319,7 @@ class SpectrumPoint:
 def joint_spectrum(bundle: MatrixBundle, w: Weights,
                    prec: Precision | None = None) -> list:
     """Simultaneous spectrum of the transfer-matrix family, unchecked and
-    without angles, at any modulus (the block-transfer route needs it at
-    the critical point).
+    without angles, at any modulus, the critical one included.
 
     Eigenvectors come from `_core_eig`; the branch between an eigenvalue
     and its reciprocal is fixed by the Rayleigh quotient against the full
@@ -366,14 +360,11 @@ def joint_spectrum(bundle: MatrixBundle, w: Weights,
     return pts
 
 
-def check_joint(bundle: MatrixBundle, w: Weights, pts: list):
-    """Refuse the critical modulus, and check that every eigenvector of
-    ``pts`` diagonalizes each member of the family within JOINT_TOL, in
-    binary64 at every precision (its rounding, ~M eps, is far below the
-    tolerance).  A NaN residual fails."""
-    if is_critical(float(w.k)):
-        raise CriticalModulusError(
-            "joint spectrum undefined at the critical modulus")
+def check_joint(bundle: MatrixBundle, pts: list):
+    """Check that every eigenvector of ``pts`` diagonalizes each member
+    of the family within JOINT_TOL, at any modulus, in binary64 at every
+    precision (its rounding, ~M eps, is far below the tolerance).  A NaN
+    residual fails."""
     V = np.array([p.eigvec64() for p in pts]).T
     worst = np.max([
         np.abs(A @ V - V * np.array([getattr(p, key) for p in pts],
@@ -574,13 +565,13 @@ def spectrum_for(c: Couplings, prec: Precision = FLOAT64):
 class SystemPipeline:
     """The work every spectral quantity of one system shares, at one
     precision: weights, elliptic frame, family (matrices and the unchecked
-    eigensystem, at any modulus) and checked (the family after
-    `check_joint`).  Only `spectrum_for`, the contour and the identities
-    build the frame, which raises `CriticalModulusError` at the critical
-    modulus; no route and not `partition.assemble_logZ` builds it, and
-    the route eigenpairs carry no torus state.  The structured routes
-    keep one stage of their own here, the spectral measure
-    (`partition._checked_measure`).
+    eigensystem) and checked (the family after `check_joint`), the last
+    two at any modulus.  Only `spectrum_for`, the contour and the
+    identities build the frame, which raises `CriticalModulusError` at
+    the critical modulus; no route and not `partition.assemble_logZ`
+    builds it, and the route eigenpairs carry no torus state.  The
+    structured routes keep one stage of their own here, the spectral
+    measure (`partition._checked_measure`).
 
     Each stage is built on first use and kept; a stage that raised raises
     again without being rebuilt.  ``seconds`` is the time spent building.
@@ -628,7 +619,7 @@ class SystemPipeline:
     def checked(self):
         """(weights, bundle, points): the family after `check_joint`."""
         w, bundle, pts = self.family()
-        self._stage("checked", lambda: check_joint(bundle, w, pts))
+        self._stage("checked", lambda: check_joint(bundle, pts))
         return w, bundle, pts
 
 

@@ -182,7 +182,7 @@ KC = repr(0.5 * math.log(1 + math.sqrt(2)))
 
 @pytest.mark.parametrize("argv,routes,reason", [
     (("z", "--L", "4", "--M", "6", "--Kh", KC, "--Kv", KC, "--route",
-      "hankel"), {"hankel"}, "critical modulus"),
+      "pfaffian"), {"pfaffian"}, "critical modulus"),
     (("z", "--L", "4", "--M", "5", "--k", "0.6", "--route", "pfaffian",
       "--format", "text"), {"pfaffian"}, "odd M"),
     (("compare", "--L", "13", "--M", "13", "--k", "0.6"),
@@ -588,9 +588,16 @@ def test_z_at_critical_coupling(capsys):
     assert code == 0
     rec = json.loads(out)
     assert rec["eta_im_over_Kprime"] is None
-    assert rec["routes"]["hankel"]["status"] == "skipped"
-    assert rec["routes"]["block"]["status"] == "ok"
+    for name in ("block", "hankel"):
+        assert rec["routes"][name]["status"] == "ok"
+        assert rec["routes"][name]["precision_bits"] == 53
     assert rec["max_pairwise_rel_dev"] < 1e-9
+    # compare adds the Pfaffian, which alone refuses the critical modulus
+    code, out, _ = run_cli(capsys, "compare", "--L", "4", "--M", "6",
+                           "--Kh", kc, "--Kv", kc)
+    assert code == 0
+    pf = json.loads(out)["routes"]["pfaffian"]
+    assert pf["status"] == "skipped" and pf["reason"] == "critical modulus"
 
 
 @pytest.mark.parametrize("command,K,error", [

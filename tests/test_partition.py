@@ -764,9 +764,11 @@ class TestAssemble:
     def test_critical_point_routes(self):
         c = Couplings(CRITICAL_K, CRITICAL_K, 5, 6)
         res = compared(c)
-        assert res.outcomes["hankel"].status == "skipped"
+        for name in ("block", "hankel"):
+            assert res.outcomes[name].status == "ok"
+            assert res.outcomes[name].precision_bits == 53
         assert res.outcomes["pfaffian"].status == "skipped"
-        assert res.outcomes["block"].status == "ok"
+        assert res.outcomes["pfaffian"].reason == "critical modulus"
         assert res.outcomes["spin"].status == "ok"
         assert res.max_pairwise_dev < 1e-9
 
@@ -829,23 +831,74 @@ class TestAssemble:
             assemble_logZ(Couplings(0.3, 0.3, 2, 2), "magic")
 
 
+class TestCriticalPoint:
+    """Block and Hankel run k = 1 and its neighbourhood in binary64; the
+    Pfaffian alone refuses k = 1 (ROADMAP D10)."""
+
+    def test_corner_free_energy(self):
+        # at criticality log Z(L, L) = f_b L^2 + a L + kappa ln L + d +
+        # O(1/L), with Onsager's bulk f_b = ln 2 / 2 + 2G/pi and the
+        # corner term kappa = c/4 = 1/8 of four right angles (Cardy and
+        # Peschel, Nucl. Phys. B 300, 377 (1988); c = 1/2); the fit reads
+        # nothing of the route but its log Z
+        f_b = math.log(2) / 2 + 2 * float(mpmath.catalan) / math.pi
+        sizes = (16, 24, 32, 48, 64, 96, 128, 192)
+        rest = [hankel_logZ(Couplings(CRITICAL_K, CRITICAL_K, L, L),
+                            FLOAT64)[0] - f_b * L * L for L in sizes]
+        basis = [[L, math.log(L), 1, 1 / L, 1 / L ** 2] for L in sizes]
+        kappa = np.linalg.lstsq(np.array(basis), np.array(rest),
+                                rcond=None)[0][1]
+        assert abs(kappa - 1 / 8) <= 1e-4
+
+    @pytest.mark.parametrize("L", [4, 12, 64, 128])
+    def test_all_runs_binary64_at_k_one(self, L):
+        res = assemble_logZ(Couplings(CRITICAL_K, CRITICAL_K, L, L), "all")
+        blk, hk = res.outcomes["block"], res.outcomes["hankel"]
+        for o in (blk, hk):
+            assert o.status == "ok" and o.precision_bits == 53
+        assert abs(hk.logZ - blk.logZ) < 1e-14 * abs(blk.logZ)
+
+    @pytest.mark.parametrize("k", [0.995, 1 - 1e-8, 1 + 1e-8, 1.005])
+    def test_window_stays_binary64(self, count_calls, k):
+        import rectising.spectrum as spectrum
+        calls = count_calls(spectrum, "SystemPipeline")
+        c = couplings_from_modulus(k, 1.0, 24, 16)
+        res = assemble_logZ(c, "all")
+        assert [args[1] for args in calls] == [FLOAT64]
+        ref, _ = block_transfer_logZ(c, Precision(160))
+        for name in ("block", "hankel"):
+            o = res.outcomes[name]
+            assert o.status == "ok"
+            assert abs(o.logZ - float(ref)) < 1e-14 * abs(ref)
+
+    def test_pfaffian_refuses_before_the_eigensystem(self, count_calls):
+        import rectising.spectrum as spectrum
+        calls = count_calls(spectrum, "joint_spectrum")
+        res = assemble_logZ(Couplings(CRITICAL_K, CRITICAL_K, 4, 6),
+                            "pfaffian")
+        o = res.outcomes["pfaffian"]
+        assert o.status == "skipped" and o.reason == "critical modulus"
+        assert calls == []
+
+
 class TestPrecisionPolicy:
     def test_defaults(self):
-        assert default_precision(Couplings(0.3, 0.3, 4, 4), 0.4).is_float
-        assert default_precision(Couplings(0.3, 0.3, 24, 16), 0.9).is_float
-        assert default_precision(Couplings(0.3, 0.3, 64, 64), 0.6).is_float
-        assert default_precision(Couplings(0.3, 0.3, 4, 4), 0.995).bits >= 160
+        for L, M in ((4, 4), (24, 16), (64, 64)):
+            assert default_precision(Couplings(0.3, 0.3, L, M)).is_float
+        # no window about the critical modulus: k = 0.995 is binary64
+        near = couplings_from_modulus(0.995, 1.0, 4, 4)
+        assert default_precision(near).is_float
         # a single route has no cross-check and no retry: the Pfaffian
         # keeps 160 bits at every size, Hankel on a large system, block
         # never
         big = Couplings(0.3, 0.3, 24, 16)
-        assert default_precision(big, 0.9, "pfaffian").bits >= 160
-        assert default_precision(big, 0.9, "hankel").bits >= 160
-        assert default_precision(big, 0.9, "block").is_float
+        assert default_precision(big, "pfaffian").bits >= 160
+        assert default_precision(big, "hankel").bits >= 160
+        assert default_precision(big, "block").is_float
         small = Couplings(0.3, 0.3, 4, 4)
-        assert default_precision(small, 0.4, "pfaffian").bits >= 160
-        assert default_precision(small, 0.4, "hankel").is_float
-        assert default_precision(small, 0.4, "block").is_float
+        assert default_precision(small, "pfaffian").bits >= 160
+        assert default_precision(small, "hankel").is_float
+        assert default_precision(small, "block").is_float
 
     @pytest.mark.parametrize("route, k, eta", [("pfaffian", 0.9, 1.0),
                                                ("hankel", 6, 1.0)])
@@ -977,6 +1030,8 @@ class TestSharedPipeline:
         frames = count_calls(params, "elliptic_frame")
         res = assemble_logZ(Couplings(CRITICAL_K, CRITICAL_K, 4, 6), "all")
         assert res.outcomes["spin"].status == "ok"
+        o = res.outcomes["hankel"]
+        assert o.status == "ok" and o.precision_bits == 53
         assert math.isnan(res.eta_im_over_Kprime)
         assert frames == []
 

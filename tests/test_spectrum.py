@@ -18,6 +18,7 @@ from rectising.errors import (
 from rectising.params import (
     Couplings,
     couplings_from_modulus,
+    elliptic_frame,
     weights_from_couplings,
 )
 from rectising.precision import Precision
@@ -99,7 +100,7 @@ class TestJointSpectrum:
         w = weights_from_couplings(c)
         b = build_matrices(w, c.M)
         pts = joint_spectrum(b, w)
-        check_joint(b, w, pts)
+        check_joint(b, pts)
         assert len(pts) == c.M
         V = np.array([p.eigvec for p in pts]).T
         assert np.max(np.abs(V.T @ V - np.eye(c.M))) < 1e-12
@@ -112,7 +113,7 @@ class TestJointSpectrum:
         w = weights_from_couplings(c)
         b = build_matrices(w, c.M)
         pts = joint_spectrum(b, w)
-        check_joint(b, w, pts)
+        check_joint(b, pts)
         assert abs(sum(p.lam_plus for p in pts) - np.trace(b.T_plus)) < 1e-11
 
     def test_halfdiff_product_closed_form(self):
@@ -120,19 +121,21 @@ class TestJointSpectrum:
         w = weights_from_couplings(c)
         b = build_matrices(w, c.M)
         pts = joint_spectrum(b, w)
-        check_joint(b, w, pts)
+        check_joint(b, pts)
         prod = np.prod([p.lam_minus for p in pts])
         ts2 = 1 - float(w.t_star) ** 2
         closed = ts2 * (1j * float(w.z_minus) / ts2) ** c.M
         assert abs(prod - closed) < 1e-9 * abs(closed)
 
     def test_critical_refused(self):
+        # the joint eigensystem holds at k = 1; only the torus is refused
         c = Couplings(CRITICAL_K, CRITICAL_K, 4, 4)
         w = weights_from_couplings(c)
         b = build_matrices(w, 4)
         pts = joint_spectrum(b, w)
+        check_joint(b, pts)
         with pytest.raises(CriticalModulusError):
-            check_joint(b, w, pts)
+            elliptic_frame(w)
 
 
 class TestBinary64Checks:
@@ -145,11 +148,11 @@ class TestBinary64Checks:
         w = weights_from_couplings(couplings_from_modulus(0.6, 0.8, 4, 64), p)
         b = build_matrices(w, 64)
         pts = joint_spectrum(b, w, p)
-        check_joint(b, w, pts)
+        check_joint(b, pts)
         pts[17].eigvec = list(pts[17].eigvec)
         pts[17].eigvec[30] += p.ctx.mpf(1e-7)
         with pytest.raises(JointDiagonalizationError, match="residual"):
-            check_joint(b, w, pts)
+            check_joint(b, pts)
 
     def test_edge_mode_branch_at_working_precision(self, count_calls):
         p = Precision(160)
