@@ -8,14 +8,17 @@ Algorithms
 ----------
 * real-argument sn/cn/dn and the continuous real amplitude come from the
   descending Landen transformation seeded by an arithmetic-geometric-mean
-  chain (cached per modulus),
+  chain, kept per modulus as a_n, 2^n a_n and c_j / a_j in backward order,
 * complex arguments split u = x + iy and combine real evaluations at the
   modulus and its complement through the sn addition formulas (in
   binary64 also along a whole line x_j + iy as numpy arrays),
 * incomplete integrals use the Carlson symmetric form RF with the standard
   duplication iteration, which is well behaved for complex amplitudes,
 * moduli k > 1 route through the reciprocal modulus; the exposed quarter
-  period is then the real part of the analytically continued one.
+  period is then the real part of the analytically continued one,
+* scalar operations call the functions `_scalar_fns` binds per precision:
+  in binary64 `math`, `cmath` and the float and complex types, which
+  ``mpmath.fp`` would dispatch to, so the floats are the same.
 
 Branch convention for the complex amplitude: the argument is first reduced
 by full periods (each adding a fixed winding), then by imaginary
@@ -28,6 +31,11 @@ idempotent memo (concurrent misses at worst rebuild an identical kernel).
 """
 
 from __future__ import annotations
+
+import cmath
+import functools
+import math
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -52,9 +60,24 @@ def any_true(flags) -> bool:
     return flags if isinstance(flags, bool) else bool(flags.any())
 
 
-def _nint(ctx, x):
-    """Nearest integer of a real ctx scalar (half-up), as Python int."""
-    return int(ctx.floor(x + ctx.mpf("0.5")))
+def _nint(floor, x):
+    """Nearest integer (half-up) of a real scalar by ``floor``, as int."""
+    return int(floor(x + 0.5))
+
+
+@functools.cache
+def _scalar_fns(prec: Precision) -> SimpleNamespace:
+    """Constructors, pi and elementary functions at ``prec`` (``csqrt`` and
+    ``log`` of complex numbers): the float and complex types, `math` and
+    `cmath` in binary64, the context's own in extended precision."""
+    if prec.is_float:
+        real, cplx, mpf, mpc = math, cmath, float, complex
+    else:
+        real = cplx = prec.ctx
+        mpf, mpc = real.mpf, real.mpc
+    return SimpleNamespace(mpf=mpf, mpc=mpc, pi=real.pi, floor=real.floor,
+                           sin=real.sin, cos=real.cos, asin=real.asin,
+                           sqrt=real.sqrt, csqrt=cplx.sqrt, log=cplx.log)
 
 
 # ----------------------------------------------------------------------
@@ -68,12 +91,13 @@ def carlson_rf(x, y, z, prec: Precision = FLOAT64):
     iteration converges linearly and the sixth-order tail keeps the result
     at working precision.
     """
-    ctx = prec.ctx
-    x, y, z = ctx.mpc(x), ctx.mpc(y), ctx.mpc(z)
-    errtol = (ctx.mpf(6) * prec.eps) ** (1.0 / 6.0)
-    third = ctx.mpf(1) / 3
+    fn = _scalar_fns(prec)
+    mpc, sqrt = fn.mpc, fn.csqrt
+    x, y, z = mpc(x), mpc(y), mpc(z)
+    errtol = (fn.mpf(6) * prec.eps) ** (1.0 / 6.0)
+    third = fn.mpf(1) / 3
     for _ in range(200):
-        sx, sy, sz = ctx.sqrt(x), ctx.sqrt(y), ctx.sqrt(z)
+        sx, sy, sz = sqrt(x), sqrt(y), sqrt(z)
         lam = sx * sy + sy * sz + sz * sx
         x, y, z = (x + lam) / 4, (y + lam) / 4, (z + lam) / 4
         ave = (x + y + z) * third
@@ -85,8 +109,8 @@ def carlson_rf(x, y, z, prec: Precision = FLOAT64):
         if max(abs(delx), abs(dely), abs(delz)) < errtol:
             e2 = delx * dely - delz * delz
             e3 = delx * dely * delz
-            s = 1 + (e2 / 24 - ctx.mpf("0.1") - 3 * e3 / 44) * e2 + e3 / 14
-            return s / ctx.sqrt(ave)
+            s = 1 + (e2 / 24 - fn.mpf("0.1") - 3 * e3 / 44) * e2 + e3 / 14
+            return s / sqrt(ave)
     raise ArithmeticError("carlson_rf did not converge")
 
 
@@ -103,10 +127,10 @@ class EllipticKernel:
 
     def __init__(self, k, prec: Precision = FLOAT64):
         prec = as_precision(prec)
-        ctx = prec.ctx
         self.prec = prec
-        self.ctx = ctx
-        self.k = k = ctx.mpf(k)
+        self.ctx = prec.ctx
+        self._fn = fn = _scalar_fns(prec)
+        self.k = k = fn.mpf(k)
         if not k > 0:
             raise DomainError(f"modulus must be positive, got {k}")
         if is_critical(k):
@@ -116,63 +140,52 @@ class EllipticKernel:
         self.kappa = 1 / self.k if self.ordered else self.k
         # the stable product form keeps the complement away from 1 even for
         # tiny moduli, where 1 - kappa^2 rounds to 1
-        self.kappa_prime = ctx.sqrt((1 - self.kappa) * (1 + self.kappa))
-        self._chain = self._landen_chain(self.kappa, self.kappa_prime)
-        self._chain_c = self._landen_chain(self.kappa_prime, self.kappa)
-        base_K = self._complete(self._chain)
-        base_Kp = self._complete(self._chain_c)
-        if self.ordered:
-            self.K = self.kappa * base_K
-            self.K_prime = self.kappa * base_Kp
-        else:
-            self.K = base_K
-            self.K_prime = base_Kp
+        self.kappa_prime = fn.sqrt((1 - self.kappa) * (1 + self.kappa))
+        self._chain = self._landen_chain(self.kappa_prime)
+        self._chain_c = self._landen_chain(self.kappa)
+        scale = self.kappa if self.ordered else 1
+        self.K = scale * self._complete(self._chain)
+        self.K_prime = scale * self._complete(self._chain_c)
 
     # -- chain ----------------------------------------------------------
-    def _landen_chain(self, kk, kkp):
-        """Descending chain (a_n, b_n, c_n) seeded by the AGM of (1, k')."""
-        ctx = self.ctx
-        a = ctx.mpf(1)
-        b = ctx.mpf(kkp)
-        c = kk
-        chain = [(a, b, c)]
+    def _landen_chain(self, kkp):
+        """Descending chain seeded by the AGM of (1, k') as the table
+        (a_n, 2^n a_n, [c_j / a_j for j = n, ..., 1])."""
+        fn = self._fn
+        a, b = fn.mpf(1), fn.mpf(kkp)
+        ratios = []
         for _ in range(80):
-            a, b, c = (a + b) / 2, ctx.sqrt(a * b), (a - b) / 2
-            chain.append((a, b, c))
+            a, b, c = (a + b) / 2, fn.sqrt(a * b), (a - b) / 2
+            ratios.append(c / a)
             if abs(c) <= self.prec.eps * abs(a):
                 break
         else:
             raise ArithmeticError("Landen chain did not converge")
-        return chain
+        return a, (2 ** len(ratios)) * a, ratios[::-1]
 
     def _complete(self, chain):
-        ctx = self.ctx
-        return ctx.pi / (2 * chain[-1][0])
+        return self._fn.pi / (2 * chain[0])
 
     # -- real argument ---------------------------------------------------
     def _phase_real(self, x, chain):
         """Backward Landen phase recursion; returns the continuous amplitude."""
-        ctx = self.ctx
-        n = len(chain) - 1
-        phi = (2 ** n) * chain[n][0] * x
-        for j in range(n, 0, -1):
-            a, _b, c = chain[j]
-            s = (c / a) * ctx.sin(phi)
+        sin, asin = self._fn.sin, self._fn.asin
+        _a, start, ratios = chain
+        phi = start * x
+        for r in ratios:
+            s = r * sin(phi)
             if s > 1:
-                s = ctx.mpf(1)
+                s = 1
             elif s < -1:
-                s = ctx.mpf(-1)
-            phi = (phi + ctx.asin(s)) / 2
+                s = -1
+            phi = (phi + asin(s)) / 2
         return phi
 
     def _sncndn_base(self, x, chain, kk):
         """sn, cn, dn at real x for the base modulus of `chain` (< 1)."""
-        ctx = self.ctx
-        phi0 = self._phase_real(x, chain)
-        sn = ctx.sin(phi0)
-        cn = ctx.cos(phi0)
-        dn = ctx.sqrt(1 - (kk * sn) ** 2)
-        return sn, cn, dn
+        fn, phi0 = self._fn, self._phase_real(x, chain)
+        sn = fn.sin(phi0)
+        return sn, fn.cos(phi0), fn.sqrt(1 - (kk * sn) ** 2)
 
     def am_real(self, x):
         """Continuous real-axis amplitude.
@@ -180,23 +193,17 @@ class EllipticKernel:
         Below the transition this winds by 2 pi per full period; above it
         the amplitude librates and stays in (-pi/2, pi/2).
         """
-        ctx = self.ctx
-        x = ctx.mpf(x)
+        x = self._fn.mpf(x)
         if not self.ordered:
             return self._phase_real(x, self._chain)
-        sn, cn, _dn = self.sncndn(x)
-        return ctx.asin(sn) if cn >= 0 else ctx.pi - ctx.asin(sn)
-
-    def _sncndn_base_c(self, y):
-        """Base-complement triple used by the complex split."""
-        return self._sncndn_base(y, self._chain_c, self.kappa_prime)
+        # cn(x, k) = dn(k x, 1/k) >= k' > 0: asin's principal branch
+        return self._fn.asin(self.sncndn(x)[0])
 
     # -- complex argument --------------------------------------------------
     def sncndn(self, u):
         """sn, cn, dn at complex u; raises PoleError within POLE_TOL of
         the common pole lattice."""
-        ctx = self.ctx
-        u = ctx.mpc(u)
+        u = self._fn.mpc(u)
         if self.ordered:
             s, c, d = self._sncndn_split(u / self.kappa)
             return self.kappa * s, d, c
@@ -212,10 +219,10 @@ class EllipticKernel:
         xs = np.asarray(xs, dtype=float)
         if self.ordered:
             xs, y = xs / self.kappa, y / self.kappa
-        n = len(self._chain) - 1
-        phi = (2 ** n) * self._chain[n][0] * xs
-        for a, _b, c in self._chain[n:0:-1]:
-            phi = (phi + np.arcsin(np.clip((c / a) * np.sin(phi), -1, 1))) / 2
+        _a, start, ratios = self._chain
+        phi = start * xs
+        for r in ratios:
+            phi = (phi + np.arcsin(np.clip(r * np.sin(phi), -1, 1))) / 2
         sn = np.sin(phi)
         s, c, d = self._add_imaginary(
             xs, (sn, np.cos(phi), np.sqrt(1 - (self.kappa * sn) ** 2)), y)
@@ -223,8 +230,7 @@ class EllipticKernel:
 
     def _sncndn_split(self, u):
         """Addition-formula split at the base modulus (< 1)."""
-        ctx = self.ctx
-        x, y = ctx.re(u), ctx.im(u)
+        x, y = u.real, u.imag
         triple = self._sncndn_base(x, self._chain, self.kappa)
         return triple if y == 0 else self._add_imaginary(x, triple, y)
 
@@ -232,7 +238,7 @@ class EllipticKernel:
         """The triple at x + iy from the base triple at real x (scalars or
         arrays) and the complement triple at y."""
         s, c, d = triple
-        s1, c1, d1 = self._sncndn_base_c(y)
+        s1, c1, d1 = self._sncndn_base(y, self._chain_c, self.kappa_prime)
         kk2 = self.kappa * self.kappa
         den = c1 * c1 + kk2 * (s * s1) ** 2
         if any_true(abs(den) < POLE_TOL * POLE_TOL):
@@ -242,7 +248,7 @@ class EllipticKernel:
                             where=complex(x, y))
         # real and imaginary parts divided apart: numpy would divide a
         # complex array by a real one through its reciprocal
-        i = self.ctx.mpc(0, 1)
+        i = self._fn.mpc(0, 1)
         sn = s * d1 / den + i * (c * d * s1 * c1 / den)
         cn = c * c1 / den - i * (s * d * s1 * d1 / den)
         dn = d * c1 * d1 / den - i * (kk2 * s * c * s1 / den)
@@ -251,41 +257,35 @@ class EllipticKernel:
     # -- amplitude ----------------------------------------------------------
     def am(self, u):
         """Complex Jacobi amplitude with the documented branch convention."""
-        ctx = self.ctx
-        u = ctx.mpc(u)
-        x, y = ctx.re(u), ctx.im(u)
+        fn = self._fn
+        u = fn.mpc(u)
+        x, y = u.real, u.imag
         if y == 0:
-            return ctx.mpc(self.am_real(x))
-        K, Kp = self.K, self.K_prime
+            return fn.mpc(self.am_real(x))
         # imaginary half-period reflections: am(v + 2iK') = pi - am(v)
-        n2 = _nint(ctx, y / (2 * Kp))
-        v = ctx.mpc(x, y - 2 * Kp * n2)
-        inner = self._am_strip(v)
-        if n2 % 2:
-            return ctx.pi - inner
-        return inner
+        n2 = _nint(fn.floor, y / (2 * self.K_prime))
+        inner = self._am_strip(fn.mpc(x, y - 2 * self.K_prime * n2))
+        return fn.pi - inner if n2 % 2 else inner
 
     def _am_strip(self, v):
         """Amplitude for Im v in [-K', K']; winds with the real period."""
-        ctx = self.ctx
-        x, y = ctx.re(v), ctx.im(v)
+        fn = self._fn
+        x, y = v.real, v.imag
         winding = 0 if self.ordered else 1
-        m = _nint(ctx, x / (4 * self.K))
+        m = _nint(fn.floor, x / (4 * self.K))
         x0 = x - 4 * self.K * m
-        core = self._am_core(ctx.mpc(x0, y))
-        return core + 2 * ctx.pi * winding * m
+        return self._am_core(fn.mpc(x0, y)) + 2 * fn.pi * winding * m
 
     def _am_core(self, v):
         """Principal-log amplitude pinned to the real-axis branch."""
-        ctx = self.ctx
-        x0, y = ctx.re(v), ctx.im(v)
+        fn = self._fn
+        x0, y = v.real, v.imag
         if y == 0:
-            return ctx.mpc(self.am_real(x0))
+            return fn.mpc(self.am_real(x0))
         sn, cn, _dn = self.sncndn(v)
-        w = cn + ctx.mpc(0, 1) * sn
-        c = ctx.mpc(0, -1) * ctx.log(w)
+        c = fn.mpc(0, -1) * fn.log(cn + fn.mpc(0, 1) * sn)
         anchor = self.am_real(x0)
-        c += 2 * ctx.pi * _nint(ctx, (anchor - ctx.re(c)) / (2 * ctx.pi))
+        c += 2 * fn.pi * _nint(fn.floor, (anchor - c.real) / (2 * fn.pi))
         return c
 
     # -- lattice reduction ---------------------------------------------------
@@ -296,12 +296,12 @@ class EllipticKernel:
         original function values after the half-period shifts,
         f(u) = sign_f * f(u_reduced).
         """
-        ctx = self.ctx
-        u = ctx.mpc(u)
+        fn = self._fn
+        u = fn.mpc(u)
         K, Kp = self.K, self.K_prime
-        m = int(ctx.floor((ctx.re(u) + K) / (2 * K)))
-        n = int(ctx.floor((ctx.im(u) + Kp) / (2 * Kp)))
-        red = u - ctx.mpc(2 * K * m, 2 * Kp * n)
+        m = int(fn.floor((u.real + K) / (2 * K)))
+        n = int(fn.floor((u.imag + Kp) / (2 * Kp)))
+        red = u - fn.mpc(2 * K * m, 2 * Kp * n)
         s_sn = -1 if m % 2 else 1
         s_dn = -1 if n % 2 else 1
         s_cn = s_sn * s_dn
@@ -346,7 +346,7 @@ def incomplete_F(phi, k, prec: Precision = FLOAT64):
         raise DomainError("incomplete_F requires modulus in (0, 1)")
     phi = ctx.mpc(phi)
     kern = get_kernel(k, prec)
-    n = _nint(ctx, ctx.re(phi) / ctx.pi)
+    n = _nint(ctx.floor, ctx.re(phi) / ctx.pi)
     phi0 = phi - n * ctx.pi
     s = ctx.sin(phi0)
     val = s * carlson_rf(ctx.cos(phi0) ** 2, 1 - (k * s) ** 2, 1, prec)

@@ -3,17 +3,17 @@
 Every numerical operation in the package is generic over a context that
 supplies elementary functions and number constructors.  Two flavours exist:
 
-* 53 bits: ``mpmath.fp``, backed by Python floats / complex (fast path);
+* 53 bits: ``mpmath.fp`` on Python floats / complex; the scalar elliptic
+  kernel and `carlson_rf` skip its dispatch and call `math` and `cmath`;
 * >= 100 bits, where exponential factors in the structured determinants
   cancel beyond binary64: a private ``mpmath`` context for the weights,
   the elliptic companion and the routes' results, and a ``decimal``
   context (C libmpdec, unit roundoff below 2^-bits) on which every route
   step runs, with converters between the two.
 
-There is one instance per bit count, immutable and safe to share across
-threads; decimal arithmetic runs in a `decimal.localcontext` copy.  At 53
-bits ``decimal`` is None, and ``decimal.localcontext(prec.decimal)`` a
-copy of the current context that binary64 code does not read.
+There is one immutable instance per bit count, safe to share across
+threads; decimal arithmetic runs in a `decimal.localcontext` copy, which
+at 53 bits, where ``decimal`` is None, binary64 code does not read.
 """
 
 from __future__ import annotations

@@ -213,6 +213,44 @@ class TestJacobiFunctions:
                                   mpmath.mpf("0.36"))
             assert abs(mpmath.mpc(sn) - ref) < mpmath.mpf("1e-40")
 
+    @pytest.mark.parametrize("k", [0.6, 1.66])
+    def test_return_types(self, k):
+        # binary64 returns Python floats on the real axis and complex
+        # numbers off it, extended precision the context's mpf and mpc
+        kern = EllipticKernel(k)
+        assert all(type(v) is float for v in kern.sncndn(0.7))
+        assert all(type(v) is complex for v in kern.sncndn(0.7 + 0.2j))
+        assert type(kern.am(0.7 + 0.2j)) is complex
+        assert type(kern.am(0.7)) is complex
+        p = Precision(160)
+        kern = EllipticKernel(p.ctx.mpf(k), p)
+        assert all(type(v) is p.ctx.mpf
+                   for v in kern.sncndn(p.ctx.mpf("0.7")))
+        assert all(type(v) is p.ctx.mpc
+                   for v in kern.sncndn(p.ctx.mpc("0.7", "0.2")))
+        assert type(kern.am(p.ctx.mpc("0.7", "0.2"))) is p.ctx.mpc
+
+
+@pytest.mark.parametrize("k", [0.6, 1.66])
+def test_binary64_kernel_makes_no_mpmath_call(monkeypatch, k):
+    # in binary64 the scalar kernel calls math and cmath itself; every
+    # function of mpmath.fp it used to dispatch through now raises
+    u = 0.7 + 0.2j
+    kern = EllipticKernel(k)
+    want = [kern.sncndn(0.7), kern.sncndn(u), kern.am(u), kern.am_real(0.7),
+            kern.reduce(u + 4 * kern.K), carlson_rf(u, 0.8, 1.0)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("binary64 kernel reached mpmath.fp")
+
+    for name in ("sin", "cos", "asin", "sqrt", "log", "floor", "re", "im",
+                 "mpc", "convert"):
+        monkeypatch.setattr(mpmath.fp, name, refuse)
+    kern = EllipticKernel(k)
+    got = [kern.sncndn(0.7), kern.sncndn(u), kern.am(u), kern.am_real(0.7),
+           kern.reduce(u + 4 * kern.K), carlson_rf(u, 0.8, 1.0)]
+    assert got == want
+
 
 MODULI = (0.3, 0.6, 0.95)
 
@@ -286,6 +324,16 @@ class TestAmplitude:
         kern = EllipticKernel(0.6)
         with pytest.raises(PoleError):
             kern.am(1j * kern.K_prime)
+
+    def test_ordered_real_amplitude_is_asin_of_sn(self):
+        # above the transition cn(x, k) = dn(k x, 1/k) >= k' > 0, so the
+        # librating amplitude is asin(sn) on every real period
+        kern = EllipticKernel(1.66)
+        K = float(kern.K)
+        for x in [K * j / 16 for j in range(-96, 97)]:
+            sn, cn, _dn = kern.sncndn(x)
+            assert cn > 0
+            assert kern.am_real(x) == math.asin(sn)
 
     def test_symmetric_boundary_relation(self):
         # i k sin(omega) sinh(theta) = 1 with omega, theta the two
