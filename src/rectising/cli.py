@@ -7,11 +7,13 @@ the Pfaffian, plus deviations and consistency checks), spectrum
 
 Exit codes: 0 success, 1 numerical failure or no log Z: from z and
 compare no route produced one, or with every route the routes still
-disagree by more than AGREEMENT_DEV after the retry; from scan no point
-produced one, or with every route some point's routes still disagree
-(that row carries an error naming the deviation); diagnostic JSON on
-stderr.  2 usage error, 3 gating identity failure.  JSON output is
-strict: a NaN or an infinity is written as null.
+disagree by more than AGREEMENT_DEV after the retry; from compare the
+Pfaffian failed, so Pf = det H was not checked (a Pfaffian skipped at the
+critical modulus or odd M passes); from scan no point produced one, or
+with every route some point's routes still disagree (that row carries an
+error naming the deviation); diagnostic JSON on stderr.  2 usage error,
+3 gating identity failure.  JSON output is strict and compact, on one
+line with sorted keys: a NaN or an infinity is written as null.
 """
 
 from __future__ import annotations
@@ -71,9 +73,10 @@ def _finite(obj):
 
 
 def _json_dumps(obj) -> str:
-    """Strict JSON: a NaN or an infinity is written as null."""
-    return json.dumps(_finite(obj), sort_keys=True, separators=(",", ": "),
-                      indent=1, allow_nan=False) + "\n"
+    """Strict, compact JSON on one line: a NaN or an infinity is written
+    as null."""
+    return json.dumps(_finite(obj), sort_keys=True, separators=(",", ":"),
+                      allow_nan=False) + "\n"
 
 
 def _no_log_z(message: str, **detail) -> int:
@@ -194,6 +197,9 @@ def cmd_z(ns, with_checks=False) -> int:
     if why := _disagreement(res):
         return _no_log_z(why, max_pairwise_rel_dev=(
             res.max_pairwise_dev), routes=result_record(res)["routes"])
+    if with_checks and res.outcomes["pfaffian"].status == "failed":
+        return _no_log_z("the Pfaffian failed, so Pf = det H was not "
+                         "checked", routes=result_record(res)["routes"])
     checks = _consistency_checks(res) if with_checks else {}
     rec = result_record(res, checks)
     if ns.fmt == "json":

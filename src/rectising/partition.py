@@ -39,8 +39,7 @@ import math
 import sys
 import time
 from dataclasses import dataclass, field
-from functools import reduce
-from itertools import accumulate
+from functools import lru_cache, reduce
 from operator import mul
 
 import numpy as np
@@ -409,6 +408,34 @@ def brute_force_logZ(c: Couplings) -> float:
     return emax + math.log(total)
 
 
+def _popcounts(n: int) -> np.ndarray:
+    """Number of set bits of 0 .. 2^n - 1."""
+    pc = np.zeros(1, dtype=np.int64)
+    for _bit in range(n):
+        pc = np.concatenate((pc, pc + 1))
+    return pc
+
+
+@lru_cache(maxsize=SPIN_MAX_WIDTH + 1)
+def _disagreements(M: int) -> np.ndarray:
+    """Read-only table of the disagreeing neighbour pairs of each of the
+    2^M column states (bit m is spin m)."""
+    states = np.arange(1 << M, dtype=np.int64)
+    # bit m of states ^ (states >> 1) is s_m != s_{m+1}, for m < M - 1
+    d = _popcounts(M - 1)[(states ^ (states >> 1)) & ((1 << (M - 1)) - 1)]
+    d.setflags(write=False)
+    return d
+
+
+@lru_cache(maxsize=SPIN_MAX_WIDTH + 1)
+def _hamming(n: int) -> np.ndarray:
+    """Read-only 2^n x 2^n table of the Hamming distances of n-bit states."""
+    states = np.arange(1 << n, dtype=np.int64)
+    h = _popcounts(n)[np.bitwise_xor.outer(states, states)]
+    h.setflags(write=False)
+    return h
+
+
 def spin_transfer_logZ(c: Couplings) -> float:
     """Row-transfer reference over 2^M column states.
 
@@ -421,20 +448,18 @@ def spin_transfer_logZ(c: Couplings) -> float:
         raise RouteInfeasibleError(
             f"min extent {min(c.M, c.L)} exceeds cap {SPIN_MAX_WIDTH}")
     M = c.M
-    states = np.arange(1 << M, dtype=np.int64)
-    col_energy = np.zeros(1 << M, dtype=float)
-    for m in range(M - 1):
-        col_energy += c.K_v * (1 - 2 * (((states >> m) ^ (states >> (m + 1))) & 1))
-    cmax = float(col_energy.max())
-    w_col = np.exp(col_energy - cmax)
+    # the column energy K_v * (agreeing - disagreeing pairs) peaks at
+    # |K_v| (M - 1), on the uniform (K_v > 0) or staggered (K_v < 0) column
+    cmax = abs(c.K_v) * (M - 1)
+    w_col = np.exp(c.K_v * ((M - 1) - 2 * _disagreements(M)) - cmax)
     log_acc = cmax
     v = w_col
-    # horizontal bonds: blk^{⊗M} = B_a ⊗ B_b on the high and low state bits
-    # (the same symmetric blk on each), blk scaled by e^{-|K_h|} to <= 1
-    blk = np.exp(np.array([[c.K_h, -c.K_h], [-c.K_h, c.K_h]]) - abs(c.K_h))
+    # horizontal bonds: the n-fold Kronecker power of the 2 x 2 bond block
+    # scaled by e^{-|K_h|} is e^{K_h (n - 2 H) - n |K_h|} at Hamming
+    # distance H; B_a and B_b act on the high and low state bits
     a = M // 2
-    powers = list(accumulate([blk] * (M - a), np.kron, initial=np.eye(1)))
-    B_a, B_b = powers[a], powers[M - a]
+    B_a, B_b = (np.exp(c.K_h * (n - 2 * _hamming(n)) - n * abs(c.K_h))
+                for n in (a, M - a))
     for _step in range(c.L - 1):
         v = w_col * (B_a @ v.reshape(1 << a, -1) @ B_b).ravel()
         m = v.max()

@@ -110,8 +110,7 @@ class TestZ:
         _, out, _ = run_cli(capsys, "z", "--L", "3", "--M", "4",
                             "--Kh", "0.4", "--Kv", "0.7")
         rec = json.loads(out)
-        again = json.dumps(rec, sort_keys=True, separators=(",", ": "),
-                           indent=1) + "\n"
+        again = json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n"
         assert again == out
 
     def test_text_format(self, capsys):
@@ -244,6 +243,35 @@ def test_the_pfaffian_disagrees_in_compare_only(capsys):
     code, out, err = run_cli(capsys, "compare", *argv)
     assert code == 1 and out == ""
     assert json.loads(err)["max_pairwise_rel_dev"] > AGREEMENT_DEV
+
+
+def test_compare_exits_one_when_the_pfaffian_fails(capsys):
+    # the 160-bit Pfaffian has sign -1 here, so Pf = det H never ran;
+    # block and Hankel agree, and z exits 0
+    argv = ("--L", "32", "--M", "16", "--k", "30", "--eta-frac", "0.3")
+    code, _, _ = run_cli(capsys, "z", *argv)
+    assert code == 0
+    code, out, err = run_cli(capsys, "compare", *argv)
+    assert code == 1 and out == ""
+    diag = json.loads(err, parse_constant=_reject_constant)
+    assert "Pf = det H" in diag["message"]
+    pf = diag["routes"]["pfaffian"]
+    assert pf["status"] == "failed" and "sign -1" in pf["reason"]
+    assert diag["routes"]["block"]["status"] == "ok"
+
+
+@pytest.mark.parametrize("argv,reason", [
+    # solve-hard's critical system
+    (("--L", "4", "--M", "6", "--Kh", repr(math.asinh(1.0) / 2), "--Kv",
+      repr(math.asinh(1.0) / 2)), "critical modulus"),
+    (("--L", "4", "--M", "5", "--k", "0.6"), "odd M")])
+def test_compare_passes_with_a_skipped_pfaffian(capsys, argv, reason):
+    code, out, _ = run_cli(capsys, "compare", *argv)
+    assert code == 0
+    rec = json.loads(out, parse_constant=_reject_constant)
+    pf = rec["routes"]["pfaffian"]
+    assert pf["status"] == "skipped" and pf["reason"] == reason
+    assert "pf_eq_det" not in rec["checks"]
 
 
 def test_compare_reruns_only_the_pfaffian(capsys):

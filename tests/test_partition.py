@@ -21,8 +21,11 @@ from rectising.params import (
     swap_system,
 )
 from rectising.partition import (
+    SPIN_MAX_WIDTH,
     PartitionResult,
     RouteOutcome,
+    _disagreements,
+    _hamming,
     assemble_logZ,
     block_transfer_logZ,
     brute_force_logZ,
@@ -513,6 +516,44 @@ class TestConfigurationSums:
     def test_spin_cap(self):
         with pytest.raises(RouteInfeasibleError):
             spin_transfer_logZ(Couplings(0.3, 0.3, 14, 14))
+
+    @pytest.mark.parametrize("M", range(1, SPIN_MAX_WIDTH + 1))
+    def test_spin_matches_brute_at_every_width(self, M):
+        c = Couplings(0.43, 0.31, max(1, 16 // M), M)
+        b = brute_force_logZ(c)
+        assert abs(spin_transfer_logZ(c) - b) < 1e-13 * abs(b)
+
+    def test_spin_tables(self):
+        # d counts the unequal neighbours of a column state, H the unequal
+        # bits of two states
+        assert _disagreements(3).tolist() == [0, 1, 2, 1, 1, 2, 1, 0]
+        assert _hamming(2).tolist() == [[0, 1, 1, 2], [1, 0, 2, 1],
+                                        [1, 2, 0, 1], [2, 1, 1, 0]]
+        for table in (_disagreements(3), _hamming(2)):
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 5
+
+    def test_spin_tables_are_built_once_per_width(self):
+        c = Couplings(0.4, 0.3, 3, 7)
+        spin_transfer_logZ(c)
+        before = _disagreements.cache_info(), _hamming.cache_info()
+        spin_transfer_logZ(c)
+        after = _disagreements.cache_info(), _hamming.cache_info()
+        for old, new in zip(before, after):
+            assert new.misses == old.misses
+            assert new.currsize == old.currsize
+        assert after[0].hits == before[0].hits + 1
+        assert after[1].hits == before[1].hits + 2
+
+    def test_spin_makes_no_kron_call(self, monkeypatch):
+        c = Couplings(0.41, 0.33, 4, 5)
+        want = spin_transfer_logZ(c)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("spin transfer reached np.kron")
+
+        monkeypatch.setattr(np, "kron", refuse)
+        assert spin_transfer_logZ(c) == want
 
 
 class TestBlockTransfer:
