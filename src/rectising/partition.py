@@ -477,20 +477,23 @@ def _log_z0(w: Weights, L, M, ctx):
     return (M / 2) * ctx.log(1 - w.z * w.z) + (L * M / 2) * ctx.log(-2 / w.z_minus)
 
 
-def _route_pipeline(c: Couplings, prec, pipeline) -> SystemPipeline:
-    """The pipeline a structured route runs on: ``pipeline``, which must be
-    for ``c`` and at ``prec`` if that is given, or else a new one at
-    ``prec``.  Refuses odd M, which none of them can run."""
+def _route_pipeline(c: Couplings, prec, pipeline, below=False):
+    """(pipeline, precision) of a structured route: ``pipeline``, which
+    must be for ``c`` and at ``prec`` if that is given (or, if ``below``,
+    under it), or else a new one at ``prec``; and ``prec``, or the
+    pipeline's.  Refuses odd M, which none of them can run."""
     if c.M % 2:
         raise RouteInfeasibleError("odd M")
     if pipeline is None:
-        return SystemPipeline(c, prec)
-    if pipeline.c != c:
+        pipeline = SystemPipeline(c, prec)
+    elif pipeline.c != c:
         raise DomainError("the pipeline was built for another system")
-    if prec is not None and as_precision(prec) != pipeline.prec:
+    prec = pipeline.prec if prec is None else as_precision(prec)
+    if prec.bits < pipeline.prec.bits or (prec != pipeline.prec
+                                          and not below):
         raise DomainError(f"the pipeline runs at {pipeline.prec.bits} bits, "
-                          f"not at {as_precision(prec).bits}")
-    return pipeline
+                          f"not at {prec.bits}")
+    return pipeline, prec
 
 
 def block_transfer_logZ(c: Couplings, prec: Precision | None = None,
@@ -503,8 +506,7 @@ def block_transfer_logZ(c: Couplings, prec: Precision | None = None,
     Runs at any modulus including the critical point, on the unchecked
     family eigensystem of ``pipeline`` (a new one at ``prec`` if None).
     """
-    pipeline = _route_pipeline(c, prec, pipeline)
-    prec = pipeline.prec
+    pipeline, prec = _route_pipeline(c, prec, pipeline)
     w, _bundle, pts = pipeline.family()
     M, L = c.M, c.L
     # row i: e^(L gamma_i / 2) times the even part of eigenvector i plus
@@ -648,10 +650,10 @@ def hankel_from_spectrum(points, c: Couplings, w: Weights,
 
 
 def skew_toeplitz_from_spectrum(points, c: Couplings, w: Weights,
-                                measure=None) -> SkewToeplitzSystem:
+                                measure=None, prec=None) -> SkewToeplitzSystem:
     """Assemble the skew-symmetric Toeplitz matrix from the spectral
-    measure, on its route scalars; ``measure`` is the `_spectral_measure`
-    of ``points``, formed here if None.
+    measure, on the route scalars of ``prec`` (of ``w`` if None), which
+    ``measure`` (the `_spectral_measure` of ``points`` if None) holds.
 
     e^-shift c_d = -sum_i b_i U_(d-1)(chi_i/2 - 1): the terms b_i
     sin(d phi_i)/sin(phi_i) follow the Chebyshev three-term recurrence, so
@@ -661,7 +663,7 @@ def skew_toeplitz_from_spectrum(points, c: Couplings, w: Weights,
     and the Toeplitz structure hold exactly.
     """
     M = c.M
-    prec = w.prec
+    prec = prec or w.prec
     if measure is None:
         measure = _spectral_measure(points, c, w)
     shift, chis, terms = measure
@@ -708,9 +710,8 @@ def hankel_logZ(c: Couplings, prec: Precision | None = None,
     by division, not in the log domain, and takes one log of the product
     of the beta powers.
     """
-    pipeline = _route_pipeline(c, prec, pipeline)
+    pipeline, prec = _route_pipeline(c, prec, pipeline)
     w, _pts, measure = _checked_measure(c, pipeline)
-    prec = pipeline.prec
     shift, chis, weights = measure
     n = c.M // 2
     with decimal.localcontext(prec.decimal):
@@ -744,19 +745,24 @@ def hankel_logZ(c: Couplings, prec: Precision | None = None,
 def pfaffian_logZ(c: Couplings, prec: Precision | None = None,
                   pipeline: SystemPipeline = None):
     """log Z through the Pfaffian of the skew Toeplitz matrix, on the
-    checked eigensystem of ``pipeline`` (a new one at ``prec`` if None).
+    checked eigensystem of ``pipeline`` (a new one at ``prec`` if None),
+    whose measure a pipeline below ``prec`` converts exactly: the entries
+    and Parlett-Reid, where the route loses digits (D10), run at ``prec``.
     Refuses the critical modulus, where its binary64 and 160-bit
-    factorizations lose digits with the size, before it builds the
-    eigensystem."""
-    pipeline = _route_pipeline(c, prec, pipeline)
+    factorizations lose digits with the size, before the eigensystem."""
+    pipeline, prec = _route_pipeline(c, prec, pipeline, below=True)
     if is_critical(pipeline.weights().k):
         raise RouteInfeasibleError("critical modulus")
     w, pts, measure = _checked_measure(c, pipeline)
-    st = skew_toeplitz_from_spectrum(pts, c, w, measure)
-    sign, log_pf = st.log_pfaffian(pipeline.prec)
+    if prec != pipeline.prec:
+        shift, chis, weights = measure
+        measure = (prec.ctx.mpf(shift),
+                   *([decimal.Decimal(x) for x in xs] for xs in (chis, weights)))
+    st = skew_toeplitz_from_spectrum(pts, c, w, measure, prec)
+    sign, log_pf = st.log_pfaffian(prec)
     if sign <= 0:
         raise PhaseLeakError(f"the Pfaffian has sign {sign}, not +1")
-    return _log_z1_value(w, c.L, c.M, pipeline.prec.ctx) + log_pf, {}
+    return _log_z1_value(w, c.L, c.M, prec.ctx) + log_pf, {}
 
 
 # ----------------------------------------------------------------------
@@ -815,34 +821,32 @@ def default_precision(c: Couplings, route: str = "all") -> Precision:
 
     A single route has no cross-check and no retry, so a single
     ``pfaffian`` route keeps 160 bits at every size (the binary64 one is
-    ok but wrong from 10 x 12 on; ``compare`` retries it), and a single
-    ``hankel`` route when L + M > 24 (the binary64 joint check fails deep
-    in the ordered phase; ``route="all"`` retries it).  A single
-    ``block`` route holds in binary64.
+    ok but wrong from 10 x 12 on; ``compare`` retries its factorization),
+    and a single ``hankel`` route when L + M > 24 (kept from D8, now
+    mended; binary64 weights still underflow on large systems, D12).  A
+    single ``block`` route holds in binary64.
     """
     if route == "pfaffian" or (route == "hankel" and c.L + c.M > 24):
         return Precision(160)
     return FLOAT64
 
 
-def _run_route(c: Couplings, name: str, pipe: SystemPipeline) -> RouteOutcome:
-    """Run one route: the structured ones at the pipeline's precision and
-    on its shared work, whose build time is left out of the route's
-    seconds.  A route that refuses the system is ``skipped``; one that
-    raises an `ArithmeticError`, or whose log Z is not finite (Z zero or
-    beyond every range), ``failed``."""
+def _run_route(c: Couplings, name: str, pipe: SystemPipeline,
+               prec: Precision) -> RouteOutcome:
+    """Run one route: the structured ones at ``prec`` and on the shared
+    work of ``pipe``, whose build time is left out of the route's seconds.
+    A route that refuses the system is ``skipped``; one that raises an
+    `ArithmeticError`, or whose log Z is not finite (Z zero or beyond
+    every range), ``failed``."""
     t0, shared0 = time.perf_counter(), pipe.seconds
     try:
-        if name == "brute":
-            lz, diag = brute_force_logZ(c), {}
-        elif name == "spin":
-            lz, diag = spin_transfer_logZ(c), {}
-        elif name == "block":
-            lz, diag = block_transfer_logZ(c, pipe.prec, pipe)
-        elif name == "hankel":
-            lz, diag = hankel_logZ(c, pipe.prec, pipe)
+        if name in STRUCTURED_ROUTES:
+            route = {"block": block_transfer_logZ, "hankel": hankel_logZ,
+                     "pfaffian": pfaffian_logZ}[name]
+            lz, diag = route(c, prec, pipe)
         else:
-            lz, diag = pfaffian_logZ(c, pipe.prec, pipe)
+            oracle = brute_force_logZ if name == "brute" else spin_transfer_logZ
+            lz, diag = oracle(c), {}
         lz = float(lz)
         if not math.isfinite(lz):
             raise NonFiniteError(f"log Z came out {lz}, not finite")
@@ -852,7 +856,7 @@ def _run_route(c: Couplings, name: str, pipe: SystemPipeline) -> RouteOutcome:
     except ArithmeticError as exc:
         out = RouteOutcome(name, "failed", reason=str(exc))
     out.seconds = time.perf_counter() - t0 - (pipe.seconds - shared0)
-    out.precision_bits = pipe.prec.bits if name in STRUCTURED_ROUTES else 53
+    out.precision_bits = prec.bits if name in STRUCTURED_ROUTES else 53
     return out
 
 
@@ -860,19 +864,23 @@ def fan_out(result: PartitionResult, names) -> None:
     """Run the routes ``names`` into ``result`` on its pipeline.  With
     ``route="all"``, if that is binary64 and the routes then disagree by
     more than ESCALATION_DEV, or a structured one of ``names`` failed,
-    those rerun once on a 160-bit pipeline, which the result keeps."""
+    those rerun once at 160 bits, on a new pipeline that the result keeps;
+    the Pfaffian alone (``compare``'s retry) reruns on the binary64 one."""
     c, pipe = result.couplings, result.pipeline
+    prec = pipe.prec
     while True:
         shared0 = pipe.seconds
         for name in names:
-            result.outcomes[name] = _run_route(c, name, pipe)
+            result.outcomes[name] = _run_route(c, name, pipe, prec)
         result.pipeline_seconds += pipe.seconds - shared0
         names = [n for n in names if n in STRUCTURED_ROUTES]
-        if not (result.route == "all" and pipe.prec.is_float and (
+        if not (result.route == "all" and prec.is_float and (
                 result.max_pairwise_dev > ESCALATION_DEV or any(
                     result.outcomes[n].status == "failed" for n in names))):
             return
-        result.pipeline = pipe = SystemPipeline(c, Precision(160))
+        prec = Precision(160)
+        if names != ["pfaffian"]:
+            result.pipeline = pipe = SystemPipeline(c, prec)
 
 
 def assemble_logZ(c: Couplings, route: str = "all",

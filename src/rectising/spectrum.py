@@ -42,11 +42,6 @@ SEED_TOL = 1e-12
 #: Rayleigh-quotient steps allowed per refined eigenpair
 RQI_MAX_STEPS = 8
 
-#: multiple of M eps max|T_ij| within which the binary64 sign of
-#: v^T T v - lambda_+ is not trusted; the rounding error is at most
-#: (M + 9) * 6 * eps/2 * max|T_ij| (six nonzeros a row at most)
-BRANCH_ERR = 32
-
 
 # ----------------------------------------------------------------------
 # matrix construction
@@ -56,15 +51,15 @@ BRANCH_ERR = 32
 class MatrixBundle:
     """The four symmetric matrices of one system.
 
-    ``rows_T`` (the transfer matrix) and ``rows_C`` (the tridiagonal core)
-    are plain nested lists of context scalars, usable at any precision;
-    the uppercase attributes are read-only binary64 copies of the four
-    matrices, made once per bundle and shared by the eigensolver seeds,
-    the branch decision and the joint check.
+    ``rows_C`` (the tridiagonal core) is a nested list of context scalars,
+    usable at any precision, and ``minus_bands`` holds T_minus's
+    anti-bands i + j = M - 1, M - 2 (each from i = 0) and M (from i = 1)
+    as lists of them.  The uppercase attributes are read-only binary64
+    copies of the four matrices, made once per bundle.
     """
 
     M: int
-    rows_T: list
+    minus_bands: tuple
     rows_C: list
     prec: Precision
     T_plus: np.ndarray = field(repr=False)
@@ -109,39 +104,40 @@ def build_matrices(w: Weights, M: int) -> MatrixBundle:
     Tp = {(i, j): pref * x + (shift if i == j else zero)
           for (i, j), x in C.items()}
 
-    # anti-band i + j = M - 1 (main): interior -2 t*_plus, corners -1/t*
-    main = -2 * ((ts + 1 / ts) / 2)
-    A = {(i, M - 1 - i): main for i in range(M)}
-    A[0, M - 1] = A[M - 1, 0] = -1 / ts
-    # anti-band i + j = M - 2: z*; anti-band i + j = M: 1/z*
-    for i in range(M - 1):
-        A[i, M - 2 - i] = zs
-        A[i + 1, M - 1 - i] = 1 / zs
-    Tm = {ij: pref * x for ij, x in A.items()}
+    # anti-bands i + j = M - 1 (interior -2 t*_plus, corners -1/t*),
+    # M - 2 (z*) and M (1/z*), from i = 0, 0 and 1
+    main = [-2 * ((ts + 1 / ts) / 2)] * M
+    main[0] = main[M - 1] = -1 / ts
+    bands = tuple([pref * x for x in band]
+                  for band in (main, [zs] * (M - 1), [1 / zs] * (M - 1)))
+    Tm = {(i, d - i): x for (i0, d), band in zip(((0, M - 1), (0, M - 2),
+                                                  (1, M)), bands)
+          for i, x in enumerate(band, i0)}
 
     tp0, tm0 = pref * zero + zero, pref * zero
-    T = {ij: Tp.get(ij, tp0) + Tm.get(ij, tm0) for ij in Tp.keys() | Tm.keys()}
-    arrays = {}
-    for name, fill, band in (("T_plus", tp0, Tp), ("T_minus", tm0, Tm),
-                             ("T", tp0 + tm0, T), ("C", zero, C)):
-        arrays[name] = _scatter(np.full((M, M), float(fill)), band)
-        arrays[name].flags.writeable = False
+    arrays = {name: _scatter(np.full((M, M), float(fill)), band)
+              for name, fill, band in (("T_plus", tp0, Tp),
+                                       ("T_minus", tm0, Tm), ("C", zero, C))}
+    arrays["T"] = arrays["T_plus"] + arrays["T_minus"]
+    for a in arrays.values():
+        a.flags.writeable = False
     return MatrixBundle(
-        M=M, rows_T=_scatter([[tp0 + tm0] * M for _ in range(M)], T),
-        rows_C=_scatter([[zero] * M for _ in range(M)], C), prec=prec,
-        **arrays)
+        M=M, minus_bands=bands, prec=prec,
+        rows_C=_scatter([[zero] * M for _ in range(M)], C), **arrays)
 
 
 # ----------------------------------------------------------------------
 # joint diagonalization
 # ----------------------------------------------------------------------
 
-def _rayleigh(rows, v, prec):
-    """v^T A v on the route scalars of ``prec``, over the nonzero entries
-    of ``rows``."""
-    real = float if prec.is_float else prec.to_decimal
-    return sum(v[i] * sum(real(x) * v[j] for j, x in enumerate(r) if x)
-               for i, r in enumerate(rows))
+def _anti_quotients(bands, V):
+    """v^T A v for every row v of the array ``V`` (binary64, or Decimals
+    in the current context), where A is symmetric with the three
+    anti-bands ``bands`` of `MatrixBundle.minus_bands`."""
+    main, low, high = bands
+    R = V[:, ::-1]                   # R[:, i] = V[:, M - 1 - i]
+    return ((V * R) @ main + (V[:, :-1] * R[:, 1:]) @ low
+            + (V[:, 1:] * R[:, :-1]) @ high)
 
 
 def _tridiag_solve(d, e, sigma, b, tiny):
@@ -251,15 +247,9 @@ def _core_eig(bundle: MatrixBundle, w: Weights, prec: Precision):
                     f"together")
             vals.append(chi)
             vecs.append(tuple(v))
-    # the map runs on the mpf weights, as T_plus is built, and lambda_+
-    # enters ``wide`` as man 2^exp, correct far below its last bit:
-    # lambda_+ - 1 of an ordered-phase edge mode cancels to 1e-26 or less
-    # (D8)
-    lam_plus = [-tzm / 2 * prec.from_decimal(chi) + (tzp + tzm)
-                for chi in vals]
-    with decimal.localcontext(prec.wide):
-        return vals, [lp.man * decimal.Decimal(2) ** lp.exp
-                      for lp in lam_plus], vecs
+    # the map runs on the mpf weights, as T_plus is built
+    return vals, [prec.to_decimal(-tzm / 2 * prec.from_decimal(chi)
+                                  + (tzp + tzm)) for chi in vals], vecs
 
 
 @dataclass
@@ -321,39 +311,41 @@ def joint_spectrum(bundle: MatrixBundle, w: Weights,
     """Simultaneous spectrum of the transfer-matrix family, unchecked and
     without angles, at any modulus, the critical one included.
 
-    Eigenvectors come from `_core_eig`; the branch between an eigenvalue
-    and its reciprocal is fixed by the Rayleigh quotient against the full
-    transfer matrix.  `check_joint` checks the cross-residuals against
-    every family member.
+    Eigenvectors and lambda_+ come from `_core_eig`; q = v^T T_minus v,
+    at the working precision, gives lambda_minus its sign, and its size
+    where the root sqrt((lambda_+ - 1)(lambda_+ + 1)) is worse conditioned
+    (as an ordered-phase edge mode's is, ROADMAP D8): lambda_+^2 /
+    (lambda_+^2 - 1) against q's |v|^T |T_minus| |v| / |q|, both inputs
+    good to the working precision.  lambda is s = lambda_+ + |lambda_minus|
+    or 1/s.  `check_joint` checks the cross-residuals against every family
+    member.
     """
     prec = as_precision(prec if prec is not None else bundle.prec)
     chis, lam_plus, vecs = _core_eig(bundle, w, prec)
-    # v^T T v - lambda_+ = +-sqrt(lambda_+^2 - 1) picks the sign; binary64
-    # decides it unless it lies within rounding of zero (ordered-phase
-    # edge modes), where the Rayleigh quotient runs at the working precision
-    T, rows = bundle.T, np.array(vecs, dtype=float)
-    margin = (np.einsum("ij,ij->j", rows.T, T @ rows.T)
-              - np.array(lam_plus, dtype=float))
-    bound = BRANCH_ERR * bundle.M * FLOAT64.eps * np.abs(T).max()
+    V64 = np.array(vecs, dtype=float)
+    size = _anti_quotients([np.abs(np.array(b, dtype=float))
+                            for b in bundle.minus_bands], np.abs(V64))
+    log, sqrt, real, dtype = (
+        (math.log, math.sqrt, float, float) if prec.is_float
+        else (decimal.Decimal.ln, decimal.Decimal.sqrt, prec.to_decimal,
+              object))
     pts = []
-    log, sqrt = ((math.log, math.sqrt) if prec.is_float
-                 else (decimal.Decimal.ln, decimal.Decimal.sqrt))
     with decimal.localcontext(prec.decimal):
-        for chi, lp, v, v64, m in zip(chis, lam_plus, vecs, rows, margin):
-            sq = lp * lp - 1 if prec.is_float else (lp - 1) * (lp + 1)
-            root = sqrt(max(sq, 0 * lp))
-            upper = (m >= 0 if abs(m) > bound
-                     else _rayleigh(bundle.rows_T, v, prec) >= lp)
-            lam = lp + root if upper else lp - root
-            if lam <= 0:
-                raise JointDiagonalizationError(
-                    f"eigenvalue lambda_+ - sqrt(lambda_+^2 - 1) cancels to "
-                    f"{float(lam):.3e} at {prec.bits} bits (lambda_+ = "
-                    f"{float(lp):.3e})")
+        quots = _anti_quotients(
+            [np.array([real(x) for x in b], dtype=dtype)
+             for b in bundle.minus_bands], np.array(vecs, dtype=dtype))
+        for chi, lp, v, v64, q, a in zip(chis, lam_plus, vecs, V64,
+                                         quots.tolist(), size.tolist()):
+            sq = (lp - 1) * (lp + 1)
+            # the root is worse conditioned: lambda_+^2 / sq > a / |q|
+            lm = (abs(q) if float(lp) ** 2 * abs(float(q)) > float(sq) * a
+                  else sqrt(max(sq, 0 * sq)))
+            s = lp + lm
+            lam, gamma = (s, log(s)) if q >= 0 else (1 / s, -log(s))
             v = v64 if prec.is_float else v
             pts.append(SpectrumPoint(
-                mu=0, lam=lam, lam_plus=+lp, lam_minus=lam - lp,
-                gamma=log(lam), chi=chi, eigvec=v, _binary64=(v, v64)))
+                mu=0, lam=lam, lam_plus=lp, lam_minus=lm if q >= 0 else -lm,
+                gamma=gamma, chi=chi, eigvec=v, _binary64=(v, v64)))
     pts.sort(key=lambda p: -float(p.gamma))
     for i, p in enumerate(pts):
         p.mu = i + 1

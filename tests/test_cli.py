@@ -201,14 +201,15 @@ def test_no_log_z_exits_one(capsys, argv, routes, reason):
 
 @pytest.mark.parametrize("command", ["z", "compare"])
 def test_route_disagreement_exits_one(capsys, monkeypatch, command):
-    # compare: the 160-bit Pfaffian is off by 2.9e-2 here (ROADMAP D10);
-    # block and Hankel agree, and the retry does not bring the Pfaffian
-    # in.  z runs no Pfaffian, so a Hankel route off by 1e-6 at every
-    # precision stands in: the retry reruns block and Hankel at 160 bits
+    # compare: the retried Pfaffian, factored at 160 bits, is off by 6e-5
+    # here (ROADMAP D10); block and Hankel agree, and the retry does not
+    # bring the Pfaffian in.  z runs no Pfaffian, so a Hankel route off by
+    # 1e-6 at every precision stands in: the retry reruns block and Hankel
+    # at 160 bits
     if command == "z":
         _hankel_off_by(monkeypatch, 1e-6)
     code, out, err = run_cli(capsys, command, "--L", "32", "--M", "16",
-                             "--k", "6", "--eta-frac", "0.3")
+                             "--k", "0.9", "--eta-frac", "0.3")
     assert code == 1
     assert out == ""
     diag = json.loads(err, parse_constant=_reject_constant)
@@ -228,9 +229,9 @@ def test_route_disagreement_exits_one(capsys, monkeypatch, command):
 
 def test_the_pfaffian_disagrees_in_compare_only(capsys):
     # route="all" runs no Pfaffian: z agrees and exits 0 on the system
-    # where compare's 160-bit Pfaffian is off by 2.9e-2 (ROADMAP D10).
+    # where compare's 160-bit Pfaffian is off by 6e-5 (ROADMAP D10).
     # Spin cannot run at 32 x 16 (both extents exceed 12)
-    argv = ("--L", "32", "--M", "16", "--k", "6", "--eta-frac", "0.3")
+    argv = ("--L", "32", "--M", "16", "--k", "0.9", "--eta-frac", "0.3")
     code, out, _ = run_cli(capsys, "z", *argv)
     assert code == 0
     rec = json.loads(out, parse_constant=_reject_constant)
@@ -272,6 +273,23 @@ def test_compare_passes_with_a_skipped_pfaffian(capsys, argv, reason):
     pf = rec["routes"]["pfaffian"]
     assert pf["status"] == "skipped" and pf["reason"] == reason
     assert "pf_eq_det" not in rec["checks"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("--L", "4", "--M", "6", "--Kh", repr(math.asinh(1.0) / 2), "--Kv",
+     repr(math.asinh(1.0) / 2)),
+    ("--L", "12", "--M", "64", "--k", "0.6", "--eta-frac", "0.8"),
+    ("--L", "12", "--M", "24", "--k", "6"),
+    ("--L", "48", "--M", "12", "--k", "0.6", "--eta-frac", "0.953327")],
+    ids=["4x6-critical", "12x64", "12x24-k6", "48x12"])
+def test_compare_builds_weights_at_53_bits_only(capsys, count_calls, argv):
+    # solve-hard's four systems: no 160-bit pipeline, the edge mode's
+    # lambda_minus from T_minus and the Pfaffian's retry on binary64 weights
+    from rectising import params
+    weights = count_calls(params, "weights_from_couplings")
+    code, _, _ = run_cli(capsys, "compare", *argv)
+    assert code == 0
+    assert weights and {args[1].bits for args in weights} == {53}
 
 
 def test_compare_reruns_only_the_pfaffian(capsys):
@@ -629,7 +647,7 @@ def test_z_at_critical_coupling(capsys):
 
 
 @pytest.mark.parametrize("command,K,error", [
-    # lambda_+ ~ 5e8: lambda_+ - sqrt(lambda_+^2 - 1) cancels to 0
+    # lambda_+ ~ 5e8: the binary64 joint check fails (residual 2e-7)
     ("spectrum", "1e-9", "JointDiagonalizationError"),
     # tanh(50) rounds to 1, so the dual weight z* is 0
     ("z", "50", "DomainError"),

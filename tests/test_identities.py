@@ -192,6 +192,16 @@ class TestGating:
             e.max_abs_residual for e in rep.entries
             if e.status in ("pass", "fail"))
 
+    def test_ordered_edge_mode_entries_pass_the_gate(self):
+        # the edge mode's lambda_minus from T_minus brings these three
+        # under GATING_TOL; they were 9.2e-9, 3.7e-9 and 1.8e-9
+        rep = run_identity_suite(couplings_from_modulus(3, 0.9, 8, 12))
+        entries = {e.identity_id: e for e in rep.entries}
+        for name in ("eigenvalue-quantization", "determinant-family",
+                     "eigen-half-angle-forms"):
+            assert entries[name].gating and entries[name].status == "pass"
+            assert entries[name].max_abs_residual <= identities.GATING_TOL
+
     @pytest.mark.parametrize("M", [4, 6, 8])
     def test_geometry_sweep(self, M):
         rep = run_identity_suite((0.6, 0.5, M, 5), samples=8)

@@ -708,6 +708,57 @@ class TestHankelRoute:
         assert abs(prod - want) < 1e-8 * abs(want)
 
 
+class TestEdgeQuotient:
+    """The ordered-phase edge mode's lambda_minus from v^T T_minus v, and
+    the lower branch as 1/(lambda_+ + |lambda_minus|) (ROADMAP D8)."""
+
+    @pytest.mark.parametrize("k, eta, L, M", [
+        (3, 0.8, 16, 24), (3, 0.8, 32, 32), (30, 0.3, 8, 24),
+        (6, 0.8, 24, 24), (6, 1.0, 12, 24),
+        # lambda_+ reaches 111, where lambda_+ - sqrt(lambda_+^2 - 1) lost
+        # 4e-14 of block
+        (30, 0.3, 8, 32)])
+    def test_binary64_routes_run_no_160_bit_stage(self, count_calls, k, eta,
+                                                  L, M):
+        weights = count_calls(params, "weights_from_couplings")
+        c = couplings_from_modulus(k, eta, L, M)
+        res = assemble_logZ(c, "all")
+        assert [args[1].bits for args in weights] == [53]
+        spin = res.outcomes["spin"]
+        ref = (spin.logZ if spin.status == "ok"
+               else block_transfer_logZ(c, Precision(256))[0])
+        for name in ("block", "hankel"):
+            o = res.outcomes[name]
+            assert o.status == "ok" and o.precision_bits == 53
+            assert abs(o.logZ - ref) < 1e-14 * abs(ref)
+
+    @pytest.mark.parametrize("L", [12, 8])
+    def test_160_bit_routes_against_320_bits(self, L):
+        # the root of lambda_+ - 1 ~ 1e-26 left them 8e-27 off
+        c = couplings_from_modulus(30, 1.0, L, 24)
+        p, wide = Precision(160), Precision(320)
+        pipe = SystemPipeline(c, p)
+        ref, _ = block_transfer_logZ(c, wide)
+        for route in (block_transfer_logZ, hankel_logZ):
+            lz, _ = route(c, p, pipe)
+            assert abs(wide.ctx.mpf(lz) - ref) < 1e-40 * abs(ref)
+
+    @pytest.mark.parametrize("k, eta, L, M, bound", [
+        (6, 1.0, 12, 24, 1e-15),
+        # D10: the 160-bit factorization itself moves between 8e-8 and
+        # 2.6e-7 off here when the measure moves by a unit in its last bit
+        (0.6, 0.8, 64, 64, 1e-6)])
+    def test_retried_pfaffian_against_256_bit_block(self, k, eta, L, M,
+                                                    bound):
+        c = couplings_from_modulus(k, eta, L, M)
+        res = compared(c)
+        o = res.outcomes["pfaffian"]
+        assert o.status == "ok" and o.precision_bits == 160
+        assert res.pipeline.prec.bits == 53
+        ref, _ = block_transfer_logZ(c, Precision(256))
+        assert abs(o.logZ - ref) < bound * abs(ref)
+
+
 class TestSkewToeplitzRoute:
     def test_diagonal_zero_and_antisymmetry(self):
         c = couplings_from_modulus(0.6, 0.9, 5, 6)
@@ -1033,24 +1084,27 @@ class TestSharedPipeline:
             assert o.status == "failed" and o.precision_bits == 160
             assert o.reason == "spectral weight refused"
 
-    @pytest.mark.parametrize("k, eta, L, M, route, bits, weight_bits", [
-        pytest.param(0.6, 0.9, 8, 8, "all", None, [53], id="disordered"),
-        pytest.param(3, 0.9, 6, 6, "all", None, [53], id="ordered"),
-        pytest.param(0.6, 0.9, 8, 8, "hankel", None, [53],
+    @pytest.mark.parametrize("k, eta, L, M, route, bits, weight_bits, "
+                             "route_bits", [
+        pytest.param(0.6, 0.9, 8, 8, "all", None, [53], 53, id="disordered"),
+        pytest.param(3, 0.9, 6, 6, "all", None, [53], 53, id="ordered"),
+        pytest.param(0.6, 0.9, 8, 8, "hankel", None, [53], 53,
                      id="single-route"),
-        # the binary64 joint check fails (ROADMAP D8); compare's binary64
-        # Pfaffian disagrees past ESCALATION_DEV; the caller asks for 160
-        # bits
-        pytest.param(6, 1.0, 12, 24, "all", None, [53, 160],
+        # a binary64 weight underflows (ROADMAP D12); compare's binary64
+        # Pfaffian disagrees past ESCALATION_DEV, and its retry factors at
+        # 160 bits on the binary64 pipeline; the caller asks for 160 bits
+        pytest.param(2, 1.0, 200, 16, "all", None, [53, 160], 160,
                      id="escalated-on-failure"),
-        pytest.param(0.9, 1.0, 24, 16, "compare", 53, [53, 160],
+        pytest.param(0.9, 1.0, 24, 16, "compare", 53, [53], 160,
                      id="escalated-on-disagreement"),
-        pytest.param(0.6, 0.9, 5, 6, "all", 160, [53, 160], id="extended"),
+        pytest.param(0.6, 0.9, 5, 6, "all", 160, [53, 160], 160,
+                     id="extended"),
     ])
     def test_route_path_builds_no_frame(self, count_calls, k, eta, L, M,
-                                        route, bits, weight_bits):
+                                        route, bits, weight_bits,
+                                        route_bits):
         # the binary64 weights give k and the closed-form eta report;
-        # weights are built once per precision and no frame at any
+        # weights are built once per pipeline and no frame at any
         import rectising.spectrum as spectrum
         weights = count_calls(params, "weights_from_couplings")
         frames = count_calls(params, "elliptic_frame")
@@ -1062,10 +1116,13 @@ class TestSharedPipeline:
         else:
             res = assemble_logZ(c, route, prec=bits)
             o = res.outcomes["hankel"]
-        assert o.status == "ok" and o.precision_bits == weight_bits[-1]
+        assert o.status == "ok" and o.precision_bits == route_bits
         assert [args[1].bits for args in weights] == weight_bits
+        assert res.pipeline.prec.bits == weight_bits[-1]
         assert frames == [] and enriched == []
         assert abs(4 * res.eta_im_over_Kprime - eta) < 1e-13
+        ref, _ = block_transfer_logZ(c, Precision(256))
+        assert abs(o.logZ - ref) < 1e-14 * abs(ref)
 
     def test_critical_route_path_builds_no_frame(self, count_calls):
         frames = count_calls(params, "elliptic_frame")
@@ -1104,14 +1161,39 @@ class TestSharedPipeline:
     @pytest.mark.parametrize("route", [block_transfer_logZ, hankel_logZ,
                                        pfaffian_logZ])
     def test_route_refuses_a_contradicting_pipeline(self, route):
+        # a pipeline above the precision asked for (only the Pfaffian
+        # takes one below it)
         c = couplings_from_modulus(0.6, 0.9, 5, 6)
-        pipe = SystemPipeline(c)
+        p = Precision(160)
+        pipe = SystemPipeline(c, p)
         with pytest.raises(DomainError, match="another system"):
             route(couplings_from_modulus(0.6, 0.9, 7, 6), None, pipe)
-        with pytest.raises(DomainError, match="53 bits, not at 160"):
-            route(c, Precision(160), pipe)
-        lz, _ = route(c, FLOAT64, pipe)
+        with pytest.raises(DomainError, match="160 bits, not at 53"):
+            route(c, FLOAT64, pipe)
+        lz, _ = route(c, p, pipe)
         assert route(c, pipeline=pipe)[0] == lz
+
+    @pytest.mark.parametrize("route", [block_transfer_logZ, hankel_logZ])
+    def test_route_refuses_a_pipeline_below_its_precision(self, route):
+        c = couplings_from_modulus(0.6, 0.9, 5, 6)
+        with pytest.raises(DomainError, match="53 bits, not at 160"):
+            route(c, Precision(160), SystemPipeline(c))
+
+    @pytest.mark.parametrize("k, eta, L, M", [
+        (0.6, 0.9, 5, 6), (6, 1.0, 12, 24), (0.6, 0.8, 48, 12)])
+    def test_pfaffian_factors_above_its_pipeline(self, count_calls, k, eta,
+                                                 L, M):
+        # the binary64 measure, converted exactly, through 160-bit
+        # skew-Toeplitz entries and Parlett-Reid: Pf = det H on that measure
+        import rectising.partition as partition
+        c = couplings_from_modulus(k, eta, L, M)
+        pipe = SystemPipeline(c)
+        hankel, _ = hankel_logZ(c, FLOAT64, pipe)
+        factors = count_calls(partition, "pfaffian")
+        lz, _ = pfaffian_logZ(c, Precision(160), pipe)
+        assert [args[1].bits for args in factors] == [160]
+        assert type(pipe.checked()[2][0].lam) is float
+        assert abs(lz - hankel) < 1e-14 * abs(hankel)
 
     def test_block_from_shared_eigensystem_equals_standalone(self):
         c = couplings_from_modulus(0.6, 0.9, 5, 6)
@@ -1312,8 +1394,18 @@ class TestEscalation:
             assert res.outcomes[name].precision_bits >= 160
         assert res.max_pairwise_dev < 1e-12
 
-    def test_escalated_result_reads_the_160_bit_outcomes(self):
-        # route="all" on a system whose binary64 joint check fails (D8)
+    def test_escalated_result_reads_the_160_bit_outcomes(self,
+                                                         monkeypatch):
+        # route="all" on a system whose binary64 joint check is made to
+        # fail (no real system fails it since the edge quotient, D8)
+        import rectising.spectrum as spectrum
+        check = spectrum.check_joint
+
+        def fail_in_binary64(bundle, pts):
+            if bundle.prec.is_float:
+                raise spectrum.JointDiagonalizationError("made to fail")
+            check(bundle, pts)
+        monkeypatch.setattr(spectrum, "check_joint", fail_in_binary64)
         c = couplings_from_modulus(6, 1.0, 12, 24)
         res = assemble_logZ(c, "all")
         ref = assemble_logZ(c, "all", prec=Precision(160))
@@ -1322,13 +1414,17 @@ class TestEscalation:
             assert res.outcomes[name].logZ == ref.outcomes[name].logZ
         assert res.logZ == ref.logZ == res.outcomes["spin"].logZ
         assert res.max_pairwise_dev == ref.max_pairwise_dev
-        # compare's retry of the Pfaffian alone
+        assert res.pipeline.prec.bits == 160
+        # compare's retry of the Pfaffian alone factors at 160 bits on the
+        # binary64 pipeline, which the result keeps
+        monkeypatch.setattr(spectrum, "check_joint", check)
         c = couplings_from_modulus(0.9, 1.0, 24, 16)
         res = compared(c, FLOAT64)
         ref = compared(c, Precision(160))
         assert res.outcomes["pfaffian"].precision_bits == 160
-        assert res.outcomes["pfaffian"].logZ == ref.outcomes["pfaffian"].logZ
-        assert res.pipeline.prec.bits == 160
+        assert res.pipeline.prec.bits == 53
+        want = ref.outcomes["pfaffian"].logZ
+        assert abs(res.outcomes["pfaffian"].logZ - want) < 1e-14 * abs(want)
 
     def test_binary64_hankel_and_block_agree(self):
         # an LU of the moment matrix loses 10 digits here in binary64; the

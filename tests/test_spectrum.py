@@ -139,8 +139,9 @@ class TestJointSpectrum:
 
 
 class TestBinary64Checks:
-    """The joint check and the eigenvalue branch are decided in binary64;
-    only an edge mode's Rayleigh quotient runs at the working precision."""
+    """The joint check is decided in binary64; the branch and, where the
+    root is worse conditioned, lambda_minus come from v^T T_minus v at the
+    working precision."""
 
     @pytest.mark.parametrize("bits", [53, 160])
     def test_check_catches_perturbed_eigenvector(self, bits):
@@ -154,40 +155,58 @@ class TestBinary64Checks:
         with pytest.raises(JointDiagonalizationError, match="residual"):
             check_joint(b, pts)
 
-    def test_edge_mode_branch_at_working_precision(self, count_calls):
+    def test_edge_mode_branch_at_working_precision(self):
         p = Precision(160)
-        ctx = p.ctx
-        w = weights_from_couplings(couplings_from_modulus(6.0, 1.0, 12, 24), p)
-        b = build_matrices(w, 24)
-        calls = count_calls(spectrum, "_rayleigh")
+        M = 24
+        w = weights_from_couplings(couplings_from_modulus(6.0, 1.0, 12, M), p)
+        b = build_matrices(w, M)
         pts = joint_spectrum(b, w, p)
-        # the edge mode (gamma ~ 1.9e-13) falls back, the bulk does not
         edge = min(pts, key=lambda q: abs(q.gamma))
         assert abs(edge.gamma) < 1e-12
-        assert [args[1] for args in calls] == [edge.eigvec]
-        # lambda is lambda_+ +- sqrt((lambda_+ - 1)(lambda_+ + 1)), on the
-        # side of lambda_+ that the dense mpmath quotient picks, to the
-        # working precision: lambda_+ is the 160-bit map of chi that T_plus
-        # is built with, and the root is taken at 320 bits, so that a
-        # lambda_+ - 1 that loses digits (D8: 1e-26 at the edge mode) fails
-        T = ctx.matrix(b.rows_T)
+        # against a dense 320-bit T_minus: lambda_minus is the quotient of
+        # its own vector, with its sign, to the working precision; the
+        # root sqrt((lambda_+ - 1)(lambda_+ + 1)) would be too, except at
+        # the edge mode, where lambda_+ - 1 cancels to 1e-26 (D8).  lambda
+        # is s = lambda_+ + |lambda_minus| on the upper branch, 1/s on the
+        # lower one
         wide = Precision(320).ctx
-        tzp, tzm = w.t_plus * w.z_plus, w.t_minus * w.z_minus
+        Tm = wide.zeros(M, M)
+        main, low, high = b.minus_bands
+        for i in range(M):
+            Tm[i, M - 1 - i] = main[i]
+        for i in range(M - 1):
+            Tm[i, M - 2 - i] = low[i]
+            Tm[i + 1, M - 1 - i] = high[i]
+        assert wide.mnorm(Tm - Tm.T, 1) == 0
+        tol = wide.ldexp(wide.mnorm(Tm, 1), -150)
         for q in pts:
-            v = ctx.matrix([p.from_decimal(x) for x in q.eigvec])
-            lp = wide.mpf(-tzm / 2 * p.from_decimal(q.chi) + (tzp + tzm))
-            upper = (v.T * T * v)[0] >= lp
+            v = wide.matrix([p.from_decimal(x) for x in q.eigvec])
+            quot = (v.T * Tm * v)[0]
+            lp, lm, lam = (wide.mpf(p.from_decimal(getattr(q, name)))
+                           for name in ("lam_plus", "lam_minus", "lam"))
+            assert (lm >= 0) == (quot >= 0)
+            assert abs(lm - quot) <= tol
             root = wide.sqrt((lp - 1) * (lp + 1))
-            want = lp + root if upper else lp - root
-            lam = wide.mpf(p.from_decimal(q.lam))
-            assert (lam >= lp) == upper
-            assert abs(lam - want) <= wide.ldexp(abs(want), -155)
+            assert (abs(abs(lm) - root) > tol) == (q is edge)
+            s = lp + abs(lm)
+            want = s if lm >= 0 else 1 / s
+            assert abs(lam - want) <= wide.ldexp(want, -155)
 
-    def test_disordered_spectrum_makes_no_mp_products(self, count_calls):
-        calls = count_calls(spectrum, "_rayleigh")
-        c = couplings_from_modulus(0.6, 0.8, 12, 64)
-        SystemPipeline(c, Precision(160)).checked()
-        assert calls == []
+    @pytest.mark.parametrize("bits", [53, 160])
+    def test_lower_branch_is_the_reciprocal(self, bits):
+        # lambda_+ reaches 111 at k=30, where lambda_+ - sqrt(lambda_+^2 - 1)
+        # would lose 2 lambda_+^2 ~ 25000 units of roundoff; 1/s loses few
+        p = Precision(bits)
+        c = couplings_from_modulus(30, 0.3, 8, 32)
+        pts = SystemPipeline(c, p).checked()[2]
+        ref = {round(float(q.lam_plus), 6): q
+               for q in SystemPipeline(c, Precision(320)).checked()[2]}
+        lower = [q for q in pts if q.lam_minus < 0]
+        assert max(float(q.lam_plus) for q in lower) > 100
+        with decimal.localcontext(Precision(320).decimal):
+            for q in lower:
+                want = ref[round(float(q.lam_plus), 6)].lam
+                assert abs(decimal.Decimal(q.lam) / want - 1) < 50 * p.eps
 
     def test_binary64_copies_made_once_and_read_only(self):
         w = weights_from_couplings(couplings_from_modulus(0.6, 0.8, 4, 8))
