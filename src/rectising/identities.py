@@ -48,6 +48,9 @@ from .spectrum import (
 #: default gating tolerance for the scaled residuals
 GATING_TOL = 1e-9
 
+#: step of the central finite differences, and how many samples take them
+FD_STEP, FD_SAMPLES = 1e-5, 8
+
 
 # ----------------------------------------------------------------------
 # environment
@@ -97,6 +100,25 @@ class IdentityEnv:
     def eta2_triple(self):
         """(sn, cn, dn) at 2 eta, evaluated once per suite run."""
         return self.kern.sncndn(2 * self.frame.eta)
+
+    @cached_property
+    def am_2u(self):
+        """am(2u) at each sample, or the PoleError it raised there."""
+        out = []
+        for s in self.samples:
+            try:
+                out.append(self.kern.am(2 * s.u))
+            except PoleError as exc:
+                out.append(exc)
+        return out
+
+    @cached_property
+    def lambda_zeta_fd(self):
+        """lambda_zeta at u + FD_STEP and u - FD_STEP for each of the
+        first FD_SAMPLES samples."""
+        return [(lambda_zeta(s.u + FD_STEP, self.frame),
+                 lambda_zeta(s.u - FD_STEP, self.frame))
+                for s in self.samples[:FD_SAMPLES]]
 
     @cached_property
     def cpc(self):
@@ -499,15 +521,12 @@ def _e_derivatives(env, r):
     ctx, w, fr = env.ctx, env.w, env.frame
     i = ctx.mpc(0, 1)
     k = fr.k
-    h = 1e-5
     s2e = env.eta2_triple[0]
-    for s in env.samples[:8]:
-        u, lam, zet = s.u, s.lam, s.zeta
+    for s, ((lp, zp), (lm, zm)) in zip(env.samples, env.lambda_zeta_fd):
+        lam, zet = s.lam, s.zeta
         lam_m = (lam - 1 / lam) / 2
-        lp, zp = lambda_zeta(u + h, fr)
-        lm, zm = lambda_zeta(u - h, fr)
-        dgam_fd = (ctx.log(lp) - ctx.log(lm)) / (2 * h)
-        dphi_fd = (zp - zm) / (2 * h) / (i * zet)
+        dgam_fd = (ctx.log(lp) - ctx.log(lm)) / (2 * FD_STEP)
+        dphi_fd = (zp - zm) / (2 * FD_STEP) / (i * zet)
         s2 = s.at_2u[0]
         sin_phi = (zet - 1 / zet) / (2 * i)
         sn, cn, dn = s.at_u
@@ -531,18 +550,15 @@ def _e_chain(env, r):
     diagnostic; it corresponds to chi = -2 zeta_plus.
     """
     ctx, w, fr = env.ctx, env.w, env.frame
-    h = 1e-5
-    for s in env.samples[:8]:
-        u, lam, zet = s.u, s.lam, s.zeta
+    for s, ((_lp, zp), (_lm, zm)) in zip(env.samples, env.lambda_zeta_fd):
+        lam, zet = s.lam, s.zeta
         lam_m = (lam - 1 / lam) / 2
         sin_phi = (zet - 1 / zet) / (2 * ctx.mpc(0, 1))
         s2 = s.at_2u[0]
         dgam = -2 * fr.k * s2 * lam_m
         dphi = 2 * lam_m / w.z_minus
         chi = zet + 1 / zet + 2
-        _lp, zp = lambda_zeta(u + h, fr)
-        _lm, zm = lambda_zeta(u - h, fr)
-        chi_fd = ((zp + 1 / zp) - (zm + 1 / zm)) / (2 * h)
+        chi_fd = ((zp + 1 / zp) - (zm + 1 / zm)) / (2 * FD_STEP)
         r.compare("gamma_phi_a", dgam / dphi, -w.t_minus * s2)
         r.compare("gamma_phi_b", dgam / dphi, w.tz_minus * sin_phi / lam_m)
         r.compare("chi_shifted", chi * (4 - chi) / s2, chi_fd)
@@ -558,11 +574,12 @@ def _e_omega_theta(env, r):
     kern = env.kern
     k = fr.k
     i = ctx.mpc(0, 1)
-    for s in env.samples:
+    for s, om in zip(env.samples, env.am_2u):
+        if isinstance(om, PoleError):
+            raise om
         sn, cn, dn = s.at_u
         s2, c2, d2 = s.at_2u
         s2t, c2t, d2t = s.at_2ut
-        om = kern.am(2 * s.u)
         th = i * kern.am(2 * s.ut)
         r.compare("sin_omega", s2, ctx.sin(om))
         r.compare("cos_omega", c2, ctx.cos(om))
@@ -582,12 +599,13 @@ def _e_omega_theta(env, r):
 def _e_inversion(env, r):
     ctx, fr = env.ctx, env.frame
     i = ctx.mpc(0, 1)
-    for s in env.samples:
+    for s, om in zip(env.samples, env.am_2u):
         ui = s.u + i * fr.K_prime
         lam, zet = s.lam, s.zeta
         try:
             lam_i, zet_i = lambda_zeta(ui, fr)
-            om = env.kern.am(2 * s.u)
+            if isinstance(om, PoleError):
+                continue
             om_i = env.kern.am(2 * ui)
         except PoleError:
             continue

@@ -384,8 +384,11 @@ def _bond_list(c: Couplings):
 def brute_force_logZ(c: Couplings) -> float:
     """Exact trace over all 2^(L*M) configurations.
 
-    Chunked bit enumeration; chunk sums are combined with compensated
-    summation so the only rounding left is in exp itself.
+    The sites form lines of min(L, M) spins along the longer side; tables
+    from `_bond_list` of the energy each line adds, per state of it and of
+    the line before, broadcast line by line into the energy of every
+    configuration, in chunks of at most 2^20.  Compensated summation of
+    the chunk sums leaves rounding only in the energies and in exp.
     """
     n = c.sites
     if n > BRUTE_MAX_SPINS:
@@ -394,18 +397,30 @@ def brute_force_logZ(c: Couplings) -> float:
             f"{BRUTE_MAX_SPINS}; use the spin-transfer route")
     bonds = _bond_list(c)
     emax = sum(k for _a, _b, k in bonds)
-    parts = []
-    chunk = 1 << 20
-    for start in range(0, 1 << n, chunk):
-        stop = min(start + chunk, 1 << n)
-        idx = np.arange(start, stop, dtype=np.int64)
-        energy = np.zeros(idx.shape, dtype=float)
-        for a, b, kk in bonds:
-            agree = 1 - 2 * (((idx >> a) ^ (idx >> b)) & 1)
-            energy += kk * agree
-        parts.append(float(np.sum(np.exp(energy - emax))))
-    total = math.fsum(parts)
-    return emax + math.log(total)
+    width, lines = min(c.L, c.M), max(c.L, c.M)
+    spin = [(np.arange(1 << width) >> p) & 1 for p in range(width)]
+    # step[j][t, s]: the energy line j adds in state t after line j - 1 in
+    # state s (line 0 reads column 0).  The newest line leads each energy
+    # array, so every broadcast runs its inner loop over the earlier lines.
+    step = np.zeros((lines, 1 << width, 1 << width))
+    step[0, :, 0] -= emax
+    for a, b, k in bonds:
+        # site l * M + m is spin m of line l, or spin l of line m
+        (la, pa), (lb, pb) = sorted(divmod(x, c.M)[::1 if c.M <= c.L else -1]
+                                    for x in (a, b))
+        if la == lb:
+            step[la] += k * (1 - 2 * (spin[pa] ^ spin[pb]))[:, None]
+        else:
+            step[lb] += k * (1 - 2 * (spin[pb][:, None] ^ spin[pa]))
+
+    def grow(e, t):
+        return (t[..., None] + e).reshape(1 << width, -1)
+    # each column of the head's energies starts a chunk of the other lines
+    head = lines - min(lines, 20 // width)
+    energy = reduce(grow, step[1:head + 1], step[0, :, :1])
+    return emax + math.log(math.fsum(
+        float(np.sum(np.exp(reduce(grow, step[head + 1:], energy[:, [r]]))))
+        for r in range(energy.shape[1])))
 
 
 def _popcounts(n: int) -> np.ndarray:

@@ -323,20 +323,25 @@ def joint_spectrum(bundle: MatrixBundle, w: Weights,
     prec = as_precision(prec if prec is not None else bundle.prec)
     chis, lam_plus, vecs = _core_eig(bundle, w, prec)
     V64 = np.array(vecs, dtype=float)
-    size = _anti_quotients([np.abs(np.array(b, dtype=float))
-                            for b in bundle.minus_bands], np.abs(V64))
-    log, sqrt, real, dtype = (
-        (math.log, math.sqrt, float, float) if prec.is_float
-        else (decimal.Decimal.ln, decimal.Decimal.sqrt, prec.to_decimal,
-              object))
+    bands64 = [np.array(b, dtype=float) for b in bundle.minus_bands]
+    size = _anti_quotients([np.abs(b) for b in bands64], np.abs(V64))
+    quots = _anti_quotients(bands64, V64)
+    log, sqrt = ((math.log, math.sqrt) if prec.is_float
+                 else (decimal.Decimal.ln, decimal.Decimal.sqrt))
     pts = []
     with decimal.localcontext(prec.decimal):
-        quots = _anti_quotients(
-            [np.array([real(x) for x in b], dtype=dtype)
-             for b in bundle.minus_bands], np.array(vecs, dtype=dtype))
+        bands = None if prec.is_float else [
+            np.array([prec.to_decimal(x) for x in b], dtype=object)
+            for b in bundle.minus_bands]
         for chi, lp, v, v64, q, a in zip(chis, lam_plus, vecs, V64,
                                          quots.tolist(), size.tolist()):
             sq = (lp - 1) * (lp + 1)
+            # q at the working precision where binary64 q, rounded by
+            # under 2^-50 M a, leaves its sign or the test below open
+            slack = 2.0 ** -50 * bundle.M * a
+            if bands and (abs(q) <= slack or float(lp) ** 2
+                          * (abs(q) + slack) > float(sq) * a):
+                q = _anti_quotients(bands, np.array([v], dtype=object))[0]
             # the root is worse conditioned: lambda_+^2 / sq > a / |q|
             lm = (abs(q) if float(lp) ** 2 * abs(float(q)) > float(sq) * a
                   else sqrt(max(sq, 0 * sq)))

@@ -5,8 +5,9 @@ import math
 
 import pytest
 
-from rectising import identities, params
+from rectising import identities, params, spectrum
 from rectising.elliptic import EllipticKernel
+from rectising.errors import PoleError
 from rectising.identities import CATALOGUE, Residuals, run_identity_suite
 from rectising.params import Couplings, couplings_from_modulus
 from rectising.spectrum import SystemPipeline
@@ -58,6 +59,47 @@ class TestSharedBuild:
         calls = count_calls(EllipticKernel, "sncndn")
         run_identity_suite(c)
         assert sum(1 for _kern, u in calls if u == eta) <= 1
+
+    def test_shared_sample_values_evaluated_once(self, count_calls):
+        # am(2u) serves two entries, lambda_zeta(u +- FD_STEP) two others
+        c = couplings_from_modulus(0.6, 0.9, 5, 6)
+        samples = identities.build_env(c).samples
+        am = count_calls(EllipticKernel, "am")
+        lz = count_calls(spectrum, "lambda_zeta")
+        run_identity_suite(c)
+        twice = [2 * s.u for s in samples]
+        steps = [s.u + d for s in samples[:identities.FD_SAMPLES]
+                 for d in (identities.FD_STEP, -identities.FD_STEP)]
+        assert [sum(1 for _kern, u in am if u == x) for x in twice] \
+            == [1] * len(twice)
+        assert [sum(1 for u, _frame in lz if u == x) for x in steps] \
+            == [1] * len(steps)
+
+    @pytest.mark.parametrize("where, outcome", [
+        ("am", {"boundary-phase-identities": "error",
+                "inversion-transform": "pass"}),
+        ("lambda_zeta", {"angle-derivatives": "error",
+                         "derivative-chain": "error"})])
+    def test_a_pole_in_a_shared_value(self, monkeypatch, where, outcome):
+        # a PoleError at one sample errors the entries that read the value
+        # outside a guard, and skips the sample in those that guard it
+        c = couplings_from_modulus(0.6, 0.9, 5, 6)
+        u = identities.build_env(c).samples[3].u
+        owner, pole = ((EllipticKernel, 2 * u) if where == "am"
+                       else (identities, u + identities.FD_STEP))
+        orig = getattr(owner, where)
+
+        def raising(*args):
+            if pole in args:
+                raise PoleError("pole")
+            return orig(*args)
+
+        monkeypatch.setattr(owner, where, raising)
+        entries = {e.identity_id: e for e in run_identity_suite(c).entries}
+        for identity_id, status in outcome.items():
+            assert entries[identity_id].status == status
+            if status == "error":
+                assert entries[identity_id].note == "PoleError: pole"
 
 
 class TestRecorder:

@@ -4,6 +4,7 @@ import decimal
 import itertools
 import math
 import random
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -72,6 +73,34 @@ def enumeration_oracle(c: Couplings) -> float:
                 e += c.K_v * s[l * c.M + m] * s[l * c.M + m + 1]
         tot += math.exp(e)
     return math.log(tot)
+
+
+def unchecked_couplings(K_h, K_v, L, M) -> Couplings:
+    """Couplings without the positivity check: the configuration sums hold
+    at any sign."""
+    c = object.__new__(Couplings)
+    for name, val in (("K_h", K_h), ("K_v", K_v), ("L", L), ("M", M)):
+        object.__setattr__(c, name, val)
+    return c
+
+
+def exact_log_z(c: Couplings) -> float:
+    """log Z from the exact number of configurations at each pair of
+    integer agreement counts (horizontal, vertical), summed at 40 digits."""
+    idx = np.arange(1 << c.sites)
+    spin = [(idx >> site) & 1 for site in range(c.sites)]
+    h = sum(1 - 2 * (spin[l * c.M + m] ^ spin[(l + 1) * c.M + m])
+            for l in range(c.L - 1) for m in range(c.M))
+    v = sum(1 - 2 * (spin[l * c.M + m] ^ spin[l * c.M + m + 1])
+            for l in range(c.L) for m in range(c.M - 1))
+    nh, nv = (c.L - 1) * c.M, c.L * (c.M - 1)
+    counts = np.bincount((h + nh) * (2 * nv + 1) + v + nv).tolist()
+    with mpmath.workdps(40):
+        K_h, K_v = mpmath.mpf(c.K_h), mpmath.mpf(c.K_v)
+        return float(mpmath.log(mpmath.fsum(
+            n * mpmath.exp((key // (2 * nv + 1) - nh) * K_h
+                           + (key % (2 * nv + 1) - nv) * K_v)
+            for key, n in enumerate(counts) if n)))
 
 
 def right_looking_logdet(rows):
@@ -465,12 +494,15 @@ class TestConfigurationSums:
 
     def test_spin_matches_brute(self):
         # even, uneven and empty Kronecker halves (M = 1, 5, 7, 12), a
-        # single row, a system over the cap that runs swapped (14 x 1)
+        # single row, a system over the cap that runs swapped (14 x 1),
+        # and 24-spin systems at brute's cap, of line widths 4, 3 and 1
         for c in (Couplings(0.41, 0.33, 4, 4), Couplings(0.6, 0.2, 2, 6),
                   Couplings(0.35, 0.5, 2, 12), Couplings(0.3, 0.45, 3, 7),
                   Couplings(0.6, 0.25, 4, 5), Couplings(0.45, 0.3, 5, 1),
                   Couplings(0.5, 0.5, 1, 1), Couplings(0.4, 0.6, 1, 9),
-                  Couplings(0.4, 0.3, 1, 14)):
+                  Couplings(0.4, 0.3, 1, 14), Couplings(0.41, 0.33, 4, 6),
+                  Couplings(0.41, 0.33, 6, 4), Couplings(0.3, 0.45, 3, 8),
+                  Couplings(0.4, 0.3, 1, 24)):
             b = brute_force_logZ(c)
             s = spin_transfer_logZ(c)
             assert abs(b - s) < 1e-13 * max(1.0, abs(b)), c
@@ -480,13 +512,42 @@ class TestConfigurationSums:
         # Couplings refuses K <= 0, but both configuration sums hold at
         # any sign; flipping every other row (column) maps -K_h (-K_v)
         # onto +K_h (+K_v) on the open rectangle
-        c = object.__new__(Couplings)
-        for name, val in (("K_h", K_h), ("K_v", K_v), ("L", 4), ("M", 5)):
-            object.__setattr__(c, name, val)
+        c = unchecked_couplings(K_h, K_v, 4, 5)
         b = brute_force_logZ(c)
         assert abs(spin_transfer_logZ(c) - b) < 1e-13 * abs(b)
         mirror = Couplings(abs(K_h), abs(K_v), 4, 5)
         assert abs(spin_transfer_logZ(mirror) - b) < 1e-13 * abs(b)
+
+    @pytest.mark.parametrize("K_h, K_v, L, M", [
+        (0.4, 0.3, 1, 16), (0.4, 0.3, 16, 1), (0.6, 0.2, 2, 8),
+        (0.41, 0.33, 4, 4), (0.3, 0.45, 3, 5), (-0.5, 0.3, 4, 5),
+        (0.4, -0.6, 4, 5)])
+    def test_brute_matches_the_exact_count(self, K_h, K_v, L, M):
+        c = unchecked_couplings(K_h, K_v, L, M)
+        ref = exact_log_z(c)
+        assert abs(brute_force_logZ(c) - ref) <= 1e-15 * abs(ref)
+
+    def test_brute_arrays_stay_within_the_chunk_bound(self, monkeypatch):
+        # 24 spins: each configuration is exponentiated once, in chunks of
+        # at most 2^20, and no more than two chunk-sized float arrays (the
+        # energies and their exponentials) are alive at once
+        sizes = []
+        exp = np.exp
+
+        def recording_exp(x):
+            sizes.append(np.size(x))
+            return exp(x)
+
+        monkeypatch.setattr(np, "exp", recording_exp)
+        tracemalloc.start()
+        try:
+            brute_force_logZ(Couplings(0.41, 0.33, 4, 6))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(sizes) == 1 << 24
+        assert max(sizes) <= 1 << 20
+        assert peak <= 3 * 8 << 20
 
     def test_spin_strong_coupling_stays_finite(self):
         # e^{4 K_h} overflows a product of unscaled blocks
