@@ -400,8 +400,8 @@ def brute_force_logZ(c: Couplings) -> float:
     width, lines = min(c.L, c.M), max(c.L, c.M)
     spin = [(np.arange(1 << width) >> p) & 1 for p in range(width)]
     # step[j][t, s]: the energy line j adds in state t after line j - 1 in
-    # state s (line 0 reads column 0).  The newest line leads each energy
-    # array, so every broadcast runs its inner loop over the earlier lines.
+    # state s, less emax on line 0, which reads column 0.  The newest line
+    # leads each energy array, so broadcasts loop over the earlier lines.
     step = np.zeros((lines, 1 << width, 1 << width))
     step[0, :, 0] -= emax
     for a, b, k in bonds:
@@ -415,7 +415,7 @@ def brute_force_logZ(c: Couplings) -> float:
 
     def grow(e, t):
         return (t[..., None] + e).reshape(1 << width, -1)
-    # each column of the head's energies starts a chunk of the other lines
+    # the head lines' configurations are taken one per chunk of the rest
     head = lines - min(lines, 20 // width)
     energy = reduce(grow, step[1:head + 1], step[0, :, :1])
     return emax + math.log(math.fsum(

@@ -311,14 +311,14 @@ def joint_spectrum(bundle: MatrixBundle, w: Weights,
     """Simultaneous spectrum of the transfer-matrix family, unchecked and
     without angles, at any modulus, the critical one included.
 
-    Eigenvectors and lambda_+ come from `_core_eig`; q = v^T T_minus v,
-    at the working precision, gives lambda_minus its sign, and its size
-    where the root sqrt((lambda_+ - 1)(lambda_+ + 1)) is worse conditioned
-    (as an ordered-phase edge mode's is, ROADMAP D8): lambda_+^2 /
-    (lambda_+^2 - 1) against q's |v|^T |T_minus| |v| / |q|, both inputs
-    good to the working precision.  lambda is s = lambda_+ + |lambda_minus|
-    or 1/s.  `check_joint` checks the cross-residuals against every family
-    member.
+    Eigenvectors and lambda_+ come from `_core_eig`; q = v^T T_minus v
+    gives lambda_minus its sign, and its size where the root
+    sqrt((lambda_+ - 1)(lambda_+ + 1)) is worse conditioned (as an
+    ordered-phase edge mode's is, ROADMAP D8): lambda_+^2 / (lambda_+^2 -
+    1) against q's |v|^T |T_minus| |v| / |q|.  q is taken at the working
+    precision, or in binary64 where its rounding decides neither.  lambda
+    is s = lambda_+ + |lambda_minus| or 1/s.  `check_joint` checks the
+    cross-residuals against every family member.
     """
     prec = as_precision(prec if prec is not None else bundle.prec)
     chis, lam_plus, vecs = _core_eig(bundle, w, prec)
@@ -336,8 +336,7 @@ def joint_spectrum(bundle: MatrixBundle, w: Weights,
         for chi, lp, v, v64, q, a in zip(chis, lam_plus, vecs, V64,
                                          quots.tolist(), size.tolist()):
             sq = (lp - 1) * (lp + 1)
-            # q at the working precision where binary64 q, rounded by
-            # under 2^-50 M a, leaves its sign or the test below open
+            # binary64 q is off by under 2^-50 M a
             slack = 2.0 ** -50 * bundle.M * a
             if bands and (abs(q) <= slack or float(lp) ** 2
                           * (abs(q) + slack) > float(sq) * a):

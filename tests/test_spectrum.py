@@ -192,6 +192,28 @@ class TestBinary64Checks:
             want = s if lm >= 0 else 1 / s
             assert abs(lam - want) <= wide.ldexp(want, -155)
 
+    def test_working_precision_quotient_only_where_binary64_is_open(
+            self, monkeypatch):
+        # binary64 q settles the sign and the choice of root of most modes;
+        # the edge mode of 12x24, k=6 takes q, so it is formed on decimal
+        rows = []
+        orig = spectrum._anti_quotients
+
+        def recording(bands, V):
+            if V.dtype == object:
+                rows.extend(V.tolist())
+            return orig(bands, V)
+
+        monkeypatch.setattr(spectrum, "_anti_quotients", recording)
+        p = Precision(160)
+        for k, eta, L, M in ((0.6, 0.8, 64, 64), (6.0, 1.0, 12, 24)):
+            w = weights_from_couplings(couplings_from_modulus(k, eta, L, M), p)
+            rows.clear()
+            pts = joint_spectrum(build_matrices(w, M), w, p)
+            assert 0 < len(rows) <= M // 2
+        edge = min(pts, key=lambda q: abs(q.gamma))
+        assert list(edge.eigvec) in rows
+
     @pytest.mark.parametrize("bits", [53, 160])
     def test_lower_branch_is_the_reciprocal(self, bits):
         # lambda_+ reaches 111 at k=30, where lambda_+ - sqrt(lambda_+^2 - 1)
