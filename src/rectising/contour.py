@@ -302,6 +302,8 @@ def uplane_field(n: int, resolution: int, cctx: ContourContext) -> UPlaneField:
 
     Poles on grid nodes, counter-poles included, are emitted as signed
     infinities.  Works in both phases (sampling needs no deformation).
+    Binary64 evaluates a grid row at once, node by node only if one is a
+    pole; extended precision evaluates every node on its own.
     """
     if resolution < 16:
         raise DomainError("resolution must be at least 16")
@@ -314,23 +316,38 @@ def uplane_field(n: int, resolution: int, cctx: ContourContext) -> UPlaneField:
     # rounding-noise sn(u - eta) unless the power is negative
     pole_at_eta = cctx.L + n + 1 > cctx.M
     sn_e, cn_e, dn_e = frame.eta_triple
+    inf = complex(float("inf"), float("inf"))
+
+    def values(triple):
+        """Integrand from node triples; inf+infj at counter-poles, overflow."""
+        sn, cn, dn = triple
+        a, b = sn * cn_e * dn_e, sn_e * cn * dn
+        tol = COUNTER_POLE_TOL * (abs(a) + abs(b))
+        with np.errstate(all="ignore"):
+            common, chi, _zeta = _node(None, cctx, triple)
+            vals = np.asarray(common * chi ** n, dtype=complex)
+        counter = (abs(a + b) <= tol) | (pole_at_eta & (abs(a - b) <= tol))
+        return np.where(counter | ~np.isfinite(vals), inf, vals).tolist()
+
+    def node(x, y):
+        try:
+            if cctx.prec.is_float:
+                return values(frame.kernel.sncndn_line([x], y))[0]
+            return values(frame.kernel.sncndn(ctx.mpc(x, y)))
+        except (PoleError, ZeroDivisionError):
+            return inf
+
+    xs = -K + 2 * K * np.arange(resolution) / (resolution - 1)
     vals = []
-    inf = float("inf")
     for iy in range(resolution):
         y = -Kp + 2 * Kp * iy / (resolution - 1)
-        for ix in range(resolution):
-            x = -K + 2 * K * ix / (resolution - 1)
-            u = ctx.mpc(x, y)
+        if cctx.prec.is_float:
             try:
-                triple = sn, cn, dn = frame.kernel.sncndn(u)
-                a, b = sn * cn_e * dn_e, sn_e * cn * dn
-                tol = COUNTER_POLE_TOL * (abs(a) + abs(b))
-                if abs(a + b) <= tol or (pole_at_eta and abs(a - b) <= tol):
-                    raise PoleError("counter-pole on a grid node", where=u)
-                common, chi, _zeta = _node(u, cctx, triple)
-                vals.append(complex(common * chi ** n))
-            except (PoleError, ZeroDivisionError):
-                vals.append(complex(inf, inf))
+                vals += values(frame.kernel.sncndn_line(xs, y))
+                continue
+            except PoleError:
+                pass                  # split the row per node
+        vals += [node(x, y) for x in xs]
     h = complex(frame.eta)
     ik = 1j * Kp
     markers = {

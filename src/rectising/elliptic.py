@@ -11,7 +11,7 @@ Algorithms
   chain, kept per modulus as a_n, 2^n a_n and c_j / a_j in backward order,
 * complex arguments split u = x + iy and combine real evaluations at the
   modulus and its complement through the sn addition formulas (in
-  binary64 also along a whole line x_j + iy as numpy arrays),
+  binary64 also over numpy arrays of nodes x_j + i y_j),
 * incomplete integrals use the Carlson symmetric form RF with the standard
   duplication iteration, which is well behaved for complex amplitudes,
 * moduli k > 1 route through the reciprocal modulus; the exposed quarter
@@ -67,9 +67,9 @@ def _nint(floor, x):
 
 @functools.cache
 def _scalar_fns(prec: Precision) -> SimpleNamespace:
-    """Constructors, pi and elementary functions at ``prec`` (``csqrt`` and
-    ``log`` of complex numbers): the float and complex types, `math` and
-    `cmath` in binary64, the context's own in extended precision."""
+    """Constructors, pi and elementary functions at ``prec`` (``csqrt``,
+    ``log``, ``tan`` of complex numbers): the float and complex types,
+    `math` and `cmath` in binary64, else the context's own."""
     if prec.is_float:
         real, cplx, mpf, mpc = math, cmath, float, complex
     else:
@@ -77,7 +77,8 @@ def _scalar_fns(prec: Precision) -> SimpleNamespace:
         mpf, mpc = real.mpf, real.mpc
     return SimpleNamespace(mpf=mpf, mpc=mpc, pi=real.pi, floor=real.floor,
                            sin=real.sin, cos=real.cos, asin=real.asin,
-                           sqrt=real.sqrt, csqrt=cplx.sqrt, log=cplx.log)
+                           sqrt=real.sqrt, csqrt=cplx.sqrt, log=cplx.log,
+                           tan=cplx.tan)
 
 
 # ----------------------------------------------------------------------
@@ -210,23 +211,30 @@ class EllipticKernel:
         return self._sncndn_split(u)
 
     def sncndn_line(self, xs, y):
-        """Binary64 sn, cn, dn as arrays at every node x_j + iy of one
-        horizontal line: one numpy Landen pass over the real array ``xs``
-        (clamped as in `_phase_real`) and one complement triple at ``y``,
+        """Binary64 sn, cn, dn as arrays at the nodes x + iy, where ``y``
+        is one level (a horizontal line) or an array that broadcasts
+        against ``xs``: one numpy Landen pass per chain (clamped as in
+        `_phase_real`; a single level takes the scalar complement triple),
         combined as in `sncndn`; PoleError if any node is a pole."""
         if not self.prec.is_float:
             raise DomainError("sncndn_line is binary64 only")
         xs = np.asarray(xs, dtype=float)
+        y = np.asarray(y, dtype=float) if np.ndim(y) else y
         if self.ordered:
             xs, y = xs / self.kappa, y / self.kappa
-        _a, start, ratios = self._chain
+        s, c, d = self._add_imaginary(
+            xs, self._base_line(xs, self._chain, self.kappa), y)
+        return (self.kappa * s, d, c) if self.ordered else (s, c, d)
+
+    @staticmethod
+    def _base_line(xs, chain, kk):
+        """`_sncndn_base` over a real array."""
+        _a, start, ratios = chain
         phi = start * xs
         for r in ratios:
             phi = (phi + np.arcsin(np.clip(r * np.sin(phi), -1, 1))) / 2
         sn = np.sin(phi)
-        s, c, d = self._add_imaginary(
-            xs, (sn, np.cos(phi), np.sqrt(1 - (self.kappa * sn) ** 2)), y)
-        return (self.kappa * s, d, c) if self.ordered else (s, c, d)
+        return sn, np.cos(phi), np.sqrt(1 - (kk * sn) ** 2)
 
     def _sncndn_split(self, u):
         """Addition-formula split at the base modulus (< 1)."""
@@ -235,15 +243,18 @@ class EllipticKernel:
         return triple if y == 0 else self._add_imaginary(x, triple, y)
 
     def _add_imaginary(self, x, triple, y):
-        """The triple at x + iy from the base triple at real x (scalars or
-        arrays) and the complement triple at y."""
+        """The triple at x + iy from the base triple at real x and the
+        complement triple at y (scalars or arrays)."""
         s, c, d = triple
-        s1, c1, d1 = self._sncndn_base(y, self._chain_c, self.kappa_prime)
+        s1, c1, d1 = (self._base_line if isinstance(y, np.ndarray)
+                      else self._sncndn_base)(y, self._chain_c,
+                                              self.kappa_prime)
         kk2 = self.kappa * self.kappa
         den = c1 * c1 + kk2 * (s * s1) ** 2
         if any_true(abs(den) < POLE_TOL * POLE_TOL):
             if isinstance(den, np.ndarray):
-                x = x[np.argmin(den)]
+                x, y = (np.broadcast_to(v, den.shape).flat[np.argmin(den)]
+                        for v in (x, y))
             raise PoleError("pole of sn: u on the i K' lattice",
                             where=complex(x, y))
         # real and imaginary parts divided apart: numpy would divide a

@@ -112,13 +112,25 @@ class IdentityEnv:
                 out.append(exc)
         return out
 
+    def lambda_zeta_at(self, us):
+        """lambda_zeta at each point of ``us`` from one `_triples` call, or
+        the PoleError it raised there."""
+        eta, k = self.frame.eta, self.frame.k
+        return [at if isinstance(at, PoleError) else
+                (1 / (k * at[0][0] * at[1][0]), at[0][0] / at[1][0])
+                for at in _triples(self.kern, [[u + eta, u - eta]
+                                               for u in us])]
+
     @cached_property
     def lambda_zeta_fd(self):
         """lambda_zeta at u + FD_STEP and u - FD_STEP for each of the
-        first FD_SAMPLES samples."""
-        return [(lambda_zeta(s.u + FD_STEP, self.frame),
-                 lambda_zeta(s.u - FD_STEP, self.frame))
-                for s in self.samples[:FD_SAMPLES]]
+        first FD_SAMPLES samples; raises the first PoleError."""
+        vals = self.lambda_zeta_at([u for s in self.samples[:FD_SAMPLES]
+                                    for u in (s.u + FD_STEP, s.u - FD_STEP)])
+        for v in vals:
+            if isinstance(v, PoleError):
+                raise v
+        return list(zip(vals[::2], vals[1::2]))
 
     @cached_property
     def cpc(self):
@@ -164,37 +176,51 @@ class Residuals:
         return reduce(_worse, self.parts.values(), 0.0)
 
 
+def _triples(kern, rows):
+    """Per row of torus points, their (sn, cn, dn) triples or the PoleError
+    the row raised: one `sncndn_line` call in binary64, a scalar `sncndn`
+    call per point in extended precision, row by row if one is a pole."""
+    def evaluate(rows):
+        if not kern.prec.is_float:
+            return [list(map(kern.sncndn, row)) for row in rows]
+        points = np.array(rows)
+        triples = np.swapaxes(kern.sncndn_line(points.real, points.imag), 0, 1)
+        return [list(zip(*row)) for row in triples.tolist()]
+    try:
+        return evaluate(rows)
+    except PoleError as exc:
+        if len(rows) == 1:
+            return [exc]
+    return [at for row in rows for at in _triples(kern, [row])]
+
+
 def _draw_samples(frame, rng, count):
     """Random torus samples rejected away from poles and zeros so that all
-    catalogue expressions stay well scaled."""
-    kern = frame.kernel
+    catalogue expressions stay well scaled.  A batch draws as many
+    candidates as samples are missing, never one past the last sample."""
     K, Kp = float(frame.K), float(frame.K_prime)
     ctx = frame.prec.ctx
-    out = []
-    guard = 0
-    while len(out) < count and guard < 400 * count:
-        guard += 1
-        u = ctx.mpc(rng.uniform(-K, K), rng.uniform(-Kp, Kp))
-        try:
-            at_u = kern.sncndn(u)
-            sp = kern.sncndn(u + frame.eta)[0]
-            sm = kern.sncndn(u - frame.eta)[0]
-            at_2u = kern.sncndn(2 * u)
-            ut = frame.swap_u(u)
-            at_ut = kern.sncndn(ut)
-            at_2ut = kern.sncndn(2 * ut)
-        except (PoleError, ZeroDivisionError):
-            continue
-        mags = [*at_u, sp, sm, *at_2u, at_ut[0], at_2ut[0]]
-        if any(not (1e-2 < abs(m) < 1e2) for m in mags):
-            continue
-        lam = 1 / (frame.k * sp * sm)
-        if not (1e-3 < abs(lam) < 1e3):
-            continue
-        if min(abs(lam - x) for x in (frame.prec.ctx.mpf(1),)) < 1e-3:
-            continue
-        out.append(TorusSample(u, ut, at_u, at_2u, at_ut, at_2ut, lam,
-                               sp / sm))
+    out, drawn = [], 0
+    while len(out) < count and drawn < 400 * count:
+        batch = min(count - len(out), 400 * count - drawn)
+        drawn += batch
+        us = [ctx.mpc(rng.uniform(-K, K), rng.uniform(-Kp, Kp))
+              for _ in range(batch)]
+        uts = [frame.swap_u(u) for u in us]
+        for u, ut, at in zip(us, uts, _triples(frame.kernel, [
+                [u, u + frame.eta, u - frame.eta, 2 * u, ut, 2 * ut]
+                for u, ut in zip(us, uts)])):
+            if isinstance(at, PoleError):
+                continue
+            at_u, (sp, _, _), (sm, _, _), at_2u, at_ut, at_2ut = at
+            mags = [*at_u, sp, sm, *at_2u, at_ut[0], at_2ut[0]]
+            if any(not (1e-2 < abs(m) < 1e2) for m in mags):
+                continue
+            lam = 1 / (frame.k * sp * sm)
+            if not (1e-3 < abs(lam) < 1e3) or abs(lam - 1) < 1e-3:
+                continue
+            out.append(TorusSample(u, ut, at_u, at_2u, at_ut, at_2ut, lam,
+                                   sp / sm))
     if len(out) < count:
         raise RectisingError("torus sampling starved by rejection")
     return out
@@ -499,15 +525,13 @@ def _e_sin_forms(env, r):
 @entry("addition-theorem", "addition")
 def _e_addition(env, r):
     k = env.frame.k
-    kern = env.kern
     r.add("cn_form", 0.0)
     r.add("dn_form", 0.0)
-    for su, sv in env.pairs:
-        try:
-            cm, dm = kern.sncndn(su.u - sv.u)[1:]
-            cp, dp = kern.sncndn(su.u + sv.u)[1:]
-        except PoleError:
+    for (su, sv), at in zip(env.pairs, _triples(env.kern, [
+            [su.u - sv.u, su.u + sv.u] for su, sv in env.pairs])):
+        if isinstance(at, PoleError):
             continue
+        (_sm, cm, dm), (_sp, cp, dp) = at
         lhs = k * su.at_u[0] * sv.at_u[0]
         if abs(dm + dp) > 1e-3:
             r.compare("cn_form", lhs, k * (cm - cp) / (dm + dp))
@@ -599,14 +623,14 @@ def _e_omega_theta(env, r):
 def _e_inversion(env, r):
     ctx, fr = env.ctx, env.frame
     i = ctx.mpc(0, 1)
-    for s, om in zip(env.samples, env.am_2u):
-        ui = s.u + i * fr.K_prime
+    for s, om, lz in zip(env.samples, env.am_2u, env.lambda_zeta_at(
+            [s.u + i * fr.K_prime for s in env.samples])):
+        if isinstance(lz, PoleError) or isinstance(om, PoleError):
+            continue
         lam, zet = s.lam, s.zeta
+        lam_i, zet_i = lz
         try:
-            lam_i, zet_i = lambda_zeta(ui, fr)
-            if isinstance(om, PoleError):
-                continue
-            om_i = env.kern.am(2 * ui)
+            om_i = env.kern.am(2 * (s.u + i * fr.K_prime))
         except PoleError:
             continue
         r.compare("lambda", lam_i * lam, 1)

@@ -21,7 +21,7 @@ from operator import mul
 
 import numpy as np
 
-from .elliptic import any_true, arcsn
+from .elliptic import _scalar_fns, any_true, arcsn
 from .errors import DomainError, JointDiagonalizationError, PoleError
 from .params import (
     Couplings,
@@ -475,15 +475,23 @@ def dispersion_residual(gamma, phi, w: Weights):
 
 
 def _locate_u(p, frame, tol):
-    """Torus point with the point's eigenvalue pair, from its triple."""
-    ctx = frame.prec.ctx
+    """Torus point with the point's eigenvalue pair, from its triple: of
+    the candidates +-u0 and +-conj(u0), u0 = arcsn(sn u), the best match.
+    sn is odd and real on the real axis and eta imaginary, so sn(u0 +-
+    eta) give sn(candidate +- eta) of all four exactly."""
+    fn = _scalar_fns(frame.prec)
     u0 = arcsn(p.sn_u, frame.k, frame.prec)
     best = None
-    for cand in (u0, -u0, ctx.conj(u0), -ctx.conj(u0)):
-        try:
-            lam_c, zeta_c = lambda_zeta(cand, frame)
-        except PoleError:
-            continue
+    try:
+        sp = frame.kernel.sncndn(u0 + frame.eta)[0]
+        sm = frame.kernel.sncndn(u0 - frame.eta)[0]
+        cands = ((u0, sp, sm), (-u0, -sm, -sp),
+                 (u0.conjugate(), sm.conjugate(), sp.conjugate()),
+                 (-u0.conjugate(), -sp.conjugate(), -sm.conjugate()))
+    except PoleError:
+        cands = ()
+    for cand, sp_c, sm_c in cands:
+        lam_c, zeta_c = 1 / (frame.k * sp_c * sm_c), sp_c / sm_c
         err = abs(lam_c - p.lam) / max(1.0, abs(p.lam)) + abs(zeta_c - p.zeta)
         if best is None or err < best[0]:
             best = (err, cand)
@@ -493,11 +501,11 @@ def _locate_u(p, frame, tol):
             f"(best residual {best[0] if best else float('inf'):.3e})")
     u = best[1]
     K, Kp = frame.K, frame.K_prime
-    re = ctx.re(u) - 2 * K * int(ctx.floor((ctx.re(u) + K) / (2 * K)))
-    im = ctx.im(u) - 2 * Kp * int(ctx.floor((ctx.im(u) + Kp) / (2 * Kp)))
+    re = u.real - 2 * K * int(fn.floor((u.real + K) / (2 * K)))
+    im = u.imag - 2 * Kp * int(fn.floor((u.imag + Kp) / (2 * Kp)))
     if im < -float(Kp) / 2:
         im = im + 2 * Kp  # present reciprocal-line points at +iK'
-    return ctx.mpc(re, im)
+    return fn.mpc(re, im)
 
 
 def enrich_spectrum(points, frame: EllipticFrame, w: Weights):
@@ -531,26 +539,25 @@ def spectrum_for(c: Couplings, prec: Precision = FLOAT64):
     pipe = SystemPipeline(c, prec)
     w, bundle, pts = pipe.checked()
     frame = pipe.frame()
-    ctx = frame.prec.ctx
+    fn = _scalar_fns(pipe.prec)
     if not pipe.prec.is_float:
         for p in pts:
             for name in ("lam", "lam_plus", "lam_minus", "gamma", "chi"):
                 setattr(p, name, pipe.prec.from_decimal(getattr(p, name)))
-    two_pi = 2 * ctx.pi
+    two_pi = 2 * fn.pi
     for p in enrich_spectrum(pts, frame, w):
-        complex_phi = abs(float(ctx.im(p.phi))) > 1e-9
+        complex_phi = abs(float(p.phi.imag)) > 1e-9
         p.u = _locate_u(p, frame, 1e-6 if complex_phi else 1e-9)
         p.branch = ("complex" if complex_phi else
                     ("shifted_iKprime"
-                     if abs(float(ctx.im(p.u))) > float(frame.K_prime) / 2
+                     if abs(float(p.u.imag)) > float(frame.K_prime) / 2
                      else "real_axis"))
         p.omega = frame.kernel.am(2 * p.u)
-        p.theta = ctx.log(p.exp_theta())
-        p.psi = -ctx.log(-ctx.tan(p.phi / 2))
-        r = ctx.re(c.M * p.phi - p.omega)
-        r = r - two_pi * ctx.floor(r / two_pi + 0.5)
-        p.quant_residual = abs(complex(
-            r + ctx.mpc(0, 1) * ctx.im(c.M * p.phi - p.omega)))
+        p.theta = fn.log(p.exp_theta())
+        p.psi = -fn.log(-fn.tan(p.phi / 2))
+        q = c.M * p.phi - p.omega
+        r = q.real - two_pi * fn.floor(q.real / two_pi + 0.5)
+        p.quant_residual = abs(complex(r + fn.mpc(0, 1) * q.imag))
     return w, frame, bundle, pts
 
 

@@ -189,6 +189,22 @@ class TestJacobiFunctions:
             for j, x in enumerate(xs):
                 for got, want in zip(line, kern.sncndn(complex(x, y))):
                     assert abs(got[j] - want) <= 1e-14 * abs(want)
+        # a level per node: the levels broadcast against the real parts
+        grid = kern.sncndn_line(xs[:, None], np.array(levels))
+        for j, x in enumerate(xs):
+            for m, y in enumerate(levels):
+                for got, want in zip(grid, kern.sncndn(complex(x, y))):
+                    assert abs(got[j, m] - want) <= 1e-14 * abs(want)
+
+    @pytest.mark.parametrize("k", [0.6, 1.66])
+    def test_line_pole_signal_at_a_node_level(self, k):
+        # with a level per node, the pole is the last node, (0, K')
+        kern = EllipticKernel(k)
+        Kp = float(kern.K_prime)
+        with pytest.raises(PoleError) as info:
+            kern.sncndn_line([-0.5, 0.0, 0.5, 0.0], [Kp / 2, Kp / 2, Kp, Kp])
+        assert info.value.where.real == 0
+        assert info.value.where.imag >= Kp
 
     @pytest.mark.parametrize("k", [0.6, 1.66])
     def test_line_pole_signal(self, k):

@@ -2,19 +2,47 @@
 
 import json
 import math
+import random
 
+import numpy as np
 import pytest
 
-from rectising import identities, params, spectrum
+from rectising import identities, params
 from rectising.elliptic import EllipticKernel
 from rectising.errors import PoleError
 from rectising.identities import CATALOGUE, Residuals, run_identity_suite
 from rectising.params import Couplings, couplings_from_modulus
+from rectising.precision import Precision
 from rectising.spectrum import SystemPipeline
 
 
 def _ids(report):
     return [e.identity_id for e in report.entries]
+
+
+def _record_nodes(monkeypatch, pole=None):
+    """Record every node the kernel evaluates, by `sncndn` or
+    `sncndn_line`, and raise PoleError("pole") wherever ``pole`` is one."""
+    nodes = []
+    scalar, line = EllipticKernel.sncndn, EllipticKernel.sncndn_line
+
+    def check(new):
+        nodes.extend(new)
+        if pole in new:
+            raise PoleError("pole")
+
+    def sncndn(kern, u):
+        check([complex(u)])
+        return scalar(kern, u)
+
+    def sncndn_line(kern, xs, y):
+        check(list(map(complex, *(a.ravel()
+                                  for a in np.broadcast_arrays(xs, y)))))
+        return line(kern, xs, y)
+
+    monkeypatch.setattr(EllipticKernel, "sncndn", sncndn)
+    monkeypatch.setattr(EllipticKernel, "sncndn_line", sncndn_line)
+    return nodes
 
 
 class TestSuiteRuns:
@@ -60,20 +88,23 @@ class TestSharedBuild:
         run_identity_suite(c)
         assert sum(1 for _kern, u in calls if u == eta) <= 1
 
-    def test_shared_sample_values_evaluated_once(self, count_calls):
-        # am(2u) serves two entries, lambda_zeta(u +- FD_STEP) two others
+    def test_shared_sample_values_evaluated_once(self, monkeypatch,
+                                                 count_calls):
+        # am(2u) serves two entries, lambda_zeta(u +- FD_STEP) two others;
+        # the latter reads sn at u +- FD_STEP +- eta
         c = couplings_from_modulus(0.6, 0.9, 5, 6)
-        samples = identities.build_env(c).samples
+        env = identities.build_env(c)
+        samples, eta = env.samples, env.frame.eta
         am = count_calls(EllipticKernel, "am")
-        lz = count_calls(spectrum, "lambda_zeta")
+        nodes = _record_nodes(monkeypatch)
         run_identity_suite(c)
         twice = [2 * s.u for s in samples]
-        steps = [s.u + d for s in samples[:identities.FD_SAMPLES]
-                 for d in (identities.FD_STEP, -identities.FD_STEP)]
+        steps = [s.u + d + e for s in samples[:identities.FD_SAMPLES]
+                 for d in (identities.FD_STEP, -identities.FD_STEP)
+                 for e in (eta, -eta)]
         assert [sum(1 for _kern, u in am if u == x) for x in twice] \
             == [1] * len(twice)
-        assert [sum(1 for u, _frame in lz if u == x) for x in steps] \
-            == [1] * len(steps)
+        assert [nodes.count(x) for x in steps] == [1] * len(steps)
 
     @pytest.mark.parametrize("where, outcome", [
         ("am", {"boundary-phase-identities": "error",
@@ -84,22 +115,141 @@ class TestSharedBuild:
         # a PoleError at one sample errors the entries that read the value
         # outside a guard, and skips the sample in those that guard it
         c = couplings_from_modulus(0.6, 0.9, 5, 6)
-        u = identities.build_env(c).samples[3].u
-        owner, pole = ((EllipticKernel, 2 * u) if where == "am"
-                       else (identities, u + identities.FD_STEP))
-        orig = getattr(owner, where)
+        env = identities.build_env(c)
+        u = env.samples[3].u
+        if where == "am":
+            orig = EllipticKernel.am
 
-        def raising(*args):
-            if pole in args:
-                raise PoleError("pole")
-            return orig(*args)
+            def raising(kern, v):
+                if v == 2 * u:
+                    raise PoleError("pole")
+                return orig(kern, v)
 
-        monkeypatch.setattr(owner, where, raising)
+            monkeypatch.setattr(EllipticKernel, "am", raising)
+        else:
+            # lambda_zeta(u + FD_STEP) reads sn at u + FD_STEP + eta
+            _record_nodes(monkeypatch,
+                          pole=u + identities.FD_STEP + env.frame.eta)
         entries = {e.identity_id: e for e in run_identity_suite(c).entries}
         for identity_id, status in outcome.items():
             assert entries[identity_id].status == status
             if status == "error":
                 assert entries[identity_id].note == "PoleError: pole"
+
+
+def _scalar_draw(frame, rng, count):
+    """The sampler as it was written before batching: one scalar kernel
+    call per point, candidate by candidate.  The reference for the
+    batched `identities._draw_samples`."""
+    kern = frame.kernel
+    K, Kp = float(frame.K), float(frame.K_prime)
+    out = []
+    guard = 0
+    while len(out) < count and guard < 400 * count:
+        guard += 1
+        u = frame.prec.ctx.mpc(rng.uniform(-K, K), rng.uniform(-Kp, Kp))
+        try:
+            at_u = kern.sncndn(u)
+            sp = kern.sncndn(u + frame.eta)[0]
+            sm = kern.sncndn(u - frame.eta)[0]
+            at_2u = kern.sncndn(2 * u)
+            ut = frame.swap_u(u)
+            at_ut = kern.sncndn(ut)
+            at_2ut = kern.sncndn(2 * ut)
+        except PoleError:
+            continue
+        mags = [*at_u, sp, sm, *at_2u, at_ut[0], at_2ut[0]]
+        if any(not (1e-2 < abs(m) < 1e2) for m in mags):
+            continue
+        lam = 1 / (frame.k * sp * sm)
+        if not (1e-3 < abs(lam) < 1e3) or abs(lam - 1) < 1e-3:
+            continue
+        out.append(identities.TorusSample(u, ut, at_u, at_2u, at_ut, at_2ut,
+                                          lam, sp / sm))
+    return out
+
+
+class TestBatchedKernelWork:
+    @pytest.mark.parametrize("k", [0.6, 1.66, 3, 30])
+    def test_sampler_matches_the_scalar_loop(self, k):
+        # the same points in the same order, and the generator left in the
+        # same state; values within the rounding of the array kernel (k=30
+        # rejects 8 of 72 candidates)
+        frame = SystemPipeline(couplings_from_modulus(k, 0.9, 5, 6)).frame()
+        rng_ref, rng = random.Random(11), random.Random(11)
+        for _ in range(2):
+            want = _scalar_draw(frame, rng_ref, 64)
+            got = identities._draw_samples(frame, rng, 64)
+            assert [s.u for s in got] == [s.u for s in want]
+            assert [s.ut for s in got] == [s.ut for s in want]
+            assert rng.getstate() == rng_ref.getstate()
+            for a, b in zip(got, want):
+                for name in ("at_u", "at_2u", "at_ut", "at_2ut"):
+                    assert np.allclose(getattr(a, name), getattr(b, name),
+                                       rtol=1e-13, atol=0)
+                assert abs(a.lam - b.lam) <= 1e-13 * abs(b.lam)
+                assert abs(a.zeta - b.zeta) <= 1e-13 * abs(b.zeta)
+
+    def test_sampler_at_extended_precision_is_the_scalar_loop(self):
+        frame = SystemPipeline(couplings_from_modulus(0.6, 0.9, 5, 6),
+                               Precision(160)).frame()
+        rng_ref, rng = random.Random(3), random.Random(3)
+        assert identities._draw_samples(frame, rng, 6) \
+            == _scalar_draw(frame, rng_ref, 6)
+        assert rng.getstate() == rng_ref.getstate()
+
+    def test_a_pole_candidate_is_rejected_alone(self, monkeypatch):
+        frame = SystemPipeline(couplings_from_modulus(0.6, 0.9, 5, 6)).frame()
+        rng_ref, rng = random.Random(5), random.Random(5)
+        want = _scalar_draw(frame, rng_ref, 9)
+        # one batch of 8 candidates, the third raising at 2u
+        _record_nodes(monkeypatch, pole=2 * want[2].u)
+        got = identities._draw_samples(frame, rng, 8)
+        assert [s.u for s in got] == [s.u for i, s in enumerate(want)
+                                      if i != 2]
+        assert rng.getstate() == rng_ref.getstate()
+
+    @pytest.mark.parametrize("bits", [53, 160])
+    def test_a_pole_row_leaves_the_other_rows(self, monkeypatch, bits):
+        kern = SystemPipeline(couplings_from_modulus(0.6, 0.9, 5, 6),
+                              Precision(bits)).frame().kernel
+        ctx = kern.prec.ctx
+        rows = [[ctx.mpc(0.1 * j, 0.3), ctx.mpc(0.2, 0.1 * j)]
+                for j in range(1, 5)]
+        want = identities._triples(kern, rows)
+        assert not any(isinstance(at, PoleError) for at in want)
+        _record_nodes(monkeypatch, pole=complex(rows[2][1]))
+        got = identities._triples(kern, rows)
+        assert isinstance(got[2], PoleError) and str(got[2]) == "pole"
+        assert [got[j] for j in (0, 1, 3)] == [want[j] for j in (0, 1, 3)]
+
+    def test_no_per_sample_scalar_kernel_call(self, monkeypatch):
+        # outside am, a binary64 suite run makes the same scalar kernel
+        # calls whatever the sample count: the frame triples, the located
+        # eigenvalue points and the closed-form entries, none per sample
+        scalar, am = EllipticKernel.sncndn, EllipticKernel.am
+        depth, calls = [], []
+
+        def counted(kern, u):
+            if not depth:
+                calls.append(u)
+            return scalar(kern, u)
+
+        def am_call(kern, u):
+            depth.append(u)
+            try:
+                return am(kern, u)
+            finally:
+                depth.pop()
+
+        monkeypatch.setattr(EllipticKernel, "sncndn", counted)
+        monkeypatch.setattr(EllipticKernel, "am", am_call)
+        counts = []
+        for samples in (4, 16):
+            calls.clear()
+            run_identity_suite((0.6, 0.8, 4, 4), samples=samples)
+            counts.append(len(calls))
+        assert counts[0] == counts[1] <= 24
 
 
 class TestRecorder:

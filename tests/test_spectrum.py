@@ -384,6 +384,33 @@ def test_enrichment_evaluates_eta_once(count_calls):
     assert sum(1 for _kern, u in calls if u == frame.eta) <= 1
 
 
+@pytest.mark.parametrize("k", [0.6, 3])
+@pytest.mark.parametrize("bits", [53, 160])
+def test_locate_u_two_kernel_calls_per_point(monkeypatch, k, bits):
+    # the four candidates of a point take sn(u0 +- eta) from two kernel
+    # evaluations, by the symmetries of sn, not two each
+    inside, calls = [], []
+    locate, sncndn = spectrum._locate_u, EllipticKernel.sncndn
+
+    def located(*args):
+        inside.append(True)
+        try:
+            return locate(*args)
+        finally:
+            inside.pop()
+
+    def counted(kern, u):
+        if inside:
+            calls.append(u)
+        return sncndn(kern, u)
+
+    monkeypatch.setattr(spectrum, "_locate_u", located)
+    monkeypatch.setattr(EllipticKernel, "sncndn", counted)
+    _w, _fr, _b, pts = spectrum_for(couplings_from_modulus(k, 0.9, 5, 6),
+                                    Precision(bits))
+    assert len(calls) == 2 * len(pts) == 12
+
+
 TABLE_ANGLES = ("u", "branch", "omega", "theta", "psi", "quant_residual")
 
 #: what `enrich_spectrum` fills, which no route reads either
