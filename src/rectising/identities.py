@@ -38,7 +38,7 @@ from .precision import Precision, as_precision
 from .spectrum import (
     CharPolyContext,
     char_poly_eval,
-    chi_poly_derivative,
+    chi_poly_derivatives,
     dispersion_residual,
     double_argument,
     lambda_zeta,
@@ -100,6 +100,17 @@ class IdentityEnv:
     def eta2_triple(self):
         """(sn, cn, dn) at 2 eta, evaluated once per suite run."""
         return self.kern.sncndn(2 * self.frame.eta)
+
+    @cached_property
+    def eta_tilde_triple(self):
+        """(sn, cn, dn) at eta~, evaluated once per suite run."""
+        return self.kern.sncndn(self.frame.eta_tilde)
+
+    @cached_property
+    def am2(self):
+        """(am(2 eta), am(2 eta~)), evaluated once per suite run."""
+        return tuple(self.kern.am(2 * x)
+                     for x in (self.frame.eta, self.frame.eta_tilde))
 
     @cached_property
     def am_2u(self):
@@ -340,10 +351,9 @@ def _e_dual_eta(env, r):
 
 @entry("amplitude-exponential-forms", "frame")
 def _e_am_forms(env, r):
-    ctx, w, fr = env.ctx, env.w, env.frame
+    ctx, w = env.ctx, env.w
     i = ctx.mpc(0, 1)
-    am2e = env.kern.am(2 * fr.eta)
-    am2et = env.kern.am(2 * fr.eta_tilde)
+    am2e, am2et = env.am2
     r.compare("t_star", w.t_star, ctx.exp(i * am2e))
     r.compare("t", w.t, -i * ctx.tan(am2e / 2))
     r.compare("z", w.z, ctx.exp(i * am2et))
@@ -356,8 +366,8 @@ def _e_dual_K(env, r):
     i = ctx.mpc(0, 1)
     Ktil_v = -ctx.log(ctx.tanh(ctx.mpf(c.K_v))) / 2
     Ktil_h = -ctx.log(ctx.tanh(ctx.mpf(c.K_h))) / 2
-    r.compare("vertical", env.kern.am(2 * fr.eta), 2 * i * Ktil_v)
-    r.compare("horizontal", env.kern.am(2 * fr.eta_tilde), 2 * i * Ktil_h)
+    r.compare("vertical", env.am2[0], 2 * i * Ktil_v)
+    r.compare("horizontal", env.am2[1], 2 * i * Ktil_h)
     if not env.ordered:
         f1 = incomplete_F(2 * i * Ktil_v, fr.k, env.prec)
         f2 = incomplete_F(2 * i * Ktil_h, fr.k, env.prec)
@@ -398,9 +408,8 @@ def _e_root_triple(env, r):
 
 @entry("vertical-map-squares", "eigenvalue-map")
 def _e_zeta_squares(env, r):
-    ctx, w, fr = env.ctx, env.w, env.frame
-    kern = env.kern
-    sn_e, cn_e, dn_e = kern.sncndn(fr.eta_tilde)
+    ctx, w = env.ctx, env.w
+    sn_e, cn_e, dn_e = env.eta_tilde_triple
     vals_e = {"n": ctx.mpc(1), "s": sn_e, "c": cn_e, "d": dn_e}
     zet_p = {"n": w.zeta_n, "s": w.zeta_s, "c": w.zeta_c, "d": w.zeta_d}
     for s in env.samples:
@@ -417,7 +426,7 @@ def _e_lambda_dual(env, r):
     fr = env.frame
     k = fr.k
     sn_e = fr.eta_triple[0]
-    sn_et = env.kern.sncndn(fr.eta_tilde)[0]
+    sn_et = env.eta_tilde_triple[0]
     r.add("lambda", 0.0)
     r.add("zeta", 0.0)
     for s in env.samples:
@@ -830,7 +839,7 @@ def _e_vdm_classic(env, r):
         nodes = sorted(rng.uniform(-2, 2) for _ in range(M))
     x = np.array(nodes)
     V = np.vander(x, M, increasing=True)
-    dP = np.array([np.prod([xi - xj for xj in x if xj != xi]) for xi in x])
+    dP = np.array(chi_poly_derivatives(x))
     D = np.diag(1 / dP)
     H = V.T @ D @ V
     coeffs = np.poly(x)[::-1]          # b_0 .. b_M, b_M = 1
@@ -865,7 +874,7 @@ def _e_vdm_block(env, r):
     while min(abs(a - b) for a, b in zip(x, x[1:])) < 1e-2:
         x = np.array(sorted(rng.uniform(-2, 2) for _ in range(M)))
     g = np.array([rng.uniform(0.5, 2.0) for _ in range(M)])
-    dP = np.array([np.prod([xi - xj for xj in x if xj != xi]) for xi in x])
+    dP = np.array(chi_poly_derivatives(x))
     V = np.vander(x, N, increasing=True)
     VG = np.hstack([V, g[:, None] * V])
     H = VG.T @ np.diag(1 / dP) @ VG
@@ -881,16 +890,11 @@ def _e_physics_chain(env, r):
     partition function."""
     ctx, w, fr, c = env.ctx, env.w, env.frame, env.c
     M, L, N = c.M, c.L, c.M // 2
-    g = []
-    d = []
-    chi = [complex(p.chi) for p in env.points]
-    for i_, p in enumerate(env.points):
-        g.append(complex(p.lam ** L * p.exp_minus_theta() * p.exp_psi()))
-        d.append(complex(w.t_star / w.z_minus
-                         / chi_poly_derivative(env.points, i_)))
-    g = np.array(g)
-    d = np.array(d)
-    x = np.array(chi)
+    x = np.array([complex(p.chi) for p in env.points])
+    g = np.array([complex(p.lam ** L * p.exp_minus_theta() * p.exp_psi())
+                  for p in env.points])
+    d = np.array([complex(w.t_star / w.z_minus / dp) for dp in
+                  chi_poly_derivatives([p.chi for p in env.points])])
     V = np.vander(x, N, increasing=True)
     W = np.hstack([V[:, ::-1], g[:, None] * V])
     A = W.T @ np.diag(d) @ W

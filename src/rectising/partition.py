@@ -4,7 +4,7 @@ Five ways to log Z; ``route="all"`` runs an exact oracle (brute up to 16
 spins, spin above), block and Hankel, and ``compare`` adds the Pfaffian:
 
 * ``brute``     exact configuration sum (caps at 24 spins),
-* ``spin``      row-to-row transfer over 2^M column states (caps at 12),
+* ``spin``      flip-even row transfer over 2^M column states (caps at 12),
 * ``block``     determinant of the projected L-th transfer-matrix power,
 * ``hankel``    determinant of the half-size Hankel matrix of spectral sums,
 * ``pfaffian``  Pfaffian of the skew-symmetric Toeplitz matrix.
@@ -50,7 +50,7 @@ from .errors import (DomainError, NonFiniteError, PhaseLeakError,
 from .params import (Couplings, EllipticFrame, Weights, eta_over_Kprime,
                      swap_system)
 from .precision import FLOAT64, Precision, as_precision
-from .spectrum import SystemPipeline, chi_poly_derivative
+from .spectrum import SystemPipeline, chi_poly_derivatives
 
 #: hard cap on the exact configuration sum
 BRUTE_MAX_SPINS = 24
@@ -423,21 +423,13 @@ def brute_force_logZ(c: Couplings) -> float:
         for r in range(energy.shape[1])))
 
 
-def _popcounts(n: int) -> np.ndarray:
-    """Number of set bits of 0 .. 2^n - 1."""
-    pc = np.zeros(1, dtype=np.int64)
-    for _bit in range(n):
-        pc = np.concatenate((pc, pc + 1))
-    return pc
-
-
 @lru_cache(maxsize=SPIN_MAX_WIDTH + 1)
 def _disagreements(M: int) -> np.ndarray:
     """Read-only table of the disagreeing neighbour pairs of each of the
     2^M column states (bit m is spin m)."""
-    states = np.arange(1 << M, dtype=np.int64)
-    # bit m of states ^ (states >> 1) is s_m != s_{m+1}, for m < M - 1
-    d = _popcounts(M - 1)[(states ^ (states >> 1)) & ((1 << (M - 1)) - 1)]
+    # bit m of s ^ (s >> 1) is s_m != s_{m+1}, for m < M - 1
+    d = np.array([((s ^ (s >> 1)) & ((1 << (M - 1)) - 1)).bit_count()
+                  for s in range(1 << M)])
     d.setflags(write=False)
     return d
 
@@ -445,17 +437,19 @@ def _disagreements(M: int) -> np.ndarray:
 @lru_cache(maxsize=SPIN_MAX_WIDTH + 1)
 def _hamming(n: int) -> np.ndarray:
     """Read-only 2^n x 2^n table of the Hamming distances of n-bit states."""
-    states = np.arange(1 << n, dtype=np.int64)
-    h = _popcounts(n)[np.bitwise_xor.outer(states, states)]
+    h = np.array([[(s ^ t).bit_count() for t in range(1 << n)]
+                  for s in range(1 << n)])
     h.setflags(write=False)
     return h
 
 
 def spin_transfer_logZ(c: Couplings) -> float:
-    """Row-transfer reference over 2^M column states.
+    """Row-transfer reference over the flip-even half of 2^M column states.
 
-    Swaps the system first if that brings the state width under the cap;
-    the partition function is swap invariant.
+    The transfer T commutes with the global spin flip F, so T(u + F u) = T u
+    + F T u carries the half u whose top bit is 0, at 2^(M-1) (2^ceil(M/2)
+    + 2^floor(M/2)) multiply-adds a row.  Swaps the system first if that
+    brings the state width under the cap; Z is swap invariant.
     """
     if c.M > SPIN_MAX_WIDTH:
         if c.L <= SPIN_MAX_WIDTH:
@@ -463,24 +457,34 @@ def spin_transfer_logZ(c: Couplings) -> float:
         raise RouteInfeasibleError(
             f"min extent {min(c.M, c.L)} exceeds cap {SPIN_MAX_WIDTH}")
     M = c.M
+    a, b = M - M // 2, M // 2
+    h = 1 << (a - 1)
     # the column energy K_v * (agreeing - disagreeing pairs) peaks at
     # |K_v| (M - 1), on the uniform (K_v > 0) or staggered (K_v < 0) column
     cmax = abs(c.K_v) * (M - 1)
-    w_col = np.exp(c.K_v * ((M - 1) - 2 * _disagreements(M)) - cmax)
-    log_acc = cmax
-    v = w_col
+    w_col = np.exp(c.K_v * ((M - 1) - 2 * _disagreements(M)[:h << b])
+                   - cmax).reshape(h, 1 << b)
     # horizontal bonds: the n-fold Kronecker power of the 2 x 2 bond block
     # scaled by e^{-|K_h|} is e^{K_h (n - 2 H) - n |K_h|} at Hamming
-    # distance H; B_a and B_b act on the high and low state bits
-    a = M // 2
-    B_a, B_b = (np.exp(c.K_h * (n - 2 * _hamming(n)) - n * abs(c.K_h))
-                for n in (a, M - a))
-    for _step in range(c.L - 1):
-        v = w_col * (B_a @ v.reshape(1 << a, -1) @ B_b).ravel()
-        m = v.max()
-        log_acc += math.log(m) + cmax + M * abs(c.K_h)
-        v /= m
-    return log_acc + math.log(float(v.sum()))
+    # distance H, on the high (B_a, carried columns) and low (B_b) bits
+    B_a, B_b = (np.exp(c.K_h * (n - 2 * _hamming(n)[:, :m]) - n * abs(c.K_h))
+                for n, m in ((a, h), (b, 1 << b)))
+    # the weights lie in [e^-2cmax, 1] and [e^-2M|K_h|, 1], so a row moves
+    # the log of the largest entry (0 in w_col) at most M ln 2 up and 2 (cmax
+    # + M|K_h|) down: rescaled every ``every`` rows, it stays in e^+-300
+    every = max(1, int(300 // max(M * math.log(2),
+                                  2 * (cmax + M * abs(c.K_h)))))
+    log_z, v = c.L * cmax + (c.L - 1) * M * abs(c.K_h), w_col
+    for row in range(1, c.L):
+        if row % every == 0:
+            m = v.max()
+            log_z += math.log(m)
+            v = v / m
+        p = B_a @ (v @ B_b)                 # T u on all 2^M states
+        v = p[:h]
+        v += p[::-1, ::-1][:h]              # F T u
+        v *= w_col
+    return log_z + math.log(2 * float(v.sum()))
 
 
 # ----------------------------------------------------------------------
@@ -608,10 +612,11 @@ def _spectral_measure(points, c: Couplings, w: Weights):
     b_i = 2 t* e^(L gamma_i - shift) (lambda_n - lam_i) / ((t - z lam_i)
     P'(chi_i)) with lambda_n = t z: the residue of the symbol at chi_i,
     equal to the angle form 2i t* e^(L gamma_i - shift) e^(-theta_i)
-    e^(psi_i) / P'(chi_i).  The shift is L gamma_max; at extended
-    precision e^(L gamma_i - shift) is (lam_i / lam_max)^L.  A weight that
-    is NaN, infinite or zero (a binary64 underflow of e^(L gamma - shift))
-    fails with `NonFiniteError`; a negative one, with `PhaseLeakError`.
+    e^(psi_i) / P'(chi_i) (`chi_poly_derivatives`).  The shift is L
+    gamma_max; at extended precision e^(L gamma_i - shift) is (lam_i /
+    lam_max)^L.  A weight that is NaN, infinite or zero (a binary64
+    underflow of e^(L gamma - shift)) fails with `NonFiniteError`; a
+    negative one, with `PhaseLeakError`.
     """
     if c.M % 2:
         raise RouteInfeasibleError("structured routes require even M")
@@ -630,9 +635,9 @@ def _spectral_measure(points, c: Couplings, w: Weights):
             shift = prec.from_decimal(shift)
         t_star, lam_n, t, z = map(real, (w.t_star, w.lambda_n, w.t, w.z))
         weights = []
-        for i, (lam, g) in enumerate(zip(lams, growth)):
-            b = (2 * t_star * g * (lam_n - lam)
-                 / ((t - z * lam) * real(chi_poly_derivative(points, i))))
+        derivs = chi_poly_derivatives([p.chi for p in points])
+        for i, (lam, g, dp) in enumerate(zip(lams, growth, derivs)):
+            b = (2 * t_star * g * (lam_n - lam) / ((t - z * lam) * real(dp)))
             if not (isfinite(b) and b):
                 raise NonFiniteError(
                     f"spectral weight {float(b):.6g} at chi = "
@@ -672,7 +677,8 @@ def skew_toeplitz_from_spectrum(points, c: Couplings, w: Weights,
 
     e^-shift c_d = -sum_i b_i U_(d-1)(chi_i/2 - 1): the terms b_i
     sin(d phi_i)/sin(phi_i) follow the Chebyshev three-term recurrence, so
-    no angle is evaluated and nothing is divided by sin(phi).  Entries
+    no angle is evaluated and nothing is divided by sin(phi); on arrays,
+    each entry one accurate sum, as the scalar recurrence gives it.  Entries
     depend on the index difference only and are indexed out of the one
     vector (-c_(M-1), ..., -c_1, 0, c_1, ..., c_(M-1)), so antisymmetry
     and the Toeplitz structure hold exactly.
@@ -684,13 +690,12 @@ def skew_toeplitz_from_spectrum(points, c: Couplings, w: Weights,
     shift, chis, terms = measure
     fsum = _fsum(prec)
     with decimal.localcontext(prec.decimal):
-        prev = [0] * len(terms)             # b_i U_(-1); terms: b_i U_0
-        twice_cos = [x - 2 for x in chis]   # 2 cos(phi_i)
+        terms, prev = np.array(terms), 0    # b_i U_0 and b_i U_(-1) = 0
+        twice_cos = np.array(chis) - 2      # 2 cos(phi_i)
         cs = []
         for _d in range(1, M):
-            cs.append(-fsum(terms))
-            terms, prev = [a * t - q
-                           for a, t, q in zip(twice_cos, terms, prev)], terms
+            cs.append(-fsum(terms.tolist()))
+            terms, prev = twice_cos * terms - prev, terms
         signed = np.array([-x for x in reversed(cs)] + [type(cs[0])(0)]
                           + cs)
     r = np.arange(M)

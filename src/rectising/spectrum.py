@@ -373,15 +373,14 @@ def check_joint(bundle: MatrixBundle, pts: list):
             f"joint diagonalization failure: residual {worst:.3e}")
 
 
-def chi_poly_derivative(points, index):
-    """Derivative of the shifted-core characteristic polynomial at one of
-    its own roots, as the pairwise product of eigenvalue differences."""
-    chi_mu = points[index].chi
-    out = 1
-    for j, q in enumerate(points):
-        if j != index:
-            out = out * (chi_mu - q.chi)
-    return out
+def chi_poly_derivatives(roots) -> list:
+    """P'(x_i) at every root x_i of the monic P = prod_j (x - x_j): row
+    products over the difference matrix (of floats, or of objects), whose
+    unit diagonal leaves them rounded as the scalar loop rounds them."""
+    x = np.array(roots)
+    diff = np.subtract.outer(x, x)
+    np.fill_diagonal(diff, 1)
+    return np.prod(diff, axis=1).tolist()
 
 
 # ----------------------------------------------------------------------

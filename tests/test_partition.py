@@ -42,7 +42,7 @@ from rectising.partition import (
     spin_transfer_logZ,
 )
 from rectising.precision import FLOAT64, Precision
-from rectising.spectrum import (SystemPipeline, chi_poly_derivative,
+from rectising.spectrum import (SystemPipeline, chi_poly_derivatives,
                                 spectrum_for)
 
 CRITICAL_K = 0.5 * math.log(1 + math.sqrt(2))
@@ -101,6 +101,28 @@ def exact_log_z(c: Couplings) -> float:
             n * mpmath.exp((key // (2 * nv + 1) - nh) * K_h
                            + (key % (2 * nv + 1) - nv) * K_v)
             for key, n in enumerate(counts) if n)))
+
+
+def full_space_log_z(c: Couplings) -> float:
+    """log Z by the row transfer over all 2^M column states, without the
+    flip symmetry or a split of the state bits: each horizontal bond is a
+    dense 2 x 2 block on one axis of the (2,) * M state tensor, and the
+    vector is normalised by its largest entry after every row."""
+    M = c.M
+    spin = np.indices((2,) * M)
+    vertical = sum((1 - 2 * (spin[m] ^ spin[m + 1]) for m in range(M - 1)),
+                   np.zeros((2,) * M))
+    w_col = np.exp(c.K_v * vertical)
+    bond = np.exp(c.K_h * np.array([[1.0, -1.0], [-1.0, 1.0]]) - abs(c.K_h))
+    v, log_z = w_col, (c.L - 1) * M * abs(c.K_h)
+    for _row in range(c.L - 1):
+        for m in range(M):
+            v = np.moveaxis(np.tensordot(bond, v, axes=(1, m)), 0, m)
+        v = v * w_col
+        top = v.max()
+        log_z += math.log(top)
+        v = v / top
+    return log_z + math.log(v.sum())
 
 
 def right_looking_logdet(rows):
@@ -557,6 +579,21 @@ class TestConfigurationSums:
             s = spin_transfer_logZ(c)
         assert abs(b - s) < 1e-13 * abs(b)
 
+    @pytest.mark.parametrize("K_h, K_v, M", [
+        (3.0, -2.5, 1), (3.0, -2.5, 7), (3.0, -2.5, 12), (200.0, 0.3, 4),
+        (0.05, 0.05, 12)])
+    def test_spin_matches_the_full_space_transfer_on_long_strips(
+            self, K_h, K_v, M):
+        # 300 rows: the half-space vector is rescaled only when its
+        # a-priori range could leave e^+-300, at widths odd, even and 1;
+        # under weak bonds its largest entry grows by nearly 2^M a row,
+        # e^2500 in all
+        c = unchecked_couplings(K_h, K_v, 300, M)
+        ref = full_space_log_z(c)
+        with np.errstate(over="raise", invalid="raise"):
+            got = spin_transfer_logZ(c)
+        assert abs(got - ref) < 1e-13 * abs(ref)
+
     def test_spin_swap_invariance(self):
         c = Couplings(0.4, 0.7, 3, 4)
         a = spin_transfer_logZ(c)
@@ -726,10 +763,10 @@ class TestHankelRoute:
         w, _fr, _b, pts = spectrum_for(c, p)
         shift, _chis, b = partition._spectral_measure(pts, c, w)
         assert any(ctx.im(q.phi) for q in pts) == (k > 1)
-        for i, (bi, q) in enumerate(zip(b, pts)):
+        derivs = chi_poly_derivatives([q.chi for q in pts])
+        for bi, q, dp in zip(b, pts, derivs):
             want = (ctx.mpc(0, 2) * w.t_star * ctx.exp(L * q.gamma - shift)
-                    * q.exp_minus_theta() * q.exp_psi()
-                    / chi_poly_derivative(pts, i))
+                    * q.exp_minus_theta() * q.exp_psi() / dp)
             assert bi > 0
             assert abs(bi - want) <= 1e-40 * abs(want)
 
@@ -849,6 +886,37 @@ class TestSkewToeplitzRoute:
         got = skew_toeplitz_from_spectrum(pts, c, w).c_scaled
         scale = max(abs(x) for x in want)
         assert max(abs(g - x) for g, x in zip(got, want)) < 1e-40 * scale
+
+    @pytest.mark.parametrize("bits", [53, 160])
+    @pytest.mark.parametrize("M", [2, 12, 64])
+    def test_arrays_equal_the_scalar_formulas(self, M, bits):
+        # the difference-matrix row products and the array recurrence round
+        # every term as the scalar loops do, so P'(chi_i) and the entries
+        # are the same route scalars
+        import rectising.partition as partition
+        p = Precision(bits)
+        c = couplings_from_modulus(0.6, 0.8, 12, M)
+        w, _bundle, pts = SystemPipeline(c, p).checked()
+        measure = partition._spectral_measure(pts, c, w)
+        _shift, chis, b = measure
+        fsum = partition._fsum(p)
+        with decimal.localcontext(p.decimal):
+            derivs = []
+            for i, q in enumerate(pts):
+                prod = 1
+                for j, other in enumerate(pts):
+                    if j != i:
+                        prod = prod * (q.chi - other.chi)
+                derivs.append(prod)
+            entries, terms, prev = [], b, [0] * len(b)
+            for _d in range(1, M):
+                entries.append(-fsum(terms))
+                terms, prev = [(x - 2) * t - u
+                               for x, t, u in zip(chis, terms, prev)], terms
+            got = chi_poly_derivatives([q.chi for q in pts])
+            assert repr(got) == repr(derivs)
+        got = skew_toeplitz_from_spectrum(pts, c, w, measure)
+        assert repr(got.c_scaled) == repr(entries)
 
     @pytest.mark.parametrize("geom", [(5, 6), (10, 6), (6, 10)])
     def test_pfaffian_equals_determinant(self, geom):
@@ -1323,33 +1391,38 @@ class TestSharedPipeline:
 
     def test_non_finite_matrix_fails_the_route(self, monkeypatch):
         import rectising.partition as partition
-        build = partition.chi_poly_derivative
+        build = partition.chi_poly_derivatives
 
-        def poisoned(points, index):
-            out = build(points, index)
+        def poisoned(roots):
+            out = build(roots)
             # a NaN of the route scalar: float, or Decimal at 160 bits
-            return out * type(out)("nan") if index == 0 else out
+            out[0] = out[0] * type(out[0])("nan")
+            return out
 
-        monkeypatch.setattr(partition, "chi_poly_derivative", poisoned)
-        res = assemble_logZ(couplings_from_modulus(0.6, 0.9, 5, 6), "all")
-        assert res.outcomes["hankel"].status == "failed"
-        assert "non-finite" in res.outcomes["hankel"].reason
-        assert res.outcomes["block"].status == "ok"
+        monkeypatch.setattr(partition, "chi_poly_derivatives", poisoned)
+        for bits in (53, 160):
+            res = assemble_logZ(couplings_from_modulus(0.6, 0.9, 5, 6), "all",
+                                Precision(bits))
+            assert res.outcomes["hankel"].status == "failed"
+            assert "non-finite" in res.outcomes["hankel"].reason
+            assert res.outcomes["block"].status == "ok"
 
     @pytest.mark.parametrize("turn", [-1])
     def test_weight_off_the_positive_axis_fails_the_route(self, monkeypatch,
                                                          turn):
         import rectising.partition as partition
-        build = partition.chi_poly_derivative
+        build = partition.chi_poly_derivatives
 
-        def turned(points, index):
-            out = build(points, index)
-            return out / turn if index == len(points) - 1 else out
+        def turned(roots):
+            out = build(roots)
+            out[-1] = out[-1] / turn
+            return out
 
-        monkeypatch.setattr(partition, "chi_poly_derivative", turned)
+        monkeypatch.setattr(partition, "chi_poly_derivatives", turned)
         c = couplings_from_modulus(0.6, 0.9, 5, 6)
-        with pytest.raises(PhaseLeakError, match="not positive"):
-            hankel_logZ(c, FLOAT64)
+        for bits in (53, 160):
+            with pytest.raises(PhaseLeakError, match="not positive"):
+                hankel_logZ(c, Precision(bits))
 
 
 class TestRouteGates:

@@ -1,16 +1,18 @@
-"""CLI output of the `crosscheck` systems, and the difference of two trees.
+"""CLI output of the benchmark systems, and the difference of two trees.
 
     PYTHONPATH=src python3 tools/cli_snapshot.py write FILE [--seeds 0 1 2]
     python3 tools/cli_snapshot.py diff OLD NEW
 
 ``write`` runs `rectising identities`, `spectrum`, `compare` and
 `uplane --grid 24` in-process on every system that the `crosscheck`
-workload of `perfbench/workloads.py` draws for the given seeds (the
-file is read, not changed), drops the timing fields (keys named
-``seconds`` or ending in ``_seconds``), and writes one JSON record per
-(command, system) line: the arguments, the exit code, the output (parsed
-JSON, or the lines of the `uplane` text) and stderr.  Run it from the
-root of the source tree whose package it should import.
+workload of `perfbench/workloads.py` draws for the given seeds, and
+`compare` on every system of its `solve-hard` workload (width-12 spin,
+the Pfaffian up to n = 64); the file is read, not changed.  It drops the
+timing fields (keys named ``seconds`` or ending in ``_seconds``), and
+writes one JSON record per (command, system) line: the arguments, the
+exit code, the output (parsed JSON, or the lines of the `uplane` text)
+and stderr.  Run it from the root of the source tree whose package it
+should import.
 
 ``diff`` compares two such files record by record.  It prints each record
 that differs, with the number of values that differ and the worst of
@@ -34,17 +36,23 @@ COMMANDS = (("identities",), ("spectrum",), ("compare",),
             ("uplane", "--grid", "24"))
 
 
-def _systems(seeds):
-    """The distinct crosscheck systems of the seeds, in first-seen order."""
+def _argvs(seeds):
+    """The distinct command lines of the seeds, in first-seen order:
+    COMMANDS on each crosscheck system, then compare on each solve-hard
+    one."""
     sys.path.insert(0, os.path.join(ROOT, "perfbench"))
-    from workloads import Crosscheck
+    from workloads import Crosscheck, SolveHard
 
     out = []
     for seed in seeds:
         for s in Crosscheck().inputs(seed):
-            if s not in out:
-                out.append(s)
-    return out
+            geo = ["--L", str(s["L"]), "--M", str(s["M"]), "--k",
+                   repr(s["k"]), "--eta-frac", repr(s["eta"])]
+            out.extend([*cmd, *geo] for cmd in COMMANDS)
+    for seed in seeds:
+        out.extend(["compare", "--L", str(s["L"]), "--M", str(s["M"]),
+                    *s["couplings"]] for s in SolveHard().inputs(seed))
+    return [a for i, a in enumerate(out) if a not in out[:i]]
 
 
 def _untimed(obj):
@@ -75,12 +83,8 @@ def _run(argv):
 
 def write(path, seeds):
     with open(path, "w") as fh:
-        for s in _systems(seeds):
-            geo = ["--L", str(s["L"]), "--M", str(s["M"]), "--k",
-                   repr(s["k"]), "--eta-frac", repr(s["eta"])]
-            for cmd in COMMANDS:
-                fh.write(json.dumps(_run([*cmd, *geo]), sort_keys=True)
-                         + "\n")
+        for argv in _argvs(seeds):
+            fh.write(json.dumps(_run(argv), sort_keys=True) + "\n")
 
 
 def _number(x):
