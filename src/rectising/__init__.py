@@ -2,18 +2,8 @@
 rectangles, computed through mutually validating routes built on a
 complex-capable Jacobi elliptic kernel."""
 
-from .elliptic import (
-    EllipticKernel,
-    amplitude,
-    complete_integrals,
-    glaisher,
-    incomplete_F,
-    invert_dn,
-    jacobi_sncndn,
-    reduce_to_fundamental,
-)
+from .elliptic import EllipticKernel, incomplete_F
 from .errors import (
-    BranchMissError,
     ConvergenceError,
     CriticalModulusError,
     DomainError,
@@ -64,10 +54,7 @@ from .spectrum import (
 from .contour import (
     ContourContext,
     ContourSpec,
-    contour_h,
     default_contour,
-    integrand_h,
-    symbol_a,
     uplane_field,
 )
 from .identities import ResidualReport, run_identity_suite

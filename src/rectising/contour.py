@@ -145,7 +145,9 @@ def _node(u, cctx: ContourContext, triple=None):
 
 
 def integrand_h(u, n: int, cctx: ContourContext):
-    """Moment integrand: symbol ratio times chi^n times dgamma/du."""
+    """Moment integrand: symbol ratio times chi^n times dgamma/du.
+
+    Kept as the tests' scalar reference for `uplane_field` and the ladder."""
     common, chi, _zeta = _node(u, cctx)
     return common * chi ** n
 
@@ -197,12 +199,6 @@ def _scale(sums, cctx, samples):
     return {n: v * pref for n, v in sums.items()}
 
 
-def _lines_integral(ns, spec, cctx, base, samples):
-    """Trapezoid sums for several coefficient indices at shared nodes."""
-    return _scale(_line_sums(ns, spec.lines(cctx.frame), cctx, base, samples),
-                  cctx, samples)
-
-
 def contour_coefficients(ns, spec: ContourSpec, cctx: ContourContext,
                          base: str = "chi"):
     """Converged coefficients for all requested indices.
@@ -235,19 +231,11 @@ def contour_coefficients(ns, spec: ContourSpec, cctx: ContourContext,
             "lines": lines})
 
 
-def contour_h(n: int, spec: ContourSpec, cctx: ContourContext):
-    """One Hankel moment by contour integration."""
-    return contour_coefficients([n], spec, cctx, "chi")[n]
-
-
-def symbol_a(n: int, spec: ContourSpec, cctx: ContourContext):
-    """Symbol Fourier coefficient; even in n."""
-    return contour_coefficients([n], spec, cctx, "zeta")[n]
-
-
 def reduced_contour_a(n: int, cctx: ContourContext, samples: int = 512):
     """Symbol coefficient from a band around the two lower counter-poles
-    only; valid when the upper pair is regular (n small, L < M)."""
+    only; valid when the upper pair is regular (n small, L < M).
+
+    Kept as the tests' reference for the full symbol coefficients."""
     _require_disordered(cctx)
     Kp = float(cctx.frame.K_prime)
     c = float(cctx.prec.ctx.im(cctx.frame.eta)) / 2

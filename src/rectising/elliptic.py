@@ -1,8 +1,7 @@
 """Complex-capable Jacobi elliptic kernel.
 
-Provides amplitudes, sn/cn/dn, the full Glaisher two-letter family,
-complete and incomplete integrals of the first kind, the inverse of dn on
-its two relevant branches, and period-lattice reduction.
+Provides amplitudes, sn/cn/dn, the complete and incomplete integrals of
+the first kind, and the inverse of sn near the origin.
 
 Algorithms
 ----------
@@ -39,7 +38,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .errors import BranchMissError, CriticalModulusError, DomainError, PoleError
+from .errors import CriticalModulusError, DomainError, PoleError
 from .precision import FLOAT64, Precision, as_precision
 
 #: proximity radius around simple poles; callers get a typed signal inside it
@@ -334,16 +333,6 @@ def get_kernel(k, prec: Precision = FLOAT64) -> EllipticKernel:
 # operation surface
 # ----------------------------------------------------------------------
 
-def complete_integrals(k, prec: Precision = FLOAT64):
-    """Quarter periods (K, K') for modulus k > 0, k != 1.
-
-    Above the transition both are the standard reciprocal-modulus real
-    parts, keeping the periodicity rectangle un-tilted.
-    """
-    kern = get_kernel(k, prec)
-    return kern.K, kern.K_prime
-
-
 def incomplete_F(phi, k, prec: Precision = FLOAT64):
     """Incomplete elliptic integral of the first kind, complex amplitude.
 
@@ -364,93 +353,7 @@ def incomplete_F(phi, k, prec: Precision = FLOAT64):
     return val + 2 * n * kern.K
 
 
-def amplitude(u, k, prec: Precision = FLOAT64):
-    """Jacobi amplitude am(u, k), continuous along the real axis with
-    am(0) = 0 and am(K) = pi/2."""
-    return get_kernel(k, prec).am(u)
-
-
-def jacobi_sncndn(u, k, prec: Precision = FLOAT64):
-    """The triple (sn, cn, dn) at complex u."""
-    return get_kernel(k, prec).sncndn(u)
-
-
-_LETTERS = ("s", "c", "d", "n")
-
-
-def glaisher(p, q, u, k, prec: Precision = FLOAT64):
-    """Two-letter Jacobi function pq(u, k) = pr(u)/qr(u) = 1/qp(u)."""
-    if p not in _LETTERS or q not in _LETTERS:
-        raise DomainError(f"letters must be among {_LETTERS}, got {p!r}{q!r}")
-    if p == q:
-        return as_precision(prec).ctx.mpc(1)
-    sn, cn, dn = jacobi_sncndn(u, k, prec)
-    one = as_precision(prec).ctx.mpc(1)
-    vals = {"s": sn, "c": cn, "d": dn, "n": one}
-    num, den = vals[p], vals[q]
-    if abs(den) < POLE_TOL:
-        raise PoleError(f"pole of {p}{q} at u = {u}", where=u)
-    return num / den
-
-
 def arcsn(s, k, prec: Precision = FLOAT64):
     """The u near the origin with sn(u, k) = s, in Carlson form."""
     s2 = s * s
     return s * carlson_rf(1 - s2, 1 - k * k * s2, 1, prec)
-
-
-def invert_dn(w, k, branch="real_axis", prec: Precision = FLOAT64):
-    """Inverse of dn on one of its two physically relevant branches.
-
-    ``real_axis`` solves on the segment [0, K]; ``shifted_iKprime`` on its
-    shift [0, K] + iK'.  The result is always verified by a forward
-    evaluation; on failure both branch candidates are reported.
-    """
-    prec = as_precision(prec)
-    ctx = prec.ctx
-    kern = get_kernel(k, prec)
-    k = kern.k
-    w = ctx.mpc(w)
-    if branch not in ("real_axis", "shifted_iKprime"):
-        raise DomainError(f"unknown branch {branch!r}")
-
-    K, Kp = kern.K, kern.K_prime
-    shift = ctx.mpc(0, 1) * Kp if branch == "shifted_iKprime" else 0
-    if branch == "real_axis":
-        base = arcsn(ctx.sqrt((1 - w * w) / (k * k)), k, prec)
-    else:
-        base = arcsn(ctx.sqrt(1 / (1 - w * w)), k, prec)
-
-    tol = 1e-11 * max(1.0, abs(w))
-    slack = 1e-7 * float(Kp)
-
-    def on_branch(u):
-        return (abs(ctx.im(u - shift)) <= slack
-                and -slack <= ctx.re(u) <= float(K) + slack)
-
-    verified = []
-    for cand in (base + shift, -base + shift, 2 * K - base + shift,
-                 ctx.conj(base) + shift):
-        try:
-            dn = kern.sncndn(cand)[2]
-        except PoleError:
-            continue
-        if abs(dn - w) <= tol:
-            verified.append(cand)
-            if on_branch(cand):
-                return cand
-    raise BranchMissError(
-        f"no inverse of dn = {w} on branch {branch}", candidates=verified)
-
-
-def reduce_to_fundamental(u, frame):
-    """Reduce u into the rectangle [-K, K) x [-K', K') of ``frame``.
-
-    ``frame`` is anything exposing a kernel-compatible ``reduce`` (an
-    EllipticKernel or a params.EllipticFrame).  Half-period shifts flip
-    signs of individual Jacobi functions; the reduced point reproduces
-    them up to those documented signs.
-    """
-    kern = getattr(frame, "kernel", frame)
-    red, _ss, _sc, _sd = kern.reduce(u)
-    return red

@@ -30,18 +30,6 @@ class PoleError(RectisingError, ArithmeticError):
         self.where = where
 
 
-class BranchMissError(RectisingError, ArithmeticError):
-    """An inverse function has no solution on the requested branch.
-
-    Carries the candidate values found on every branch so the caller can
-    decide how to continue.
-    """
-
-    def __init__(self, msg, candidates=()):
-        super().__init__(msg)
-        self.candidates = tuple(candidates)
-
-
 class JointDiagonalizationError(RectisingError, ArithmeticError):
     """Eigenvectors of the tridiagonal matrix failed to simultaneously
     diagonalize the full transfer-matrix family within tolerance."""

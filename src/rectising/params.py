@@ -50,9 +50,9 @@ class Couplings:
     """Reduced couplings of an L x M open rectangle.
 
     K_h acts along the L direction (length L-1 bonds per row), K_v along
-    the M direction.  The spectral routes additionally require even M;
-    systems with odd M (e.g. swaps of odd-L systems) still support the
-    configuration-sum routes and are flagged, not rejected.
+    the M direction.  Systems with odd M (e.g. swaps of odd-L systems) run
+    the configuration-sum routes; the structured routes refuse them with
+    RouteInfeasibleError("odd M").
     """
 
     K_h: float
@@ -65,10 +65,6 @@ class Couplings:
             raise DomainError("couplings must be strictly positive")
         if self.L < 1 or self.M < 1:
             raise DomainError("geometry must be at least 1 x 1")
-
-    @property
-    def spectral_ok(self) -> bool:
-        return self.M % 2 == 0
 
     @property
     def sites(self) -> int:

@@ -13,7 +13,7 @@ import time
 import numpy as np
 
 from rectising.contour import ContourContext, contour_coefficients, default_contour
-from rectising.elliptic import EllipticKernel, amplitude, incomplete_F
+from rectising.elliptic import EllipticKernel, get_kernel, incomplete_F
 from rectising.errors import PoleError
 from rectising.identities import run_identity_suite
 from rectising.params import Couplings, couplings_from_modulus, swap_system
@@ -206,7 +206,7 @@ def test_criterion_7_elliptic_kernel():
     for j in range(100):
         phi = -math.pi / 2 + math.pi * (j + 0.5) / 101
         u = incomplete_F(phi, 0.6)
-        worst_rt = max(worst_rt, abs(complex(amplitude(u, 0.6)) - phi))
+        worst_rt = max(worst_rt, abs(complex(get_kernel(0.6).am(u)) - phi))
     worst_add = 0.0
     kern = EllipticKernel(0.6)
     for _ in range(200):

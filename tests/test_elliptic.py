@@ -17,21 +17,11 @@ from scipy.integrate import quad
 
 from rectising.elliptic import (
     EllipticKernel,
-    amplitude,
     carlson_rf,
-    complete_integrals,
-    glaisher,
+    get_kernel,
     incomplete_F,
-    invert_dn,
-    jacobi_sncndn,
-    reduce_to_fundamental,
 )
-from rectising.errors import (
-    BranchMissError,
-    CriticalModulusError,
-    DomainError,
-    PoleError,
-)
+from rectising.errors import CriticalModulusError, DomainError, PoleError
 from rectising.contour import ContourContext, default_contour
 from rectising.params import couplings_from_modulus
 from rectising.precision import Precision
@@ -61,15 +51,17 @@ def quad_oracle_F(phi, k):
 
 class TestCompleteIntegrals:
     def test_small_modulus_limit(self):
-        K, _ = complete_integrals(1e-10)
+        K = get_kernel(1e-10).K
         assert abs(K - math.pi / 2) < 1e-14
 
     def test_self_complementary(self):
-        K, Kp = complete_integrals(1 / math.sqrt(2))
+        kern = get_kernel(1 / math.sqrt(2))
+        K, Kp = kern.K, kern.K_prime
         assert abs(K - Kp) < 1e-14 * K
 
     def test_agm_oracle(self):
-        K, Kp = complete_integrals(0.6)
+        kern = get_kernel(0.6)
+        K, Kp = kern.K, kern.K_prime
         kp = math.sqrt(1 - 0.36)
         assert abs(K - math.pi / (2 * agm_oracle(1, kp))) <= 1e-14 * K
         assert abs(Kp - math.pi / (2 * agm_oracle(1, 0.6))) <= 1e-14 * Kp
@@ -78,21 +70,22 @@ class TestCompleteIntegrals:
 
     def test_critical_signals(self):
         with pytest.raises(CriticalModulusError):
-            complete_integrals(1.0)
+            get_kernel(1.0)
         with pytest.raises(DomainError):
-            complete_integrals(-0.5)
+            get_kernel(-0.5)
         with pytest.raises(DomainError):
-            complete_integrals(0.0)
+            get_kernel(0.0)
 
     def test_ordered_phase_real_parts(self):
-        K, Kp = complete_integrals(1.66)
+        kern = get_kernel(1.66)
+        K, Kp = kern.K, kern.K_prime
         kap = 1 / 1.66
         assert abs(K - kap * float(mpmath.ellipk(kap ** 2))) < 1e-14 * K
         assert abs(Kp - kap * float(mpmath.ellipk(1 - kap ** 2))) < 1e-14 * Kp
 
     def test_extended_precision(self):
         p = Precision(200)
-        K, _ = complete_integrals(p.ctx.mpf("0.6"), p)
+        K = get_kernel(p.ctx.mpf("0.6"), p).K
         with mpmath.workdps(70):
             ref = mpmath.ellipk(mpmath.mpf("0.36"))
             assert abs(mpmath.mpf(K) - ref) < mpmath.mpf("1e-55")
@@ -103,7 +96,7 @@ class TestIncompleteF:
         assert abs(incomplete_F(0.0, 0.6)) == 0
 
     def test_quarter(self):
-        K, _ = complete_integrals(0.6)
+        K = get_kernel(0.6).K
         assert abs(incomplete_F(math.pi / 2, 0.6) - K) < 1e-14 * K
 
     def test_quadrature_oracle(self):
@@ -112,7 +105,7 @@ class TestIncompleteF:
         assert abs(val - F_03_06) < 1e-13
 
     def test_quasi_periodicity(self):
-        K, _ = complete_integrals(0.6)
+        K = get_kernel(0.6).K
         f = incomplete_F(0.4 + math.pi, 0.6)
         assert abs(f - (incomplete_F(0.4, 0.6) + 2 * K)) < 1e-12
 
@@ -130,22 +123,22 @@ class TestIncompleteF:
     def test_roundtrip_with_amplitude(self):
         for phi in (-1.2, -0.3, 0.05, 0.8, 1.4):
             u = incomplete_F(phi, 0.6)
-            assert abs(amplitude(u, 0.6) - phi) < 1e-12
+            assert abs(get_kernel(0.6).am(u) - phi) < 1e-12
 
 
 class TestJacobiFunctions:
     def test_origin(self):
-        sn, cn, dn = jacobi_sncndn(0.0, 0.6)
+        sn, cn, dn = get_kernel(0.6).sncndn(0.0)
         assert (abs(sn), abs(cn - 1), abs(dn - 1)) == (0, 0, 0)
 
     def test_trigonometric_degeneration(self):
-        sn, cn, dn = jacobi_sncndn(1.1, 1e-9)
+        sn, cn, dn = get_kernel(1e-9).sncndn(1.1)
         assert abs(sn - math.sin(1.1)) < 1e-12
         assert abs(cn - math.cos(1.1)) < 1e-12
         assert abs(dn - 1) < 1e-12
 
     def test_square_identities_real(self):
-        sn, cn, dn = jacobi_sncndn(1.1, 0.6)
+        sn, cn, dn = get_kernel(0.6).sncndn(1.1)
         assert abs(sn ** 2 + cn ** 2 - 1) < 1e-13
         assert abs((0.6 * sn) ** 2 + dn ** 2 - 1) < 1e-13
 
@@ -168,9 +161,9 @@ class TestJacobiFunctions:
         assert abs(kern.sncndn(u + 2j * Kp)[0] - s0) < 1e-10
 
     def test_pole_signal(self):
-        _, Kp = complete_integrals(0.6)
+        kern = get_kernel(0.6)
         with pytest.raises(PoleError):
-            jacobi_sncndn(1j * Kp, 0.6)
+            kern.sncndn(1j * kern.K_prime)
 
     @pytest.mark.parametrize("k", [0.3, 0.8, 1.66])
     def test_line_matches_scalar_nodes(self, k):
@@ -223,7 +216,7 @@ class TestJacobiFunctions:
 
     def test_extended_precision_complex(self):
         p = Precision(160)
-        sn = jacobi_sncndn(p.ctx.mpc("0.7", "0.2"), p.ctx.mpf("0.6"), p)[0]
+        sn = get_kernel(p.ctx.mpf("0.6"), p).sncndn(p.ctx.mpc("0.7", "0.2"))[0]
         with mpmath.workdps(60):
             ref = mpmath.ellipfun("sn", mpmath.mpc("0.7", "0.2"),
                                   mpmath.mpf("0.36"))
@@ -313,8 +306,8 @@ def test_addition_theorem(k, ax, ay, bx, by):
 class TestAmplitude:
     def test_anchors(self):
         kern = EllipticKernel(0.6)
-        assert abs(amplitude(0.0, 0.6)) == 0
-        assert abs(amplitude(kern.K, 0.6) - math.pi / 2) < 1e-14
+        assert abs(kern.am(0.0)) == 0
+        assert abs(kern.am(kern.K) - math.pi / 2) < 1e-14
 
     def test_continuity_along_real_axis(self):
         kern = EllipticKernel(0.6)
@@ -340,6 +333,15 @@ class TestAmplitude:
         kern = EllipticKernel(0.6)
         with pytest.raises(PoleError):
             kern.am(1j * kern.K_prime)
+
+    def test_cot_of_double_amplitude(self):
+        # cs(2u) equals the cotangent of the amplitude of 2u
+        kern = EllipticKernel(0.6)
+        u = 0.31 + 0.12j
+        om = complex(kern.am(2 * u))
+        sn, cn, _dn = kern.sncndn(2 * u)
+        cs = complex(cn / sn)
+        assert abs(cs - cmath.cos(om) / cmath.sin(om)) < 1e-11
 
     def test_ordered_real_amplitude_is_asin_of_sn(self):
         # above the transition cn(x, k) = dn(k x, 1/k) >= k' > 0, so the
@@ -369,81 +371,16 @@ class TestAmplitude:
             assert abs(val - 1) < 1e-11
 
 
-class TestGlaisher:
-    def test_trivial_letters(self):
-        assert glaisher("n", "n", 0.7, 0.6) == 1
-        assert glaisher("s", "s", 0.7 + 0.2j, 0.6) == 1
-
-    def test_reciprocal_pairs(self):
-        u = 0.7 + 0.2j
-        prod = glaisher("s", "c", u, 0.6) * glaisher("c", "s", u, 0.6)
-        assert abs(prod - 1) < 1e-13
-
-    def test_ratio_consistency(self):
-        u = 0.9 - 0.3j
-        sn, cn, dn = jacobi_sncndn(u, 0.6)
-        assert abs(glaisher("s", "d", u, 0.6) - sn / dn) < 1e-13
-
-    def test_cot_of_double_amplitude(self):
-        # cs(2u) equals the cotangent of the amplitude of 2u
-        kern = EllipticKernel(0.6)
-        u = 0.31 + 0.12j
-        om = complex(kern.am(2 * u))
-        cs = complex(glaisher("c", "s", 2 * u, 0.6))
-        assert abs(cs - cmath.cos(om) / cmath.sin(om)) < 1e-11
-
-    def test_pole(self):
-        with pytest.raises(PoleError):
-            glaisher("c", "s", 0.0, 0.6)
-
-    def test_bad_letters(self):
-        with pytest.raises(DomainError):
-            glaisher("x", "n", 0.7, 0.6)
-
-
-class TestInvertDn:
-    def test_unit_maps_to_origin(self):
-        assert abs(invert_dn(1.0, 0.6)) < 1e-11
-
-    def test_complementary_maps_to_quarter(self):
-        kern = EllipticKernel(0.6)
-        kp = math.sqrt(1 - 0.36)
-        got = invert_dn(kp, 0.6)
-        # dn is flat at the quarter period, so the preimage carries a
-        # square-root condition number; the function value is exact
-        assert abs(got - kern.K) < 1e-7
-        assert abs(kern.sncndn(got)[2] - kp) < 1e-11
-
-    def test_roundtrip_real_branch(self):
-        w = jacobi_sncndn(0.4, 0.6)[2]
-        assert abs(invert_dn(w, 0.6, "real_axis") - 0.4) < 1e-12
-
-    def test_roundtrip_shifted_branch(self):
-        kern = EllipticKernel(0.6)
-        u = 0.4 + 1j * float(kern.K_prime)
-        w = kern.sncndn(u)[2]
-        got = invert_dn(w, 0.6, "shifted_iKprime")
-        assert abs(got - u) < 1e-10
-
-    def test_branch_miss(self):
-        kern = EllipticKernel(0.6)
-        u = 0.4 + 1j * float(kern.K_prime)
-        w = kern.sncndn(u)[2]  # imaginary value unreachable on [0, K]
-        with pytest.raises(BranchMissError) as exc:
-            invert_dn(w, 0.6, "real_axis")
-        assert exc.value.candidates
-
-
 class TestReduction:
     def test_interior_is_identity(self):
         kern = EllipticKernel(0.6)
         u = 0.3 + 0.4j
-        assert reduce_to_fundamental(u, kern) == kern.ctx.mpc(u)
+        assert kern.reduce(u)[0] == kern.ctx.mpc(u)
 
     def test_full_period(self):
         kern = EllipticKernel(0.6)
         u = 0.3 + 0.4j
-        red = reduce_to_fundamental(u + 4 * kern.K, kern)
+        red = kern.reduce(u + 4 * kern.K)[0]
         assert abs(red - u) < 1e-12
 
     def test_sign_rules(self):

@@ -5,7 +5,11 @@ import math
 import pytest
 
 from rectising.contour import ContourContext
-from rectising.errors import CriticalModulusError, DomainError
+from rectising.errors import (
+    CriticalModulusError,
+    DomainError,
+    RouteInfeasibleError,
+)
 from rectising.params import (
     Couplings,
     couplings_from_modulus,
@@ -16,7 +20,7 @@ from rectising.params import (
     swap_system,
     weights_from_couplings,
 )
-from rectising.partition import assemble_logZ
+from rectising.partition import assemble_logZ, block_transfer_logZ
 from rectising.precision import Precision
 
 CRITICAL_K = 0.5 * math.log(1 + math.sqrt(2))
@@ -183,7 +187,9 @@ class TestSwap:
 
     def test_odd_extent_flagging(self):
         cs = swap_system(Couplings(0.4, 0.7, 3, 4))
-        assert cs.M == 3 and not cs.spectral_ok
+        assert cs.M == 3
+        with pytest.raises(RouteInfeasibleError, match="odd M"):
+            block_transfer_logZ(cs)
 
 
 class TestModulusParametrization:
