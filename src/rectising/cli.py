@@ -6,8 +6,9 @@ the Pfaffian, plus deviations and consistency checks), spectrum
 (modulus sweep as CSV), uplane (integrand field file).
 
 Exit codes: 0 success, 1 numerical failure or no log Z: from z and
-compare no route produced one, or with every route the routes still
-disagree by more than AGREEMENT_DEV after the retry; from compare the
+compare no route produced one, even after the 160-bit retry that a failed
+structured route fires, single or not, or with every route the routes
+still disagree by more than AGREEMENT_DEV after it; from compare the
 Pfaffian failed, so Pf = det H was not checked (a Pfaffian skipped at the
 critical modulus or odd M passes); from scan no point produced one, or
 with every route some point's routes still disagree (that row carries an
@@ -358,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(pz)
     _add_format(pz)
     pz.add_argument("--route", default="all", choices=("all",) + ROUTES,
-                    help="all: an exact oracle, block and Hankel")
+                    help="all: the spin oracle, block and Hankel")
 
     pc = sub.add_parser("compare",
                         help="route all, the Pfaffian and the checks")

@@ -298,25 +298,6 @@ class EllipticKernel:
         c += 2 * fn.pi * _nint(fn.floor, (anchor - c.real) / (2 * fn.pi))
         return c
 
-    # -- lattice reduction ---------------------------------------------------
-    def reduce(self, u):
-        """Representative of u with Re in [-K, K), Im in [-K', K').
-
-        Returns (u_reduced, sign_sn, sign_cn, sign_dn): the signs restore the
-        original function values after the half-period shifts,
-        f(u) = sign_f * f(u_reduced).
-        """
-        fn = self._fn
-        u = fn.mpc(u)
-        K, Kp = self.K, self.K_prime
-        m = int(fn.floor((u.real + K) / (2 * K)))
-        n = int(fn.floor((u.imag + Kp) / (2 * Kp)))
-        red = u - fn.mpc(2 * K * m, 2 * Kp * n)
-        s_sn = -1 if m % 2 else 1
-        s_dn = -1 if n % 2 else 1
-        s_cn = s_sn * s_dn
-        return red, s_sn, s_cn, s_dn
-
 
 def get_kernel(k, prec: Precision = FLOAT64) -> EllipticKernel:
     """Cached kernel lookup; construction costs one AGM chain."""

@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import PhaseLeakError, PoleError, RectisingError
 from .elliptic import arcsn, incomplete_F
-from .params import Couplings, couplings_from_modulus, dual
+from .params import Couplings, dual
 from .partition import hankel_from_spectrum
 from .precision import Precision, as_precision
 from .spectrum import (
@@ -976,20 +976,14 @@ class ResidualReport:
                            "max_abs_residual": worst.max_abs_residual})}
 
 
-def run_identity_suite(system, tol: float = GATING_TOL, samples: int = 16,
-                       seed: int = 0,
+def run_identity_suite(c: Couplings, tol: float = GATING_TOL,
+                       samples: int = 16, seed: int = 0,
                        prec: Precision | None = None) -> ResidualReport:
-    """Run the whole catalogue at one configuration.
+    """Run the whole catalogue on the system ``c``.
 
-    ``system`` is a Couplings or a tuple (k, eta_fraction, M, L).  Entries
-    never abort the run; evaluation errors are recorded per entry.
+    Entries never abort the run; evaluation errors are recorded per entry.
     """
     t0 = time.perf_counter()
-    if isinstance(system, Couplings):
-        c = system
-    else:
-        k, eta_fraction, M, L = system
-        c = couplings_from_modulus(k, eta_fraction, L, M)
     env = build_env(c, samples=samples, seed=seed, prec=prec)
     params = {"L": c.L, "M": c.M, "K_h": c.K_h, "K_v": c.K_v,
               "k": float(env.w.k)}

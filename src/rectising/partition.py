@@ -1,7 +1,7 @@
 """Partition-function routes.
 
-Five ways to log Z; ``route="all"`` runs an exact oracle (brute up to 16
-spins, spin above), block and Hankel, and ``compare`` adds the Pfaffian:
+Five ways to log Z; ``route="all"`` runs the spin oracle, block and
+Hankel, and ``compare`` adds the Pfaffian:
 
 * ``brute``     exact configuration sum (caps at 24 spins),
 * ``spin``      flip-even row transfer over 2^M column states (caps at 12),
@@ -19,11 +19,10 @@ its moments, the skew-Toeplitz entries its Chebyshev moments.  The Hankel
 determinant is a product of the measure's recurrence coefficients
 (Gragg-Harrod), well conditioned where an LU of the moments is not.  Block
 and Hankel run at any modulus, the critical one included; the Pfaffian
-refuses k = 1.  Every system starts in binary64, except for a single
-Pfaffian route and for a single Hankel route on a large system
-(`default_precision`); `fan_out` reruns its structured routes at 160 bits
-when two routes disagree past ESCALATION_DEV or one fails.  The route
-scalars are floats, or at extended precision Decimals in a
+refuses k = 1.  Every run starts in binary64, except a single Pfaffian
+route (`default_precision`); `fan_out` reruns its structured routes once
+at 160 bits when two routes disagree past ESCALATION_DEV or one fails.
+The route scalars are floats, or at extended precision Decimals in a
 `decimal.localcontext` of ``prec.decimal``; a structured route returns its
 log Z (a float, or an mpf at extended precision) and its diagnostics.  A
 quantity that must be positive and comes out otherwise fails the route: a
@@ -55,9 +54,6 @@ from .spectrum import SystemPipeline, chi_poly_derivatives
 #: hard cap on the exact configuration sum
 BRUTE_MAX_SPINS = 24
 
-#: largest system whose ``route="all"`` oracle is brute, not spin
-BRUTE_ALL_MAX_SPINS = 16
-
 #: hard cap on the number of column spins in the state-vector transfer
 SPIN_MAX_WIDTH = 12
 
@@ -70,7 +66,7 @@ STRUCTURED_ROUTES = ("block", "hankel", "pfaffian")
 #: after its retry; the CLI's ``z`` and ``compare`` exit 1 above it
 AGREEMENT_DEV = 1e-8
 
-#: pairwise relative deviation above which ``route="all"`` reruns the
+#: pairwise relative deviation above which a binary64 run reruns its
 #: structured routes at 160 bits: a tenth of AGREEMENT_DEV, so a binary64
 #: route off by less than that is caught
 ESCALATION_DEV = AGREEMENT_DEV / 10
@@ -725,8 +721,8 @@ def hankel_logZ(c: Couplings, prec: Precision | None = None,
     `rkpw` on the weights scaled by the largest; no moment is formed.  A
     beta that is not positive and finite fails with `NonFiniteError`, and
     in binary64 so does a scaled weight below the normal range (2.2e-308),
-    where underflow has eaten its digits: ``route="all"`` then retries at
-    160 bits, where exponents are unbounded.  Extended precision scales
+    where underflow has eaten its digits: `fan_out` then retries at 160
+    bits, where exponents are unbounded.  Extended precision scales
     by division, not in the log domain, and takes one log of the product
     of the beta powers.
     """
@@ -837,18 +833,14 @@ class PartitionResult:
 
 def default_precision(c: Couplings, route: str = "all") -> Precision:
     """Binary64 at every size and modulus, the critical one and its
-    neighbourhood included, except for a single route that needs more.
+    neighbourhood included, except for a single ``pfaffian`` route.
 
-    A single route has no cross-check and no retry, so a single
-    ``pfaffian`` route keeps 160 bits at every size (the binary64 one is
-    ok but wrong from 10 x 12 on; ``compare`` retries its factorization),
-    and a single ``hankel`` route when L + M > 24 (kept from D8, now
-    mended; binary64 weights still underflow on large systems, D12).  A
-    single ``block`` route holds in binary64.
+    A single route has no cross-check, and `fan_out` retries it only when
+    it fails; the binary64 Pfaffian can come out ok but wrong (from
+    10 x 12 on, D10), so a single ``pfaffian`` route keeps 160 bits at
+    every size.  ``c`` is not read.
     """
-    if route == "pfaffian" or (route == "hankel" and c.L + c.M > 24):
-        return Precision(160)
-    return FLOAT64
+    return Precision(160) if route == "pfaffian" else FLOAT64
 
 
 def _run_route(c: Couplings, name: str, pipe: SystemPipeline,
@@ -881,11 +873,12 @@ def _run_route(c: Couplings, name: str, pipe: SystemPipeline,
 
 
 def fan_out(result: PartitionResult, names) -> None:
-    """Run the routes ``names`` into ``result`` on its pipeline.  With
-    ``route="all"``, if that is binary64 and the routes then disagree by
-    more than ESCALATION_DEV, or a structured one of ``names`` failed,
-    those rerun once at 160 bits, on a new pipeline that the result keeps;
-    the Pfaffian alone (``compare``'s retry) reruns on the binary64 one."""
+    """Run the routes ``names`` into ``result`` on its pipeline.  If that
+    is binary64 and the routes of ``result`` then disagree by more than
+    ESCALATION_DEV, or a structured one of ``names`` failed, the
+    structured ones of ``names`` rerun once at 160 bits, on a new pipeline
+    that the result keeps; the Pfaffian alone reruns on the binary64 one.
+    A single route climbs the same way, on failure alone."""
     c, pipe = result.couplings, result.pipeline
     prec = pipe.prec
     while True:
@@ -894,7 +887,7 @@ def fan_out(result: PartitionResult, names) -> None:
             result.outcomes[name] = _run_route(c, name, pipe, prec)
         result.pipeline_seconds += pipe.seconds - shared0
         names = [n for n in names if n in STRUCTURED_ROUTES]
-        if not (result.route == "all" and prec.is_float and (
+        if not (prec.is_float and (
                 result.max_pairwise_dev > ESCALATION_DEV or any(
                     result.outcomes[n].status == "failed" for n in names))):
             return
@@ -905,13 +898,12 @@ def fan_out(result: PartitionResult, names) -> None:
 
 def assemble_logZ(c: Couplings, route: str = "all",
                   prec: Precision | None = None) -> PartitionResult:
-    """Run one route, or with ``route='all'`` an exact oracle (brute up to
-    BRUTE_ALL_MAX_SPINS spins, spin above), block and Hankel, through
-    `fan_out`, at ``prec`` or at `default_precision` for the route.  The
-    structured routes of one precision share one `SystemPipeline`; the
-    binary64 one's weights also give the modulus and the anisotropy
-    report (`eta_over_Kprime`, NaN at the critical modulus), so no
-    elliptic frame is built.
+    """Run one route, or with ``route='all'`` the spin oracle, block and
+    Hankel, through `fan_out`, at ``prec`` or at `default_precision` for
+    the route.  The structured routes of one precision share one
+    `SystemPipeline`; the binary64 one's weights also give the modulus and
+    the anisotropy report (`eta_over_Kprime`, NaN at the critical
+    modulus), so no elliptic frame is built.
     """
     if route != "all" and route not in ROUTES:
         raise DomainError(f"unknown route {route!r}")
@@ -925,6 +917,5 @@ def assemble_logZ(c: Couplings, route: str = "all",
     if not chosen.is_float:
         pipe = SystemPipeline(c, chosen)
     result = PartitionResult(c, route, k, eta_frac, {}, pipe.seconds, pipe)
-    oracle = "brute" if c.sites <= BRUTE_ALL_MAX_SPINS else "spin"
-    fan_out(result, [oracle, "block", "hankel"] if route == "all" else [route])
+    fan_out(result, ["spin", "block", "hankel"] if route == "all" else [route])
     return result

@@ -146,12 +146,13 @@ def test_criterion_5_identity_suite():
     for k in (0.6, 0.95):
         for frac in (0.5, 0.9):
             for M in (4, 6, 8):
-                rep = run_identity_suite((k, frac, M, 5), tol=1e-9,
-                                         samples=12, seed=1)
+                c = couplings_from_modulus(k, frac, 5, M)
+                rep = run_identity_suite(c, tol=1e-9, samples=12, seed=1)
                 if rep.failed:
                     failed.append((k, frac, M))
                 worst = max(worst, rep.worst.max_abs_residual)
-    rep = run_identity_suite((1.66, 0.9, 6, 5), tol=1e-8, samples=12, seed=1)
+    c = couplings_from_modulus(1.66, 0.9, 5, 6)
+    rep = run_identity_suite(c, tol=1e-8, samples=12, seed=1)
     if rep.failed:
         failed.append((1.66, 0.9, 6))
     elapsed = time.perf_counter() - t0

@@ -48,8 +48,8 @@ class TestZ:
         assert code == 0
         rec = json.loads(out)
         assert rec["max_pairwise_rel_dev"] < 1e-9
-        # one exact oracle (brute up to 16 spins), block and Hankel
-        assert set(rec["routes"]) == {"brute", "block", "hankel"}
+        # the spin oracle, block and Hankel, at 16 spins and fewer too
+        assert set(rec["routes"]) == {"spin", "block", "hankel"}
         assert all(r["status"] == "ok" for r in rec["routes"].values())
 
     def test_run_record_per_route(self, capsys):
@@ -318,8 +318,11 @@ def test_python_dash_m_runs_the_cli():
 
 
 @pytest.mark.parametrize("route", ["pfaffian"])
-def test_non_finite_log_z_fails(capsys, route):
-    # the skew-Toeplitz Pfaffian of this system vanishes in binary64
+def test_non_finite_log_z_fails(capsys, monkeypatch, route):
+    # a Pfaffian that is zero in binary64 and at the 160-bit retry
+    import rectising.partition as partition
+    monkeypatch.setattr(partition, "pfaffian_logZ",
+                        lambda c, prec, pipe: (float("-inf"), {}))
     code, out, err = run_cli(capsys, "z", "--L", "12", "--M", "4", "--k",
                              "6", "--eta-frac", "0.3", "--route", route,
                              "--precision-bits", "53")
@@ -548,6 +551,25 @@ class TestScan:
         assert [round(r["k"], 9) for r in rows[2:]] == [1.7, 2.35, 3.0]
         assert len(calls) == 5
         assert all(args[1].is_float for args in calls)
+
+    def test_single_hankel_route_stays_binary64(self, capsys):
+        # L + M = 40: a scan point's single Hankel route runs in binary64
+        from rectising.params import couplings_from_modulus
+        from rectising.partition import block_transfer_logZ
+        from rectising.precision import Precision
+        code, out, _ = run_cli(capsys, "scan", "--L", "24", "--M", "16",
+                               "--k-min", "0.6", "--k-max", "6",
+                               "--steps", "3", "--eta-frac", "0.8",
+                               "--route", "hankel")
+        assert code == 0
+        rows = json.loads(out, parse_constant=_reject_constant)
+        assert len(rows) == 3
+        for row in rows:
+            r = row["routes"]["hankel"]
+            assert r["status"] == "ok" and r["precision_bits"] == 53
+            c = couplings_from_modulus(row["k"], 0.8, 24, 16)
+            ref = float(block_transfer_logZ(c, Precision(160))[0])
+            assert abs(r["logZ"] - ref) < 1e-12 * abs(ref)
 
     @pytest.mark.parametrize("frac", ["1.5", "0", "2.0"])
     def test_eta_fraction_validated_like_z(self, capsys, frac):

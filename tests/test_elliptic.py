@@ -247,7 +247,7 @@ def test_binary64_kernel_makes_no_mpmath_call(monkeypatch, k):
     u = 0.7 + 0.2j
     kern = EllipticKernel(k)
     want = [kern.sncndn(0.7), kern.sncndn(u), kern.am(u), kern.am_real(0.7),
-            kern.reduce(u + 4 * kern.K), carlson_rf(u, 0.8, 1.0)]
+            carlson_rf(u, 0.8, 1.0)]
 
     def refuse(*args, **kwargs):
         raise AssertionError("binary64 kernel reached mpmath.fp")
@@ -257,7 +257,7 @@ def test_binary64_kernel_makes_no_mpmath_call(monkeypatch, k):
         monkeypatch.setattr(mpmath.fp, name, refuse)
     kern = EllipticKernel(k)
     got = [kern.sncndn(0.7), kern.sncndn(u), kern.am(u), kern.am_real(0.7),
-           kern.reduce(u + 4 * kern.K), carlson_rf(u, 0.8, 1.0)]
+           carlson_rf(u, 0.8, 1.0)]
     assert got == want
 
 
@@ -369,29 +369,6 @@ class TestAmplitude:
                 continue
             val = 1j * 0.6 * cmath.sin(complex(om)) * cmath.sinh(th)
             assert abs(val - 1) < 1e-11
-
-
-class TestReduction:
-    def test_interior_is_identity(self):
-        kern = EllipticKernel(0.6)
-        u = 0.3 + 0.4j
-        assert kern.reduce(u)[0] == kern.ctx.mpc(u)
-
-    def test_full_period(self):
-        kern = EllipticKernel(0.6)
-        u = 0.3 + 0.4j
-        red = kern.reduce(u + 4 * kern.K)[0]
-        assert abs(red - u) < 1e-12
-
-    def test_sign_rules(self):
-        kern = EllipticKernel(0.6)
-        u = 5.3 * float(kern.K) + 3.1j * float(kern.K_prime)
-        red, s_sn, s_cn, s_dn = kern.reduce(u)
-        a = kern.sncndn(u)
-        b = kern.sncndn(red)
-        assert abs(a[0] - s_sn * b[0]) < 1e-10
-        assert abs(a[1] - s_cn * b[1]) < 1e-10
-        assert abs(a[2] - s_dn * b[2]) < 1e-10
 
 
 def test_carlson_rf_degenerate():

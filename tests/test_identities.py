@@ -47,13 +47,15 @@ def _record_nodes(monkeypatch, pole=None):
 
 class TestSuiteRuns:
     def test_disordered_figure_configuration(self):
-        rep = run_identity_suite((0.6, 0.9, 6, 5), tol=1e-9, samples=12)
+        c = couplings_from_modulus(0.6, 0.9, 5, 6)
+        rep = run_identity_suite(c, tol=1e-9, samples=12)
         assert not rep.failed
         gating = [e for e in rep.entries if e.gating]
         assert all(e.status == "pass" for e in gating)
 
     def test_ordered_phase(self):
-        rep = run_identity_suite((1.66, 0.9, 6, 5), tol=1e-8, samples=12)
+        c = couplings_from_modulus(1.66, 0.9, 5, 6)
+        rep = run_identity_suite(c, tol=1e-8, samples=12)
         assert not rep.failed
 
     def test_accepts_couplings(self):
@@ -66,7 +68,8 @@ class TestSuiteRuns:
         assert e.parts["transfer"] < 1e-11
 
     def test_no_silent_skips(self):
-        rep = run_identity_suite((0.6, 0.9, 4, 5), samples=8)
+        c = couplings_from_modulus(0.6, 0.9, 5, 4)
+        rep = run_identity_suite(c, samples=8)
         assert len(rep.entries) == len(CATALOGUE)
         for e in rep.entries:
             assert e.status in ("pass", "fail", "skip", "error")
@@ -77,7 +80,7 @@ class TestSuiteRuns:
 class TestSharedBuild:
     def test_weights_built_once(self, count_calls):
         calls = count_calls(params, "weights_from_couplings")
-        run_identity_suite((0.6, 0.9, 8, 8), samples=4)
+        run_identity_suite(couplings_from_modulus(0.6, 0.9, 8, 8), samples=4)
         assert len(calls) == 1
 
     def test_eta_triple_evaluated_once(self, count_calls):
@@ -244,10 +247,11 @@ class TestBatchedKernelWork:
 
         monkeypatch.setattr(EllipticKernel, "sncndn", counted)
         monkeypatch.setattr(EllipticKernel, "am", am_call)
+        c = couplings_from_modulus(0.6, 0.8, 4, 4)
         counts = []
         for samples in (4, 16):
             calls.clear()
-            run_identity_suite((0.6, 0.8, 4, 4), samples=samples)
+            run_identity_suite(c, samples=samples)
             counts.append(len(calls))
         assert counts[0] == counts[1] <= 24
 
@@ -277,7 +281,8 @@ class TestRecorder:
     def _suite_of(self, monkeypatch, fn):
         monkeypatch.setattr(identities, "CATALOGUE",
                             [("probe", "test", True, 1.0, fn)])
-        rep = run_identity_suite((0.6, 0.9, 4, 4), samples=2)
+        c = couplings_from_modulus(0.6, 0.9, 4, 4)
+        rep = run_identity_suite(c, samples=2)
         (e,) = rep.entries
         return rep, e
 
@@ -323,7 +328,8 @@ class TestRecorder:
         assert e.note == f"PhaseLeakError: det H has sign {sign}, not +1"
 
     def test_skipping_entries_report_their_parts(self):
-        rep = run_identity_suite((0.6, 0.9, 4, 5), samples=8)
+        c = couplings_from_modulus(0.6, 0.9, 5, 4)
+        rep = run_identity_suite(c, samples=8)
         by_id = {x.identity_id: x for x in rep.entries}
         assert {"cn_form", "dn_form"} <= set(by_id["addition-theorem"].parts)
         assert {"lambda", "zeta"} <= set(
@@ -332,15 +338,17 @@ class TestRecorder:
 
 class TestDeterminism:
     def test_same_seed_same_report(self):
-        a = run_identity_suite((0.6, 0.9, 6, 5), samples=10, seed=42)
-        b = run_identity_suite((0.6, 0.9, 6, 5), samples=10, seed=42)
+        c = couplings_from_modulus(0.6, 0.9, 5, 6)
+        a = run_identity_suite(c, samples=10, seed=42)
+        b = run_identity_suite(c, samples=10, seed=42)
         da, db = a.to_dict(), b.to_dict()
         da.pop("seconds")
         db.pop("seconds")
         assert json.dumps(da, sort_keys=True) == json.dumps(db, sort_keys=True)
 
     def test_report_serializable(self):
-        rep = run_identity_suite((0.6, 0.9, 4, 5), samples=8)
+        c = couplings_from_modulus(0.6, 0.9, 5, 4)
+        rep = run_identity_suite(c, samples=8)
         blob = json.dumps(rep.to_dict(), sort_keys=True)
         assert "entries" in json.loads(blob)
 
@@ -351,7 +359,8 @@ class TestExtentFactorReadings:
     factor on the split weights."""
 
     def test_point_products(self):
-        rep = run_identity_suite((0.6, 0.9, 6, 5), samples=8)
+        c = couplings_from_modulus(0.6, 0.9, 5, 6)
+        rep = run_identity_suite(c, samples=8)
         e = {x.identity_id: x for x in rep.entries}[
             "eigenvalue-point-products"]
         assert e.status == "pass"
@@ -359,14 +368,16 @@ class TestExtentFactorReadings:
         assert e.details["d_without_extent_factor"] > 1e-3
 
     def test_jacobi_products_diagnostic(self):
-        rep = run_identity_suite((0.95, 0.5, 6, 5), samples=8)
+        c = couplings_from_modulus(0.95, 0.5, 5, 6)
+        rep = run_identity_suite(c, samples=8)
         e = {x.identity_id: x for x in rep.entries}["jacobi-products"]
         assert not e.gating
         assert e.parts["sn"] < 1e-10
         assert e.details["sn_without_extent_factor"] > 1e-3
 
     def test_unshifted_core_derivative_is_wrong_reading(self):
-        rep = run_identity_suite((0.6, 0.9, 6, 5), samples=8)
+        c = couplings_from_modulus(0.6, 0.9, 5, 6)
+        rep = run_identity_suite(c, samples=8)
         e = {x.identity_id: x for x in rep.entries}["derivative-chain"]
         assert e.status == "pass"
         assert e.details["chi_unshifted_reading"] > 1.0
@@ -374,11 +385,13 @@ class TestExtentFactorReadings:
 
 class TestGating:
     def test_impossible_tolerance_marks_failed(self):
-        rep = run_identity_suite((0.6, 0.9, 4, 5), tol=1e-18, samples=8)
+        c = couplings_from_modulus(0.6, 0.9, 5, 4)
+        rep = run_identity_suite(c, tol=1e-18, samples=8)
         assert rep.failed
 
     def test_worst_entry_reported(self):
-        rep = run_identity_suite((0.6, 0.9, 4, 5), samples=8)
+        c = couplings_from_modulus(0.6, 0.9, 5, 4)
+        rep = run_identity_suite(c, samples=8)
         assert rep.worst is not None
         assert rep.worst.max_abs_residual >= max(
             e.max_abs_residual for e in rep.entries
@@ -396,5 +409,6 @@ class TestGating:
 
     @pytest.mark.parametrize("M", [4, 6, 8])
     def test_geometry_sweep(self, M):
-        rep = run_identity_suite((0.6, 0.5, M, 5), samples=8)
+        c = couplings_from_modulus(0.6, 0.5, 5, M)
+        rep = run_identity_suite(c, samples=8)
         assert not rep.failed

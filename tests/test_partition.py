@@ -957,16 +957,16 @@ class TestAssemble:
         assert [o.status for o in res.outcomes.values()].count("ok") == 2
 
     def test_all_caps_brute_at_16_spins(self):
-        c = Couplings(0.3, 0.3, 4, 5)
-        res = assemble_logZ(c, "all")
-        assert "brute" not in res.outcomes
-        assert res.outcomes["spin"].status == "ok"
-        alone = assemble_logZ(c, "brute")
-        assert alone.outcomes["brute"].status == "ok"
-        assert abs(alone.logZ - res.logZ) < 1e-12 * abs(res.logZ)
-        res16 = assemble_logZ(Couplings(0.3, 0.3, 4, 4), "all")
-        assert res16.outcomes["brute"].status == "ok"
-        assert "spin" not in res16.outcomes
+        # spin is route="all"'s one oracle at every size, 16 spins and
+        # fewer included; brute runs only as a single route
+        for L, M in ((4, 5), (4, 4)):
+            c = Couplings(0.3, 0.3, L, M)
+            res = assemble_logZ(c, "all")
+            assert "brute" not in res.outcomes
+            assert res.outcomes["spin"].status == "ok"
+            alone = assemble_logZ(c, "brute")
+            assert alone.outcomes["brute"].status == "ok"
+            assert abs(alone.logZ - res.logZ) < 1e-12 * abs(res.logZ)
 
     def test_single_route(self):
         res = assemble_logZ(Couplings(0.4, 0.7, 10, 6), "hankel")
@@ -997,10 +997,10 @@ class TestAssemble:
         c = swap_system(Couplings(0.4, 0.7, 3, 4))
         res = assemble_logZ(c, "all")
         assert res.outcomes["hankel"].status == "skipped"
-        assert res.outcomes["brute"].status == "ok"
-        spin = assemble_logZ(c, "spin")
-        assert spin.outcomes["spin"].status == "ok"
-        assert abs(spin.logZ - res.logZ) < 1e-12 * abs(res.logZ)
+        assert res.outcomes["spin"].status == "ok"
+        brute = assemble_logZ(c, "brute")
+        assert brute.outcomes["brute"].status == "ok"
+        assert abs(brute.logZ - res.logZ) < 1e-12 * abs(res.logZ)
 
     def test_logZ_is_the_first_ok_route(self):
         c = Couplings(0.3, 0.3, 2, 2)
@@ -1020,15 +1020,19 @@ class TestAssemble:
         assert res.max_pairwise_dev == 0.0
 
     def test_failed_structured_route_escalates(self):
-        # the binary64 Pfaffian of this system vanishes; compare's retry
-        # at 160 bits resolves it, and reruns the Pfaffian alone.  The
-        # Hankel route, which factors no matrix, is right in binary64
+        # the binary64 Pfaffian of this system vanishes; the retry at 160
+        # bits resolves it, for the single route as for compare, and
+        # reruns the Pfaffian alone.  The Hankel route, which factors no
+        # matrix, is right in binary64
         c = couplings_from_modulus(6, 0.3, 12, 4)
+        ref = spin_transfer_logZ(c)
+        with pytest.raises(PhaseLeakError):
+            pfaffian_logZ(c, FLOAT64)
         alone = assemble_logZ(c, "pfaffian", FLOAT64).outcomes["pfaffian"]
-        assert alone.status == "failed" and alone.precision_bits == 53
+        assert alone.status == "ok" and alone.precision_bits == 160
+        assert abs(alone.logZ - ref) < 1e-12 * abs(ref)
         alone = assemble_logZ(c, "hankel").outcomes["hankel"]
         assert alone.status == "ok" and alone.precision_bits == 53
-        ref = spin_transfer_logZ(c)
         assert abs(alone.logZ - ref) < 1e-14 * abs(ref)
         res = compared(c)
         for name, bits in (("block", 53), ("hankel", 53), ("pfaffian", 160)):
@@ -1109,12 +1113,12 @@ class TestPrecisionPolicy:
         # no window about the critical modulus: k = 0.995 is binary64
         near = couplings_from_modulus(0.995, 1.0, 4, 4)
         assert default_precision(near).is_float
-        # a single route has no cross-check and no retry: the Pfaffian
-        # keeps 160 bits at every size, Hankel on a large system, block
-        # never
+        # a single route has no cross-check, and retries only on
+        # failure: the Pfaffian keeps 160 bits at every size, block and
+        # Hankel never
         big = Couplings(0.3, 0.3, 24, 16)
         assert default_precision(big, "pfaffian").bits >= 160
-        assert default_precision(big, "hankel").bits >= 160
+        assert default_precision(big, "hankel").is_float
         assert default_precision(big, "block").is_float
         small = Couplings(0.3, 0.3, 4, 4)
         assert default_precision(small, "pfaffian").bits >= 160
@@ -1124,12 +1128,46 @@ class TestPrecisionPolicy:
     @pytest.mark.parametrize("route, k, eta", [("pfaffian", 0.9, 1.0),
                                                ("hankel", 6, 1.0)])
     def test_single_route_on_large_system(self, route, k, eta):
-        # binary64 leaves the Pfaffian ok but off by 4.7e-4 at k=0.9, and
-        # fails the joint diagonalization at k=6; route="all" would retry
+        # binary64 leaves the Pfaffian ok but off by 4.7e-4 at k=0.9, so
+        # it runs at 160 bits; Hankel holds in binary64
         c = couplings_from_modulus(k, eta, 24, 16)
         o = assemble_logZ(c, route).outcomes[route]
-        assert o.status == "ok" and o.precision_bits == 160
+        bits = {"pfaffian": 160, "hankel": 53}[route]
+        assert o.status == "ok" and o.precision_bits == bits
         ref, _ = block_transfer_logZ(c, Precision(160))
+        assert abs(o.logZ - ref) < 1e-12 * abs(ref)
+
+    def test_single_hankel_climbs_past_the_binary64_range(self,
+                                                         count_calls):
+        # a binary64 recurrence coefficient of 128 x 128 at k=3 is not
+        # positive (D12); the single route climbs once to 160 bits
+        import rectising.partition as partition
+        calls = count_calls(partition, "hankel_logZ")
+        c = couplings_from_modulus(3, 0.8, 128, 128)
+        res = assemble_logZ(c, "hankel")
+        assert [args[1].bits for args in calls] == [53, 160]
+        o = res.outcomes["hankel"]
+        assert o.status == "ok" and o.precision_bits == 160
+        assert res.pipeline.prec.bits == 160
+        ref, _ = block_transfer_logZ(c, FLOAT64)
+        assert abs(o.logZ - ref) < 1e-14 * abs(ref)
+
+    def test_failed_single_block_route_climbs(self, monkeypatch):
+        import rectising.partition as partition
+        kernel = partition.logdet_scaled
+
+        def singular_in_binary64(rows, prec):
+            if prec.is_float:
+                return 0, -math.inf, 0.0
+            return kernel(rows, prec)
+
+        monkeypatch.setattr(partition, "logdet_scaled", singular_in_binary64)
+        c = couplings_from_modulus(0.6, 0.9, 8, 8)
+        with pytest.raises(PhaseLeakError, match="singular"):
+            block_transfer_logZ(c, FLOAT64)
+        o = assemble_logZ(c, "block").outcomes["block"]
+        assert o.status == "ok" and o.precision_bits == 160
+        ref = spin_transfer_logZ(c)
         assert abs(o.logZ - ref) < 1e-12 * abs(ref)
 
     def test_large_system_stays_binary64(self, count_calls):
@@ -1447,8 +1485,10 @@ class TestRouteGates:
                             lambda c, prec, pipe: (log_z, {}))
         c = couplings_from_modulus(0.6, 0.9, 5, 6)
         o = assemble_logZ(c, "hankel").outcomes["hankel"]
+        # non-finite in binary64 and at 160 bits: one gate at each rung
         assert o.status == "failed" and "not finite" in o.reason
-        assert len(raised) == 1
+        assert o.precision_bits == 160
+        assert len(raised) == 2
 
     def test_non_finite_log_z_fires_the_retry(self, monkeypatch):
         import rectising.partition as partition

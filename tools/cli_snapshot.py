@@ -6,19 +6,21 @@
 ``write`` runs `rectising identities`, `spectrum`, `compare` and
 `uplane --grid 24` in-process on every system that the `crosscheck`
 workload of `perfbench/workloads.py` draws for the given seeds, and
-`compare` on every system of its `solve-hard` workload (width-12 spin,
-the Pfaffian up to n = 64); the file is read, not changed.  It drops the
-timing fields (keys named ``seconds`` or ending in ``_seconds``), and
-writes one JSON record per (command, system) line: the arguments, the
-exit code, the output (parsed JSON, or the lines of the `uplane` text)
-and stderr.  Run it from the root of the source tree whose package it
-should import.
+`compare`, `z --route hankel` and `z --route block` on every system of
+its `solve-hard` workload (width-12 spin, the Pfaffian up to n = 64), so
+that a diff shows the precision a single route ends at; the file is
+read, not changed.  It drops the timing fields (keys named ``seconds``
+or ending in ``_seconds``), and writes one JSON record per (command,
+system) line: the arguments, the exit code, the output (parsed JSON, or
+the lines of the `uplane` text) and stderr.  Run it from the root of
+the source tree whose package it should import.
 
 ``diff`` compares two such files record by record.  It prints each record
 that differs, with the number of values that differ and the worst of
 them, and then per command the largest absolute and the largest
-relative difference between numbers found in both files.  It exits 1 if a record or a non-numeric
-value differs, or a record is missing on one side, and 0 otherwise.
+relative difference between numbers found in both files.  It exits 1 if
+a record or a non-numeric value differs, or a record is missing on one
+side, and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -38,8 +40,8 @@ COMMANDS = (("identities",), ("spectrum",), ("compare",),
 
 def _argvs(seeds):
     """The distinct command lines of the seeds, in first-seen order:
-    COMMANDS on each crosscheck system, then compare on each solve-hard
-    one."""
+    COMMANDS on each crosscheck system, then compare and the single
+    Hankel and block routes on each solve-hard one."""
     sys.path.insert(0, os.path.join(ROOT, "perfbench"))
     from workloads import Crosscheck, SolveHard
 
@@ -50,8 +52,11 @@ def _argvs(seeds):
                    repr(s["k"]), "--eta-frac", repr(s["eta"])]
             out.extend([*cmd, *geo] for cmd in COMMANDS)
     for seed in seeds:
-        out.extend(["compare", "--L", str(s["L"]), "--M", str(s["M"]),
-                    *s["couplings"]] for s in SolveHard().inputs(seed))
+        for s in SolveHard().inputs(seed):
+            geo = ["--L", str(s["L"]), "--M", str(s["M"]), *s["couplings"]]
+            out.extend([*cmd, *geo] for cmd in (
+                ("compare",), ("z", "--route", "hankel"),
+                ("z", "--route", "block")))
     return [a for i, a in enumerate(out) if a not in out[:i]]
 
 

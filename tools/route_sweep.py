@@ -1,4 +1,4 @@
-"""The 320-system sweep of `assemble_logZ(c, "all")` (ROADMAP item 2).
+"""The 320-system sweep of `assemble_logZ(c, "all")` (ROADMAP "State").
 
     PYTHONPATH=src python3 tools/route_sweep.py [--out FILE] [--forced-bits N]
 
