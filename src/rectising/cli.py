@@ -73,11 +73,16 @@ def _finite(obj):
     return obj
 
 
+_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
+                         allow_nan=False)
+
+
 def _json_dumps(obj) -> str:
-    """Strict, compact JSON on one line: a NaN or an infinity is written
-    as null."""
-    return json.dumps(_finite(obj), sort_keys=True, separators=(",", ":"),
-                      allow_nan=False) + "\n"
+    """Strict, compact JSON on one line, NaN and infinities as null."""
+    try:
+        return _JSON.encode(obj) + "\n"
+    except ValueError:
+        return _JSON.encode(_finite(obj)) + "\n"
 
 
 def _no_log_z(message: str, **detail) -> int:

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .elliptic import _scalar_fns
 from .errors import ConvergenceError, DomainError, PoleError, RouteInfeasibleError
 from .params import Couplings, EllipticFrame, Weights
 from .precision import Precision
@@ -128,17 +129,17 @@ def _node(u, cctx: ContourContext, triple=None):
     the triple and the frame's eta triple by the addition formula.
     """
     frame = cctx.frame
-    ctx = cctx.prec.ctx
+    i = _scalar_fns(cctx.prec).mpc(0, 1)
     k = frame.k
     if triple is None:
         triple = frame.kernel.sncndn(u)
     sn, cn, dn = triple
     sp, sm = sn_pm_eta(triple, frame)
     lam, zeta = 1 / (k * sp * sm), sp / sm
-    exp_m_theta = ctx.mpc(0, 1) * dn / (k * sn * cn)
+    exp_m_theta = i * dn / (k * sn * cn)
     num = 1 - lam ** cctx.L * exp_m_theta
     sn2, cn2, _dn2 = double_argument(triple, k)
-    den = 1 - zeta ** cctx.M * (cn2 - ctx.mpc(0, 1) * sn2)
+    den = 1 - zeta ** cctx.M * (cn2 - i * sn2)
     chi = zeta + 1 / zeta + 2
     dgamma = -k * sn2 * (lam - 1 / lam)
     return num / den * dgamma, chi, zeta

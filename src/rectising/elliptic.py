@@ -66,18 +66,19 @@ def _nint(floor, x):
 
 @functools.cache
 def _scalar_fns(prec: Precision) -> SimpleNamespace:
-    """Constructors, pi and elementary functions at ``prec`` (``csqrt``,
-    ``log``, ``tan`` of complex numbers): the float and complex types,
-    `math` and `cmath` in binary64, else the context's own."""
+    """Constructors, pi and elementary functions at ``prec``, of complex
+    numbers with a ``c`` in front (``csqrt``): the float and complex
+    types, `math` and `cmath` in binary64, else the context's own."""
     if prec.is_float:
         real, cplx, mpf, mpc = math, cmath, float, complex
     else:
         real = cplx = prec.ctx
         mpf, mpc = real.mpf, real.mpc
+    names = ("sqrt", "exp", "log", "sin", "cos", "tan", "asin", "acos",
+             "sinh", "cosh", "tanh")
     return SimpleNamespace(mpf=mpf, mpc=mpc, pi=real.pi, floor=real.floor,
-                           sin=real.sin, cos=real.cos, asin=real.asin,
-                           sqrt=real.sqrt, csqrt=cplx.sqrt, log=cplx.log,
-                           tan=cplx.tan)
+                           **{f: getattr(real, f) for f in names},
+                           **{"c" + f: getattr(cplx, f) for f in names})
 
 
 # ----------------------------------------------------------------------
@@ -168,24 +169,26 @@ class EllipticKernel:
 
     # -- real argument ---------------------------------------------------
     def _phase_real(self, x, chain):
-        """Backward Landen phase recursion; returns the continuous amplitude."""
+        """Backward Landen phase recursion, unclamped (|c_n / a_n| <= 1
+        after rounding); returns the continuous amplitude."""
         sin, asin = self._fn.sin, self._fn.asin
         _a, start, ratios = chain
         phi = start * x
         for r in ratios:
-            s = r * sin(phi)
-            if s > 1:
-                s = 1
-            elif s < -1:
-                s = -1
-            phi = (phi + asin(s)) / 2
+            phi = (phi + asin(r * sin(phi))) / 2
         return phi
 
     def _sncndn_base(self, x, chain, kk):
-        """sn, cn, dn at real x for the base modulus of `chain` (< 1)."""
-        fn, phi0 = self._fn, self._phase_real(x, chain)
-        sn = fn.sin(phi0)
-        return sn, fn.cos(phi0), fn.sqrt(1 - (kk * sn) ** 2)
+        """(sn, cn, dn) and their phase at real x, base modulus < 1."""
+        fn, phi = self._fn, self._phase_real(x, chain)
+        sn = fn.sin(phi)
+        return (sn, fn.cos(phi), fn.sqrt(1 - (kk * sn) ** 2)), phi
+
+    def _anchor(self, phi):
+        """`am_real` from the base phase of `_sncndn_phase`; above the
+        transition cn(x, k) = dn(k x, 1/k) > 0 puts it on asin's branch."""
+        fn = self._fn
+        return fn.asin(self.kappa * fn.sin(phi)) if self.ordered else phi
 
     def am_real(self, x):
         """Continuous real-axis amplitude.
@@ -193,28 +196,31 @@ class EllipticKernel:
         Below the transition this winds by 2 pi per full period; above it
         the amplitude librates and stays in (-pi/2, pi/2).
         """
-        x = self._fn.mpf(x)
-        if not self.ordered:
-            return self._phase_real(x, self._chain)
-        # cn(x, k) = dn(k x, 1/k) >= k' > 0: asin's principal branch
-        return self._fn.asin(self.sncndn(x)[0])
+        u = self._fn.mpc(x)
+        u = u / self.kappa if self.ordered else u
+        return self._anchor(self._phase_real(u.real, self._chain))
 
     # -- complex argument --------------------------------------------------
     def sncndn(self, u):
         """sn, cn, dn at complex u; raises PoleError within POLE_TOL of
         the common pole lattice."""
-        u = self._fn.mpc(u)
-        if self.ordered:
-            s, c, d = self._sncndn_split(u / self.kappa)
-            return self.kappa * s, d, c
-        return self._sncndn_split(u)
+        return self._sncndn_phase(self._fn.mpc(u))[0]
+
+    def _sncndn_phase(self, u):
+        """`sncndn` at complex u, split at the base modulus, and its phase."""
+        u = u / self.kappa if self.ordered else u
+        x, y = u.real, u.imag
+        (s, c, d), phi = self._sncndn_base(x, self._chain, self.kappa)
+        if y != 0:
+            s, c, d = self._add_imaginary(x, (s, c, d), y)
+        return ((self.kappa * s, d, c) if self.ordered else (s, c, d)), phi
 
     def sncndn_line(self, xs, y):
         """Binary64 sn, cn, dn as arrays at the nodes x + iy, where ``y``
         is one level (a horizontal line) or an array that broadcasts
-        against ``xs``: one numpy Landen pass per chain (clamped as in
-        `_phase_real`; a single level takes the scalar complement triple),
-        combined as in `sncndn`; PoleError if any node is a pole."""
+        against ``xs``: one numpy Landen pass per chain (a single level
+        takes the scalar complement triple), combined as in `sncndn`;
+        PoleError if any node is a pole."""
         if not self.prec.is_float:
             raise DomainError("sncndn_line is binary64 only")
         xs = np.asarray(xs, dtype=float)
@@ -227,27 +233,21 @@ class EllipticKernel:
 
     @staticmethod
     def _base_line(xs, chain, kk):
-        """`_sncndn_base` over a real array."""
+        """The triple of `_sncndn_base` over a real array."""
         _a, start, ratios = chain
         phi = start * xs
         for r in ratios:
-            phi = (phi + np.arcsin(np.clip(r * np.sin(phi), -1, 1))) / 2
+            phi = (phi + np.arcsin(r * np.sin(phi))) / 2
         sn = np.sin(phi)
         return sn, np.cos(phi), np.sqrt(1 - (kk * sn) ** 2)
-
-    def _sncndn_split(self, u):
-        """Addition-formula split at the base modulus (< 1)."""
-        x, y = u.real, u.imag
-        triple = self._sncndn_base(x, self._chain, self.kappa)
-        return triple if y == 0 else self._add_imaginary(x, triple, y)
 
     def _add_imaginary(self, x, triple, y):
         """The triple at x + iy from the base triple at real x and the
         complement triple at y (scalars or arrays)."""
         s, c, d = triple
-        s1, c1, d1 = (self._base_line if isinstance(y, np.ndarray)
-                      else self._sncndn_base)(y, self._chain_c,
-                                              self.kappa_prime)
+        chain, kk = self._chain_c, self.kappa_prime
+        s1, c1, d1 = (self._base_line(y, chain, kk) if isinstance(
+            y, np.ndarray) else self._sncndn_base(y, chain, kk)[0])
         kk2 = self.kappa * self.kappa
         den = c1 * c1 + kk2 * (s * s1) ** 2
         if any_true(abs(den) < POLE_TOL * POLE_TOL):
@@ -265,36 +265,36 @@ class EllipticKernel:
         return sn, cn, dn
 
     # -- amplitude ----------------------------------------------------------
-    def am(self, u):
-        """Complex Jacobi amplitude with the documented branch convention."""
+    def am(self, u, known=None):
+        """Complex Jacobi amplitude with the documented branch convention;
+        ``known`` = (v, (sn, cn, dn) at v) replaces the evaluation at v."""
         fn = self._fn
         u = fn.mpc(u)
         x, y = u.real, u.imag
         if y == 0:
             return fn.mpc(self.am_real(x))
-        # imaginary half-period reflections: am(v + 2iK') = pi - am(v)
+        # imaginary half-period reflections, am(v + 2iK') = pi - am(v), to
+        # Im v in [-K', K']; there the amplitude winds with the real period
         n2 = _nint(fn.floor, y / (2 * self.K_prime))
-        inner = self._am_strip(fn.mpc(x, y - 2 * self.K_prime * n2))
+        m = _nint(fn.floor, x / (4 * self.K))
+        v = fn.mpc(x - 4 * self.K * m, y - 2 * self.K_prime * n2)
+        winding = 0 if self.ordered else 1
+        inner = self._am_core(v, known) + 2 * fn.pi * winding * m
         return fn.pi - inner if n2 % 2 else inner
 
-    def _am_strip(self, v):
-        """Amplitude for Im v in [-K', K']; winds with the real period."""
-        fn = self._fn
-        x, y = v.real, v.imag
-        winding = 0 if self.ordered else 1
-        m = _nint(fn.floor, x / (4 * self.K))
-        x0 = x - 4 * self.K * m
-        return self._am_core(fn.mpc(x0, y)) + 2 * fn.pi * winding * m
-
-    def _am_core(self, v):
-        """Principal-log amplitude pinned to the real-axis branch."""
+    def _am_core(self, v, known):
+        """Principal-log amplitude pinned to the real-axis branch, whose
+        anchor comes from the Landen pass of the evaluation at v."""
         fn = self._fn
         x0, y = v.real, v.imag
         if y == 0:
             return fn.mpc(self.am_real(x0))
-        sn, cn, _dn = self.sncndn(v)
-        c = fn.mpc(0, -1) * fn.log(cn + fn.mpc(0, 1) * sn)
-        anchor = self.am_real(x0)
+        if known is not None and v == known[0]:
+            (sn, cn, _dn), anchor = known[1], self.am_real(x0)
+        else:
+            (sn, cn, _dn), phi = self._sncndn_phase(v)
+            anchor = self._anchor(phi)
+        c = fn.mpc(0, -1) * fn.clog(cn + fn.mpc(0, 1) * sn)
         c += 2 * fn.pi * _nint(fn.floor, (anchor - c.real) / (2 * fn.pi))
         return c
 
@@ -321,16 +321,16 @@ def incomplete_F(phi, k, prec: Precision = FLOAT64):
     quasi-periodicity F(phi + pi) = F(phi) + 2K.
     """
     prec = as_precision(prec)
-    ctx = prec.ctx
-    k = ctx.mpf(k)
+    fn = _scalar_fns(prec)
+    k = fn.mpf(k)
     if not (0 < k < 1):
         raise DomainError("incomplete_F requires modulus in (0, 1)")
-    phi = ctx.mpc(phi)
+    phi = fn.mpc(phi)
     kern = get_kernel(k, prec)
-    n = _nint(ctx.floor, ctx.re(phi) / ctx.pi)
-    phi0 = phi - n * ctx.pi
-    s = ctx.sin(phi0)
-    val = s * carlson_rf(ctx.cos(phi0) ** 2, 1 - (k * s) ** 2, 1, prec)
+    n = _nint(fn.floor, phi.real / fn.pi)
+    phi0 = phi - n * fn.pi
+    s = fn.csin(phi0)
+    val = s * carlson_rf(fn.ccos(phi0) ** 2, 1 - (k * s) ** 2, 1, prec)
     return val + 2 * n * kern.K
 
 

@@ -22,16 +22,15 @@ fixes relative signs (the tangent forms), those exactly.
 
 from __future__ import annotations
 
-import math
 import random
 import time
 from dataclasses import dataclass, field, fields
-from functools import cached_property, reduce
+from functools import cached_property
 
 import numpy as np
 
 from .errors import PhaseLeakError, PoleError, RectisingError
-from .elliptic import arcsn, incomplete_F
+from .elliptic import _scalar_fns, arcsn, incomplete_F
 from .params import Couplings, dual
 from .partition import hankel_from_spectrum
 from .precision import Precision, as_precision
@@ -85,8 +84,8 @@ class IdentityEnv:
     pairs: list       # (sample, sample) pairs for addition laws
 
     @property
-    def ctx(self):
-        return self.prec.ctx
+    def fn(self):
+        return _scalar_fns(self.prec)
 
     @property
     def kern(self):
@@ -118,7 +117,7 @@ class IdentityEnv:
         out = []
         for s in self.samples:
             try:
-                out.append(self.kern.am(2 * s.u))
+                out.append(self.kern.am(2 * s.u, known=(2 * s.u, s.at_2u)))
             except PoleError as exc:
                 out.append(exc)
         return out
@@ -148,16 +147,6 @@ class IdentityEnv:
         return CharPolyContext(self.w, self.frame, self.c.M, self.points)
 
 
-def _resid(lhs, rhs):
-    """Scaled residual: absolute for order-unity, relative for large."""
-    return float(abs(lhs - rhs) / max(1.0, abs(rhs)))
-
-
-def _worse(old, new):
-    """The larger residual; NaN counts as the worst and stays."""
-    return new if new > old or math.isnan(new) else old
-
-
 class Residuals:
     """Worst residual per named part of one catalogue entry.
 
@@ -169,22 +158,28 @@ class Residuals:
         self.details = {}
 
     def add(self, name, value, detail=False):
-        """Record a raw residual."""
+        """Record a raw residual; NaN (value != value) is the worst."""
         store = self.details if detail else self.parts
-        store[name] = _worse(store.get(name, 0.0), value)
+        old = store.get(name, 0.0)
+        store[name] = value if value > old or value != value else old
 
     def compare(self, name, lhs, rhs, detail=False):
-        """Record the scaled residual of lhs against rhs."""
-        self.add(name, _resid(lhs, rhs), detail)
+        """Record the scaled residual of lhs against rhs (`add` inlined)."""
+        value = float(abs(lhs - rhs) / max(1.0, abs(rhs)))
+        store = self.details if detail else self.parts
+        old = store.get(name, 0.0)
+        store[name] = value if value > old or value != value else old
 
     def compare_up_to_sign(self, name, lhs, rhs, detail=False):
         """Record the smaller scaled residual of lhs against +rhs and -rhs."""
-        self.add(name, min(_resid(lhs, rhs), _resid(lhs, -rhs)), detail)
+        scale = max(1.0, abs(rhs))
+        self.add(name, min(float(abs(lhs - rhs) / scale),
+                           float(abs(lhs + rhs) / scale)), detail)
 
     @property
     def worst(self) -> float:
-        """Worst gated residual, 0.0 when there is none."""
-        return reduce(_worse, self.parts.values(), 0.0)
+        """Worst gated residual, 0.0 when there is none, NaN if one is."""
+        return max(self.parts.values(), key=lambda v: (v != v, v), default=0.0)
 
 
 def _triples(kern, rows):
@@ -268,9 +263,9 @@ def entry(identity_id, group, gating=True, tol_factor=1.0):
     return wrap
 
 
-def _monic(x, roots, ctx):
+def _monic(x, roots, fn):
     """Product of (x - root) over the roots."""
-    out = ctx.mpc(1)
+    out = fn.mpc(1)
     for root in roots:
         out = out * (x - root)
     return out
@@ -278,29 +273,29 @@ def _monic(x, roots, ctx):
 
 @entry("weights-coupling-forms", "weights")
 def _e_weights(env, r):
-    ctx, w, c = env.ctx, env.w, env.c
-    Kh, Kv = ctx.mpf(c.K_h), ctx.mpf(c.K_v)
-    r.compare("t", w.t, ctx.exp(-2 * Kv))
-    r.compare("t_plus", w.t_plus, ctx.cosh(2 * Kv))
-    r.compare("t_minus", w.t_minus, -ctx.sinh(2 * Kv))
-    r.compare("z", w.z, ctx.tanh(Kh))
-    r.compare("z_plus", w.z_plus, 1 / ctx.tanh(2 * Kh))
-    r.compare("z_minus", w.z_minus, -1 / ctx.sinh(2 * Kh))
-    r.compare("z_star", w.z_star, ctx.exp(-2 * Kh))
-    r.compare("z_star_plus", (w.z_star + 1 / w.z_star) / 2, ctx.cosh(2 * Kh))
+    fn, w, c = env.fn, env.w, env.c
+    Kh, Kv = fn.mpf(c.K_h), fn.mpf(c.K_v)
+    r.compare("t", w.t, fn.exp(-2 * Kv))
+    r.compare("t_plus", w.t_plus, fn.cosh(2 * Kv))
+    r.compare("t_minus", w.t_minus, -fn.sinh(2 * Kv))
+    r.compare("z", w.z, fn.tanh(Kh))
+    r.compare("z_plus", w.z_plus, 1 / fn.tanh(2 * Kh))
+    r.compare("z_minus", w.z_minus, -1 / fn.sinh(2 * Kh))
+    r.compare("z_star", w.z_star, fn.exp(-2 * Kh))
+    r.compare("z_star_plus", (w.z_star + 1 / w.z_star) / 2, fn.cosh(2 * Kh))
     r.compare("z_star_minus", (w.z_star - 1 / w.z_star) / 2,
-              -ctx.sinh(2 * Kh))
-    r.compare("t_star", w.t_star, ctx.tanh(Kv))
+              -fn.sinh(2 * Kh))
+    r.compare("t_star", w.t_star, fn.tanh(Kv))
     r.compare("t_star_plus", (w.t_star + 1 / w.t_star) / 2,
-              1 / ctx.tanh(2 * Kv))
+              1 / fn.tanh(2 * Kv))
     r.compare("t_star_minus", (w.t_star - 1 / w.t_star) / 2,
-              -1 / ctx.sinh(2 * Kv))
+              -1 / fn.sinh(2 * Kv))
 
 
 @entry("anisotropy-defining-equation", "frame")
 def _e_eta_def(env, r):
     sn2e = env.eta2_triple[0]
-    r.compare("sn2eta", sn2e * env.ctx.mpc(0, 1) * env.w.t_minus, 1)
+    r.compare("sn2eta", sn2e * env.fn.mpc(0, 1) * env.w.t_minus, 1)
 
 
 @entry("anisotropy-squares", "frame")
@@ -320,7 +315,7 @@ def _e_eta_squares(env, r):
 @entry("weights-at-anisotropy-point", "frame")
 def _e_weights_eta(env, r):
     w, fr = env.w, env.frame
-    i = env.ctx.mpc(0, 1)
+    i = env.fn.mpc(0, 1)
     k = fr.k
     sn, cn, dn = fr.eta_triple
     s2, c2, d2 = env.eta2_triple
@@ -335,7 +330,7 @@ def _e_weights_eta(env, r):
 @entry("dual-weights-at-anisotropy-point", "frame")
 def _e_dual_eta(env, r):
     w = env.w
-    i = env.ctx.mpc(0, 1)
+    i = env.fn.mpc(0, 1)
     s2, c2, d2 = env.eta2_triple
     ts_p = (w.t_star + 1 / w.t_star) / 2
     ts_m = (w.t_star - 1 / w.t_star) / 2
@@ -351,21 +346,21 @@ def _e_dual_eta(env, r):
 
 @entry("amplitude-exponential-forms", "frame")
 def _e_am_forms(env, r):
-    ctx, w = env.ctx, env.w
-    i = ctx.mpc(0, 1)
+    fn, w = env.fn, env.w
+    i = fn.mpc(0, 1)
     am2e, am2et = env.am2
-    r.compare("t_star", w.t_star, ctx.exp(i * am2e))
-    r.compare("t", w.t, -i * ctx.tan(am2e / 2))
-    r.compare("z", w.z, ctx.exp(i * am2et))
-    r.compare("z_star", w.z_star, -i * ctx.tan(am2et / 2))
+    r.compare("t_star", w.t_star, fn.cexp(i * am2e))
+    r.compare("t", w.t, -i * fn.ctan(am2e / 2))
+    r.compare("z", w.z, fn.cexp(i * am2et))
+    r.compare("z_star", w.z_star, -i * fn.ctan(am2et / 2))
 
 
 @entry("dual-coupling-amplitudes", "frame")
 def _e_dual_K(env, r):
-    ctx, fr, c = env.ctx, env.frame, env.c
-    i = ctx.mpc(0, 1)
-    Ktil_v = -ctx.log(ctx.tanh(ctx.mpf(c.K_v))) / 2
-    Ktil_h = -ctx.log(ctx.tanh(ctx.mpf(c.K_h))) / 2
+    fn, fr, c = env.fn, env.frame, env.c
+    i = fn.mpc(0, 1)
+    Ktil_v = -fn.log(fn.tanh(fn.mpf(c.K_v))) / 2
+    Ktil_h = -fn.log(fn.tanh(fn.mpf(c.K_h))) / 2
     r.compare("vertical", env.am2[0], 2 * i * Ktil_v)
     r.compare("horizontal", env.am2[1], 2 * i * Ktil_h)
     if not env.ordered:
@@ -378,15 +373,15 @@ def _e_dual_K(env, r):
 @entry("eigenvalue-map-squares", "eigenvalue-map")
 def _e_root_squares(env, r):
     """Squared root systematics at kernel-evaluated points: branch-free."""
-    ctx, w, fr = env.ctx, env.w, env.frame
+    one, w, fr = env.fn.mpc(1), env.w, env.frame
     sn_e, cn_e, dn_e = fr.eta_triple
-    vals_e = {"n": ctx.mpc(1), "s": sn_e, "c": cn_e, "d": dn_e}
+    vals_e = {"n": one, "s": sn_e, "c": cn_e, "d": dn_e}
     lam_p = {"n": w.lambda_n, "s": w.lambda_s, "c": w.lambda_c,
              "d": w.lambda_d}
     for s in env.samples:
         sn, cn, dn = s.at_u
         lam = s.lam
-        vals_u = {"n": ctx.mpc(1), "s": sn, "c": cn, "d": dn}
+        vals_u = {"n": one, "s": sn, "c": cn, "d": dn}
         for p in "nscd":
             r.compare(p, (lam_p[p] - lam) * vals_e[p] ** 2,
                       (w.lambda_n - lam) * vals_u[p] ** 2)
@@ -408,14 +403,14 @@ def _e_root_triple(env, r):
 
 @entry("vertical-map-squares", "eigenvalue-map")
 def _e_zeta_squares(env, r):
-    ctx, w = env.ctx, env.w
+    one, w = env.fn.mpc(1), env.w
     sn_e, cn_e, dn_e = env.eta_tilde_triple
-    vals_e = {"n": ctx.mpc(1), "s": sn_e, "c": cn_e, "d": dn_e}
+    vals_e = {"n": one, "s": sn_e, "c": cn_e, "d": dn_e}
     zet_p = {"n": w.zeta_n, "s": w.zeta_s, "c": w.zeta_c, "d": w.zeta_d}
     for s in env.samples:
         snt, cnt, dnt = s.at_ut
         zet = s.zeta
-        vals_u = {"n": ctx.mpc(1), "s": snt, "c": cnt, "d": dnt}
+        vals_u = {"n": one, "s": snt, "c": cnt, "d": dnt}
         for p in "nscd":
             r.compare(p, (zet_p[p] - zet) * vals_e[p] ** 2,
                       (w.zeta_n - zet) * vals_u[p] ** 2)
@@ -470,14 +465,14 @@ def _e_lambda_2u(env, r):
 
 @entry("half-angle-forms", "half-angle")
 def _e_half_angle(env, r):
-    ctx, w, fr = env.ctx, env.w, env.frame
-    i = ctx.mpc(0, 1)
+    fn, w, fr = env.fn, env.w, env.frame
+    i = fn.mpc(0, 1)
     sn_e, cn_e, dn_e = fr.eta_triple
     for s in env.samples:
         sn, cn, dn = s.at_u
         lam, zet = s.lam, s.zeta
         Q2 = w.lambda_n - lam
-        root = ctx.sqrt(lam * w.tz_minus)
+        root = fn.csqrt(lam * w.tz_minus)
         s_half = -Q2 / (2 * root) * (cn / cn_e) * (dn / dn_e)
         c_half = Q2 / (2 * i * root) * (sn / sn_e)
         sin_phi = (zet - 1 / zet) / (2 * i)
@@ -493,8 +488,8 @@ def _e_half_angle(env, r):
 def _e_eigen_half(env, r):
     """Half angles of M phi at the eigenvalues; sines and cosines carry an
     undetermined overall sign, the tangent is exact."""
-    ctx, w = env.ctx, env.w
-    i = ctx.mpc(0, 1)
+    fn, w = env.fn, env.w
+    i = fn.mpc(0, 1)
     sn_e, cn_e, dn_e = env.frame.eta_triple
     for p in env.points:
         zh = p.zeta ** (env.c.M // 2)
@@ -502,10 +497,10 @@ def _e_eigen_half(env, r):
         cos_m = (zh + 1 / zh) / 2
         Q2 = w.lambda_n - p.lam
         lam_mm = (p.lam - 1 / p.lam) / 2
-        root = ctx.sqrt(ctx.mpc(p.lam * w.t_minus * lam_mm))
-        rhs_sin = ctx.sqrt(w.t) / 2 * Q2 / root * (p.sn_u / sn_e) \
+        root = fn.csqrt(fn.mpc(p.lam * w.t_minus * lam_mm))
+        rhs_sin = fn.sqrt(w.t) / 2 * Q2 / root * (p.sn_u / sn_e) \
             * (p.dn_u / dn_e)
-        rhs_cos = 1 / (2 * i * ctx.sqrt(w.t)) * Q2 / root \
+        rhs_cos = 1 / (2 * i * fn.sqrt(w.t)) * Q2 / root \
             * (p.cn_u / cn_e)
         r.compare_up_to_sign("sin", sin_m, rhs_sin)
         r.compare_up_to_sign("cos", cos_m, rhs_cos)
@@ -514,8 +509,8 @@ def _e_eigen_half(env, r):
 
 @entry("sine-product-forms", "half-angle")
 def _e_sin_forms(env, r):
-    ctx, w, fr = env.ctx, env.w, env.frame
-    i = ctx.mpc(0, 1)
+    w, fr = env.w, env.frame
+    i = env.fn.mpc(0, 1)
     sn_e, cn_e, dn_e = fr.eta_triple
     lsp = (w.lambda_s + 1 / w.lambda_s) / 2
     ldp = (w.lambda_d + 1 / w.lambda_d) / 2
@@ -551,14 +546,14 @@ def _e_addition(env, r):
 @entry("angle-derivatives", "derivatives", tol_factor=100.0)
 def _e_derivatives(env, r):
     """Closed derivative forms against central finite differences."""
-    ctx, w, fr = env.ctx, env.w, env.frame
-    i = ctx.mpc(0, 1)
+    fn, w, fr = env.fn, env.w, env.frame
+    i = fn.mpc(0, 1)
     k = fr.k
     s2e = env.eta2_triple[0]
     for s, ((lp, zp), (lm, zm)) in zip(env.samples, env.lambda_zeta_fd):
         lam, zet = s.lam, s.zeta
         lam_m = (lam - 1 / lam) / 2
-        dgam_fd = (ctx.log(lp) - ctx.log(lm)) / (2 * FD_STEP)
+        dgam_fd = (fn.clog(lp) - fn.clog(lm)) / (2 * FD_STEP)
         dphi_fd = (zp - zm) / (2 * FD_STEP) / (i * zet)
         s2 = s.at_2u[0]
         sin_phi = (zet - 1 / zet) / (2 * i)
@@ -582,11 +577,11 @@ def _e_chain(env, r):
     The unshifted-core reading (chi^2 - 4)/sin(omega) is reported as a
     diagnostic; it corresponds to chi = -2 zeta_plus.
     """
-    ctx, w, fr = env.ctx, env.w, env.frame
+    i, w, fr = env.fn.mpc(0, 1), env.w, env.frame
     for s, ((_lp, zp), (_lm, zm)) in zip(env.samples, env.lambda_zeta_fd):
         lam, zet = s.lam, s.zeta
         lam_m = (lam - 1 / lam) / 2
-        sin_phi = (zet - 1 / zet) / (2 * ctx.mpc(0, 1))
+        sin_phi = (zet - 1 / zet) / (2 * i)
         s2 = s.at_2u[0]
         dgam = -2 * fr.k * s2 * lam_m
         dphi = 2 * lam_m / w.z_minus
@@ -603,35 +598,35 @@ def _e_chain(env, r):
 def _e_omega_theta(env, r):
     """The two boundary amplitudes against the Jacobi values, exercising
     the complex-amplitude branch rules."""
-    ctx, fr = env.ctx, env.frame
+    fn, fr = env.fn, env.frame
     kern = env.kern
     k = fr.k
-    i = ctx.mpc(0, 1)
+    i = fn.mpc(0, 1)
     for s, om in zip(env.samples, env.am_2u):
         if isinstance(om, PoleError):
             raise om
         sn, cn, dn = s.at_u
         s2, c2, d2 = s.at_2u
         s2t, c2t, d2t = s.at_2ut
-        th = i * kern.am(2 * s.ut)
-        r.compare("sin_omega", s2, ctx.sin(om))
-        r.compare("cos_omega", c2, ctx.cos(om))
-        r.compare("dn_coth", d2, -ctx.cosh(th) / ctx.sinh(th))
-        r.compare("sn_swap", s2t, -i * ctx.sinh(th))
+        th = i * kern.am(2 * s.ut, known=(2 * s.ut, s.at_2ut))
+        r.compare("sin_omega", s2, fn.csin(om))
+        r.compare("cos_omega", c2, fn.ccos(om))
+        r.compare("dn_coth", d2, -fn.ccosh(th) / fn.csinh(th))
+        r.compare("sn_swap", s2t, -i * fn.csinh(th))
         r.compare("sn_swap_ns", s2t, -1 / (k * s2))
-        r.compare("cn_swap", c2t, ctx.cosh(th))
+        r.compare("cn_swap", c2t, fn.ccosh(th))
         r.compare("cn_swap_ds", c2t, i * d2 / (k * s2))
-        r.compare("dn_swap_cot", d2t, i * ctx.cos(om) / ctx.sin(om))
+        r.compare("dn_swap_cot", d2t, i * fn.ccos(om) / fn.csin(om))
         r.compare("dn_swap_cs", d2t, i * c2 / s2)
-        r.compare("tan_half", ctx.tan(om / 2), sn * dn / cn)
-        r.compare("exp_theta", ctx.exp(th), k * sn * cn / (i * dn))
-        r.compare("symmetric", i * k * ctx.sin(om) * ctx.sinh(th), 1)
+        r.compare("tan_half", fn.ctan(om / 2), sn * dn / cn)
+        r.compare("exp_theta", fn.cexp(th), k * sn * cn / (i * dn))
+        r.compare("symmetric", i * k * fn.csin(om) * fn.csinh(th), 1)
 
 
 @entry("inversion-transform", "boundary-phase")
 def _e_inversion(env, r):
-    ctx, fr = env.ctx, env.frame
-    i = ctx.mpc(0, 1)
+    fn, fr = env.fn, env.frame
+    i = fn.mpc(0, 1)
     for s, om, lz in zip(env.samples, env.am_2u, env.lambda_zeta_at(
             [s.u + i * fr.K_prime for s in env.samples])):
         if isinstance(lz, PoleError) or isinstance(om, PoleError):
@@ -639,14 +634,16 @@ def _e_inversion(env, r):
         lam, zet = s.lam, s.zeta
         lam_i, zet_i = lz
         try:
-            om_i = env.kern.am(2 * (s.u + i * fr.K_prime))
+            # reduced by 2iK', the argument is often 2u itself
+            om_i = env.kern.am(2 * (s.u + i * fr.K_prime),
+                               known=(2 * s.u, s.at_2u))
         except PoleError:
             continue
         r.compare("lambda", lam_i * lam, 1)
         r.compare("zeta", zet_i * zet, 1)
-        r.compare("omega", om_i + om, ctx.pi)
-        r.compare("cot_tan", ctx.cos(om_i / 2) / ctx.sin(om_i / 2),
-                  ctx.sin(om / 2) / ctx.cos(om / 2))
+        r.compare("omega", om_i + om, fn.pi)
+        r.compare("cot_tan", fn.ccos(om_i / 2) / fn.csin(om_i / 2),
+                  fn.csin(om / 2) / fn.ccos(om / 2))
 
 
 @entry("dispersion-relation", "spectrum")
@@ -664,9 +661,9 @@ def _e_quant(env, r):
 
 @entry("cp-factorization-halfsum", "char-poly")
 def _e_cp_fact(env, r):
-    ctx, cpc = env.ctx, env.cpc
+    fn, cpc = env.fn, env.cpc
     for j in range(10):
-        lam = ctx.mpc(0.3 + 0.17 * j, 0.21 + 0.11 * j)
+        lam = fn.mpc(0.3 + 0.17 * j, 0.21 + 0.11 * j)
         lp = (lam + 1 / lam) / 2
         r.compare("factorization", char_poly_eval("lambda_plus", lp, cpc),
                   char_poly_eval("lambda", lam, cpc)
@@ -676,7 +673,7 @@ def _e_cp_fact(env, r):
 
 @entry("cp-closed-vs-roots", "char-poly")
 def _e_cp_roots(env, r):
-    ctx, cpc = env.ctx, env.cpc
+    fn, cpc = env.fn, env.cpc
     roots = {
         "lambda_plus": [p.lam_plus for p in env.points],
         "chi": [p.chi for p in env.points],
@@ -685,13 +682,13 @@ def _e_cp_roots(env, r):
         "zeta": [p.zeta for p in env.points],
     }
     for j in range(8):
-        x = ctx.mpc(0.4 + 0.23 * j, -0.37 + 0.19 * j)
+        x = fn.mpc(0.4 + 0.23 * j, -0.37 + 0.19 * j)
         for kind, rr in roots.items():
-            r.compare(kind, char_poly_eval(kind, x, cpc), _monic(x, rr, ctx))
+            r.compare(kind, char_poly_eval(kind, x, cpc), _monic(x, rr, fn))
         for kind in ("lambda", "zeta"):
             r.compare(f"{kind}_at_inverse",
                       char_poly_eval(f"{kind}_at_inverse", x, cpc),
-                      _monic(1 / x, roots[kind], ctx))
+                      _monic(1 / x, roots[kind], fn))
 
 
 @entry("cp-at-own-roots", "char-poly")
@@ -706,13 +703,13 @@ def _e_cp_own(env, r):
 def _e_cp_zero(env, r):
     """Determinant of the half-sum matrix and the closed location of the
     vanishing half-sum eigenvalue point."""
-    ctx, w, fr = env.ctx, env.w, env.frame
-    prod = ctx.mpf(1)
+    fn, w, fr = env.fn, env.w, env.frame
+    prod = fn.mpf(1)
     for p in env.points:
         prod = prod * p.lam_plus
     r.compare("det_halfsum", char_poly_eval("lambda_plus", 0, env.cpc), prod)
-    i = ctx.mpc(0, 1)
-    s = ctx.sqrt(dual(i * w.lambda_n) / (i * fr.k))
+    i = fn.mpc(0, 1)
+    s = fn.csqrt(dual(i * w.lambda_n) / (i * fr.k))
     lam0, _zet0 = lambda_zeta(arcsn(s, fr.k, env.prec), fr)
     r.compare("halfsum_zero_point", (lam0 + 1 / lam0) / 2, 0)
     lam1, _ = lambda_zeta(fr.K + i * fr.K_prime / 2, fr)
@@ -721,23 +718,22 @@ def _e_cp_zero(env, r):
 
 @entry("determinant-family", "products")
 def _e_dets(env, r):
-    ctx, w = env.ctx, env.w
-    prod_l = ctx.mpf(1)
-    prod_m = ctx.mpf(1)
+    fn, w = env.fn, env.w
+    prod_l = prod_m = fn.mpf(1)
     for p in env.points:
         prod_l = prod_l * p.lam
         prod_m = prod_m * p.lam_minus
     ts2 = 1 - w.t_star ** 2
     r.compare("transfer", prod_l, w.t)
     r.compare("halfdiff", prod_m,
-              ts2 * (ctx.mpc(0, 1) * w.z_minus / ts2) ** env.c.M)
+              ts2 * (fn.mpc(0, 1) * w.z_minus / ts2) ** env.c.M)
 
 
 @entry("eigenvalue-point-products", "products")
 def _e_point_products(env, r):
     """Products of (bound - eigenvalue) against the closed forms; the
     extent factor M multiplying the split weights is genuine."""
-    ctx, w, M = env.ctx, env.w, env.c.M
+    fn, w, M = env.fn, env.w, env.c.M
     ts = w.t_star
     for name, bound, signp, extra_with, extra_without in (
             ("n", w.lambda_n, +1, None, None),
@@ -748,7 +744,7 @@ def _e_point_products(env, r):
             ("d", w.lambda_d, -1,
              1 + M * (w.lambda_d - 1 / w.lambda_d) / 2 / w.z_minus,
              1 + (w.lambda_d - 1 / w.lambda_d) / 2 / w.z_minus)):
-        prod = ctx.mpf(1)
+        prod = fn.mpf(1)
         for p in env.points:
             prod = prod * (bound - p.lam)
         base = (1 - ts) * (signp * w.tz_minus * bound) ** (M // 2)
@@ -761,11 +757,11 @@ def _e_point_products(env, r):
 
 @entry("sine-squared-product", "products")
 def _e_sin_sq_product(env, r):
-    ctx, w, M = env.ctx, env.w, env.c.M
-    prod = ctx.mpc(1)
+    fn, w, M = env.fn, env.w, env.c.M
+    prod = fn.mpc(1)
     for p in env.points:
-        sin_phi = (p.zeta - 1 / p.zeta) / (2 * ctx.mpc(0, 1))
-        prod = prod * (w.tz_minus * ctx.mpc(0, 1) * sin_phi) ** 2
+        sin_phi = (p.zeta - 1 / p.zeta) / (2 * fn.mpc(0, 1))
+        prod = prod * (w.tz_minus * fn.mpc(0, 1) * sin_phi) ** 2
     lsm = (w.lambda_s - 1 / w.lambda_s) / 2
     ldm = (w.lambda_d - 1 / w.lambda_d) / 2
     closed = (1 - w.t_star ** 2) ** 2 * (w.tz_minus / 2) ** (2 * M) \
@@ -777,14 +773,14 @@ def _e_sin_sq_product(env, r):
 def _e_jacobi_products(env, r):
     """Diagnostic: products of Jacobi ratios over the spectrum, reported
     with and without the extent factor under the square roots."""
-    ctx, w, M = env.ctx, env.w, env.c.M
-    i = ctx.mpc(0, 1)
+    ctx, fn, w, M = env.prec.ctx, env.fn, env.w, env.c.M
+    i = fn.mpc(0, 1)
     sn_e, cn_e, dn_e = env.frame.eta_triple
-    ps = pc = pd = ctx.mpc(1)
-    for p in env.points:
-        ps = ps * ctx.sqrt(-w.t * w.z) * p.sn_u / sn_e
-        pc = pc * ctx.sqrt(i * w.z) * p.cn_u / cn_e
-        pd = pd * ctx.sqrt(i * w.t) * p.dn_u / dn_e
+    ps = pc = pd = fn.mpc(1)
+    for p in env.points:    # -t z < 0; below, ctx.sqrt takes either sign
+        ps = ps * fn.csqrt(fn.mpc(-w.t * w.z)) * p.sn_u / sn_e
+        pc = pc * fn.csqrt(i * w.z) * p.cn_u / cn_e
+        pd = pd * fn.csqrt(i * w.t) * p.dn_u / dn_e
     lsm = (w.lambda_s - 1 / w.lambda_s) / 2
     ldm = (w.lambda_d - 1 / w.lambda_d) / 2
     for name, prod, closed_w, closed_wo in (
@@ -803,18 +799,18 @@ def _e_jacobi_products(env, r):
 @entry("half-angle-products", "products", gating=False)
 def _e_half_products(env, r):
     """Diagnostic: products of half-angle functions over the spectrum."""
-    ctx, w, M = env.ctx, env.w, env.c.M
-    i = ctx.mpc(0, 1)
-    psin = pcos = ptan = pth = pps = ctx.mpc(1)
+    ctx, fn, w, M = env.prec.ctx, env.fn, env.w, env.c.M
+    i = fn.mpc(0, 1)
+    psin = pcos = ptan = pth = pps = fn.mpc(1)
     for p in env.points:
-        s = ctx.sin(p.phi / 2)
-        c = ctx.cos(p.phi / 2)
+        s = fn.csin(p.phi / 2)
+        c = fn.ccos(p.phi / 2)
         psin, pcos, ptan = psin * s, pcos * c, ptan * (s / c)
         pth = pth * p.exp_minus_theta()
-        pps = pps * (-ctx.tan(p.phi / 2))
+        pps = pps * (-fn.ctan(p.phi / 2))
     lsm = (w.lambda_s - 1 / w.lambda_s) / 2
     ldm = (w.lambda_d - 1 / w.lambda_d) / 2
-    rt = ctx.sqrt(w.t)
+    rt = fn.sqrt(w.t)
     c_tan = (-1) ** (M // 2) * ctx.sqrt(1 + M * ldm / w.z_minus) \
         / ctx.sqrt(1 - M * lsm / w.z_minus)
     r.compare_up_to_sign("sin", psin, (1 - w.t_star) / ((2 * i) ** M * rt)
@@ -888,7 +884,7 @@ def _e_physics_chain(env, r):
     """The generalized factorization with the physical weights: vanishing
     block, moment-block equality, and the determinant chain down to the
     partition function."""
-    ctx, w, fr, c = env.ctx, env.w, env.frame, env.c
+    fn, w, fr, c = env.fn, env.w, env.frame, env.c
     M, L, N = c.M, c.L, c.M // 2
     x = np.array([complex(p.chi) for p in env.points])
     g = np.array([complex(p.lam ** L * p.exp_minus_theta() * p.exp_psi())
@@ -915,9 +911,9 @@ def _e_physics_chain(env, r):
     if sign <= 0:
         raise PhaseLeakError(f"det H has sign {sign}, not +1")
     log_z = hs.log_z1 + log_det
-    log_z0_sq = float(ctx.mpf(M) * ctx.log(1 - w.z * w.z)
-                      + ctx.mpf(L) * M * ctx.log(-2 / w.z_minus))
-    chain = abs(2 * log_z - (log_z0_sq - float(L * ctx.log(w.t)) + ldetA)) \
+    log_z0_sq = float(fn.mpf(M) * fn.log(1 - w.z * w.z)
+                      + fn.mpf(L) * M * fn.log(-2 / w.z_minus))
+    chain = abs(2 * log_z - (log_z0_sq - float(L * fn.log(w.t)) + ldetA)) \
         / max(1.0, abs(2 * log_z))
     r.add("partition_chain", float(chain))
 

@@ -10,7 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .elliptic import EllipticKernel, carlson_rf, get_kernel, is_critical
+from .elliptic import (EllipticKernel, _scalar_fns, carlson_rf, get_kernel,
+                       is_critical)
 from .errors import CriticalModulusError, DomainError
 from .precision import FLOAT64, Precision, as_precision
 
@@ -115,10 +116,10 @@ class Weights:
 def weights_from_couplings(c: Couplings, prec: Precision = FLOAT64) -> Weights:
     """All scalar weights of a system."""
     prec = as_precision(prec)
-    ctx = prec.ctx
-    Kh, Kv = ctx.mpf(c.K_h), ctx.mpf(c.K_v)
-    z = ctx.tanh(Kh)
-    t = ctx.exp(-2 * Kv)
+    fn = _scalar_fns(prec)
+    Kh, Kv = fn.mpf(c.K_h), fn.mpf(c.K_v)
+    z = fn.tanh(Kh)
+    t = fn.exp(-2 * Kv)
     z_star, z_plus, z_minus = dual_and_split(z)
     t_star, t_plus, t_minus = dual_and_split(t)
     if z_star == 0 or t_star == 0:
@@ -164,8 +165,8 @@ class EllipticFrame:
 
     def swap_u(self, u):
         """Point reflection of the torus at i K'/4: u -> i K'/2 - u."""
-        ctx = self.prec.ctx
-        return ctx.mpc(0, 1) * self.K_prime / 2 - ctx.mpc(u)
+        mpc = _scalar_fns(self.prec).mpc
+        return mpc(0, 1) * self.K_prime / 2 - mpc(u)
 
 
 def eta_over_Kprime(w: Weights):
@@ -179,10 +180,10 @@ def eta_over_Kprime(w: Weights):
     gives the same form in the reciprocal modulus, with s = -1/z_minus =
     sinh 2K_h.
     """
-    ctx, k = w.prec.ctx, w.k
+    k = w.k
     m, s = (k, -1 / w.t_minus) if k < 1 else (1 / k, -1 / w.z_minus)
-    return ctx.re(s * carlson_rf(1, 1 + (m * s) ** 2, 1 + s * s, w.prec)
-                  / (2 * carlson_rf(0, m * m, 1, w.prec)))
+    return (s * carlson_rf(1, 1 + (m * s) ** 2, 1 + s * s, w.prec)
+            / (2 * carlson_rf(0, m * m, 1, w.prec))).real
 
 
 def elliptic_frame(w: Weights) -> EllipticFrame:
@@ -196,7 +197,7 @@ def elliptic_frame(w: Weights) -> EllipticFrame:
     prec = w.prec
     kern = get_kernel(w.k, prec)
     Kp = kern.K_prime
-    i = prec.ctx.mpc(0, 1)
+    i = _scalar_fns(prec).mpc(0, 1)
     eta = i * eta_over_Kprime(w) * Kp
     return EllipticFrame(k=kern.k, K=kern.K, K_prime=Kp, eta=eta,
                          eta_tilde=i * Kp / 2 - eta, kernel=kern, prec=prec)
@@ -212,21 +213,21 @@ def couplings_from_modulus(k, eta_fraction, L, M,
     reaches the upper end i K'/2 of its strip.
     """
     prec = as_precision(prec)
-    ctx = prec.ctx
+    fn = _scalar_fns(prec)
     if not 0 < eta_fraction < 2:
         raise DomainError("eta_fraction must lie in (0, 2)")
-    k = ctx.mpf(k)
+    k = fn.mpf(k)
     if is_critical(k):
         raise CriticalModulusError(
             "critical modulus has no anisotropy parametrization")
     kern = get_kernel(k, prec)
-    eta = ctx.mpc(0, 1) * ctx.mpf(eta_fraction) * kern.K_prime / 4
-    s = ctx.im(kern.sncndn(2 * eta)[0])
+    eta = fn.mpc(0, 1) * fn.mpf(eta_fraction) * kern.K_prime / 4
+    s = kern.sncndn(2 * eta)[0].imag
     if not s > 0:
         raise DomainError("eta does not correspond to positive couplings")
 
     def arsinh(x):
-        return ctx.log(x + ctx.sqrt(x * x + 1))
+        return fn.log(x + fn.sqrt(x * x + 1))
 
     K_v = arsinh(1 / s) / 2
     K_h = arsinh(k * s) / 2

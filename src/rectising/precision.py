@@ -3,8 +3,8 @@
 Every numerical operation in the package is generic over a context that
 supplies elementary functions and number constructors.  Two flavours exist:
 
-* 53 bits: ``mpmath.fp`` on Python floats / complex; the scalar elliptic
-  kernel and `carlson_rf` skip its dispatch and call `math` and `cmath`;
+* 53 bits: ``mpmath.fp`` on Python floats / complex, whose dispatch the
+  elliptic kernel and companion skip for `math` and `cmath` (`_scalar_fns`);
 * >= 100 bits, where exponential factors in the structured determinants
   cancel beyond binary64: a private ``mpmath`` context for the weights,
   the elliptic companion and the routes' results, and a ``decimal``

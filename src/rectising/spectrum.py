@@ -17,6 +17,7 @@ import decimal
 import math
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from operator import mul
 
 import numpy as np
@@ -387,12 +388,10 @@ def chi_poly_derivatives(roots) -> list:
 # angle enrichment
 # ----------------------------------------------------------------------
 
-def _acos_upper(ctx, x):
+def _acos_upper(fn, x):
     """Principal arccos continued with nonnegative imaginary part."""
-    v = ctx.acos(ctx.mpc(x))
-    if ctx.im(v) < 0:
-        v = ctx.conj(v)
-    return v
+    v = fn.cacos(fn.mpc(x))
+    return v.conjugate() if v.imag < 0 else v
 
 
 def triple_from_lambda(lam, w: Weights, frame: EllipticFrame):
@@ -402,12 +401,12 @@ def triple_from_lambda(lam, w: Weights, frame: EllipticFrame):
     Every closed-form expression used downstream is invariant under the
     choice of preimage, so principal square roots suffice.
     """
-    ctx = frame.prec.ctx
+    fn = _scalar_fns(frame.prec)
     sn_e, cn_e, dn_e = frame.eta_triple
-    q_n = ctx.sqrt(ctx.mpc(w.lambda_n - lam))
-    sn_u = sn_e * ctx.sqrt(ctx.mpc(w.lambda_s - lam)) / q_n
-    cn_u = cn_e * ctx.sqrt(ctx.mpc(w.lambda_c - lam)) / q_n
-    dn_u = dn_e * ctx.sqrt(ctx.mpc(w.lambda_d - lam)) / q_n
+    q_n = fn.csqrt(fn.mpc(w.lambda_n - lam))
+    sn_u = sn_e * fn.csqrt(fn.mpc(w.lambda_s - lam)) / q_n
+    cn_u = cn_e * fn.csqrt(fn.mpc(w.lambda_c - lam)) / q_n
+    dn_u = dn_e * fn.csqrt(fn.mpc(w.lambda_d - lam)) / q_n
     return sn_u, cn_u, dn_u
 
 
@@ -429,18 +428,13 @@ def sn_pm_eta(triple, frame):
             sn_add(triple, (-sn_e, cn_e, dn_e), frame.k))
 
 
-def zeta_from_triple(triple, frame):
-    """sn(u + eta) / sn(u - eta) from the triple at u."""
-    sp, sm = sn_pm_eta(triple, frame)
-    return sp / sm
-
-
 def _matched_triple(lam, target, w: Weights, frame: EllipticFrame):
     """Triple of the preimage of ``lam`` whose vertical eigenvalue is the
     one of zeta, 1/zeta nearer ``target`` (sn flips sign for 1/zeta);
     returns (triple, zeta)."""
     triple = triple_from_lambda(lam, w, frame)
-    zeta_t = zeta_from_triple(triple, frame)
+    sp, sm = sn_pm_eta(triple, frame)
+    zeta_t = sp / sm
     if abs(zeta_t - target) > abs(1 / zeta_t - target):
         triple = (-triple[0], triple[1], triple[2])
         zeta_t = 1 / zeta_t
@@ -468,8 +462,8 @@ def lambda_zeta(u, frame: EllipticFrame):
 def dispersion_residual(gamma, phi, w: Weights):
     """Residual of the dispersion relation linking the two angle families:
     cosh(gamma) + t_minus z_minus cos(phi) - t_plus z_plus."""
-    ctx = w.prec.ctx
-    return ctx.cosh(ctx.mpc(gamma)) + w.tz_minus * ctx.cos(ctx.mpc(phi)) \
+    fn = _scalar_fns(w.prec)
+    return fn.ccosh(fn.mpc(gamma)) + w.tz_minus * fn.ccos(fn.mpc(phi)) \
         - w.tz_plus
 
 
@@ -513,14 +507,14 @@ def enrich_spectrum(points, frame: EllipticFrame, w: Weights):
     nonnegative imaginary part, zeta = e^{i phi}, and the Jacobi triple of
     the preimage of lam whose vertical eigenvalue is zeta, checked against
     it."""
-    ctx = frame.prec.ctx
+    fn = _scalar_fns(frame.prec)
     for p in points:
-        p._ctx, p._k = ctx, w.k
-        p.phi = _acos_upper(ctx, p.chi / 2 - 1)
-        p.zeta = ctx.exp(ctx.mpc(0, 1) * p.phi)
+        p._ctx, p._k = frame.prec.ctx, w.k
+        p.phi = _acos_upper(fn, p.chi / 2 - 1)
+        p.zeta = fn.cexp(fn.mpc(0, 1) * p.phi)
         (p.sn_u, p.cn_u, p.dn_u), zeta_t = _matched_triple(p.lam, p.zeta, w,
                                                            frame)
-        tol = 1e-6 if abs(float(ctx.im(p.phi))) > 1e-9 else 1e-9
+        tol = 1e-6 if abs(float(p.phi.imag)) > 1e-9 else 1e-9
         if abs(zeta_t - p.zeta) > tol * max(1.0, abs(p.zeta)):
             raise JointDiagonalizationError(
                 f"branch inconsistency: vertical eigenvalue mismatch "
@@ -552,8 +546,8 @@ def spectrum_for(c: Couplings, prec: Precision = FLOAT64):
                      if abs(float(p.u.imag)) > float(frame.K_prime) / 2
                      else "real_axis"))
         p.omega = frame.kernel.am(2 * p.u)
-        p.theta = fn.log(p.exp_theta())
-        p.psi = -fn.log(-fn.tan(p.phi / 2))
+        p.theta = fn.clog(p.exp_theta())
+        p.psi = -fn.clog(-fn.ctan(p.phi / 2))
         q = c.M * p.phi - p.omega
         r = q.real - two_pi * fn.floor(q.real / two_pi + 0.5)
         p.quant_residual = abs(complex(r + fn.mpc(0, 1) * q.imag))
@@ -642,6 +636,13 @@ class CharPolyContext:
     def prec(self):
         return self.frame.prec
 
+    @cached_property
+    def sn_eta_points(self):
+        """sn(eta + u_mu) at every point: `_cp_zeta`'s fixed factors."""
+        eta_triple, k = self.frame.eta_triple, self.frame.k
+        return [sn_add(eta_triple, (q.sn_u, q.cn_u, q.dn_u), k)
+                for q in self.points]
+
 
 CP_KINDS = ("lambda_plus", "chi", "lambda", "lambda_at_inverse",
             "lambda_minus", "zeta", "zeta_at_inverse")
@@ -658,7 +659,7 @@ def char_poly_eval(kind: str, x, cpc: CharPolyContext):
     """
     if kind not in CP_KINDS:
         raise DomainError(f"unknown characteristic polynomial kind {kind!r}")
-    x = cpc.prec.ctx.mpc(x)
+    x = _scalar_fns(cpc.prec).mpc(x)
     try:
         return _cp_dispatch(kind, x, cpc)
     except ZeroDivisionError as exc:
@@ -668,22 +669,22 @@ def char_poly_eval(kind: str, x, cpc: CharPolyContext):
 
 
 def _cp_dispatch(kind, x, cpc):
-    ctx = cpc.prec.ctx
+    sqrt = _scalar_fns(cpc.prec).csqrt
     w, M = cpc.weights, cpc.M
     if kind == "lambda_plus":
-        lam = x + ctx.sqrt(x * x - 1)
+        lam = x + sqrt(x * x - 1)
         pref = (1 - w.t_star ** 2) * (w.tz_minus / 2) ** M
         return pref * _full_angle_ratio(lam, cpc)
     if kind == "chi":
         lam_plus = w.tz_plus + w.tz_minus * (1 - x / 2)
-        lam = lam_plus + ctx.sqrt(lam_plus * lam_plus - 1)
+        lam = lam_plus + sqrt(lam_plus * lam_plus - 1)
         return (1 - w.t_star ** 2) * _full_angle_ratio(lam, cpc)
     if kind == "lambda":
         return _cp_lambda(x, cpc, inverse=False)
     if kind == "lambda_at_inverse":
         return _cp_lambda(x, cpc, inverse=True)
     if kind == "lambda_minus":
-        lam = x + ctx.sqrt(x * x + 1)
+        lam = x + sqrt(x * x + 1)
         a = _cp_lambda(lam, cpc, inverse=False)
         b = _cp_lambda(-1 / lam, cpc, inverse=False)
         return a * b / (2 ** M * w.t)
@@ -698,17 +699,17 @@ def _angle_data(lam, cpc):
     """Triple, vertical eigenvalue and double-argument values for a
     preimage of ``lam``."""
     triple = triple_from_lambda(lam, cpc.weights, cpc.frame)
-    zeta = zeta_from_triple(triple, cpc.frame)
+    sp, sm = sn_pm_eta(triple, cpc.frame)
+    zeta = sp / sm
     sn2, cn2, dn2 = double_argument(triple, cpc.frame.k)
     return triple, zeta, sn2, cn2, dn2
 
 
 def _full_angle_ratio(lam, cpc):
     """[sin(M phi) cos w - cos(M phi) sin w] / (-sin w) at the preimage."""
-    ctx = cpc.prec.ctx
     _t, zeta, sn2, cn2, _d = _angle_data(lam, cpc)
     zM = zeta ** cpc.M
-    sin_m = (zM - 1 / zM) / ctx.mpc(0, 2)
+    sin_m = (zM - 1 / zM) / _scalar_fns(cpc.prec).mpc(0, 2)
     cos_m = (zM + 1 / zM) / 2
     if abs(sn2) < 1e-13:
         raise ZeroDivisionError("vanishing sine of the boundary phase")
@@ -716,13 +717,12 @@ def _full_angle_ratio(lam, cpc):
 
 
 def _cp_lambda(x, cpc, inverse):
-    ctx = cpc.prec.ctx
     w, M = cpc.weights, cpc.M
     triple, zeta, _s2, _c2, _d2 = _angle_data(x, cpc)
     sn_u, cn_u, dn_u = triple
     zh = zeta ** (M // 2)
     cos_h = (zh + 1 / zh) / 2
-    sin_h = (zh - 1 / zh) / ctx.mpc(0, 2)
+    sin_h = (zh - 1 / zh) / _scalar_fns(cpc.prec).mpc(0, 2)
     if inverse:
         tan_half = sn_u * dn_u / cn_u
         bracket = cos_h + tan_half * sin_h
@@ -738,22 +738,19 @@ def _cp_zeta(x, cpc, inverse):
     if cpc.points is None:
         raise DomainError("vertical characteristic polynomials need the "
                           "enriched spectrum in the context")
-    ctx = cpc.prec.ctx
+    fn = _scalar_fns(cpc.prec)
     w, M, frame = cpc.weights, cpc.M, cpc.frame
     cos_phi = (x + 1 / x) / 2
     lam_plus = w.tz_plus - w.tz_minus * cos_phi
-    lam = lam_plus + ctx.sqrt(lam_plus * lam_plus - 1)
+    lam = lam_plus + fn.csqrt(lam_plus * lam_plus - 1)
     triple, zeta_t = _matched_triple(lam, x, w, frame)
     sn2, cn2, _d2 = double_argument(triple, frame.k)
-    e_miw = cn2 - ctx.mpc(0, 1) * sn2   # e^{-i omega}
+    e_miw = cn2 - fn.mpc(0, 1) * sn2   # e^{-i omega}
     zM = zeta_t ** M
     # products over the spectrum use the addition formula on stored triples
-    eta_triple = frame.eta_triple
-    prod_num = ctx.mpc(1)
-    for q in cpc.points:
-        q_triple = (q.sn_u, q.cn_u, q.dn_u)
-        s_eta_umu = sn_add(eta_triple, q_triple, frame.k)   # sn(eta + u_mu)
-        s_u_umu = sn_add(triple, q_triple, frame.k)         # sn(u + u_mu)
+    prod_num = fn.mpc(1)
+    for q, s_eta_umu in zip(cpc.points, cpc.sn_eta_points):
+        s_u_umu = sn_add(triple, (q.sn_u, q.cn_u, q.dn_u), frame.k)
         if inverse:
             prod_num = prod_num * (frame.k * s_eta_umu * s_u_umu)
         else:

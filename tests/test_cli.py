@@ -9,9 +9,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import rectising
+from rectising import cli
 from rectising.cli import build_parser, main
 from rectising.identities import GATING_TOL
 from rectising.partition import AGREEMENT_DEV
@@ -680,3 +682,33 @@ def test_couplings_binary64_cannot_resolve(capsys, command, K, error):
     assert code == 1
     assert out == ""
     assert json.loads(err)["error"] == error
+
+
+NAN, INF = float("nan"), float("inf")
+RECORDS = [
+    {"logZ": 12.5, "routes": {"block": {"status": "ok", "bits": 53}},
+     "pair": (1.0, (2, -0.5)), "none": None, "flag": True},
+    {"x": np.float64(0.1) * 3, "rows": [np.float64(-2.5e-300), 7]},
+    {"residual": NAN, "nested": ((INF, 1.0), [-INF, {"y": NAN}])},
+    {"x": np.float64(INF), "tuple": (np.float64(NAN), "text")},
+    [1.0, (NAN,), {"b": 2.0, "a": [INF]}],
+]
+
+
+@pytest.mark.parametrize("obj", RECORDS)
+def test_json_dumps_matches_finite_encoding(obj):
+    # the direct encoding gives the bytes of the walk it skips
+    want = json.dumps(cli._finite(obj), sort_keys=True,
+                      separators=(",", ":"), allow_nan=False) + "\n"
+    assert cli._json_dumps(obj) == want
+
+
+@pytest.mark.parametrize("obj", RECORDS[:2])
+def test_finite_record_skips_the_walk(monkeypatch, obj):
+    want = cli._json_dumps(obj)
+
+    def refuse(obj):
+        raise AssertionError("a finite record reached _finite")
+
+    monkeypatch.setattr(cli, "_finite", refuse)
+    assert cli._json_dumps(obj) == want

@@ -8,6 +8,7 @@ functions for complex-argument cross-checks.
 
 import cmath
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -369,6 +370,53 @@ class TestAmplitude:
                 continue
             val = 1j * 0.6 * cmath.sin(complex(om)) * cmath.sinh(th)
             assert abs(val - 1) < 1e-11
+
+
+    @pytest.mark.parametrize("bits", [53, 160])
+    @pytest.mark.parametrize("k", [0.6, 1.66])
+    def test_known_triple_stands_in_for_the_evaluation(self, k, bits):
+        # the caller's triple at the reduced argument gives the amplitude
+        # of the kernel's own evaluation there, whose Landen pass also
+        # gives the real-axis anchor; a triple at another point is unread
+        prec = Precision(bits)
+        ctx = prec.ctx
+        kern = EllipticKernel(ctx.mpf(k), prec)
+        i = ctx.mpc(0, 1)
+        for u in (ctx.mpc(0.3, 0.2), ctx.mpc(-0.9, 0.8), ctx.mpc(0.4, -1.1)):
+            v = 2 * u
+            triple = kern.sncndn(v)
+            want = kern.am(v)
+            assert kern.am(v, known=(v, triple)) == want
+            assert kern.am(v, known=(v + 1, (0, 0, 0))) == want
+            # reduced by 2iK', 2(u + iK') lands on 2u or next to it
+            w = 2 * (u + i * kern.K_prime)
+            assert kern.am(w, known=(v, triple)) == kern.am(w)
+
+
+EXTREME_MODULI = (1e-12, 1e-6, 1 - 1e-9, 1 + 1e-9, 1e3, 1e8)
+
+
+@pytest.mark.parametrize("bits", [53, 160])
+@pytest.mark.parametrize("k", EXTREME_MODULI)
+def test_landen_step_needs_no_clamp(k, bits):
+    # the step takes asin(r sin(phi)) as it is: every rounded ratio
+    # r = c_n / a_n of both chains is at most 1 in size (the last ones
+    # can round below 0), and no evaluation warns
+    prec = Precision(bits)
+    kern = EllipticKernel(prec.ctx.mpf(k), prec)
+    for chain in (kern._chain, kern._chain_c):
+        assert all(abs(r) <= 1 for r in chain[2])
+    K, Kp = float(kern.K), float(kern.K_prime)
+    xs = np.linspace(-4 * K, 4 * K, 97)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x in xs[::8]:
+            assert isinstance(kern.am_real(x), type(prec.ctx.mpf(0)))
+            kern.sncndn(x)
+            kern.sncndn(complex(x, 0.3 * Kp))
+        if prec.is_float:
+            kern.sncndn_line(xs, 0.3 * Kp)
+            kern.sncndn_line(xs, np.linspace(-0.9, 0.9, 97) * Kp)
 
 
 def test_carlson_rf_degenerate():

@@ -123,10 +123,10 @@ class TestSharedBuild:
         if where == "am":
             orig = EllipticKernel.am
 
-            def raising(kern, v):
+            def raising(kern, v, **kwargs):
                 if v == 2 * u:
                     raise PoleError("pole")
-                return orig(kern, v)
+                return orig(kern, v, **kwargs)
 
             monkeypatch.setattr(EllipticKernel, "am", raising)
         else:
@@ -238,10 +238,10 @@ class TestBatchedKernelWork:
                 calls.append(u)
             return scalar(kern, u)
 
-        def am_call(kern, u):
+        def am_call(kern, u, **kwargs):
             depth.append(u)
             try:
-                return am(kern, u)
+                return am(kern, u, **kwargs)
             finally:
                 depth.pop()
 
@@ -254,6 +254,42 @@ class TestBatchedKernelWork:
             run_identity_suite(c, samples=samples)
             counts.append(len(calls))
         assert counts[0] == counts[1] <= 24
+
+
+    @pytest.mark.parametrize("k, eta, L, M", [(0.6, 0.8, 4, 4),
+                                              (2.5, 0.8, 6, 10)])
+    def test_no_scalar_evaluation_at_a_sampled_point(self, monkeypatch, k,
+                                                     eta, L, M):
+        # am(2u), am(2ut) and am(2(u + iK')) reduced onto 2u take the
+        # sampler's triples: no scalar kernel evaluation of a suite run
+        # repeats a point that _draw_samples evaluated in it
+        draw, line = identities._draw_samples, EllipticKernel.sncndn_line
+        scalar = EllipticKernel._sncndn_phase
+        drawing, sampled, repeats = [], set(), []
+
+        def draw_samples(*args):
+            drawing.append(True)
+            try:
+                return draw(*args)
+            finally:
+                drawing.pop()
+
+        def recorded(kern, xs, y):
+            if drawing:
+                sampled.update(
+                    (np.asarray(xs) + 1j * np.asarray(y)).ravel().tolist())
+            return line(kern, xs, y)
+
+        def counted(kern, u):
+            if complex(u) in sampled:
+                repeats.append(u)
+            return scalar(kern, u)
+
+        monkeypatch.setattr(identities, "_draw_samples", draw_samples)
+        monkeypatch.setattr(EllipticKernel, "sncndn_line", recorded)
+        monkeypatch.setattr(EllipticKernel, "_sncndn_phase", counted)
+        run_identity_suite(couplings_from_modulus(k, eta, L, M))
+        assert sampled and repeats == []
 
 
 class TestRecorder:

@@ -18,9 +18,13 @@ the source tree whose package it should import.
 ``diff`` compares two such files record by record.  It prints each record
 that differs, with the number of values that differ and the worst of
 them, and then per command the largest absolute and the largest
-relative difference between numbers found in both files.  It exits 1 if
-a record or a non-numeric value differs, or a record is missing on one
-side, and 0 otherwise.
+relative difference between numbers found in both files.  A relative
+difference is |new - old| / max(1, |old|), the package's ``rel_dev``
+convention, so a number that moves off zero reads as its absolute move.
+Integer settings (both sides integers: precision bits, exit codes) are
+listed with the other values, never picked as the largest.  It exits 1
+if a record or a non-numeric value differs, or a record is missing on
+one side, and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -162,14 +166,19 @@ def diff(old_path, new_path):
         gaps = [(_gap(x, y), p, x, y) for p, x, y in leaves]
         text = [(p, x, y) for g, p, x, y in gaps if g is None]
         numeric = [t for t in gaps if t[0] is not None]
+        integer = [isinstance(x, int) and isinstance(y, int)
+                   for _g, _p, x, y in numeric]
         failed = failed or bool(text)
         print(f"{' '.join(a['argv'])}: {len(numeric)} numbers and "
               f"{len(text)} other values differ")
-        for p, x, y in text[:5]:
+        settings = [(p, x, y) for (_g, p, x, y), i in zip(numeric, integer)
+                    if i]
+        for p, x, y in text[:5] + settings[:5]:
             print(f"    {p}: {x!r} -> {y!r}")
+        numeric = [t for t, i in zip(numeric, integer) if not i]
         if not numeric:
             continue
-        relative = [(g / max(abs(_number(x)), abs(_number(y))), p, x, y)
+        relative = [(g / max(1.0, abs(_number(x))), p, x, y)
                     for g, p, x, y in numeric]
         for i, group in enumerate((numeric, relative)):
             gap, p, x, y = max(group, key=lambda t: t[0])
