@@ -267,7 +267,8 @@ class EllipticKernel:
     # -- amplitude ----------------------------------------------------------
     def am(self, u, known=None):
         """Complex Jacobi amplitude with the documented branch convention;
-        ``known`` = (v, (sn, cn, dn) at v) replaces the evaluation at v."""
+        ``known`` = (v, `sncndn(v)`) replaces the evaluation at v (binary64
+        `sncndn_line` may round that triple differently)."""
         fn = self._fn
         u = fn.mpc(u)
         x, y = u.real, u.imag

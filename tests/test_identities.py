@@ -260,11 +260,10 @@ class TestBatchedKernelWork:
                                               (2.5, 0.8, 6, 10)])
     def test_no_scalar_evaluation_at_a_sampled_point(self, monkeypatch, k,
                                                      eta, L, M):
-        # am(2u), am(2ut) and am(2(u + iK')) reduced onto 2u take the
-        # sampler's triples: no scalar kernel evaluation of a suite run
-        # repeats a point that _draw_samples evaluated in it
-        draw, line = identities._draw_samples, EllipticKernel.sncndn_line
-        scalar = EllipticKernel._sncndn_phase
+        # in extended precision am(2u), am(2ut) and am(2(u + iK')) reduced
+        # onto 2u take the sampler's scalar triples: no evaluation of a
+        # suite run repeats a point that _draw_samples evaluated in it
+        draw, scalar = identities._draw_samples, EllipticKernel._sncndn_phase
         drawing, sampled, repeats = [], set(), []
 
         def draw_samples(*args):
@@ -274,22 +273,35 @@ class TestBatchedKernelWork:
             finally:
                 drawing.pop()
 
-        def recorded(kern, xs, y):
-            if drawing:
-                sampled.update(
-                    (np.asarray(xs) + 1j * np.asarray(y)).ravel().tolist())
-            return line(kern, xs, y)
-
         def counted(kern, u):
-            if complex(u) in sampled:
+            if drawing:
+                sampled.add(u)
+            elif u in sampled:
                 repeats.append(u)
             return scalar(kern, u)
 
         monkeypatch.setattr(identities, "_draw_samples", draw_samples)
-        monkeypatch.setattr(EllipticKernel, "sncndn_line", recorded)
         monkeypatch.setattr(EllipticKernel, "_sncndn_phase", counted)
-        run_identity_suite(couplings_from_modulus(k, eta, L, M))
+        run_identity_suite(couplings_from_modulus(k, eta, L, M),
+                           prec=Precision(160))
         assert sampled and repeats == []
+
+    @pytest.mark.parametrize("k, eta, L, M, seed", [(0.6, 0.8, 4, 4, 38),
+                                                    (2.5, 0.8, 6, 10, 11)])
+    def test_binary64_amplitudes_are_the_kernels(self, k, eta, L, M, seed):
+        # here a sampler triple from sncndn_line differs in the last bit
+        # from the scalar kernel's at 2u; the suite's amplitudes do not,
+        # so omega is the same here as in spectrum_for
+        env = identities.build_env(couplings_from_modulus(k, eta, L, M),
+                                   seed=seed)
+        kern, i = env.kern, 1j
+        assert any(s.at_2u != kern.sncndn(2 * s.u) for s in env.samples)
+        for s, om in zip(env.samples, env.am_2u):
+            assert om == kern.am(2 * s.u)
+            assert env.am_at(2 * s.ut, 2 * s.ut, s.at_2ut) \
+                == kern.am(2 * s.ut)
+            v = 2 * (s.u + i * env.frame.K_prime)
+            assert env.am_at(v, 2 * s.u, s.at_2u) == kern.am(v)
 
 
 class TestRecorder:
