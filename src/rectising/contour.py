@@ -14,9 +14,10 @@ counterclockwise band around each eigenvalue circle therefore picks up
 every eigenvalue twice, and the band integrals are halved to match the
 one-term-per-eigenvalue spectral sums.
 
-Evaluation: in binary64 every line of a ladder level is one array
-evaluation (`EllipticKernel.sncndn_line`, then `_node` on the arrays);
-extended precision evaluates the same `_node` one scalar node at a time.
+Evaluation: in binary64 a ladder level is one array evaluation whose
+rows are its lines (`EllipticKernel.sncndn_line`, then `_node` on the
+(lines x nodes) arrays); extended precision evaluates the same `_node`
+one scalar node at a time.
 """
 
 from __future__ import annotations
@@ -125,8 +126,8 @@ def _node(u, cctx: ContourContext, triple=None):
     """Common factor NUM/DEN * dgamma/du and the bases (chi, zeta) at u.
 
     One kernel evaluation, or the caller's ``triple`` (then u is unread;
-    numpy arrays over a line's nodes give arrays): sn(u +- eta) come from
-    the triple and the frame's eta triple by the addition formula.
+    numpy arrays of nodes, of any shape, give arrays): sn(u +- eta) come
+    from the triple and the frame's eta triple by the addition formula.
     """
     frame = cctx.frame
     i = _scalar_fns(cctx.prec).mpc(0, 1)
@@ -170,14 +171,13 @@ def _line_sums(ns, lines, cctx, base, samples, stride=1):
     if cctx.prec.is_float:
         xs = -K + np.arange(stride - 1, samples, stride) * step
         exps = np.array(ns) * (1 if base == "chi" else -1)
-        acc = 0
-        for level, sign in lines:
-            common, chi, zeta = _node(
-                None, cctx, cctx.frame.kernel.sncndn_line(xs, level))
-            b = chi if base == "chi" else zeta
-            # summed by numpy, not BLAS: a threaded zgemv stalls for
-            # milliseconds when the other cores are busy
-            acc = acc + sign * (common[:, None] * b[:, None] ** exps).sum(0)
+        common, chi, zeta = _node(None, cctx, cctx.frame.kernel.sncndn_line(
+            xs, [level for level, _sign in lines], rows=True))
+        b = chi if base == "chi" else zeta
+        # summed by numpy, not BLAS: a threaded zgemv stalls for
+        # milliseconds when the other cores are busy
+        per_line = (common[..., None] * b[..., None] ** exps).sum(1)
+        acc = sum(sign * line for (_level, sign), line in zip(lines, per_line))
         return dict(zip(ns, map(complex, acc)))
     acc = {n: ctx.mpc(0) for n in ns}
     for level, sign in lines:

@@ -208,27 +208,39 @@ class EllipticKernel:
 
     def _sncndn_phase(self, u):
         """`sncndn` at complex u, split at the base modulus, and its phase."""
-        u = u / self.kappa if self.ordered else u
-        x, y = u.real, u.imag
-        (s, c, d), phi = self._sncndn_base(x, self._chain, self.kappa)
-        if y != 0:
-            s, c, d = self._add_imaginary(x, (s, c, d), y)
+        v = u / self.kappa if self.ordered else u
+        (s, c, d), phi = self._sncndn_base(v.real, self._chain, self.kappa)
+        if v.imag != 0:
+            s, c, d = self._add_imaginary((s, c, d), self._sncndn_base(
+                v.imag, self._chain_c, self.kappa_prime)[0], (u.real, u.imag))
         return ((self.kappa * s, d, c) if self.ordered else (s, c, d)), phi
 
-    def sncndn_line(self, xs, y):
+    def sncndn_line(self, xs, y, rows=False):
         """Binary64 sn, cn, dn as arrays at the nodes x + iy, where ``y``
-        is one level (a horizontal line) or an array that broadcasts
-        against ``xs``: one numpy Landen pass per chain (a single level
-        takes the scalar complement triple), combined as in `sncndn`;
-        PoleError if any node is a pole."""
+        is one level (a horizontal line), an array that broadcasts
+        against ``xs``, or with ``rows`` a sequence of levels, one row of
+        nodes each: one numpy Landen pass over ``xs`` serves every level,
+        each level takes the scalar complement triple (an array ``y`` a
+        numpy pass of its own), combined as in `sncndn`; PoleError if any
+        node is a pole."""
         if not self.prec.is_float:
             raise DomainError("sncndn_line is binary64 only")
         xs = np.asarray(xs, dtype=float)
-        y = np.asarray(y, dtype=float) if np.ndim(y) else y
-        if self.ordered:
-            xs, y = xs / self.kappa, y / self.kappa
+        if rows:
+            y = np.array(y, dtype=float)[:, None]
+        elif np.ndim(y):
+            y = np.asarray(y, dtype=float)
+        xb, yb = (xs / self.kappa, y / self.kappa) if self.ordered else (xs, y)
+        chain, kk = self._chain_c, self.kappa_prime
+        if rows:        # the scalar triple of each level, as columns
+            comp = [np.array(f)[:, None] for f in zip(*(
+                self._sncndn_base(v, chain, kk)[0] for v in yb[:, 0].tolist()))]
+        elif isinstance(yb, np.ndarray):
+            comp = self._base_line(yb, chain, kk)
+        else:
+            comp = self._sncndn_base(yb, chain, kk)[0]
         s, c, d = self._add_imaginary(
-            xs, self._base_line(xs, self._chain, self.kappa), y)
+            self._base_line(xb, self._chain, self.kappa), comp, (xs, y))
         return (self.kappa * s, d, c) if self.ordered else (s, c, d)
 
     @staticmethod
@@ -241,13 +253,13 @@ class EllipticKernel:
         sn = np.sin(phi)
         return sn, np.cos(phi), np.sqrt(1 - (kk * sn) ** 2)
 
-    def _add_imaginary(self, x, triple, y):
-        """The triple at x + iy from the base triple at real x and the
-        complement triple at y (scalars or arrays)."""
+    def _add_imaginary(self, triple, comp, at):
+        """The base-modulus triple at x + iy from the base triple at real x
+        and the complement triple ``comp`` at y (scalars or arrays); ``at``
+        is the caller's (x, y), which names a pole."""
         s, c, d = triple
-        chain, kk = self._chain_c, self.kappa_prime
-        s1, c1, d1 = (self._base_line(y, chain, kk) if isinstance(
-            y, np.ndarray) else self._sncndn_base(y, chain, kk)[0])
+        s1, c1, d1 = comp
+        x, y = at
         kk2 = self.kappa * self.kappa
         den = c1 * c1 + kk2 * (s * s1) ** 2
         if any_true(abs(den) < POLE_TOL * POLE_TOL):

@@ -74,3 +74,25 @@ def test_text_difference_and_missing_record_fail(snapshot, tmp_path,
     assert rc == 1
     assert "    .output.status: 'ok' -> 'failed'" in lines
     assert any(line.startswith("only in old: ") for line in lines)
+
+
+def test_contour_records(snapshot):
+    # the crosscheck systems with k < 1, and only they, get a contour
+    # record: the moments h_1 ... h_{M-1} of the chi base on the default
+    # contour, as [real, imag]
+    from rectising.contour import (
+        ContourContext, contour_coefficients, default_contour)
+    from rectising.params import couplings_from_modulus
+
+    argvs = snapshot._argvs([0])
+    below = [a[1:] for a in argvs if a[0] == "identities"
+             and float(a[a.index("--k") + 1]) < 1]
+    assert below and [a[1:] for a in argvs if a[0] == "contour"] == below
+    rec = snapshot._run(["contour", "--L", "4", "--M", "4", "--k", "0.6",
+                         "--eta-frac", "0.8"])
+    assert (rec["rc"], rec["stderr"]) == (0, "")
+    cctx = ContourContext.from_couplings(
+        couplings_from_modulus(0.6, 0.8, 4, 4), with_spectrum=True)
+    want = contour_coefficients([1, 2, 3], default_contour(cctx.frame), cctx)
+    assert rec["output"] == {f"h_{n}": [want[n].real, want[n].imag]
+                             for n in (1, 2, 3)}

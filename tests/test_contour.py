@@ -124,11 +124,13 @@ class TestContourMoments:
     def test_nested_doubling_one_kernel_call_per_node(self, bits,
                                                       count_calls):
         # every node of the final ladder is evaluated once: at 160 bits with
-        # one kernel call, in binary64 with one line call per line and
-        # ladder level; the nested sums equal the direct trapezoid sum
+        # one kernel call, in binary64 with one line call per ladder level
+        # whose rows are the four lines; the nested sums equal the direct
+        # trapezoid sum
         c = couplings_from_modulus(0.6, 0.9, 5, 6)
         cctx = ContourContext.from_couplings(c, Precision(bits))
         spec = default_contour(cctx.frame)
+        lines = spec.lines(cctx.frame)
         calls = count_calls(EllipticKernel, "sncndn")
         line_calls = count_calls(EllipticKernel, "sncndn_line")
         ns = list(range(1, c.M))
@@ -138,17 +140,19 @@ class TestContourMoments:
             final, extra = divmod(len(calls), 4)
         else:
             assert len(calls) <= 1      # the frame's eta triple
-            sizes = [len(xs) for _kern, xs, _y in line_calls]
-            final, extra = divmod(sum(sizes), 4)
+            assert all(list(ys) == [y for y, _sign in lines]
+                       for _kern, _xs, ys in line_calls)
+            sizes = [len(xs) for _kern, xs, _ys in line_calls]
+            final, extra = sum(sizes), 0
             levels = (final // spec.samples).bit_length()
-            assert len(line_calls) == 4 * levels
-            assert sizes == [spec.samples] * 4 + [
-                spec.samples << m for m in range(levels - 1) for _ in "1234"]
+            assert len(line_calls) == levels
+            assert sizes == [spec.samples] + [
+                spec.samples << m for m in range(levels - 1)]
         assert extra <= 1
         assert final % spec.samples == 0 and final > spec.samples
         assert (final // spec.samples) & (final // spec.samples - 1) == 0
-        direct = _scale(_line_sums(ns, spec.lines(cctx.frame), cctx, "chi",
-                                   final), cctx, final)
+        direct = _scale(_line_sums(ns, lines, cctx, "chi", final), cctx,
+                        final)
         for n in ns:
             assert abs(complex(res[n] - direct[n])) < 1e-13 * abs(
                 complex(direct[n]))

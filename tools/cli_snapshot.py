@@ -9,11 +9,15 @@ workload of `perfbench/workloads.py` draws for the given seeds, and
 `compare`, `z --route hankel` and `z --route block` on every system of
 its `solve-hard` workload (width-12 spin, the Pfaffian up to n = 64), so
 that a diff shows the precision a single route ends at; the file is
-read, not changed.  It drops the timing fields (keys named ``seconds``
-or ending in ``_seconds``), and writes one JSON record per (command,
-system) line: the arguments, the exit code, the output (parsed JSON, or
-the lines of the `uplane` text) and stderr.  Run it from the root of
-the source tree whose package it should import.
+read, not changed.  No command reaches the contour moments, so on every
+`crosscheck` system with k < 1 it also records, under the pseudo-command
+``contour``, the moments h_1 ... h_{M-1} that the workload's
+`contour_vs_spectral` computes (`contour_coefficients` in the chi base
+on `default_contour`), each as [real, imag].  It drops the timing fields
+(keys named ``seconds`` or ending in ``_seconds``), and writes one JSON
+record per (command, system) line: the arguments, the exit code, the
+output (parsed JSON, or the lines of the `uplane` text) and stderr.  Run
+it from the root of the source tree whose package it should import.
 
 ``diff`` compares two such files record by record.  It prints each record
 that differs, with the number of values that differ and the worst of
@@ -44,8 +48,9 @@ COMMANDS = (("identities",), ("spectrum",), ("compare",),
 
 def _argvs(seeds):
     """The distinct command lines of the seeds, in first-seen order:
-    COMMANDS on each crosscheck system, then compare and the single
-    Hankel and block routes on each solve-hard one."""
+    COMMANDS on each crosscheck system and ``contour`` on those with
+    k < 1, then compare and the single Hankel and block routes on each
+    solve-hard one."""
     sys.path.insert(0, os.path.join(ROOT, "perfbench"))
     from workloads import Crosscheck, SolveHard
 
@@ -55,6 +60,8 @@ def _argvs(seeds):
             geo = ["--L", str(s["L"]), "--M", str(s["M"]), "--k",
                    repr(s["k"]), "--eta-frac", repr(s["eta"])]
             out.extend([*cmd, *geo] for cmd in COMMANDS)
+            if s["k"] < 1:
+                out.append(["contour", *geo])
     for seed in seeds:
         for s in SolveHard().inputs(seed):
             geo = ["--L", str(s["L"]), "--M", str(s["M"]), *s["couplings"]]
@@ -73,13 +80,34 @@ def _untimed(obj):
     return obj
 
 
+def _contour_moments(argv):
+    """{"h_n": [real, imag]} for n = 1 ... M-1 on the system of a
+    ``contour`` command line, computed as `contour_vs_spectral` does."""
+    from rectising import contour, params
+
+    geo = dict(zip(argv[1::2], argv[2::2]))
+    M = int(geo["--M"])
+    c = params.couplings_from_modulus(float(geo["--k"]),
+                                      float(geo["--eta-frac"]),
+                                      int(geo["--L"]), M)
+    cctx = contour.ContourContext.from_couplings(c, with_spectrum=True)
+    ns = list(range(1, M))
+    got = contour.contour_coefficients(
+        ns, contour.default_contour(cctx.frame), cctx, "chi")
+    return {f"h_{n}": [got[n].real, got[n].imag] for n in ns}
+
+
 def _run(argv):
     from rectising import cli
 
     out, err = io.StringIO(), io.StringIO()
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            rc = cli.main(argv)
+            if argv[0] == "contour":
+                json.dump(_contour_moments(argv), out)
+                rc = 0
+            else:
+                rc = cli.main(argv)
     except Exception as exc:  # a crash is part of the snapshot
         return {"argv": argv, "rc": None, "output": None,
                 "stderr": f"{type(exc).__name__}: {exc}"}
