@@ -1,16 +1,17 @@
 """Command-line surface.
 
-Subcommands: z (one system, one or all routes), compare (route all and
-the Pfaffian, plus deviations and consistency checks), spectrum
+Subcommands: z (one system, one or all routes), compare (route all, the
+Pfaffian and the swapped system, plus deviations and checks), spectrum
 (per-eigenvalue angle table), identities (the residual suite), scan
 (modulus sweep as CSV), uplane (integrand field file).
 
 Exit codes: 0 success, 1 numerical failure or no log Z: from z and
 compare no route produced one, even after the 160-bit retry that a failed
 structured route fires, single or not, or with every route the routes
-still disagree by more than AGREEMENT_DEV after it; from compare the
-Pfaffian failed, so Pf = det H was not checked (a Pfaffian skipped at the
-critical modulus or odd M passes); from scan no point produced one, or
+still disagree by more than AGREEMENT_DEV after it (in compare, the
+swapped system's log Z among them); from compare the Pfaffian failed,
+so Pf = det H was not checked (a Pfaffian skipped at the critical
+modulus or odd M passes); from scan no point produced one, or
 with every route some point's routes still disagree (that row carries an
 error naming the deviation); diagnostic JSON on stderr.  2 usage error,
 3 gating identity failure.  JSON output is strict and compact, on one
@@ -30,9 +31,8 @@ import sys
 from .contour import ContourContext, uplane_field
 from .errors import DomainError, RectisingError
 from .identities import GATING_TOL, run_identity_suite
-from .params import Couplings, couplings_from_modulus, swap_system
-from .partition import (AGREEMENT_DEV, ROUTES, SPIN_MAX_WIDTH, assemble_logZ,
-                        fan_out)
+from .params import Couplings, couplings_from_modulus
+from .partition import AGREEMENT_DEV, ROUTES, assemble_logZ, fan_out
 from .precision import Precision
 from .spectrum import spectrum_for
 
@@ -118,9 +118,11 @@ def _cplx(z) -> list:
 # result serialization
 # ----------------------------------------------------------------------
 
-def result_record(res, checks=None) -> dict:
+def result_record(res) -> dict:
+    """The JSON record of a result, whose ``checks`` read its outcomes:
+    Pf = det H and the ``swap`` outcome's deviation (NaN if it failed)."""
     c = res.couplings
-    routes = {}
+    checks, routes = {}, {}
     for name, o in res.outcomes.items():
         rec = {
             "status": o.status,
@@ -137,6 +139,13 @@ def result_record(res, checks=None) -> dict:
         else:
             rec["reason"] = o.reason
         routes[name] = rec
+        if name == "swap" and o.status != "skipped":
+            checks["swap_invariance"] = rec.get("rel_dev_to_reference",
+                                                math.nan)
+            checks["swap_reference_route"] = o.diagnostics["reference_route"]
+    oh, op = (res.outcomes.get(name) for name in ("hankel", "pfaffian"))
+    if oh and op and oh.status == op.status == "ok":
+        checks["pf_eq_det"] = abs(oh.logZ - op.logZ)
     return {
         "L": c.L, "M": c.M, "K_h": c.K_h, "K_v": c.K_v,
         "k": res.k, "eta_im_over_Kprime": res.eta_im_over_Kprime,
@@ -144,7 +153,7 @@ def result_record(res, checks=None) -> dict:
         "max_pairwise_rel_dev": res.max_pairwise_dev,
         "pipeline_seconds": round(res.pipeline_seconds, 6),
         "routes": routes,
-        "checks": checks or {},
+        "checks": checks,
     }
 
 
@@ -166,27 +175,6 @@ def _result_text(rec: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _consistency_checks(res) -> dict:
-    checks = {}
-    oh, op = res.outcomes["hankel"], res.outcomes["pfaffian"]
-    if oh.status == op.status == "ok":
-        checks["pf_eq_det"] = abs(oh.logZ - op.logZ)
-    cs = swap_system(res.couplings)
-    # spin runs along the narrow side of either orientation once one side
-    # is over its cap, so on the swapped system it would repeat itself
-    refs = ("spin", "block", "brute")
-    if max(cs.L, cs.M) > SPIN_MAX_WIDTH:
-        refs = refs[1:]
-    for name in refs:
-        sres = assemble_logZ(cs, name)
-        if sres.outcomes[name].status != "skipped":
-            checks["swap_invariance"] = abs(sres.logZ - res.logZ) \
-                / max(1.0, abs(res.logZ))
-            checks["swap_reference_route"] = name
-            break
-    return checks
-
-
 # ----------------------------------------------------------------------
 # subcommands
 # ----------------------------------------------------------------------
@@ -200,14 +188,15 @@ def cmd_z(ns, with_checks=False) -> int:
         return _no_log_z("no route produced a log Z", routes={
             name: {"status": o.status, "reason": o.reason}
             for name, o in res.outcomes.items()})
+    if with_checks:     # a swap deviation must not rerun the Pfaffian
+        fan_out(res, ("swap",))
     if why := _disagreement(res):
         return _no_log_z(why, max_pairwise_rel_dev=(
             res.max_pairwise_dev), routes=result_record(res)["routes"])
     if with_checks and res.outcomes["pfaffian"].status == "failed":
         return _no_log_z("the Pfaffian failed, so Pf = det H was not "
                          "checked", routes=result_record(res)["routes"])
-    checks = _consistency_checks(res) if with_checks else {}
-    rec = result_record(res, checks)
+    rec = result_record(res)
     if ns.fmt == "json":
         _emit(_json_dumps(rec), ns.out)
     elif ns.fmt == "csv":

@@ -1,7 +1,7 @@
 """Partition-function routes.
 
 Five ways to log Z; ``route="all"`` runs the spin oracle, block and
-Hankel, and ``compare`` adds the Pfaffian:
+Hankel, and ``compare`` adds the Pfaffian (and ``swap``, see `_run_route`):
 
 * ``brute``     exact configuration sum (caps at 24 spins),
 * ``spin``      flip-even row transfer over 2^M column states (caps at 12),
@@ -21,7 +21,7 @@ determinant is a product of the measure's recurrence coefficients
 and Hankel run at any modulus, the critical one included; the Pfaffian
 refuses k = 1.  Every run starts in binary64, except a single Pfaffian
 route (`default_precision`); `fan_out` reruns its structured routes once
-at 160 bits when two routes disagree past ESCALATION_DEV or one fails.
+at 160 bits when two outcomes disagree past ESCALATION_DEV or one fails.
 The route scalars are floats, or at extended precision Decimals in a
 `decimal.localcontext` of ``prec.decimal``; a structured route returns its
 log Z (a float, or an mpf at extended precision) and its diagnostics.  A
@@ -824,6 +824,7 @@ class PartitionResult:
 
     @property
     def max_pairwise_dev(self):
+        """Relative spread of the ``ok`` outcomes, ``swap`` included."""
         vals = [o.logZ for o in self.outcomes.values() if o.status == "ok"]
         if len(vals) < 2:
             return 0.0
@@ -831,14 +832,13 @@ class PartitionResult:
         return abs(hi - lo) / max(1.0, abs(hi))
 
 
-def default_precision(c: Couplings, route: str = "all") -> Precision:
+def default_precision(route: str = "all") -> Precision:
     """Binary64 at every size and modulus, the critical one and its
     neighbourhood included, except for a single ``pfaffian`` route.
 
     A single route has no cross-check, and `fan_out` retries it only when
-    it fails; the binary64 Pfaffian can come out ok but wrong (from
-    10 x 12 on, D10), so a single ``pfaffian`` route keeps 160 bits at
-    every size.  ``c`` is not read.
+    it fails; the binary64 Pfaffian can come out ok but wrong (from 10 x 12
+    on, D10), so a single ``pfaffian`` route keeps 160 bits at every size.
     """
     return Precision(160) if route == "pfaffian" else FLOAT64
 
@@ -849,7 +849,17 @@ def _run_route(c: Couplings, name: str, pipe: SystemPipeline,
     work of ``pipe``, whose build time is left out of the route's seconds.
     A route that refuses the system is ``skipped``; one that raises an
     `ArithmeticError`, or whose log Z is not finite (Z zero or beyond
-    every range), ``failed``."""
+    every range), ``failed``.  ``swap`` is the outcome of the first of
+    spin, block and brute that runs alone on `swap_system` (c), named as
+    its ``reference_route``; spin over its cap would repeat itself there."""
+    if name == "swap":
+        refs = ("spin", "block", "brute")[max(c.L, c.M) > SPIN_MAX_WIDTH:]
+        for ref in refs:
+            out = assemble_logZ(swap_system(c), ref).outcomes[ref]
+            if out.status != "skipped":
+                out.name, out.diagnostics["reference_route"] = name, ref
+                return out
+        return RouteOutcome(name, "skipped", reason="no reference route runs")
     t0, shared0 = time.perf_counter(), pipe.seconds
     try:
         if name in STRUCTURED_ROUTES:
@@ -874,11 +884,11 @@ def _run_route(c: Couplings, name: str, pipe: SystemPipeline,
 
 def fan_out(result: PartitionResult, names) -> None:
     """Run the routes ``names`` into ``result`` on its pipeline.  If that
-    is binary64 and the routes of ``result`` then disagree by more than
+    is binary64 and the outcomes of ``result`` then disagree by more than
     ESCALATION_DEV, or a structured one of ``names`` failed, the
     structured ones of ``names`` rerun once at 160 bits, on a new pipeline
     that the result keeps; the Pfaffian alone reruns on the binary64 one.
-    A single route climbs the same way, on failure alone."""
+    A single route climbs on failure alone; ``("swap",)`` never climbs."""
     c, pipe = result.couplings, result.pipeline
     prec = pipe.prec
     while True:
@@ -887,7 +897,7 @@ def fan_out(result: PartitionResult, names) -> None:
             result.outcomes[name] = _run_route(c, name, pipe, prec)
         result.pipeline_seconds += pipe.seconds - shared0
         names = [n for n in names if n in STRUCTURED_ROUTES]
-        if not (prec.is_float and (
+        if not (names and prec.is_float and (
                 result.max_pairwise_dev > ESCALATION_DEV or any(
                     result.outcomes[n].status == "failed" for n in names))):
             return
@@ -912,8 +922,7 @@ def assemble_logZ(c: Couplings, route: str = "all",
     k = float(w.k)
     eta_frac = (float("nan") if is_critical(w.k)
                 else float(eta_over_Kprime(w)))
-    chosen = as_precision(prec if prec is not None
-                          else default_precision(c, route))
+    chosen = default_precision(route) if prec is None else as_precision(prec)
     if not chosen.is_float:
         pipe = SystemPipeline(c, chosen)
     result = PartitionResult(c, route, k, eta_frac, {}, pipe.seconds, pipe)

@@ -22,6 +22,7 @@ from rectising.params import (
     swap_system,
 )
 from rectising.partition import (
+    ESCALATION_DEV,
     SPIN_MAX_WIDTH,
     PartitionResult,
     RouteOutcome,
@@ -49,7 +50,8 @@ CRITICAL_K = 0.5 * math.log(1 + math.sqrt(2))
 
 
 def compared(c, prec=None):
-    """The result of ``compare``: route="all" with the Pfaffian added."""
+    """``compare``'s routes before its swap check: route="all" with the
+    Pfaffian added."""
     res = assemble_logZ(c, "all", prec)
     fan_out(res, ("pfaffian",))
     return res
@@ -1108,22 +1110,23 @@ class TestCriticalPoint:
 
 class TestPrecisionPolicy:
     def test_defaults(self):
-        for L, M in ((4, 4), (24, 16), (64, 64)):
-            assert default_precision(Couplings(0.3, 0.3, L, M)).is_float
-        # no window about the critical modulus: k = 0.995 is binary64
-        near = couplings_from_modulus(0.995, 1.0, 4, 4)
-        assert default_precision(near).is_float
+        # the policy reads the route alone, so no size and no window about
+        # the critical modulus moves it: route="all" starts in binary64
+        assert default_precision().is_float
+        assert default_precision("all").is_float
         # a single route has no cross-check, and retries only on
-        # failure: the Pfaffian keeps 160 bits at every size, block and
-        # Hankel never
-        big = Couplings(0.3, 0.3, 24, 16)
-        assert default_precision(big, "pfaffian").bits >= 160
-        assert default_precision(big, "hankel").is_float
-        assert default_precision(big, "block").is_float
-        small = Couplings(0.3, 0.3, 4, 4)
-        assert default_precision(small, "pfaffian").bits >= 160
-        assert default_precision(small, "hankel").is_float
-        assert default_precision(small, "block").is_float
+        # failure: the Pfaffian keeps 160 bits, block and Hankel never
+        assert default_precision("pfaffian").bits >= 160
+        assert default_precision("hankel").is_float
+        assert default_precision("block").is_float
+        # and the engine runs these systems, k = 0.995 among them, in
+        # binary64 throughout
+        near = couplings_from_modulus(0.995, 1.0, 4, 4)
+        for c in (Couplings(0.3, 0.3, 4, 4), Couplings(0.3, 0.3, 24, 16),
+                  Couplings(0.3, 0.3, 64, 64), near):
+            res = assemble_logZ(c)
+            assert res.pipeline.prec.is_float
+            assert {o.precision_bits for o in res.outcomes.values()} == {53}
 
     @pytest.mark.parametrize("route, k, eta", [("pfaffian", 0.9, 1.0),
                                                ("hankel", 6, 1.0)])
@@ -1540,6 +1543,57 @@ class TestRouteGates:
                             lambda rows, prec: (0, -math.inf, math.inf))
         with pytest.raises(PhaseLeakError, match="singular"):
             block_transfer_logZ(c)
+
+
+class TestSwapOutcome:
+    """``swap``, the log Z of the swapped system, as one more outcome."""
+
+    @pytest.mark.parametrize("L, M, ref", [
+        # both extents within spin's cap (block would meet odd M on 6 x 5)
+        (5, 6, "spin"),
+        # spin would run along the 4 spins of either orientation
+        (4, 14, "block"),
+        # spin would repeat itself, and block meets odd M on 14 x 1
+        (1, 14, "brute")])
+    def test_reference_route(self, L, M, ref):
+        res = assemble_logZ(Couplings(0.4, 0.3, L, M))
+        logZ = res.logZ
+        fan_out(res, ("swap",))
+        o = res.outcomes["swap"]
+        assert (o.status, o.diagnostics["reference_route"]) == ("ok", ref)
+        assert o.precision_bits == 53
+        assert abs(o.logZ - logZ) < 1e-13 * abs(logZ)
+        assert res.logZ == logZ         # never the reported value
+
+    def test_skipped_when_no_reference_runs(self):
+        # 14 x 5 is over spin's cap, at odd M and past brute's 24 spins
+        res = assemble_logZ(Couplings(0.4, 0.3, 5, 14))
+        fan_out(res, ("swap",))
+        assert res.outcomes["swap"].status == "skipped"
+        assert "reference_route" not in res.outcomes["swap"].diagnostics
+
+    def test_a_swap_deviation_never_climbs(self, monkeypatch, count_calls):
+        # the swapped system's block off by 1e-6, ten times ESCALATION_DEV:
+        # a call with a structured route would climb to 160 bits here
+        import rectising.partition as partition
+        import rectising.spectrum as spectrum
+        route = partition.block_transfer_logZ
+
+        def off_when_swapped(c, prec, pipe):
+            lz, diag = route(c, prec, pipe)
+            return (lz * (1 + 1e-6) if (c.L, c.M) == (14, 4) else lz), diag
+        monkeypatch.setattr(partition, "block_transfer_logZ",
+                            off_when_swapped)
+        c = Couplings(0.4, 0.3, 4, 14)
+        res = assemble_logZ(c)
+        pipe = res.pipeline
+        built = count_calls(spectrum, "SystemPipeline")
+        fan_out(res, ("swap",))
+        assert res.max_pairwise_dev > ESCALATION_DEV
+        assert res.pipeline is pipe and pipe.prec == FLOAT64
+        # the swapped system's own binary64 pipeline, and no other
+        assert [args[:2] for args in built] == [(swap_system(c), FLOAT64)]
+        assert {o.precision_bits for o in res.outcomes.values()} == {53}
 
 
 class TestEscalation:
