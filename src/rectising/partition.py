@@ -4,7 +4,7 @@ Five ways to log Z; ``route="all"`` runs the spin oracle, block and
 Hankel, and ``compare`` adds the Pfaffian (and ``swap``, see `_run_route`):
 
 * ``brute``     exact configuration sum (caps at 24 spins),
-* ``spin``      flip-even row transfer over 2^M column states (caps at 12),
+* ``spin``      flip-even row transfer, met halfway (caps at 12 columns),
 * ``block``     determinant of the projected L-th transfer-matrix power,
 * ``hankel``    determinant of the half-size Hankel matrix of spectral sums,
 * ``pfaffian``  Pfaffian of the skew-symmetric Toeplitz matrix.
@@ -442,10 +442,13 @@ def _hamming(n: int) -> np.ndarray:
 def spin_transfer_logZ(c: Couplings) -> float:
     """Row-transfer reference over the flip-even half of 2^M column states.
 
-    The transfer T commutes with the global spin flip F, so T(u + F u) = T u
-    + F T u carries the half u whose top bit is 0, at 2^(M-1) (2^ceil(M/2)
-    + 2^floor(M/2)) multiply-adds a row.  Swaps the system first if that
-    brings the state width under the cap; Z is swap invariant.
+    Z = 1^T D (B D)^(L-1) 1, with D the column weights and B the symmetric
+    bond transfer: from u_0 = D 1, r_j = B u_(j-1) and u_j = D r_j, Z is
+    u_m^T r_m for L - 1 = 2m and u_m^T B u_m for L - 1 = 2m + 1, ceil((L -
+    1) / 2) row products.  B commutes with the global spin flip F, so B(u +
+    F u) = B u + F B u carries the half u whose top bit is 0, at 2^(M-1)
+    (2^ceil(M/2) + 2^floor(M/2)) multiply-adds a product.  Swaps the system
+    first if that brings the state width under the cap; Z is swap invariant.
     """
     if c.M > SPIN_MAX_WIDTH:
         if c.L <= SPIN_MAX_WIDTH:
@@ -467,20 +470,25 @@ def spin_transfer_logZ(c: Couplings) -> float:
                 for n, m in ((a, h), (b, 1 << b)))
     # the weights lie in [e^-2cmax, 1] and [e^-2M|K_h|, 1], so a row moves
     # the log of the largest entry (0 in w_col) at most M ln 2 up and 2 (cmax
-    # + M|K_h|) down: rescaled every ``every`` rows, it stays in e^+-300
+    # + M|K_h|) down: rescaled every ``every`` rows, it stays in e^+-300.
+    # Z is quadratic in u, so a rescale by s adds 2 log s
     every = max(1, int(300 // max(M * math.log(2),
                                   2 * (cmax + M * abs(c.K_h)))))
-    log_z, v = c.L * cmax + (c.L - 1) * M * abs(c.K_h), w_col
-    for row in range(1, c.L):
+    log_z, u, r = c.L * cmax + (c.L - 1) * M * abs(c.K_h), w_col, 1.0
+    for row in range(1, c.L // 2 + 1):     # ceil((L - 1) / 2) products
         if row % every == 0:
-            m = v.max()
-            log_z += math.log(m)
-            v = v / m
-        p = B_a @ (v @ B_b)                 # T u on all 2^M states
-        v = p[:h]
-        v += p[::-1, ::-1][:h]              # F T u
-        v *= w_col
-    return log_z + math.log(2 * float(v.sum()))
+            s = u.max()
+            log_z += 2 * math.log(s)
+            u = u / s
+        p = B_a @ (u @ B_b)                 # B u on all 2^M states
+        r = p[:h] + p[::-1, ::-1][:h]       # B u + F B u
+        left, u = u, r * w_col
+    # Z = u_m^T r_m or u_m^T B u_m: over u_m's largest entry, in [1, 2^M
+    # e^2cmax], as D <= 1 and B holds 1 on its diagonal or flip diagonal
+    u = u if c.L % 2 else left
+    s = u.max()
+    z = 2 * float((u / s * (r / s)).sum())
+    return log_z + 2 * math.log(s) + math.log(z)
 
 
 # ----------------------------------------------------------------------

@@ -52,28 +52,22 @@ RQI_MAX_STEPS = 8
 class MatrixBundle:
     """The four symmetric matrices of one system.
 
-    ``rows_C`` (the tridiagonal core) is a nested list of context scalars,
-    usable at any precision, and ``minus_bands`` holds T_minus's
-    anti-bands i + j = M - 1, M - 2 (each from i = 0) and M (from i = 1)
-    as lists of them.  The uppercase attributes are read-only binary64
-    copies of the four matrices, made once per bundle.
+    ``core_bands`` (the tridiagonal core's diagonal and off-diagonal) and
+    ``minus_bands`` (T_minus's anti-bands i + j = M - 1, M - 2, each from
+    i = 0, and M, from i = 1) are lists of context scalars, usable at any
+    precision.  ``family`` stacks T, T_plus, T_minus and C in read-only
+    binary64, once per bundle; the uppercase attributes are its blocks.
     """
 
     M: int
     minus_bands: tuple
-    rows_C: list
+    core_bands: tuple
     prec: Precision
+    family: np.ndarray = field(repr=False)
+    T: np.ndarray = field(repr=False)
     T_plus: np.ndarray = field(repr=False)
     T_minus: np.ndarray = field(repr=False)
-    T: np.ndarray = field(repr=False)
     C: np.ndarray = field(repr=False)
-
-
-def _scatter(rows, band):
-    """``rows`` with the {(i, j): entry} ``band`` written into it."""
-    for (i, j), x in band.items():
-        rows[i][j] = x
-    return rows
 
 
 def build_matrices(w: Weights, M: int) -> MatrixBundle:
@@ -89,42 +83,40 @@ def build_matrices(w: Weights, M: int) -> MatrixBundle:
     """
     if M < 2 or M % 2:
         raise DomainError("matrix construction requires even M >= 2")
-    prec = w.prec
-    ctx = prec.ctx
-    zero = ctx.mpf(0)
+    prec, ctx = w.prec, w.prec.ctx
+    zero, one = ctx.mpf(0), ctx.mpf(1)
     ts, zs = w.t_star, w.z_star
     tzm = w.t_minus * w.z_minus
     pref = -tzm / 2
     shift = w.t_plus * w.z_plus + tzm
 
-    C = {(i, i): ctx.mpf(2) for i in range(M)}
-    for i in range(M - 1):
-        C[i, i + 1] = C[i + 1, i] = ctx.mpf(1)
-    C[0, 0] = 2 + ts / zs
-    C[M - 1, M - 1] = 2 + ts * zs
-    Tp = {(i, j): pref * x + (shift if i == j else zero)
-          for (i, j), x in C.items()}
-
+    diag = [ctx.mpf(2)] * M
+    diag[0], diag[M - 1] = 2 + ts / zs, 2 + ts * zs
     # anti-bands i + j = M - 1 (interior -2 t*_plus, corners -1/t*),
     # M - 2 (z*) and M (1/z*), from i = 0, 0 and 1
     main = [-2 * ((ts + 1 / ts) / 2)] * M
     main[0] = main[M - 1] = -1 / ts
     bands = tuple([pref * x for x in band]
                   for band in (main, [zs] * (M - 1), [1 / zs] * (M - 1)))
-    Tm = {(i, d - i): x for (i0, d), band in zip(((0, M - 1), (0, M - 2),
-                                                  (1, M)), bands)
-          for i, x in enumerate(band, i0)}
 
-    tp0, tm0 = pref * zero + zero, pref * zero
-    arrays = {name: _scatter(np.full((M, M), float(fill)), band)
-              for name, fill, band in (("T_plus", tp0, Tp),
-                                       ("T_minus", tm0, Tm), ("C", zero, C))}
-    arrays["T"] = arrays["T_plus"] + arrays["T_minus"]
-    for a in arrays.values():
-        a.flags.writeable = False
-    return MatrixBundle(
-        M=M, minus_bands=bands, prec=prec,
-        rows_C=_scatter([[zero] * M for _ in range(M)], C), **arrays)
+    family = np.empty((4, M, M))
+    # entry (i, j) of a flat row is i M + j: a diagonal steps by M + 1, an
+    # anti-diagonal by M - 1.  The core, and T_plus = pref C + shift I
+    T, Tp, Tm, C = family.reshape(4, M * M)
+    for a, fill, d, off in ((C, zero, diag, one),
+                            (Tp, pref * zero + zero,
+                             [pref * x + shift for x in diag],
+                             pref * one + zero)):
+        a.fill(float(fill))
+        a[::M + 1] = d
+        a[1::M + 1] = a[M::M + 1] = float(off)
+    Tm.fill(float(pref * zero))
+    for start, band in zip((M - 1, M - 2, 2 * M - 1), bands):
+        Tm[start::M - 1][:len(band)] = band
+    np.add(Tp, Tm, out=T)
+    family.flags.writeable = False
+    return MatrixBundle(M, bands, (diag, [one] * (M - 1)), prec,
+                        family.reshape(4 * M, M), *family)
 
 
 # ----------------------------------------------------------------------
@@ -182,10 +174,10 @@ def _tridiag_rayleigh(d, e, v):
 
 
 def _core_eig(bundle: MatrixBundle, w: Weights, prec: Precision):
-    """Eigenpairs of the family at the working precision, as (chi,
-    lambda_plus, eigenvectors) lists, the two eigenvalue lists tied by
-    T_plus = -tzm/2 C + (tzp + tzm) I.  A binary64 eigenvector is a column
-    view of the one ``eigh`` matrix; an extended one, a tuple of Decimals.
+    """Eigenpairs of the family at the working precision: chi and
+    lambda_plus lists, tied by T_plus = -tzm/2 C + (tzp + tzm) I, and the
+    eigenvectors, in binary64 the transposed ``eigh`` matrix (a row is a
+    column view of it), at extended precision a list of Decimal tuples.
 
     Binary64 takes ``eigh`` of the half-sum T_plus.  Extended precision
     refines binary64 ``eigh`` seeds of the tridiagonal core C pair by pair
@@ -206,13 +198,10 @@ def _core_eig(bundle: MatrixBundle, w: Weights, prec: Precision):
         raise JointDiagonalizationError(
             f"eigensolver failed: {exc}") from exc
     if prec.is_float:
-        lam_plus = [float(x) for x in seeds]
+        lam_plus = seeds.tolist()
         return ([2 * (tzp + tzm - lp) / tzm for lp in lam_plus], lam_plus,
-                list(seed_vecs.T))
-    M = bundle.M
-    C = bundle.rows_C
-    d = [C[i][i] for i in range(M)]
-    e = [C[i][i + 1] for i in range(M - 1)]
+                seed_vecs.T)
+    d, e = bundle.core_bands
     scale = (max(abs(float(x)) for x in d)
              + 2 * max(abs(float(x)) for x in e))     # bounds |C|
     vals, vecs = [], []
@@ -323,34 +312,42 @@ def joint_spectrum(bundle: MatrixBundle, w: Weights,
     """
     prec = as_precision(prec if prec is not None else bundle.prec)
     chis, lam_plus, vecs = _core_eig(bundle, w, prec)
-    V64 = np.array(vecs, dtype=float)
+    V64 = np.array(vecs, dtype=float, order="C")   # its sums round by layout
     bands64 = [np.array(b, dtype=float) for b in bundle.minus_bands]
     size = _anti_quotients([np.abs(b) for b in bands64], np.abs(V64))
     quots = _anti_quotients(bands64, V64)
-    log, sqrt = ((math.log, math.sqrt) if prec.is_float
-                 else (decimal.Decimal.ln, decimal.Decimal.sqrt))
     pts = []
-    with decimal.localcontext(prec.decimal):
-        bands = None if prec.is_float else [
-            np.array([prec.to_decimal(x) for x in b], dtype=object)
-            for b in bundle.minus_bands]
-        for chi, lp, v, v64, q, a in zip(chis, lam_plus, vecs, V64,
-                                         quots.tolist(), size.tolist()):
+    if prec.is_float:
+        for chi, lp, v, q, a in zip(chis, lam_plus, V64, quots.tolist(),
+                                    size.tolist()):
             sq = (lp - 1) * (lp + 1)
-            # binary64 q is off by under 2^-50 M a
-            slack = 2.0 ** -50 * bundle.M * a
-            if bands and (abs(q) <= slack or float(lp) ** 2
-                          * (abs(q) + slack) > float(sq) * a):
-                q = _anti_quotients(bands, np.array([v], dtype=object))[0]
             # the root is worse conditioned: lambda_+^2 / sq > a / |q|
-            lm = (abs(q) if float(lp) ** 2 * abs(float(q)) > float(sq) * a
-                  else sqrt(max(sq, 0 * sq)))
+            lm = (abs(q) if lp ** 2 * abs(q) > sq * a
+                  else math.sqrt(max(sq, 0 * sq)))
             s = lp + lm
-            lam, gamma = (s, log(s)) if q >= 0 else (1 / s, -log(s))
-            v = v64 if prec.is_float else v
+            lam, gamma = (s, math.log(s)) if q >= 0 else (1 / s, -math.log(s))
             pts.append(SpectrumPoint(
                 mu=0, lam=lam, lam_plus=lp, lam_minus=lm if q >= 0 else -lm,
-                gamma=gamma, chi=chi, eigvec=v, _binary64=(v, v64)))
+                gamma=gamma, chi=chi, eigvec=v, _binary64=(v, v)))
+    else:
+        with decimal.localcontext(prec.decimal):
+            bands = [np.array([prec.to_decimal(x) for x in b], dtype=object)
+                     for b in bundle.minus_bands]
+            for chi, lp, v, v64, q, a in zip(chis, lam_plus, vecs, V64,
+                                             quots.tolist(), size.tolist()):
+                sq = (lp - 1) * (lp + 1)
+                lp2, sq64 = float(lp) ** 2, float(sq)
+                slack = 2.0 ** -50 * bundle.M * a   # bounds binary64 q's error
+                if abs(q) <= slack or lp2 * (abs(q) + slack) > sq64 * a:
+                    q = _anti_quotients(bands, np.array([v], dtype=object))[0]
+                lm = (abs(q) if lp2 * abs(float(q)) > sq64 * a
+                      else max(sq, 0 * sq).sqrt())
+                s = lp + lm
+                lam, gamma = (s, s.ln()) if q >= 0 else (1 / s, -s.ln())
+                pts.append(SpectrumPoint(
+                    mu=0, lam=lam, lam_plus=lp,
+                    lam_minus=lm if q >= 0 else -lm, gamma=gamma, chi=chi,
+                    eigvec=v, _binary64=(v, v64)))
     pts.sort(key=lambda p: -float(p.gamma))
     for i, p in enumerate(pts):
         p.mu = i + 1
@@ -360,14 +357,14 @@ def joint_spectrum(bundle: MatrixBundle, w: Weights,
 def check_joint(bundle: MatrixBundle, pts: list):
     """Check that every eigenvector of ``pts`` diagonalizes each member
     of the family within JOINT_TOL, at any modulus, in binary64 at every
-    precision (its rounding, ~M eps, is far below the tolerance).  A NaN
-    residual fails."""
+    precision (its rounding, ~M eps, is far below the tolerance), by one
+    product of the stacked family with the eigenvectors.  A NaN residual
+    fails."""
     V = np.array([p.eigvec64() for p in pts]).T
-    worst = np.max([
-        np.abs(A @ V - V * np.array([getattr(p, key) for p in pts],
-                                    dtype=float)).max()
-        for A, key in ((bundle.T, "lam"), (bundle.T_plus, "lam_plus"),
-                       (bundle.T_minus, "lam_minus"), (bundle.C, "chi"))])
+    vals = np.array([(p.lam, p.lam_plus, p.lam_minus, p.chi) for p in pts],
+                    dtype=float).T
+    worst = np.abs((bundle.family @ V).reshape(4, bundle.M, -1)
+                   - V * vals[:, None, :]).max()
     worst /= max(1.0, np.abs(bundle.T).max())
     if not worst <= JOINT_TOL:
         raise JointDiagonalizationError(
@@ -679,20 +676,14 @@ def _cp_dispatch(kind, x, cpc):
         lam_plus = w.tz_plus + w.tz_minus * (1 - x / 2)
         lam = lam_plus + sqrt(lam_plus * lam_plus - 1)
         return (1 - w.t_star ** 2) * _full_angle_ratio(lam, cpc)
-    if kind == "lambda":
-        return _cp_lambda(x, cpc, inverse=False)
-    if kind == "lambda_at_inverse":
-        return _cp_lambda(x, cpc, inverse=True)
     if kind == "lambda_minus":
         lam = x + sqrt(x * x + 1)
         a = _cp_lambda(lam, cpc, inverse=False)
         b = _cp_lambda(-1 / lam, cpc, inverse=False)
         return a * b / (2 ** M * w.t)
-    if kind == "zeta":
-        return _cp_zeta(x, cpc, inverse=False)
-    if kind == "zeta_at_inverse":
-        return _cp_zeta(x, cpc, inverse=True)
-    raise AssertionError(kind)
+    # lambda, zeta and their _at_inverse forms
+    return (_cp_zeta if kind.startswith("zeta") else _cp_lambda)(
+        x, cpc, inverse=kind.endswith("_at_inverse"))
 
 
 def _angle_data(lam, cpc):

@@ -584,13 +584,14 @@ class TestConfigurationSums:
     @pytest.mark.parametrize("K_h, K_v, M", [
         (3.0, -2.5, 1), (3.0, -2.5, 7), (3.0, -2.5, 12), (200.0, 0.3, 4),
         (0.05, 0.05, 12)])
+    @pytest.mark.parametrize("L", [300, 301])
     def test_spin_matches_the_full_space_transfer_on_long_strips(
-            self, K_h, K_v, M):
-        # 300 rows: the half-space vector is rescaled only when its
-        # a-priori range could leave e^+-300, at widths odd, even and 1;
-        # under weak bonds its largest entry grows by nearly 2^M a row,
-        # e^2500 in all
-        c = unchecked_couplings(K_h, K_v, 300, M)
+            self, K_h, K_v, M, L):
+        # 300 and 301 rows, closed by u^T r and by u^T B u: the half-space
+        # vector is rescaled only when its a-priori range could leave
+        # e^+-300, at widths odd, even and 1; under weak bonds its largest
+        # entry grows by nearly 2^M a row, e^2500 in all
+        c = unchecked_couplings(K_h, K_v, L, M)
         ref = full_space_log_z(c)
         with np.errstate(over="raise", invalid="raise"):
             got = spin_transfer_logZ(c)

@@ -83,6 +83,35 @@ class TestMatrices:
         core = -(2 / tzm) * (b.T_plus - shift * np.eye(6))
         assert np.max(np.abs(core - b.C)) == 0
 
+    @pytest.mark.parametrize("k", [0.6, 3.0])
+    @pytest.mark.parametrize("M", [2, 4, 64])
+    def test_binary64_family_is_the_dense_sum_bit_for_bit(self, k, M):
+        # every entry, the signed zeros off the bands included, is what
+        # dense binary64 arithmetic on the weights gives
+        w = weights_from_couplings(couplings_from_modulus(k, 0.8, 4, M))
+        b = build_matrices(w, M)
+        ts, zs = w.t_star, w.z_star
+        tzm = w.t_minus * w.z_minus
+        eye = np.eye(M)
+        core = 2 * eye + np.eye(M, k=1) + np.eye(M, k=-1)
+        core[0, 0], core[-1, -1] = 2 + ts / zs, 2 + ts * zs
+        main = np.full(M, -2 * ((ts + 1 / ts) / 2))
+        main[0] = main[-1] = -1 / ts
+        # fliplr takes the diagonal and the super- and subdiagonal to the
+        # anti-bands i + j = M - 1, M - 2 and M
+        anti = np.fliplr(np.diag(main) + zs * np.eye(M, k=1)
+                         + 1 / zs * np.eye(M, k=-1))
+        plus = -tzm / 2 * core + (w.t_plus * w.z_plus + tzm) * eye
+        minus = -tzm / 2 * anti
+        if M > 2:       # off the bands T_plus holds +0, T_minus -0 (tzm > 0)
+            assert not np.signbit(plus[0, -1]) and np.signbit(minus[0, 1])
+        for name, want in (("T_plus", plus), ("T_minus", minus),
+                           ("T", plus + minus), ("C", core)):
+            got = getattr(b, name)
+            np.testing.assert_array_equal(got, want, err_msg=name)
+            np.testing.assert_array_equal(np.signbit(got), np.signbit(want),
+                                          err_msg=name)
+
     def test_odd_extent_rejected(self):
         w = weights_from_couplings(Couplings(0.4, 0.7, 3, 4))
         with pytest.raises(DomainError):
@@ -153,6 +182,9 @@ class TestBinary64Checks:
         pts[17].eigvec = list(pts[17].eigvec)
         pts[17].eigvec[30] += p.ctx.mpf(1e-7)
         with pytest.raises(JointDiagonalizationError, match="residual"):
+            check_joint(b, pts)
+        pts[17].eigvec = pts[17].eigvec[:30] + [math.nan] * 34
+        with pytest.raises(JointDiagonalizationError, match="residual nan"):
             check_joint(b, pts)
 
     def test_edge_mode_branch_at_working_precision(self):
@@ -252,14 +284,20 @@ class TestRefinedEigensystem:
         w = weights_from_couplings(couplings_from_modulus(k, eta, 4, M), p)
         b = build_matrices(w, M)
         pts = sorted(joint_spectrum(b, w, p), key=lambda q: q.chi)
-        want = sorted(ctx.eigsy(ctx.matrix(b.rows_C))[0])
+        diag, off = b.core_bands
+        core = ctx.zeros(M, M)
+        for i in range(M):
+            core[i, i] = diag[i]
+        for i in range(M - 1):
+            core[i, i + 1] = core[i + 1, i] = off[i]
+        want = sorted(ctx.eigsy(core)[0])
         tol = ctx.ldexp(1, 10 - bits)
         for q, chi in zip(pts, want):
             got = p.from_decimal(q.chi)
             assert abs(got - chi) <= tol * abs(chi)
             v = [p.from_decimal(x) for x in q.eigvec]
             res = ctx.sqrt(sum(
-                (sum(b.rows_C[i][j] * v[j] for j in range(M))
+                (sum(core[i, j] * v[j] for j in range(M))
                  - got * v[i]) ** 2 for i in range(M)))
             assert res <= tol
 
