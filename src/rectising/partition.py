@@ -127,8 +127,9 @@ def _swap(a, i, j):
 
 
 def _logdet_binary64(A) -> tuple:
-    """`logdet_scaled` of a binary64 array: the classic right-looking
-    update, one rank-1 array update a column."""
+    """`logdet_scaled` of a binary64 array: one Householder QR (LAPACK
+    ``geqrf``), backward stable with no growth factor; each reflector
+    with tau != 0 has determinant -1."""
     n = len(A)
     if n == 0:
         return 1, 0.0, 0.0
@@ -136,42 +137,37 @@ def _logdet_binary64(A) -> tuple:
     if not scales.all():
         return 0, -math.inf, 0.0
     A = A / scales[:, None]
-    log_abs = 0.0
-    for s in scales.tolist():
-        log_abs += math.log(s)
-    sign = 1
-    min_piv, max_piv = float("inf"), 0.0
-    for col in range(n):
-        p = col + int(np.abs(A[col:, col]).argmax())
-        piv = A[p, col].item()
-        ap = abs(piv)
-        if ap == 0:
+    h, tau = np.linalg.qr(A, mode="raw")
+    # hypot, so that a column of tiny entries keeps a nonzero norm; the
+    # loop over the diagonal costs less than more array calls at small n
+    norms = np.hypot.reduce(A, axis=0).tolist()
+    tiny = n * np.finfo(float).eps
+    sign, logs, ratio = 1, [math.log(s) for s in scales.tolist()], 1.0
+    for r, t, a in zip(h.diagonal().tolist(), tau.tolist(), norms):
+        if abs(r) <= tiny * a:
             return 0, -math.inf, math.inf
-        if p != col:
-            _swap(A, col, p)
+        if (r < 0) != (t != 0):
             sign = -sign
-        if piv < 0:
-            sign = -sign
-        min_piv, max_piv = min(min_piv, ap), max(max_piv, ap)
-        log_abs += math.log(ap)
-        A[col + 1:, col + 1:] -= np.multiply.outer(A[col + 1:, col] / piv,
-                                                   A[col, col + 1:])
-    loss = math.log10(max_piv / min_piv) if min_piv > 0 else float("inf")
-    return sign, log_abs, loss
+        logs.append(math.log(abs(r)))
+        ratio = max(ratio, a / abs(r))
+    return sign, math.fsum(logs), math.log10(ratio)
 
 
 def logdet_scaled(rows, prec: Precision) -> tuple:
-    """(sign, log |det|, loss) of a square real matrix: LU with partial
-    pivoting and per-row scaling.
+    """(sign, log |det|, loss) of a square real matrix, with per-row
+    scaling.
 
     Takes nested lists or a 2-D array of real scalars (`_real_rows`).
     The sign and log |det| come in the order of `numpy.linalg.slogdet`,
     0 and -inf for a singular matrix; ``loss`` estimates the decimal
-    digits destroyed by cancellation.  Binary64 runs the classic
-    right-looking elimination as array updates.  Extended precision runs
-    left-looking (Crout) order on ``prec.decimal``: each entry of column k
-    is one dot product over the finished columns, exact in ``prec.wide``
-    and rounded once.
+    digits destroyed by cancellation.  Binary64 runs one Householder QR
+    (`_logdet_binary64`); ``loss`` is the most digits a column a_i cancels
+    against the columns before it, log10(|a_i| / |R_ii|), and a column
+    left with n eps of its norm or less is singular.  Extended precision
+    runs LU with partial pivoting in left-looking (Crout) order on
+    ``prec.decimal``: each entry of column k is one dot product over the
+    finished columns, exact in ``prec.wide`` and rounded once; ``loss`` is
+    the spread of the pivots, log10(max |piv| / min |piv|).
     """
     n = _check_square(rows, "determinant")
     A = _real_rows(rows, prec, "determinant")
@@ -528,6 +524,7 @@ def block_transfer_logZ(c: Couplings, prec: Precision | None = None,
     evaluated with log-scaled rows; the positive square root is physical.
     Runs at any modulus including the critical point, on the unchecked
     family eigensystem of ``pipeline`` (a new one at ``prec`` if None).
+    Its diagnostics' ``lu_loss_digits`` is `logdet_scaled`'s ``loss``.
     """
     pipeline, prec = _route_pipeline(c, prec, pipeline)
     w, _bundle, pts = pipeline.family()

@@ -122,6 +122,15 @@ def test_d13_odd_m_takes_the_even_side():
     assert _rel(json.loads(out)["logZ"], want) < 1e-13
 
 
+@pytest.mark.xfail(raises=AssertionError, strict=True, reason="D7")
+def test_d7_moment_matrix_determinant_on_48_by_12():
+    # spectral-hankel-chain takes det H from a binary64 determinant of the
+    # moment matrix, which comes out singular here
+    code, _, err = run_cli("identities", "--L", "48", "--M", "12", "--k",
+                           "0.6", "--eta-frac", "0.953327")
+    assert code == 0, err
+
+
 @pytest.mark.xfail(raises=ConvergenceError, strict=True, reason="D7")
 def test_d7_zeta_base_converges_on_a_short_strip():
     c = couplings_from_modulus(0.2558, 0.8806, 2, 6)

@@ -127,41 +127,6 @@ def full_space_log_z(c: Couplings) -> float:
     return log_z + math.log(v.sum())
 
 
-def right_looking_logdet(rows):
-    """Binary64 oracle: the classic right-looking elimination, with the
-    per-row scaling, pivot order and loss report of `logdet_scaled`;
-    returns (sign, log |det|, loss)."""
-    n = len(rows)
-    A = [list(r) for r in rows]
-    sign, log_abs = 1, 0.0
-    for i in range(n):
-        s = max(abs(x) for x in A[i])
-        if s == 0:
-            return 0, float("-inf"), 0.0
-        A[i] = [x / s for x in A[i]]
-        log_abs += math.log(s)
-    min_piv, max_piv = float("inf"), 0.0
-    for col in range(n):
-        p = max(range(col, n), key=lambda r: abs(A[r][col]))
-        piv = A[p][col]
-        ap = abs(piv)
-        if ap == 0:
-            return 0, float("-inf"), float("inf")
-        if p != col:
-            A[p], A[col] = A[col], A[p]
-            sign = -sign
-        if piv < 0:
-            sign = -sign
-        min_piv, max_piv = min(min_piv, ap), max(max_piv, ap)
-        log_abs += math.log(ap)
-        for r in range(col + 1, n):
-            f = A[r][col] / piv
-            if f != 0:
-                Ar, Ac = A[r], A[col]
-                Ar[col + 1:] = [Ar[j] - f * Ac[j] for j in range(col + 1, n)]
-    return sign, log_abs, math.log10(max_piv / min_piv)
-
-
 def right_looking_pfaffian(rows):
     """Binary64 oracle: the classic right-looking Parlett-Reid reduction of
     the exactly skew matrix of the upper triangle, with the pivot order of
@@ -242,15 +207,68 @@ class TestLogDet:
         assert sign == -1
 
     @pytest.mark.parametrize("kind", ["real", "hankel"])
-    def test_binary64_equals_right_looking_elimination(self, kind):
-        # the array updates round every entry as the scalar update does,
-        # so the results are the same floats, from lists and from arrays
+    def test_binary64_against_256_bits(self, kind):
+        # the sign of the 256-bit LU, and log |det| within n eps times the
+        # 10^loss that the QR reports, relative to max(1, |log |det||);
+        # lists and arrays give the same floats
+        p = Precision(256)
+        eps = np.finfo(float).eps
         rng = np.random.default_rng({"real": 1, "hankel": 3}[kind])
         for _ in range(40):
-            rows = seeded_matrix(rng, int(rng.integers(1, 65)), kind)
-            want = repr(right_looking_logdet(rows))
-            for given in (rows, np.array(rows)):
-                assert repr(logdet_scaled(given, FLOAT64)) == want
+            n = int(rng.integers(1, 65))
+            rows = seeded_matrix(rng, n, kind)
+            got = logdet_scaled(rows, FLOAT64)
+            assert repr(logdet_scaled(np.array(rows), FLOAT64)) == repr(got)
+            sign, log_abs, loss = got
+            want_sign, want, _ = logdet_scaled(rows, p)
+            assert sign == want_sign
+            err = abs(p.ctx.mpf(log_abs) - want) / max(1, abs(want))
+            assert err < n * eps * 10 ** loss
+
+    def test_binary64_singular_to_rounding(self):
+        # the last column is a combination of the others, rounded once
+        rng = np.random.default_rng(11)
+        for n in (2, 8, 32, 64):
+            A = rng.normal(size=(n, n))
+            A[:, -1] = A[:, :-1] @ rng.normal(size=n - 1)
+            assert logdet_scaled(A, FLOAT64) == (0, -math.inf, math.inf)
+
+    def test_binary64_column_graded_hankel_is_regular(self):
+        # the moments fall by e^-0.5 a step, so the 256-bit LU's pivots
+        # spread over 13 digits; no column of the QR cancels them
+        p = Precision(256)
+        rng = np.random.default_rng(12)
+        h = rng.normal(size=120) * np.exp(-0.5 * np.arange(120))
+        A = np.array([h[i:i + 60] for i in range(60)])
+        want_sign, want, lu_loss = logdet_scaled(A, p)
+        assert lu_loss > 12
+        sign, log_abs, loss = logdet_scaled(A, FLOAT64)
+        assert sign == want_sign != 0
+        assert loss < 3
+        assert abs(log_abs - float(want)) < 1e-13 * abs(float(want))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_binary64_permutation_sign(self, n):
+        for perm in itertools.permutations(range(n)):
+            inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+            sign, log_abs, _ = logdet_scaled(np.eye(n)[list(perm)], FLOAT64)
+            assert sign == (-1) ** inversions
+            assert abs(log_abs) < 1e-15
+
+    @pytest.mark.parametrize("rows, want", [
+        # a column whose squares underflow: regular, and dependent to
+        # rounding; R_22 = 0 exactly; a zero column
+        ([[1.0, 1e-200], [1.0, 3e-200]], (1, math.log(2e-200))),
+        ([[1.0, 1e-200], [1.0, 1e-200 * (1 + 2 ** -52)]], (0, -math.inf)),
+        ([[1.0, 1.0], [1.0, 1.0]], (0, -math.inf)),
+        ([[1.0, 0.0], [2.0, 0.0]], (0, -math.inf)),
+    ])
+    def test_binary64_loss_raises_no_warning(self, rows, want):
+        # filterwarnings = error makes a numpy warning fail the test
+        sign, log_abs, loss = logdet_scaled(rows, FLOAT64)
+        assert sign == want[0]
+        assert log_abs == pytest.approx(want[1], rel=1e-15)
+        assert loss == (math.inf if not sign else pytest.approx(0.3, abs=0.1))
 
     @pytest.mark.parametrize("kind", ["real", "hankel"])
     def test_extended_against_320_bits(self, kind):
@@ -696,6 +714,14 @@ class TestBlockTransfer:
     def test_odd_extent_refused(self):
         with pytest.raises(RouteInfeasibleError):
             block_transfer_logZ(Couplings(0.4, 0.7, 4, 3))
+
+    @pytest.mark.parametrize("k, eta, n", [(3, 0.8, 128), (0.6, 0.8, 256)])
+    def test_binary64_above_the_harness_sizes(self, k, eta, n):
+        # the swapped system has its own eigensystem and its own matrix
+        c = couplings_from_modulus(k, eta, n, n)
+        got, _ = block_transfer_logZ(c, FLOAT64)
+        want, _ = block_transfer_logZ(swap_system(c), FLOAT64)
+        assert abs(got - want) < 1e-14 * abs(want)
 
 
 class TestHankelRoute:
