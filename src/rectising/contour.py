@@ -70,12 +70,11 @@ class ContourSpec:
         return out
 
 
-def default_contour(frame: EllipticFrame, samples: int = 256) -> ContourSpec:
+def default_contour(frame: EllipticFrame) -> ContourSpec:
     """Mid-band levels: halfway between the eigenvalue circle and the
     nearest counter-pole level at +-Im(eta)."""
-    h = float(frame.prec.ctx.im(frame.eta))
-    c = h / 2
-    spec = ContourSpec(c_low=-c, c_high=c, samples=samples)
+    c = float(frame.prec.ctx.im(frame.eta)) / 2
+    spec = ContourSpec(c_low=-c, c_high=c)
     validate_contour(spec, frame)
     return spec
 

@@ -36,6 +36,9 @@ from .precision import FLOAT64, Precision, as_precision
 #: joint-diagonalization residual tolerance (relative to matrix scale)
 JOINT_TOL = 1e-9
 
+#: branch tolerance of a spectrum point's zeta and torus point, any phi
+BRANCH_TOL = 1e-9
+
 #: largest move of a refined core eigenvalue from its binary64 seed,
 #: relative to the scale of the core matrix
 SEED_TOL = 1e-12
@@ -464,7 +467,7 @@ def dispersion_residual(gamma, phi, w: Weights):
         - w.tz_plus
 
 
-def _locate_u(p, frame, tol):
+def _locate_u(p, frame):
     """Torus point with the point's eigenvalue pair, from its triple: of
     the candidates +-u0 and +-conj(u0), u0 = arcsn(sn u), the best match.
     sn is odd and real on the real axis and eta imaginary, so sn(u0 +-
@@ -485,7 +488,7 @@ def _locate_u(p, frame, tol):
         err = abs(lam_c - p.lam) / max(1.0, abs(p.lam)) + abs(zeta_c - p.zeta)
         if best is None or err < best[0]:
             best = (err, cand)
-    if best is None or best[0] > tol:
+    if best is None or best[0] > BRANCH_TOL:
         raise JointDiagonalizationError(
             f"branch inconsistency: no torus point matches mu={p.mu} "
             f"(best residual {best[0] if best else float('inf'):.3e})")
@@ -511,8 +514,7 @@ def enrich_spectrum(points, frame: EllipticFrame, w: Weights):
         p.zeta = fn.cexp(fn.mpc(0, 1) * p.phi)
         (p.sn_u, p.cn_u, p.dn_u), zeta_t = _matched_triple(p.lam, p.zeta, w,
                                                            frame)
-        tol = 1e-6 if abs(float(p.phi.imag)) > 1e-9 else 1e-9
-        if abs(zeta_t - p.zeta) > tol * max(1.0, abs(p.zeta)):
+        if abs(zeta_t - p.zeta) > BRANCH_TOL * max(1.0, abs(p.zeta)):
             raise JointDiagonalizationError(
                 f"branch inconsistency: vertical eigenvalue mismatch "
                 f"{abs(zeta_t - p.zeta):.3e} at mu={p.mu}")
@@ -536,9 +538,8 @@ def spectrum_for(c: Couplings, prec: Precision = FLOAT64):
                 setattr(p, name, pipe.prec.from_decimal(getattr(p, name)))
     two_pi = 2 * fn.pi
     for p in enrich_spectrum(pts, frame, w):
-        complex_phi = abs(float(p.phi.imag)) > 1e-9
-        p.u = _locate_u(p, frame, 1e-6 if complex_phi else 1e-9)
-        p.branch = ("complex" if complex_phi else
+        p.u = _locate_u(p, frame)
+        p.branch = ("complex" if abs(float(p.phi.imag)) > 1e-9 else
                     ("shifted_iKprime"
                      if abs(float(p.u.imag)) > float(frame.K_prime) / 2
                      else "real_axis"))

@@ -13,10 +13,11 @@ import json
 import pytest
 
 import rectising.partition as partition
-from rectising import cli
+from rectising import cli, identities, spectrum
 from rectising.contour import (ContourContext, contour_coefficients,
                                default_contour)
-from rectising.errors import ConvergenceError, NonFiniteError
+from rectising.errors import (ConvergenceError, JointDiagonalizationError,
+                              NonFiniteError)
 from rectising.params import couplings_from_modulus, swap_system
 from rectising.partition import (AGREEMENT_DEV, assemble_logZ,
                                  block_transfer_logZ, hankel_logZ,
@@ -78,6 +79,42 @@ def test_d14_compare_gates_a_moved_orientation(monkeypatch, route, swapped):
                 diag["routes"]["block"]["logZ"]) > 0.9e-3
 
 
+def test_d7_identities_on_6_by_10_pass():
+    # the second-order differences' truncation once failed the two
+    # derivative entries here on every run, 1.1e-7 and 3.3e-7 off
+    code, _, err = run_cli("identities", "--L", "6", "--M", "10", "--k",
+                           "2.5", "--eta-frac", "0.8")
+    assert code == 0, err
+
+
+@pytest.mark.parametrize("k, eta, L, M", [(2.5, 0.8, 6, 10),
+                                          (3, 0.9, 8, 12)])
+def test_d7_derivative_oracle_at_160_bits(k, eta, L, M):
+    # at 160 bits what is left of the derivative entries is the stencil's
+    # truncation; the second-order one left 1e-7 here
+    env = identities.build_env(couplings_from_modulus(k, eta, L, M),
+                               prec=Precision(160))
+    for entry in (identities._e_derivatives, identities._e_chain):
+        r = identities.Residuals()
+        entry(env, r)
+        assert r.worst <= 1e-11
+
+
+def test_d7_complex_phi_zeta_is_gated_at_the_branch_tolerance(monkeypatch):
+    # a complex-phi point's zeta moved by 1e-8 relative is a branch
+    # inconsistency; the complex-phi gate was 1e-6
+    c = couplings_from_modulus(2.5, 0.8, 6, 10)
+    assert "complex" in [p.branch for p in spectrum.spectrum_for(c)[3]]
+    acos = spectrum._acos_upper
+
+    def moved(fn, x):
+        phi = acos(fn, x)
+        return phi + 1e-8 if abs(float(phi.imag)) > 1e-9 else phi
+    monkeypatch.setattr(spectrum, "_acos_upper", moved)
+    with pytest.raises(JointDiagonalizationError, match="vertical eigenvalue"):
+        spectrum.spectrum_for(c)
+
+
 # ----------------------------------------------------------------------
 # open
 # ----------------------------------------------------------------------
@@ -128,6 +165,15 @@ def test_d7_moment_matrix_determinant_on_48_by_12():
     # moment matrix, which comes out singular here
     code, _, err = run_cli("identities", "--L", "48", "--M", "12", "--k",
                            "0.6", "--eta-frac", "0.953327")
+    assert code == 0, err
+
+
+@pytest.mark.xfail(raises=AssertionError, strict=True, reason="D7")
+def test_d7_identities_on_8_by_12():
+    # crosscheck's last failing system: spectral-hankel-chain's
+    # determinant_squares compares two lossy complex slogdets, 4.1e-8 off
+    code, _, err = run_cli("identities", "--L", "8", "--M", "12", "--k",
+                           "0.8", "--eta-frac", "0.6")
     assert code == 0, err
 
 

@@ -93,8 +93,9 @@ class TestSharedBuild:
 
     def test_shared_sample_values_evaluated_once(self, monkeypatch,
                                                  count_calls):
-        # am(2u) serves two entries, lambda_zeta(u +- FD_STEP) two others;
-        # the latter reads sn at u +- FD_STEP +- eta
+        # am(2u) serves two entries, lambda_zeta(u +- h) and
+        # lambda_zeta(u +- 2h) (h = FD_STEP) two others; the latter read sn
+        # at u +- h +- eta and u +- 2h +- eta
         c = couplings_from_modulus(0.6, 0.9, 5, 6)
         env = identities.build_env(c)
         samples, eta = env.samples, env.frame.eta
@@ -103,7 +104,8 @@ class TestSharedBuild:
         run_identity_suite(c)
         twice = [2 * s.u for s in samples]
         steps = [s.u + d + e for s in samples[:identities.FD_SAMPLES]
-                 for d in (identities.FD_STEP, -identities.FD_STEP)
+                 for d in (identities.FD_STEP, -identities.FD_STEP,
+                           2 * identities.FD_STEP, -2 * identities.FD_STEP)
                  for e in (eta, -eta)]
         assert [sum(1 for _kern, u in am if u == x) for x in twice] \
             == [1] * len(twice)
@@ -328,7 +330,7 @@ class TestRecorder:
 
     def _suite_of(self, monkeypatch, fn):
         monkeypatch.setattr(identities, "CATALOGUE",
-                            [("probe", "test", True, 1.0, fn)])
+                            [("probe", "test", True, fn)])
         c = couplings_from_modulus(0.6, 0.9, 4, 4)
         rep = run_identity_suite(c, samples=2)
         (e,) = rep.entries
