@@ -297,7 +297,8 @@ class EllipticKernel:
 
     def _am_core(self, v, known):
         """Principal-log amplitude pinned to the real-axis branch, whose
-        anchor comes from the Landen pass of the evaluation at v."""
+        anchor comes from the Landen pass of the evaluation at v; raises
+        PoleError where cn + i sn, whose log it takes, comes out 0."""
         fn = self._fn
         x0, y = v.real, v.imag
         if y == 0:
@@ -307,7 +308,11 @@ class EllipticKernel:
         else:
             (sn, cn, _dn), phi = self._sncndn_phase(v)
             anchor = self._anchor(phi)
-        c = fn.mpc(0, -1) * fn.clog(cn + fn.mpc(0, 1) * sn)
+        e_i_am = cn + fn.mpc(0, 1) * sn
+        if not e_i_am:
+            raise PoleError("log singularity of am: cn + i sn = 0",
+                            where=complex(v))
+        c = fn.mpc(0, -1) * fn.clog(e_i_am)
         c += 2 * fn.pi * _nint(fn.floor, (anchor - c.real) / (2 * fn.pi))
         return c
 

@@ -39,7 +39,8 @@ import sys
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
-from operator import mul
+from itertools import chain
+from operator import add
 
 import numpy as np
 
@@ -112,8 +113,12 @@ def _real_rows(rows, prec: Precision, what: str):
             raise DomainError(f"binary64 runs on real scalars, not {A.dtype}")
         finite = np.isfinite(A).all()
     else:
-        A = [[prec.to_decimal(x) for x in r] for r in rows]
-        finite = all(x.is_finite() for r in A for x in r)
+        if isinstance(rows, np.ndarray):
+            rows = rows.tolist()
+        # a Decimal is taken as it is, without a call
+        A = [[x if type(x) is decimal.Decimal else prec.to_decimal(x)
+              for x in r] for r in rows]
+        finite = all(map(decimal.Decimal.is_finite, chain.from_iterable(A)))
     if not finite:
         raise NonFiniteError(f"{what} of a matrix with a non-finite entry")
     return A
@@ -164,9 +169,8 @@ def logdet_scaled(rows, prec: Precision) -> tuple:
     (`_logdet_binary64`); ``loss`` is the most digits a column a_i cancels
     against the columns before it, log10(|a_i| / |R_ii|), and a column
     left with n eps of its norm or less is singular.  Extended precision
-    runs LU with partial pivoting in left-looking (Crout) order on
-    ``prec.decimal``: each entry of column k is one dot product over the
-    finished columns, exact in ``prec.wide`` and rounded once; ``loss`` is
+    runs the textbook right-looking LU with partial pivoting on lists of
+    Decimal rows, each operation rounded in ``prec.decimal``; ``loss`` is
     the spread of the pivots, log10(max |piv| / min |piv|).
     """
     n = _check_square(rows, "determinant")
@@ -175,45 +179,34 @@ def logdet_scaled(rows, prec: Precision) -> tuple:
         return _logdet_binary64(A)
     if n == 0:
         return 1, prec.ctx.zero, 0.0
-    dec = prec.decimal.copy()          # its flags stay local
-    with decimal.localcontext(prec.wide):
+    with decimal.localcontext(prec.decimal) as dec:
         scales = [max(map(abs, r)) for r in A]
         if not all(scales):
             return 0, -math.inf, 0.0
-        A = [[dec.divide(x, s) for x in r] for r, s in zip(A, scales)]
+        A = [[x / s for x in r] for r, s in zip(A, scales)]
         mag = math.prod(scales)
         sign = 1
-        # L[r] = [slot, L_r0, L_r1, ...]: the slot takes the entry being
-        # reduced, so that it meets the 1 that heads neg_u
-        L = [[None] for _ in range(n)]
         min_piv, max_piv = float("inf"), 0.0
-        for col in range(n):
-            neg_u = [decimal.Decimal(1)]    # 1, -U_0col, ..., -U_(i-1)col
-            for i in range(col):
-                L[i][0] = A[i][col]
-                neg_u.append(dec.minus(sum(map(mul, L[i], neg_u))))
-            for r in range(col, n):
-                L[r][0] = A[r][col]
-            v = [dec.plus(sum(map(mul, Lr, neg_u))) for Lr in L[col:]]
-            p = max(range(n - col), key=lambda r: abs(v[r]))
-            piv = v[p]
-            ap = abs(piv)
-            if ap == 0:
+        for k in range(n):
+            p = max(range(k, n), key=lambda r: abs(A[r][k]))
+            piv = A[p][k]
+            if piv == 0:
                 return 0, -math.inf, math.inf
-            if p:
-                q = col + p
-                A[q], A[col] = A[col], A[q]
-                L[q], L[col] = L[col], L[q]
-                v[p] = v[0]
+            if p != k:
+                A[p], A[k] = A[k], A[p]
                 sign = -sign
             if piv < 0:
                 sign = -sign
+            ap = abs(piv)
             min_piv, max_piv = min(min_piv, float(ap)), max(max_piv, float(ap))
             mag *= ap
-            for Lr, vr in zip(L[col + 1:], v[1:]):
-                Lr.append(dec.divide(vr, piv))
+            top = A[k][k + 1:]
+            for r in A[k + 1:]:
+                f = r[k] / piv
+                r[k + 1:] = [x - f * y for x, y in zip(r[k + 1:], top)]
+        log_mag = dec.ln(mag)
     loss = math.log10(max_piv / min_piv) if min_piv > 0 else float("inf")
-    return sign, prec.from_decimal(dec.ln(mag)), loss
+    return sign, prec.from_decimal(log_mag), loss
 
 
 def _pfaffian_binary64(F) -> tuple:
@@ -257,70 +250,57 @@ def pfaffian(rows, prec: Precision = FLOAT64) -> tuple:
     skew gate is relative to the largest entry; past it only the upper
     triangle is read, so the reduced matrix is exactly skew; swaps flip
     the sign.  Binary64 runs the classic right-looking update as array
-    updates.  Extended precision runs left-looking order on
-    ``prec.decimal``: step k forms only column k and row k+1 of the
-    reduced matrix, each entry one dot product, exact in ``prec.wide``
-    and rounded once, over the per-index histories of the earlier steps'
-    rank-2 congruence updates.
+    updates; extended precision runs the same loop on the upper triangle,
+    as lists of Decimal rows, each operation rounded in ``prec.decimal``:
+    a swap of indices k+1 and q flips the sign of every entry that crosses
+    the diagonal.
     """
     n = _check_square(rows, "Pfaffian")
-    F = _real_rows(rows, prec, "Pfaffian")
-    with decimal.localcontext(prec.decimal):
-        if not prec.is_float:
-            F = np.array(F, dtype=object).reshape(n, n)
-        if n % 2:
-            raise DomainError("Pfaffian requires even dimension")
-        tol = 1e-12 if prec.is_float else decimal.Decimal("1e-12")
-        if np.abs(F + F.T).max(initial=0) > tol * np.abs(F).max(initial=0):
-            raise DomainError("Pfaffian requires a skew-symmetric matrix")
+    A = _real_rows(rows, prec, "Pfaffian")
+    if n % 2:
+        raise DomainError("Pfaffian requires even dimension")
+    if prec.is_float:
+        off = np.abs(A + A.T).max(initial=0) > 1e-12 * np.abs(A).max(initial=0)
+    else:
+        with decimal.localcontext(prec.decimal):
+            # one pass: each row from the diagonal on against its column
+            gap = max((max(map(abs, map(add, r[i:], c[i:])))
+                       for i, (r, c) in enumerate(zip(A, zip(*A)))), default=0)
+            off = gap > decimal.Decimal("1e-12") * max(
+                (max(map(abs, r)) for r in A), default=0)
+    if off:
+        raise DomainError("Pfaffian requires a skew-symmetric matrix")
     if n == 0:
         return 1, 0.0
     if prec.is_float:
-        return _pfaffian_binary64(F)
-    A = F.tolist()
-    dec = prec.decimal.copy()          # its flags stay local
-    one = decimal.Decimal(1)
-    perm = list(range(n))
-    # step s reduces A_ij by f_i^s R_j^s - f_j^s R_i^s.  Index i keeps its
-    # history twice, interleaved: G[i] = [1, f_i^0, R_i^0, f_i^1, ...] and
-    # H[i] = [slot, -R_i^0, f_i^0, -R_i^1, ...]; with a_tj in the slot of
-    # H[j], G[t] . H[j] is the reduced A_tj
-    G = [[one] for _ in range(n)]
-    H = [[one] for _ in range(n)]
-
-    def strip(t, js):
-        """Reduced entries (t, j), j in js, from the upper triangle of
-        ``A`` alone."""
-        pt = perm[t]
-        for j in js:
-            pj = perm[j]
-            H[j][0] = A[pt][pj] if pt < pj else -A[pj][pt]
-        return [dec.plus(sum(map(mul, G[t], H[j]))) for j in js]
-
-    mag = one
-    sign = 1
-    with decimal.localcontext(prec.wide):
+        return _pfaffian_binary64(A)
+    mag, sign = decimal.Decimal(1), 1           # row i holds A_ij at j > i
+    with decimal.localcontext(prec.decimal) as dec:
         for k in range(0, n, 2):
-            col = strip(k, range(k + 1, n))    # A_kj; column k is -A_kj
-            p = max(range(n - k - 1), key=lambda j: abs(col[j]))
-            entry = col[p]
+            a, top = k + 1, A[k]
+            q = max(range(a, n), key=lambda j: abs(top[j]))
+            entry = top[q]
             if entry == 0:
                 return 0, -math.inf
-            if p:
-                q = k + 1 + p
-                for h in (perm, G, H):
-                    h[q], h[k + 1] = h[k + 1], h[q]
-                col[p] = col[0]
+            if q != a:
+                top[a], top[q] = entry, top[a]
+                for i in range(a + 1, q):
+                    A[a][i], A[i][q] = -A[i][q], -A[a][i]
+                A[a][q] = -A[a][q]
+                A[a][q + 1:], A[q][q + 1:] = A[q][q + 1:], A[a][q + 1:]
                 sign = -sign
             if entry < 0:
                 sign = -sign
             mag *= abs(entry)
-            row = strip(k + 1, range(k + 2, n))
-            for j in range(k + 2, n):
-                fj, rj = dec.divide(col[j - k - 1], entry), row[j - k - 2]
-                G[j] += (fj, rj)
-                H[j] += (-rj, fj)
-    return sign, prec.from_decimal(dec.ln(mag))
+            # A_ij -= f_i R_j - f_j R_i for a < i < j, with f_i = A_ki /
+            # entry and R_j = A_aj; f and R start at index a + 1
+            f, R = [x / entry for x in top[a + 1:]], A[a][a + 1:]
+            for d, (fi, ri) in enumerate(zip(f, R), start=1):
+                Ai, j = A[a + d], a + d + 1
+                Ai[j:] = [x - (fi * rj - fj * ri)
+                          for x, rj, fj in zip(Ai[j:], R[d:], f[d:])]
+        log_mag = dec.ln(mag)
+    return sign, prec.from_decimal(log_mag)
 
 
 def rkpw(nodes, weights, n: int) -> list:

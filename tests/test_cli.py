@@ -295,18 +295,22 @@ def test_compare_builds_weights_at_53_bits_only(capsys, count_calls, argv):
 
 
 def test_compare_reruns_only_the_pfaffian(capsys):
-    # the binary64 Pfaffian of this solve-hard system disagrees; the
-    # retry reruns it alone at 160 bits, block and Hankel stay binary64,
-    # and the swap's block on 12 x 48 runs after it, in binary64
-    code, out, _ = run_cli(capsys, "compare", "--L", "48", "--M", "12",
-                           "--k", "0.6", "--eta-frac", "0.953327")
-    assert code == 0
-    rec = json.loads(out, parse_constant=_reject_constant)
-    bits = {name: r["precision_bits"] for name, r in rec["routes"].items()}
-    assert bits == {"spin": 53, "block": 53, "hankel": 53, "pfaffian": 160,
-                    "swap": 53}
-    assert all(r["status"] == "ok" for r in rec["routes"].values())
-    assert rec["checks"]["pf_eq_det"] < 1e-9
+    # the binary64 Pfaffian of these two solve-hard systems disagrees, on
+    # 12 x 24 just past ESCALATION_DEV; the retry reruns it alone at 160
+    # bits, block and Hankel stay binary64, and the swap's block on the
+    # transposed system runs after it, in binary64
+    for argv in (("--L", "48", "--M", "12", "--k", "0.6",
+                  "--eta-frac", "0.953327"),
+                 ("--L", "12", "--M", "24", "--k", "6", "--eta-frac", "1.0")):
+        code, out, _ = run_cli(capsys, "compare", *argv)
+        assert code == 0
+        rec = json.loads(out, parse_constant=_reject_constant)
+        bits = {name: r["precision_bits"]
+                for name, r in rec["routes"].items()}
+        assert bits == {"spin": 53, "block": 53, "hankel": 53,
+                        "pfaffian": 160, "swap": 53}
+        assert all(r["status"] == "ok" for r in rec["routes"].values())
+        assert rec["checks"]["pf_eq_det"] < 1e-9
 
 
 def test_python_dash_m_runs_the_cli():

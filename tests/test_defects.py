@@ -17,7 +17,7 @@ from rectising import cli, identities, spectrum
 from rectising.contour import (ContourContext, contour_coefficients,
                                default_contour)
 from rectising.errors import (ConvergenceError, JointDiagonalizationError,
-                              NonFiniteError)
+                              NonFiniteError, PoleError)
 from rectising.params import couplings_from_modulus, swap_system
 from rectising.partition import (AGREEMENT_DEV, assemble_logZ,
                                  block_transfer_logZ, hankel_logZ,
@@ -77,6 +77,24 @@ def test_d14_compare_gates_a_moved_orientation(monkeypatch, route, swapped):
     off = "swap" if swapped else "pfaffian"
     assert _rel(diag["routes"][off]["logZ"],
                 diag["routes"]["block"]["logZ"]) > 0.9e-3
+
+
+@pytest.mark.parametrize("command", ["spectrum", "identities", "uplane"])
+@pytest.mark.parametrize("L", [16, 24, 32])
+def test_d3_amplitude_log_singularity_is_a_pole_error(command, L):
+    # binary64 cn + i sn comes out 0 at an edge-mode point here, and its
+    # complex log once escaped as a ValueError traceback
+    code, out, err = run_cli(command, "--L", str(L), "--M", "16", "--k", "6",
+                             "--eta-frac", "1.0")
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "PoleError"
+
+
+def test_d3_amplitude_pole_error_says_where():
+    c = couplings_from_modulus(6, 1.0, 16, 16)
+    with pytest.raises(PoleError, match="cn \\+ i sn = 0") as info:
+        spectrum.spectrum_for(c)
+    assert isinstance(info.value.where, complex)
 
 
 def test_d7_identities_on_6_by_10_pass():

@@ -2,6 +2,7 @@
 
     PYTHONPATH=src python3 tools/route_sweep.py [--out FILE] [--forced-bits N]
     PYTHONPATH=src python3 tools/route_sweep.py --large
+    PYTHONPATH=src python3 tools/route_sweep.py --pfaffian
 
 Runs route="all" at the default precision on every system of the grid
 L x M in SIZES, k in KS and eta-frac in ETAS, and reads each result
@@ -22,6 +23,12 @@ that pipeline, the swap pair (binary64 block on the system and on
 deviation, and up to ALL_MAX the time of route="all", the most bits any
 of its routes ran at, and the larger relative deviation of the pair from
 its log Z.
+
+``--pfaffian`` prints instead the tally of ROADMAP D10: the single route
+`assemble_logZ(c, "pfaffian")`, at its default 160 bits, on every system
+of the grid against the 256-bit block route, as the systems within
+PFAFFIAN_TOL, those `ok` but further off, those `failed` and those the
+route refuses (`skipped`), with the labels of all but the first class.
 Run it from the root of the source tree whose package it should import.
 """
 
@@ -49,6 +56,8 @@ LARGE = ((64, 0.6, 0.8), (128, 3, 0.8), (256, 0.6, 0.8), (256, 0.95, 1.0),
          (1024, 0.6, 0.8))
 #: the largest n on which ``--large`` runs the swap pair and route="all"
 ALL_MAX = 256
+#: the relative error within which ``--pfaffian`` counts a log Z as right
+PFAFFIAN_TOL = 1e-12
 
 
 def _outcomes(res):
@@ -72,6 +81,41 @@ def _timed(f, *args):
 
 def _rel(a, b) -> float:
     return abs(a - b) / abs(b)
+
+
+def _grid():
+    """(label, couplings) of every system of the sweep grid."""
+    for L, M in SIZES:
+        for k in KS:
+            for eta in ETAS:
+                yield (f"{L}x{M} k={k} eta={eta}",
+                       couplings_from_modulus(k, eta, L, M))
+
+
+def _err(lz, ref) -> float:
+    """Relative error of ``lz`` against the 256-bit ``ref``; inf if NaN."""
+    e = float(abs(REFERENCE.ctx.mpf(lz) - ref) / abs(ref))
+    return e if e == e else float("inf")
+
+
+def pfaffian_tally() -> dict:
+    """The ``--pfaffian`` tally: how many systems of the grid fall in each
+    class, and the label of each system off, failed or refused."""
+    classes = {"within": [], "ok_but_off": [], "failed": [], "refused": []}
+    for label, c in _grid():
+        o = assemble_logZ(c, "pfaffian").outcomes["pfaffian"]
+        if o.status == "ok":
+            e = _err(o.logZ, block_transfer_logZ(c, REFERENCE)[0])
+            name = "within" if e <= PFAFFIAN_TOL else "ok_but_off"
+            classes[name].append((label, e))
+        else:
+            name = "failed" if o.status == "failed" else "refused"
+            classes[name].append((label, o.reason))
+    tally = {"systems": sum(map(len, classes.values())),
+             **{name: len(v) for name, v in classes.items()}}
+    tally.update((f"{name}_systems", v) for name, v in classes.items()
+                 if name != "within")
+    return tally
 
 
 def large_table() -> str:
@@ -109,43 +153,39 @@ def main(argv=None):
                     help="also record route='all' at this precision")
     ap.add_argument("--large", action="store_true",
                     help="print the large-systems table instead")
+    ap.add_argument("--pfaffian", action="store_true",
+                    help="print the single Pfaffian route's tally instead")
     ns = ap.parse_args(argv)
     if ns.large:
         print(large_table())
         return
-    ctx = REFERENCE.ctx
+    if ns.pfaffian:
+        print(json.dumps(pfaffian_tally(), indent=1))
+        return
     records, seconds = [], 0.0
     worst_reported = worst_route = (0.0, None)
     escalated, d8, disagreeing = [], 0, []
-    for L, M in SIZES:
-        for k in KS:
-            for eta in ETAS:
-                c = couplings_from_modulus(k, eta, L, M)
-                label = f"{L}x{M} k={k} eta={eta}"
-                t0 = time.perf_counter()
-                res = assemble_logZ(c, "all")
-                seconds += time.perf_counter() - t0
-                ref = block_transfer_logZ(c, REFERENCE)[0]
-
-                def err(lz):
-                    e = float(abs(ctx.mpf(lz) - ref) / abs(ref))
-                    return e if e == e else float("inf")
-                worst_reported = max(worst_reported, (err(res.logZ), label))
-                for o in res.outcomes.values():
-                    if o.status == "ok":
-                        worst_route = max(worst_route,
-                                          (err(o.logZ), f"{label} {o.name}"))
-                if any(o.precision_bits > 53 for o in res.outcomes.values()):
-                    escalated.append(label)
-                    d8 += _fails_joint_check(c)
-                if res.max_pairwise_dev > AGREEMENT_DEV:
-                    disagreeing.append((label, res.max_pairwise_dev))
-                rec = {"system": label, "default": _outcomes(res),
-                       "reference": float(ref)}
-                if ns.forced_bits:
-                    rec["forced"] = _outcomes(assemble_logZ(
-                        c, "all", Precision(ns.forced_bits)))
-                records.append(rec)
+    for label, c in _grid():
+        t0 = time.perf_counter()
+        res = assemble_logZ(c, "all")
+        seconds += time.perf_counter() - t0
+        ref = block_transfer_logZ(c, REFERENCE)[0]
+        worst_reported = max(worst_reported, (_err(res.logZ, ref), label))
+        for o in res.outcomes.values():
+            if o.status == "ok":
+                worst_route = max(worst_route,
+                                  (_err(o.logZ, ref), f"{label} {o.name}"))
+        if any(o.precision_bits > 53 for o in res.outcomes.values()):
+            escalated.append(label)
+            d8 += _fails_joint_check(c)
+        if res.max_pairwise_dev > AGREEMENT_DEV:
+            disagreeing.append((label, res.max_pairwise_dev))
+        rec = {"system": label, "default": _outcomes(res),
+               "reference": float(ref)}
+        if ns.forced_bits:
+            rec["forced"] = _outcomes(assemble_logZ(
+                c, "all", Precision(ns.forced_bits)))
+        records.append(rec)
     summary = {
         "systems": len(records),
         "escalations": len(escalated),
