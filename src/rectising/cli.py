@@ -38,13 +38,15 @@ from .spectrum import spectrum_for
 
 
 def _couplings(ns) -> Couplings:
-    """The couplings of the parsed options, validated."""
-    if (ns.K_h is None) == (ns.k is None):
+    """The couplings of the parsed options, validated: one pair or the
+    other, never an option of both."""
+    direct = (ns.K_h, ns.K_v) != (None, None)
+    if direct == (ns.k is not None) or direct and ns.eta_fraction is not None:
         raise DomainError(
             "provide exactly one of (--Kh, --Kv) or (--k, --eta-frac)")
-    if ns.K_h is not None:
-        if ns.K_v is None:
-            raise DomainError("--Kh requires --Kv")
+    if direct:
+        if ns.K_h is None or ns.K_v is None:
+            raise DomainError("--Kh and --Kv go together")
         return Couplings(ns.K_h, ns.K_v, ns.L, ns.M)
     return couplings_from_modulus(ns.k, _eta_fraction(ns), ns.L, ns.M)
 

@@ -203,24 +203,22 @@ def elliptic_frame(w: Weights) -> EllipticFrame:
                          eta_tilde=i * Kp / 2 - eta, kernel=kern, prec=prec)
 
 
-def couplings_from_modulus(k, eta_fraction, L, M,
-                           prec: Precision = FLOAT64) -> Couplings:
-    """System with prescribed modulus and anisotropy.
+def couplings_from_modulus(k, eta_fraction, L, M) -> Couplings:
+    """System with prescribed modulus and anisotropy, in binary64.
 
     ``eta_fraction`` scales the isotropic point: eta = fraction * i K'/4,
     so fraction 1 is the isotropic system.  The fraction lies in (0, 2):
     K_h -> 0 as it goes to 0 and K_v -> 0 as it goes to 2, where eta
     reaches the upper end i K'/2 of its strip.
     """
-    prec = as_precision(prec)
-    fn = _scalar_fns(prec)
+    fn = _scalar_fns(FLOAT64)
     if not 0 < eta_fraction < 2:
         raise DomainError("eta_fraction must lie in (0, 2)")
     k = fn.mpf(k)
     if is_critical(k):
         raise CriticalModulusError(
             "critical modulus has no anisotropy parametrization")
-    kern = get_kernel(k, prec)
+    kern = get_kernel(k, FLOAT64)
     eta = fn.mpc(0, 1) * fn.mpf(eta_fraction) * kern.K_prime / 4
     s = kern.sncndn(2 * eta)[0].imag
     if not s > 0:

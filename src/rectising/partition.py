@@ -72,6 +72,9 @@ AGREEMENT_DEV = 1e-8
 #: route off by less than that is caught
 ESCALATION_DEV = AGREEMENT_DEV / 10
 
+#: relative tolerance of the Pfaffian's skew-symmetry gate
+SKEW_TOL = 1e-12
+
 
 # ----------------------------------------------------------------------
 # structured factorizations
@@ -247,26 +250,27 @@ def pfaffian(rows, prec: Precision = FLOAT64) -> tuple:
     (0, -inf) if it is singular.
 
     Skew tridiagonalization with partial pivoting (Parlett-Reid).  The
-    skew gate is relative to the largest entry; past it only the upper
-    triangle is read, so the reduced matrix is exactly skew; swaps flip
-    the sign.  Binary64 runs the classic right-looking update as array
-    updates; extended precision runs the same loop on the upper triangle,
-    as lists of Decimal rows, each operation rounded in ``prec.decimal``:
-    a swap of indices k+1 and q flips the sign of every entry that crosses
-    the diagonal.
+    skew gate (SKEW_TOL) is relative to the largest entry; past it only
+    the upper triangle is read, so the reduced matrix is exactly skew;
+    swaps flip the sign.  Binary64 runs the classic right-looking update
+    as array updates; extended precision runs the same loop on the upper
+    triangle, as lists of Decimal rows, each operation rounded in
+    ``prec.decimal``: a swap of indices k+1 and q flips the sign of every
+    entry that crosses the diagonal.
     """
     n = _check_square(rows, "Pfaffian")
     A = _real_rows(rows, prec, "Pfaffian")
     if n % 2:
         raise DomainError("Pfaffian requires even dimension")
     if prec.is_float:
-        off = np.abs(A + A.T).max(initial=0) > 1e-12 * np.abs(A).max(initial=0)
+        off = (np.abs(A + A.T).max(initial=0)
+               > SKEW_TOL * np.abs(A).max(initial=0))
     else:
         with decimal.localcontext(prec.decimal):
             # one pass: each row from the diagonal on against its column
             gap = max((max(map(abs, map(add, r[i:], c[i:])))
                        for i, (r, c) in enumerate(zip(A, zip(*A)))), default=0)
-            off = gap > decimal.Decimal("1e-12") * max(
+            off = gap > decimal.Decimal(repr(SKEW_TOL)) * max(
                 (max(map(abs, r)) for r in A), default=0)
     if off:
         raise DomainError("Pfaffian requires a skew-symmetric matrix")
@@ -734,8 +738,8 @@ def hankel_logZ(c: Couplings, prec: Precision | None = None,
             raise NonFiniteError("a recurrence coefficient of the spectral "
                                  "measure is not positive and finite")
         if prec.is_float:
-            log_det = prec.ctx.fsum((n - j) * math.log(b)
-                                    for j, b in enumerate(betas))
+            log_det = sum(((n - j) * math.log(b)
+                           for j, b in enumerate(betas)), 0.0)
         else:
             top, log_det = map(prec.from_decimal, (top, math.prod(
                 b ** (n - j) for j, b in enumerate(betas)).ln()))

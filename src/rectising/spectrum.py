@@ -251,9 +251,9 @@ class SpectrumPoint:
 
     ``lam`` is the positive transfer-matrix eigenvalue.  ``eigvec`` is a
     row of a binary64 array, or a tuple of Decimals at extended
-    precision, where the eigenvalues and gamma are Decimals too
-    until ``spectrum_for`` makes them context scalars.  Only
-    ``spectrum_for`` fills phi, zeta, the Jacobi triple
+    precision, where the eigenvalues and gamma are Decimals too until
+    ``spectrum_for`` makes them context scalars; no binary64 copy is
+    kept.  Only ``spectrum_for`` fills phi, zeta, the Jacobi triple
     (`enrich_spectrum`), u, branch, omega, theta, psi and quant_residual;
     no route reads them.  `exp_theta` and `exp_psi` read
     the context and modulus that `enrich_spectrum` sets with the triple.
@@ -277,13 +277,6 @@ class SpectrumPoint:
     sn_u: complex = field(default=None, repr=False)
     cn_u: complex = field(default=None, repr=False)
     dn_u: complex = field(default=None, repr=False)
-    _binary64: tuple = field(default=None, repr=False)
-
-    def eigvec64(self):
-        """``eigvec`` in binary64, converted once per vector object."""
-        if self._binary64 is None or self._binary64[0] is not self.eigvec:
-            self._binary64 = self.eigvec, np.array(self.eigvec, dtype=float)
-        return self._binary64[1]
 
     def exp_theta(self):
         """e^theta = k sn u cn u / (i dn u), single-valued in the triple."""
@@ -310,8 +303,10 @@ def joint_spectrum(bundle: MatrixBundle, w: Weights,
     ordered-phase edge mode's is, ROADMAP D8): lambda_+^2 / (lambda_+^2 -
     1) against q's |v|^T |T_minus| |v| / |q|.  q is taken at the working
     precision, or in binary64 where its rounding decides neither.  lambda
-    is s = lambda_+ + |lambda_minus| or 1/s.  `check_joint` checks the
-    cross-residuals against every family member.
+    is s = lambda_+ + |lambda_minus| or 1/s.  One loop serves both
+    precisions; only its sqrt and ln (`math`, or Decimal's in the
+    precision's context) and the working-precision q depend on it.
+    `check_joint` checks the cross-residuals against every family member.
     """
     prec = as_precision(prec if prec is not None else bundle.prec)
     chis, lam_plus, vecs = _core_eig(bundle, w, prec)
@@ -319,38 +314,30 @@ def joint_spectrum(bundle: MatrixBundle, w: Weights,
     bands64 = [np.array(b, dtype=float) for b in bundle.minus_bands]
     size = _anti_quotients([np.abs(b) for b in bands64], np.abs(V64))
     quots = _anti_quotients(bands64, V64)
-    pts = []
     if prec.is_float:
-        for chi, lp, v, q, a in zip(chis, lam_plus, V64, quots.tolist(),
+        sqrt, ln, rows = math.sqrt, math.log, V64
+    else:
+        sqrt, ln, rows = decimal.Decimal.sqrt, decimal.Decimal.ln, vecs
+        bands = [np.array([prec.to_decimal(x) for x in b], dtype=object)
+                 for b in bundle.minus_bands]
+    pts = []
+    with decimal.localcontext(prec.decimal):
+        for chi, lp, v, q, a in zip(chis, lam_plus, rows, quots.tolist(),
                                     size.tolist()):
             sq = (lp - 1) * (lp + 1)
+            lp2, sq64 = float(lp) ** 2, float(sq)
+            slack = 2.0 ** -50 * bundle.M * a   # bounds binary64 q's error
+            if not prec.is_float and (abs(q) <= slack or
+                                      lp2 * (abs(q) + slack) > sq64 * a):
+                q = _anti_quotients(bands, np.array([v], dtype=object))[0]
             # the root is worse conditioned: lambda_+^2 / sq > a / |q|
-            lm = (abs(q) if lp ** 2 * abs(q) > sq * a
-                  else math.sqrt(max(sq, 0 * sq)))
+            lm = (abs(q) if lp2 * abs(float(q)) > sq64 * a
+                  else sqrt(max(sq, 0 * sq)))
             s = lp + lm
-            lam, gamma = (s, math.log(s)) if q >= 0 else (1 / s, -math.log(s))
+            lam, gamma = (s, ln(s)) if q >= 0 else (1 / s, -ln(s))
             pts.append(SpectrumPoint(
                 mu=0, lam=lam, lam_plus=lp, lam_minus=lm if q >= 0 else -lm,
-                gamma=gamma, chi=chi, eigvec=v, _binary64=(v, v)))
-    else:
-        with decimal.localcontext(prec.decimal):
-            bands = [np.array([prec.to_decimal(x) for x in b], dtype=object)
-                     for b in bundle.minus_bands]
-            for chi, lp, v, v64, q, a in zip(chis, lam_plus, vecs, V64,
-                                             quots.tolist(), size.tolist()):
-                sq = (lp - 1) * (lp + 1)
-                lp2, sq64 = float(lp) ** 2, float(sq)
-                slack = 2.0 ** -50 * bundle.M * a   # bounds binary64 q's error
-                if abs(q) <= slack or lp2 * (abs(q) + slack) > sq64 * a:
-                    q = _anti_quotients(bands, np.array([v], dtype=object))[0]
-                lm = (abs(q) if lp2 * abs(float(q)) > sq64 * a
-                      else max(sq, 0 * sq).sqrt())
-                s = lp + lm
-                lam, gamma = (s, s.ln()) if q >= 0 else (1 / s, -s.ln())
-                pts.append(SpectrumPoint(
-                    mu=0, lam=lam, lam_plus=lp,
-                    lam_minus=lm if q >= 0 else -lm, gamma=gamma, chi=chi,
-                    eigvec=v, _binary64=(v, v64)))
+                gamma=gamma, chi=chi, eigvec=v))
     pts.sort(key=lambda p: -float(p.gamma))
     for i, p in enumerate(pts):
         p.mu = i + 1
@@ -361,9 +348,9 @@ def check_joint(bundle: MatrixBundle, pts: list):
     """Check that every eigenvector of ``pts`` diagonalizes each member
     of the family within JOINT_TOL, at any modulus, in binary64 at every
     precision (its rounding, ~M eps, is far below the tolerance), by one
-    product of the stacked family with the eigenvectors.  A NaN residual
-    fails."""
-    V = np.array([p.eigvec64() for p in pts]).T
+    product of the stacked family with the eigenvectors, converted to
+    binary64 on each call.  A NaN residual fails."""
+    V = np.array([p.eigvec for p in pts], dtype=float).T
     vals = np.array([(p.lam, p.lam_plus, p.lam_minus, p.chi) for p in pts],
                     dtype=float).T
     worst = np.abs((bundle.family @ V).reshape(4, bundle.M, -1)

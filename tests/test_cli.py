@@ -464,7 +464,9 @@ class TestIdentities:
 
     @pytest.mark.parametrize("couplings", [
         ("--k", "0.6", "--Kh", "0.3", "--Kv", "0.4"),
-        ("--k", "0.6", "--eta-frac", "1.5")])
+        ("--k", "0.6", "--eta-frac", "1.5"),
+        ("--k", "0.6", "--Kv", "0.3"),
+        ("--Kh", "0.3", "--Kv", "0.4", "--eta-frac", "0.5")])
     def test_couplings_validated_like_z(self, capsys, couplings):
         code, out, err = run_cli(capsys, "identities", "--L", "4", "--M",
                                  "4", *couplings)
