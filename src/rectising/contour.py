@@ -14,10 +14,10 @@ counterclockwise band around each eigenvalue circle therefore picks up
 every eigenvalue twice, and the band integrals are halved to match the
 one-term-per-eigenvalue spectral sums.
 
-Evaluation: in binary64 a ladder level is one array evaluation whose
-rows are its lines (`EllipticKernel.sncndn_line`, then `_node` on the
-(lines x nodes) arrays); extended precision evaluates the same `_node`
-one scalar node at a time.
+Evaluation: a ladder level, its lines as rows, and a u-plane grid row are
+each one array evaluation (`EllipticKernel.sncndn_line`, then `_node` on
+the (lines x nodes) arrays): complex arrays in binary64, object arrays of
+the context's numbers in extended precision.
 """
 
 from __future__ import annotations
@@ -125,8 +125,9 @@ def _node(u, cctx: ContourContext, triple=None):
     """Common factor NUM/DEN * dgamma/du and the bases (chi, zeta) at u.
 
     One kernel evaluation, or the caller's ``triple`` (then u is unread;
-    numpy arrays of nodes, of any shape, give arrays): sn(u +- eta) come
-    from the triple and the frame's eta triple by the addition formula.
+    arrays of nodes, of any shape, give arrays): sn(u +- eta) come from
+    the triple and the frame's eta triple by the addition formula.  Node
+    values stand left of the frame's scalars, as in `sn_add`.
     """
     frame = cctx.frame
     i = _scalar_fns(cctx.prec).mpc(0, 1)
@@ -135,13 +136,13 @@ def _node(u, cctx: ContourContext, triple=None):
         triple = frame.kernel.sncndn(u)
     sn, cn, dn = triple
     sp, sm = sn_pm_eta(triple, frame)
-    lam, zeta = 1 / (k * sp * sm), sp / sm
-    exp_m_theta = i * dn / (k * sn * cn)
+    lam, zeta = 1 / (sp * k * sm), sp / sm
+    exp_m_theta = dn * i / (sn * k * cn)
     num = 1 - lam ** cctx.L * exp_m_theta
     sn2, cn2, _dn2 = double_argument(triple, k)
-    den = 1 - zeta ** cctx.M * (cn2 - i * sn2)
+    den = 1 - zeta ** cctx.M * (cn2 - sn2 * i)
     chi = zeta + 1 / zeta + 2
-    dgamma = -k * sn2 * (lam - 1 / lam)
+    dgamma = sn2 * -k * (lam - 1 / lam)
     return num / den * dgamma, chi, zeta
 
 
@@ -164,30 +165,17 @@ def _line_sums(ns, lines, cctx, base, samples, stride=1):
     """Signed node sums over the (level, sign) lines at the nodes
     -K + j * (2K/samples), j = stride - 1, 2*stride - 1, ... below samples;
     without the step factor."""
-    ctx = cctx.prec.ctx
     K = float(cctx.frame.K)
-    step = 2 * K / samples
-    if cctx.prec.is_float:
-        xs = -K + np.arange(stride - 1, samples, stride) * step
-        exps = np.array(ns) * (1 if base == "chi" else -1)
-        common, chi, zeta = _node(None, cctx, cctx.frame.kernel.sncndn_line(
-            xs, [level for level, _sign in lines], rows=True))
-        b = chi if base == "chi" else zeta
-        # summed by numpy, not BLAS: a threaded zgemv stalls for
-        # milliseconds when the other cores are busy
-        per_line = (common[..., None] * b[..., None] ** exps).sum(1)
-        acc = sum(sign * line for (_level, sign), line in zip(lines, per_line))
-        return dict(zip(ns, map(complex, acc)))
-    acc = {n: ctx.mpc(0) for n in ns}
-    for level, sign in lines:
-        for j in range(stride - 1, samples, stride):
-            u = ctx.mpc(-K + j * step, level)
-            common, chi, zeta = _node(u, cctx)
-            common = sign * common
-            for n in ns:
-                b = chi ** n if base == "chi" else zeta ** (-n)
-                acc[n] += common * b
-    return acc
+    xs = -K + np.arange(stride - 1, samples, stride) * (2 * K / samples)
+    exps = np.array(ns) * (1 if base == "chi" else -1)
+    common, chi, zeta = _node(None, cctx, cctx.frame.kernel.sncndn_line(
+        xs, [level for level, _sign in lines], rows=True))
+    b = chi if base == "chi" else zeta
+    # summed by numpy, not BLAS: a threaded zgemv stalls for milliseconds
+    # when the other cores are busy
+    per_line = (common[..., None] * b[..., None] ** exps).sum(1)
+    acc = sum(sign * line for (_level, sign), line in zip(lines, per_line))
+    return dict(zip(ns, acc.tolist()))
 
 
 def _scale(sums, cctx, samples):
@@ -290,14 +278,13 @@ def uplane_field(n: int, resolution: int, cctx: ContourContext) -> UPlaneField:
 
     Poles on grid nodes, counter-poles included, are emitted as signed
     infinities.  Works in both phases (sampling needs no deformation).
-    Binary64 evaluates a grid row at once, node by node only if one is a
-    pole; extended precision evaluates every node on its own.
+    A grid row is one `sncndn_line` call, split node by node only if a
+    node is a pole or divides by zero (extended precision raises there).
     """
     if resolution < 16:
         raise DomainError("resolution must be at least 16")
     frame = cctx.frame
     K, Kp = float(frame.K), float(frame.K_prime)
-    ctx = cctx.prec.ctx
     # sn(u +- eta) has the addition-formula numerator a +- b below.
     # sn(u + eta) = 0 is a pole; near sn(u - eta) = 0 the integrand goes as
     # sn(u - eta)^(M - L - n - 1), which the closed form gets right from a
@@ -309,7 +296,7 @@ def uplane_field(n: int, resolution: int, cctx: ContourContext) -> UPlaneField:
     def values(triple):
         """Integrand from node triples; inf+infj at counter-poles, overflow."""
         sn, cn, dn = triple
-        a, b = sn * cn_e * dn_e, sn_e * cn * dn
+        a, b = sn * cn_e * dn_e, cn * sn_e * dn
         tol = COUNTER_POLE_TOL * (abs(a) + abs(b))
         with np.errstate(all="ignore"):
             common, chi, _zeta = _node(None, cctx, triple)
@@ -317,25 +304,18 @@ def uplane_field(n: int, resolution: int, cctx: ContourContext) -> UPlaneField:
         counter = (abs(a + b) <= tol) | (pole_at_eta & (abs(a - b) <= tol))
         return np.where(counter | ~np.isfinite(vals), inf, vals).tolist()
 
-    def node(x, y):
+    def row(xs, y):
+        """The values at the nodes x + iy, node by node if the row raises."""
         try:
-            if cctx.prec.is_float:
-                return values(frame.kernel.sncndn_line([x], y))[0]
-            return values(frame.kernel.sncndn(ctx.mpc(x, y)))
+            return values(frame.kernel.sncndn_line(xs, [y], rows=True))[0]
         except (PoleError, ZeroDivisionError):
-            return inf
+            return [inf] if len(xs) == 1 else [
+                v for x in xs for v in row([x], y)]
 
     xs = -K + 2 * K * np.arange(resolution) / (resolution - 1)
     vals = []
     for iy in range(resolution):
-        y = -Kp + 2 * Kp * iy / (resolution - 1)
-        if cctx.prec.is_float:
-            try:
-                vals += values(frame.kernel.sncndn_line(xs, y))
-                continue
-            except PoleError:
-                pass                  # split the row per node
-        vals += [node(x, y) for x in xs]
+        vals += row(xs, -Kp + 2 * Kp * iy / (resolution - 1))
     h = complex(frame.eta)
     ik = 1j * Kp
     markers = {

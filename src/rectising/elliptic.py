@@ -9,8 +9,9 @@ Algorithms
   descending Landen transformation seeded by an arithmetic-geometric-mean
   chain, kept per modulus as a_n, 2^n a_n and c_j / a_j in backward order,
 * complex arguments split u = x + iy and combine real evaluations at the
-  modulus and its complement through the sn addition formulas (in
-  binary64 also over numpy arrays of nodes x_j + i y_j),
+  modulus and its complement through the sn addition formulas (also
+  over arrays of nodes x_j + i y_j: numpy passes in binary64, one scalar
+  evaluation per node in extended precision),
 * incomplete integrals use the Carlson symmetric form RF with the standard
   duplication iteration, which is well behaved for complex amplitudes,
 * moduli k > 1 route through the reciprocal modulus; the exposed quarter
@@ -216,29 +217,28 @@ class EllipticKernel:
         return ((self.kappa * s, d, c) if self.ordered else (s, c, d)), phi
 
     def sncndn_line(self, xs, y, rows=False):
-        """Binary64 sn, cn, dn as arrays at the nodes x + iy, where ``y``
-        is one level (a horizontal line), an array that broadcasts
-        against ``xs``, or with ``rows`` a sequence of levels, one row of
-        nodes each: one numpy Landen pass over ``xs`` serves every level,
-        each level takes the scalar complement triple (an array ``y`` a
-        numpy pass of its own), combined as in `sncndn`; PoleError if any
-        node is a pole."""
+        """sn, cn, dn as arrays at the nodes x + iy, where ``y`` is an
+        array that broadcasts against ``xs`` (a scalar as a 0-d array), or
+        with ``rows`` a sequence of levels, one row of nodes each;
+        PoleError if any node is a pole.  Binary64 makes one numpy Landen
+        pass over ``xs`` for every level, each level of ``rows`` taking
+        the scalar complement triple, combined as in `sncndn`; extended
+        precision evaluates `sncndn` node by node into object arrays."""
+        dtype = float if self.prec.is_float else object
+        xs = np.asarray(xs, dtype=dtype)
+        y = (np.array(y, dtype=dtype)[:, None] if rows
+             else np.asarray(y, dtype=dtype))
         if not self.prec.is_float:
-            raise DomainError("sncndn_line is binary64 only")
-        xs = np.asarray(xs, dtype=float)
-        if rows:
-            y = np.array(y, dtype=float)[:, None]
-        elif np.ndim(y):
-            y = np.asarray(y, dtype=float)
+            mpc = self._fn.mpc
+            return np.frompyfunc(lambda x, v: self.sncndn(mpc(x, v)), 2, 3)(
+                xs, y)
         xb, yb = (xs / self.kappa, y / self.kappa) if self.ordered else (xs, y)
         chain, kk = self._chain_c, self.kappa_prime
         if rows:        # the scalar triple of each level, as columns
             comp = [np.array(f)[:, None] for f in zip(*(
                 self._sncndn_base(v, chain, kk)[0] for v in yb[:, 0].tolist()))]
-        elif isinstance(yb, np.ndarray):
-            comp = self._base_line(yb, chain, kk)
         else:
-            comp = self._sncndn_base(yb, chain, kk)[0]
+            comp = self._base_line(yb, chain, kk)
         s, c, d = self._add_imaginary(
             self._base_line(xb, self._chain, self.kappa), comp, (xs, y))
         return (self.kappa * s, d, c) if self.ordered else (s, c, d)

@@ -29,7 +29,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import PhaseLeakError, PoleError, RectisingError
+from .errors import DomainError, PhaseLeakError, PoleError, RectisingError
 from .elliptic import _scalar_fns, arcsn, incomplete_F
 from .params import Couplings, dual
 from .partition import hankel_from_spectrum
@@ -40,7 +40,6 @@ from .spectrum import (
     chi_poly_derivatives,
     dispersion_residual,
     double_argument,
-    lambda_zeta,
     spectrum_for,
 )
 
@@ -145,12 +144,9 @@ class IdentityEnv:
         FD_SAMPLES samples from lambda_zeta at u +- h and u +- 2h (h =
         FD_STEP, one call) by the fourth-order central stencil (Fornberg,
         Math. Comp. 51, 699 (1988)); raises the first PoleError."""
-        vals = self.lambda_zeta_at([s.u + d * FD_STEP
-                                    for s in self.samples[:FD_SAMPLES]
-                                    for d in (1, -1, 2, -2)])
-        for v in vals:
-            if isinstance(v, PoleError):
-                raise v
+        vals = _raise_pole(self.lambda_zeta_at([
+            s.u + d * FD_STEP for s in self.samples[:FD_SAMPLES]
+            for d in (1, -1, 2, -2)]))
         f = [(self.fn.clog(lam), zet, zet + 1 / zet) for lam, zet in vals]
         return [[(8 * (p - m) - (p2 - m2)) / (12 * FD_STEP)
                  for p, m, p2, m2 in zip(*f[j:j + 4])]
@@ -193,18 +189,22 @@ class Residuals:
         return max(self.parts.values(), key=lambda v: (v != v, v), default=0.0)
 
 
+def _raise_pole(vals):
+    """``vals``, or the first PoleError among them raised."""
+    for v in vals:
+        if isinstance(v, PoleError):
+            raise v
+    return vals
+
+
 def _triples(kern, rows):
     """Per row of torus points, their (sn, cn, dn) triples or the PoleError
-    the row raised: one `sncndn_line` call in binary64, a scalar `sncndn`
-    call per point in extended precision, row by row if one is a pole."""
-    def evaluate(rows):
-        if not kern.prec.is_float:
-            return [list(map(kern.sncndn, row)) for row in rows]
-        points = np.array(rows)
-        triples = np.swapaxes(kern.sncndn_line(points.real, points.imag), 0, 1)
-        return [list(zip(*row)) for row in triples.tolist()]
+    the row raised: one `sncndn_line` call, row by row if one is a pole."""
     try:
-        return evaluate(rows)
+        triples = np.swapaxes(kern.sncndn_line(
+            [[u.real for u in row] for row in rows],
+            [[u.imag for u in row] for row in rows]), 0, 1)
+        return [list(zip(*row)) for row in triples.tolist()]
     except PoleError as exc:
         if len(rows) == 1:
             return [exc]
@@ -245,6 +245,8 @@ def _draw_samples(frame, rng, count):
 
 def build_env(c: Couplings, samples: int = 16, seed: int = 0,
               prec: Precision | None = None) -> IdentityEnv:
+    if samples < 1:
+        raise DomainError(f"samples must be at least 1, got {samples}")
     prec = as_precision(prec)
     w, frame, _bundle, points = spectrum_for(c, prec)
     rng = random.Random(seed)
@@ -713,9 +715,9 @@ def _e_cp_zero(env, r):
     r.compare("det_halfsum", char_poly_eval("lambda_plus", 0, env.cpc), prod)
     i = fn.mpc(0, 1)
     s = fn.csqrt(dual(i * w.lambda_n) / (i * fr.k))
-    lam0, _zet0 = lambda_zeta(arcsn(s, fr.k, env.prec), fr)
+    (lam0, _zet0), (lam1, _zet1) = _raise_pole(env.lambda_zeta_at(
+        [arcsn(s, fr.k, env.prec), fr.K + i * fr.K_prime / 2]))
     r.compare("halfsum_zero_point", (lam0 + 1 / lam0) / 2, 0)
-    lam1, _ = lambda_zeta(fr.K + i * fr.K_prime / 2, fr)
     r.compare("halfdiff_zero_point", (lam1 - 1 / lam1) / 2, 0)
 
 

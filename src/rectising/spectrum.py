@@ -399,13 +399,16 @@ def triple_from_lambda(lam, w: Weights, frame: EllipticFrame):
 
 def sn_add(triple_a, triple_b, k):
     """sn(u + v) from the triples at u and v, by the addition formula;
-    the triples may hold numpy arrays, and any pole entry raises."""
+    the triples at u may hold arrays, and any pole entry raises.  Their
+    entries stand left of the scalars (the same product bit for bit): an
+    mpmath number left of an array first puts the array's repr into a
+    TypeError, and only then does numpy take the product."""
     sn_a, cn_a, dn_a = triple_a
     sn_b, cn_b, dn_b = triple_b
-    den = 1 - (k * sn_a * sn_b) ** 2
+    den = 1 - (sn_a * k * sn_b) ** 2
     if any_true(abs(den) < 1e-14):
         raise PoleError("addition formula pole", where=None)
-    return (sn_a * cn_b * dn_b + sn_b * cn_a * dn_a) / den
+    return (sn_a * cn_b * dn_b + cn_a * sn_b * dn_a) / den
 
 
 def sn_pm_eta(triple, frame):
@@ -429,12 +432,13 @@ def _matched_triple(lam, target, w: Weights, frame: EllipticFrame):
 
 
 def double_argument(triple, k):
-    """(sn 2u, cn 2u, dn 2u) from the triple at u."""
+    """(sn 2u, cn 2u, dn 2u) from the triple at u (arrays left of k, as
+    in `sn_add`)."""
     sn, cn, dn = triple
-    den = 1 - (k * sn * sn) ** 2
+    den = 1 - (sn * k * sn) ** 2
     sn2 = 2 * sn * cn * dn / den
     cn2 = (cn * cn - (sn * dn) ** 2) / den
-    dn2 = (dn * dn - (k * sn * cn) ** 2) / den
+    dn2 = (dn * dn - (sn * k * cn) ** 2) / den
     return sn2, cn2, dn2
 
 

@@ -1,5 +1,6 @@
 """Command-line surface: subcommands, formats, exit codes, round trips."""
 
+import contextlib
 import csv
 import io
 import json
@@ -11,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import rectising
 from rectising import cli
@@ -474,6 +476,16 @@ class TestIdentities:
         assert out == ""
         assert json.loads(err)["error"] == "DomainError"
 
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_samples_below_one_refused(self, capsys, samples):
+        # without a torus sample the sample-based entries compare nothing
+        code, out, err = run_cli(capsys, "identities", "--L", "4", "--M",
+                                 "4", "--k", "0.6", "--eta-frac", "0.8",
+                                 "--samples", samples)
+        assert code == 1
+        assert out == ""
+        assert json.loads(err)["error"] == "DomainError"
+
 
 class TestScan:
     def test_csv_shape_and_roundtrip(self, capsys):
@@ -720,3 +732,29 @@ def test_finite_record_skips_the_walk(monkeypatch, obj):
 
     monkeypatch.setattr(cli, "_finite", refuse)
     assert cli._json_dumps(obj) == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 14), st.integers(1, 14),
+       st.one_of(st.floats(0.1, 0.95, exclude_min=True, exclude_max=True),
+                 st.floats(1.05, 10, exclude_min=True, exclude_max=True)),
+       st.floats(0.05, 1, exclude_min=True),
+       st.floats(0.1, 10))
+def test_no_subcommand_ends_in_a_traceback(L, M, k, frac, k_max):
+    # every subcommand on any system exits 0 or 3, or 1 with one JSON line
+    # on stderr; none raises out of main
+    geo = ["--L", str(L), "--M", str(M)]
+    system = [*geo, "--k", repr(k), "--eta-frac", repr(frac)]
+    for argv in (["z", *system], ["compare", *system], ["spectrum", *system],
+                 ["identities", *system, "--samples", "4"],
+                 ["uplane", *system, "--grid", "16"],
+                 ["scan", *geo, "--k-min", repr(k), "--k-max", repr(k_max),
+                  "--steps", "2", "--eta-frac", repr(frac)]):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 3), argv
+        if code == 1:
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1, argv
+            assert "error" in json.loads(lines[0]), argv

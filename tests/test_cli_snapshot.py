@@ -86,6 +86,7 @@ def test_contour_records(snapshot):
 
     argvs = snapshot._argvs([0])
     below = [a[1:] for a in argvs if a[0] == "identities"
+             and "--precision-bits" not in a
              and float(a[a.index("--k") + 1]) < 1]
     assert below and [a[1:] for a in argvs if a[0] == "contour"] == below
     rec = snapshot._run(["contour", "--L", "4", "--M", "4", "--k", "0.6",
@@ -96,3 +97,14 @@ def test_contour_records(snapshot):
     want = contour_coefficients([1, 2, 3], default_contour(cctx.frame), cctx)
     assert rec["output"] == {f"h_{n}": [want[n].real, want[n].imag]
                              for n in (1, 2, 3)}
+
+
+def test_extended_records(snapshot):
+    # spectrum, identities and uplane also run at 160 bits, on the two
+    # fixed crosscheck systems only
+    extended = [a for a in snapshot._argvs([0, 1]) if "--precision-bits" in a]
+    assert [a[0] for a in extended] == ["spectrum", "identities",
+                                        "uplane"] * 2
+    assert [a[a.index("--k") + 1] for a in extended] == ["0.8"] * 3 + [
+        "2.5"] * 3
+    assert all(a[-2:] == ["--precision-bits", "160"] for a in extended)

@@ -123,10 +123,10 @@ class TestContourMoments:
     @pytest.mark.parametrize("bits", [53, 160])
     def test_nested_doubling_one_kernel_call_per_node(self, bits,
                                                       count_calls):
-        # every node of the final ladder is evaluated once: at 160 bits with
-        # one kernel call, in binary64 with one line call per ladder level
-        # whose rows are the four lines; the nested sums equal the direct
-        # trapezoid sum
+        # every node of the final ladder is evaluated once, by one line
+        # call per ladder level whose rows are the four lines: in binary64
+        # one numpy pass, at 160 bits one scalar kernel call per node; the
+        # nested sums equal the direct trapezoid sum
         c = couplings_from_modulus(0.6, 0.9, 5, 6)
         cctx = ContourContext.from_couplings(c, Precision(bits))
         spec = default_contour(cctx.frame)
@@ -135,20 +135,17 @@ class TestContourMoments:
         line_calls = count_calls(EllipticKernel, "sncndn_line")
         ns = list(range(1, c.M))
         res = contour_coefficients(ns, spec, cctx, "chi")
-        if bits == 160:
-            assert not line_calls
-            final, extra = divmod(len(calls), 4)
-        else:
-            assert len(calls) <= 1      # the frame's eta triple
-            assert all(list(ys) == [y for y, _sign in lines]
-                       for _kern, _xs, ys in line_calls)
-            sizes = [len(xs) for _kern, xs, _ys in line_calls]
-            final, extra = sum(sizes), 0
-            levels = (final // spec.samples).bit_length()
-            assert len(line_calls) == levels
-            assert sizes == [spec.samples] + [
-                spec.samples << m for m in range(levels - 1)]
-        assert extra <= 1
+        assert all(list(ys) == [y for y, _sign in lines]
+                   for _kern, _xs, ys in line_calls)
+        sizes = [len(xs) for _kern, xs, _ys in line_calls]
+        final = sum(sizes)
+        levels = (final // spec.samples).bit_length()
+        assert len(line_calls) == levels
+        assert sizes == [spec.samples] + [
+            spec.samples << m for m in range(levels - 1)]
+        # beyond the nodes, at most the frame's eta triple
+        per_node, extra = divmod(len(calls), len(lines) * final)
+        assert per_node == (bits == 160) and extra <= 1
         assert final % spec.samples == 0 and final > spec.samples
         assert (final // spec.samples) & (final // spec.samples - 1) == 0
         direct = _scale(_line_sums(ns, lines, cctx, "chi", final), cctx,
@@ -437,3 +434,22 @@ def _grid_nodes(field):
     return [complex(-field.K + 2 * field.K * ix / (n - 1),
                     -field.K_prime + 2 * field.K_prime * iy / (n - 1))
             for iy in range(n) for ix in range(n)]
+
+
+def test_extended_batches_convert_no_array(monkeypatch):
+    # at 160 bits the node arrays hold mpmath numbers; an mpmath scalar
+    # left of such an array would first format the whole array into a
+    # TypeError, so the ladder and the u-plane rows keep arrays left
+    prec = Precision(160)
+    npconvert = type(prec.ctx).npconvert
+
+    def scalar_only(ctx, x):
+        assert not isinstance(x, np.ndarray)
+        return npconvert(ctx, x)
+
+    monkeypatch.setattr(type(prec.ctx), "npconvert", scalar_only)
+    cctx = ContourContext.from_couplings(
+        couplings_from_modulus(0.6, 0.9, 5, 6), prec)
+    spec = default_contour(cctx.frame)
+    _line_sums([1, 2], spec.lines(cctx.frame), cctx, "zeta", 64)
+    uplane_field(1, 16, cctx)

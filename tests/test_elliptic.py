@@ -238,9 +238,25 @@ class TestJacobiFunctions:
         assert all(np.isfinite(f).all()
                    for f in kern.sncndn_line([-0.5, 0.0, 0.5], Kp / 2))
 
-    def test_line_is_binary64_only(self):
-        with pytest.raises(DomainError):
-            EllipticKernel(0.6, Precision(160)).sncndn_line([0.1], 0.2)
+    def test_extended_line_is_the_scalar_kernel(self):
+        # at 160 bits every node is one scalar evaluation: the rows and the
+        # broadcast levels give the scalar triple bit for bit, in both
+        # phases, and a pole node raises as in binary64
+        p = Precision(160)
+        xs = [-0.7, 0.013, 0.4, 1.9]
+        for k in ("0.6", "1.66"):
+            kern = EllipticKernel(p.ctx.mpf(k), p)
+            Kp = float(kern.K_prime)
+            levels = [0.3 * Kp, -0.81 * Kp, 1.3 * Kp]
+            rows = kern.sncndn_line(xs, levels, rows=True)
+            grid = kern.sncndn_line(np.array(xs)[:, None], levels)
+            for j, x in enumerate(xs):
+                for m, y in enumerate(levels):
+                    want = kern.sncndn(p.ctx.mpc(x, y))
+                    assert tuple(f[m, j] for f in rows) == want
+                    assert tuple(f[j, m] for f in grid) == want
+            with pytest.raises(PoleError):
+                kern.sncndn_line([-0.5, 0.0, 0.5], [Kp / 2, Kp], rows=True)
 
     def test_extended_precision_complex(self):
         p = Precision(160)

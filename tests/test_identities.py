@@ -9,7 +9,7 @@ import pytest
 
 from rectising import identities, params
 from rectising.elliptic import EllipticKernel
-from rectising.errors import PoleError
+from rectising.errors import DomainError, PoleError
 from rectising.identities import CATALOGUE, Residuals, run_identity_suite
 from rectising.params import Couplings, couplings_from_modulus
 from rectising.precision import Precision
@@ -66,6 +66,12 @@ class TestSuiteRuns:
         rep = run_identity_suite(Couplings(0.42, 0.31, 5, 4), samples=8)
         e = {x.identity_id: x for x in rep.entries}["determinant-family"]
         assert e.parts["transfer"] < 1e-11
+
+    @pytest.mark.parametrize("samples", [0, -3])
+    def test_samples_below_one_refused(self, samples):
+        with pytest.raises(DomainError):
+            run_identity_suite(couplings_from_modulus(0.6, 0.8, 4, 4),
+                               samples=samples)
 
     def test_no_silent_skips(self):
         c = couplings_from_modulus(0.6, 0.9, 5, 4)

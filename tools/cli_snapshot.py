@@ -9,11 +9,14 @@ workload of `perfbench/workloads.py` draws for the given seeds, and
 `compare`, `z --route hankel` and `z --route block` on every system of
 its `solve-hard` workload (width-12 spin, the Pfaffian up to n = 64), so
 that a diff shows the precision a single route ends at; the file is
-read, not changed.  No command reaches the contour moments, so on every
-`crosscheck` system with k < 1 it also records, under the pseudo-command
-``contour``, the moments h_1 ... h_{M-1} that the workload's
-`contour_vs_spectral` computes (`contour_coefficients` in the chi base
-on `default_contour`), each as [real, imag].  It drops the timing fields
+read, not changed.  On the two fixed `crosscheck` systems it also runs
+`spectrum`, `identities` and `uplane --grid 24` with `--precision-bits
+160`, which take the elliptic batches at extended precision.  No
+command reaches the contour moments, so on every `crosscheck` system
+with k < 1 it also records, under the pseudo-command ``contour``, the
+moments h_1 ... h_{M-1} that the workload's `contour_vs_spectral`
+computes (`contour_coefficients` in the chi base on `default_contour`),
+each as [real, imag].  It drops the timing fields
 (keys named ``seconds`` or ending in ``_seconds``), and writes one JSON
 record per (command, system) line: the arguments, the exit code, the
 output (parsed JSON, or the lines of the `uplane` text) and stderr.  Run
@@ -44,24 +47,32 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 COMMANDS = (("identities",), ("spectrum",), ("compare",),
             ("uplane", "--grid", "24"))
+EXTENDED = (("spectrum",), ("identities",), ("uplane", "--grid", "24"))
 
 
 def _argvs(seeds):
     """The distinct command lines of the seeds, in first-seen order:
     COMMANDS on each crosscheck system and ``contour`` on those with
-    k < 1, then compare and the single Hankel and block routes on each
-    solve-hard one."""
+    k < 1, EXTENDED at 160 bits on the fixed crosscheck systems, then
+    compare and the single Hankel and block routes on each solve-hard
+    one."""
     sys.path.insert(0, os.path.join(ROOT, "perfbench"))
     from workloads import Crosscheck, SolveHard
+
+    def geometry(k, eta, L, M):
+        return ["--L", str(L), "--M", str(M), "--k", repr(k),
+                "--eta-frac", repr(eta)]
 
     out = []
     for seed in seeds:
         for s in Crosscheck().inputs(seed):
-            geo = ["--L", str(s["L"]), "--M", str(s["M"]), "--k",
-                   repr(s["k"]), "--eta-frac", repr(s["eta"])]
+            geo = geometry(s["k"], s["eta"], s["L"], s["M"])
             out.extend([*cmd, *geo] for cmd in COMMANDS)
             if s["k"] < 1:
                 out.append(["contour", *geo])
+    for system in Crosscheck.FIXED:
+        out.extend([*cmd, *geometry(*system), "--precision-bits", "160"]
+                   for cmd in EXTENDED)
     for seed in seeds:
         for s in SolveHard().inputs(seed):
             geo = ["--L", str(s["L"]), "--M", str(s["M"]), *s["couplings"]]
