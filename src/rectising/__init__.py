@@ -41,7 +41,6 @@ from .partition import (
 )
 from .precision import FLOAT64, Precision
 from .spectrum import (
-    CharPolyContext,
     MatrixBundle,
     SpectrumPoint,
     SystemPipeline,

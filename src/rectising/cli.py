@@ -220,7 +220,7 @@ def _csv_cells(row):
 
 
 def cmd_spectrum(ns) -> int:
-    _w, _frame, _bundle, pts = spectrum_for(_couplings(ns), _precision(ns))
+    _w, _frame, _pipe, pts = spectrum_for(_couplings(ns), _precision(ns))
     rows = [{
         "mu": p.mu, "lambda": float(p.lam), "gamma": float(p.gamma),
         "phi": _cplx(p.phi), "chi": float(p.chi), "u": _cplx(p.u),

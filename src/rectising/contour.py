@@ -23,6 +23,7 @@ the context's numbers in extended precision.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -30,7 +31,8 @@ from .elliptic import _scalar_fns
 from .errors import ConvergenceError, DomainError, PoleError, RouteInfeasibleError
 from .params import Couplings, EllipticFrame, Weights
 from .precision import Precision
-from .spectrum import SystemPipeline, double_argument, sn_pm_eta, spectrum_for
+from .spectrum import (SystemPipeline, double_argument, sn_add, sn_pm_eta,
+                       spectrum_for)
 
 #: contour lines must keep this fraction of K' away from every pole level
 BAND_MARGIN = 1e-3
@@ -99,7 +101,8 @@ def validate_contour(spec: ContourSpec, frame: EllipticFrame):
 
 @dataclass
 class ContourContext:
-    """Frames one system for the integrand evaluations."""
+    """Frames one system for the integrand evaluations and the closed
+    characteristic polynomials (`spectrum.char_poly_eval`)."""
 
     frame: EllipticFrame
     weights: Weights
@@ -111,7 +114,7 @@ class ContourContext:
     def from_couplings(cls, c: Couplings, prec: Precision | None = None,
                        with_spectrum: bool = False):
         if with_spectrum:
-            w, frame, _b, pts = spectrum_for(c, prec)
+            w, frame, _pipe, pts = spectrum_for(c, prec)
             return cls(frame=frame, weights=w, L=c.L, M=c.M, points=pts)
         pipe = SystemPipeline(c, prec)
         return cls(frame=pipe.frame(), weights=pipe.weights(), L=c.L, M=c.M)
@@ -119,6 +122,14 @@ class ContourContext:
     @property
     def prec(self):
         return self.frame.prec
+
+    @cached_property
+    def sn_eta_points(self):
+        """sn(eta + u_mu) at every point: the fixed factors of the zeta
+        characteristic polynomials."""
+        eta_triple, k = self.frame.eta_triple, self.frame.k
+        return [sn_add(eta_triple, (q.sn_u, q.cn_u, q.dn_u), k)
+                for q in self.points]
 
 
 def _node(u, cctx: ContourContext, triple=None):
@@ -169,7 +180,7 @@ def _line_sums(ns, lines, cctx, base, samples, stride=1):
     xs = -K + np.arange(stride - 1, samples, stride) * (2 * K / samples)
     exps = np.array(ns) * (1 if base == "chi" else -1)
     common, chi, zeta = _node(None, cctx, cctx.frame.kernel.sncndn_line(
-        xs, [level for level, _sign in lines], rows=True))
+        xs, [[level] for level, _sign in lines]))
     b = chi if base == "chi" else zeta
     # summed by numpy, not BLAS: a threaded zgemv stalls for milliseconds
     # when the other cores are busy
@@ -307,7 +318,7 @@ def uplane_field(n: int, resolution: int, cctx: ContourContext) -> UPlaneField:
     def row(xs, y):
         """The values at the nodes x + iy, node by node if the row raises."""
         try:
-            return values(frame.kernel.sncndn_line(xs, [y], rows=True))[0]
+            return values(frame.kernel.sncndn_line(xs, [[y]]))[0]
         except (PoleError, ZeroDivisionError):
             return [inf] if len(xs) == 1 else [
                 v for x in xs for v in row([x], y)]

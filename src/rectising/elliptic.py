@@ -130,7 +130,6 @@ class EllipticKernel:
     def __init__(self, k, prec: Precision = FLOAT64):
         prec = as_precision(prec)
         self.prec = prec
-        self.ctx = prec.ctx
         self._fn = fn = _scalar_fns(prec)
         self.k = k = fn.mpf(k)
         if not k > 0:
@@ -216,31 +215,23 @@ class EllipticKernel:
                 v.imag, self._chain_c, self.kappa_prime)[0], (u.real, u.imag))
         return ((self.kappa * s, d, c) if self.ordered else (s, c, d)), phi
 
-    def sncndn_line(self, xs, y, rows=False):
+    def sncndn_line(self, xs, y):
         """sn, cn, dn as arrays at the nodes x + iy, where ``y`` is an
-        array that broadcasts against ``xs`` (a scalar as a 0-d array), or
-        with ``rows`` a sequence of levels, one row of nodes each;
-        PoleError if any node is a pole.  Binary64 makes one numpy Landen
-        pass over ``xs`` for every level, each level of ``rows`` taking
-        the scalar complement triple, combined as in `sncndn`; extended
-        precision evaluates `sncndn` node by node into object arrays."""
+        array that broadcasts against ``xs`` (a column of levels gives one
+        row of nodes each; a scalar is a 0-d array); PoleError if any node
+        is a pole.  Binary64 makes one numpy Landen pass over ``xs`` and
+        one over ``y``, combined as in `sncndn`; extended precision
+        evaluates `sncndn` node by node into object arrays."""
         dtype = float if self.prec.is_float else object
-        xs = np.asarray(xs, dtype=dtype)
-        y = (np.array(y, dtype=dtype)[:, None] if rows
-             else np.asarray(y, dtype=dtype))
+        xs, y = np.asarray(xs, dtype=dtype), np.asarray(y, dtype=dtype)
         if not self.prec.is_float:
             mpc = self._fn.mpc
             return np.frompyfunc(lambda x, v: self.sncndn(mpc(x, v)), 2, 3)(
                 xs, y)
         xb, yb = (xs / self.kappa, y / self.kappa) if self.ordered else (xs, y)
-        chain, kk = self._chain_c, self.kappa_prime
-        if rows:        # the scalar triple of each level, as columns
-            comp = [np.array(f)[:, None] for f in zip(*(
-                self._sncndn_base(v, chain, kk)[0] for v in yb[:, 0].tolist()))]
-        else:
-            comp = self._base_line(yb, chain, kk)
         s, c, d = self._add_imaginary(
-            self._base_line(xb, self._chain, self.kappa), comp, (xs, y))
+            self._base_line(xb, self._chain, self.kappa),
+            self._base_line(yb, self._chain_c, self.kappa_prime), (xs, y))
         return (self.kappa * s, d, c) if self.ordered else (s, c, d)
 
     @staticmethod

@@ -29,13 +29,14 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainError, PhaseLeakError, PoleError, RectisingError
+from .contour import ContourContext
+from .errors import DomainError, PoleError, RectisingError
 from .elliptic import _scalar_fns, arcsn, incomplete_F
 from .params import Couplings, dual
-from .partition import hankel_from_spectrum
+from .partition import hankel_logZ
 from .precision import Precision, as_precision
 from .spectrum import (
-    CharPolyContext,
+    SystemPipeline,
     char_poly_eval,
     chi_poly_derivatives,
     dispersion_residual,
@@ -79,6 +80,7 @@ class IdentityEnv:
     frame: object
     points: list
     prec: Precision
+    pipeline: SystemPipeline   # the one the spectrum came from
     rng: random.Random
     samples: list     # generic torus samples, TorusSample
     pairs: list       # (sample, sample) pairs for addition laws
@@ -154,7 +156,8 @@ class IdentityEnv:
 
     @cached_property
     def cpc(self):
-        return CharPolyContext(self.w, self.frame, self.c.M, self.points)
+        return ContourContext(frame=self.frame, weights=self.w, L=self.c.L,
+                              M=self.c.M, points=self.points)
 
 
 class Residuals:
@@ -248,12 +251,13 @@ def build_env(c: Couplings, samples: int = 16, seed: int = 0,
     if samples < 1:
         raise DomainError(f"samples must be at least 1, got {samples}")
     prec = as_precision(prec)
-    w, frame, _bundle, points = spectrum_for(c, prec)
+    w, frame, pipeline, points = spectrum_for(c, prec)
     rng = random.Random(seed)
     us = _draw_samples(frame, rng, samples)
     vs = _draw_samples(frame, rng, samples)
     return IdentityEnv(c=c, w=w, frame=frame, points=points, prec=prec,
-                       rng=rng, samples=us, pairs=list(zip(us, vs)))
+                       pipeline=pipeline, rng=rng, samples=us,
+                       pairs=list(zip(us, vs)))
 
 
 # ----------------------------------------------------------------------
@@ -888,8 +892,9 @@ def _e_vdm_block(env, r):
 def _e_physics_chain(env, r):
     """The generalized factorization with the physical weights: vanishing
     block, moment-block equality, and the determinant chain down to the
-    partition function."""
-    fn, w, fr, c = env.fn, env.w, env.frame, env.c
+    partition function, whose log Z is the Hankel route's on the suite's
+    own pipeline."""
+    fn, w, c = env.fn, env.w, env.c
     M, L, N = c.M, c.L, c.M // 2
     x = np.array([complex(p.chi) for p in env.points])
     g = np.array([complex(p.lam ** L * p.exp_minus_theta() * p.exp_psi())
@@ -911,11 +916,7 @@ def _e_physics_chain(env, r):
           float(abs(ldetA - 2 * ldetH) / max(1.0, abs(ldetA))))
     # full chain down to the partition function:
     # 2 log Z = log Z0^2 - L log t + log|det(W^T D W)|
-    hs = hankel_from_spectrum(env.points, c, w, fr)
-    sign, log_det, _loss = hs.logdet(env.prec)
-    if sign <= 0:
-        raise PhaseLeakError(f"det H has sign {sign}, not +1")
-    log_z = hs.log_z1 + log_det
+    log_z, _diag = hankel_logZ(c, env.prec, env.pipeline)
     log_z0_sq = float(fn.mpf(M) * fn.log(1 - w.z * w.z)
                       + fn.mpf(L) * M * fn.log(-2 / w.z_minus))
     chain = abs(2 * log_z - (log_z0_sq - float(L * fn.log(w.t)) + ldetA)) \
@@ -978,7 +979,10 @@ def run_identity_suite(c: Couplings, tol: float = GATING_TOL,
     """Run the whole catalogue on the system ``c``.
 
     Entries never abort the run; evaluation errors are recorded per entry.
+    A ``tol`` that is not positive and finite raises `DomainError`.
     """
+    if not 0 < tol < float("inf"):
+        raise DomainError(f"tol must be positive and finite, got {tol}")
     t0 = time.perf_counter()
     env = build_env(c, samples=samples, seed=seed, prec=prec)
     params = {"L": c.L, "M": c.M, "K_h": c.K_h, "K_v": c.K_v,

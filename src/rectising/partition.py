@@ -543,43 +543,26 @@ def block_transfer_logZ(c: Couplings, prec: Precision | None = None,
 
 @dataclass
 class HankelSystem:
-    """Half-size Hankel system: moments, matrix and prefactor.
+    """The Hankel moments of the spectral measure: ``h_scaled[n-1]`` holds
+    h_n * exp(-log_shift), binary64 or a Decimal at extended precision;
+    ``log_shift`` is a context real."""
 
-    ``h_scaled[n-1]`` holds h_n * exp(-log_shift); the matrix rows use the
-    same shift, so ``det H = exp(M/2 * log_shift) * det(rows)``; moments
-    and ``rows`` are binary64, or Decimals at extended precision, and the
-    two logs context reals.
-    """
-
-    M: int
     log_shift: object
     h_scaled: list
-    rows: np.ndarray
-    log_z1: object
 
     def h(self, n: int):
         return self.h_scaled[n - 1]
 
-    def logdet(self, prec: Precision) -> tuple:
-        """(sign, log |det H|, loss), as `logdet_scaled` gives them."""
-        sign, log_abs, loss = logdet_scaled(self.rows, prec)
-        return sign, log_abs + self.M / 2 * self.log_shift, loss
-
 
 @dataclass
 class SkewToeplitzSystem:
-    """Skew-symmetric Toeplitz system; ``rows`` is an array like
-    `HankelSystem.rows`, and the prefactor is the Hankel one."""
+    """Skew-symmetric Toeplitz system: the entries scaled by
+    exp(-log_shift), as ``rows`` (an array of the route scalars) and as
+    their first column below the diagonal, ``c_scaled``."""
 
-    M: int
     log_shift: object
     c_scaled: list            # c_1 .. c_{M-1}, first column below diagonal
     rows: np.ndarray
-
-    def log_pfaffian(self, prec: Precision) -> tuple:
-        """(sign, log |Pf|), as `pfaffian` gives them."""
-        sign, log_abs = pfaffian(self.rows, prec)
-        return sign, log_abs + self.M / 2 * self.log_shift
 
 
 def _log_z1_value(w: Weights, L, M, ctx):
@@ -638,20 +621,17 @@ def hankel_from_spectrum(points, c: Couplings, w: Weights,
                          frame: EllipticFrame) -> HankelSystem:
     """The Hankel moments e^-shift h_n = sum_i b_i chi_i^(n-1) of the
     spectral measure, on its route scalars: real running terms, each
-    moment one accurate sum (`_fsum`).  ``frame`` is not read."""
-    M = c.M
+    moment one accurate sum (`_fsum`).  ``frame`` is not read; det H is
+    `hankel_logZ`'s, which forms no moment."""
     prec = w.prec
     shift, chis, terms = _spectral_measure(points, c, w)
     fsum = _fsum(prec)
     h = []
     with decimal.localcontext(prec.decimal):
-        for _n in range(1, M):
+        for _n in range(1, c.M):
             h.append(fsum(terms))
             terms = [t * x for t, x in zip(terms, chis)]
-    r = np.arange(M // 2)
-    rows = np.array(h)[np.add.outer(r, r)]
-    return HankelSystem(M=M, log_shift=shift, h_scaled=h, rows=rows,
-                        log_z1=_log_z1_value(w, c.L, M, prec.ctx))
+    return HankelSystem(log_shift=shift, h_scaled=h)
 
 
 def skew_toeplitz_from_spectrum(points, c: Couplings, w: Weights,
@@ -685,7 +665,7 @@ def skew_toeplitz_from_spectrum(points, c: Couplings, w: Weights,
                           + cs)
     r = np.arange(M)
     rows = signed[np.subtract.outer(r, r) + (M - 1)]
-    return SkewToeplitzSystem(M=M, log_shift=shift, c_scaled=cs, rows=rows)
+    return SkewToeplitzSystem(log_shift=shift, c_scaled=cs, rows=rows)
 
 
 def _checked_measure(c: Couplings, pipeline: SystemPipeline):
@@ -764,9 +744,10 @@ def pfaffian_logZ(c: Couplings, prec: Precision | None = None,
         measure = (prec.ctx.mpf(shift),
                    *([decimal.Decimal(x) for x in xs] for xs in (chis, weights)))
     st = skew_toeplitz_from_spectrum(pts, c, w, measure, prec)
-    sign, log_pf = st.log_pfaffian(prec)
+    sign, log_pf = pfaffian(st.rows, prec)
     if sign <= 0:
         raise PhaseLeakError(f"the Pfaffian has sign {sign}, not +1")
+    log_pf = log_pf + c.M / 2 * st.log_shift
     return _log_z1_value(w, c.L, c.M, prec.ctx) + log_pf, {}
 
 

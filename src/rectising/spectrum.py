@@ -17,7 +17,6 @@ import decimal
 import math
 import time
 from dataclasses import dataclass, field
-from functools import cached_property
 from operator import mul
 
 import numpy as np
@@ -513,14 +512,14 @@ def enrich_spectrum(points, frame: EllipticFrame, w: Weights):
 
 
 def spectrum_for(c: Couplings, prec: Precision = FLOAT64):
-    """Weights, frame, matrices and enriched spectrum of one system, its
+    """Weights, frame, pipeline and enriched spectrum of one system, its
     eigenvalues and gamma as context scalars, each point also with the
     angles of the spectrum table: the torus point u, reduced so that
     reciprocal-eigenvalue points sit on the upper torus line, its branch,
     omega = am 2u, theta, psi and the residual of the quantization
     M phi = omega (mod 2 pi)."""
     pipe = SystemPipeline(c, prec)
-    w, bundle, pts = pipe.checked()
+    w, _bundle, pts = pipe.checked()
     frame = pipe.frame()
     fn = _scalar_fns(pipe.prec)
     if not pipe.prec.is_float:
@@ -540,7 +539,7 @@ def spectrum_for(c: Couplings, prec: Precision = FLOAT64):
         q = c.M * p.phi - p.omega
         r = q.real - two_pi * fn.floor(q.real / two_pi + 0.5)
         p.quant_residual = abs(complex(r + fn.mpc(0, 1) * q.imag))
-    return w, frame, bundle, pts
+    return w, frame, pipe, pts
 
 
 # ----------------------------------------------------------------------
@@ -612,33 +611,13 @@ class SystemPipeline:
 # closed characteristic polynomials
 # ----------------------------------------------------------------------
 
-@dataclass
-class CharPolyContext:
-    """Everything the closed-form evaluators need."""
-
-    weights: Weights
-    frame: EllipticFrame
-    M: int
-    points: list = None
-
-    @property
-    def prec(self):
-        return self.frame.prec
-
-    @cached_property
-    def sn_eta_points(self):
-        """sn(eta + u_mu) at every point: `_cp_zeta`'s fixed factors."""
-        eta_triple, k = self.frame.eta_triple, self.frame.k
-        return [sn_add(eta_triple, (q.sn_u, q.cn_u, q.dn_u), k)
-                for q in self.points]
-
-
 CP_KINDS = ("lambda_plus", "chi", "lambda", "lambda_at_inverse",
             "lambda_minus", "zeta", "zeta_at_inverse")
 
 
-def char_poly_eval(kind: str, x, cpc: CharPolyContext):
-    """Closed-form characteristic polynomial values.
+def char_poly_eval(kind: str, x, cpc):
+    """Closed-form characteristic polynomial values, on the weights, frame,
+    M and (for the zeta kinds) spectrum of a `contour.ContourContext`.
 
     ``lambda_at_inverse`` (``zeta_at_inverse``) evaluates the polynomial at
     the reciprocal of the eigenvalue function while sharing the torus point

@@ -22,6 +22,8 @@ from rectising.partition import (
     block_transfer_logZ,
     hankel_from_spectrum,
     hankel_logZ,
+    logdet_scaled,
+    pfaffian,
     pfaffian_logZ,
     skew_toeplitz_from_spectrum,
 )
@@ -83,8 +85,14 @@ def test_criterion_2_pfaffian_equals_determinant():
             w, fr, _b, pts = spectrum_for(c, prec)
             hs = hankel_from_spectrum(pts, c, w, fr)
             ss = skew_toeplitz_from_spectrum(pts, c, w)
-            det_sign, det, loss = hs.logdet(prec)
-            pf_sign, pf = ss.log_pfaffian(prec)
+            # det H of the moment matrix, by LU, and Pf of the
+            # skew-Toeplitz one, each with its M/2 shifts
+            r = np.arange(c.M // 2)
+            det_sign, det, loss = logdet_scaled(
+                np.array(hs.h_scaled)[np.add.outer(r, r)], prec)
+            det += c.M / 2 * hs.log_shift
+            pf_sign, pf = pfaffian(ss.rows, prec)
+            pf += c.M / 2 * ss.log_shift
             # the check is only as good as the determinant conditioning:
             # if cancellation eats past the demanded digits, measure at
             # extended precision instead (the identity itself is exact)

@@ -486,6 +486,18 @@ class TestIdentities:
         assert out == ""
         assert json.loads(err)["error"] == "DomainError"
 
+    @pytest.mark.parametrize("tol", ["nan", "0", "-1", "inf"])
+    def test_tol_not_positive_and_finite_refused(self, capsys, tol):
+        # one JSON error line, not exit 3 with every gating entry failed
+        # (or, at inf, exit 0 with none)
+        code, out, err = run_cli(capsys, "identities", "--L", "4", "--M",
+                                 "4", "--k", "0.6", "--eta-frac", "0.8",
+                                 "--tol", tol)
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == "DomainError"
+
 
 class TestScan:
     def test_csv_shape_and_roundtrip(self, capsys):

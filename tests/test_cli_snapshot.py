@@ -85,9 +85,10 @@ def test_contour_records(snapshot):
     from rectising.params import couplings_from_modulus
 
     argvs = snapshot._argvs([0])
-    below = [a[1:] for a in argvs if a[0] == "identities"
-             and "--precision-bits" not in a
-             and float(a[a.index("--k") + 1]) < 1]
+    # the crosscheck systems are those `spectrum` runs on at 53 bits
+    crosscheck = [a[1:] for a in argvs if a[0] == "spectrum"
+                  and "--precision-bits" not in a]
+    below = [a for a in crosscheck if float(a[a.index("--k") + 1]) < 1]
     assert below and [a[1:] for a in argvs if a[0] == "contour"] == below
     rec = snapshot._run(["contour", "--L", "4", "--M", "4", "--k", "0.6",
                          "--eta-frac", "0.8"])
@@ -108,3 +109,16 @@ def test_extended_records(snapshot):
     assert [a[a.index("--k") + 1] for a in extended] == ["0.8"] * 3 + [
         "2.5"] * 3
     assert all(a[-2:] == ["--precision-bits", "160"] for a in extended)
+
+
+def test_solve_hard_records(snapshot):
+    # every solve-hard system runs compare, the single Hankel and block
+    # routes and the identity suite, at the default precision
+    argvs = snapshot._argvs([0])     # puts perfbench/ on the path
+    from workloads import SolveHard
+
+    for s in SolveHard().inputs(0):
+        geo = ["--L", str(s["L"]), "--M", str(s["M"]), *s["couplings"]]
+        assert [a[:-len(geo)] for a in argvs if a[-len(geo):] == geo] == [
+            ["compare"], ["z", "--route", "hankel"], ["z", "--route", "block"],
+            ["identities"]]

@@ -124,7 +124,8 @@ class TestContourMoments:
     def test_nested_doubling_one_kernel_call_per_node(self, bits,
                                                       count_calls):
         # every node of the final ladder is evaluated once, by one line
-        # call per ladder level whose rows are the four lines: in binary64
+        # call per ladder level whose levels are the four lines, as a
+        # column: in binary64
         # one numpy pass, at 160 bits one scalar kernel call per node; the
         # nested sums equal the direct trapezoid sum
         c = couplings_from_modulus(0.6, 0.9, 5, 6)
@@ -135,7 +136,7 @@ class TestContourMoments:
         line_calls = count_calls(EllipticKernel, "sncndn_line")
         ns = list(range(1, c.M))
         res = contour_coefficients(ns, spec, cctx, "chi")
-        assert all(list(ys) == [y for y, _sign in lines]
+        assert all(ys == [[y] for y, _sign in lines]
                    for _kern, _xs, ys in line_calls)
         sizes = [len(xs) for _kern, xs, _ys in line_calls]
         final = sum(sizes)

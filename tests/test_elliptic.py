@@ -199,10 +199,14 @@ class TestJacobiFunctions:
 
     @pytest.mark.parametrize("k", [0.3, 0.8, 1.66])
     def test_line_rows_match_single_levels(self, k):
-        # the levels as rows, one Landen pass over the real parts for all
-        # of them, give bit for bit one single-level call per level
+        # the levels as a column, one Landen pass over the real parts for
+        # all of them and one over the levels, give bit for bit one
+        # single-level call per level: on the contour levels and on 64
+        # random ones
         kern, levels, xs = _line_nodes(k)
-        rows = kern.sncndn_line(xs, levels, rows=True)
+        rng = np.random.default_rng(5)
+        levels += list(rng.uniform(-0.99, 0.99, 64) * float(kern.K_prime))
+        rows = kern.sncndn_line(xs, np.array(levels)[:, None])
         for m, y in enumerate(levels):
             for got, want in zip(rows, kern.sncndn_line(xs, y)):
                 assert got.shape == (len(levels), len(xs))
@@ -214,8 +218,7 @@ class TestJacobiFunctions:
         kern = EllipticKernel(k)
         Kp = float(kern.K_prime)
         with pytest.raises(PoleError) as info:
-            kern.sncndn_line([-0.5, 0.0, 0.5], [Kp / 2, Kp, -Kp / 3],
-                             rows=True)
+            kern.sncndn_line([-0.5, 0.0, 0.5], [[Kp / 2], [Kp], [-Kp / 3]])
         assert info.value.where == complex(0.0, Kp)
 
     @pytest.mark.parametrize("k", [0.6, 1.66])
@@ -239,8 +242,8 @@ class TestJacobiFunctions:
                    for f in kern.sncndn_line([-0.5, 0.0, 0.5], Kp / 2))
 
     def test_extended_line_is_the_scalar_kernel(self):
-        # at 160 bits every node is one scalar evaluation: the rows and the
-        # broadcast levels give the scalar triple bit for bit, in both
+        # at 160 bits every node is one scalar evaluation: the levels as a
+        # column or as a row give the scalar triple bit for bit, in both
         # phases, and a pole node raises as in binary64
         p = Precision(160)
         xs = [-0.7, 0.013, 0.4, 1.9]
@@ -248,7 +251,7 @@ class TestJacobiFunctions:
             kern = EllipticKernel(p.ctx.mpf(k), p)
             Kp = float(kern.K_prime)
             levels = [0.3 * Kp, -0.81 * Kp, 1.3 * Kp]
-            rows = kern.sncndn_line(xs, levels, rows=True)
+            rows = kern.sncndn_line(xs, np.array(levels)[:, None])
             grid = kern.sncndn_line(np.array(xs)[:, None], levels)
             for j, x in enumerate(xs):
                 for m, y in enumerate(levels):
@@ -256,7 +259,7 @@ class TestJacobiFunctions:
                     assert tuple(f[m, j] for f in rows) == want
                     assert tuple(f[j, m] for f in grid) == want
             with pytest.raises(PoleError):
-                kern.sncndn_line([-0.5, 0.0, 0.5], [Kp / 2, Kp], rows=True)
+                kern.sncndn_line([-0.5, 0.0, 0.5], [[Kp / 2], [Kp]])
 
     def test_extended_precision_complex(self):
         p = Precision(160)

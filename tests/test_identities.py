@@ -73,6 +73,29 @@ class TestSuiteRuns:
             run_identity_suite(couplings_from_modulus(0.6, 0.8, 4, 4),
                                samples=samples)
 
+    @pytest.mark.parametrize("tol", [float("nan"), 0.0, -1.0, float("inf")])
+    def test_tol_not_positive_and_finite_refused(self, tol):
+        # a NaN, zero or negative gate fails every entry, an infinite one
+        # passes every finite residual
+        with pytest.raises(DomainError):
+            run_identity_suite(couplings_from_modulus(0.6, 0.8, 4, 4),
+                               tol=tol)
+
+    @pytest.mark.parametrize("k, eta, L, M", [(0.6, 0.953327, 48, 12),
+                                              (3.14, 0.429, 14, 12)])
+    def test_chain_reports_its_parts_where_the_moments_cancel(self, k, eta,
+                                                              L, M):
+        # a binary64 LU of the moment matrix reads it as singular here;
+        # the Hankel route's det H does not, so the chain reports all four
+        # parts (D7 keeps them above the gate)
+        rep = run_identity_suite(couplings_from_modulus(k, eta, L, M),
+                                 samples=2)
+        e = {x.identity_id: x for x in rep.entries}["spectral-hankel-chain"]
+        assert e.status == "fail" and e.note == ""
+        assert set(e.parts) == {"vanishing_block", "moment_block",
+                                "determinant_squares", "partition_chain"}
+        assert all(v == v for v in e.parts.values())
+
     def test_no_silent_skips(self):
         c = couplings_from_modulus(0.6, 0.9, 5, 4)
         rep = run_identity_suite(c, samples=8)
@@ -371,17 +394,20 @@ class TestRecorder:
     @pytest.mark.parametrize("sign", [-1, 0])
     def test_partition_chain_refuses_det_h_not_positive(self, monkeypatch,
                                                          sign):
+        # det H is the Hankel route's product of the measure's recurrence
+        # coefficients: one of them negative or zero fails the entry
         from rectising import partition
-        kernel = partition.logdet_scaled
+        kernel = partition.rkpw
 
-        def signed(rows, prec):
-            _sign, log_abs, loss = kernel(rows, prec)
-            return sign, log_abs if sign else -math.inf, loss
+        def signed(nodes, weights, n):
+            betas = kernel(nodes, weights, n)
+            return [sign * betas[0], *betas[1:]]
 
-        monkeypatch.setattr(partition, "logdet_scaled", signed)
+        monkeypatch.setattr(partition, "rkpw", signed)
         rep, e = self._suite_of(monkeypatch, identities._e_physics_chain)
         assert e.status == "error" and rep.failed
-        assert e.note == f"PhaseLeakError: det H has sign {sign}, not +1"
+        assert e.note == ("NonFiniteError: a recurrence coefficient of the "
+                          "spectral measure is not positive and finite")
 
     def test_skipping_entries_report_their_parts(self):
         c = couplings_from_modulus(0.6, 0.9, 5, 4)

@@ -11,6 +11,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rectising import params
 from rectising.elliptic import EllipticKernel
@@ -697,8 +698,8 @@ class TestBlockTransfer:
         # the determinant argument equals a perfect square by the
         # projector algebra; form it directly and check positivity
         c = Couplings(0.4, 0.7, 3, 4)
-        w, _fr, b, _pts = spectrum_for(c)
-        T = b.T
+        _w, _fr, pipe, _pts = spectrum_for(c)
+        T = pipe.family()[1].T
         S = np.eye(4)[::-1]
         Sp, Sm = (np.eye(4) + S) / 2, (np.eye(4) - S) / 2
         TL = np.linalg.matrix_power(T, 3)
@@ -813,13 +814,13 @@ class TestHankelRoute:
                        for h in hs.h_scaled)
 
     def test_hankel_structure_exact(self):
+        # the moments h_1 .. h_(M-1), all a Hankel matrix of order M/2
+        # reads, each read by its order
         c = couplings_from_modulus(0.6, 0.9, 5, 6)
         w, fr, _b, pts = spectrum_for(c)
         hs = hankel_from_spectrum(pts, c, w, fr)
-        half = c.M // 2
-        for i in range(half):
-            for j in range(half):
-                assert hs.rows[i][j] == hs.h_scaled[i + j]
+        assert len(hs.h_scaled) == c.M - 1
+        assert [hs.h(n) for n in range(1, c.M)] == hs.h_scaled
 
     def test_moment_balance_normalization(self):
         # product over the spectrum of the inverse half powers equals
@@ -954,8 +955,14 @@ class TestSkewToeplitzRoute:
         w, fr, _b, pts = spectrum_for(c)
         hs = hankel_from_spectrum(pts, c, w, fr)
         ss = skew_toeplitz_from_spectrum(pts, c, w)
-        det_sign, det, _ = hs.logdet(FLOAT64)
-        pf_sign, pf = ss.log_pfaffian(FLOAT64)
+        # det H of the moment matrix, by LU, and Pf of the skew-Toeplitz
+        # one, each with its M/2 shifts
+        r = np.arange(M // 2)
+        det_sign, det, _ = logdet_scaled(
+            np.array(hs.h_scaled)[np.add.outer(r, r)], FLOAT64)
+        det += M / 2 * hs.log_shift
+        pf_sign, pf = pfaffian(ss.rows, FLOAT64)
+        pf += M / 2 * ss.log_shift
         assert abs(det - pf) < 1e-9 * max(1.0, abs(det))
         assert det_sign == pf_sign == 1
 
@@ -1010,6 +1017,19 @@ class TestAssemble:
             if o.status != "ok":
                 continue
             assert abs(o.logZ - res_s.logZ) < 1e-9 * abs(res_s.logZ)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 24), st.integers(1, 24),
+           st.one_of(st.floats(0.1, 0.95, exclude_min=True, exclude_max=True),
+                     st.floats(1.05, 10, exclude_min=True, exclude_max=True)),
+           st.floats(0.05, 1, exclude_min=True))
+    def test_transpose_gives_the_same_log_z(self, L, M, k, frac):
+        # Z of the L x M rectangle is Z of its M x L transpose, wherever
+        # both orientations give a log Z
+        c = couplings_from_modulus(k, frac, L, M)
+        a, b = (assemble_logZ(x).logZ for x in (c, swap_system(c)))
+        if a == a and b == b:
+            assert abs(a - b) <= 1e-13 * max(1.0, abs(b))
 
     def test_critical_point_routes(self):
         c = Couplings(CRITICAL_K, CRITICAL_K, 5, 6)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from rectising import spectrum
+from rectising.contour import ContourContext
 from rectising.elliptic import EllipticKernel
 from rectising.errors import (
     CriticalModulusError,
@@ -23,7 +24,6 @@ from rectising.params import (
 )
 from rectising.precision import Precision
 from rectising.spectrum import (
-    CharPolyContext,
     SystemPipeline,
     build_matrices,
     char_poly_eval,
@@ -492,8 +492,8 @@ def test_route_points_carry_no_torus_state(k, eta, L, M, bits):
 
 class TestCharPoly:
     def _cpc(self, c):
-        w, fr, b, pts = spectrum_for(c)
-        return b, CharPolyContext(w, fr, c.M, pts)
+        w, fr, pipe, pts = spectrum_for(c)
+        return pipe.family()[1], ContourContext(fr, w, c.L, c.M, pts)
 
     @pytest.mark.parametrize("kind,matrix", [
         ("lambda_plus", "T_plus"), ("chi", "C"),
@@ -596,8 +596,8 @@ class TestCharPoly:
         c = Couplings(0.42, 0.31, 3, 4)
         w, fr, _b, pts = spectrum_for(c, Precision(bits))
         with pytest.raises(PoleError):
-            char_poly_eval("lambda", w.lambda_n, CharPolyContext(
-                w, fr, c.M, pts))
+            char_poly_eval("lambda", w.lambda_n, ContourContext(
+                fr, w, c.L, c.M, pts))
 
 
 def test_halfdiff_antiband_structure():

@@ -6,10 +6,11 @@
 ``write`` runs `rectising identities`, `spectrum`, `compare` and
 `uplane --grid 24` in-process on every system that the `crosscheck`
 workload of `perfbench/workloads.py` draws for the given seeds, and
-`compare`, `z --route hankel` and `z --route block` on every system of
-its `solve-hard` workload (width-12 spin, the Pfaffian up to n = 64), so
-that a diff shows the precision a single route ends at; the file is
-read, not changed.  On the two fixed `crosscheck` systems it also runs
+`compare`, `z --route hankel`, `z --route block` and `identities` on
+every system of its `solve-hard` workload (width-12 spin, the Pfaffian
+up to n = 64), so that a diff shows the precision a single route ends
+at and the identity suite on the largest systems; the file is read, not
+changed.  On the two fixed `crosscheck` systems it also runs
 `spectrum`, `identities` and `uplane --grid 24` with `--precision-bits
 160`, which take the elliptic batches at extended precision.  No
 command reaches the contour moments, so on every `crosscheck` system
@@ -54,8 +55,8 @@ def _argvs(seeds):
     """The distinct command lines of the seeds, in first-seen order:
     COMMANDS on each crosscheck system and ``contour`` on those with
     k < 1, EXTENDED at 160 bits on the fixed crosscheck systems, then
-    compare and the single Hankel and block routes on each solve-hard
-    one."""
+    compare, the single Hankel and block routes and identities on each
+    solve-hard one."""
     sys.path.insert(0, os.path.join(ROOT, "perfbench"))
     from workloads import Crosscheck, SolveHard
 
@@ -78,7 +79,7 @@ def _argvs(seeds):
             geo = ["--L", str(s["L"]), "--M", str(s["M"]), *s["couplings"]]
             out.extend([*cmd, *geo] for cmd in (
                 ("compare",), ("z", "--route", "hankel"),
-                ("z", "--route", "block")))
+                ("z", "--route", "block"), ("identities",)))
     return [a for i, a in enumerate(out) if a not in out[:i]]
 
 
