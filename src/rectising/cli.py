@@ -275,9 +275,9 @@ def cmd_scan(ns, k_values) -> int:
         try:
             c = couplings_from_modulus(k, frac, ns.L, ns.M)
             res = assemble_logZ(c, ns.route, prec=_precision(ns))
-        except RectisingError as exc:
-            # a sweep point may be infeasible (e.g. the critical modulus
-            # has no anisotropy parametrization); record, don't abort
+        except (RectisingError, ArithmeticError) as exc:
+            # a sweep point may be infeasible (the critical modulus has no
+            # anisotropy parametrization) or overflow: record, don't abort
             return {"k": k, "L": ns.L, "M": ns.M,
                     "K_h": float("nan"), "K_v": float("nan"),
                     "logZ": float("nan"), "max_pairwise_rel_dev":
@@ -419,7 +419,7 @@ def main(argv=None) -> int:
         if ns.command == "uplane":
             return cmd_uplane(ns)
         raise AssertionError(ns.command)
-    except RectisingError as exc:
+    except (RectisingError, ArithmeticError) as exc:
         sys.stderr.write(_json_dumps({
             "error": type(exc).__name__, "message": str(exc)}))
         return 1

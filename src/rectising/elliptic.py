@@ -39,7 +39,8 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .errors import CriticalModulusError, DomainError, PoleError
+from .errors import (ConvergenceError, CriticalModulusError, DomainError,
+                     PoleError)
 from .precision import FLOAT64, Precision, as_precision
 
 #: proximity radius around simple poles; callers get a typed signal inside it
@@ -113,7 +114,7 @@ def carlson_rf(x, y, z, prec: Precision = FLOAT64):
             e3 = delx * dely * delz
             s = 1 + (e2 / 24 - fn.mpf("0.1") - 3 * e3 / 44) * e2 + e3 / 14
             return s / sqrt(ave)
-    raise ArithmeticError("carlson_rf did not converge")
+    raise ConvergenceError("carlson_rf did not converge")
 
 
 # ----------------------------------------------------------------------
@@ -161,7 +162,7 @@ class EllipticKernel:
             if abs(c) <= self.prec.eps * abs(a):
                 break
         else:
-            raise ArithmeticError("Landen chain did not converge")
+            raise ConvergenceError("Landen chain did not converge")
         return a, (2 ** len(ratios)) * a, ratios[::-1]
 
     def _complete(self, chain):
@@ -268,10 +269,8 @@ class EllipticKernel:
         return sn, cn, dn
 
     # -- amplitude ----------------------------------------------------------
-    def am(self, u, known=None):
-        """Complex Jacobi amplitude with the documented branch convention;
-        ``known`` = (v, `sncndn(v)`) replaces the evaluation at v (binary64
-        `sncndn_line` may round that triple differently)."""
+    def am(self, u):
+        """Complex Jacobi amplitude with the documented branch convention."""
         fn = self._fn
         u = fn.mpc(u)
         x, y = u.real, u.imag
@@ -283,22 +282,18 @@ class EllipticKernel:
         m = _nint(fn.floor, x / (4 * self.K))
         v = fn.mpc(x - 4 * self.K * m, y - 2 * self.K_prime * n2)
         winding = 0 if self.ordered else 1
-        inner = self._am_core(v, known) + 2 * fn.pi * winding * m
+        inner = self._am_core(v) + 2 * fn.pi * winding * m
         return fn.pi - inner if n2 % 2 else inner
 
-    def _am_core(self, v, known):
+    def _am_core(self, v):
         """Principal-log amplitude pinned to the real-axis branch, whose
         anchor comes from the Landen pass of the evaluation at v; raises
         PoleError where cn + i sn, whose log it takes, comes out 0."""
         fn = self._fn
-        x0, y = v.real, v.imag
-        if y == 0:
-            return fn.mpc(self.am_real(x0))
-        if known is not None and v == known[0]:
-            (sn, cn, _dn), anchor = known[1], self.am_real(x0)
-        else:
-            (sn, cn, _dn), phi = self._sncndn_phase(v)
-            anchor = self._anchor(phi)
+        if v.imag == 0:
+            return fn.mpc(self.am_real(v.real))
+        (sn, cn, _dn), phi = self._sncndn_phase(v)
+        anchor = self._anchor(phi)
         e_i_am = cn + fn.mpc(0, 1) * sn
         if not e_i_am:
             raise PoleError("log singularity of am: cn + i sn = 0",

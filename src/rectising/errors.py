@@ -53,8 +53,8 @@ class RouteInfeasibleError(RectisingError):
 
 
 class ConvergenceError(RectisingError, ArithmeticError):
-    """An iterative procedure (contour sample doubling) failed to
-    reach its tolerance."""
+    """An iterative procedure (contour sample doubling, Carlson's RF, the
+    Landen chain) failed to reach its tolerance."""
 
     def __init__(self, msg, diagnostics=None):
         super().__init__(msg)

@@ -75,12 +75,16 @@ class TorusSample:
 
 @dataclass
 class IdentityEnv:
+    """One suite run: the system, its enriched spectrum (`spectrum_for`'s
+    copies), the pipeline whose checked points they copy (the chain's
+    Hankel route reads it as it would a fresh one), and the samples."""
+
     c: Couplings
     w: object
     frame: object
     points: list
     prec: Precision
-    pipeline: SystemPipeline   # the one the spectrum came from
+    pipeline: SystemPipeline
     rng: random.Random
     samples: list     # generic torus samples, TorusSample
     pairs: list       # (sample, sample) pairs for addition laws
@@ -113,20 +117,13 @@ class IdentityEnv:
         return tuple(self.kern.am(2 * x)
                      for x in (self.frame.eta, self.frame.eta_tilde))
 
-    def am_at(self, u, v, triple):
-        """am(u), reading the sampler's triple at v in extended precision
-        only: binary64 samples come from `sncndn_line`, which can round
-        differently from the scalar kernel."""
-        return self.kern.am(u, known=None if self.prec.is_float
-                            else (v, triple))
-
     @cached_property
     def am_2u(self):
         """am(2u) at each sample, or the PoleError it raised there."""
         out = []
         for s in self.samples:
             try:
-                out.append(self.am_at(2 * s.u, 2 * s.u, s.at_2u))
+                out.append(self.kern.am(2 * s.u))
             except PoleError as exc:
                 out.append(exc)
         return out
@@ -618,7 +615,7 @@ def _e_omega_theta(env, r):
         sn, cn, dn = s.at_u
         s2, c2, d2 = s.at_2u
         s2t, c2t, d2t = s.at_2ut
-        th = i * env.am_at(2 * s.ut, 2 * s.ut, s.at_2ut)
+        th = i * env.kern.am(2 * s.ut)
         r.compare("sin_omega", s2, fn.csin(om))
         r.compare("cos_omega", c2, fn.ccos(om))
         r.compare("dn_coth", d2, -fn.ccosh(th) / fn.csinh(th))
@@ -644,8 +641,7 @@ def _e_inversion(env, r):
         lam, zet = s.lam, s.zeta
         lam_i, zet_i = lz
         try:
-            # reduced by 2iK', this lands on 2u in about half the samples
-            om_i = env.am_at(2 * (s.u + i * fr.K_prime), 2 * s.u, s.at_2u)
+            om_i = env.kern.am(2 * (s.u + i * fr.K_prime))
         except PoleError:
             continue
         r.compare("lambda", lam_i * lam, 1)
@@ -815,7 +811,7 @@ def _e_half_products(env, r):
         s = fn.csin(p.phi / 2)
         c = fn.ccos(p.phi / 2)
         psin, pcos, ptan = psin * s, pcos * c, ptan * (s / c)
-        pth = pth * p.exp_minus_theta()
+        pth = pth * (1 / p.exp_theta)
         pps = pps * (-fn.ctan(p.phi / 2))
     lsm = (w.lambda_s - 1 / w.lambda_s) / 2
     ldm = (w.lambda_d - 1 / w.lambda_d) / 2
@@ -897,7 +893,9 @@ def _e_physics_chain(env, r):
     fn, w, c = env.fn, env.w, env.c
     M, L, N = c.M, c.L, c.M // 2
     x = np.array([complex(p.chi) for p in env.points])
-    g = np.array([complex(p.lam ** L * p.exp_minus_theta() * p.exp_psi())
+    # e^psi = -cot(phi/2), single-valued given the angle branch
+    g = np.array([complex(p.lam ** L * (1 / p.exp_theta)
+                          * (-fn.ccos(p.phi / 2) / fn.csin(p.phi / 2)))
                   for p in env.points])
     d = np.array([complex(w.t_star / w.z_minus / dp) for dp in
                   chi_poly_derivatives([p.chi for p in env.points])])

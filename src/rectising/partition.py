@@ -557,11 +557,10 @@ class HankelSystem:
 @dataclass
 class SkewToeplitzSystem:
     """Skew-symmetric Toeplitz system: the entries scaled by
-    exp(-log_shift), as ``rows`` (an array of the route scalars) and as
-    their first column below the diagonal, ``c_scaled``."""
+    exp(-log_shift), as ``rows``, an array of the route scalars whose first
+    column below the diagonal is c_1 .. c_{M-1}."""
 
     log_shift: object
-    c_scaled: list            # c_1 .. c_{M-1}, first column below diagonal
     rows: np.ndarray
 
 
@@ -665,7 +664,7 @@ def skew_toeplitz_from_spectrum(points, c: Couplings, w: Weights,
                           + cs)
     r = np.arange(M)
     rows = signed[np.subtract.outer(r, r) + (M - 1)]
-    return SkewToeplitzSystem(log_shift=shift, c_scaled=cs, rows=rows)
+    return SkewToeplitzSystem(log_shift=shift, rows=rows)
 
 
 def _checked_measure(c: Couplings, pipeline: SystemPipeline):

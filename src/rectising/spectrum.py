@@ -246,16 +246,15 @@ def _core_eig(bundle: MatrixBundle, w: Weights, prec: Precision):
 
 @dataclass
 class SpectrumPoint:
-    """One eigenvalue with its angles.
+    """One eigenvalue, and on an enriched copy its angles.
 
     ``lam`` is the positive transfer-matrix eigenvalue.  ``eigvec`` is a
-    row of a binary64 array, or a tuple of Decimals at extended
-    precision, where the eigenvalues and gamma are Decimals too until
-    ``spectrum_for`` makes them context scalars; no binary64 copy is
-    kept.  Only ``spectrum_for`` fills phi, zeta, the Jacobi triple
-    (`enrich_spectrum`), u, branch, omega, theta, psi and quant_residual;
-    no route reads them.  `exp_theta` and `exp_psi` read
-    the context and modulus that `enrich_spectrum` sets with the triple.
+    row of a binary64 array, or a tuple of Decimals at extended precision,
+    where the routes' points (`joint_spectrum`) hold the eigenvalues and
+    gamma as Decimals too; no binary64 copy is kept.  Only the copies that
+    `enrich_spectrum` builds hold context scalars and the angles: phi,
+    zeta, the Jacobi triple, e^theta, u, branch, omega, theta, psi and
+    quant_residual; no route reads them.
     """
 
     mu: int
@@ -276,19 +275,8 @@ class SpectrumPoint:
     sn_u: complex = field(default=None, repr=False)
     cn_u: complex = field(default=None, repr=False)
     dn_u: complex = field(default=None, repr=False)
-
-    def exp_theta(self):
-        """e^theta = k sn u cn u / (i dn u), single-valued in the triple."""
-        return self._k * self.sn_u * self.cn_u / (self._ctx.mpc(0, 1)
-                                                  * self.dn_u)
-
-    def exp_minus_theta(self):
-        return 1 / self.exp_theta()
-
-    def exp_psi(self):
-        """e^psi = -cot(phi/2), single-valued given the angle branch."""
-        ctx = self._ctx
-        return -ctx.cos(self.phi / 2) / ctx.sin(self.phi / 2)
+    #: e^theta = k sn u cn u / (i dn u), single-valued in the triple
+    exp_theta: complex = field(default=None, repr=False)
 
 
 def joint_spectrum(bundle: MatrixBundle, w: Weights,
@@ -457,13 +445,13 @@ def dispersion_residual(gamma, phi, w: Weights):
         - w.tz_plus
 
 
-def _locate_u(p, frame):
-    """Torus point with the point's eigenvalue pair, from its triple: of
-    the candidates +-u0 and +-conj(u0), u0 = arcsn(sn u), the best match.
+def _locate_u(mu, lam, zeta, sn_u, frame):
+    """Torus point with the eigenvalue pair (lam, zeta), from sn u: of the
+    candidates +-u0 and +-conj(u0), u0 = arcsn(sn u), the best match.
     sn is odd and real on the real axis and eta imaginary, so sn(u0 +-
     eta) give sn(candidate +- eta) of all four exactly."""
     fn = _scalar_fns(frame.prec)
-    u0 = arcsn(p.sn_u, frame.k, frame.prec)
+    u0 = arcsn(sn_u, frame.k, frame.prec)
     best = None
     try:
         sp = frame.kernel.sncndn(u0 + frame.eta)[0]
@@ -475,12 +463,12 @@ def _locate_u(p, frame):
         cands = ()
     for cand, sp_c, sm_c in cands:
         lam_c, zeta_c = 1 / (frame.k * sp_c * sm_c), sp_c / sm_c
-        err = abs(lam_c - p.lam) / max(1.0, abs(p.lam)) + abs(zeta_c - p.zeta)
+        err = abs(lam_c - lam) / max(1.0, abs(lam)) + abs(zeta_c - zeta)
         if best is None or err < best[0]:
             best = (err, cand)
     if best is None or best[0] > BRANCH_TOL:
         raise JointDiagonalizationError(
-            f"branch inconsistency: no torus point matches mu={p.mu} "
+            f"branch inconsistency: no torus point matches mu={mu} "
             f"(best residual {best[0] if best else float('inf'):.3e})")
     u = best[1]
     K, Kp = frame.K, frame.K_prime
@@ -491,55 +479,57 @@ def _locate_u(p, frame):
     return fn.mpc(re, im)
 
 
-def enrich_spectrum(points, frame: EllipticFrame, w: Weights):
-    """The torus angles of a whole spectrum, for `spectrum_for` (in place;
-    the same list is returned): phi on the principal arccos branch with
-    nonnegative imaginary part, zeta = e^{i phi}, and the Jacobi triple of
-    the preimage of lam whose vertical eigenvalue is zeta, checked against
-    it."""
-    fn = _scalar_fns(frame.prec)
+def enrich_spectrum(points, frame: EllipticFrame, w: Weights) -> list:
+    """Enriched copies of a checked spectrum, for `spectrum_for`; nothing
+    is written to ``points``.  Each copy holds the eigenvalues and gamma as
+    context scalars; phi on the principal arccos branch with nonnegative
+    imaginary part and zeta = e^{i phi}; the Jacobi triple of the preimage
+    of lam whose vertical eigenvalue is zeta, checked against it, and
+    e^theta from it; and the angles of the spectrum table: the torus point
+    u, reduced so that reciprocal-eigenvalue points sit on the upper torus
+    line, its branch, omega = am 2u, theta, psi and the residual of the
+    quantization M phi = omega (mod 2 pi), M = len(points)."""
+    prec, fn = frame.prec, _scalar_fns(frame.prec)
+    scalar = (lambda x: x) if prec.is_float else prec.from_decimal
+    i, two_pi, M = fn.mpc(0, 1), 2 * fn.pi, len(points)
+    out = []
     for p in points:
-        p._ctx, p._k = frame.prec.ctx, w.k
-        p.phi = _acos_upper(fn, p.chi / 2 - 1)
-        p.zeta = fn.cexp(fn.mpc(0, 1) * p.phi)
-        (p.sn_u, p.cn_u, p.dn_u), zeta_t = _matched_triple(p.lam, p.zeta, w,
-                                                           frame)
-        if abs(zeta_t - p.zeta) > BRANCH_TOL * max(1.0, abs(p.zeta)):
+        lam, lam_plus, lam_minus, gamma, chi = map(
+            scalar, (p.lam, p.lam_plus, p.lam_minus, p.gamma, p.chi))
+        phi = _acos_upper(fn, chi / 2 - 1)
+        zeta = fn.cexp(i * phi)
+        (sn, cn, dn), zeta_t = _matched_triple(lam, zeta, w, frame)
+        if abs(zeta_t - zeta) > BRANCH_TOL * max(1.0, abs(zeta)):
             raise JointDiagonalizationError(
                 f"branch inconsistency: vertical eigenvalue mismatch "
-                f"{abs(zeta_t - p.zeta):.3e} at mu={p.mu}")
-    return points
+                f"{abs(zeta_t - zeta):.3e} at mu={p.mu}")
+        u = _locate_u(p.mu, lam, zeta, sn, frame)
+        exp_theta = w.k * sn * cn / (i * dn)
+        omega = frame.kernel.am(2 * u)
+        q = M * phi - omega
+        r = q.real - two_pi * fn.floor(q.real / two_pi + 0.5)
+        out.append(SpectrumPoint(
+            mu=p.mu, lam=lam, lam_plus=lam_plus, lam_minus=lam_minus,
+            gamma=gamma, chi=chi, eigvec=p.eigvec, zeta=zeta, phi=phi, u=u,
+            omega=omega, theta=fn.clog(exp_theta),
+            psi=-fn.clog(-fn.ctan(phi / 2)),
+            branch=("complex" if abs(float(phi.imag)) > 1e-9 else
+                    ("shifted_iKprime"
+                     if abs(float(u.imag)) > float(frame.K_prime) / 2
+                     else "real_axis")),
+            quant_residual=abs(complex(r + i * q.imag)),
+            sn_u=sn, cn_u=cn, dn_u=dn, exp_theta=exp_theta))
+    return out
 
 
 def spectrum_for(c: Couplings, prec: Precision = FLOAT64):
-    """Weights, frame, pipeline and enriched spectrum of one system, its
-    eigenvalues and gamma as context scalars, each point also with the
-    angles of the spectrum table: the torus point u, reduced so that
-    reciprocal-eigenvalue points sit on the upper torus line, its branch,
-    omega = am 2u, theta, psi and the residual of the quantization
-    M phi = omega (mod 2 pi)."""
+    """Weights, frame, pipeline and enriched spectrum of one system: the
+    `enrich_spectrum` copies of the pipeline's checked points, which stay
+    the route scalars the routes read."""
     pipe = SystemPipeline(c, prec)
     w, _bundle, pts = pipe.checked()
     frame = pipe.frame()
-    fn = _scalar_fns(pipe.prec)
-    if not pipe.prec.is_float:
-        for p in pts:
-            for name in ("lam", "lam_plus", "lam_minus", "gamma", "chi"):
-                setattr(p, name, pipe.prec.from_decimal(getattr(p, name)))
-    two_pi = 2 * fn.pi
-    for p in enrich_spectrum(pts, frame, w):
-        p.u = _locate_u(p, frame)
-        p.branch = ("complex" if abs(float(p.phi.imag)) > 1e-9 else
-                    ("shifted_iKprime"
-                     if abs(float(p.u.imag)) > float(frame.K_prime) / 2
-                     else "real_axis"))
-        p.omega = frame.kernel.am(2 * p.u)
-        p.theta = fn.clog(p.exp_theta())
-        p.psi = -fn.clog(-fn.ctan(p.phi / 2))
-        q = c.M * p.phi - p.omega
-        r = q.real - two_pi * fn.floor(q.real / two_pi + 0.5)
-        p.quant_residual = abs(complex(r + fn.mpc(0, 1) * q.imag))
-    return w, frame, pipe, pts
+    return w, frame, pipe, enrich_spectrum(pts, frame, w)
 
 
 # ----------------------------------------------------------------------
@@ -552,9 +542,10 @@ class SystemPipeline:
     eigensystem) and checked (the family after `check_joint`), the last
     two at any modulus.  Only `spectrum_for`, the contour and the
     identities build the frame, which raises `CriticalModulusError` at
-    the critical modulus; no route and not `partition.assemble_logZ`
-    builds it, and the route eigenpairs carry no torus state.  The
-    structured routes keep one stage of their own here, the spectral
+    the critical modulus (no route and not `partition.assemble_logZ`
+    does), and they read copies of the checked points (`enrich_spectrum`)
+    and write nothing here, so the route eigenpairs carry no torus state.
+    The structured routes keep one stage of their own here, the spectral
     measure (`partition._checked_measure`).
 
     Each stage is built on first use and kept; a stage that raised raises

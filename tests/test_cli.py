@@ -770,3 +770,26 @@ def test_no_subcommand_ends_in_a_traceback(L, M, k, frac, k_max):
             lines = err.getvalue().splitlines()
             assert len(lines) == 1, argv
             assert "error" in json.loads(lines[0]), argv
+
+
+#: couplings where an elliptic iteration does not converge (k = inf, and
+#: carlson_rf at Kh = 1e-300) or the spectrum overflows a float
+EXTREME_ARGVS = [[cmd, "--L", "4", "--M", "4", *system]
+                 for cmd in ("z", "compare", "spectrum", "identities",
+                             "uplane")
+                 for system in (["--k", "inf"],
+                                ["--Kh", "1e-300", "--Kv", "0.3"])] + [
+    ["scan", "--L", "4", "--M", "4", "--k-min", "0.5", "--k-max", "inf",
+     "--steps", "2"]]
+
+
+@pytest.mark.parametrize("argv", EXTREME_ARGVS, ids=" ".join)
+def test_numerical_failure_exits_with_one_json_line(capsys, argv):
+    # an ArithmeticError exits 1 with one JSON line that names its type,
+    # not with a traceback
+    code, _out, err = run_cli(capsys, *argv)
+    assert code == 1
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert "error" in json.loads(lines[0], parse_constant=_reject_constant)
+    assert "ConvergenceError" in lines[0] or "OverflowError" in lines[0]

@@ -418,27 +418,6 @@ class TestAmplitude:
             assert abs(val - 1) < 1e-11
 
 
-    @pytest.mark.parametrize("bits", [53, 160])
-    @pytest.mark.parametrize("k", [0.6, 1.66])
-    def test_known_triple_stands_in_for_the_evaluation(self, k, bits):
-        # the caller's triple at the reduced argument gives the amplitude
-        # of the kernel's own evaluation there, whose Landen pass also
-        # gives the real-axis anchor; a triple at another point is unread
-        prec = Precision(bits)
-        ctx = prec.ctx
-        kern = EllipticKernel(ctx.mpf(k), prec)
-        i = ctx.mpc(0, 1)
-        for u in (ctx.mpc(0.3, 0.2), ctx.mpc(-0.9, 0.8), ctx.mpc(0.4, -1.1)):
-            v = 2 * u
-            triple = kern.sncndn(v)
-            want = kern.am(v)
-            assert kern.am(v, known=(v, triple)) == want
-            assert kern.am(v, known=(v + 1, (0, 0, 0))) == want
-            # reduced by 2iK', 2(u + iK') lands on 2u or next to it
-            w = 2 * (u + i * kern.K_prime)
-            assert kern.am(w, known=(v, triple)) == kern.am(w)
-
-
 EXTREME_MODULI = (1e-12, 1e-6, 1 - 1e-9, 1 + 1e-9, 1e3, 1e8)
 
 

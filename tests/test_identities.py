@@ -154,10 +154,10 @@ class TestSharedBuild:
         if where == "am":
             orig = EllipticKernel.am
 
-            def raising(kern, v, **kwargs):
+            def raising(kern, v):
                 if v == 2 * u:
                     raise PoleError("pole")
-                return orig(kern, v, **kwargs)
+                return orig(kern, v)
 
             monkeypatch.setattr(EllipticKernel, "am", raising)
         else:
@@ -269,10 +269,10 @@ class TestBatchedKernelWork:
                 calls.append(u)
             return scalar(kern, u)
 
-        def am_call(kern, u, **kwargs):
+        def am_call(kern, u):
             depth.append(u)
             try:
-                return am(kern, u, **kwargs)
+                return am(kern, u)
             finally:
                 depth.pop()
 
@@ -286,37 +286,6 @@ class TestBatchedKernelWork:
             counts.append(len(calls))
         assert counts[0] == counts[1] <= 24
 
-
-    @pytest.mark.parametrize("k, eta, L, M", [(0.6, 0.8, 4, 4),
-                                              (2.5, 0.8, 6, 10)])
-    def test_no_scalar_evaluation_at_a_sampled_point(self, monkeypatch, k,
-                                                     eta, L, M):
-        # in extended precision am(2u), am(2ut) and am(2(u + iK')) reduced
-        # onto 2u take the sampler's scalar triples: no evaluation of a
-        # suite run repeats a point that _draw_samples evaluated in it
-        draw, scalar = identities._draw_samples, EllipticKernel._sncndn_phase
-        drawing, sampled, repeats = [], set(), []
-
-        def draw_samples(*args):
-            drawing.append(True)
-            try:
-                return draw(*args)
-            finally:
-                drawing.pop()
-
-        def counted(kern, u):
-            if drawing:
-                sampled.add(u)
-            elif u in sampled:
-                repeats.append(u)
-            return scalar(kern, u)
-
-        monkeypatch.setattr(identities, "_draw_samples", draw_samples)
-        monkeypatch.setattr(EllipticKernel, "_sncndn_phase", counted)
-        run_identity_suite(couplings_from_modulus(k, eta, L, M),
-                           prec=Precision(160))
-        assert sampled and repeats == []
-
     @pytest.mark.parametrize("k, eta, L, M, seed", [(0.6, 0.8, 4, 4, 38),
                                                     (2.5, 0.8, 6, 10, 11)])
     def test_binary64_amplitudes_are_the_kernels(self, k, eta, L, M, seed):
@@ -325,14 +294,10 @@ class TestBatchedKernelWork:
         # so omega is the same here as in spectrum_for
         env = identities.build_env(couplings_from_modulus(k, eta, L, M),
                                    seed=seed)
-        kern, i = env.kern, 1j
+        kern = env.kern
         assert any(s.at_2u != kern.sncndn(2 * s.u) for s in env.samples)
         for s, om in zip(env.samples, env.am_2u):
             assert om == kern.am(2 * s.u)
-            assert env.am_at(2 * s.ut, 2 * s.ut, s.at_2ut) \
-                == kern.am(2 * s.ut)
-            v = 2 * (s.u + i * env.frame.K_prime)
-            assert env.am_at(v, 2 * s.u, s.at_2u) == kern.am(v)
 
 
 class TestRecorder:

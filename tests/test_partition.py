@@ -11,7 +11,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from rectising import params
 from rectising.elliptic import EllipticKernel
@@ -23,6 +23,7 @@ from rectising.params import (
     swap_system,
 )
 from rectising.partition import (
+    AGREEMENT_DEV,
     ESCALATION_DEV,
     SPIN_MAX_WIDTH,
     PartitionResult,
@@ -796,7 +797,8 @@ class TestHankelRoute:
         derivs = chi_poly_derivatives([q.chi for q in pts])
         for bi, q, dp in zip(b, pts, derivs):
             want = (ctx.mpc(0, 2) * w.t_star * ctx.exp(L * q.gamma - shift)
-                    * q.exp_minus_theta() * q.exp_psi() / dp)
+                    * (1 / q.exp_theta)
+                    * (-ctx.cos(q.phi / 2) / ctx.sin(q.phi / 2)) / dp)
             assert bi > 0
             assert abs(bi - want) <= 1e-40 * abs(want)
 
@@ -898,7 +900,7 @@ class TestSkewToeplitzRoute:
             for j in range(M):
                 assert sys.rows[i][j] == -sys.rows[j][i]
                 if i > j:
-                    assert sys.rows[i][j] == sys.c_scaled[i - j - 1]
+                    assert sys.rows[i][j] == sys.rows[i - j][0]
 
     @pytest.mark.parametrize("k", [0.6, 3])
     def test_chebyshev_form_is_the_angle_sum(self, k):
@@ -913,7 +915,7 @@ class TestSkewToeplitzRoute:
         _shift, _chis, b = partition._spectral_measure(pts, c, w)
         want = [-ctx.fsum(bi * ctx.sin(d * q.phi) / ctx.sin(q.phi)
                           for bi, q in zip(b, pts)) for d in range(1, c.M)]
-        got = skew_toeplitz_from_spectrum(pts, c, w).c_scaled
+        got = skew_toeplitz_from_spectrum(pts, c, w).rows[1:, 0]
         scale = max(abs(x) for x in want)
         assert max(abs(g - x) for g, x in zip(got, want)) < 1e-40 * scale
 
@@ -946,7 +948,7 @@ class TestSkewToeplitzRoute:
             got = chi_poly_derivatives([q.chi for q in pts])
             assert repr(got) == repr(derivs)
         got = skew_toeplitz_from_spectrum(pts, c, w, measure)
-        assert repr(got.c_scaled) == repr(entries)
+        assert repr(got.rows[1:, 0].tolist()) == repr(entries)
 
     @pytest.mark.parametrize("geom", [(5, 6), (10, 6), (6, 10)])
     def test_pfaffian_equals_determinant(self, geom):
@@ -1030,6 +1032,23 @@ class TestAssemble:
         a, b = (assemble_logZ(x).logZ for x in (c, swap_system(c)))
         if a == a and b == b:
             assert abs(a - b) <= 1e-13 * max(1.0, abs(b))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 24), st.integers(1, 24),
+           st.one_of(st.floats(0.1, 0.95, exclude_min=True, exclude_max=True),
+                     st.floats(1.05, 10, exclude_min=True, exclude_max=True)),
+           st.floats(0.05, 1, exclude_min=True))
+    def test_every_route_agrees_with_spin(self, L, M, k, frac):
+        # wherever spin runs, every ok outcome of route="all" lies within
+        # AGREEMENT_DEV of its log Z
+        assume(min(L, M) <= SPIN_MAX_WIDTH)
+        res = assemble_logZ(couplings_from_modulus(k, frac, L, M))
+        spin = res.outcomes["spin"]
+        assert spin.status == "ok"
+        for o in res.outcomes.values():
+            if o.status == "ok":
+                assert abs(o.logZ - spin.logZ) \
+                    <= AGREEMENT_DEV * max(1.0, abs(spin.logZ))
 
     def test_critical_point_routes(self):
         c = Couplings(CRITICAL_K, CRITICAL_K, 5, 6)

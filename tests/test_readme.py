@@ -2,7 +2,8 @@
 
 Every number README writes next to a backticked module constant, before
 it ("1e-8 (`partition.AGREEMENT_DEV`)") or after it ("`BRANCH_TOL`
-(10⁻⁹)", "`FD_STEP`, 2·10⁻⁵"), must equal that constant.
+(10⁻⁹)", "`FD_STEP`, 2·10⁻⁵"), must equal that constant.  The package's
+line count is the number its quoted command prints.
 """
 
 import importlib
@@ -58,3 +59,13 @@ def test_readme_quotes_tolerances():
     assert quoted, "README quotes no tolerance next to a constant"
     for module, name, number in quoted:
         assert _value(number) == _constant(module, name), (name, number)
+
+
+def test_readme_line_count_is_what_wc_prints():
+    # "`src/rectising` holds N lines of Python (`wc -l src/rectising/*.py`)"
+    text = " ".join(README.read_text().split())
+    quoted = re.findall(r"`src/rectising` holds (\d+) lines of Python "
+                        r"\(`wc -l src/rectising/\*\.py`\)", text)
+    src = README.parent / "src" / "rectising"
+    lines = sum(p.read_bytes().count(b"\n") for p in src.glob("*.py"))
+    assert [int(n) for n in quoted] == [lines]

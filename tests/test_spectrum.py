@@ -1,6 +1,7 @@
 """Transfer-matrix family, joint spectrum and characteristic polynomials."""
 
 import cmath
+import dataclasses
 import decimal
 import math
 
@@ -22,8 +23,14 @@ from rectising.params import (
     elliptic_frame,
     weights_from_couplings,
 )
+from rectising.partition import (
+    block_transfer_logZ,
+    hankel_logZ,
+    pfaffian_logZ,
+)
 from rectising.precision import Precision
 from rectising.spectrum import (
+    SpectrumPoint,
     SystemPipeline,
     build_matrices,
     char_poly_eval,
@@ -396,7 +403,8 @@ class TestAngles:
         w, fr, _b, pts = spectrum_for(c)
         cn_e = fr.kernel.sncndn(fr.eta)[1]
         for p in pts:
-            lhs = p.exp_theta() / p.exp_psi()
+            # e^psi = -cot(phi/2)
+            lhs = complex(p.exp_theta) * -cmath.tan(complex(p.phi) / 2)
             rhs = 1j * complex(w.z) * complex(p.cn_u) ** 2 / complex(cn_e) ** 2
             assert abs(complex(lhs) - rhs) < 1e-10 * max(1.0, abs(rhs))
 
@@ -404,7 +412,7 @@ class TestAngles:
         c = Couplings(0.3, 0.3, 5, 6)
         _w, _fr, _b, pts = spectrum_for(c)
         for p in pts:
-            assert abs(complex(p.exp_psi())
+            assert abs(cmath.exp(complex(p.psi))
                        + 1 / cmath.tan(complex(p.phi) / 2)) < 1e-10
             assert abs(cmath.exp(-complex(p.psi))
                        + cmath.tan(complex(p.phi) / 2)) < 1e-10
@@ -472,22 +480,44 @@ def test_table_angles_only_from_spectrum_for(k, eta, L, M, bits):
                    for name in TABLE_ANGLES + TORUS_ANGLES)
 
 
+@pytest.mark.parametrize("k,eta,L,M", [(0.6, 0.9, 5, 6), (2.5, 0.8, 6, 10),
+                                       (3.14, 0.429, 14, 12)])
+@pytest.mark.parametrize("bits", [53, 160])
+def test_spectrum_for_leaves_the_pipeline_to_the_routes(k, eta, L, M, bits):
+    # enrichment copies the checked points: the pipeline that spectrum_for
+    # returns still holds the route scalars, and every route on it gives
+    # the bits of a fresh pipeline
+    p = Precision(bits)
+    c = couplings_from_modulus(k, eta, L, M)
+    _w, _fr, pipe, _pts = spectrum_for(c, p)
+    scalar = float if p.is_float else decimal.Decimal
+    for q in pipe.checked()[2]:
+        assert q.phi is None
+        assert all(type(getattr(q, name)) is scalar for name in
+                   ("lam", "lam_plus", "lam_minus", "gamma", "chi"))
+    for route in (block_transfer_logZ, hankel_logZ, pfaffian_logZ):
+        assert route(c, p, pipe)[0] == route(c, p, SystemPipeline(c, p))[0]
+
+
 @pytest.mark.parametrize("k,eta,L,M", [(0.6, 0.9, 5, 6), (3, 0.9, 6, 6)])
 @pytest.mark.parametrize("bits", [53, 160])
 def test_route_points_carry_no_torus_state(k, eta, L, M, bits):
-    # only enrichment gives a point the context and modulus of e^theta;
-    # e^theta from the triple is k sn cn / (i dn) at the located u
+    # a point holds its fields and nothing else, and SpectrumPoint defines
+    # no method; only an enriched copy has e^theta, which is k sn cn /
+    # (i dn) at the located u
+    names = {f.name for f in dataclasses.fields(SpectrumPoint)}
+    assert [n for n, v in vars(SpectrumPoint).items() if callable(v)] \
+        == ["__init__", "__repr__", "__eq__"]
     c = couplings_from_modulus(k, eta, L, M)
     _w, _b, route_pts = SystemPipeline(c, Precision(bits)).checked()
-    assert not any(hasattr(p, "_ctx") or hasattr(p, "_k")
-                   for p in route_pts)
     w, fr, _b, table_pts = spectrum_for(c, Precision(bits))
+    assert all(vars(p).keys() == names for p in route_pts + table_pts)
+    assert all(p.exp_theta is None for p in route_pts)
     ctx = w.prec.ctx
     for p in table_pts:
-        assert p._ctx is ctx and p._k == w.k
         sn, cn, dn = fr.kernel.sncndn(p.u)
         want = w.k * sn * cn / (ctx.mpc(0, 1) * dn)
-        assert abs(p.exp_theta() - want) <= 64 * w.prec.eps * abs(want)
+        assert abs(p.exp_theta - want) <= 64 * w.prec.eps * abs(want)
 
 
 class TestCharPoly:
